@@ -15,7 +15,7 @@ from .bench import (
 from .ca_wire import SearchRequest, SearchResponse, ValueExchange
 from .endpoints import CaClient, ChannelTimeout, ClientQueryConfig, IocSim, RealCaClient
 from .netsim import VirtualNetwork, VirtualTopology
-from .packet import Cidr, Ipv4UdpPacket, checksum16, cidr_contains, decode, encode
+from .packet import Cidr, Ipv4UdpPacket, checksum16, decode, encode
 from .relay import (
     Relay,
     RelayConfig,
@@ -47,7 +47,6 @@ __all__ = [
     "VirtualNetwork",
     "VirtualTopology",
     "checksum16",
-    "cidr_contains",
     "classify",
     "decode",
     "emit_report",

@@ -13,7 +13,8 @@ and three scripted scenarios on top of it:
 
 The benchmark compares resolution latency for a client inside the target
 subnet (DIRECT), the source-preserving relay (PERSISTENT), and the
-fork-per-request cost model (FORK_MODEL) on the virtual clock.
+fork-per-request cost model (FORK_MODEL: a proxy relay whose host takes the
+fork cost to process each request) on the virtual clock.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ class Scenario:
     queries: list[Query]
     relay_config: RelayConfig | None = None
     relay_host: str | None = None
+    # Per-request processing cost of the relay host (the fork model).
+    relay_request_delay_us: int = 0
     client_config: ClientQueryConfig = field(default_factory=ClientQueryConfig)
     repetitions: int = 1
     seed: int = 0
@@ -286,6 +289,27 @@ def _matches(expected: ExpectedOutcome, outcome_timed_out: bool, value: float | 
     return not outcome_timed_out and value == expected.value
 
 
+def build_network(scenario: Scenario) -> tuple[VirtualNetwork, Relay | None]:
+    """The scenario's network with its bare bindings, IOCs and relay in place."""
+    net = VirtualNetwork(scenario.topology, seed=scenario.seed)
+    for host, port, owner in scenario.pre_bindings:
+        net.bind(host, port, owner)
+    for spec in scenario.iocs:
+        IocSim(
+            net,
+            spec.host,
+            spec.name,
+            spec.pvs,
+            server_port=spec.server_port,
+            advertise_own_address=spec.advertise_own_address,
+        )
+    relay = None
+    if scenario.relay_config is not None:
+        transport = SimTransport(net, scenario.relay_host, scenario.relay_request_delay_us)
+        relay = Relay(scenario.relay_config, transport)
+    return net, relay
+
+
 def execute_scenario(scenario: Scenario, arm: str | None = None) -> ScenarioRun:
     """Run every query repetitions times on a fresh network."""
     if scenario.repetitions < 1:
@@ -302,22 +326,7 @@ def execute_scenario(scenario: Scenario, arm: str | None = None) -> ScenarioRun:
         if spec.host not in host_names:
             raise ConfigInvalid(f"unknown IOC host {spec.host}")
 
-    net = VirtualNetwork(scenario.topology, seed=scenario.seed)
-    for host, port, owner in scenario.pre_bindings:
-        net.bind(host, port, owner)
-    for spec in scenario.iocs:
-        IocSim(
-            net,
-            spec.host,
-            spec.name,
-            spec.pvs,
-            server_port=spec.server_port,
-            advertise_own_address=spec.advertise_own_address,
-        )
-    relay = None
-    if scenario.relay_config is not None:
-        relay = Relay(scenario.relay_config, SimTransport(net, scenario.relay_host))
-
+    net, relay = build_network(scenario)
     clients: dict[str, CaClient] = {}
     arm_name = arm or scenario.name
     report = ScenarioReport(scenario=scenario.name, seed=scenario.seed)
@@ -366,27 +375,18 @@ def benchmark_scenarios(
         seed=seed,
     )
 
-    def relayed(mode: RelayMode, arm_seed: int) -> Scenario:
+    def relayed(mode: RelayMode, arm_seed: int, request_delay_us: int = 0) -> Scenario:
         scenario = scenario_c(seed=arm_seed, mode=mode)
         scenario.name = "bench"
         scenario.topology.jitter_us = jitter_us
         scenario.repetitions = repetitions
-        if mode is RelayMode.FORK_MODEL:
-            scenario.relay_config = RelayConfig(
-                target_broadcast="255.255.255.255",
-                listen_port=6064,
-                target_port=5064,
-                allow_sources=(CLIENT_SUBNET,),
-                local_subnet=BEAMLINE_SUBNET,
-                mode=mode,
-                fork_cost_s=fork_cost_s,
-            )
+        scenario.relay_request_delay_us = request_delay_us
         return scenario
 
     return {
         "DIRECT": direct,
         "PERSISTENT": relayed(RelayMode.SPOOF, seed + 1),
-        "FORK_MODEL": relayed(RelayMode.FORK_MODEL, seed + 2),
+        "FORK_MODEL": relayed(RelayMode.PROXY, seed + 2, int(fork_cost_s * 1e6)),
     }
 
 

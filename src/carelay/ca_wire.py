@@ -11,7 +11,7 @@ Header layout (all big-endian):
     offset  size  field
     0       2     command
     2       2     payload_size   (multiple of 8)
-    6       2     data_type
+    4       2     data_type
     6       2     data_count
     8       4     param1
     12      4     param2

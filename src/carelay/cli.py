@@ -21,13 +21,14 @@ from .bench import (
     ConfigInvalid,
     Scenario,
     UnknownFormat,
+    build_network,
     emit_report,
     execute_scenario,
     run_benchmark,
 )
-from .config import ConfigError, ConfigFile, install_relay_prerouting, parse_config
-from .endpoints import CaClient, ChannelTimeout, IocSim, RealCaClient
-from .netsim import NetsimError, VirtualNetwork
+from .config import ConfigError, ConfigFile, install_relay_prerouting, parse_config, parse_endpoint
+from .endpoints import CaClient, ChannelTimeout, RealCaClient
+from .netsim import NetsimError
 from .packet import Cidr
 from .relay import (
     PrivilegeRequired,
@@ -35,7 +36,6 @@ from .relay import (
     Relay,
     RelayConfig,
     RelayMode,
-    SimTransport,
     TransportUnavailable,
 )
 
@@ -47,7 +47,6 @@ EXIT_CONFIG = 2
 EXIT_PRIVILEGE = 3
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "normal": logging.INFO, "trace": logging.DEBUG}
-_MODES = {"spoof": RelayMode.SPOOF, "proxy": RelayMode.PROXY, "fork": RelayMode.FORK_MODEL}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     relay_p.add_argument("--target", metavar="IP:PORT", default=None)
     relay_p.add_argument("--allow", metavar="CIDR", action="append", default=None)
     relay_p.add_argument("--local-subnet", metavar="CIDR", default=None)
-    relay_p.add_argument("--mode", choices=sorted(_MODES), default=None)
+    relay_p.add_argument("--mode", choices=[m.value for m in RelayMode], default=None)
     relay_p.add_argument("--bind-ip", default="0.0.0.0", help="real transport bind address")
     relay_p.add_argument("--format", choices=("text", "records"), default="text")
     relay_p.set_defaults(func=cmd_relay)
@@ -116,20 +115,13 @@ def _load_config(args, required: bool = False) -> ConfigFile:
         return parse_config(fh.read())
 
 
-def _parse_target(text: str) -> tuple[str, int]:
-    ip, sep, port = text.rpartition(":")
-    if not sep:
-        raise ConfigInvalid(f"--target expects IP:PORT, got {text!r}")
-    return ip, int(port)
-
-
 def _merge_relay_flags(config: ConfigFile, args) -> RelayConfig:
     relay = config.relay
     overrides = {}
     if args.listen_port is not None:
         overrides["listen_port"] = args.listen_port
     if args.target is not None:
-        ip, port = _parse_target(args.target)
+        ip, port = parse_endpoint(args.target, "--target")
         overrides["target_broadcast"] = ip
         overrides["target_port"] = port
     if args.allow is not None:
@@ -137,7 +129,7 @@ def _merge_relay_flags(config: ConfigFile, args) -> RelayConfig:
     if args.local_subnet is not None:
         overrides["local_subnet"] = Cidr.parse(args.local_subnet)
     if args.mode is not None:
-        overrides["mode"] = _MODES[args.mode]
+        overrides["mode"] = RelayMode(args.mode)
     if relay is None:
         if "target_broadcast" not in overrides:
             raise ConfigInvalid("no relay target: give --target IP:PORT or a relay config section")
@@ -148,8 +140,6 @@ def _merge_relay_flags(config: ConfigFile, args) -> RelayConfig:
 def _scenario_from_config(config: ConfigFile, args, name: str = "config") -> Scenario:
     if config.topology is None:
         raise ConfigInvalid("this command needs a topology section in the config")
-    if not config.queries:
-        raise ConfigInvalid("this command needs a queries section in the config")
     if config.relay_install_prerouting:
         install_relay_prerouting(config)
     relay_config = config.relay if config.relay_host is not None else None
@@ -170,6 +160,8 @@ def _scenario_from_config(config: ConfigFile, args, name: str = "config") -> Sce
 
 def _run_configured_scenario(args, name: str) -> int:
     config = _load_config(args, required=True)
+    if not config.queries:
+        raise ConfigInvalid("this command needs a queries section in the config")
     scenario = _scenario_from_config(config, args, name=name)
     run = execute_scenario(scenario)
     if args.log == "trace":
@@ -235,28 +227,19 @@ def cmd_bench(args) -> int:
 
 def _sim_client_query(args, write_value: float | None) -> int:
     config = _load_config(args, required=True)
-    if config.topology is None:
-        raise ConfigInvalid("sim transport needs a topology section in the config")
+    scenario = _scenario_from_config(config, args)
     if config.client_host is None:
         raise ConfigInvalid("sim transport needs client.host in the config")
-    if config.relay_install_prerouting:
-        install_relay_prerouting(config)
-
-    net = VirtualNetwork(config.topology, seed=args.seed if args.seed is not None else 0)
-    for host, port, owner in config.extra_bindings:
-        net.bind(host, port, owner)
-    for spec in config.iocs:
-        IocSim(net, spec.host, spec.name, spec.pvs, server_port=spec.server_port,
-               advertise_own_address=spec.advertise_own_address)
-    if config.relay is not None and config.relay_host is not None:
-        Relay(config.relay, SimTransport(net, config.relay_host))
+    net, _ = build_network(scenario)
     client = CaClient(net, config.client_host, config=config.client)
     return _print_query(client, args, write_value)
 
 
 def _real_client_query(args, write_value: float | None) -> int:
     config = _load_config(args)
-    targets = [_parse_target(t) for t in args.target] if args.target else [("255.255.255.255", 5064)]
+    targets = [("255.255.255.255", 5064)]
+    if args.target:
+        targets = [parse_endpoint(t, "--target") for t in args.target]
     client = RealCaClient(targets, config=config.client)
     return _print_query(client, args, write_value)
 

@@ -193,7 +193,7 @@ def _parse_topology(section: dict, config: ConfigFile) -> None:
             rpath = f"{hpath}.prerouting[{j}]"
             rule = _require_mapping(rule, rpath)
             _reject_unknown(rule, {"match_dst_port", "negate_src", "new_dst"}, rpath)
-            new_ip, new_port = _parse_endpoint(_get_str(rule, "new_dst", rpath), f"{rpath}.new_dst")
+            new_ip, new_port = parse_endpoint(_get_str(rule, "new_dst", rpath), f"{rpath}.new_dst")
             rules.append(
                 PreroutingRule(
                     match_dst_port=_get_port(rule, "match_dst_port", rpath),
@@ -264,7 +264,7 @@ def _parse_topology(section: dict, config: ConfigFile) -> None:
         )
 
 
-def _parse_endpoint(text: str, key: str) -> tuple[str, int]:
+def parse_endpoint(text: str, key: str) -> tuple[str, int]:
     ip, sep, port = text.rpartition(":")
     if not sep:
         raise ValidationError(key, f"expected IP:PORT, got {text!r}")
@@ -275,9 +275,6 @@ def _parse_endpoint(text: str, key: str) -> tuple[str, int]:
     if not 1 <= port_num <= 65535:
         raise ValidationError(key, f"port {port_num} outside [1, 65535]")
     return ip, port_num
-
-
-_MODES = {mode.value: mode for mode in RelayMode}
 
 
 def _parse_relay(section: dict, config: ConfigFile) -> None:
@@ -293,15 +290,17 @@ def _parse_relay(section: dict, config: ConfigFile) -> None:
             "local_subnet",
             "mode",
             "flow_idle_timeout",
-            "fork_cost",
             "max_packets_per_second",
             "install_prerouting",
         },
         path,
     )
     mode_name = _get_str(section, "mode", path, default="spoof")
-    if mode_name not in _MODES:
-        raise ValidationError(f"{path}.mode", f"expected one of {sorted(_MODES)}, got {mode_name!r}")
+    try:
+        mode = RelayMode(mode_name)
+    except ValueError:
+        modes = [m.value for m in RelayMode]
+        raise ValidationError(f"{path}.mode", f"expected one of {modes}, got {mode_name!r}") from None
     if "target_broadcast" not in section:
         raise ValidationError(f"{path}.target_broadcast", "required key missing")
     allow = []
@@ -320,9 +319,8 @@ def _parse_relay(section: dict, config: ConfigFile) -> None:
             target_port=_get_port(section, "target_port", path, default=5064),
             allow_sources=tuple(allow),
             local_subnet=_get_cidr(section, "local_subnet", path, required=False),
-            mode=_MODES[mode_name],
+            mode=mode,
             flow_idle_timeout_s=_get_float(section, "flow_idle_timeout", path, default=30.0),
-            fork_cost_s=_get_float(section, "fork_cost", path, default=0.005),
             max_packets_per_second=max_pps,
         )
     except ValueError as exc:

@@ -236,7 +236,7 @@ class CaClient:
             self.host_name,
             eph_port,
             owner=f"{self.name}:{pv_name}",
-            callback=lambda d: self._on_datagram(pending, search_id, eph_port, d),
+            callback=lambda d: self._on_datagram(pending, search_id, d),
         )
 
         started = self.net.now_us
@@ -284,8 +284,7 @@ class CaClient:
             pending.pv_name, pending.operation, timed_out=True, finished_us=self.net.now_us
         )
 
-    def _on_datagram(self, pending: _PendingQuery, search_id: int, eph_port: int, delivery: Delivery) -> None:
-        del eph_port
+    def _on_datagram(self, pending: _PendingQuery, search_id: int, delivery: Delivery) -> None:
         if pending.done:
             return
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 UDP_PROTO = 17
 IP_HEADER_LEN = 20
@@ -110,11 +110,6 @@ class Cidr:
 
     def __str__(self) -> str:
         return f"{self.base_ip}/{self.prefix_len}"
-
-
-def cidr_contains(net: Cidr, ip: str) -> bool:
-    """True iff the top prefix_len bits of ip equal those of net.base_ip."""
-    return net.contains(ip)
 
 
 @dataclass(frozen=True)
@@ -292,11 +287,3 @@ class PacketFactory:
             identification=self.next_identification(),
         )
 
-
-def with_destination(packet: Ipv4UdpPacket, dst_ip: str, dst_port: int | None = None) -> Ipv4UdpPacket:
-    """Copy of packet with the destination rewritten; source untouched."""
-    return replace(
-        packet,
-        dst_ip=dst_ip,
-        dst_port=packet.dst_port if dst_port is None else dst_port,
-    )

@@ -2,7 +2,7 @@
 
 The relay listens on a redirect port fed by a helper/prerouting chain,
 filters by source, and re-emits each accepted datagram toward a broadcast
-target so every server behind it sees the query. Three modes:
+target so every server behind it sees the query. Two modes:
 
 * SPOOF: rebuild the datagram with the original client's source address so
   servers answer the client directly (raw-send capability needed on real
@@ -10,8 +10,10 @@ target so every server behind it sees the query. Three modes:
 * PROXY: forward the payload from a per-client flow port using the relay's
   own source, and pass any reply on that flow port back to the client; runs
   unprivileged.
-* FORK_MODEL: PROXY plus a fixed per-request processing cost, modeling a
-  relay that forks a subprocess for every query.
+
+A relay that forks a subprocess per query is not a mode of this relay: the
+benchmark models it as a PROXY relay on a SimTransport whose host takes
+``request_delay_us`` to process each request.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ DEFAULT_LISTEN_PORT = 6064
 DEFAULT_TARGET_PORT = 5064
 DEFAULT_TTL = 64
 DEFAULT_FLOW_IDLE_TIMEOUT_S = 30.0
-DEFAULT_FORK_COST_S = 0.005
 
 FLOW_PORT_BASE = 40000
 
@@ -52,7 +53,6 @@ class PrivilegeRequired(RelayError):
 class RelayMode(enum.Enum):
     SPOOF = "spoof"
     PROXY = "proxy"
-    FORK_MODEL = "fork"
 
 
 class Verdict(enum.Enum):
@@ -77,7 +77,6 @@ class RelayConfig:
     local_subnet: Cidr | None = None
     mode: RelayMode = RelayMode.SPOOF
     flow_idle_timeout_s: float = DEFAULT_FLOW_IDLE_TIMEOUT_S
-    fork_cost_s: float = DEFAULT_FORK_COST_S
     max_packets_per_second: int | None = None
 
     def __post_init__(self) -> None:
@@ -196,20 +195,9 @@ class Relay:
             return
 
         flow = self._flow_for(packet.src_ip, packet.src_port, now_us)
-        payload = packet.payload
-
-        def emit() -> None:
-            self.transport.flow_send(
-                flow.relay_local_port,
-                payload,
-                self.config.target_broadcast,
-                self.config.target_port,
-            )
-
-        if self.config.mode is RelayMode.FORK_MODEL:
-            self.transport.after(int(self.config.fork_cost_s * 1e6), emit)
-        else:
-            emit()
+        self.transport.flow_send(
+            flow.relay_local_port, packet.payload, self.config.target_broadcast, self.config.target_port
+        )
 
     def _rate_limited(self, now_us: int) -> bool:
         limit = self.config.max_packets_per_second
@@ -222,7 +210,7 @@ class Relay:
         self._rate_count += 1
         return self._rate_count > limit
 
-    # -- flow path (PROXY / FORK_MODEL) ----------------------------------------
+    # -- flow path (PROXY) -----------------------------------------------------
 
     def _flow_for(self, client_ip: str, client_port: int, now_us: int) -> FlowEntry:
         key = (client_ip, client_port)
@@ -262,13 +250,18 @@ class Relay:
 
 
 class SimTransport:
-    """Adapts the relay reactor onto a VirtualNetwork host."""
+    """Adapts the relay reactor onto a VirtualNetwork host.
+
+    request_delay_us models the host's per-request processing cost: each
+    listen-port datagram reaches the relay that long after its delivery.
+    """
 
     EXPIRY_TICK_US = 1_000_000
 
-    def __init__(self, net, host_name: str) -> None:
+    def __init__(self, net, host_name: str, request_delay_us: int = 0) -> None:
         self.net = net
         self.host_name = host_name
+        self.request_delay_us = request_delay_us
         self.local_ip = net.host(host_name).interfaces[0].ip
         self._factory = PacketFactory()
         self._flow_bindings: dict[int, object] = {}
@@ -278,22 +271,22 @@ class SimTransport:
 
     def attach(self, relay: Relay) -> None:
         self._relay = relay
-        self.net.bind(
-            self.host_name,
-            relay.config.listen_port,
-            owner="relay",
-            callback=lambda d: relay.handle_packet(d.packet, d.time_us),
-        )
-        if relay.config.mode is not RelayMode.SPOOF:
+        if self.request_delay_us:
+            def on_request(d) -> None:
+                self.net.call_later(
+                    self.request_delay_us, lambda: relay.handle_packet(d.packet, d.time_us)
+                )
+        else:
+            def on_request(d) -> None:
+                relay.handle_packet(d.packet, d.time_us)
+        self.net.bind(self.host_name, relay.config.listen_port, owner="relay", callback=on_request)
+        if relay.config.mode is RelayMode.PROXY:
             self.net.call_later(self.EXPIRY_TICK_US, self._expiry_tick)
 
     def _expiry_tick(self) -> None:
         assert self._relay is not None
         self._relay.expire_flows(self.net.now_us)
         self.net.call_later(self.EXPIRY_TICK_US, self._expiry_tick)
-
-    def now_us(self) -> int:
-        return self.net.now_us
 
     def emit_spoofed(self, packet: Ipv4UdpPacket) -> None:
         self.net.send(self.host_name, packet)
@@ -322,13 +315,6 @@ class SimTransport:
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
         packet = self._factory.build(self.local_ip, local_port, dst_ip, dst_port, payload)
         self.net.send(self.host_name, packet)
-
-    def after(self, delay_us: int, fn) -> None:
-        self.net.call_later(delay_us, fn)
-
-    def serve(self, relay: Relay, stop: threading.Event | None = None) -> None:
-        # The virtual network's owner drives the clock; attaching was enough.
-        del relay, stop
 
 
 class RealUdpTransport:
@@ -397,11 +383,6 @@ class RealUdpTransport:
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
         self._flow_sockets[local_port].sendto(payload, (dst_ip, dst_port))
 
-    def after(self, delay_us: int, fn) -> None:
-        # The fork-per-request cost is a serial stall by definition.
-        time.sleep(delay_us / 1e6)
-        fn()
-
     def serve(self, relay: Relay, stop: threading.Event | None = None) -> None:
         """Receive loop; returns when stop is set."""
         while stop is None or not stop.is_set():
@@ -432,13 +413,3 @@ class RealUdpTransport:
             sock.close()
         self._flow_sockets.clear()
 
-
-def run(config: RelayConfig, transport, stop: threading.Event | None = None) -> Relay:
-    """Build a relay on the transport and serve until stopped.
-
-    On a SimTransport this returns immediately with the attached relay (the
-    simulation owner drives the clock); on a real transport it blocks.
-    """
-    relay = Relay(config, transport)
-    relay.serve(stop)
-    return relay

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from carelay.bench import (
@@ -20,6 +23,10 @@ from carelay.bench import (
     scenario_c,
 )
 from carelay.relay import RelayMode
+
+REFERENCE_DIGEST = (
+    Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "bench_records_reps100_seed1.sha256"
+)
 
 # Hop counts on the shipped topology, worked out from the routing rules
 # before running anything: DIRECT pays broadcast + response + read request +
@@ -160,6 +167,13 @@ class TestDeterminism:
         a = emit_report(run_benchmark(repetitions=30, seed=9), "records")
         b = emit_report(run_benchmark(repetitions=30, seed=9), "records")
         assert a.encode() == b.encode()
+
+    def test_seeded_records_match_reference_digest(self):
+        # The seeded records are an output of the latency model, so a change
+        # that leaves the model alone leaves them byte-identical.
+        reference = REFERENCE_DIGEST.read_text(encoding="utf-8").split()[0]
+        records = emit_report(run_benchmark(repetitions=100, seed=1), "records")
+        assert hashlib.sha256(records.encode()).hexdigest() == reference
 
     def test_different_seed_changes_jittered_benchmark(self):
         a = emit_report(run_benchmark(repetitions=30, seed=1), "records")

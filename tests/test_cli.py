@@ -1,7 +1,9 @@
 import socket
 from pathlib import Path
 
-from carelay.bench import parse_records
+import pytest
+
+from carelay.bench import parse_records, run_scenario, scenario_a, scenario_b, scenario_c
 from carelay.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -47,6 +49,20 @@ class TestSim:
         cfg = tmp_path / "broken.yaml"
         cfg.write_text(text)
         assert main(["sim", "--config", str(cfg), "--log", "quiet"]) == 1
+
+
+@pytest.mark.parametrize("fixture, builder", [
+    ("scenario_a.yaml", scenario_a),
+    ("scenario_b.yaml", scenario_b),
+    ("scenario_c.yaml", scenario_c),
+])
+def test_config_fixture_matches_python_scenario(fixture, builder, capsys):
+    # The paper's network is defined both in configs/ and in carelay.bench;
+    # the two definitions must give the same records.
+    assert main(["sim", "--config", str(CONFIG_DIR / fixture), "--format", "records", "--log", "quiet"]) == 0
+    from_config = [(s.query, s.outcome, s.latency_us) for s in parse_records(capsys.readouterr().out)]
+    from_builder = [(s.query, s.outcome, s.latency_us) for s in run_scenario(builder()).samples]
+    assert from_config == from_builder
 
 
 class TestCagetSim:

@@ -80,9 +80,16 @@ class TestValidation:
         assert "target_broadcast" in excinfo.value.key
 
     def test_bad_mode(self):
+        for mode in ("teleport", "fork"):
+            with pytest.raises(ValidationError) as excinfo:
+                parse_config(f"relay:\n  target_broadcast: 1.2.3.4\n  mode: {mode}\n")
+            assert "mode" in excinfo.value.key
+
+    def test_fork_cost_is_not_a_relay_key(self):
+        # The fork cost belongs to the benchmark's simulated relay host.
         with pytest.raises(ValidationError) as excinfo:
-            parse_config("relay:\n  target_broadcast: 1.2.3.4\n  mode: teleport\n")
-        assert "mode" in excinfo.value.key
+            parse_config("relay:\n  target_broadcast: 1.2.3.4\n  fork_cost: 0.005\n")
+        assert excinfo.value.key == "relay.fork_cost"
 
     def test_bad_cidr_names_key(self):
         text = MINIMAL_TOPOLOGY.replace("192.168.7.0/24", "192.168.7.5/24", 1)

@@ -16,11 +16,9 @@ from carelay.packet import (
     PayloadTooLarge,
     Truncated,
     checksum16,
-    cidr_contains,
     decode,
     encode,
     int_to_ip,
-    with_destination,
 )
 
 
@@ -216,15 +214,15 @@ def test_roundtrip_property(**fields):
 
 class TestCidr:
     def test_contains_paper_client(self):
-        assert cidr_contains(Cidr("10.2.105.0", 24), "10.2.105.171")
+        assert Cidr("10.2.105.0", 24).contains("10.2.105.171")
 
     def test_prefix_mismatch(self):
-        assert not cidr_contains(Cidr("10.2.1.0", 24), "10.2.105.171")
+        assert not Cidr("10.2.1.0", 24).contains("10.2.105.171")
 
     def test_zero_prefix_matches_everything(self):
         net = Cidr("0.0.0.0", 0)
         for ip in ("10.2.105.171", "255.255.255.255", "0.0.0.0"):
-            assert cidr_contains(net, ip)
+            assert net.contains(ip)
 
     def test_host_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -264,10 +262,3 @@ class TestPacketFactory:
         assert factory.next_identification() == 0xFFFF
         assert factory.next_identification() == 1
 
-
-def test_with_destination_preserves_source_and_payload():
-    pkt = make_packet(b"abc")
-    out = with_destination(pkt, "255.255.255.255", 5064)
-    assert (out.src_ip, out.src_port) == (pkt.src_ip, pkt.src_port)
-    assert out.payload == pkt.payload
-    assert (out.dst_ip, out.dst_port) == ("255.255.255.255", 5064)

@@ -320,13 +320,12 @@ class TestForkModel:
             target_broadcast="255.255.255.255",
             allow_sources=(SOL,),
             local_subnet=BEAMLINE,
-            mode=RelayMode.FORK_MODEL,
-            fork_cost_s=0.005,
+            mode=RelayMode.PROXY,
         )
-        attach_relay(net, config)
+        Relay(config, SimTransport(net, "IMX1-HOST1", request_delay_us=5000))
         client_broadcast(net)
         net.advance_clock(100_000)
-        # helper copy: 2 hops; broadcast after fork cost: 1 hop.
+        # helper copy: 2 hops; broadcast after the host's fork cost: 1 hop.
         assert arrival == [2 * 200 + 5000 + 200]
 
 
@@ -377,7 +376,6 @@ class TestRelayConfigValidation:
         assert config.listen_port == 6064
         assert config.target_port == 5064
         assert config.flow_idle_timeout_s == 30.0
-        assert config.fork_cost_s == 0.005
 
 
 class TestRealTransportPrivilege:
