@@ -126,6 +126,13 @@ def _get_str(mapping: dict, key: str, path: str, default=None) -> str:
     return value
 
 
+def _get_bool(mapping: dict, key: str, path: str, default: bool) -> bool:
+    value = mapping.get(key, default)
+    if not isinstance(value, bool):
+        raise ValidationError(f"{path}.{key}", f"expected true or false, got {value!r}")
+    return value
+
+
 def _get_cidr(mapping: dict, key: str, path: str, required=True) -> Cidr | None:
     if key not in mapping:
         if required:
@@ -247,7 +254,7 @@ def _parse_topology(section: dict, config: ConfigFile) -> None:
                 name=_get_str(item, "name", ipath),
                 pvs=parsed_pvs,
                 server_port=server_port,
-                advertise_own_address=bool(item.get("advertise_own_address", True)),
+                advertise_own_address=_get_bool(item, "advertise_own_address", ipath, default=True),
             )
         )
 
@@ -326,7 +333,7 @@ def _parse_relay(section: dict, config: ConfigFile) -> None:
     except ValueError as exc:
         raise ValidationError(path, str(exc)) from None
     config.relay_host = _get_str(section, "host", path, default="") or None
-    config.relay_install_prerouting = bool(section.get("install_prerouting", False))
+    config.relay_install_prerouting = _get_bool(section, "install_prerouting", path, default=False)
 
 
 def _parse_client(section: dict, config: ConfigFile) -> None:

@@ -26,6 +26,7 @@ from .netsim import ChannelRefused, ChannelSide, Delivery, VirtualNetwork
 from .packet import PacketFactory
 
 SEARCH_PORT = 5064
+FIRST_EPHEMERAL_PORT = 35687
 
 
 class ChannelTimeout(TimeoutError):
@@ -34,12 +35,6 @@ class ChannelTimeout(TimeoutError):
 
 def timeout_message(pv_name: str) -> str:
     return f"Channel connect timed out: '{pv_name}' not found."
-
-
-@dataclass(frozen=True)
-class PvRecord:
-    name: str
-    value: float
 
 
 @dataclass(frozen=True)
@@ -77,9 +72,7 @@ class IocSim:
         name: str,
         pvs: dict[str, float],
         server_port: int,
-        search_port: int = SEARCH_PORT,
         advertise_own_address: bool = True,
-        minor_version: int = ca_wire.DEFAULT_MINOR_VERSION,
     ) -> None:
         if len(set(pvs)) != len(pvs):
             raise ValueError("PV names must be unique within one IOC")
@@ -88,14 +81,12 @@ class IocSim:
         self.name = name
         self.pvs = dict(pvs)
         self.server_port = server_port
-        self.search_port = search_port
         self.advertise_own_address = advertise_own_address
-        self.minor_version = minor_version
         self.host_ip = net.host(host_name).interfaces[0].ip
         self.reads_served = 0
         self.writes_served = 0
         self._factory = PacketFactory()
-        self.binding = net.bind(host_name, search_port, owner=name, callback=self._on_delivery)
+        self.binding = net.bind(host_name, SEARCH_PORT, owner=name, callback=self._on_delivery)
         net.register_channel_listener(self.host_ip, server_port, self._accept_channel)
 
     # -- search ---------------------------------------------------------------
@@ -109,7 +100,6 @@ class IocSim:
                     SearchResponse(
                         server_port=self.server_port,
                         search_id=request.search_id,
-                        server_minor_version=self.minor_version,
                         server_address=self.host_ip if self.advertise_own_address else None,
                     )
                 )
@@ -125,7 +115,7 @@ class IocSim:
             return
         self.net.send(
             self.host_name,
-            self._factory.build(self.host_ip, self.search_port, source[0], source[1], response),
+            self._factory.build(self.host_ip, SEARCH_PORT, source[0], source[1], response),
         )
 
     # -- value exchange ---------------------------------------------------------
@@ -191,21 +181,15 @@ class CaClient:
         net: VirtualNetwork,
         host_name: str,
         config: ClientQueryConfig | None = None,
-        address_list: list[tuple[str, int]] | None = None,
-        name: str = "client",
-        first_ephemeral_port: int = 35687,
     ) -> None:
         self.net = net
         self.host_name = host_name
         self.config = config or ClientQueryConfig()
-        self.name = name
-        host = net.host(host_name)
-        self.host_ip = host.interfaces[0].ip
-        if address_list is None:
-            address_list = [(host.interfaces[0].subnet.broadcast_address(), SEARCH_PORT)]
-        self.address_list = address_list
+        interface = net.host(host_name).interfaces[0]
+        self.host_ip = interface.ip
+        self._broadcast_ip = interface.subnet.broadcast_address()
         self._factory = PacketFactory()
-        self._next_ephemeral = first_ephemeral_port
+        self._next_ephemeral = FIRST_EPHEMERAL_PORT
         self._next_search_id = 1
         self._next_sequence = 1
 
@@ -235,7 +219,7 @@ class CaClient:
         binding = self.net.bind(
             self.host_name,
             eph_port,
-            owner=f"{self.name}:{pv_name}",
+            owner=f"client:{pv_name}",
             callback=lambda d: self._on_datagram(pending, search_id, d),
         )
 
@@ -268,11 +252,10 @@ class CaClient:
         if pending.resolved or pending.done:
             return
         pending.send_times.append(self.net.now_us)
-        for ip, port in self.address_list:
-            self.net.send(
-                self.host_name,
-                self._factory.build(self.host_ip, eph_port, ip, port, datagram),
-            )
+        self.net.send(
+            self.host_name,
+            self._factory.build(self.host_ip, eph_port, self._broadcast_ip, SEARCH_PORT, datagram),
+        )
 
     def _give_up(self, pending: _PendingQuery) -> None:
         # The deadline covers the search phase only; a resolved query is

@@ -252,12 +252,6 @@ class VirtualNetwork:
                 return domain
         raise ValueError(f"interface {iface.ip} matches no domain")
 
-    def _domain_containing(self, ip: str) -> BroadcastDomain | None:
-        for domain in self.topology.domains:
-            if domain.subnet.contains(ip):
-                return domain
-        return None
-
     def _hosts_in_domain(self, domain: BroadcastDomain) -> list[VirtualHost]:
         return [
             h
@@ -319,31 +313,14 @@ class VirtualNetwork:
 
     # -- packet routing -------------------------------------------------------
 
-    def inject(
-        self,
-        source_host: str | None,
-        packet: Ipv4UdpPacket,
-        at_time_us: int | None = None,
-    ) -> list[Delivery]:
-        """Submit a packet; returns the deliveries it scheduled.
-
-        source_host None means the packet enters from outside the topology
-        (its origin domain is then inferred from the source address).
-        """
-        at = self.now_us if at_time_us is None else at_time_us
-        if at < self.now_us:
-            raise ValueError("cannot inject in the past")
-
-        if source_host is not None:
-            host = self.host(source_host)
-            sender_domain = self._domain_of_interface(host.interface_for_source(packet.src_ip))
-        else:
-            sender_domain = self._domain_containing(packet.src_ip)
+    def inject(self, source_host: str, packet: Ipv4UdpPacket) -> list[Delivery]:
+        """Submit a packet at the current virtual time; returns the deliveries it scheduled."""
+        at = self.now_us
+        host = self.host(source_host)
+        sender_domain = self._domain_of_interface(host.interface_for_source(packet.src_ip))
 
         deliveries: list[Delivery] = []
         if self._is_broadcast(packet.dst_ip):
-            if sender_domain is None:
-                raise NoRoute(f"broadcast from unknown domain (source {packet.src_ip})")
             deliveries.extend(self._route_broadcast(packet, sender_domain, at))
             deliveries.extend(self._route_helper_copies(packet, sender_domain, at))
         else:
@@ -354,7 +331,7 @@ class VirtualNetwork:
 
     def send(self, source_host: str, packet: Ipv4UdpPacket) -> list[Delivery]:
         """Inject at the current virtual time; endpoint callbacks use this."""
-        return self.inject(source_host, packet, self.now_us)
+        return self.inject(source_host, packet)
 
     def _route_broadcast(
         self, packet: Ipv4UdpPacket, domain: BroadcastDomain, at: int
@@ -384,7 +361,7 @@ class VirtualNetwork:
     def _route_unicast(
         self,
         packet: Ipv4UdpPacket,
-        sender_domain: BroadcastDomain | None,
+        sender_domain: BroadcastDomain,
         at: int,
         hops: int | None,
     ) -> list[Delivery]:
@@ -392,9 +369,7 @@ class VirtualNetwork:
         if host is None:
             raise NoRoute(f"no interface owns {packet.dst_ip}")
         if hops is None:
-            in_sender_domain = sender_domain is not None and any(
-                i.subnet == sender_domain.subnet for i in host.interfaces
-            )
+            in_sender_domain = any(i.subnet == sender_domain.subnet for i in host.interfaces)
             hops = 1 if in_sender_domain else 2
         due = at + hops * self.topology.per_hop_delay_us + self._jitter()
         return self._arrive_unicast(host, packet, due, ttl=packet.ttl)

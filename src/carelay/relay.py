@@ -14,13 +14,17 @@ target so every server behind it sees the query. Two modes:
 A relay that forks a subprocess per query is not a mode of this relay: the
 benchmark models it as a PROXY relay on a SimTransport whose host takes
 ``request_delay_us`` to process each request.
+
+The real transport registers each socket once with ``selectors`` (epoll on
+Linux), so it has no 1024-descriptor limit. Both transports expire idle flows
+on a tick of ``EXPIRY_TICK_US`` (1 s), at most one tick after their timeout.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-import select
+import selectors
 import socket
 import threading
 import time
@@ -36,6 +40,7 @@ DEFAULT_TTL = 64
 DEFAULT_FLOW_IDLE_TIMEOUT_S = 30.0
 
 FLOW_PORT_BASE = 40000
+EXPIRY_TICK_US = 1_000_000
 
 
 class RelayError(Exception):
@@ -56,16 +61,12 @@ class RelayMode(enum.Enum):
 
 
 class Verdict(enum.Enum):
-    ACCEPT = "accept"
-    DROP_LOCAL_SOURCE = "drop_local_source"
-    DROP_NOT_ALLOWED = "drop_not_allowed"
-    DROP_PORT_MISMATCH = "drop_port_mismatch"
+    """Each value names the RelayCounters field that counts the verdict."""
 
-
-@dataclass(frozen=True)
-class RelayDecision:
-    verdict: Verdict
-    reason: str
+    ACCEPT = "relayed"
+    DROP_LOCAL_SOURCE = "dropped_local"
+    DROP_NOT_ALLOWED = "dropped_not_allowed"
+    DROP_PORT_MISMATCH = "dropped_port"
 
 
 @dataclass(frozen=True)
@@ -120,28 +121,19 @@ class FlowEntry:
     last_activity_us: int
 
 
-def classify(packet: Ipv4UdpPacket, config: RelayConfig) -> RelayDecision:
+def classify(packet: Ipv4UdpPacket, config: RelayConfig) -> Verdict:
     """Filter decision, checked in fixed order: port, local source, allowlist.
 
     The local-source drop comes before the allowlist so loop prevention can
     never be disabled by a generous allow rule.
     """
     if packet.dst_port != config.listen_port:
-        return RelayDecision(
-            Verdict.DROP_PORT_MISMATCH,
-            f"destination port {packet.dst_port} is not the listen port {config.listen_port}",
-        )
+        return Verdict.DROP_PORT_MISMATCH
     if config.local_subnet is not None and config.local_subnet.contains(packet.src_ip):
-        return RelayDecision(
-            Verdict.DROP_LOCAL_SOURCE,
-            f"source {packet.src_ip} is inside the local subnet {config.local_subnet}",
-        )
+        return Verdict.DROP_LOCAL_SOURCE
     if config.allow_sources and not any(net.contains(packet.src_ip) for net in config.allow_sources):
-        return RelayDecision(
-            Verdict.DROP_NOT_ALLOWED,
-            f"source {packet.src_ip} matches no allowed prefix",
-        )
-    return RelayDecision(Verdict.ACCEPT, "accepted")
+        return Verdict.DROP_NOT_ALLOWED
+    return Verdict.ACCEPT
 
 
 def rewrite_spoof(packet: Ipv4UdpPacket, config: RelayConfig, identification: int) -> Ipv4UdpPacket:
@@ -176,19 +168,12 @@ class Relay:
         if self._rate_limited(now_us):
             self.counters.dropped_rate_limited += 1
             return
-        decision = classify(packet, self.config)
-        if decision.verdict is Verdict.DROP_PORT_MISMATCH:
-            self.counters.dropped_port += 1
-            return
-        if decision.verdict is Verdict.DROP_LOCAL_SOURCE:
-            self.counters.dropped_local += 1
-            log.debug("dropped local-source packet: %s", decision.reason)
-            return
-        if decision.verdict is Verdict.DROP_NOT_ALLOWED:
-            self.counters.dropped_not_allowed += 1
+        verdict = classify(packet, self.config)
+        setattr(self.counters, verdict.value, getattr(self.counters, verdict.value) + 1)
+        if verdict is not Verdict.ACCEPT:
+            log.debug("%s: packet from %s:%d", verdict.name, packet.src_ip, packet.src_port)
             return
 
-        self.counters.relayed += 1
         if self.config.mode is RelayMode.SPOOF:
             out = rewrite_spoof(packet, self.config, self._factory.next_identification())
             self.transport.emit_spoofed(out)
@@ -256,8 +241,6 @@ class SimTransport:
     listen-port datagram reaches the relay that long after its delivery.
     """
 
-    EXPIRY_TICK_US = 1_000_000
-
     def __init__(self, net, host_name: str, request_delay_us: int = 0) -> None:
         self.net = net
         self.host_name = host_name
@@ -265,7 +248,6 @@ class SimTransport:
         self.local_ip = net.host(host_name).interfaces[0].ip
         self._factory = PacketFactory()
         self._flow_bindings: dict[int, object] = {}
-        self._next_flow_port = FLOW_PORT_BASE
         self._free_flow_ports: list[int] = []
         self._relay: Relay | None = None
 
@@ -281,18 +263,19 @@ class SimTransport:
                 relay.handle_packet(d.packet, d.time_us)
         self.net.bind(self.host_name, relay.config.listen_port, owner="relay", callback=on_request)
         if relay.config.mode is RelayMode.PROXY:
-            self.net.call_later(self.EXPIRY_TICK_US, self._expiry_tick)
+            self.net.call_later(EXPIRY_TICK_US, self._expiry_tick)
 
     def _expiry_tick(self) -> None:
-        assert self._relay is not None
         self._relay.expire_flows(self.net.now_us)
-        self.net.call_later(self.EXPIRY_TICK_US, self._expiry_tick)
+        self.net.call_later(EXPIRY_TICK_US, self._expiry_tick)
 
     def emit_spoofed(self, packet: Ipv4UdpPacket) -> None:
         self.net.send(self.host_name, packet)
 
     def open_flow(self) -> int:
-        port = self._free_flow_ports.pop() if self._free_flow_ports else self._alloc_port()
+        # With no freed port, every allocated port is bound: the next follows them.
+        free = self._free_flow_ports
+        port = free.pop() if free else FLOW_PORT_BASE + len(self._flow_bindings)
         binding = self.net.bind(
             self.host_name,
             port,
@@ -300,11 +283,6 @@ class SimTransport:
             callback=lambda d, p=port: self._relay.on_flow_packet(p, d.packet, d.time_us),
         )
         self._flow_bindings[port] = binding
-        return port
-
-    def _alloc_port(self) -> int:
-        port = self._next_flow_port
-        self._next_flow_port += 1
         return port
 
     def close_flow(self, port: int) -> None:
@@ -327,7 +305,6 @@ class RealUdpTransport:
         local_ip: str | None = None,
         socket_factory=None,
     ) -> None:
-        self.config = config
         self.local_ip = local_ip or bind_ip
         # Resolved at call time so tests can substitute the module's socket.
         self._socket_factory = socket_factory or socket.socket
@@ -357,13 +334,12 @@ class RealUdpTransport:
                     "or use --mode proxy which runs unprivileged"
                 ) from exc
         self._flow_sockets: dict[int, socket.socket] = {}
-        self._relay: Relay | None = None
+        # Each registration carries the socket's local port as its data.
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listen, selectors.EVENT_READ, config.listen_port)
 
     def attach(self, relay: Relay) -> None:
-        self._relay = relay
-
-    def now_us(self) -> int:
-        return time.monotonic_ns() // 1000
+        del relay  # serve() is handed the relay
 
     def emit_spoofed(self, packet: Ipv4UdpPacket) -> None:
         assert self._raw is not None
@@ -375,41 +351,45 @@ class RealUdpTransport:
         sock.bind(("0.0.0.0", 0))
         port = sock.getsockname()[1]
         self._flow_sockets[port] = sock
+        self._selector.register(sock, selectors.EVENT_READ, port)
         return port
 
     def close_flow(self, port: int) -> None:
-        self._flow_sockets.pop(port).close()
+        sock = self._flow_sockets.pop(port)
+        self._selector.unregister(sock)
+        sock.close()
 
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
         self._flow_sockets[local_port].sendto(payload, (dst_ip, dst_port))
 
     def serve(self, relay: Relay, stop: threading.Event | None = None) -> None:
         """Receive loop; returns when stop is set."""
+        next_tick_us = 0
         while stop is None or not stop.is_set():
-            socks = [self._listen, *self._flow_sockets.values()]
-            readable, _, _ = select.select(socks, [], [], 0.2)
-            now = self.now_us()
-            for sock in readable:
-                data, (src_ip, src_port) = sock.recvfrom(65535)
-                local_port = sock.getsockname()[1]
+            events = self._selector.select(0.2)
+            now = time.monotonic_ns() // 1000
+            for key, _ in events:
+                data, (src_ip, src_port) = key.fileobj.recvfrom(65535)
                 packet = Ipv4UdpPacket(
                     src_ip=src_ip,
                     dst_ip=self.local_ip,
                     src_port=src_port,
-                    dst_port=local_port,
+                    dst_port=key.data,
                     payload=data,
                 )
-                if sock is self._listen:
+                if key.fileobj is self._listen:
                     relay.handle_packet(packet, now)
                 else:
-                    relay.on_flow_packet(local_port, packet, now)
-            relay.expire_flows(self.now_us())
+                    relay.on_flow_packet(key.data, packet, now)
+            if now >= next_tick_us:
+                relay.expire_flows(now)
+                next_tick_us = now + EXPIRY_TICK_US
 
     def close(self) -> None:
+        self._selector.close()
         self._listen.close()
         if self._raw is not None:
             self._raw.close()
         for sock in self._flow_sockets.values():
             sock.close()
         self._flow_sockets.clear()
-

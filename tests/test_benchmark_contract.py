@@ -1,0 +1,48 @@
+"""Names that the benchmark under ``perfbench/`` imports, patches or reads.
+
+The tier-1 suite does not run the benchmark's own tests, so without this
+check a rename here would first show up as a broken benchmark run.
+"""
+
+import dataclasses
+import inspect
+
+import carelay.relay
+from carelay import bench
+from carelay.endpoints import CaClient, IocSim
+from carelay.netsim import VirtualNetwork
+from carelay.relay import Relay, RelayConfig, RelayCounters, RelayMode, SimTransport
+
+
+def test_names_the_benchmark_depends_on():
+    # perfbench.loopback.conservation_failures reads drop counters by name.
+    assert [f.name for f in dataclasses.fields(RelayCounters)] == [
+        "received",
+        "relayed",
+        "dropped_local",
+        "dropped_not_allowed",
+        "dropped_port",
+        "dropped_rate_limited",
+        "replies_forwarded",
+    ]
+    for name in ("serve", "handle_packet", "on_flow_packet", "expire_flows"):
+        assert callable(getattr(Relay, name)), name
+    for name in ("emit_spoofed", "flow_send"):
+        assert callable(getattr(SimTransport, name)), name
+    # Patched at module level, so the relay must look them up there per call.
+    assert callable(carelay.relay.classify)
+    assert callable(carelay.relay.encode)
+
+    net = VirtualNetwork(bench.paper_topology())
+    relay = Relay(
+        RelayConfig(target_broadcast="255.255.255.255", mode=RelayMode.PROXY),
+        SimTransport(net, "IMX1-HOST1"),
+    )
+    assert relay.flows == {}
+    assert bench.CLIENT in {h.name for h in net.topology.hosts}
+    assert callable(bench.scenario_c)
+
+    # Calls made by perfbench.micro and perfbench.sim.
+    inspect.signature(IocSim).bind(net, "IMX1-HOST1", "bench", {}, server_port=5901)
+    inspect.signature(IocSim.on_search_datagram).bind(None, b"", ("10.2.105.171", 40000))
+    inspect.signature(CaClient).bind(net, bench.CLIENT, config=None)

@@ -91,6 +91,23 @@ class TestValidation:
             parse_config("relay:\n  target_broadcast: 1.2.3.4\n  fork_cost: 0.005\n")
         assert excinfo.value.key == "relay.fork_cost"
 
+    @pytest.mark.parametrize("value", ['"false"', "1"], ids=["string", "integer"])
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("relay:\n  target_broadcast: 1.2.3.4\n  install_prerouting: {}\n", "relay.install_prerouting"),
+            (
+                MINIMAL_TOPOLOGY + "  iocs:\n    - host: alpha\n      name: x\n      advertise_own_address: {}\n",
+                "topology.iocs[0].advertise_own_address",
+            ),
+        ],
+        ids=["install_prerouting", "advertise_own_address"],
+    )
+    def test_boolean_keys_take_only_yaml_booleans(self, text, key, value):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(text.format(value))
+        assert excinfo.value.key == key
+
     def test_bad_cidr_names_key(self):
         text = MINIMAL_TOPOLOGY.replace("192.168.7.0/24", "192.168.7.5/24", 1)
         with pytest.raises(ValidationError) as excinfo:

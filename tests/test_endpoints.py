@@ -8,7 +8,6 @@ from carelay.endpoints import (
     ChannelTimeout,
     ClientQueryConfig,
     IocSim,
-    PvRecord,
     timeout_message,
 )
 from carelay.netsim import BroadcastDomain, Interface, VirtualHost, VirtualNetwork, VirtualTopology
@@ -210,9 +209,3 @@ class TestClientQueryConfig:
     def test_total_timeout_must_cover_waits(self):
         with pytest.raises(ValueError):
             ClientQueryConfig(total_timeout_s=0.5)
-
-
-def test_pv_record_is_plain_value():
-    record = PvRecord("IMX:DMC4:m1", -2.06e-05)
-    assert record.name == "IMX:DMC4:m1"
-    assert record.value == -2.06e-05

@@ -5,6 +5,7 @@ for SPOOF) against stub endpoints on 127.0.0.1. The spoof test is skipped
 where raw sockets are unavailable.
 """
 
+import resource
 import socket
 import threading
 import time
@@ -185,6 +186,107 @@ class TestRealProxyRelay:
             stop.set()
             thread.join(timeout=3)
             transport.close()
+
+
+def proxy_relay(listen_port: int, target_port: int, **overrides):
+    config = RelayConfig(
+        target_broadcast="127.0.0.1",
+        listen_port=listen_port,
+        target_port=target_port,
+        mode=RelayMode.PROXY,
+        local_subnet=Cidr("192.0.2.0", 24),
+        **overrides,
+    )
+    transport = RealUdpTransport(config, bind_ip="127.0.0.1", local_ip="127.0.0.1")
+    return Relay(config, transport), transport
+
+
+def plain_udp_socket() -> socket.socket:
+    # No SO_REUSEADDR: with it, two sockets bound to port 0 can share a port.
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    return sock
+
+
+def wait_until(condition, timeout_s: float = 2.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+class TestRealProxyFlows:
+    # select() cannot watch a descriptor at or above FD_SETSIZE (1024).
+    FLOWS = 1100
+
+    @pytest.mark.skipif(
+        resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 2500,
+        reason="needs about 2200 open descriptors",
+    )
+    def test_serves_more_flows_than_select_can_watch(self):
+        sink = plain_udp_socket()
+        sink.settimeout(2)
+        relay, transport = proxy_relay(16564, sink.getsockname()[1])
+        errors: list[BaseException] = []
+
+        def serve() -> None:
+            try:
+                relay.serve(stop)
+            except Exception as exc:  # reported by the asserts below
+                errors.append(exc)
+
+        stop = threading.Event()
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        clients: list[socket.socket] = []
+        try:
+            # Batches small enough for the listen socket's receive buffer.
+            while len(clients) < self.FLOWS and not errors:
+                for _ in range(100):
+                    clients.append(plain_udp_socket())
+                    clients[-1].sendto(b"search", ("127.0.0.1", 16564))
+                wait_until(lambda: relay.counters.received >= len(clients) or errors)
+            assert not errors
+            assert len(relay.flows) == self.FLOWS
+
+            last = plain_udp_socket()
+            clients.append(last)
+            last.settimeout(2)
+            last.sendto(b"last search", ("127.0.0.1", 16564))
+            while True:
+                data, flow_addr = sink.recvfrom(65535)
+                if data == b"last search":
+                    break
+            sink.sendto(b"reply", flow_addr)
+            assert last.recvfrom(65535)[0] == b"reply"
+            assert not errors
+            assert relay.counters.conserved()
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            for client in clients:
+                client.close()
+            sink.close()
+        assert not thread.is_alive()
+
+    def test_idle_flow_expires_while_serving(self):
+        sink = plain_udp_socket()
+        sink.settimeout(2)
+        relay, transport = proxy_relay(16664, sink.getsockname()[1], flow_idle_timeout_s=0.05)
+        stop, thread = serve_in_thread(relay)
+        client = plain_udp_socket()
+        try:
+            client.sendto(b"search", ("127.0.0.1", 16664))
+            assert sink.recvfrom(65535)[0] == b"search"
+            wait_until(lambda: not relay.flows)
+            assert relay.flows == {}
+            assert relay.counters.relayed == 1
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            client.close()
+            sink.close()
 
 
 @pytest.mark.skipif(not RAW_AVAILABLE, reason="raw sockets unavailable")

@@ -43,30 +43,25 @@ def query_packet(src_ip="10.2.105.171", src_port=44256, dst_ip="10.2.1.31", dst_
 
 class TestClassify:
     def test_paper_configuration_accepts_sol_client(self):
-        decision = classify(query_packet(), PAPER_CONFIG)
-        assert decision.verdict is Verdict.ACCEPT
+        assert classify(query_packet(), PAPER_CONFIG) is Verdict.ACCEPT
 
     def test_local_source_dropped(self):
-        decision = classify(query_packet(src_ip="10.2.1.31"), PAPER_CONFIG)
-        assert decision.verdict is Verdict.DROP_LOCAL_SOURCE
+        assert classify(query_packet(src_ip="10.2.1.31"), PAPER_CONFIG) is Verdict.DROP_LOCAL_SOURCE
 
     def test_unlisted_source_dropped(self):
-        decision = classify(query_packet(src_ip="10.2.200.5"), PAPER_CONFIG)
-        assert decision.verdict is Verdict.DROP_NOT_ALLOWED
+        assert classify(query_packet(src_ip="10.2.200.5"), PAPER_CONFIG) is Verdict.DROP_NOT_ALLOWED
 
     def test_port_mismatch_dropped_first(self):
-        decision = classify(query_packet(dst_port=5064), PAPER_CONFIG)
-        assert decision.verdict is Verdict.DROP_PORT_MISMATCH
+        assert classify(query_packet(dst_port=5064), PAPER_CONFIG) is Verdict.DROP_PORT_MISMATCH
 
     def test_local_drop_outranks_allowlist(self):
         # A local source that is also outside the allowlist must be reported
         # as local: loop prevention cannot depend on the allowlist.
-        decision = classify(query_packet(src_ip="10.2.1.99"), PAPER_CONFIG)
-        assert decision.verdict is Verdict.DROP_LOCAL_SOURCE
+        assert classify(query_packet(src_ip="10.2.1.99"), PAPER_CONFIG) is Verdict.DROP_LOCAL_SOURCE
 
     def test_empty_allowlist_accepts_any_nonlocal(self):
         config = RelayConfig(target_broadcast="255.255.255.255", local_subnet=BEAMLINE)
-        assert classify(query_packet(src_ip="172.16.0.9"), config).verdict is Verdict.ACCEPT
+        assert classify(query_packet(src_ip="172.16.0.9"), config) is Verdict.ACCEPT
 
 
 class TestRewriteSpoof:
@@ -309,6 +304,13 @@ class TestExpireFlows:
         relay.expire_flows(int(relay.config.flow_idle_timeout_s * 1e6))
         relay.handle_packet(query_packet(src_port=2), now_us=0)
         assert next(iter(relay.flows.values())).relay_local_port == first_port
+
+    def test_flow_ports_distinct_after_a_middle_port_is_freed(self):
+        transport = self.make_detached_relay().transport
+        first = [transport.open_flow() for _ in range(3)]
+        transport.close_flow(first[1])
+        live = [first[0], first[2], transport.open_flow(), transport.open_flow()]
+        assert len(set(live)) == 4
 
 
 class TestForkModel:
