@@ -113,7 +113,7 @@ class IocSim:
             return  # not CA traffic; a name server stays silent
         if response is None:
             return
-        self.net.send(
+        self.net.inject(
             self.host_name,
             self._factory.build(self.host_ip, SEARCH_PORT, source[0], source[1], response),
         )
@@ -252,7 +252,7 @@ class CaClient:
         if pending.resolved or pending.done:
             return
         pending.send_times.append(self.net.now_us)
-        self.net.send(
+        self.net.inject(
             self.host_name,
             self._factory.build(self.host_ip, eph_port, self._broadcast_ip, SEARCH_PORT, datagram),
         )

@@ -329,10 +329,6 @@ class VirtualNetwork:
             self._push(d.time_us, _DELIVERY, d)
         return deliveries
 
-    def send(self, source_host: str, packet: Ipv4UdpPacket) -> list[Delivery]:
-        """Inject at the current virtual time; endpoint callbacks use this."""
-        return self.inject(source_host, packet)
-
     def _route_broadcast(
         self, packet: Ipv4UdpPacket, domain: BroadcastDomain, at: int
     ) -> list[Delivery]:

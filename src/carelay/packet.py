@@ -66,19 +66,29 @@ def checksum16(data: bytes) -> int:
 
     Odd-length input is padded with a zero byte. Returns the complement of
     the ones'-complement 16-bit sum, so an empty input yields 0xFFFF.
+
+    RFC 1071 section 2 shows the end-around-carry sum to be arithmetic modulo
+    2**16 - 1, and 2**16 is 1 modulo 2**16 - 1, so the whole buffer read as
+    one big-endian integer has the same residue as the sum of its words.
+    The one difference is the fold: a non-zero sum folds to 0xFFFF (negative
+    zero), never to 0.
     """
     if len(data) % 2:
         data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
+    value = int.from_bytes(data, "big")
+    total = value % 0xFFFF
+    if total == 0 and value:
+        total = 0xFFFF
     return ~total & 0xFFFF
 
 
 @dataclass(frozen=True)
 class Cidr:
-    """IPv4 prefix; host bits of base_ip below prefix_len must be zero."""
+    """IPv4 prefix; host bits of base_ip below prefix_len must be zero.
+
+    The base and mask are kept as integers outside the dataclass fields, so
+    equality, hashing and repr still see only base_ip and prefix_len.
+    """
 
     base_ip: str
     prefix_len: int
@@ -87,8 +97,11 @@ class Cidr:
         if not 0 <= self.prefix_len <= 32:
             raise ValueError(f"prefix length out of range: {self.prefix_len}")
         base = ip_to_int(self.base_ip)  # also validates the dotted quad
-        if base & ~self._mask() & 0xFFFFFFFF:
+        mask = (0xFFFFFFFF << (32 - self.prefix_len)) & 0xFFFFFFFF
+        if base & ~mask:
             raise ValueError(f"host bits set in {self.base_ip}/{self.prefix_len}")
+        object.__setattr__(self, "_base", base)
+        object.__setattr__(self, "_mask", mask)
 
     @classmethod
     def parse(cls, text: str) -> "Cidr":
@@ -97,16 +110,11 @@ class Cidr:
             raise ValueError(f"not a CIDR prefix: {text!r}")
         return cls(base, int(plen))
 
-    def _mask(self) -> int:
-        if self.prefix_len == 0:
-            return 0
-        return (0xFFFFFFFF << (32 - self.prefix_len)) & 0xFFFFFFFF
-
     def contains(self, ip: str) -> bool:
-        return (ip_to_int(ip) & self._mask()) == ip_to_int(self.base_ip)
+        return ip_to_int(ip) & self._mask == self._base
 
     def broadcast_address(self) -> str:
-        return int_to_ip(ip_to_int(self.base_ip) | (~self._mask() & 0xFFFFFFFF))
+        return int_to_ip(self._base | (~self._mask & 0xFFFFFFFF))
 
     def __str__(self) -> str:
         return f"{self.base_ip}/{self.prefix_len}"

@@ -28,7 +28,7 @@ import selectors
 import socket
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .packet import Cidr, Ipv4UdpPacket, PacketFactory, encode
 
@@ -137,13 +137,21 @@ def classify(packet: Ipv4UdpPacket, config: RelayConfig) -> Verdict:
 
 
 def rewrite_spoof(packet: Ipv4UdpPacket, config: RelayConfig, identification: int) -> Ipv4UdpPacket:
-    """Rebuild an accepted datagram for broadcast, keeping the client source."""
-    return replace(
-        packet,
+    """Rebuild an accepted datagram for broadcast, keeping the client source.
+
+    Built directly rather than with ``dataclasses.replace``, which re-reads
+    every field by name and costs about as much again per packet.
+    """
+    return Ipv4UdpPacket(
+        src_ip=packet.src_ip,
         dst_ip=config.target_broadcast,
+        src_port=packet.src_port,
         dst_port=config.target_port,
-        identification=identification,
+        payload=packet.payload,
         ttl=DEFAULT_TTL,
+        identification=identification,
+        dscp_ecn=packet.dscp_ecn,
+        flags_fragment=packet.flags_fragment,
     )
 
 
@@ -270,7 +278,7 @@ class SimTransport:
         self.net.call_later(EXPIRY_TICK_US, self._expiry_tick)
 
     def emit_spoofed(self, packet: Ipv4UdpPacket) -> None:
-        self.net.send(self.host_name, packet)
+        self.net.inject(self.host_name, packet)
 
     def open_flow(self) -> int:
         # With no freed port, every allocated port is bound: the next follows them.
@@ -292,7 +300,7 @@ class SimTransport:
 
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
         packet = self._factory.build(self.local_ip, local_port, dst_ip, dst_port, payload)
-        self.net.send(self.host_name, packet)
+        self.net.inject(self.host_name, packet)
 
 
 class RealUdpTransport:
@@ -305,6 +313,10 @@ class RealUdpTransport:
         local_ip: str | None = None,
         socket_factory=None,
     ) -> None:
+        if config.mode is RelayMode.SPOOF and config.local_subnet is None:
+            # The local-source drop is the loop guard: without it a search
+            # broadcast on the relay's own subnet can be relayed back there.
+            raise ValueError("spoof mode on real sockets needs local_subnet (the loop guard)")
         self.local_ip = local_ip or bind_ip
         # Resolved at call time so tests can substitute the module's socket.
         self._socket_factory = socket_factory or socket.socket

@@ -11,7 +11,16 @@ import carelay.relay
 from carelay import bench
 from carelay.endpoints import CaClient, IocSim
 from carelay.netsim import VirtualNetwork
-from carelay.relay import Relay, RelayConfig, RelayCounters, RelayMode, SimTransport
+from carelay.packet import Cidr, Ipv4UdpPacket, checksum16, decode, encode
+from carelay.relay import (
+    RealUdpTransport,
+    Relay,
+    RelayConfig,
+    RelayCounters,
+    RelayMode,
+    SimTransport,
+    TransportUnavailable,
+)
 
 
 def test_names_the_benchmark_depends_on():
@@ -46,3 +55,16 @@ def test_names_the_benchmark_depends_on():
     inspect.signature(IocSim).bind(net, "IMX1-HOST1", "bench", {}, server_port=5901)
     inspect.signature(IocSim.on_search_datagram).bind(None, b"", ("10.2.105.171", 40000))
     inspect.signature(CaClient).bind(net, bench.CLIENT, config=None)
+
+    # perfbench.micro times the packet layer on frames it builds itself.
+    packet = Ipv4UdpPacket("127.0.0.2", "127.0.0.1", 40000, 6064, b"search")
+    frame = encode(packet)
+    assert decode(frame) == packet
+    assert isinstance(checksum16(frame), int)
+    assert Cidr.parse("127.0.1.0/24").contains("127.0.1.7")
+
+    # perfbench.relay_proc builds the real transport and reports this error.
+    assert issubclass(TransportUnavailable, Exception)
+    inspect.signature(RealUdpTransport).bind(
+        RelayConfig(target_broadcast="127.0.0.1"), bind_ip="127.0.0.1", socket_factory=None
+    )

@@ -126,11 +126,24 @@ class TestRelayCommand:
         code = main([
             "relay", "--transport", "real", "--mode", "spoof",
             "--listen-port", "16164", "--target", "255.255.255.255:5064",
-            "--bind-ip", "127.0.0.1", "--log", "quiet",
+            "--local-subnet", "192.0.2.0/24", "--bind-ip", "127.0.0.1", "--log", "quiet",
         ])
         assert code == 3
         err = capsys.readouterr().err
         assert "CAP_NET_RAW" in err
+
+    def test_real_spoof_without_local_subnet_is_config_error(self, capsys, monkeypatch):
+        def factory(*args, **kwargs):
+            raise PermissionError(1, "no socket may be created")
+
+        monkeypatch.setattr(socket, "socket", factory)
+        code = main([
+            "relay", "--transport", "real", "--mode", "spoof",
+            "--listen-port", "16164", "--target", "255.255.255.255:5064",
+            "--bind-ip", "127.0.0.1", "--log", "quiet",
+        ])
+        assert code == 2
+        assert "local_subnet" in capsys.readouterr().err
 
     def test_real_relay_without_target_is_config_error(self, capsys):
         assert main(["relay", "--transport", "real", "--log", "quiet"]) == 2

@@ -266,7 +266,7 @@ class TestClock:
                     src_ip="10.2.1.31", dst_ip="10.2.105.171", src_port=5064,
                     dst_port=9000, payload=b"r",
                 )
-                net.send("IMX1-HOST1", reply)
+                net.inject("IMX1-HOST1", reply)
 
         net.bind("IMX1-HOST1", 5064, "ioc", callback=respond)
         net.bind("TesterHEpics", 9000, "client", callback=lambda d: seen.append("reply"))

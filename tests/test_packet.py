@@ -1,4 +1,7 @@
+import ipaddress
 import random
+import socket
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +37,40 @@ def oracle_checksum(data: bytes) -> int:
     return 0xFFFF - r
 
 
+def word_loop_checksum(data: bytes) -> int:
+    # Second oracle, independent of the modulo arithmetic that checksum16 and
+    # oracle_checksum share: add word by word with an end-around carry.
+    if len(data) % 2:
+        data += b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def word_loop_encode(pkt: Ipv4UdpPacket) -> bytes:
+    """Reference encoder: struct packing plus word_loop_checksum."""
+    src, dst = socket.inet_aton(pkt.src_ip), socket.inet_aton(pkt.dst_ip)
+    udp_length = 8 + len(pkt.payload)
+
+    def ip_header(checksum: int) -> bytes:
+        return struct.pack(
+            "!BBHHHBBH4s4s", 0x45, pkt.dscp_ecn, 20 + udp_length, pkt.identification,
+            pkt.flags_fragment, pkt.ttl, 17, checksum, src, dst,
+        )
+
+    pseudo = struct.pack("!4s4sBBH", src, dst, 0, 17, udp_length)
+    udp_ck = word_loop_checksum(
+        pseudo + struct.pack("!HHHH", pkt.src_port, pkt.dst_port, udp_length, 0) + pkt.payload
+    )
+    return (
+        ip_header(word_loop_checksum(ip_header(0)))
+        + struct.pack("!HHHH", pkt.src_port, pkt.dst_port, udp_length, udp_ck or 0xFFFF)
+        + pkt.payload
+    )
+
+
 CLASSIC_HEADER = bytes.fromhex("4500003c1c46400040060000ac100a63ac100a0c")
 
 
@@ -62,6 +99,34 @@ class TestChecksum16:
     @given(st.binary(max_size=256))
     def test_agrees_with_oracle_property(self, buf):
         assert checksum16(buf) == oracle_checksum(buf)
+
+    @pytest.mark.parametrize(
+        "buf, expected",
+        [
+            (b"\xff\xff", 0),
+            (b"\x00\x01\xff\xfe", 0),
+            (b"\xff" * 65506, 0),
+            # Odd length: the pad byte makes the last word 0xFF00.
+            (b"\xff" * 65507, 0x00FF),
+        ],
+        ids=["ffff", "one-plus-fffe", "65506-ff", "65507-ff"],
+    )
+    def test_negative_zero_sum_agrees_with_both_oracles(self, buf, expected):
+        # A word sum that is a non-zero multiple of 0xFFFF folds to 0xFFFF
+        # (negative zero), so its checksum is 0, not the 0xFFFF of a zero sum.
+        assert checksum16(buf) == word_loop_checksum(buf) == oracle_checksum(buf) == expected
+
+    @pytest.mark.parametrize("buf", [b"", b"\x00", bytes(20), bytes(65507)])
+    def test_zero_input_agrees_with_both_oracles(self, buf):
+        assert checksum16(buf) == word_loop_checksum(buf) == oracle_checksum(buf) == 0xFFFF
+
+    def test_agrees_with_both_oracles_up_to_max_payload(self):
+        rng = random.Random(0x1071)
+        lengths = [1323, 1324, 65506, 65507] + [rng.randrange(0, 65508) for _ in range(24)]
+        lengths += [n + 1 if n % 2 == 0 else n for n in lengths[4:16]]  # odd ones too
+        for n in lengths:
+            buf = rng.randbytes(n)
+            assert checksum16(buf) == word_loop_checksum(buf) == oracle_checksum(buf), n
 
 
 def make_packet(payload=b"", **kwargs) -> Ipv4UdpPacket:
@@ -212,6 +277,23 @@ def test_roundtrip_property(**fields):
     assert decode(encode(pkt)) == pkt
 
 
+@given(
+    src_ip=ips,
+    dst_ip=ips,
+    src_port=ports,
+    dst_port=ports,
+    payload=st.binary(max_size=1400),
+    ttl=st.integers(min_value=0, max_value=255),
+    identification=st.integers(min_value=0, max_value=0xFFFF),
+    dscp_ecn=st.integers(min_value=0, max_value=0xFF),
+    flags_fragment=st.integers(min_value=0, max_value=0xFFFF),
+)
+@settings(max_examples=300)
+def test_encode_matches_word_loop_encoder(**fields):
+    pkt = Ipv4UdpPacket(**fields)
+    assert encode(pkt) == word_loop_encode(pkt)
+
+
 class TestCidr:
     def test_contains_paper_client(self):
         assert Cidr("10.2.105.0", 24).contains("10.2.105.171")
@@ -249,6 +331,26 @@ class TestCidr:
         assert net.contains(net.base_ip)
         assert net.contains(net.broadcast_address())
 
+    @given(
+        st.integers(min_value=0, max_value=0xFFFFFFFF),
+        st.integers(min_value=0, max_value=32),
+        st.integers(min_value=0, max_value=0xFFFFFFFF),
+    )
+    @settings(max_examples=300)
+    def test_contains_agrees_with_ipaddress(self, addr, plen, other):
+        network = ipaddress.ip_network(f"{int_to_ip(addr)}/{plen}", strict=False)
+        cidr = Cidr(str(network.network_address), plen)
+        # addr is inside; flipping its last prefix bit steps just outside.
+        outside = addr ^ (1 << (32 - plen)) if plen else addr
+        for ip in map(int_to_ip, (addr, outside, other)):
+            assert cidr.contains(ip) == (ipaddress.ip_address(ip) in ipaddress.ip_network(str(cidr)))
+        assert cidr.broadcast_address() == str(network.broadcast_address)
+
+    def test_equality_hash_and_repr_see_only_fields(self):
+        a, b = Cidr("10.2.1.0", 24), Cidr.parse("10.2.1.0/24")
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == "Cidr(base_ip='10.2.1.0', prefix_len=24)"
+
 
 class TestPacketFactory:
     def test_identification_starts_at_one_and_increments(self):
@@ -261,4 +363,3 @@ class TestPacketFactory:
         factory._next_id = 0xFFFF
         assert factory.next_identification() == 0xFFFF
         assert factory.next_identification() == 1
-

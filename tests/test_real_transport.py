@@ -48,10 +48,10 @@ FAST_CLIENT = ClientQueryConfig(
 )
 
 
-def udp_socket(port=0):
+def plain_udp_socket() -> socket.socket:
+    # No SO_REUSEADDR: with it, two sockets bound to port 0 can share a port.
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind(("127.0.0.1", port))
+    sock.bind(("127.0.0.1", 0))
     return sock
 
 
@@ -60,8 +60,8 @@ class StubIoc:
 
     def __init__(self, pvs: dict):
         self.pvs = dict(pvs)
-        self.search_sock = udp_socket()
-        self.value_sock = udp_socket()
+        self.search_sock = plain_udp_socket()
+        self.value_sock = plain_udp_socket()
         self.search_port = self.search_sock.getsockname()[1]
         self.value_port = self.value_sock.getsockname()[1]
         self.seen_sources: list[tuple[str, int]] = []
@@ -199,13 +199,6 @@ def proxy_relay(listen_port: int, target_port: int, **overrides):
     )
     transport = RealUdpTransport(config, bind_ip="127.0.0.1", local_ip="127.0.0.1")
     return Relay(config, transport), transport
-
-
-def plain_udp_socket() -> socket.socket:
-    # No SO_REUSEADDR: with it, two sockets bound to port 0 can share a port.
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind(("127.0.0.1", 0))
-    return sock
 
 
 def wait_until(condition, timeout_s: float = 2.0) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -88,6 +89,30 @@ class TestRewriteSpoof:
         out = rewrite_spoof(worn, PAPER_CONFIG, identification=42)
         assert out.ttl == 64
         assert out.identification == 42
+
+    def test_equals_dataclasses_replace(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            pkt = Ipv4UdpPacket(
+                src_ip=f"10.2.105.{rng.randrange(1, 255)}",
+                dst_ip="10.2.1.31",
+                src_port=rng.randrange(1024, 65536),
+                dst_port=6064,
+                payload=rng.randbytes(rng.randrange(0, 200)),
+                ttl=rng.randrange(1, 256),
+                identification=rng.randrange(0, 0x10000),
+                dscp_ecn=rng.randrange(0, 0x100),
+                flags_fragment=rng.randrange(0, 0x10000),
+            )
+            ident = rng.randrange(1, 0x10000)
+            expected = dataclasses.replace(
+                pkt,
+                dst_ip=PAPER_CONFIG.target_broadcast,
+                dst_port=PAPER_CONFIG.target_port,
+                identification=ident,
+                ttl=64,
+            )
+            assert rewrite_spoof(pkt, PAPER_CONFIG, ident) == expected
 
     def test_checksums_valid_after_rewrite(self):
         out = rewrite_spoof(query_packet(), PAPER_CONFIG, identification=5)
@@ -227,7 +252,7 @@ class TestProxyRelayOnSim:
                 src_port=5064, dst_port=delivery.packet.src_port,
                 payload=b"reply!",
             )
-            net.send("IMX1-HOST2", reply)
+            net.inject("IMX1-HOST2", reply)
 
         net.bind("IMX1-HOST2", 5064, "ioc", callback=ioc_reply)
         net.bind("TesterHEpics", 44256, "client", callback=lambda d: client_seen.append(d.packet))
@@ -389,7 +414,24 @@ class TestRealTransportPrivilege:
                 raise PermissionError(1, "Operation not permitted")
             return real_socket(family, type_, proto)
 
-        config = RelayConfig(target_broadcast="255.255.255.255", listen_port=16064, target_port=15064)
+        config = RelayConfig(
+            target_broadcast="255.255.255.255",
+            listen_port=16064,
+            target_port=15064,
+            local_subnet=Cidr("192.0.2.0", 24),
+        )
         with pytest.raises(PrivilegeRequired) as excinfo:
             RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
         assert "proxy" in str(excinfo.value)
+
+    def test_spoof_without_local_subnet_rejected_before_any_socket(self):
+        created = []
+
+        def factory(*args):
+            created.append(args)
+            raise AssertionError("no socket may be created")
+
+        config = RelayConfig(target_broadcast="255.255.255.255", listen_port=16064, target_port=15064)
+        with pytest.raises(ValueError, match="local_subnet"):
+            RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
+        assert created == []
