@@ -17,7 +17,8 @@ Header layout (all big-endian):
     12      4     param2
 
 Captures from real CA clients use the same layout, so traffic recorded on
-port 5064 can be fed through decode_datagram for manual inspection.
+port 5064 can be fed through find_search_requests and find_search_response
+for manual inspection.
 """
 
 from __future__ import annotations
@@ -66,52 +67,6 @@ class ReplyFlag(enum.IntEnum):
     DO_REPLY = 10
 
 
-class MessageKind(enum.Enum):
-    VERSION = "version"
-    SEARCH_REQUEST = "search_request"
-    SEARCH_RESPONSE = "search_response"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class CaHeader:
-    command: int
-    payload_size: int
-    data_type: int
-    data_count: int
-    param1: int
-    param2: int
-
-    def pack(self) -> bytes:
-        return _HDR.pack(
-            self.command,
-            self.payload_size,
-            self.data_type,
-            self.data_count,
-            self.param1,
-            self.param2,
-        )
-
-
-@dataclass(frozen=True)
-class CaMessage:
-    header: CaHeader
-    payload: bytes
-
-    @property
-    def kind(self) -> MessageKind:
-        cmd = self.header.command
-        if cmd == CMD_VERSION:
-            return MessageKind.VERSION
-        if cmd == CMD_SEARCH:
-            # Requests carry the reply flag in data_type; responses carry the
-            # server port there, which never collides with the two flag codes.
-            if self.header.data_type in (ReplyFlag.DONT_REPLY, ReplyFlag.DO_REPLY):
-                return MessageKind.SEARCH_REQUEST
-            return MessageKind.SEARCH_RESPONSE
-        return MessageKind.UNKNOWN
-
-
 @dataclass(frozen=True)
 class SearchRequest:
     pv_name: str
@@ -129,14 +84,8 @@ class SearchResponse:
     server_address: str | None = None
 
 
-def _padded_name(name: str) -> bytes:
-    raw = name.encode("ascii") + b"\x00"
-    pad = (-len(raw)) % 8
-    return raw + b"\x00" * pad
-
-
 def _version_message(minor_version: int) -> bytes:
-    return CaHeader(CMD_VERSION, 0, 0, minor_version, 0, 0).pack()
+    return _HDR.pack(CMD_VERSION, 0, 0, minor_version, 0, 0)
 
 
 def encode_search_datagram(req: SearchRequest) -> bytes:
@@ -150,84 +99,72 @@ def encode_search_datagram(req: SearchRequest) -> bytes:
         raise ValueError("PV name must be nonempty and NUL-free")
     if len(req.pv_name) > MAX_PV_NAME:
         raise NameTooLong(f"{len(req.pv_name)} characters exceeds the {MAX_PV_NAME} limit")
-    payload = _padded_name(req.pv_name)
-    header = CaHeader(
-        CMD_SEARCH,
-        len(payload),
-        int(req.reply_flag),
-        req.minor_version,
-        req.search_id,
-        req.search_id,
+    payload = req.pv_name.encode("ascii") + b"\x00"
+    payload += bytes(-len(payload) % 8)
+    header = _HDR.pack(
+        CMD_SEARCH, len(payload), req.reply_flag, req.minor_version, req.search_id, req.search_id
     )
-    return _version_message(req.minor_version) + header.pack() + payload
+    return _version_message(req.minor_version) + header + payload
 
 
 def encode_search_response_datagram(resp: SearchResponse) -> bytes:
     """Version message plus search response; always exactly 40 bytes."""
     param1 = USE_PACKET_SOURCE if resp.server_address is None else ip_to_int(resp.server_address)
-    header = CaHeader(CMD_SEARCH, 8, resp.server_port, 0, param1, resp.search_id)
+    header = _HDR.pack(CMD_SEARCH, 8, resp.server_port, 0, param1, resp.search_id)
     payload = struct.pack(">H", resp.server_minor_version) + b"\x00" * 6
-    return _version_message(resp.server_minor_version) + header.pack() + payload
+    return _version_message(resp.server_minor_version) + header + payload
 
 
-def decode_datagram(data: bytes) -> list[CaMessage]:
-    """Split a datagram into its consecutive header+payload messages."""
-    messages = []
+# Requests carry the reply flag in data_type; responses carry the server port
+# there, which never collides with the two flag codes.
+_REPLY_FLAGS = {int(flag): flag for flag in ReplyFlag}
+
+
+def _search_messages(data: bytes) -> list[tuple]:
+    """Each search message as (reply_flag, data_type, data_count, param1,
+    param2, payload), reply_flag None for a response. Checks the whole
+    datagram first, so a malformed trailer raises even after a valid message.
+    """
+    found = []
     offset = 0
-    while offset < len(data):
-        if len(data) - offset < CA_HEADER_LEN:
-            raise Truncated(f"{len(data) - offset} bytes left, header needs {CA_HEADER_LEN}")
-        header = CaHeader(*_HDR.unpack_from(data, offset))
-        if header.payload_size % 8:
-            raise MisalignedPayload(f"payload_size {header.payload_size} not a multiple of 8")
+    end = len(data)
+    while offset < end:
+        if end - offset < CA_HEADER_LEN:
+            raise Truncated(f"{end - offset} bytes left, header needs {CA_HEADER_LEN}")
+        command, size, data_type, data_count, param1, param2 = _HDR.unpack_from(data, offset)
+        if size % 8:
+            raise MisalignedPayload(f"payload_size {size} not a multiple of 8")
         offset += CA_HEADER_LEN
-        if len(data) - offset < header.payload_size:
-            raise Truncated(
-                f"payload_size {header.payload_size} but only {len(data) - offset} bytes remain"
-            )
-        messages.append(CaMessage(header, bytes(data[offset : offset + header.payload_size])))
-        offset += header.payload_size
-    return messages
-
-
-def search_request_fields(msg: CaMessage) -> SearchRequest:
-    if msg.kind is not MessageKind.SEARCH_REQUEST:
-        raise ValueError(f"not a search request: {msg.header}")
-    name = msg.payload.split(b"\x00", 1)[0].decode("ascii")
-    return SearchRequest(
-        pv_name=name,
-        search_id=msg.header.param1,
-        reply_flag=ReplyFlag(msg.header.data_type),
-        minor_version=msg.header.data_count,
-    )
-
-
-def search_response_fields(msg: CaMessage) -> SearchResponse:
-    if msg.kind is not MessageKind.SEARCH_RESPONSE:
-        raise ValueError(f"not a search response: {msg.header}")
-    param1 = msg.header.param1
-    minor = struct.unpack_from(">H", msg.payload)[0] if len(msg.payload) >= 2 else 0
-    return SearchResponse(
-        server_port=msg.header.data_type,
-        search_id=msg.header.param2,
-        server_minor_version=minor,
-        server_address=None if param1 == USE_PACKET_SOURCE else int_to_ip(param1),
-    )
+        if end - offset < size:
+            raise Truncated(f"payload_size {size} but only {end - offset} bytes remain")
+        if command == CMD_SEARCH:
+            flag = _REPLY_FLAGS.get(data_type)
+            found.append((flag, data_type, data_count, param1, param2, data[offset : offset + size]))
+        offset += size
+    return found
 
 
 def find_search_requests(data: bytes) -> list[SearchRequest]:
-    """All search requests in a datagram; convenience for endpoints."""
-    return [
-        search_request_fields(m)
-        for m in decode_datagram(data)
-        if m.kind is MessageKind.SEARCH_REQUEST
-    ]
+    """All search requests in a datagram, in order."""
+    requests = []
+    for flag, _, minor, search_id, _, payload in _search_messages(data):
+        if flag is None:
+            continue
+        try:
+            name = payload.split(b"\x00", 1)[0].decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise CaWireError(f"search name is not ASCII: {exc}") from exc
+        requests.append(SearchRequest(name, search_id, flag, minor))
+    return requests
 
 
 def find_search_response(data: bytes) -> SearchResponse | None:
-    for m in decode_datagram(data):
-        if m.kind is MessageKind.SEARCH_RESPONSE:
-            return search_response_fields(m)
+    """The first search response in a datagram, or None."""
+    for flag, server_port, _, param1, search_id, payload in _search_messages(data):
+        if flag is None:
+            minor = struct.unpack_from(">H", payload)[0] if payload else 0
+            address = None if param1 == USE_PACKET_SOURCE else int_to_ip(param1)
+            return SearchResponse(server_port, search_id, minor, address)
     return None
 
 
@@ -279,6 +216,9 @@ def decode_value_exchange(data: bytes) -> ValueExchange:
     value_len = 8 if has_value else 0
     if len(data) < end + value_len:
         raise Truncated(f"{len(data)} bytes, frame claims {end + value_len}")
-    name = data[_VX_HDR.size : end].decode("ascii")
     value = struct.unpack_from(">d", data, end)[0] if has_value else None
-    return ValueExchange(kind=kind, pv_name=name, sequence=sequence, value=value)
+    try:
+        name = data[_VX_HDR.size : end].decode("ascii")
+        return ValueExchange(kind=kind, pv_name=name, sequence=sequence, value=value)
+    except ValueError as exc:  # a non-ASCII name, or a value flag that contradicts the kind
+        raise CaWireError(f"malformed {kind.name} frame: {exc}") from exc

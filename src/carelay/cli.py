@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Subcommands: relay (serve the relay on real sockets or drive a configured
-simulation), sim (run a scenario file), bench (latency comparison), caget
-and caput (test clients against the simulation or real UDP port 5064).
+Subcommands: relay (serve the relay on real sockets), sim (run a scenario
+file), bench (latency comparison), caget and caput (test clients against the
+simulation or real UDP port 5064).
 
 Exit codes: 0 success, 1 query timeout or scenario mismatch, 2 configuration
 error, 3 missing privilege for raw sending.
@@ -59,14 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     relay_p = sub.add_parser("relay", parents=[common], help="run the relay")
-    relay_p.add_argument("--transport", choices=("sim", "real"), default="real")
     relay_p.add_argument("--listen-port", type=int, default=None)
     relay_p.add_argument("--target", metavar="IP:PORT", default=None)
     relay_p.add_argument("--allow", metavar="CIDR", action="append", default=None)
     relay_p.add_argument("--local-subnet", metavar="CIDR", default=None)
     relay_p.add_argument("--mode", choices=[m.value for m in RelayMode], default=None)
     relay_p.add_argument("--bind-ip", default="0.0.0.0", help="real transport bind address")
-    relay_p.add_argument("--format", choices=("text", "records"), default="text")
     relay_p.set_defaults(func=cmd_relay)
 
     sim_p = sub.add_parser("sim", parents=[common], help="run a scenario file")
@@ -158,11 +156,11 @@ def _scenario_from_config(config: ConfigFile, args, name: str = "config") -> Sce
     )
 
 
-def _run_configured_scenario(args, name: str) -> int:
+def cmd_sim(args) -> int:
     config = _load_config(args, required=True)
     if not config.queries:
         raise ConfigInvalid("this command needs a queries section in the config")
-    scenario = _scenario_from_config(config, args, name=name)
+    scenario = _scenario_from_config(config, args, name="sim")
     run = execute_scenario(scenario)
     if args.log == "trace":
         for line in run.net.trace_lines():
@@ -175,15 +173,7 @@ def _run_configured_scenario(args, name: str) -> int:
     return EXIT_OK
 
 
-def cmd_sim(args) -> int:
-    return _run_configured_scenario(args, "sim")
-
-
 def cmd_relay(args) -> int:
-    if args.transport == "sim":
-        # Same relay code path as real mode, driven by the configured queries.
-        return _run_configured_scenario(args, "relay-sim")
-
     config = _load_config(args)
     relay_config = _merge_relay_flags(config, args)
     transport = RealUdpTransport(relay_config, bind_ip=args.bind_ip)

@@ -8,7 +8,7 @@ import dataclasses
 import inspect
 
 import carelay.relay
-from carelay import bench
+from carelay import bench, ca_wire
 from carelay.endpoints import CaClient, IocSim
 from carelay.netsim import VirtualNetwork
 from carelay.packet import Cidr, Ipv4UdpPacket, checksum16, decode, encode
@@ -56,6 +56,12 @@ def test_names_the_benchmark_depends_on():
     inspect.signature(IocSim.on_search_datagram).bind(None, b"", ("10.2.105.171", 40000))
     inspect.signature(CaClient).bind(net, bench.CLIENT, config=None)
 
+    # perfbench.micro times the ca_wire encoder and finders on its own inputs.
+    inspect.signature(ca_wire.SearchRequest).bind("PV:1", 7)
+    datagram = ca_wire.encode_search_datagram(ca_wire.SearchRequest("PV:1", 7))
+    assert [r.search_id for r in ca_wire.find_search_requests(datagram)] == [7]
+    assert ca_wire.find_search_response(datagram) is None
+
     # perfbench.micro times the packet layer on frames it builds itself.
     packet = Ipv4UdpPacket("127.0.0.2", "127.0.0.1", 40000, 6064, b"search")
     frame = encode(packet)
@@ -68,3 +74,22 @@ def test_names_the_benchmark_depends_on():
     inspect.signature(RealUdpTransport).bind(
         RelayConfig(target_broadcast="127.0.0.1"), bind_ip="127.0.0.1", socket_factory=None
     )
+
+
+def test_endpoints_reach_the_finders_through_ca_wire(monkeypatch):
+    # perfbench.sim times the finders by patching them on carelay.ca_wire, so
+    # IocSim and CaClient must look them up there per call; a
+    # `from .ca_wire import find_...` would read zero for ca_wire.find.
+    calls = dict.fromkeys(("find_search_requests", "find_search_response"), 0)
+    for name in calls:
+
+        def counted(data, real=getattr(ca_wire, name), name=name):
+            calls[name] += 1
+            return real(data)
+
+        monkeypatch.setattr(ca_wire, name, counted)
+    scenario = bench.scenario_c()
+    net, _ = bench.build_network(scenario)
+    result = CaClient(net, bench.CLIENT, config=scenario.client_config).query(scenario.queries[0].pv_name)
+    assert not result.timed_out
+    assert all(calls.values()), calls

@@ -1,12 +1,14 @@
+import enum
 import math
+import struct
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carelay.ca_wire import (
-    CaHeader,
-    MessageKind,
+    CaWireError,
     MisalignedPayload,
     NameTooLong,
     ReplyFlag,
@@ -16,16 +18,26 @@ from carelay.ca_wire import (
     UnknownKind,
     ValueExchange,
     ValueExchangeKind,
-    decode_datagram,
     decode_value_exchange,
     encode_search_datagram,
     encode_search_response_datagram,
     encode_value_exchange,
     find_search_requests,
     find_search_response,
-    search_request_fields,
-    search_response_fields,
 )
+from carelay.packet import int_to_ip
+
+HDR = struct.Struct(">HHHHII")
+
+
+def commands(data):
+    """The command field of each message header in a well-formed datagram."""
+    out, offset = [], 0
+    while offset < len(data):
+        command, size = struct.unpack_from(">HH", data, offset)
+        out.append(command)
+        offset += 16 + size
+    return out
 
 
 class TestSearchDatagram:
@@ -57,13 +69,14 @@ class TestSearchDatagram:
 
     def test_roundtrip(self):
         req = SearchRequest("IMX:DMC4:m1", search_id=77, reply_flag=ReplyFlag.DO_REPLY)
-        msgs = decode_datagram(encode_search_datagram(req))
-        assert [m.kind for m in msgs] == [MessageKind.VERSION, MessageKind.SEARCH_REQUEST]
-        assert search_request_fields(msgs[1]) == req
+        data = encode_search_datagram(req)
+        assert commands(data) == [0, 6]
+        assert find_search_requests(data) == [req]
+        assert find_search_response(data) is None
 
     def test_search_id_echoed_in_both_params(self):
-        msgs = decode_datagram(encode_search_datagram(SearchRequest("a", search_id=0xDEAD)))
-        assert msgs[1].header.param1 == msgs[1].header.param2 == 0xDEAD
+        data = encode_search_datagram(SearchRequest("a", search_id=0xDEAD))
+        assert data[24:32] == (0xDEAD).to_bytes(4, "big") * 2
 
     def test_find_search_requests(self):
         reqs = find_search_requests(encode_search_datagram(SearchRequest("PV:1", search_id=9)))
@@ -80,16 +93,16 @@ class TestSearchResponseDatagram:
 
     def test_roundtrip(self):
         resp = SearchResponse(server_port=5901, search_id=42, server_address="10.2.1.32")
-        msgs = decode_datagram(encode_search_response_datagram(resp))
-        assert [m.kind for m in msgs] == [MessageKind.VERSION, MessageKind.SEARCH_RESPONSE]
-        assert search_response_fields(msgs[1]) == resp
+        data = encode_search_response_datagram(resp)
+        assert commands(data) == [0, 6]
+        assert find_search_response(data) == resp
+        assert find_search_requests(data) == []
 
     def test_use_packet_source_marker(self):
         resp = SearchResponse(server_port=5901, search_id=7, server_address=None)
         data = encode_search_response_datagram(resp)
-        msgs = decode_datagram(data)
-        assert msgs[1].header.param1 == 0xFFFFFFFF
-        assert search_response_fields(msgs[1]).server_address is None
+        assert data[24:28] == b"\xff\xff\xff\xff"
+        assert find_search_response(data).server_address is None
 
     def test_find_search_response(self):
         resp = SearchResponse(server_port=5905, search_id=3)
@@ -99,32 +112,48 @@ class TestSearchResponseDatagram:
 
 class TestDecodeDatagram:
     def test_48_zero_bytes_parse_as_three_version_messages(self):
-        msgs = decode_datagram(bytes(48))
-        assert len(msgs) == 3
-        assert all(m.kind is MessageKind.VERSION and m.header.command == 0 for m in msgs)
+        assert commands(bytes(48)) == [0, 0, 0]
+        assert find_search_requests(bytes(48)) == []
+        assert find_search_response(bytes(48)) is None
 
     def test_20_byte_input_truncated(self):
-        with pytest.raises(Truncated):
-            decode_datagram(bytes(20))
+        for finder in (find_search_requests, find_search_response):
+            with pytest.raises(Truncated):
+                finder(bytes(20))
 
     def test_payload_shorter_than_header_claims(self):
-        header = CaHeader(6, 16, 5, 13, 1, 1).pack()
-        with pytest.raises(Truncated):
-            decode_datagram(header + bytes(8))
+        header = HDR.pack(6, 16, 5, 13, 1, 1)
+        for finder in (find_search_requests, find_search_response):
+            with pytest.raises(Truncated):
+                finder(header + bytes(8))
 
     def test_misaligned_payload_size(self):
-        header = CaHeader(6, 12, 5, 13, 1, 1).pack()
-        with pytest.raises(MisalignedPayload):
-            decode_datagram(header + bytes(12))
+        header = HDR.pack(6, 12, 5, 13, 1, 1)
+        for finder in (find_search_requests, find_search_response):
+            with pytest.raises(MisalignedPayload):
+                finder(header + bytes(12))
 
-    def test_unknown_command_preserved(self):
-        header = CaHeader(23, 0, 0, 0, 0, 0).pack()
-        msgs = decode_datagram(header)
-        assert msgs[0].kind is MessageKind.UNKNOWN
-        assert msgs[0].header.command == 23
+    def test_unknown_command_skipped(self):
+        search = encode_search_datagram(SearchRequest("PV:1", search_id=9))
+        data = HDR.pack(23, 8, 5, 0, 1, 2) + bytes(8) + search
+        assert find_search_requests(data) == [SearchRequest("PV:1", search_id=9)]
+        assert find_search_response(HDR.pack(23, 0, 0, 0, 0, 0)) is None
+
+    def test_bad_trailer_after_valid_response_raises(self):
+        data = encode_search_response_datagram(SearchResponse(server_port=5901, search_id=1))
+        with pytest.raises(Truncated):
+            find_search_response(data + bytes(4))
+
+    def test_non_ascii_name_raises_codec_error(self):
+        data = bytearray(encode_search_datagram(SearchRequest("PV:1", search_id=9)))
+        data[32] = 0xFF
+        with pytest.raises(CaWireError) as info:
+            find_search_requests(bytes(data))
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
     def test_empty_datagram(self):
-        assert decode_datagram(b"") == []
+        assert find_search_requests(b"") == []
+        assert find_search_response(b"") is None
 
 
 pv_names = st.text(
@@ -145,8 +174,7 @@ def test_search_request_roundtrip_property(name, search_id, flag, minor):
     req = SearchRequest(name, search_id, flag, minor)
     data = encode_search_datagram(req)
     assert len(data) % 8 == 0
-    msgs = decode_datagram(data)
-    assert search_request_fields(msgs[1]) == req
+    assert find_search_requests(data) == [req]
 
 
 @given(
@@ -157,11 +185,187 @@ def test_search_request_roundtrip_property(name, search_id, flag, minor):
 )
 @settings(max_examples=200)
 def test_search_response_roundtrip_property(port, search_id, minor, addr):
-    from carelay.packet import int_to_ip
-
     resp = SearchResponse(port, search_id, minor, None if addr is None else int_to_ip(addr))
-    msgs = decode_datagram(encode_search_response_datagram(resp))
-    assert search_response_fields(msgs[1]) == resp
+    assert find_search_response(encode_search_response_datagram(resp)) == resp
+
+
+# -- differential test -----------------------------------------------------
+#
+# The oracle is the message-object decoder that the finders replaced, copied
+# verbatim; the finders must agree with it on every input, except that a
+# non-ASCII search name now raises CaWireError where it raised
+# UnicodeDecodeError.
+
+CA_HEADER_LEN = 16
+CMD_VERSION = 0
+CMD_SEARCH = 6
+USE_PACKET_SOURCE = 0xFFFFFFFF
+_HDR = HDR
+
+
+class MessageKind(enum.Enum):
+    VERSION = "version"
+    SEARCH_REQUEST = "search_request"
+    SEARCH_RESPONSE = "search_response"
+    UNKNOWN = "unknown"
+
+
+@dataclass(frozen=True)
+class CaHeader:
+    command: int
+    payload_size: int
+    data_type: int
+    data_count: int
+    param1: int
+    param2: int
+
+    def pack(self) -> bytes:
+        return _HDR.pack(
+            self.command,
+            self.payload_size,
+            self.data_type,
+            self.data_count,
+            self.param1,
+            self.param2,
+        )
+
+
+@dataclass(frozen=True)
+class CaMessage:
+    header: CaHeader
+    payload: bytes
+
+    @property
+    def kind(self) -> MessageKind:
+        cmd = self.header.command
+        if cmd == CMD_VERSION:
+            return MessageKind.VERSION
+        if cmd == CMD_SEARCH:
+            # Requests carry the reply flag in data_type; responses carry the
+            # server port there, which never collides with the two flag codes.
+            if self.header.data_type in (ReplyFlag.DONT_REPLY, ReplyFlag.DO_REPLY):
+                return MessageKind.SEARCH_REQUEST
+            return MessageKind.SEARCH_RESPONSE
+        return MessageKind.UNKNOWN
+
+
+def decode_datagram(data: bytes) -> list[CaMessage]:
+    """Split a datagram into its consecutive header+payload messages."""
+    messages = []
+    offset = 0
+    while offset < len(data):
+        if len(data) - offset < CA_HEADER_LEN:
+            raise Truncated(f"{len(data) - offset} bytes left, header needs {CA_HEADER_LEN}")
+        header = CaHeader(*_HDR.unpack_from(data, offset))
+        if header.payload_size % 8:
+            raise MisalignedPayload(f"payload_size {header.payload_size} not a multiple of 8")
+        offset += CA_HEADER_LEN
+        if len(data) - offset < header.payload_size:
+            raise Truncated(
+                f"payload_size {header.payload_size} but only {len(data) - offset} bytes remain"
+            )
+        messages.append(CaMessage(header, bytes(data[offset : offset + header.payload_size])))
+        offset += header.payload_size
+    return messages
+
+
+def search_request_fields(msg: CaMessage) -> SearchRequest:
+    if msg.kind is not MessageKind.SEARCH_REQUEST:
+        raise ValueError(f"not a search request: {msg.header}")
+    name = msg.payload.split(b"\x00", 1)[0].decode("ascii")
+    return SearchRequest(
+        pv_name=name,
+        search_id=msg.header.param1,
+        reply_flag=ReplyFlag(msg.header.data_type),
+        minor_version=msg.header.data_count,
+    )
+
+
+def search_response_fields(msg: CaMessage) -> SearchResponse:
+    if msg.kind is not MessageKind.SEARCH_RESPONSE:
+        raise ValueError(f"not a search response: {msg.header}")
+    param1 = msg.header.param1
+    minor = struct.unpack_from(">H", msg.payload)[0] if len(msg.payload) >= 2 else 0
+    return SearchResponse(
+        server_port=msg.header.data_type,
+        search_id=msg.header.param2,
+        server_minor_version=minor,
+        server_address=None if param1 == USE_PACKET_SOURCE else int_to_ip(param1),
+    )
+
+
+def oracle_find_search_requests(data: bytes) -> list[SearchRequest]:
+    return [
+        search_request_fields(m)
+        for m in decode_datagram(data)
+        if m.kind is MessageKind.SEARCH_REQUEST
+    ]
+
+
+def oracle_find_search_response(data: bytes) -> SearchResponse | None:
+    for m in decode_datagram(data):
+        if m.kind is MessageKind.SEARCH_RESPONSE:
+            return search_response_fields(m)
+    return None
+
+
+u16 = st.integers(min_value=0, max_value=0xFFFF)
+u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
+padded_payloads = st.binary(max_size=72).map(lambda b: b + bytes(-len(b) % 8))
+raw_messages = st.builds(
+    lambda command, data_type, count, p1, p2, payload: HDR.pack(
+        command, len(payload), data_type, count, p1, p2
+    ) + payload,
+    st.one_of(st.sampled_from([CMD_VERSION, CMD_SEARCH, 23]), u16),
+    st.one_of(st.sampled_from([5, 10, 5064]), u16),
+    u16,
+    st.one_of(st.just(USE_PACKET_SOURCE), u32),
+    u32,
+    padded_payloads,
+)
+encoded_requests = st.builds(
+    SearchRequest, pv_names, u32, st.sampled_from(list(ReplyFlag)), u16
+).map(encode_search_datagram)
+encoded_responses = st.builds(
+    SearchResponse,
+    u16,
+    u32,
+    u16,
+    st.one_of(st.none(), st.integers(min_value=0, max_value=0xFFFFFFFE).map(int_to_ip)),
+).map(encode_search_response_datagram)
+well_formed = st.lists(
+    st.one_of(raw_messages, encoded_requests, encoded_responses), max_size=5
+).map(b"".join)
+
+
+@st.composite
+def damaged(draw):
+    data = bytearray(draw(well_formed.filter(bool)))
+    if draw(st.booleans()):
+        return bytes(data[: draw(st.integers(min_value=0, max_value=len(data) - 1))])
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        data[draw(st.integers(min_value=0, max_value=len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+def outcome(finder, data):
+    try:
+        return finder(data)
+    except (CaWireError, UnicodeDecodeError) as exc:
+        return type(exc)
+
+
+@given(data=st.one_of(st.binary(max_size=96), well_formed, damaged()))
+@settings(max_examples=600)
+def test_finders_match_message_object_decoder(data):
+    for finder, oracle in (
+        (find_search_requests, oracle_find_search_requests),
+        (find_search_response, oracle_find_search_response),
+    ):
+        expected = outcome(oracle, data)
+        if expected is UnicodeDecodeError:
+            expected = CaWireError
+        assert outcome(finder, data) == expected
 
 
 class TestValueExchange:
@@ -190,11 +394,50 @@ class TestValueExchange:
         with pytest.raises(Truncated):
             decode_value_exchange(data[:-1])
 
+    def test_non_ascii_name_raises_codec_error(self):
+        data = bytearray(encode_value_exchange(ValueExchange(ValueExchangeKind.READ_REQUEST, "n", 1)))
+        data[-1] = 0xE9
+        with pytest.raises(CaWireError) as info:
+            decode_value_exchange(bytes(data))
+        assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+    @pytest.mark.parametrize(
+        "kind, has_value", [("READ_REPLY", 0), ("WRITE_REQUEST", 0), ("WRITE_ACK", 1)]
+    )
+    def test_value_flag_contradicting_kind_raises_codec_error(self, kind, has_value):
+        code = ValueExchangeKind[kind]
+        data = struct.pack(">HHIB", code, 1, 7, has_value) + b"n" + bytes(8 * has_value)
+        with pytest.raises(CaWireError) as info:
+            decode_value_exchange(data)
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_unknown_kind(self):
         data = bytearray(encode_value_exchange(ValueExchange(ValueExchangeKind.READ_REQUEST, "n", 1)))
         data[0:2] = (99).to_bytes(2, "big")
         with pytest.raises(UnknownKind):
             decode_value_exchange(bytes(data))
+
+    @given(
+        data=st.one_of(
+            st.binary(max_size=40),
+            st.builds(
+                lambda kind, name, seq, flag, tail: struct.pack(">HHIB", kind, len(name), seq, flag)
+                + name
+                + tail,
+                st.integers(min_value=0, max_value=5),
+                st.binary(max_size=12),
+                st.integers(min_value=0, max_value=0xFFFFFFFF),
+                st.integers(min_value=0, max_value=2),
+                st.binary(max_size=10),
+            ),
+        )
+    )
+    @settings(max_examples=300)
+    def test_malformed_frames_raise_only_codec_errors(self, data):
+        try:
+            decode_value_exchange(data)
+        except CaWireError:
+            pass
 
     @given(
         kind=st.sampled_from(list(ValueExchangeKind)),

@@ -110,10 +110,6 @@ class TestBench:
 
 
 class TestRelayCommand:
-    def test_sim_transport_runs_configured_queries(self, capsys):
-        assert main(["relay", "--transport", "sim", "--config", SCENARIO_C, "--log", "quiet"]) == 0
-        assert "all queries matched" in capsys.readouterr().out
-
     def test_real_spoof_without_privilege_exits_three(self, capsys, monkeypatch):
         real_socket = socket.socket
 
@@ -124,7 +120,7 @@ class TestRelayCommand:
 
         monkeypatch.setattr(socket, "socket", factory)
         code = main([
-            "relay", "--transport", "real", "--mode", "spoof",
+            "relay", "--mode", "spoof",
             "--listen-port", "16164", "--target", "255.255.255.255:5064",
             "--local-subnet", "192.0.2.0/24", "--bind-ip", "127.0.0.1", "--log", "quiet",
         ])
@@ -138,7 +134,7 @@ class TestRelayCommand:
 
         monkeypatch.setattr(socket, "socket", factory)
         code = main([
-            "relay", "--transport", "real", "--mode", "spoof",
+            "relay", "--mode", "spoof",
             "--listen-port", "16164", "--target", "255.255.255.255:5064",
             "--bind-ip", "127.0.0.1", "--log", "quiet",
         ])
@@ -146,4 +142,4 @@ class TestRelayCommand:
         assert "local_subnet" in capsys.readouterr().err
 
     def test_real_relay_without_target_is_config_error(self, capsys):
-        assert main(["relay", "--transport", "real", "--log", "quiet"]) == 2
+        assert main(["relay", "--log", "quiet"]) == 2

@@ -83,6 +83,21 @@ class TestIocOnSearch:
         fired = net.advance_clock(10_000)
         assert len(fired) == 2  # both IOC bindings got it, neither replied
 
+    def test_non_ascii_search_name_is_silent_in_sim(self):
+        net, _, _ = make_net_with_iocs()
+        from carelay.packet import Ipv4UdpPacket
+
+        datagram = bytearray(encode_search_datagram(SearchRequest("IMX:DMC4:m1", search_id=5)))
+        datagram[32] = 0xFF  # first byte of the name
+        pkt = Ipv4UdpPacket(
+            src_ip="10.2.1.100", dst_ip="10.2.1.255", src_port=9, dst_port=5064,
+            payload=bytes(datagram),
+        )
+        net.inject("TesterDirect", pkt)
+        fired = net.advance_clock(10_000)
+        assert len(fired) == 2  # both IOC bindings got it, neither replied
+        assert CaClient(net, "TesterDirect").caget("IMX:DMC4:m1") == -2.06e-05
+
     @given(name=st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=60))
     @settings(max_examples=150)
     def test_never_answers_random_unowned_names(self, name):
