@@ -22,6 +22,7 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
+from .ca_wire import CA_SERVER_PORT
 from .endpoints import CaClient, ClientQueryConfig, IocSim
 from .netsim import (
     BroadcastDomain,
@@ -194,7 +195,7 @@ def paper_topology(
             BroadcastDomain("sol", CLIENT_SUBNET),
         ],
         hosts=hosts,
-        helper_rules=[HelperRule("sol", 5064, (SERVER1_IP,))],
+        helper_rules=[HelperRule("sol", CA_SERVER_PORT, (SERVER1_IP,))],
         per_hop_delay_us=per_hop_delay_us,
         jitter_us=jitter_us,
     )
@@ -214,19 +215,19 @@ def paper_iocs(advertise_own_address: bool = True) -> list[IocSpec]:
 
 def relay_prerouting_rule(listen_port: int = 6064) -> PreroutingRule:
     """The redirect that feeds the relay: foreign 5064 traffic to listen_port."""
-    return PreroutingRule(5064, SERVER1_IP, listen_port, negate_src=BEAMLINE_SUBNET)
+    return PreroutingRule(CA_SERVER_PORT, SERVER1_IP, listen_port, negate_src=BEAMLINE_SUBNET)
 
 
 def limited_broadcast_rule() -> PreroutingRule:
     """The local-acceptance rewrite: foreign 5064 traffic to 255.255.255.255."""
-    return PreroutingRule(5064, "255.255.255.255", 5064, negate_src=BEAMLINE_SUBNET)
+    return PreroutingRule(CA_SERVER_PORT, "255.255.255.255", CA_SERVER_PORT, negate_src=BEAMLINE_SUBNET)
 
 
 def paper_relay_config(mode: RelayMode = RelayMode.SPOOF) -> RelayConfig:
     return RelayConfig(
         target_broadcast="255.255.255.255",
         listen_port=6064,
-        target_port=5064,
+        target_port=CA_SERVER_PORT,
         allow_sources=(CLIENT_SUBNET,),
         local_subnet=BEAMLINE_SUBNET,
         mode=mode,

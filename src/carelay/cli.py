@@ -26,6 +26,7 @@ from .bench import (
     execute_scenario,
     run_benchmark,
 )
+from .ca_wire import CA_SERVER_PORT
 from .config import ConfigError, ConfigFile, install_relay_prerouting, parse_config, parse_endpoint
 from .endpoints import CaClient, ChannelTimeout, RealCaClient
 from .netsim import NetsimError
@@ -54,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file")
     common.add_argument("--log", choices=sorted(_LOG_LEVELS), default="normal")
-    common.add_argument("--seed", type=int, default=None, help="virtual network seed")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -70,10 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim_p = sub.add_parser("sim", parents=[common], help="run a scenario file")
     sim_p.add_argument("--format", choices=("text", "records"), default="text")
     sim_p.add_argument("--reps", type=int, default=None, help="repetitions per query")
+    sim_p.add_argument("--seed", type=int, default=None, help="virtual network seed")
     sim_p.set_defaults(func=cmd_sim)
 
     bench_p = sub.add_parser("bench", parents=[common], help="run the latency comparison")
     bench_p.add_argument("--reps", type=int, default=None)
+    bench_p.add_argument("--seed", type=int, default=None, help="virtual network seed")
     bench_p.add_argument("--format", choices=("text", "records"), default="text")
     bench_p.set_defaults(func=cmd_bench)
 
@@ -85,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         client_p.add_argument("--transport", choices=("sim", "real"), default="sim")
         client_p.add_argument("--target", metavar="IP:PORT", action="append", default=None,
                               help="real transport search target (repeatable)")
+        client_p.add_argument("--seed", type=int, default=None, help="sim transport network seed")
         client_p.set_defaults(func=cmd_caget if name == "caget" else cmd_caput)
 
     return parser
@@ -227,7 +230,7 @@ def _sim_client_query(args, write_value: float | None) -> int:
 
 def _real_client_query(args, write_value: float | None) -> int:
     config = _load_config(args)
-    targets = [("255.255.255.255", 5064)]
+    targets = [("255.255.255.255", CA_SERVER_PORT)]
     if args.target:
         targets = [parse_endpoint(t, "--target") for t in args.target]
     client = RealCaClient(targets, config=config.client)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .bench import ARM_ORDER, TIMEOUT, VALUE, IocSpec, Query
+from .ca_wire import CA_SERVER_PORT
 from .endpoints import ClientQueryConfig
 from .netsim import (
     BroadcastDomain,
@@ -323,7 +324,7 @@ def _parse_relay(section: dict, config: ConfigFile) -> None:
         config.relay = RelayConfig(
             target_broadcast=_get_str(section, "target_broadcast", path),
             listen_port=_get_port(section, "listen_port", path, default=6064),
-            target_port=_get_port(section, "target_port", path, default=5064),
+            target_port=_get_port(section, "target_port", path, default=CA_SERVER_PORT),
             allow_sources=tuple(allow),
             local_subnet=_get_cidr(section, "local_subnet", path, required=False),
             mode=mode,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from . import ca_wire
 from .ca_wire import (
+    CA_SERVER_PORT,
     SearchRequest,
     SearchResponse,
     ValueExchange,
@@ -25,7 +26,6 @@ from .ca_wire import (
 from .netsim import ChannelRefused, ChannelSide, Delivery, VirtualNetwork
 from .packet import PacketFactory
 
-SEARCH_PORT = 5064
 FIRST_EPHEMERAL_PORT = 35687
 
 
@@ -86,7 +86,7 @@ class IocSim:
         self.reads_served = 0
         self.writes_served = 0
         self._factory = PacketFactory()
-        self.binding = net.bind(host_name, SEARCH_PORT, owner=name, callback=self._on_delivery)
+        self.binding = net.bind(host_name, CA_SERVER_PORT, owner=name, callback=self._on_delivery)
         net.register_channel_listener(self.host_ip, server_port, self._accept_channel)
 
     # -- search ---------------------------------------------------------------
@@ -115,7 +115,7 @@ class IocSim:
             return
         self.net.inject(
             self.host_name,
-            self._factory.build(self.host_ip, SEARCH_PORT, source[0], source[1], response),
+            self._factory.build(self.host_ip, CA_SERVER_PORT, source[0], source[1], response),
         )
 
     # -- value exchange ---------------------------------------------------------
@@ -254,7 +254,7 @@ class CaClient:
         pending.send_times.append(self.net.now_us)
         self.net.inject(
             self.host_name,
-            self._factory.build(self.host_ip, eph_port, self._broadcast_ip, SEARCH_PORT, datagram),
+            self._factory.build(self.host_ip, eph_port, self._broadcast_ip, CA_SERVER_PORT, datagram),
         )
 
     def _give_up(self, pending: _PendingQuery) -> None:

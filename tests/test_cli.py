@@ -84,6 +84,10 @@ class TestCagetSim:
         assert captured.out == ""
         assert captured.err.strip() == "Channel connect timed out: 'NOPE' not found."
 
+    @pytest.mark.parametrize("argv", [["caget", "IMX1-HOST1"], ["caput", "IMX1-HOST1", "1.5"]])
+    def test_sim_client_takes_a_seed(self, argv, capsys):
+        assert main([*argv, "--config", SCENARIO_C, "--seed", "3", "--log", "quiet"]) == 0
+
     def test_caget_without_relay_hits_last_binder_limit(self, capsys):
         assert main(["caget", "IMX:DMC4:m1", "--config", SCENARIO_A, "--log", "quiet"]) == 1
         assert "IMX:DMC4:m1" in capsys.readouterr().err
@@ -140,6 +144,13 @@ class TestRelayCommand:
         ])
         assert code == 2
         assert "local_subnet" in capsys.readouterr().err
+
+    def test_seed_is_rejected(self, capsys):
+        # The relay serves real sockets only; there is no network to seed.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["relay", "--seed", "3", "--target", "255.255.255.255:5064", "--log", "quiet"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_real_relay_without_target_is_config_error(self, capsys):
         assert main(["relay", "--log", "quiet"]) == 2

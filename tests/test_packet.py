@@ -1,3 +1,4 @@
+import dataclasses
 import ipaddress
 import random
 import socket
@@ -140,6 +141,62 @@ def make_packet(payload=b"", **kwargs) -> Ipv4UdpPacket:
     )
     defaults.update(kwargs)
     return Ipv4UdpPacket(**defaults)
+
+
+FIELD_NAMES = [
+    "src_ip", "dst_ip", "src_port", "dst_port", "payload",
+    "ttl", "identification", "dscp_ecn", "flags_fragment",
+]
+
+
+class TestValueType:
+    def test_assignment_raises_frozen_instance_error(self):
+        pkt = make_packet(b"ab")
+        for name in FIELD_NAMES:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pkt, name, getattr(pkt, name))
+
+    def test_equal_fields_give_equal_packets_and_hashes(self):
+        a, b = make_packet(b"ab"), make_packet(b"ab")
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert a != make_packet(b"ab", identification=8)
+
+    def test_repr_names_the_nine_fields_in_order(self):
+        assert repr(make_packet(b"ab")) == (
+            "Ipv4UdpPacket(src_ip='10.2.105.171', dst_ip='10.2.1.31', src_port=35687, "
+            "dst_port=5064, payload=b'ab', ttl=64, identification=7, dscp_ecn=0, flags_fragment=0)"
+        )
+
+    def test_positional_and_keyword_construction_fill_the_same_defaults(self):
+        positional = Ipv4UdpPacket("10.0.0.1", "10.0.0.2", 1, 2)
+        keyword = Ipv4UdpPacket(src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1, dst_port=2)
+        assert positional == keyword
+        assert vars(positional) == vars(keyword) == {
+            "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2", "src_port": 1, "dst_port": 2,
+            "payload": b"", "ttl": 64, "identification": 0, "dscp_ecn": 0, "flags_fragment": 0,
+        }
+        full = Ipv4UdpPacket("10.0.0.1", "10.0.0.2", 1, 2, b"x", 3, 4, 5, 6)
+        assert [getattr(full, name) for name in FIELD_NAMES] == ["10.0.0.1", "10.0.0.2", 1, 2, b"x", 3, 4, 5, 6]
+
+    def test_missing_or_unknown_argument_rejected(self):
+        with pytest.raises(TypeError):
+            Ipv4UdpPacket("10.0.0.1", "10.0.0.2", 1)
+        with pytest.raises(TypeError):
+            Ipv4UdpPacket("10.0.0.1", "10.0.0.2", 1, 2, protocol=17)
+
+    def test_replace_changes_only_the_named_fields(self):
+        pkt = make_packet(b"ab", ttl=9, dscp_ecn=3, flags_fragment=0x4000)
+        out = dataclasses.replace(pkt, dst_ip="10.2.1.255", ttl=64)
+        assert (out.dst_ip, out.ttl) == ("10.2.1.255", 64)
+        assert {k: v for k, v in vars(out).items() if k not in ("dst_ip", "ttl")} == {
+            k: v for k, v in vars(pkt).items() if k not in ("dst_ip", "ttl")
+        }
+
+    def test_vars_holds_exactly_the_nine_fields(self):
+        pkt = make_packet(b"ab")
+        assert list(vars(pkt)) == FIELD_NAMES == [f.name for f in dataclasses.fields(Ipv4UdpPacket)]
 
 
 class TestEncode:

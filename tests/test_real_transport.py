@@ -1,8 +1,9 @@
 """Loopback end-to-end checks of the real-socket paths.
 
 These run the actual transport code (plain UDP for PROXY, raw IPv4 frames
-for SPOOF) against stub endpoints on 127.0.0.1. The spoof test is skipped
-where raw sockets are unavailable.
+for SPOOF) against stub endpoints on 127.0.0.1. The spoof test that sends
+real raw frames is skipped where raw sockets are unavailable; the spoof serve
+loop also runs against a recording stand-in for the raw socket.
 """
 
 import resource
@@ -13,16 +14,18 @@ import time
 import pytest
 
 from carelay.ca_wire import (
+    SearchRequest,
     SearchResponse,
     ValueExchange,
     ValueExchangeKind,
     decode_value_exchange,
+    encode_search_datagram,
     encode_search_response_datagram,
     encode_value_exchange,
     find_search_requests,
 )
 from carelay.endpoints import ChannelTimeout, ClientQueryConfig, RealCaClient
-from carelay.packet import Cidr
+from carelay.packet import Cidr, decode
 from carelay.relay import (
     RealUdpTransport,
     Relay,
@@ -48,10 +51,10 @@ FAST_CLIENT = ClientQueryConfig(
 )
 
 
-def plain_udp_socket() -> socket.socket:
+def plain_udp_socket(ip: str = "127.0.0.1") -> socket.socket:
     # No SO_REUSEADDR: with it, two sockets bound to port 0 can share a port.
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind(("127.0.0.1", 0))
+    sock.bind((ip, 0))
     return sock
 
 
@@ -280,6 +283,73 @@ class TestRealProxyFlows:
             transport.close()
             client.close()
             sink.close()
+
+
+class RecordingRawSocket:
+    """Stands in for the SOCK_RAW socket: keeps each frame and its address."""
+
+    def __init__(self) -> None:
+        self.sent: list[tuple[bytes, tuple]] = []
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def sendto(self, frame: bytes, addr: tuple) -> int:
+        self.sent.append((bytes(frame), addr))
+        return len(frame)
+
+    def close(self) -> None:
+        pass
+
+
+class TestRealSpoofServeLoop:
+    def test_spoofed_frames_and_counters_without_raw_capability(self):
+        raw = RecordingRawSocket()
+
+        def factory(family, type_, proto=0):
+            if type_ == socket.SOCK_RAW:
+                return raw
+            return socket.socket(family, type_, proto)
+
+        config = RelayConfig(
+            target_broadcast="127.255.255.255",
+            listen_port=16764,
+            target_port=15064,
+            mode=RelayMode.SPOOF,
+            allow_sources=(Cidr("127.0.0.0", 28),),
+            # Inside the allowlist too: the local drop must come first.
+            local_subnet=Cidr("127.0.0.8", 29),
+        )
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
+        relay = Relay(config, transport)
+        stop, thread = serve_in_thread(relay)
+        search = encode_search_datagram(SearchRequest("LOOP:PV", 7))
+        accepted, local, foreign = (plain_udp_socket(ip) for ip in ("127.0.0.2", "127.0.0.9", "127.0.0.17"))
+        accepted_addr = accepted.getsockname()
+        try:
+            for sock in (accepted, local, foreign):
+                sock.sendto(search, ("127.0.0.1", config.listen_port))
+            wait_until(lambda: relay.counters.received >= 3)
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            for sock in (accepted, local, foreign):
+                sock.close()
+        assert not thread.is_alive()
+
+        assert len(raw.sent) == 1
+        frame, addr = raw.sent[0]
+        assert addr == ("127.255.255.255", 0)
+        out = decode(frame)
+        assert (out.src_ip, out.src_port) == accepted_addr
+        assert (out.dst_ip, out.dst_port) == ("127.255.255.255", 15064)
+        assert out.ttl == 64
+        assert out.payload == search
+        counters = relay.counters
+        assert (counters.received, counters.relayed) == (3, 1)
+        assert (counters.dropped_local, counters.dropped_not_allowed) == (1, 1)
+        assert counters.conserved()
 
 
 @pytest.mark.skipif(not RAW_AVAILABLE, reason="raw sockets unavailable")
