@@ -34,7 +34,7 @@ from .netsim import (
     VirtualTopology,
 )
 from .packet import Cidr
-from .relay import Relay, RelayConfig, RelayMode, SimTransport
+from .relay import DEFAULT_LISTEN_PORT, Relay, RelayConfig, RelayMode, SimTransport
 
 ARM_ORDER = ("DIRECT", "PERSISTENT", "FORK_MODEL")
 
@@ -213,7 +213,7 @@ def paper_iocs(advertise_own_address: bool = True) -> list[IocSpec]:
     return specs
 
 
-def relay_prerouting_rule(listen_port: int = 6064) -> PreroutingRule:
+def relay_prerouting_rule(listen_port: int = DEFAULT_LISTEN_PORT) -> PreroutingRule:
     """The redirect that feeds the relay: foreign 5064 traffic to listen_port."""
     return PreroutingRule(CA_SERVER_PORT, SERVER1_IP, listen_port, negate_src=BEAMLINE_SUBNET)
 
@@ -226,7 +226,7 @@ def limited_broadcast_rule() -> PreroutingRule:
 def paper_relay_config(mode: RelayMode = RelayMode.SPOOF) -> RelayConfig:
     return RelayConfig(
         target_broadcast="255.255.255.255",
-        listen_port=6064,
+        listen_port=DEFAULT_LISTEN_PORT,
         target_port=CA_SERVER_PORT,
         allow_sources=(CLIENT_SUBNET,),
         local_subnet=BEAMLINE_SUBNET,

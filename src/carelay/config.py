@@ -27,7 +27,7 @@ from .netsim import (
     VirtualTopology,
 )
 from .packet import Cidr
-from .relay import RelayConfig, RelayMode
+from .relay import DEFAULT_FLOW_IDLE_TIMEOUT_S, DEFAULT_LISTEN_PORT, RelayConfig, RelayMode
 
 
 class ConfigError(Exception):
@@ -323,12 +323,14 @@ def _parse_relay(section: dict, config: ConfigFile) -> None:
     try:
         config.relay = RelayConfig(
             target_broadcast=_get_str(section, "target_broadcast", path),
-            listen_port=_get_port(section, "listen_port", path, default=6064),
+            listen_port=_get_port(section, "listen_port", path, default=DEFAULT_LISTEN_PORT),
             target_port=_get_port(section, "target_port", path, default=CA_SERVER_PORT),
             allow_sources=tuple(allow),
             local_subnet=_get_cidr(section, "local_subnet", path, required=False),
             mode=mode,
-            flow_idle_timeout_s=_get_float(section, "flow_idle_timeout", path, default=30.0),
+            flow_idle_timeout_s=_get_float(
+                section, "flow_idle_timeout", path, default=DEFAULT_FLOW_IDLE_TIMEOUT_S
+            ),
             max_packets_per_second=max_pps,
         )
     except ValueError as exc:

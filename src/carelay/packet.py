@@ -116,6 +116,10 @@ class Cidr:
     def contains(self, ip: str) -> bool:
         return ip_to_int(ip) & self._mask == self._base
 
+    def contains_int(self, address: int) -> bool:
+        """``contains`` for an address already converted by ``ip_to_int``."""
+        return address & self._mask == self._base
+
     def broadcast_address(self) -> str:
         return int_to_ip(self._base | (~self._mask & 0xFFFFFFFF))
 

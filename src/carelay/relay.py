@@ -15,23 +15,28 @@ A relay that forks a subprocess per query is not a mode of this relay: the
 benchmark models it as a PROXY relay on a SimTransport whose host takes
 ``request_delay_us`` to process each request.
 
-The real transport registers each socket once with ``selectors`` (epoll on
-Linux), so it has no 1024-descriptor limit. Both transports expire idle flows
-on a tick of ``EXPIRY_TICK_US`` (1 s), at most one tick after their timeout.
+The real transport is Linux-only, as are the raw sockets and the prerouting
+redirect it serves behind. It registers each socket once with one
+``select.epoll``, so it has no 1024-descriptor limit. Each wakeup reads the
+listen socket until it is empty, but at most ``LISTEN_DRAIN_CAP`` (64)
+datagrams, so a burst of searches costs one wakeup per 64 and cannot starve
+the flow sockets, which are read once per wakeup. Both transports expire idle
+flows on a tick of ``EXPIRY_TICK_US`` (1 s), at most one tick after their
+timeout.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-import selectors
+import select
 import socket
 import threading
 import time
 from dataclasses import dataclass
 
 from .ca_wire import CA_SERVER_PORT
-from .packet import Cidr, Ipv4UdpPacket, PacketFactory, encode
+from .packet import Cidr, Ipv4UdpPacket, PacketFactory, encode, ip_to_int
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +46,8 @@ DEFAULT_FLOW_IDLE_TIMEOUT_S = 30.0
 
 FLOW_PORT_BASE = 40000
 EXPIRY_TICK_US = 1_000_000
+# Most listen-socket datagrams read in one wakeup, so the flows are not starved.
+LISTEN_DRAIN_CAP = 64
 
 
 class RelayError(Exception):
@@ -125,15 +132,22 @@ def classify(packet: Ipv4UdpPacket, config: RelayConfig) -> Verdict:
     """Filter decision, checked in fixed order: port, local source, allowlist.
 
     The local-source drop comes before the allowlist so loop prevention can
-    never be disabled by a generous allow rule.
+    never be disabled by a generous allow rule. The source is converted to an
+    integer once and tested against each prefix as such.
     """
     if packet.dst_port != config.listen_port:
         return Verdict.DROP_PORT_MISMATCH
-    if config.local_subnet is not None and config.local_subnet.contains(packet.src_ip):
+    local = config.local_subnet
+    allow = config.allow_sources
+    if local is None and not allow:
+        return Verdict.ACCEPT
+    src = ip_to_int(packet.src_ip)
+    if local is not None and local.contains_int(src):
         return Verdict.DROP_LOCAL_SOURCE
-    if config.allow_sources and not any(net.contains(packet.src_ip) for net in config.allow_sources):
-        return Verdict.DROP_NOT_ALLOWED
-    return Verdict.ACCEPT
+    for net in allow:
+        if net.contains_int(src):
+            return Verdict.ACCEPT
+    return Verdict.DROP_NOT_ALLOWED if allow else Verdict.ACCEPT
 
 
 def rewrite_spoof(packet: Ipv4UdpPacket, config: RelayConfig, identification: int) -> Ipv4UdpPacket:
@@ -347,9 +361,11 @@ class RealUdpTransport:
                     "or use --mode proxy which runs unprivileged"
                 ) from exc
         self._flow_sockets: dict[int, socket.socket] = {}
-        # Each registration carries the socket's local port as its data.
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._listen, selectors.EVENT_READ, config.listen_port)
+        # Flow sockets by descriptor, each with its local port; the listen
+        # socket is told apart by its descriptor alone.
+        self._flows_by_fd: dict[int, tuple[socket.socket, int]] = {}
+        self._epoll = select.epoll()
+        self._epoll.register(self._listen.fileno(), select.EPOLLIN)
 
     def attach(self, relay: Relay) -> None:
         del relay  # serve() is handed the relay
@@ -364,45 +380,75 @@ class RealUdpTransport:
         sock.bind(("0.0.0.0", 0))
         port = sock.getsockname()[1]
         self._flow_sockets[port] = sock
-        self._selector.register(sock, selectors.EVENT_READ, port)
+        fd = sock.fileno()
+        self._flows_by_fd[fd] = (sock, port)
+        self._epoll.register(fd, select.EPOLLIN)
         return port
 
     def close_flow(self, port: int) -> None:
         sock = self._flow_sockets.pop(port)
-        self._selector.unregister(sock)
+        fd = sock.fileno()
+        del self._flows_by_fd[fd]
+        self._epoll.unregister(fd)
         sock.close()
 
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
         self._flow_sockets[local_port].sendto(payload, (dst_ip, dst_port))
 
     def serve(self, relay: Relay, stop: threading.Event | None = None) -> None:
-        """Receive loop; returns when stop is set."""
+        """Receive loop; returns when stop is set.
+
+        Each wakeup reads the listen socket until it is empty or
+        ``LISTEN_DRAIN_CAP`` datagrams have been read, and each readable flow
+        socket once, so a search burst cannot hold back the replies.
+        """
+        poll = self._epoll.poll
+        listen_fd = self._listen.fileno()
+        listen_recv = self._listen.recvfrom
+        listen_port = relay.config.listen_port
+        flows_by_fd = self._flows_by_fd
+        local_ip = self.local_ip
         next_tick_us = 0
         while stop is None or not stop.is_set():
-            events = self._selector.select(0.2)
+            events = poll(0.2)
             now = time.monotonic_ns() // 1000
-            for key, _ in events:
-                data, (src_ip, src_port) = key.fileobj.recvfrom(65535)
+            for fd, _ in events:
+                if fd == listen_fd:
+                    for _ in range(LISTEN_DRAIN_CAP):
+                        try:
+                            data, (src_ip, src_port) = listen_recv(65535, socket.MSG_DONTWAIT)
+                        except BlockingIOError:
+                            break
+                        packet = Ipv4UdpPacket(
+                            src_ip=src_ip,
+                            dst_ip=local_ip,
+                            src_port=src_port,
+                            dst_port=listen_port,
+                            payload=data,
+                        )
+                        relay.handle_packet(packet, now)
+                    continue
+                sock, port = flows_by_fd[fd]
+                # select(2) BUGS: a datagram dropped for a bad checksum can
+                # leave a socket reported readable with nothing to read.
+                try:
+                    data, (src_ip, src_port) = sock.recvfrom(65535, socket.MSG_DONTWAIT)
+                except BlockingIOError:
+                    continue
                 packet = Ipv4UdpPacket(
-                    src_ip=src_ip,
-                    dst_ip=self.local_ip,
-                    src_port=src_port,
-                    dst_port=key.data,
-                    payload=data,
+                    src_ip=src_ip, dst_ip=local_ip, src_port=src_port, dst_port=port, payload=data
                 )
-                if key.fileobj is self._listen:
-                    relay.handle_packet(packet, now)
-                else:
-                    relay.on_flow_packet(key.data, packet, now)
+                relay.on_flow_packet(port, packet, now)
             if now >= next_tick_us:
                 relay.expire_flows(now)
                 next_tick_us = now + EXPIRY_TICK_US
 
     def close(self) -> None:
-        self._selector.close()
+        self._epoll.close()
         self._listen.close()
         if self._raw is not None:
             self._raw.close()
         for sock in self._flow_sockets.values():
             sock.close()
         self._flow_sockets.clear()
+        self._flows_by_fd.clear()

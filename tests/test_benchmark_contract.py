@@ -6,6 +6,9 @@ check a rename here would first show up as a broken benchmark run.
 
 import dataclasses
 import inspect
+import socket
+import threading
+from collections import Counter
 
 import carelay.relay
 from carelay import bench, ca_wire
@@ -93,3 +96,66 @@ def test_endpoints_reach_the_finders_through_ca_wire(monkeypatch):
     result = CaClient(net, bench.CLIENT, config=scenario.client_config).query(scenario.queries[0].pv_name)
     assert not result.timed_out
     assert all(calls.values()), calls
+
+
+class ProxySocket:
+    """Shaped like perfbench.relay_proc.TracedSocket: ``fileno`` bound
+    directly, ``recvfrom`` and ``sendto`` wrapped, the rest through
+    ``__getattr__``."""
+
+    def __init__(self, sock, calls: Counter) -> None:
+        self._sock = sock
+        self.fileno = sock.fileno
+        for method in ("recvfrom", "sendto"):
+
+            def wrapped(*args, real=getattr(sock, method), method=method, **kwargs):
+                calls[method] += 1
+                return real(*args, **kwargs)
+
+            setattr(self, method, wrapped)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_real_transport_serves_through_traced_socket_proxies():
+    # Traced benchmark runs hand the transport such a proxy for every socket.
+    sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    for sock in (sink, client):
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(2)
+    config = RelayConfig(
+        target_broadcast="127.0.0.1",
+        listen_port=17164,
+        target_port=sink.getsockname()[1],
+        mode=RelayMode.PROXY,
+        local_subnet=Cidr("192.0.2.0", 24),
+    )
+    calls: Counter = Counter()
+    transport = RealUdpTransport(
+        config,
+        bind_ip="127.0.0.1",
+        socket_factory=lambda family, kind, proto=0: ProxySocket(socket.socket(family, kind, proto), calls),
+    )
+    relay = Relay(config, transport)
+    stop = threading.Event()
+    thread = threading.Thread(target=relay.serve, args=(stop,), daemon=True)
+    thread.start()
+    try:
+        client.sendto(b"search", ("127.0.0.1", config.listen_port))
+        data, flow_addr = sink.recvfrom(65535)
+        assert data == b"search"
+        sink.sendto(b"reply", flow_addr)
+        assert client.recvfrom(65535) == (b"reply", flow_addr)
+    finally:
+        stop.set()
+        thread.join(timeout=3)
+        transport.close()
+        sink.close()
+        client.close()
+    assert not thread.is_alive()
+    assert (relay.counters.relayed, relay.counters.replies_forwarded) == (1, 1)
+    # The search and the reply were each read and sent through a proxy.
+    assert calls["sendto"] == 2
+    assert calls["recvfrom"] >= 2

@@ -27,6 +27,7 @@ from carelay.ca_wire import (
 from carelay.endpoints import ChannelTimeout, ClientQueryConfig, RealCaClient
 from carelay.packet import Cidr, decode
 from carelay.relay import (
+    LISTEN_DRAIN_CAP,
     RealUdpTransport,
     Relay,
     RelayConfig,
@@ -241,6 +242,10 @@ class TestRealProxyFlows:
                     clients.append(plain_udp_socket())
                     clients[-1].sendto(b"search", ("127.0.0.1", 16564))
                 wait_until(lambda: relay.counters.received >= len(clients) or errors)
+                # The sink's receive buffer holds about 256 small datagrams,
+                # so it is emptied after each batch: then none is lost.
+                for _ in range(100):
+                    sink.recvfrom(65535)
             assert not errors
             assert len(relay.flows) == self.FLOWS
 
@@ -301,16 +306,16 @@ class RecordingRawSocket:
     def close(self) -> None:
         pass
 
+    def factory(self, family, type_, proto=0):
+        """Socket factory for the transport: this stand-in for SOCK_RAW."""
+        if type_ == socket.SOCK_RAW:
+            return self
+        return socket.socket(family, type_, proto)
+
 
 class TestRealSpoofServeLoop:
     def test_spoofed_frames_and_counters_without_raw_capability(self):
         raw = RecordingRawSocket()
-
-        def factory(family, type_, proto=0):
-            if type_ == socket.SOCK_RAW:
-                return raw
-            return socket.socket(family, type_, proto)
-
         config = RelayConfig(
             target_broadcast="127.255.255.255",
             listen_port=16764,
@@ -320,7 +325,7 @@ class TestRealSpoofServeLoop:
             # Inside the allowlist too: the local drop must come first.
             local_subnet=Cidr("127.0.0.8", 29),
         )
-        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=raw.factory)
         relay = Relay(config, transport)
         stop, thread = serve_in_thread(relay)
         search = encode_search_datagram(SearchRequest("LOOP:PV", 7))
@@ -350,6 +355,124 @@ class TestRealSpoofServeLoop:
         assert (counters.received, counters.relayed) == (3, 1)
         assert (counters.dropped_local, counters.dropped_not_allowed) == (1, 1)
         assert counters.conserved()
+
+
+class TestListenDrain:
+    """Datagrams queued before serve() starts are read in capped bursts."""
+
+    def spoof_relay(self, listen_port: int):
+        raw = RecordingRawSocket()
+        config = RelayConfig(
+            target_broadcast="127.255.255.255",
+            listen_port=listen_port,
+            target_port=15064,
+            mode=RelayMode.SPOOF,
+            allow_sources=(Cidr("127.0.0.0", 28),),
+            local_subnet=Cidr("127.0.0.8", 29),
+        )
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=raw.factory)
+        relay = Relay(config, transport)
+        # One serve() wakeup reads every datagram of a drain at one time.
+        wakeup_times: list[int] = []
+        handle_packet = relay.handle_packet
+
+        def recording(packet, now_us):
+            wakeup_times.append(now_us)
+            handle_packet(packet, now_us)
+
+        relay.handle_packet = recording
+        return relay, transport, raw, wakeup_times
+
+    def test_queued_backlog_is_counted_by_verdict(self):
+        relay, transport, raw, wakeup_times = self.spoof_relay(16864)
+        senders = [plain_udp_socket(ip) for ip in ("127.0.0.2", "127.0.0.9", "127.0.0.17")]
+        backlog = 200  # below the 256 small datagrams a default buffer holds
+        for i in range(backlog):
+            senders[i % 3].sendto(b"search %d" % i, ("127.0.0.1", 16864))
+        stop, thread = serve_in_thread(relay)
+        try:
+            wait_until(lambda: relay.counters.received >= backlog)
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            for sock in senders:
+                sock.close()
+        assert not thread.is_alive()
+        counters = relay.counters
+        assert counters.received == backlog
+        assert (counters.relayed, counters.dropped_local, counters.dropped_not_allowed) == (67, 67, 66)
+        assert counters.conserved()
+        assert len(raw.sent) == 67
+        # 64 + 64 + 64 + 8 datagrams: four wakeups.
+        assert len(set(wakeup_times)) == -(-backlog // LISTEN_DRAIN_CAP)
+
+    def test_zero_length_datagram_is_relayed_inside_a_drain(self):
+        relay, transport, raw, wakeup_times = self.spoof_relay(16964)
+        client = plain_udp_socket("127.0.0.2")
+        for payload in (b"first", b"", b"last"):
+            client.sendto(payload, ("127.0.0.1", 16964))
+        stop, thread = serve_in_thread(relay)
+        try:
+            wait_until(lambda: relay.counters.received >= 3)
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            client.close()
+        assert not thread.is_alive()
+        assert [decode(frame).payload for frame, _ in raw.sent] == [b"first", b"", b"last"]
+        assert (relay.counters.received, relay.counters.relayed) == (3, 3)
+        assert len(set(wakeup_times)) == 1
+
+    def test_flow_reply_is_not_held_behind_the_listen_backlog(self):
+        sink = plain_udp_socket()
+        sink.settimeout(2)
+        # The backlog comes from a source outside the allowlist, so only the
+        # first search reaches the sink.
+        relay, transport = proxy_relay(17064, sink.getsockname()[1], allow_sources=(Cidr("127.0.0.0", 28),))
+        client = plain_udp_socket()
+        client.settimeout(2)
+        flood = plain_udp_socket("127.0.0.17")
+        try:
+            stop, thread = serve_in_thread(relay)
+            client.sendto(b"search", ("127.0.0.1", 17064))
+            flow_addr = sink.recvfrom(65535)[1]
+            stop.set()
+            thread.join(timeout=3)
+            received_before = relay.counters.received
+
+            # Queued while nothing serves: a listen backlog past the cap,
+            # then a reply on the flow socket.
+            backlog = 2 * LISTEN_DRAIN_CAP
+            for _ in range(backlog):
+                flood.sendto(b"storm", ("127.0.0.1", 17064))
+            sink.sendto(b"reply", flow_addr)
+            time.sleep(0.05)  # lets loopback deliver both
+
+            received_at_reply: list[int] = []
+            on_flow_packet = relay.on_flow_packet
+
+            def recording(port, packet, now_us):
+                received_at_reply.append(relay.counters.received)
+                on_flow_packet(port, packet, now_us)
+
+            relay.on_flow_packet = recording
+            stop, thread = serve_in_thread(relay)
+            assert client.recvfrom(65535)[0] == b"reply"
+            wait_until(lambda: relay.counters.received >= received_before + backlog)
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            for sock in (sink, client, flood):
+                sock.close()
+        assert not thread.is_alive()
+        assert len(received_at_reply) == 1
+        assert received_at_reply[0] - received_before <= LISTEN_DRAIN_CAP
+        assert relay.counters.received == received_before + backlog
+        assert relay.counters.dropped_not_allowed == backlog
+        assert relay.counters.conserved()
 
 
 @pytest.mark.skipif(not RAW_AVAILABLE, reason="raw sockets unavailable")

@@ -1,7 +1,10 @@
 import dataclasses
+import ipaddress
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carelay.netsim import (
     BroadcastDomain,
@@ -12,7 +15,7 @@ from carelay.netsim import (
     VirtualNetwork,
     VirtualTopology,
 )
-from carelay.packet import Cidr, Ipv4UdpPacket, decode, encode
+from carelay.packet import Cidr, Ipv4UdpPacket, decode, encode, int_to_ip
 from carelay.relay import (
     PrivilegeRequired,
     Relay,
@@ -63,6 +66,35 @@ class TestClassify:
     def test_empty_allowlist_accepts_any_nonlocal(self):
         config = RelayConfig(target_broadcast="255.255.255.255", local_subnet=BEAMLINE)
         assert classify(query_packet(src_ip="172.16.0.9"), config) is Verdict.ACCEPT
+
+    @given(
+        st.integers(min_value=0, max_value=0xFFFFFFFF),
+        st.one_of(st.none(), st.tuples(st.integers(min_value=0, max_value=32), st.booleans())),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=32), st.booleans()), max_size=3),
+    )
+    @settings(max_examples=300)
+    def test_agrees_with_ipaddress_reference(self, src, local_spec, allow_specs):
+        # Each prefix is cut around the source; a flipped last prefix bit
+        # makes it just miss the source.
+        def around(plen: int, miss: bool) -> ipaddress.IPv4Network:
+            addr = src ^ (1 << (32 - plen)) if miss and plen else src
+            return ipaddress.ip_network(f"{int_to_ip(addr)}/{plen}", strict=False)
+
+        local = None if local_spec is None else around(*local_spec)
+        allow = [around(*spec) for spec in allow_specs]
+        config = RelayConfig(
+            target_broadcast="255.255.255.255",
+            local_subnet=None if local is None else Cidr.parse(str(local)),
+            allow_sources=tuple(Cidr.parse(str(net)) for net in allow),
+        )
+        ip = ipaddress.ip_address(src)
+        if local is not None and ip in local:
+            expected = Verdict.DROP_LOCAL_SOURCE
+        elif allow and not any(ip in net for net in allow):
+            expected = Verdict.DROP_NOT_ALLOWED
+        else:
+            expected = Verdict.ACCEPT
+        assert classify(query_packet(src_ip=str(ip)), config) is expected
 
 
 class TestRewriteSpoof:
