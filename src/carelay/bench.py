@@ -1,8 +1,9 @@
 """Scenario runner and latency benchmark.
 
-Ships the canonical two-subnet test network (a beamline segment with two
-multi-IOC servers, a client segment behind a broadcast-to-unicast helper)
-and three scripted scenarios on top of it:
+The paper's two-subnet test network (a beamline segment with two multi-IOC
+servers, a client segment behind a broadcast-to-unicast helper) and its
+three scenarios are defined once, in ``configs/scenario_{a,b,c}.yaml``; the
+builders here load those fixtures:
 
 * A -- helper conversion only: the unicast lands on the last-bound IOC, so
   exactly one PV per server resolves and everything else times out.
@@ -19,51 +20,26 @@ fork cost to process each request) on the virtual clock.
 
 from __future__ import annotations
 
+import functools
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
-from .ca_wire import CA_SERVER_PORT
 from .endpoints import CaClient, ClientQueryConfig, IocSim
-from .netsim import (
-    BroadcastDomain,
-    HelperRule,
-    Interface,
-    PreroutingRule,
-    VirtualHost,
-    VirtualNetwork,
-    VirtualTopology,
-)
-from .packet import Cidr
-from .relay import DEFAULT_LISTEN_PORT, Relay, RelayConfig, RelayMode, SimTransport
+from .netsim import Interface, VirtualHost, VirtualNetwork, VirtualTopology
+from .relay import Relay, RelayConfig, RelayMode, SimTransport
 
 ARM_ORDER = ("DIRECT", "PERSISTENT", "FORK_MODEL")
+# The fork model's per-request processing cost on the relay host.
+FORK_COST_S = 0.005
 
-BEAMLINE_SUBNET = Cidr("10.2.1.0", 24)
-CLIENT_SUBNET = Cidr("10.2.105.0", 24)
-SERVER1 = "IMX1-HOST1"
-SERVER1_IP = "10.2.1.31"
-SERVER2 = "IMX1-HOST2"
-SERVER2_IP = "10.2.1.32"
+CONFIG_DIR = Path(__file__).resolve().parents[2] / "configs"
+# The fixtures' client host, which perfbench.micro queries from.
 CLIENT = "TesterHEpics"
-CLIENT_IP = "10.2.105.171"
+# The DIRECT arm's client sits inside the servers' subnet; it is not part of
+# the paper's network, so the fixtures do not carry it.
 DIRECT_CLIENT = "TesterDirect"
 DIRECT_CLIENT_IP = "10.2.1.100"
-
-# Server 1 runs seven IOCs; the uptime IOC binds last and therefore owns the
-# only PV reachable through a bare unicast conversion.
-SERVER1_IOCS = (
-    ("dmc4-m1", {"IMX:DMC4:m1": -2.06e-05}),
-    ("dmc4-m2", {"IMX:DMC4:m2": -1.47e-05}),
-    ("dmc4-m4", {"IMX:DMC4:m4": 3.1e-04}),
-    ("dmc4-m5", {"IMX:DMC4:m5": -8.9e-05}),
-    ("pfcu", {"IMX:PFCU:filter": 1.0}),
-    ("digital", {"IMX:DIO:bit0": 0.0}),
-    ("hostuptime", {"IMX1-HOST1": 155.836}),
-)
-SERVER2_IOCS = (
-    ("dmc4b-m3", {"IMX:DMC4:m3": 0.002496}),
-    ("hostuptime2", {"IMX1-HOST2": 12.5}),
-)
 
 
 class BenchError(Exception):
@@ -172,96 +148,34 @@ class ScenarioRun:
     clients: dict[str, CaClient]
 
 
-def paper_topology(
-    include_direct_client: bool = False,
-    prerouting_server1: list[PreroutingRule] | None = None,
-    per_hop_delay_us: int = 200,
-    jitter_us: int = 0,
-) -> VirtualTopology:
-    hosts = [
-        VirtualHost(
-            SERVER1,
-            [Interface(SERVER1_IP, BEAMLINE_SUBNET)],
-            prerouting_rules=list(prerouting_server1 or []),
-        ),
-        VirtualHost(SERVER2, [Interface(SERVER2_IP, BEAMLINE_SUBNET)]),
-        VirtualHost(CLIENT, [Interface(CLIENT_IP, CLIENT_SUBNET)]),
-    ]
-    if include_direct_client:
-        hosts.append(VirtualHost(DIRECT_CLIENT, [Interface(DIRECT_CLIENT_IP, BEAMLINE_SUBNET)]))
-    return VirtualTopology(
-        domains=[
-            BroadcastDomain("beamline", BEAMLINE_SUBNET),
-            BroadcastDomain("sol", CLIENT_SUBNET),
-        ],
-        hosts=hosts,
-        helper_rules=[HelperRule("sol", CA_SERVER_PORT, (SERVER1_IP,))],
-        per_hop_delay_us=per_hop_delay_us,
-        jitter_us=jitter_us,
-    )
+@functools.cache
+def _fixture(name: str):
+    # Imported here, not at module level: config imports this module, and the
+    # package imports it too, so yaml would add about 8 ms of CPU to every
+    # process that imports carelay.relay.
+    from .config import load_yaml
+
+    return load_yaml((CONFIG_DIR / name).read_text(encoding="utf-8"))
 
 
-def paper_iocs(advertise_own_address: bool = True) -> list[IocSpec]:
-    specs = []
-    port = 5901
-    for name, pvs in SERVER1_IOCS:
-        specs.append(IocSpec(SERVER1, name, dict(pvs), port, advertise_own_address))
-        port += 1
-    for name, pvs in SERVER2_IOCS:
-        specs.append(IocSpec(SERVER2, name, dict(pvs), port, advertise_own_address))
-        port += 1
-    return specs
+def _load_scenario(fixture: str, name: str, seed: int) -> Scenario:
+    """Fresh objects on every call, built from the fixture's YAML parsed once per process."""
+    from .config import config_from_mapping
+
+    return config_from_mapping(_fixture(fixture)).scenario(name, seed, repetitions=1)
 
 
-def relay_prerouting_rule(listen_port: int = DEFAULT_LISTEN_PORT) -> PreroutingRule:
-    """The redirect that feeds the relay: foreign 5064 traffic to listen_port."""
-    return PreroutingRule(CA_SERVER_PORT, SERVER1_IP, listen_port, negate_src=BEAMLINE_SUBNET)
-
-
-def limited_broadcast_rule() -> PreroutingRule:
-    """The local-acceptance rewrite: foreign 5064 traffic to 255.255.255.255."""
-    return PreroutingRule(CA_SERVER_PORT, "255.255.255.255", CA_SERVER_PORT, negate_src=BEAMLINE_SUBNET)
-
-
-def paper_relay_config(mode: RelayMode = RelayMode.SPOOF) -> RelayConfig:
-    return RelayConfig(
-        target_broadcast="255.255.255.255",
-        listen_port=DEFAULT_LISTEN_PORT,
-        target_port=CA_SERVER_PORT,
-        allow_sources=(CLIENT_SUBNET,),
-        local_subnet=BEAMLINE_SUBNET,
-        mode=mode,
-    )
+def paper_topology() -> VirtualTopology:
+    """The paper's network as scenario A has it: no prerouting rule, no relay."""
+    return scenario_a().topology
 
 
 def scenario_a(seed: int = 0) -> Scenario:
-    return Scenario(
-        name="A-helper-only",
-        topology=paper_topology(),
-        iocs=paper_iocs(),
-        queries=[
-            Query(CLIENT, "IMX1-HOST1", VALUE(155.836)),
-            Query(CLIENT, "IMX:DMC4:m1", TIMEOUT),
-            Query(CLIENT, "IMX:DMC4:m2", TIMEOUT),
-        ],
-        seed=seed,
-    )
+    return _load_scenario("scenario_a.yaml", "A-helper-only", seed)
 
 
 def scenario_b(seed: int = 0) -> Scenario:
-    queries = [
-        Query(CLIENT, pv, VALUE(value))
-        for _, pvs in SERVER1_IOCS
-        for pv, value in pvs.items()
-    ]
-    queries.append(Query(CLIENT, "IMX:DMC4:m3", TIMEOUT))
-    return Scenario(
-        name="B-prerouting-rewrite",
-        topology=paper_topology(prerouting_server1=[limited_broadcast_rule()]),
-        iocs=paper_iocs(),
-        queries=queries,
-        seed=seed,
-    )
+    return _load_scenario("scenario_b.yaml", "B-prerouting-rewrite", seed)
 
 
 def scenario_c(
@@ -269,19 +183,10 @@ def scenario_c(
     mode: RelayMode = RelayMode.SPOOF,
     advertise_own_address: bool = True,
 ) -> Scenario:
-    return Scenario(
-        name=f"C-relay-{mode.value}",
-        topology=paper_topology(prerouting_server1=[relay_prerouting_rule()]),
-        iocs=paper_iocs(advertise_own_address),
-        queries=[
-            Query(CLIENT, "IMX:DMC4:m1", VALUE(-2.06e-05)),
-            Query(CLIENT, "IMX1-HOST1", VALUE(155.836)),
-            Query(CLIENT, "IMX:DMC4:m3", VALUE(0.002496)),
-        ],
-        relay_config=paper_relay_config(mode),
-        relay_host=SERVER1,
-        seed=seed,
-    )
+    scenario = _load_scenario("scenario_c.yaml", f"C-relay-{mode.value}", seed)
+    scenario.relay_config = replace(scenario.relay_config, mode=mode)
+    scenario.iocs = [replace(spec, advertise_own_address=advertise_own_address) for spec in scenario.iocs]
+    return scenario
 
 
 def _matches(expected: ExpectedOutcome, outcome_timed_out: bool, value: float | None) -> bool:
@@ -358,44 +263,36 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 def benchmark_scenarios(
     repetitions: int,
     seed: int,
-    fork_cost_s: float = 0.005,
+    fork_cost_s: float = FORK_COST_S,
     jitter_us: int = 10,
 ) -> dict[str, Scenario]:
-    """One scenario per benchmark arm, on the common paper network."""
-    queries = [
-        Query(DIRECT_CLIENT, "IMX:DMC4:m1", VALUE(-2.06e-05)),
-        Query(DIRECT_CLIENT, "IMX1-HOST1", VALUE(155.836)),
-        Query(DIRECT_CLIENT, "IMX:DMC4:m3", VALUE(0.002496)),
-    ]
-    direct = Scenario(
-        name="bench",
-        topology=paper_topology(include_direct_client=True, jitter_us=jitter_us),
-        iocs=paper_iocs(),
-        queries=queries,
-        repetitions=repetitions,
-        seed=seed,
-    )
+    """One scenario per benchmark arm, on the common paper network.
 
-    def relayed(mode: RelayMode, arm_seed: int, request_delay_us: int = 0) -> Scenario:
-        scenario = scenario_c(seed=arm_seed, mode=mode)
+    DIRECT asks scenario C's queries from a client in the servers' subnet on
+    scenario A's network, which has no relay.
+    """
+    arms = {
+        "DIRECT": scenario_a(seed),
+        "PERSISTENT": scenario_c(seed + 1),
+        "FORK_MODEL": scenario_c(seed + 2, RelayMode.PROXY),
+    }
+    direct = arms["DIRECT"]
+    subnet = next(d.subnet for d in direct.topology.domains if d.subnet.contains(DIRECT_CLIENT_IP))
+    direct.topology.hosts.append(VirtualHost(DIRECT_CLIENT, [Interface(DIRECT_CLIENT_IP, subnet)]))
+    direct.queries = [replace(q, client_host=DIRECT_CLIENT) for q in arms["PERSISTENT"].queries]
+    arms["FORK_MODEL"].relay_request_delay_us = int(fork_cost_s * 1e6)
+    for scenario in arms.values():
         scenario.name = "bench"
         scenario.topology.jitter_us = jitter_us
         scenario.repetitions = repetitions
-        scenario.relay_request_delay_us = request_delay_us
-        return scenario
-
-    return {
-        "DIRECT": direct,
-        "PERSISTENT": relayed(RelayMode.SPOOF, seed + 1),
-        "FORK_MODEL": relayed(RelayMode.PROXY, seed + 2, int(fork_cost_s * 1e6)),
-    }
+    return arms
 
 
 def run_benchmark(
     arms: tuple[str, ...] = ARM_ORDER,
     repetitions: int = 100,
     seed: int = 0,
-    fork_cost_s: float = 0.005,
+    fork_cost_s: float = FORK_COST_S,
 ) -> ScenarioReport:
     if repetitions < 30:
         raise ConfigInvalid("benchmark needs at least 30 repetitions")

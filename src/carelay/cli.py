@@ -27,7 +27,7 @@ from .bench import (
     run_benchmark,
 )
 from .ca_wire import CA_SERVER_PORT
-from .config import ConfigError, ConfigFile, install_relay_prerouting, parse_config, parse_endpoint
+from .config import ConfigError, ConfigFile, parse_config, parse_endpoint
 from .endpoints import CaClient, ChannelTimeout, RealCaClient
 from .netsim import NetsimError
 from .packet import Cidr
@@ -139,23 +139,11 @@ def _merge_relay_flags(config: ConfigFile, args) -> RelayConfig:
 
 
 def _scenario_from_config(config: ConfigFile, args, name: str = "config") -> Scenario:
-    if config.topology is None:
-        raise ConfigInvalid("this command needs a topology section in the config")
-    if config.relay_install_prerouting:
-        install_relay_prerouting(config)
-    relay_config = config.relay if config.relay_host is not None else None
     reps = getattr(args, "reps", None)
-    return Scenario(
-        name=name,
-        topology=config.topology,
-        iocs=config.iocs,
-        queries=config.queries,
-        relay_config=relay_config,
-        relay_host=config.relay_host,
-        client_config=config.client,
-        repetitions=reps if reps is not None else 1,
+    return config.scenario(
+        name,
         seed=args.seed if args.seed is not None else config.bench.seed,
-        pre_bindings=config.extra_bindings,
+        repetitions=reps if reps is not None else 1,
     )
 
 

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .bench import ARM_ORDER, TIMEOUT, VALUE, IocSpec, Query
+from .bench import ARM_ORDER, FORK_COST_S, TIMEOUT, VALUE, ConfigInvalid, IocSpec, Query, Scenario
 from .ca_wire import CA_SERVER_PORT
 from .endpoints import ClientQueryConfig
 from .netsim import (
+    DEFAULT_PER_HOP_DELAY_US,
     BroadcastDomain,
     HelperRule,
     Interface,
@@ -52,7 +53,7 @@ class BenchSettings:
     arms: tuple[str, ...] = ARM_ORDER
     repetitions: int = 100
     seed: int = 0
-    fork_cost_s: float = 0.005
+    fork_cost_s: float = FORK_COST_S
 
 
 @dataclass
@@ -67,6 +68,25 @@ class ConfigFile:
     client: ClientQueryConfig = field(default_factory=ClientQueryConfig)
     queries: list[Query] = field(default_factory=list)
     bench: BenchSettings = field(default_factory=BenchSettings)
+
+    def scenario(self, name: str, seed: int, repetitions: int) -> Scenario:
+        """The scenario this config describes; installs the relay redirect, so call it once."""
+        if self.topology is None:
+            raise ConfigInvalid("this command needs a topology section in the config")
+        if self.relay_install_prerouting:
+            install_relay_prerouting(self)
+        return Scenario(
+            name=name,
+            topology=self.topology,
+            iocs=self.iocs,
+            queries=self.queries,
+            relay_config=self.relay if self.relay_host is not None else None,
+            relay_host=self.relay_host,
+            client_config=self.client,
+            repetitions=repetitions,
+            seed=seed,
+            pre_bindings=self.extra_bindings,
+        )
 
 
 def _require_mapping(value, key: str) -> dict:
@@ -146,11 +166,19 @@ def _get_cidr(mapping: dict, key: str, path: str, required=True) -> Cidr | None:
 
 
 def parse_config(text: str) -> ConfigFile:
+    return config_from_mapping(load_yaml(text))
+
+
+def load_yaml(text: str):
     try:
-        data = yaml.safe_load(text)
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ParseError(None if mark is None else mark.line + 1, str(exc)) from None
+
+
+def config_from_mapping(data) -> ConfigFile:
+    """Validate a loaded YAML document; ``data`` is only read, never changed."""
     if data is None:
         data = {}
     data = _require_mapping(data, "<root>")
@@ -232,7 +260,9 @@ def _parse_topology(section: dict, config: ConfigFile) -> None:
         domains=domains,
         hosts=hosts,
         helper_rules=helpers,
-        per_hop_delay_us=_get_int(section, "per_hop_delay_us", path, default=200, minimum=1),
+        per_hop_delay_us=_get_int(
+            section, "per_hop_delay_us", path, default=DEFAULT_PER_HOP_DELAY_US, minimum=1
+        ),
         jitter_us=_get_int(section, "jitter_us", path, default=0, minimum=0),
     )
 
@@ -347,12 +377,13 @@ def _parse_client(section: dict, config: ConfigFile) -> None:
         path,
     )
     config.client_host = _get_str(section, "host", path, default="") or None
+    defaults = ClientQueryConfig
     try:
         config.client = ClientQueryConfig(
-            initial_retry_s=_get_float(section, "initial_retry", path, default=0.030),
-            backoff_factor=_get_float(section, "backoff_factor", path, default=2.0),
-            max_tries=_get_int(section, "max_tries", path, default=5, minimum=1),
-            total_timeout_s=_get_float(section, "total_timeout", path, default=5.0),
+            initial_retry_s=_get_float(section, "initial_retry", path, default=defaults.initial_retry_s),
+            backoff_factor=_get_float(section, "backoff_factor", path, default=defaults.backoff_factor),
+            max_tries=_get_int(section, "max_tries", path, default=defaults.max_tries, minimum=1),
+            total_timeout_s=_get_float(section, "total_timeout", path, default=defaults.total_timeout_s),
         )
     except ValueError as exc:
         raise ValidationError(path, str(exc)) from None
@@ -392,9 +423,9 @@ def _parse_bench(section: dict, config: ConfigFile) -> None:
             raise ValidationError(f"{path}.arms", f"unknown arm {arm!r}")
     config.bench = BenchSettings(
         arms=arms,
-        repetitions=_get_int(section, "repetitions", path, default=100, minimum=1),
-        seed=_get_int(section, "seed", path, default=0, minimum=0),
-        fork_cost_s=_get_float(section, "fork_cost", path, default=0.005),
+        repetitions=_get_int(section, "repetitions", path, default=BenchSettings.repetitions, minimum=1),
+        seed=_get_int(section, "seed", path, default=BenchSettings.seed, minimum=0),
+        fork_cost_s=_get_float(section, "fork_cost", path, default=BenchSettings.fork_cost_s),
     )
 
 

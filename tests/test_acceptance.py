@@ -10,7 +10,6 @@ import time
 import pytest
 
 from carelay.bench import (
-    SERVER1_IOCS,
     execute_scenario,
     run_benchmark,
     run_scenario,
@@ -62,7 +61,9 @@ def test_criterion_1_scenario_a_last_binder_and_failure_schedule():
 
     # Every other IOC on the host is unreachable, with the exact failure
     # message and the exact doubling send schedule.
-    other_pvs = [pv for name, pvs in SERVER1_IOCS for pv in pvs if pv != "IMX1-HOST1"]
+    other_pvs = [
+        pv for spec in scenario.iocs if spec.host == "IMX1-HOST1" for pv in spec.pvs if pv != "IMX1-HOST1"
+    ]
     assert len(other_pvs) == 6
     for pv in other_pvs:
         result = client.query(pv)
@@ -88,12 +89,12 @@ def test_criterion_1_scenario_a_last_binder_and_failure_schedule():
 
 def test_criterion_2_scenario_b_prerouting_partial_fix():
     started = time.perf_counter()
-    report = run_scenario(scenario_b())
+    scenario = scenario_b()
+    report = run_scenario(scenario)
     assert report.all_expected, report.mismatches
     outcomes = {s.query: s.outcome for s in report.samples}
-    for _, pvs in SERVER1_IOCS:
-        for pv in pvs:
-            assert outcomes[pv].startswith("value:"), pv
+    for pv in [pv for spec in scenario.iocs if spec.host == "IMX1-HOST1" for pv in spec.pvs]:
+        assert outcomes[pv].startswith("value:"), pv
     assert outcomes["IMX:DMC4:m3"] == "timeout"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

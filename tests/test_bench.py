@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from carelay.bench import (
     ScenarioReport,
     UnknownFormat,
     benchmark_scenarios,
+    build_network,
     emit_report,
     execute_scenario,
     parse_records,
@@ -85,6 +87,38 @@ class TestScenarioC:
         ]
         assert responses, "no search responses reached the client"
         assert all(d.packet.dst_ip == "10.2.105.171" for d in responses)
+
+
+class TestFixtureLoader:
+    """The builders parse each fixture once but hand out fresh objects."""
+
+    def test_calls_give_independent_networks(self):
+        first = scenario_c()
+        build_network(first)
+        fresh = scenario_c()
+        assert fresh.topology is not first.topology
+        assert all(host.bindings == [] for host in fresh.topology.hosts)
+        (host1,) = [h for h in fresh.topology.hosts if h.name == "IMX1-HOST1"]
+        assert len(host1.prerouting_rules) == 1
+
+    def test_added_pv_does_not_leak_into_next_call(self):
+        scenario_c().iocs[0].pvs["EXTRA:PV"] = 1.0
+        assert all("EXTRA:PV" not in spec.pvs for spec in scenario_c().iocs)
+
+    def test_advertise_own_address_changes_only_the_ioc_specs(self):
+        base = scenario_c()
+        quiet = scenario_c(advertise_own_address=False)
+        assert quiet.iocs and not any(spec.advertise_own_address for spec in quiet.iocs)
+        assert [replace(spec, advertise_own_address=True) for spec in quiet.iocs] == base.iocs
+        assert replace(quiet, iocs=base.iocs) == base
+
+    def test_proxy_mode_changes_only_the_relay_mode(self):
+        base = scenario_c()
+        proxy = scenario_c(mode=RelayMode.PROXY)
+        assert proxy.name == "C-relay-proxy"
+        assert proxy.relay_config.mode is RelayMode.PROXY
+        assert replace(proxy.relay_config, mode=RelayMode.SPOOF) == base.relay_config
+        assert replace(proxy, name=base.name, relay_config=base.relay_config) == base
 
 
 class TestScenarioValidation:

@@ -7,11 +7,14 @@ check a rename here would first show up as a broken benchmark run.
 import dataclasses
 import inspect
 import socket
+import subprocess
+import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import carelay.relay
-from carelay import bench, ca_wire
+from carelay import bench, ca_wire, config
 from carelay.endpoints import CaClient, IocSim
 from carelay.netsim import VirtualNetwork
 from carelay.packet import Cidr, Ipv4UdpPacket, checksum16, decode, encode
@@ -77,6 +80,44 @@ def test_names_the_benchmark_depends_on():
     inspect.signature(RealUdpTransport).bind(
         RelayConfig(target_broadcast="127.0.0.1"), bind_ip="127.0.0.1", socket_factory=None
     )
+
+
+def test_names_perfbench_sim_builds_scenarios_from():
+    # perfbench.sim.load_scenarios turns parsed fixtures into Scenarios itself.
+    inspect.signature(bench.Scenario).bind(
+        name="scenario_a",
+        topology=None,
+        iocs=[],
+        queries=[],
+        relay_config=None,
+        relay_host=None,
+        client_config=None,
+        repetitions=10,
+        seed=0,
+        pre_bindings=[],
+    )
+    assert callable(config.parse_config)
+    assert callable(config.install_relay_prerouting)
+    fields = {f.name for f in dataclasses.fields(config.ConfigFile)}
+    assert {
+        "topology", "iocs", "queries", "relay", "relay_host", "client",
+        "relay_install_prerouting", "extra_bindings",
+    } <= fields
+
+
+def test_importing_the_relay_does_not_import_yaml():
+    # Each loopback relay process imports carelay.relay and pays its import
+    # time in setup_s; yaml alone costs about 8 ms of CPU.
+    src = Path(carelay.relay.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, carelay.relay; print('yaml' in sys.modules)"],
+        cwd=src,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_endpoints_reach_the_finders_through_ca_wire(monkeypatch):

@@ -57,8 +57,8 @@ class TestSim:
     ("scenario_c.yaml", scenario_c),
 ])
 def test_config_fixture_matches_python_scenario(fixture, builder, capsys):
-    # The paper's network is defined both in configs/ and in carelay.bench;
-    # the two definitions must give the same records.
+    # `carelay sim --config` and the carelay.bench builders read the same
+    # fixture along two paths; both must give the same records.
     assert main(["sim", "--config", str(CONFIG_DIR / fixture), "--format", "records", "--log", "quiet"]) == 0
     from_config = [(s.query, s.outcome, s.latency_us) for s in parse_records(capsys.readouterr().out)]
     from_builder = [(s.query, s.outcome, s.latency_us) for s in run_scenario(builder()).samples]
