@@ -205,6 +205,22 @@ class VirtualNetwork:
         self._hosts = {h.name: h for h in topology.hosts}
         self._channel_listeners: dict[tuple[str, int], Callable] = {}
         self._validate()
+        # Domain membership, resolved once: the topology is not changed after
+        # the network is built. A host's subnets are its domains' own Cidr
+        # objects, so membership tests match by identity and do not call the
+        # dataclass __eq__.
+        self._domain_of_subnet = {d.subnet: d for d in topology.domains}
+        # In topology order, which is the order the jitter draws follow.
+        self._hosts_in_domain: dict[str, list[VirtualHost]] = {d.name: [] for d in topology.domains}
+        self._subnets_of_host: dict[str, frozenset[Cidr]] = {}
+        for host in topology.hosts:
+            domains = [self._domain_of_subnet[i.subnet] for i in host.interfaces]
+            for domain in domains:
+                self._hosts_in_domain[domain.name].append(host)
+            self._subnets_of_host[host.name] = frozenset(d.subnet for d in domains)
+        self._broadcasts = frozenset(
+            [LIMITED_BROADCAST, *(d.subnet.broadcast_address() for d in topology.domains)]
+        )
 
     def _validate(self) -> None:
         if len(self._hosts) != len(self.topology.hosts):
@@ -246,28 +262,11 @@ class VirtualNetwork:
                 return host
         return None
 
-    def _domain_of_interface(self, iface: Interface) -> BroadcastDomain:
-        for domain in self.topology.domains:
-            if domain.subnet == iface.subnet:
-                return domain
-        raise ValueError(f"interface {iface.ip} matches no domain")
-
-    def _hosts_in_domain(self, domain: BroadcastDomain) -> list[VirtualHost]:
-        return [
-            h
-            for h in self.topology.hosts
-            if any(i.subnet == domain.subnet for i in h.interfaces)
-        ]
-
-    def _is_broadcast(self, dst_ip: str) -> bool:
-        if dst_ip == LIMITED_BROADCAST:
-            return True
-        return any(d.subnet.broadcast_address() == dst_ip for d in self.topology.domains)
-
     def _same_domain(self, a: str, b: str) -> bool:
-        sa = {i.subnet for i in self.host(a).interfaces}
-        sb = {i.subnet for i in self.host(b).interfaces}
-        return bool(sa & sb)
+        try:
+            return not self._subnets_of_host[a].isdisjoint(self._subnets_of_host[b])
+        except KeyError as exc:
+            raise UnknownHost(exc.args[0]) from None
 
     def _hop_delay_us(self, src_host: str, dst_host: str) -> int:
         hops = 1 if self._same_domain(src_host, dst_host) else 2
@@ -317,10 +316,10 @@ class VirtualNetwork:
         """Submit a packet at the current virtual time; returns the deliveries it scheduled."""
         at = self.now_us
         host = self.host(source_host)
-        sender_domain = self._domain_of_interface(host.interface_for_source(packet.src_ip))
+        sender_domain = self._domain_of_subnet[host.interface_for_source(packet.src_ip).subnet]
 
         deliveries: list[Delivery] = []
-        if self._is_broadcast(packet.dst_ip):
+        if packet.dst_ip in self._broadcasts:
             deliveries.extend(self._route_broadcast(packet, sender_domain, at))
             deliveries.extend(self._route_helper_copies(packet, sender_domain, at))
         else:
@@ -333,7 +332,7 @@ class VirtualNetwork:
         self, packet: Ipv4UdpPacket, domain: BroadcastDomain, at: int
     ) -> list[Delivery]:
         out = []
-        for host in self._hosts_in_domain(domain):
+        for host in self._hosts_in_domain[domain.name]:
             due = at + self.topology.per_hop_delay_us + self._jitter()
             for binding in host.bindings_on(packet.dst_port):
                 out.append(
@@ -365,8 +364,7 @@ class VirtualNetwork:
         if host is None:
             raise NoRoute(f"no interface owns {packet.dst_ip}")
         if hops is None:
-            in_sender_domain = any(i.subnet == sender_domain.subnet for i in host.interfaces)
-            hops = 1 if in_sender_domain else 2
+            hops = 1 if sender_domain.subnet in self._subnets_of_host[host.name] else 2
         due = at + hops * self.topology.per_hop_delay_us + self._jitter()
         return self._arrive_unicast(host, packet, due, ttl=packet.ttl)
 

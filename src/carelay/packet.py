@@ -4,6 +4,12 @@ Builds and validates the 20-byte IPv4 header (RFC 791) and 8-byte UDP
 header (RFC 768) in network byte order, including datagrams whose source
 address is not the sender's own. Only plain headers are supported: no IP
 options, no fragmentation, IPv4 only.
+
+Both checksums are ones'-complement sums of 16-bit words, arithmetic modulo
+0xFFFF by RFC 1071 section 2. As 2**16 is 1 modulo 0xFFFF, whole words from
+a word boundary add the residue of the integer they spell: an address adds
+as one 32-bit integer, a payload as ``int.from_bytes`` of it, shifted left
+a byte if its length is odd (the pad). So ``encode`` sums fields, not bytes.
 """
 
 from __future__ import annotations
@@ -19,8 +25,7 @@ MAX_UDP_PAYLOAD = 65507  # 65535 - 20 (IP header) - 8 (UDP header)
 
 _IP_HDR = struct.Struct("!BBHHHBBH4s4s")
 _UDP_HDR = struct.Struct("!HHHH")
-_IP_UDP_HDR = struct.Struct("!BBHHHBBH4s4sHHHH")
-_PSEUDO_HDR = struct.Struct("!4s4sBBH")
+_HEADERS = struct.Struct("!BBHHHBBHIIHHHH")
 _VERSION_IHL = 0x45  # IPv4, five-word header: the only form supported
 
 
@@ -187,34 +192,39 @@ class Ipv4UdpPacket:
     @property
     def udp_checksum(self) -> int:
         """UDP checksum as transmitted: a computed 0x0000 becomes 0xFFFF."""
-        raw = checksum16(self._pseudo_header() + self._udp_header_bytes(0) + self.payload)
-        return raw if raw != 0 else 0xFFFF
-
-    def _udp_header_bytes(self, checksum: int) -> bytes:
-        return _UDP_HDR.pack(self.src_port, self.dst_port, self.udp_length, checksum)
-
-    def _pseudo_header(self) -> bytes:
-        return _PSEUDO_HDR.pack(
-            socket.inet_aton(self.src_ip),
-            socket.inet_aton(self.dst_ip),
-            0,
-            UDP_PROTO,
-            self.udp_length,
+        return _udp_checksum(
+            ip_to_int(self.src_ip), ip_to_int(self.dst_ip), self.src_port, self.dst_port, self.payload
         )
+
+
+def _udp_checksum(src: int, dst: int, src_port: int, dst_port: int, payload: bytes) -> int:
+    """UDP checksum field over pseudo header, UDP header and payload.
+
+    The sum is never zero (the length is at least 8), so a residue of 0 is
+    negative zero: the checksum computes to 0x0000, sent as 0xFFFF (RFC 768),
+    which is what 0xFFFF minus the residue gives.
+    """
+    # Reduced first, so that the shift and the sum below act on small ints.
+    body = int.from_bytes(payload, "big") % 0xFFFF
+    if len(payload) & 1:
+        body <<= 8
+    udp_length = UDP_HEADER_LEN + len(payload)
+    return 0xFFFF - (src + dst + UDP_PROTO + 2 * udp_length + src_port + dst_port + body) % 0xFFFF
 
 
 def encode(packet: Ipv4UdpPacket) -> bytes:
     """Serialize to wire bytes, computing both checksums.
 
-    Packs the IPv4 and UDP headers once with zero checksums, takes both
-    checksums from that copy (the UDP one over the pseudo header, the UDP
-    header and the payload), then packs the headers again with them.
+    Both checksums come from the field values as integers (module docstring)
+    and both headers are packed once. The IP header's sum is non-zero, so
+    ``-sum % 0xFFFF`` is its checksum: 0, not 0xFFFF, for a multiple of
+    0xFFFF, as ``checksum16`` gives over the packed header.
     """
     payload = packet.payload
     if len(payload) > MAX_UDP_PAYLOAD:
         raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_UDP_PAYLOAD}")
-    src = socket.inet_aton(packet.src_ip)
-    dst = socket.inet_aton(packet.dst_ip)
+    src = int.from_bytes(socket.inet_aton(packet.src_ip), "big")
+    dst = int.from_bytes(socket.inet_aton(packet.dst_ip), "big")
     udp_length = UDP_HEADER_LEN + len(payload)
     total_length = IP_HEADER_LEN + udp_length
     dscp_ecn = packet.dscp_ecn
@@ -223,16 +233,14 @@ def encode(packet: Ipv4UdpPacket) -> bytes:
     ttl = packet.ttl
     src_port = packet.src_port
     dst_port = packet.dst_port
-    headers = _IP_UDP_HDR.pack(
-        _VERSION_IHL, dscp_ecn, total_length, identification, flags_fragment, ttl, UDP_PROTO, 0,
-        src, dst, src_port, dst_port, udp_length, 0,
-    )
-    ip_checksum = checksum16(headers[:IP_HEADER_LEN])
-    pseudo = _PSEUDO_HDR.pack(src, dst, 0, UDP_PROTO, udp_length)
-    udp_checksum = checksum16(pseudo + headers[IP_HEADER_LEN:] + payload) or 0xFFFF
-    return _IP_UDP_HDR.pack(
+    ip_checksum = -(
+        (_VERSION_IHL << 8) + dscp_ecn + total_length + identification + flags_fragment
+        + (ttl << 8) + UDP_PROTO + src + dst
+    ) % 0xFFFF
+    return _HEADERS.pack(
         _VERSION_IHL, dscp_ecn, total_length, identification, flags_fragment, ttl, UDP_PROTO,
-        ip_checksum, src, dst, src_port, dst_port, udp_length, udp_checksum,
+        ip_checksum, src, dst, src_port, dst_port, udp_length,
+        _udp_checksum(src, dst, src_port, dst_port, payload),
     ) + payload
 
 

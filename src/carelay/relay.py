@@ -106,6 +106,8 @@ class RelayCounters:
     dropped_port: int = 0
     dropped_rate_limited: int = 0
     replies_forwarded: int = 0
+    # Accepted searches that found no flow and none could be opened (EMFILE).
+    dropped_flow_limit: int = 0
 
     @property
     def dropped_total(self) -> int:
@@ -114,6 +116,7 @@ class RelayCounters:
             + self.dropped_not_allowed
             + self.dropped_port
             + self.dropped_rate_limited
+            + self.dropped_flow_limit
         )
 
     def conserved(self) -> bool:
@@ -154,19 +157,21 @@ def rewrite_spoof(packet: Ipv4UdpPacket, config: RelayConfig, identification: in
     """Rebuild an accepted datagram for broadcast, keeping the client source.
 
     Equal to ``dataclasses.replace`` with the new destination, TTL and
-    identification, but built directly: ``replace`` first reads each of the
-    nine fields by name, which takes about as long again as the construction.
+    identification, but built directly and positionally: ``replace`` first
+    reads each of the nine fields by name, and binding nine keyword
+    arguments costs about two thirds as much again as passing them by
+    position. The argument order is that of the fields.
     """
     return Ipv4UdpPacket(
-        src_ip=packet.src_ip,
-        dst_ip=config.target_broadcast,
-        src_port=packet.src_port,
-        dst_port=config.target_port,
-        payload=packet.payload,
-        ttl=DEFAULT_TTL,
-        identification=identification,
-        dscp_ecn=packet.dscp_ecn,
-        flags_fragment=packet.flags_fragment,
+        packet.src_ip,
+        config.target_broadcast,
+        packet.src_port,
+        config.target_port,
+        packet.payload,
+        DEFAULT_TTL,
+        identification,
+        packet.dscp_ecn,
+        packet.flags_fragment,
     )
 
 
@@ -187,30 +192,36 @@ class Relay:
     # -- listen-port path ------------------------------------------------------
 
     def handle_packet(self, packet: Ipv4UdpPacket, now_us: int) -> None:
-        self.counters.received += 1
-        if self._rate_limited(now_us):
-            self.counters.dropped_rate_limited += 1
+        counters = self.counters
+        config = self.config
+        counters.received += 1
+        limit = config.max_packets_per_second
+        if limit is not None and self._rate_limited(now_us, limit):
+            counters.dropped_rate_limited += 1
             return
-        verdict = classify(packet, self.config)
-        setattr(self.counters, verdict.value, getattr(self.counters, verdict.value) + 1)
+        verdict = classify(packet, config)
         if verdict is not Verdict.ACCEPT:
+            name = verdict.value
+            setattr(counters, name, getattr(counters, name) + 1)
             log.debug("%s: packet from %s:%d", verdict.name, packet.src_ip, packet.src_port)
             return
 
-        if self.config.mode is RelayMode.SPOOF:
-            out = rewrite_spoof(packet, self.config, self._factory.next_identification())
+        if config.mode is RelayMode.SPOOF:
+            counters.relayed += 1
+            out = rewrite_spoof(packet, config, self._factory.next_identification())
             self.transport.emit_spoofed(out)
             return
 
         flow = self._flow_for(packet.src_ip, packet.src_port, now_us)
+        if flow is None:
+            counters.dropped_flow_limit += 1
+            return
+        counters.relayed += 1
         self.transport.flow_send(
-            flow.relay_local_port, packet.payload, self.config.target_broadcast, self.config.target_port
+            flow.relay_local_port, packet.payload, config.target_broadcast, config.target_port
         )
 
-    def _rate_limited(self, now_us: int) -> bool:
-        limit = self.config.max_packets_per_second
-        if limit is None:
-            return False
+    def _rate_limited(self, now_us: int, limit: int) -> bool:
         window = now_us // 1_000_000
         if window != self._rate_window:
             self._rate_window = window
@@ -220,11 +231,16 @@ class Relay:
 
     # -- flow path (PROXY) -----------------------------------------------------
 
-    def _flow_for(self, client_ip: str, client_port: int, now_us: int) -> FlowEntry:
+    def _flow_for(self, client_ip: str, client_port: int, now_us: int) -> FlowEntry | None:
+        """The client's flow, opened if it has none; None if none can be opened."""
         key = (client_ip, client_port)
         flow = self.flows.get(key)
         if flow is None:
-            port = self.transport.open_flow()
+            try:
+                port = self.transport.open_flow()
+            except OSError as exc:  # EMFILE and the like: the search is dropped
+                log.debug("no flow for %s:%d: %s", client_ip, client_port, exc)
+                return None
             flow = FlowEntry(client_ip, client_port, port, now_us)
             self.flows[key] = flow
             self._flows_by_port[port] = flow
@@ -375,14 +391,19 @@ class RealUdpTransport:
         self._raw.sendto(encode(packet), (packet.dst_ip, 0))
 
     def open_flow(self) -> int:
+        """Bind and watch a new flow socket; its OSError leaves nothing open."""
         sock = self._socket_factory(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
-        sock.bind(("0.0.0.0", 0))
-        port = sock.getsockname()[1]
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
+            sock.bind(("0.0.0.0", 0))
+            port = sock.getsockname()[1]
+            fd = sock.fileno()
+            self._epoll.register(fd, select.EPOLLIN)
+        except OSError:
+            sock.close()
+            raise
         self._flow_sockets[port] = sock
-        fd = sock.fileno()
         self._flows_by_fd[fd] = (sock, port)
-        self._epoll.register(fd, select.EPOLLIN)
         return port
 
     def close_flow(self, port: int) -> None:
@@ -408,6 +429,10 @@ class RealUdpTransport:
         listen_port = relay.config.listen_port
         flows_by_fd = self._flows_by_fd
         local_ip = self.local_ip
+        # Looked up here, not in attach(), so that wrappers installed on the
+        # relay instance before serve() starts see every datagram.
+        handle_packet = relay.handle_packet
+        on_flow_packet = relay.on_flow_packet
         next_tick_us = 0
         while stop is None or not stop.is_set():
             events = poll(0.2)
@@ -419,14 +444,7 @@ class RealUdpTransport:
                             data, (src_ip, src_port) = listen_recv(65535, socket.MSG_DONTWAIT)
                         except BlockingIOError:
                             break
-                        packet = Ipv4UdpPacket(
-                            src_ip=src_ip,
-                            dst_ip=local_ip,
-                            src_port=src_port,
-                            dst_port=listen_port,
-                            payload=data,
-                        )
-                        relay.handle_packet(packet, now)
+                        handle_packet(Ipv4UdpPacket(src_ip, local_ip, src_port, listen_port, data), now)
                     continue
                 sock, port = flows_by_fd[fd]
                 # select(2) BUGS: a datagram dropped for a bad checksum can
@@ -435,10 +453,7 @@ class RealUdpTransport:
                     data, (src_ip, src_port) = sock.recvfrom(65535, socket.MSG_DONTWAIT)
                 except BlockingIOError:
                     continue
-                packet = Ipv4UdpPacket(
-                    src_ip=src_ip, dst_ip=local_ip, src_port=src_port, dst_port=port, payload=data
-                )
-                relay.on_flow_packet(port, packet, now)
+                on_flow_packet(port, Ipv4UdpPacket(src_ip, local_ip, src_port, port, data), now)
             if now >= next_tick_us:
                 relay.expire_flows(now)
                 next_tick_us = now + EXPIRY_TICK_US

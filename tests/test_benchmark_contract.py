@@ -10,7 +10,9 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import carelay.relay
@@ -39,6 +41,7 @@ def test_names_the_benchmark_depends_on():
         "dropped_port",
         "dropped_rate_limited",
         "replies_forwarded",
+        "dropped_flow_limit",
     ]
     for name in ("serve", "handle_packet", "on_flow_packet", "expire_flows"):
         assert callable(getattr(Relay, name)), name
@@ -200,3 +203,104 @@ def test_real_transport_serves_through_traced_socket_proxies():
     # The search and the reply were each read and sent through a proxy.
     assert calls["sendto"] == 2
     assert calls["recvfrom"] >= 2
+
+
+class RecordingRawSocket:
+    """Stand-in for the SOCK_RAW socket, as perfbench.relay_proc.RawSendToSink is."""
+
+    def __init__(self) -> None:
+        self.sent: list[bytes] = []
+
+    def setsockopt(self, *args) -> None:
+        pass
+
+    def sendto(self, frame: bytes, address) -> int:
+        self.sent.append(bytes(frame))
+        return len(frame)
+
+    def close(self) -> None:
+        pass
+
+    def factory(self, family, kind, proto=0):
+        return self if kind == socket.SOCK_RAW else socket.socket(family, kind, proto)
+
+
+def counted(calls: Counter, name: str, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+def counting_relay(config, calls: Counter, socket_factory=None):
+    """A relay whose entry points are wrapped as perfbench.relay_proc.instrument
+    wraps them: on the instance, after it is built and attached."""
+    transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=socket_factory)
+    relay = Relay(config, transport)
+    relay.handle_packet = counted(calls, "handle_packet", relay.handle_packet)
+    relay.on_flow_packet = counted(calls, "on_flow_packet", relay.on_flow_packet)
+    return relay, transport
+
+
+@contextmanager
+def serving(relay, transport):
+    stop = threading.Event()
+    thread = threading.Thread(target=relay.serve, args=(stop,), daemon=True)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=3)
+        transport.close()
+    assert not thread.is_alive()
+
+
+def test_wrappers_installed_before_serve_see_every_datagram(monkeypatch):
+    # Traced runs read zero for a layer whose calls bypass its wrapper, as a
+    # lookup bound at construction or attach() would. Every wrapper goes on
+    # before serve() starts, as in a traced benchmark run.
+    calls: Counter = Counter()
+    for name in ("classify", "encode"):
+        monkeypatch.setattr(carelay.relay, name, counted(calls, name, getattr(carelay.relay, name)))
+    sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    for sock in (sink, client):
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(2)
+    try:
+        proxy = RelayConfig(
+            target_broadcast="127.0.0.1",
+            listen_port=17264,
+            target_port=sink.getsockname()[1],
+            mode=RelayMode.PROXY,
+            local_subnet=Cidr("192.0.2.0", 24),
+        )
+        relay, transport = counting_relay(proxy, calls)
+        with serving(relay, transport):
+            client.sendto(b"search", ("127.0.0.1", proxy.listen_port))
+            data, flow_addr = sink.recvfrom(65535)
+            assert data == b"search"
+            sink.sendto(b"reply", flow_addr)
+            assert client.recvfrom(65535) == (b"reply", flow_addr)
+
+        raw = RecordingRawSocket()
+        spoof = RelayConfig(
+            target_broadcast="127.255.255.255",
+            listen_port=17364,
+            target_port=15064,
+            mode=RelayMode.SPOOF,
+            local_subnet=Cidr("192.0.2.0", 24),
+        )
+        relay, transport = counting_relay(spoof, calls, raw.factory)
+        with serving(relay, transport):
+            client.sendto(b"search", ("127.0.0.1", spoof.listen_port))
+            deadline = time.monotonic() + 2
+            while not raw.sent and time.monotonic() < deadline:
+                time.sleep(0.005)
+    finally:
+        sink.close()
+        client.close()
+    assert [decode(frame).payload for frame in raw.sent] == [b"search"]
+    assert calls == {"handle_packet": 2, "classify": 2, "on_flow_packet": 1, "encode": 1}

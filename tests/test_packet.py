@@ -50,6 +50,21 @@ def word_loop_checksum(data: bytes) -> int:
     return ~total & 0xFFFF
 
 
+def word_sum(data: bytes) -> int:
+    """Plain sum of the big-endian 16-bit words of an even-length buffer."""
+    return sum((data[i] << 8) | data[i + 1] for i in range(0, len(data), 2))
+
+
+def udp_checksum_input(pkt: Ipv4UdpPacket) -> bytes:
+    """Pseudo header, UDP header with a zero checksum, and payload."""
+    src, dst = socket.inet_aton(pkt.src_ip), socket.inet_aton(pkt.dst_ip)
+    udp_length = 8 + len(pkt.payload)
+    return (
+        struct.pack("!4s4sBBHHHHH", src, dst, 0, 17, udp_length, pkt.src_port, pkt.dst_port, udp_length, 0)
+        + pkt.payload
+    )
+
+
 def word_loop_encode(pkt: Ipv4UdpPacket) -> bytes:
     """Reference encoder: struct packing plus word_loop_checksum."""
     src, dst = socket.inet_aton(pkt.src_ip), socket.inet_aton(pkt.dst_ip)
@@ -61,10 +76,7 @@ def word_loop_encode(pkt: Ipv4UdpPacket) -> bytes:
             pkt.flags_fragment, pkt.ttl, 17, checksum, src, dst,
         )
 
-    pseudo = struct.pack("!4s4sBBH", src, dst, 0, 17, udp_length)
-    udp_ck = word_loop_checksum(
-        pseudo + struct.pack("!HHHH", pkt.src_port, pkt.dst_port, udp_length, 0) + pkt.payload
-    )
+    udp_ck = word_loop_checksum(udp_checksum_input(pkt))
     return (
         ip_header(word_loop_checksum(ip_header(0)))
         + struct.pack("!HHHH", pkt.src_port, pkt.dst_port, udp_length, udp_ck or 0xFFFF)
@@ -233,13 +245,32 @@ class TestEncode:
             total = (total & 0xFFFF) + (total >> 16)
         assert total == 0xFFFF
 
+    def test_ip_header_summing_to_a_multiple_of_ffff_gets_checksum_zero(self):
+        # The words of a header with identification 0 leave a residue r; an
+        # identification of 0xFFFF - r makes their sum a non-zero multiple
+        # of 0xFFFF, which folds to 0xFFFF (negative zero): checksum 0x0000.
+        base = make_packet(b"search", identification=0)
+        header = word_loop_encode(base)[:20]
+        residue = (word_sum(header[:10]) + word_sum(header[12:])) % 0xFFFF
+        pkt = make_packet(b"search", identification=0xFFFF - residue)
+        wire = encode(pkt)
+        assert wire[10:12] == b"\x00\x00"
+        assert wire == word_loop_encode(pkt)
+        assert decode(wire) == pkt
+
     def test_udp_zero_checksum_transmitted_as_ffff(self):
-        # The checksum property never returns 0; probe the convention directly.
-        pkt = make_packet(b"x")
-        assert pkt.udp_checksum != 0
-        raw = checksum16(pkt._pseudo_header() + pkt._udp_header_bytes(0) + pkt.payload)
-        if raw == 0:
-            assert pkt.udp_checksum == 0xFFFF
+        # The last payload word is chosen so that pseudo header, UDP header
+        # and payload sum to a multiple of 0xFFFF: the checksum computes to
+        # 0x0000, which RFC 768 sends as 0xFFFF.
+        base = make_packet(b"search\x00\x00")
+        residue = word_sum(udp_checksum_input(base)) % 0xFFFF
+        pkt = make_packet(b"search" + ((0xFFFF - residue) % 0xFFFF).to_bytes(2, "big"))
+        assert word_loop_checksum(udp_checksum_input(pkt)) == 0
+        assert pkt.udp_checksum == 0xFFFF
+        wire = encode(pkt)
+        assert wire[26:28] == b"\xff\xff"
+        assert wire == word_loop_encode(pkt)
+        assert decode(wire) == pkt
 
 
 class TestDecode:

@@ -6,6 +6,8 @@ real raw frames is skipped where raw sockets are unavailable; the spoof serve
 loop also runs against a recording stand-in for the raw socket.
 """
 
+import errno
+import os
 import resource
 import socket
 import threading
@@ -288,6 +290,70 @@ class TestRealProxyFlows:
             transport.close()
             client.close()
             sink.close()
+
+
+class BindFails(socket.socket):
+    def bind(self, address):
+        raise OSError(errno.EADDRINUSE, os.strerror(errno.EADDRINUSE))
+
+
+class TestFlowOpenFailure:
+    """An OSError while opening a flow drops that search; serving goes on."""
+
+    FLOWS = 2
+
+    @pytest.mark.parametrize("failing_call", ["socket", "bind"])
+    def test_search_without_a_flow_is_a_counted_drop(self, failing_call):
+        created: list[socket.socket] = []
+
+        def factory(family, kind, proto=0):
+            # The first socket is the listen socket, the next FLOWS are flows.
+            if len(created) <= self.FLOWS:
+                sock = socket.socket(family, kind, proto)
+            elif failing_call == "socket":
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            else:
+                sock = BindFails(family, kind, proto)
+            created.append(sock)
+            return sock
+
+        sink = plain_udp_socket()
+        sink.settimeout(2)
+        config = RelayConfig(
+            target_broadcast="127.0.0.1",
+            listen_port=17464,
+            target_port=sink.getsockname()[1],
+            mode=RelayMode.PROXY,
+            local_subnet=Cidr("192.0.2.0", 24),
+        )
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", local_ip="127.0.0.1", socket_factory=factory)
+        relay = Relay(config, transport)
+        stop, thread = serve_in_thread(relay)
+        clients = [plain_udp_socket() for _ in range(self.FLOWS + 1)]
+        try:
+            for i, client in enumerate(clients):
+                client.settimeout(2)
+                client.sendto(b"search %d" % i, ("127.0.0.1", config.listen_port))
+            relayed = dict(sink.recvfrom(65535) for _ in range(self.FLOWS))
+            wait_until(lambda: relay.counters.received >= len(clients))
+            # The loop still serves: a reply on an existing flow goes back.
+            sink.sendto(b"reply", relayed[b"search 0"])
+            assert clients[0].recvfrom(65535)[0] == b"reply"
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            for sock in (sink, *clients):
+                sock.close()
+        assert not thread.is_alive()
+        assert sorted(relayed) == [b"search 0", b"search 1"]
+        counters = relay.counters
+        assert (counters.received, counters.relayed, counters.dropped_flow_limit) == (3, 2, 1)
+        assert counters.replies_forwarded == 1
+        assert counters.conserved()
+        assert len(relay.flows) == self.FLOWS
+        if failing_call == "bind":
+            assert created[-1].fileno() == -1  # closed by open_flow
 
 
 class RecordingRawSocket:
