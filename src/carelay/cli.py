@@ -15,7 +15,6 @@ import logging
 import signal
 import sys
 import threading
-from dataclasses import replace
 
 from .bench import (
     ConfigInvalid,
@@ -27,10 +26,9 @@ from .bench import (
     run_benchmark,
 )
 from .ca_wire import CA_SERVER_PORT
-from .config import ConfigError, ConfigFile, parse_config, parse_endpoint
+from .config import ConfigError, ConfigFile, config_from_mapping, load_yaml, parse_endpoint
 from .endpoints import CaClient, ChannelTimeout, RealCaClient
 from .netsim import NetsimError
-from .packet import Cidr
 from .relay import (
     PrivilegeRequired,
     RealUdpTransport,
@@ -48,6 +46,9 @@ EXIT_CONFIG = 2
 EXIT_PRIVILEGE = 3
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "normal": logging.INFO, "trace": logging.DEBUG}
+
+# relay flags whose dest is the relay config key they set; --target sets two.
+_RELAY_FLAG_KEYS = ("listen_port", "allow", "local_subnet", "mode")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,35 +108,37 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
 
-def _load_config(args, required: bool = False) -> ConfigFile:
+def _load_mapping(args, required: bool = False):
+    """The loaded YAML of --config, or None without one."""
     if args.config is None:
         if required:
             raise ConfigInvalid("this command needs --config PATH")
-        return ConfigFile()
+        return None
     with open(args.config, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return load_yaml(fh.read())
 
 
-def _merge_relay_flags(config: ConfigFile, args) -> RelayConfig:
-    relay = config.relay
-    overrides = {}
-    if args.listen_port is not None:
-        overrides["listen_port"] = args.listen_port
+def _load_config(args, required: bool = False) -> ConfigFile:
+    return config_from_mapping(_load_mapping(args, required))
+
+
+def _relay_flag_keys(args) -> dict:
+    """The relay config keys that the given relay flags set."""
+    keys = {key: getattr(args, key) for key in _RELAY_FLAG_KEYS if getattr(args, key) is not None}
     if args.target is not None:
-        ip, port = parse_endpoint(args.target, "--target")
-        overrides["target_broadcast"] = ip
-        overrides["target_port"] = port
-    if args.allow is not None:
-        overrides["allow_sources"] = tuple(Cidr.parse(c) for c in args.allow)
-    if args.local_subnet is not None:
-        overrides["local_subnet"] = Cidr.parse(args.local_subnet)
-    if args.mode is not None:
-        overrides["mode"] = RelayMode(args.mode)
-    if relay is None:
-        if "target_broadcast" not in overrides:
-            raise ConfigInvalid("no relay target: give --target IP:PORT or a relay config section")
-        return RelayConfig(**overrides)
-    return replace(relay, **overrides)
+        keys["target_broadcast"], keys["target_port"] = parse_endpoint(args.target, "--target")
+    return keys
+
+
+def _relay_config(args) -> RelayConfig:
+    """The file's relay section with the flags laid over its keys, validated as one."""
+    data = _load_mapping(args)
+    if data is None:
+        data = {}
+    section = data.get("relay", {}) if isinstance(data, dict) else None
+    if isinstance(section, dict):  # otherwise config_from_mapping names what is wrong
+        data = {**data, "relay": {**section, **_relay_flag_keys(args)}}
+    return config_from_mapping(data).relay
 
 
 def _scenario_from_config(config: ConfigFile, args, name: str = "config") -> Scenario:
@@ -165,8 +168,7 @@ def cmd_sim(args) -> int:
 
 
 def cmd_relay(args) -> int:
-    config = _load_config(args)
-    relay_config = _merge_relay_flags(config, args)
+    relay_config = _relay_config(args)
     transport = RealUdpTransport(relay_config, bind_ip=args.bind_ip)
     relay = Relay(relay_config, transport)
     stop = threading.Event()

@@ -11,12 +11,12 @@ offending key, parse errors the line.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import yaml
 
 from .bench import ARM_ORDER, FORK_COST_S, TIMEOUT, VALUE, ConfigInvalid, IocSpec, Query, Scenario
-from .ca_wire import CA_SERVER_PORT
 from .endpoints import ClientQueryConfig
 from .netsim import (
     DEFAULT_PER_HOP_DELAY_US,
@@ -28,7 +28,7 @@ from .netsim import (
     VirtualTopology,
 )
 from .packet import Cidr
-from .relay import DEFAULT_FLOW_IDLE_TIMEOUT_S, DEFAULT_LISTEN_PORT, RelayConfig, RelayMode
+from .relay import RelayConfig, RelayMode
 
 
 class ConfigError(Exception):
@@ -108,11 +108,26 @@ def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
             raise ValidationError(full, "unknown key")
 
 
-def _get_int(mapping: dict, key: str, path: str, default=None, minimum=None, maximum=None):
-    if key not in mapping:
-        if default is not None:
-            return default
+# The default of a key that must be given.
+_REQUIRED = object()
+
+
+def _given(mapping: dict, key: str, path: str, default) -> bool:
+    """Whether the key is set; if not, its getter returns ``default``.
+
+    A ``default`` of None makes the key optional; ``_REQUIRED`` makes its
+    absence an error.
+    """
+    if key in mapping:
+        return True
+    if default is _REQUIRED:
         raise ValidationError(f"{path}.{key}", "required key missing")
+    return False
+
+
+def _get_int(mapping: dict, key: str, path: str, default=_REQUIRED, minimum=None, maximum=None):
+    if not _given(mapping, key, path, default):
+        return default
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}.{key}", f"expected an integer, got {value!r}")
@@ -121,26 +136,28 @@ def _get_int(mapping: dict, key: str, path: str, default=None, minimum=None, max
     return value
 
 
-def _get_port(mapping: dict, key: str, path: str, default=None) -> int:
+def _get_port(mapping: dict, key: str, path: str, default=_REQUIRED) -> int:
     return _get_int(mapping, key, path, default=default, minimum=1, maximum=65535)
 
 
-def _get_float(mapping: dict, key: str, path: str, default=None) -> float:
-    if key not in mapping:
-        if default is not None:
-            return default
-        raise ValidationError(f"{path}.{key}", "required key missing")
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{path}.{key}", f"expected a number, got {value!r}")
+def _number(value, key: str, minimum=None) -> float:
+    """A finite number as a float: NaN, infinities and ints beyond float range are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(key, f"expected a finite number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(key, f"{value} is below {minimum}")
     return float(value)
 
 
-def _get_str(mapping: dict, key: str, path: str, default=None) -> str:
-    if key not in mapping:
-        if default is not None:
-            return default
-        raise ValidationError(f"{path}.{key}", "required key missing")
+def _get_float(mapping: dict, key: str, path: str, default=_REQUIRED, minimum=None) -> float:
+    if not _given(mapping, key, path, default):
+        return default
+    return _number(mapping[key], f"{path}.{key}", minimum)
+
+
+def _get_str(mapping: dict, key: str, path: str, default=_REQUIRED) -> str | None:
+    if not _given(mapping, key, path, default):
+        return default
     value = mapping[key]
     if not isinstance(value, str):
         raise ValidationError(f"{path}.{key}", f"expected a string, got {value!r}")
@@ -148,21 +165,25 @@ def _get_str(mapping: dict, key: str, path: str, default=None) -> str:
 
 
 def _get_bool(mapping: dict, key: str, path: str, default: bool) -> bool:
-    value = mapping.get(key, default)
+    if not _given(mapping, key, path, default):
+        return default
+    value = mapping[key]
     if not isinstance(value, bool):
         raise ValidationError(f"{path}.{key}", f"expected true or false, got {value!r}")
     return value
 
 
-def _get_cidr(mapping: dict, key: str, path: str, required=True) -> Cidr | None:
-    if key not in mapping:
-        if required:
-            raise ValidationError(f"{path}.{key}", "required key missing")
-        return None
+def _cidr(value, key: str) -> Cidr:
     try:
-        return Cidr.parse(str(mapping[key]))
+        return Cidr.parse(str(value))
     except (ValueError, OSError) as exc:
-        raise ValidationError(f"{path}.{key}", f"not a CIDR prefix: {exc}") from None
+        raise ValidationError(key, f"not a CIDR prefix: {exc}") from None
+
+
+def _get_cidr(mapping: dict, key: str, path: str, default=_REQUIRED) -> Cidr | None:
+    if not _given(mapping, key, path, default):
+        return default
+    return _cidr(mapping[key], f"{path}.{key}")
 
 
 def parse_config(text: str) -> ConfigFile:
@@ -235,7 +256,7 @@ def _parse_topology(section: dict, config: ConfigFile) -> None:
                     match_dst_port=_get_port(rule, "match_dst_port", rpath),
                     new_dst_ip=new_ip,
                     new_dst_port=new_port,
-                    negate_src=_get_cidr(rule, "negate_src", rpath, required=False),
+                    negate_src=_get_cidr(rule, "negate_src", rpath, default=None),
                 )
             )
         hosts.append(VirtualHost(_get_str(item, "name", hpath), interfaces, prerouting_rules=rules))
@@ -272,11 +293,7 @@ def _parse_topology(section: dict, config: ConfigFile) -> None:
         item = _require_mapping(item, ipath)
         _reject_unknown(item, {"host", "name", "server_port", "pvs", "advertise_own_address"}, ipath)
         pvs = _require_mapping(item.get("pvs", {}), f"{ipath}.pvs")
-        parsed_pvs = {}
-        for pv, value in pvs.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"{ipath}.pvs.{pv}", f"expected a number, got {value!r}")
-            parsed_pvs[str(pv)] = float(value)
+        parsed_pvs = {str(pv): _number(value, f"{ipath}.pvs.{pv}") for pv, value in pvs.items()}
         server_port = _get_port(item, "server_port", ipath, default=port_counter)
         port_counter = max(port_counter, server_port) + 1
         config.iocs.append(
@@ -333,39 +350,30 @@ def _parse_relay(section: dict, config: ConfigFile) -> None:
         },
         path,
     )
-    mode_name = _get_str(section, "mode", path, default="spoof")
+    defaults = RelayConfig
+    mode_name = _get_str(section, "mode", path, default=defaults.mode.value)
     try:
         mode = RelayMode(mode_name)
     except ValueError:
         modes = [m.value for m in RelayMode]
         raise ValidationError(f"{path}.mode", f"expected one of {modes}, got {mode_name!r}") from None
-    if "target_broadcast" not in section:
-        raise ValidationError(f"{path}.target_broadcast", "required key missing")
-    allow = []
-    for i, item in enumerate(_require_list(section.get("allow", []), f"{path}.allow")):
-        try:
-            allow.append(Cidr.parse(str(item)))
-        except (ValueError, OSError) as exc:
-            raise ValidationError(f"{path}.allow[{i}]", f"not a CIDR prefix: {exc}") from None
-    max_pps = None
-    if section.get("max_packets_per_second") is not None:
-        max_pps = _get_int(section, "max_packets_per_second", path, minimum=1)
+    allow = _require_list(section.get("allow", []), f"{path}.allow")
     try:
         config.relay = RelayConfig(
             target_broadcast=_get_str(section, "target_broadcast", path),
-            listen_port=_get_port(section, "listen_port", path, default=DEFAULT_LISTEN_PORT),
-            target_port=_get_port(section, "target_port", path, default=CA_SERVER_PORT),
-            allow_sources=tuple(allow),
-            local_subnet=_get_cidr(section, "local_subnet", path, required=False),
+            listen_port=_get_port(section, "listen_port", path, default=defaults.listen_port),
+            target_port=_get_port(section, "target_port", path, default=defaults.target_port),
+            allow_sources=tuple(_cidr(item, f"{path}.allow[{i}]") for i, item in enumerate(allow)),
+            local_subnet=_get_cidr(section, "local_subnet", path, default=None),
             mode=mode,
             flow_idle_timeout_s=_get_float(
-                section, "flow_idle_timeout", path, default=DEFAULT_FLOW_IDLE_TIMEOUT_S
+                section, "flow_idle_timeout", path, default=defaults.flow_idle_timeout_s
             ),
-            max_packets_per_second=max_pps,
+            max_packets_per_second=_get_int(section, "max_packets_per_second", path, default=None, minimum=1),
         )
     except ValueError as exc:
         raise ValidationError(path, str(exc)) from None
-    config.relay_host = _get_str(section, "host", path, default="") or None
+    config.relay_host = _get_str(section, "host", path, default=None)
     config.relay_install_prerouting = _get_bool(section, "install_prerouting", path, default=False)
 
 
@@ -376,7 +384,7 @@ def _parse_client(section: dict, config: ConfigFile) -> None:
         {"host", "initial_retry", "backoff_factor", "max_tries", "total_timeout"},
         path,
     )
-    config.client_host = _get_str(section, "host", path, default="") or None
+    config.client_host = _get_str(section, "host", path, default=None)
     defaults = ClientQueryConfig
     try:
         config.client = ClientQueryConfig(
@@ -385,7 +393,7 @@ def _parse_client(section: dict, config: ConfigFile) -> None:
             max_tries=_get_int(section, "max_tries", path, default=defaults.max_tries, minimum=1),
             total_timeout_s=_get_float(section, "total_timeout", path, default=defaults.total_timeout_s),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # the waits can overflow a float
         raise ValidationError(path, str(exc)) from None
 
 
@@ -405,7 +413,7 @@ def _parse_queries(items: list, config: ConfigFile) -> None:
             raise ValidationError(f"{qpath}.expect", f"expected 'value' or 'timeout', got {expect!r}")
         config.queries.append(
             Query(
-                client_host=_get_str(item, "client", qpath, default=config.client_host or ""),
+                client_host=_get_str(item, "client", qpath, default=config.client_host),
                 pv_name=_get_str(item, "pv", qpath),
                 expected=expected,
             )
@@ -425,7 +433,7 @@ def _parse_bench(section: dict, config: ConfigFile) -> None:
         arms=arms,
         repetitions=_get_int(section, "repetitions", path, default=BenchSettings.repetitions, minimum=1),
         seed=_get_int(section, "seed", path, default=BenchSettings.seed, minimum=0),
-        fork_cost_s=_get_float(section, "fork_cost", path, default=BenchSettings.fork_cost_s),
+        fork_cost_s=_get_float(section, "fork_cost", path, default=BenchSettings.fork_cost_s, minimum=0),
     )
 
 

@@ -24,7 +24,7 @@ from .ca_wire import (
     ValueExchangeKind,
 )
 from .netsim import ChannelRefused, ChannelSide, Delivery, VirtualNetwork
-from .packet import PacketFactory
+from .packet import Ipv4UdpPacket
 
 FIRST_EPHEMERAL_PORT = 35687
 
@@ -85,7 +85,6 @@ class IocSim:
         self.host_ip = net.host(host_name).interfaces[0].ip
         self.reads_served = 0
         self.writes_served = 0
-        self._factory = PacketFactory()
         self.binding = net.bind(host_name, CA_SERVER_PORT, owner=name, callback=self._on_delivery)
         net.register_channel_listener(self.host_ip, server_port, self._accept_channel)
 
@@ -115,7 +114,7 @@ class IocSim:
             return
         self.net.inject(
             self.host_name,
-            self._factory.build(self.host_ip, CA_SERVER_PORT, source[0], source[1], response),
+            Ipv4UdpPacket(self.host_ip, source[0], CA_SERVER_PORT, source[1], response),
         )
 
     # -- value exchange ---------------------------------------------------------
@@ -188,7 +187,6 @@ class CaClient:
         interface = net.host(host_name).interfaces[0]
         self.host_ip = interface.ip
         self._broadcast_ip = interface.subnet.broadcast_address()
-        self._factory = PacketFactory()
         self._next_ephemeral = FIRST_EPHEMERAL_PORT
         self._next_search_id = 1
         self._next_sequence = 1
@@ -254,7 +252,7 @@ class CaClient:
         pending.send_times.append(self.net.now_us)
         self.net.inject(
             self.host_name,
-            self._factory.build(self.host_ip, eph_port, self._broadcast_ip, CA_SERVER_PORT, datagram),
+            Ipv4UdpPacket(self.host_ip, self._broadcast_ip, eph_port, CA_SERVER_PORT, datagram),
         )
 
     def _give_up(self, pending: _PendingQuery) -> None:

@@ -118,9 +118,6 @@ class VirtualHost:
     bindings: list[SocketBinding] = field(default_factory=list)
     _bind_counter: int = field(default=0, repr=False)
 
-    def owns_ip(self, ip: str) -> bool:
-        return any(i.ip == ip for i in self.interfaces)
-
     def interface_for_source(self, src_ip: str) -> Interface:
         # A relay emitting spoofed sources will not match any interface;
         # fall back to the first one (hosts here have one interface per domain).
@@ -218,6 +215,8 @@ class VirtualNetwork:
             for domain in domains:
                 self._hosts_in_domain[domain.name].append(host)
             self._subnets_of_host[host.name] = frozenset(d.subnet for d in domains)
+        # Interface addresses are unique (checked by _validate).
+        self._host_of_ip = {i.ip: host for host in topology.hosts for i in host.interfaces}
         self._broadcasts = frozenset(
             [LIMITED_BROADCAST, *(d.subnet.broadcast_address() for d in topology.domains)]
         )
@@ -255,12 +254,6 @@ class VirtualNetwork:
             return self._hosts[name]
         except KeyError:
             raise UnknownHost(name) from None
-
-    def _host_owning(self, ip: str) -> VirtualHost | None:
-        for host in self.topology.hosts:
-            if host.owns_ip(ip):
-                return host
-        return None
 
     def _same_domain(self, a: str, b: str) -> bool:
         try:
@@ -360,7 +353,7 @@ class VirtualNetwork:
         at: int,
         hops: int | None,
     ) -> list[Delivery]:
-        host = self._host_owning(packet.dst_ip)
+        host = self._host_of_ip.get(packet.dst_ip)
         if host is None:
             raise NoRoute(f"no interface owns {packet.dst_ip}")
         if hops is None:
@@ -386,7 +379,8 @@ class VirtualNetwork:
                 Delivery(due, host.name, b, rewritten, packet.dst_ip, packet.dst_port)
                 for b in host.bindings_on(rule.new_dst_port)
             ]
-        if host.owns_ip(rule.new_dst_ip):
+        next_host = self._host_of_ip.get(rule.new_dst_ip)
+        if next_host is host:
             binding = host.last_binder(rule.new_dst_port)
             if binding is None:
                 return []
@@ -395,7 +389,6 @@ class VirtualNetwork:
         # Rewrite toward another machine: forward it, spending a hop and TTL.
         if ttl <= 1:
             return []
-        next_host = self._host_owning(rule.new_dst_ip)
         if next_host is None:
             raise NoRoute(f"prerouting rewrite to unknown address {rule.new_dst_ip}")
         forwarded = replace(rewritten, ttl=ttl - 1)
@@ -412,7 +405,7 @@ class VirtualNetwork:
 
     def open_channel(self, client_host: str, server_ip: str, server_port: int) -> ChannelSide:
         acceptor = self._channel_listeners.get((server_ip, server_port))
-        server_host = self._host_owning(server_ip)
+        server_host = self._host_of_ip.get(server_ip)
         if acceptor is None or server_host is None:
             raise ChannelRefused(f"nothing listening at {server_ip}:{server_port}")
         client_side = ChannelSide(self, client_host, server_host.name)

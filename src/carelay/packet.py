@@ -303,36 +303,3 @@ def decode(data: bytes) -> Ipv4UdpPacket:
         raise BadUdpChecksum(f"stored 0x{stored_udp_ck:04x}, computed 0x{packet.udp_checksum:04x}")
     return packet
 
-
-class PacketFactory:
-    """Builds outgoing packets with a monotonically increasing IP id.
-
-    One factory per emitting context; the counter starts at 1 so a fresh
-    factory never reuses an id within its own stream.
-    """
-
-    def __init__(self) -> None:
-        self._next_id = 1
-
-    def next_identification(self) -> int:
-        ident = self._next_id
-        self._next_id = (self._next_id % 0xFFFF) + 1
-        return ident
-
-    def build(
-        self,
-        src_ip: str,
-        src_port: int,
-        dst_ip: str,
-        dst_port: int,
-        payload: bytes,
-    ) -> Ipv4UdpPacket:
-        return Ipv4UdpPacket(
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            src_port=src_port,
-            dst_port=dst_port,
-            payload=payload,
-            identification=self.next_identification(),
-        )
-

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 import select
 import socket
 import threading
@@ -36,7 +37,7 @@ import time
 from dataclasses import dataclass
 
 from .ca_wire import CA_SERVER_PORT
-from .packet import Cidr, Ipv4UdpPacket, PacketFactory, encode, ip_to_int
+from .packet import Cidr, Ipv4UdpPacket, encode, ip_to_int
 
 log = logging.getLogger(__name__)
 
@@ -93,8 +94,14 @@ class RelayConfig:
                 raise ValueError(f"port out of range: {port}")
         if self.listen_port == self.target_port:
             raise ValueError("listen_port and target_port must differ (loop hazard)")
-        if self.flow_idle_timeout_s <= 0:
-            raise ValueError("flow_idle_timeout must be positive")
+        if not 0 < self.flow_idle_timeout_s < math.inf:  # also false for NaN
+            raise ValueError(f"flow_idle_timeout must be positive and finite: {self.flow_idle_timeout_s}")
+        try:
+            socket.inet_aton(self.target_broadcast)  # the conversion encode applies
+        except OSError:
+            raise ValueError(
+                f"target_broadcast must be an IPv4 address, got {self.target_broadcast!r}"
+            ) from None
 
 
 @dataclass
@@ -184,7 +191,8 @@ class Relay:
         self.counters = RelayCounters()
         self.flows: dict[tuple[str, int], FlowEntry] = {}
         self._flows_by_port: dict[int, FlowEntry] = {}
-        self._factory = PacketFactory()
+        # IP identification of the next spoofed datagram: 1 to 0xFFFF, then 1 again.
+        self._next_id = 1
         self._rate_window = -1
         self._rate_count = 0
         transport.attach(self)
@@ -208,8 +216,9 @@ class Relay:
 
         if config.mode is RelayMode.SPOOF:
             counters.relayed += 1
-            out = rewrite_spoof(packet, config, self._factory.next_identification())
-            self.transport.emit_spoofed(out)
+            ident = self._next_id
+            self._next_id = ident % 0xFFFF + 1
+            self.transport.emit_spoofed(rewrite_spoof(packet, config, ident))
             return
 
         flow = self._flow_for(packet.src_ip, packet.src_port, now_us)
@@ -285,7 +294,6 @@ class SimTransport:
         self.host_name = host_name
         self.request_delay_us = request_delay_us
         self.local_ip = net.host(host_name).interfaces[0].ip
-        self._factory = PacketFactory()
         self._flow_bindings: dict[int, object] = {}
         self._free_flow_ports: list[int] = []
         self._relay: Relay | None = None
@@ -330,8 +338,7 @@ class SimTransport:
         self._free_flow_ports.append(port)
 
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
-        packet = self._factory.build(self.local_ip, local_port, dst_ip, dst_port, payload)
-        self.net.inject(self.host_name, packet)
+        self.net.inject(self.host_name, Ipv4UdpPacket(self.local_ip, dst_ip, local_port, dst_port, payload))
 
 
 class RealUdpTransport:
@@ -341,14 +348,13 @@ class RealUdpTransport:
         self,
         config: RelayConfig,
         bind_ip: str = "0.0.0.0",
-        local_ip: str | None = None,
         socket_factory=None,
     ) -> None:
         if config.mode is RelayMode.SPOOF and config.local_subnet is None:
             # The local-source drop is the loop guard: without it a search
             # broadcast on the relay's own subnet can be relayed back there.
             raise ValueError("spoof mode on real sockets needs local_subnet (the loop guard)")
-        self.local_ip = local_ip or bind_ip
+        self._bind_ip = bind_ip  # the destination address of received datagrams
         # Resolved at call time so tests can substitute the module's socket.
         self._socket_factory = socket_factory or socket.socket
         self._raw = None
@@ -428,7 +434,7 @@ class RealUdpTransport:
         listen_recv = self._listen.recvfrom
         listen_port = relay.config.listen_port
         flows_by_fd = self._flows_by_fd
-        local_ip = self.local_ip
+        bind_ip = self._bind_ip
         # Looked up here, not in attach(), so that wrappers installed on the
         # relay instance before serve() starts see every datagram.
         handle_packet = relay.handle_packet
@@ -444,7 +450,7 @@ class RealUdpTransport:
                             data, (src_ip, src_port) = listen_recv(65535, socket.MSG_DONTWAIT)
                         except BlockingIOError:
                             break
-                        handle_packet(Ipv4UdpPacket(src_ip, local_ip, src_port, listen_port, data), now)
+                        handle_packet(Ipv4UdpPacket(src_ip, bind_ip, src_port, listen_port, data), now)
                     continue
                 sock, port = flows_by_fd[fd]
                 # select(2) BUGS: a datagram dropped for a bad checksum can
@@ -453,7 +459,7 @@ class RealUdpTransport:
                     data, (src_ip, src_port) = sock.recvfrom(65535, socket.MSG_DONTWAIT)
                 except BlockingIOError:
                     continue
-                on_flow_packet(port, Ipv4UdpPacket(src_ip, local_ip, src_port, port, data), now)
+                on_flow_packet(port, Ipv4UdpPacket(src_ip, bind_ip, src_port, port, data), now)
             if now >= next_tick_us:
                 relay.expire_flows(now)
                 next_tick_us = now + EXPIRY_TICK_US

@@ -1,10 +1,14 @@
+import argparse
+import dataclasses
 import socket
 from pathlib import Path
 
 import pytest
 
+from carelay import cli
 from carelay.bench import parse_records, run_scenario, scenario_a, scenario_b, scenario_c
 from carelay.cli import main
+from carelay.config import config_from_mapping, parse_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCENARIO_C = str(CONFIG_DIR / "scenario_c.yaml")
@@ -154,3 +158,132 @@ class TestRelayCommand:
 
     def test_real_relay_without_target_is_config_error(self, capsys):
         assert main(["relay", "--log", "quiet"]) == 2
+
+
+@pytest.fixture
+def config_error(tmp_path, capsys, monkeypatch):
+    """Runs main with the argv and YAML text given; checks that it exits 2
+    with no traceback and before creating any socket; returns stderr."""
+    attempts = []
+
+    def refuse(*args, **kwargs):
+        attempts.append(args)
+        raise PermissionError(1, "no socket may be created")
+
+    monkeypatch.setattr(socket, "socket", refuse)
+
+    def run(argv, text=None):
+        if text is not None:
+            config = tmp_path / "bad.yaml"
+            config.write_text(text)
+            argv = [*argv, "--config", str(config)]
+        assert main([*argv, "--log", "quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert attempts == []
+        return err
+
+    return run
+
+
+RELAY = ["relay", "--mode", "proxy", "--bind-ip", "127.0.0.1"]
+TARGET = ["--target", "255.255.255.255:5064"]
+RELAY_SECTION = "relay:\n  target_broadcast: 255.255.255.255\n"
+
+
+class TestBadValuesAreConfigErrors:
+    # Each value used to end in a traceback, or in a relay that died at its
+    # first search or expiry tick; a flag is checked as the key it sets.
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            pytest.param([*RELAY, *TARGET, "--allow", "999.1.1.1/8"], None, id="flag"),
+            pytest.param(RELAY, RELAY_SECTION + "  allow: [999.1.1.1/8]\n", id="yaml"),
+        ],
+    )
+    def test_allow(self, argv, text, config_error):
+        assert "'relay.allow[0]'" in config_error(argv, text)
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            pytest.param([*RELAY, *TARGET, "--local-subnet", "10.0.0.300/24"], None, id="flag"),
+            pytest.param(RELAY, RELAY_SECTION + "  local_subnet: 10.0.0.300/24\n", id="yaml"),
+        ],
+    )
+    def test_local_subnet(self, argv, text, config_error):
+        assert "'relay.local_subnet'" in config_error(argv, text)
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            pytest.param([*RELAY, "--target", "999.1.1.1:5064"], None, id="flag"),
+            pytest.param(RELAY, "relay:\n  target_broadcast: 999.1.1.1\n", id="yaml"),
+        ],
+    )
+    def test_target_broadcast(self, argv, text, config_error):
+        assert "target_broadcast must be an IPv4 address" in config_error(argv, text)
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_flow_idle_timeout(self, value, config_error):
+        text = RELAY_SECTION + f"  flow_idle_timeout: {value}\n"
+        assert "'relay.flow_idle_timeout'" in config_error(RELAY, text)
+
+    @pytest.mark.parametrize("value", [".inf", "-1"])
+    def test_fork_cost(self, value, config_error):
+        assert "'bench.fork_cost'" in config_error(["bench", "--reps", "1"], f"bench:\n  fork_cost: {value}\n")
+
+    def test_initial_retry(self, config_error):
+        text = "client:\n  initial_retry: .inf\n"
+        assert "'client.initial_retry'" in config_error(["bench", "--reps", "1"], text)
+
+
+def relay_args(*argv):
+    return cli.build_parser().parse_args(["relay", *argv])
+
+
+def test_flags_and_equivalent_yaml_give_equal_relay_configs(tmp_path):
+    flags = [
+        "--listen-port", "7064", "--target", "10.2.1.255:5065", "--allow", "10.2.105.0/24",
+        "--allow", "10.3.0.0/16", "--local-subnet", "10.2.1.0/24", "--mode", "proxy",
+    ]
+    text = (
+        "relay:\n  listen_port: 7064\n  target_broadcast: 10.2.1.255\n  target_port: 5065\n"
+        "  allow: [10.2.105.0/24, 10.3.0.0/16]\n  local_subnet: 10.2.1.0/24\n  mode: proxy\n"
+    )
+    config = tmp_path / "relay.yaml"
+    config.write_text(text)
+    from_flags = cli._relay_config(relay_args(*flags))
+    from_yaml = cli._relay_config(relay_args("--config", str(config)))
+    assert from_flags == from_yaml == parse_config(text).relay
+    # A flag replaces only the key it sets.
+    overridden = cli._relay_config(relay_args("--config", str(config), "--listen-port", "8064"))
+    assert overridden == dataclasses.replace(from_yaml, listen_port=8064)
+
+
+# A value for each relay flag that sets a relay config key, none of them the default.
+RELAY_FLAG_SAMPLES = {
+    "--listen-port": "7064",
+    "--target": "10.2.1.255:5065",
+    "--allow": "10.2.105.0/24",
+    "--local-subnet": "10.2.1.0/24",
+    "--mode": "proxy",
+}
+
+
+def test_every_relay_flag_sets_a_key_the_validator_accepts():
+    # A new relay flag fails here until it sets a relay key, so no flag can
+    # bypass config_from_mapping.
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [
+        action.option_strings[0]
+        for action in subparsers.choices["relay"]._actions
+        if action.option_strings and action.dest not in {"help", "config", "log", "bind_ip"}
+    ]
+    assert sorted(options) == sorted(RELAY_FLAG_SAMPLES)
+    base = {"target_broadcast": "255.255.255.255"}
+    default = config_from_mapping({"relay": base}).relay
+    for option in options:
+        keys = cli._relay_flag_keys(relay_args(option, RELAY_FLAG_SAMPLES[option]))
+        assert keys, option
+        assert config_from_mapping({"relay": {**base, **keys}}).relay != default, option

@@ -108,6 +108,37 @@ class TestValidation:
             parse_config(text.format(value))
         assert excinfo.value.key == key
 
+    @pytest.mark.parametrize("value", [".inf", "-.inf", ".nan", "1" + "0" * 400])
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("relay:\n  target_broadcast: 1.2.3.4\n  flow_idle_timeout: {}\n", "relay.flow_idle_timeout"),
+            ("client:\n  backoff_factor: {}\n", "client.backoff_factor"),
+            ("client:\n  total_timeout: {}\n", "client.total_timeout"),
+            (MINIMAL_TOPOLOGY + "queries:\n  - client: alpha\n    pv: X\n    value: {}\n", "queries[0].value"),
+            (MINIMAL_TOPOLOGY + "  iocs:\n    - host: alpha\n      name: x\n      pvs: {{A: {}}}\n", "topology.iocs[0].pvs.A"),
+        ],
+        ids=["flow_idle_timeout", "backoff_factor", "total_timeout", "query_value", "pv"],
+    )
+    def test_float_keys_must_be_finite(self, text, key, value):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(text.format(value))
+        assert excinfo.value.key == key
+
+    def test_retry_schedule_beyond_float_range_names_section(self):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config("client:\n  initial_retry: 1.0e+308\n")
+        assert excinfo.value.key == "client"
+
+    def test_max_packets_per_second_is_optional(self):
+        assert parse_config("relay:\n  target_broadcast: 1.2.3.4\n").relay.max_packets_per_second is None
+        text = "relay:\n  target_broadcast: 1.2.3.4\n  max_packets_per_second: {}\n"
+        assert parse_config(text.format(10)).relay.max_packets_per_second == 10
+        for bad in ("0", "null"):
+            with pytest.raises(ValidationError) as excinfo:
+                parse_config(text.format(bad))
+            assert excinfo.value.key == "relay.max_packets_per_second"
+
     def test_bad_cidr_names_key(self):
         text = MINIMAL_TOPOLOGY.replace("192.168.7.0/24", "192.168.7.5/24", 1)
         with pytest.raises(ValidationError) as excinfo:

@@ -16,7 +16,6 @@ from carelay.packet import (
     NotIpv4,
     NotUdp,
     OptionsUnsupported,
-    PacketFactory,
     PayloadTooLarge,
     Truncated,
     checksum16,
@@ -439,15 +438,3 @@ class TestCidr:
         assert a == b and hash(a) == hash(b)
         assert repr(a) == "Cidr(base_ip='10.2.1.0', prefix_len=24)"
 
-
-class TestPacketFactory:
-    def test_identification_starts_at_one_and_increments(self):
-        factory = PacketFactory()
-        pkts = [factory.build("10.0.0.1", 1, "10.0.0.2", 2, b"") for _ in range(3)]
-        assert [p.identification for p in pkts] == [1, 2, 3]
-
-    def test_counter_wraps_without_zero(self):
-        factory = PacketFactory()
-        factory._next_id = 0xFFFF
-        assert factory.next_identification() == 0xFFFF
-        assert factory.next_identification() == 1

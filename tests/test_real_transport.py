@@ -177,7 +177,7 @@ class TestRealProxyRelay:
             mode=RelayMode.PROXY,
             local_subnet=Cidr("192.0.2.0", 24),  # nothing local on loopback
         )
-        transport = RealUdpTransport(config, bind_ip="127.0.0.1", local_ip="127.0.0.1")
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1")
         relay = Relay(config, transport)
         stop, thread = serve_in_thread(relay)
         try:
@@ -203,7 +203,7 @@ def proxy_relay(listen_port: int, target_port: int, **overrides):
         local_subnet=Cidr("192.0.2.0", 24),
         **overrides,
     )
-    transport = RealUdpTransport(config, bind_ip="127.0.0.1", local_ip="127.0.0.1")
+    transport = RealUdpTransport(config, bind_ip="127.0.0.1")
     return Relay(config, transport), transport
 
 
@@ -326,7 +326,7 @@ class TestFlowOpenFailure:
             mode=RelayMode.PROXY,
             local_subnet=Cidr("192.0.2.0", 24),
         )
-        transport = RealUdpTransport(config, bind_ip="127.0.0.1", local_ip="127.0.0.1", socket_factory=factory)
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
         relay = Relay(config, transport)
         stop, thread = serve_in_thread(relay)
         clients = [plain_udp_socket() for _ in range(self.FLOWS + 1)]
@@ -551,7 +551,7 @@ class TestRealSpoofRelay:
             mode=RelayMode.SPOOF,
             local_subnet=Cidr("192.0.2.0", 24),
         )
-        transport = RealUdpTransport(config, bind_ip="127.0.0.1", local_ip="127.0.0.1")
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1")
         relay = Relay(config, transport)
         stop, thread = serve_in_thread(relay)
         try:

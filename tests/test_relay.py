@@ -1,5 +1,6 @@
 import dataclasses
 import ipaddress
+import math
 import random
 
 import pytest
@@ -160,6 +161,37 @@ class TestRewriteSpoof:
             )
             out = rewrite_spoof(pkt, PAPER_CONFIG, identification=1)
             assert (out.src_ip, out.src_port) == (pkt.src_ip, pkt.src_port)
+
+
+class SpoofRecorder:
+    """Transport that keeps each spoofed emission."""
+
+    def __init__(self):
+        self.emitted = []
+
+    def attach(self, relay):
+        del relay
+
+    def emit_spoofed(self, packet):
+        self.emitted.append(packet)
+
+
+class TestSpoofIdentification:
+    def test_identification_starts_at_one_and_increments(self):
+        transport = SpoofRecorder()
+        relay = Relay(PAPER_CONFIG, transport)
+        for _ in range(3):
+            relay.handle_packet(query_packet(), now_us=0)
+        assert [p.identification for p in transport.emitted] == [1, 2, 3]
+
+    def test_counter_wraps_without_zero(self):
+        transport = SpoofRecorder()
+        relay = Relay(PAPER_CONFIG, transport)
+        for _ in range(0xFFFF + 2):
+            relay.handle_packet(query_packet(), now_us=0)
+        ids = [p.identification for p in transport.emitted]
+        assert ids[0xFFFE:] == [0xFFFF, 1, 2]
+        assert 0 not in ids
 
 
 def relay_topology(negate_src=BEAMLINE, helper_back_to_relay=False):
@@ -429,6 +461,21 @@ class TestRelayConfigValidation:
     def test_port_range(self):
         with pytest.raises(ValueError):
             RelayConfig(target_broadcast="255.255.255.255", listen_port=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("flow_idle_timeout_s", math.inf),
+            ("flow_idle_timeout_s", math.nan),
+            ("target_broadcast", "999.1.1.1"),
+            ("target_broadcast", "relay.example"),
+        ],
+    )
+    def test_values_the_relay_cannot_serve_rejected(self, field, value):
+        # An infinite or NaN timeout ended the relay at its first expiry
+        # tick, and a target encode cannot convert at its first search.
+        with pytest.raises(ValueError, match=field.removesuffix("_s")):
+            RelayConfig(**{"target_broadcast": "255.255.255.255", field: value})
 
     def test_defaults_match_documented_values(self):
         config = RelayConfig(target_broadcast="255.255.255.255")
