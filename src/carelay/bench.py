@@ -355,19 +355,6 @@ def _emit_records(report: ScenarioReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_records(text: str) -> list[Sample]:
-    lines = text.splitlines()
-    if not lines or lines[0] != RECORD_HEADER:
-        raise ValueError("missing record header")
-    samples = []
-    for line in lines[1:]:
-        scenario, arm, query, outcome, latency = line.split("\t")
-        samples.append(
-            Sample(scenario, arm, query, outcome, None if latency == "-" else int(latency))
-        )
-    return samples
-
-
 def _emit_text(report: ScenarioReport) -> str:
     lines = [f"scenario: {report.scenario}  seed: {report.seed}"]
     lines.append(f"{'arm':<14} {'count':>6} {'median_us':>10} {'mean_us':>10} {'p95_us':>8} {'max_us':>8}")

@@ -26,7 +26,7 @@ from .bench import (
     run_benchmark,
 )
 from .ca_wire import CA_SERVER_PORT
-from .config import ConfigError, ConfigFile, config_from_mapping, load_yaml, parse_endpoint
+from .config import ConfigError, ConfigFile, ValidationError, config_from_mapping, load_yaml, parse_endpoint
 from .endpoints import CaClient, ChannelTimeout, RealCaClient
 from .netsim import NetsimError
 from .relay import (
@@ -49,6 +49,8 @@ _LOG_LEVELS = {"quiet": logging.WARNING, "normal": logging.INFO, "trace": loggin
 
 # relay flags whose dest is the relay config key they set; --target sets two.
 _RELAY_FLAG_KEYS = ("listen_port", "allow", "local_subnet", "mode")
+# relay keys that act on the simulated network only: real sockets would ignore them.
+_SIM_ONLY_RELAY_KEYS = ("host", "install_prerouting")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,6 +139,9 @@ def _relay_config(args) -> RelayConfig:
         data = {}
     section = data.get("relay", {}) if isinstance(data, dict) else None
     if isinstance(section, dict):  # otherwise config_from_mapping names what is wrong
+        for key in _SIM_ONLY_RELAY_KEYS:
+            if key in section:
+                raise ValidationError(f"relay.{key}", "only carelay sim reads this key, not carelay relay")
         data = {**data, "relay": {**section, **_relay_flag_keys(args)}}
     return config_from_mapping(data).relay
 

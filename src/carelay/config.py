@@ -386,14 +386,17 @@ def _parse_client(section: dict, config: ConfigFile) -> None:
     )
     config.client_host = _get_str(section, "host", path, default=None)
     defaults = ClientQueryConfig
+    initial_retry = _get_float(section, "initial_retry", path, default=defaults.initial_retry_s)
+    backoff_factor = _get_float(section, "backoff_factor", path, default=defaults.backoff_factor)
+    max_tries = _get_int(section, "max_tries", path, default=defaults.max_tries, minimum=1)
+    total_timeout = _get_float(section, "total_timeout", path, default=defaults.total_timeout_s)
     try:
-        config.client = ClientQueryConfig(
-            initial_retry_s=_get_float(section, "initial_retry", path, default=defaults.initial_retry_s),
-            backoff_factor=_get_float(section, "backoff_factor", path, default=defaults.backoff_factor),
-            max_tries=_get_int(section, "max_tries", path, default=defaults.max_tries, minimum=1),
-            total_timeout_s=_get_float(section, "total_timeout", path, default=defaults.total_timeout_s),
-        )
-    except (ValueError, OverflowError) as exc:  # the waits can overflow a float
+        backoff_factor ** (max_tries - 1)  # the growth of the last wait
+    except OverflowError:
+        raise ValidationError(f"{path}.backoff_factor", "the retry waits it gives overflow a float") from None
+    try:
+        config.client = ClientQueryConfig(initial_retry, backoff_factor, max_tries, total_timeout)
+    except (ValueError, OverflowError) as exc:  # initial_retry times that growth can still overflow
         raise ValidationError(path, str(exc)) from None
 
 

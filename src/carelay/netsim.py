@@ -201,12 +201,12 @@ class VirtualNetwork:
         self._seq = 0
         self._hosts = {h.name: h for h in topology.hosts}
         self._channel_listeners: dict[tuple[str, int], Callable] = {}
-        self._validate()
         # Domain membership, resolved once: the topology is not changed after
         # the network is built. A host's subnets are its domains' own Cidr
         # objects, so membership tests match by identity and do not call the
         # dataclass __eq__.
         self._domain_of_subnet = {d.subnet: d for d in topology.domains}
+        self._validate()
         # In topology order, which is the order the jitter draws follow.
         self._hosts_in_domain: dict[str, list[VirtualHost]] = {d.name: [] for d in topology.domains}
         self._subnets_of_host: dict[str, frozenset[Cidr]] = {}
@@ -225,8 +225,7 @@ class VirtualNetwork:
         if len(self._hosts) != len(self.topology.hosts):
             raise ValueError("duplicate host names")
         seen_ips: set[str] = set()
-        subnets = {d.subnet: d for d in self.topology.domains}
-        if len(subnets) != len(self.topology.domains):
+        if len(self._domain_of_subnet) != len(self.topology.domains):
             raise ValueError("duplicate domain subnets")
         domain_names = {d.name for d in self.topology.domains}
         for host in self.topology.hosts:
@@ -237,7 +236,7 @@ class VirtualNetwork:
                 if iface.ip in seen_ips:
                     raise ValueError(f"duplicate interface address {iface.ip}")
                 seen_ips.add(iface.ip)
-                domain = subnets.get(iface.subnet)
+                domain = self._domain_of_subnet.get(iface.subnet)
                 if domain is None:
                     raise ValueError(f"{host.name} interface {iface.ip} matches no domain")
                 if domain.name in host_domains:
@@ -255,15 +254,12 @@ class VirtualNetwork:
         except KeyError:
             raise UnknownHost(name) from None
 
-    def _same_domain(self, a: str, b: str) -> bool:
+    def _hop_delay_us(self, src_host: str, dst_host: str) -> int:
         try:
-            return not self._subnets_of_host[a].isdisjoint(self._subnets_of_host[b])
+            same_domain = not self._subnets_of_host[src_host].isdisjoint(self._subnets_of_host[dst_host])
         except KeyError as exc:
             raise UnknownHost(exc.args[0]) from None
-
-    def _hop_delay_us(self, src_host: str, dst_host: str) -> int:
-        hops = 1 if self._same_domain(src_host, dst_host) else 2
-        return hops * self.topology.per_hop_delay_us + self._jitter()
+        return (1 if same_domain else 2) * self.topology.per_hop_delay_us + self._jitter()
 
     def _jitter(self) -> int:
         if self.topology.jitter_us <= 0:

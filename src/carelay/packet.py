@@ -10,10 +10,17 @@ Both checksums are ones'-complement sums of 16-bit words, arithmetic modulo
 a word boundary add the residue of the integer they spell: an address adds
 as one 32-bit integer, a payload as ``int.from_bytes`` of it, shifted left
 a byte if its length is odd (the pad). So ``encode`` sums fields, not bytes.
+
+``ip_to_int`` keeps the last ``ADDRESS_TABLE_SIZE`` distinct addresses it
+converted, so ``encode``, ``Cidr.contains`` and the relay's filter convert an
+address once, not per datagram. Sources come off the network, so the table is
+bounded: forged ones evict the oldest instead of growing it. A string that is
+not an address raises every time, as it is never stored.
 """
 
 from __future__ import annotations
 
+import functools
 import socket
 import struct
 from dataclasses import dataclass
@@ -27,6 +34,7 @@ _IP_HDR = struct.Struct("!BBHHHBBH4s4s")
 _UDP_HDR = struct.Struct("!HHHH")
 _HEADERS = struct.Struct("!BBHHHBBHIIHHHH")
 _VERSION_IHL = 0x45  # IPv4, five-word header: the only form supported
+ADDRESS_TABLE_SIZE = 4096  # distinct addresses ip_to_int keeps (module docstring)
 
 
 class PacketError(Exception):
@@ -61,6 +69,7 @@ class OptionsUnsupported(PacketError):
     pass
 
 
+@functools.lru_cache(maxsize=ADDRESS_TABLE_SIZE)
 def ip_to_int(ip: str) -> int:
     return int.from_bytes(socket.inet_aton(ip), "big")
 
@@ -223,8 +232,8 @@ def encode(packet: Ipv4UdpPacket) -> bytes:
     payload = packet.payload
     if len(payload) > MAX_UDP_PAYLOAD:
         raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_UDP_PAYLOAD}")
-    src = int.from_bytes(socket.inet_aton(packet.src_ip), "big")
-    dst = int.from_bytes(socket.inet_aton(packet.dst_ip), "big")
+    src = ip_to_int(packet.src_ip)
+    dst = ip_to_int(packet.dst_ip)
     udp_length = UDP_HEADER_LEN + len(payload)
     total_length = IP_HEADER_LEN + udp_length
     dscp_ecn = packet.dscp_ecn

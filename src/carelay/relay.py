@@ -97,7 +97,7 @@ class RelayConfig:
         if not 0 < self.flow_idle_timeout_s < math.inf:  # also false for NaN
             raise ValueError(f"flow_idle_timeout must be positive and finite: {self.flow_idle_timeout_s}")
         try:
-            socket.inet_aton(self.target_broadcast)  # the conversion encode applies
+            ip_to_int(self.target_broadcast)  # the conversion encode applies
         except OSError:
             raise ValueError(
                 f"target_broadcast must be an IPv4 address, got {self.target_broadcast!r}"

@@ -17,7 +17,6 @@ from carelay.bench import (
     build_network,
     emit_report,
     execute_scenario,
-    parse_records,
     run_benchmark,
     run_scenario,
     scenario_a,
@@ -25,6 +24,7 @@ from carelay.bench import (
     scenario_c,
 )
 from carelay.relay import RelayMode
+from records import parse_records
 
 REFERENCE_DIGEST = (
     Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "bench_records_reps100_seed1.sha256"

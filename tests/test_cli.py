@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from carelay import cli
-from carelay.bench import parse_records, run_scenario, scenario_a, scenario_b, scenario_c
+from carelay.bench import run_scenario, scenario_a, scenario_b, scenario_c
 from carelay.cli import main
 from carelay.config import config_from_mapping, parse_config
+from records import parse_records
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCENARIO_C = str(CONFIG_DIR / "scenario_c.yaml")
@@ -236,6 +237,20 @@ class TestBadValuesAreConfigErrors:
     def test_initial_retry(self, config_error):
         text = "client:\n  initial_retry: .inf\n"
         assert "'client.initial_retry'" in config_error(["bench", "--reps", "1"], text)
+
+    def test_backoff_factor_whose_waits_overflow(self, config_error):
+        text = "client:\n  backoff_factor: 1.0e+200\n"
+        assert "'client.backoff_factor'" in config_error(["bench", "--reps", "1"], text)
+
+    # The relay on real sockets has no topology to place itself in or to
+    # install a redirect on; it used to serve and ignore these keys.
+    @pytest.mark.parametrize("line, key", [
+        ("host: NOPE", "relay.host"),
+        ("install_prerouting: true", "relay.install_prerouting"),
+        ("install_prerouting: false", "relay.install_prerouting"),
+    ])
+    def test_simulation_only_relay_keys(self, line, key, config_error):
+        assert f"'{key}'" in config_error(RELAY, RELAY_SECTION + f"  {line}\n")
 
 
 def relay_args(*argv):

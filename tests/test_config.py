@@ -130,6 +130,15 @@ class TestValidation:
             parse_config("client:\n  initial_retry: 1.0e+308\n")
         assert excinfo.value.key == "client"
 
+    @pytest.mark.parametrize("text", [
+        "client:\n  backoff_factor: 1.0e+200\n",
+        "client:\n  backoff_factor: 2.0\n  max_tries: 2000\n",
+    ], ids=["factor", "tries"])
+    def test_retry_growth_beyond_float_range_names_backoff_factor(self, text):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.key == "client.backoff_factor"
+
     def test_max_packets_per_second_is_optional(self):
         assert parse_config("relay:\n  target_broadcast: 1.2.3.4\n").relay.max_packets_per_second is None
         text = "relay:\n  target_broadcast: 1.2.3.4\n  max_packets_per_second: {}\n"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carelay.packet import (
+    ADDRESS_TABLE_SIZE,
     BadIpChecksum,
     BadUdpChecksum,
     Cidr,
@@ -22,6 +23,7 @@ from carelay.packet import (
     decode,
     encode,
     int_to_ip,
+    ip_to_int,
 )
 
 
@@ -379,6 +381,41 @@ def test_roundtrip_property(**fields):
 def test_encode_matches_word_loop_encoder(**fields):
     pkt = Ipv4UdpPacket(**fields)
     assert encode(pkt) == word_loop_encode(pkt)
+
+
+# A few addresses that recur across drawn packets, as a relay's clients do.
+RECURRING_IPS = ("10.2.105.171", "10.2.105.9", "255.255.255.255", "10.2.1.255")
+
+
+@given(
+    src_ip=st.one_of(st.sampled_from(RECURRING_IPS), ips),
+    dst_ip=st.one_of(st.sampled_from(RECURRING_IPS), ips),
+    src_port=ports,
+    dst_port=ports,
+    payload=st.binary(max_size=1400),
+    identification=st.integers(min_value=0, max_value=0xFFFF),
+)
+@settings(max_examples=200)
+def test_encode_from_a_warm_address_table_matches_word_loop_encoder(**fields):
+    pkt = Ipv4UdpPacket(**fields)
+    first = encode(pkt)
+    hits = ip_to_int.cache_info().hits
+    assert encode(pkt) == first == word_loop_encode(pkt)
+    # The second encode found both addresses in the table.
+    assert ip_to_int.cache_info().hits == hits + 2
+
+
+class TestAddressTable:
+    def test_size_is_the_module_constant(self):
+        assert ip_to_int.cache_info().maxsize == ADDRESS_TABLE_SIZE
+
+    @pytest.mark.parametrize("bad", ["999.1.1.1", "IMX1-HOST1", ""])
+    def test_invalid_address_raises_on_every_call(self, bad):
+        for _ in range(2):
+            with pytest.raises(OSError):
+                ip_to_int(bad)
+            with pytest.raises(OSError):
+                Cidr(bad, 8)
 
 
 class TestCidr:

@@ -16,7 +16,7 @@ from carelay.netsim import (
     VirtualNetwork,
     VirtualTopology,
 )
-from carelay.packet import Cidr, Ipv4UdpPacket, decode, encode, int_to_ip
+from carelay.packet import ADDRESS_TABLE_SIZE, Cidr, Ipv4UdpPacket, decode, encode, int_to_ip, ip_to_int
 from carelay.relay import (
     PrivilegeRequired,
     Relay,
@@ -192,6 +192,34 @@ class TestSpoofIdentification:
         ids = [p.identification for p in transport.emitted]
         assert ids[0xFFFE:] == [0xFFFF, 1, 2]
         assert 0 not in ids
+
+
+class WireRecorder(SpoofRecorder):
+    """Encodes each spoofed emission, as the raw socket transport does."""
+
+    def emit_spoofed(self, packet):
+        self.emitted.append(encode(packet))
+
+
+def test_address_table_stays_bounded_under_a_flood_of_sources():
+    # 10k distinct sources spread over the whole address space, about half of
+    # them allowed. Each is filtered and, if accepted, encoded.
+    config = dataclasses.replace(PAPER_CONFIG, allow_sources=(SOL, Cidr("128.0.0.0", 1)))
+    transport = WireRecorder()
+    relay = Relay(config, transport)
+    sources = [int_to_ip(i * 429_467) for i in range(10_000)]
+    assert len(set(sources)) == 10_000
+    for src_ip in sources:
+        relay.handle_packet(query_packet(src_ip=src_ip), now_us=0)
+    table = ip_to_int.cache_info()
+    assert table.currsize == table.maxsize == ADDRESS_TABLE_SIZE
+    counters = relay.counters
+    assert counters.received == 10_000 and counters.conserved()
+    allowed = [ipaddress.ip_network(str(net)) for net in config.allow_sources]
+    accepted = [s for s in sources if any(ipaddress.ip_address(s) in net for net in allowed)]
+    assert counters.relayed == len(accepted) and counters.dropped_not_allowed > 0
+    for ident, (src_ip, wire) in enumerate(zip(accepted, transport.emitted, strict=True), start=1):
+        assert decode(wire) == rewrite_spoof(query_packet(src_ip=src_ip), config, ident)
 
 
 def relay_topology(negate_src=BEAMLINE, helper_back_to_relay=False):
