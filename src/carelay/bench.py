@@ -40,17 +40,15 @@ CLIENT = "TesterHEpics"
 # the paper's network, so the fixtures do not carry it.
 DIRECT_CLIENT = "TesterDirect"
 DIRECT_CLIENT_IP = "10.2.1.100"
+# Fewest repetitions per query that the benchmark's medians are taken over.
+MIN_BENCH_REPETITIONS = 30
 
 
-class BenchError(Exception):
+class ConfigInvalid(Exception):
     pass
 
 
-class ConfigInvalid(BenchError):
-    pass
-
-
-class UnknownFormat(BenchError):
+class UnknownFormat(Exception):
     pass
 
 
@@ -294,8 +292,8 @@ def run_benchmark(
     seed: int = 0,
     fork_cost_s: float = FORK_COST_S,
 ) -> ScenarioReport:
-    if repetitions < 30:
-        raise ConfigInvalid("benchmark needs at least 30 repetitions")
+    if repetitions < MIN_BENCH_REPETITIONS:
+        raise ConfigInvalid(f"benchmark needs at least {MIN_BENCH_REPETITIONS} repetitions")
     unknown = set(arms) - set(ARM_ORDER)
     if unknown:
         raise ConfigInvalid(f"unknown arms: {sorted(unknown)}")

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .bench import ARM_ORDER, FORK_COST_S, TIMEOUT, VALUE, ConfigInvalid, IocSpec, Query, Scenario
+from .bench import (
+    ARM_ORDER, FORK_COST_S, MIN_BENCH_REPETITIONS, TIMEOUT, VALUE, ConfigInvalid, IocSpec, Query, Scenario
+)
 from .endpoints import ClientQueryConfig
 from .netsim import (
     DEFAULT_PER_HOP_DELAY_US,
@@ -28,7 +30,7 @@ from .netsim import (
     VirtualTopology,
 )
 from .packet import Cidr
-from .relay import RelayConfig, RelayMode
+from .relay import InvalidRelayConfig, RelayConfig, RelayMode
 
 
 class ConfigError(Exception):
@@ -332,6 +334,10 @@ def parse_endpoint(text: str, key: str) -> tuple[str, int]:
     return ip, port_num
 
 
+# The relay key of each RelayConfig field checked there whose name differs.
+_RELAY_KEY_OF_FIELD = {"flow_idle_timeout_s": "flow_idle_timeout"}
+
+
 def _parse_relay(section: dict, config: ConfigFile) -> None:
     path = "relay"
     _reject_unknown(
@@ -371,8 +377,9 @@ def _parse_relay(section: dict, config: ConfigFile) -> None:
             ),
             max_packets_per_second=_get_int(section, "max_packets_per_second", path, default=None, minimum=1),
         )
-    except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+    except InvalidRelayConfig as exc:
+        key = _RELAY_KEY_OF_FIELD.get(exc.field, exc.field)
+        raise ValidationError(f"{path}.{key}", str(exc)) from None
     config.relay_host = _get_str(section, "host", path, default=None)
     config.relay_install_prerouting = _get_bool(section, "install_prerouting", path, default=False)
 
@@ -434,7 +441,9 @@ def _parse_bench(section: dict, config: ConfigFile) -> None:
             raise ValidationError(f"{path}.arms", f"unknown arm {arm!r}")
     config.bench = BenchSettings(
         arms=arms,
-        repetitions=_get_int(section, "repetitions", path, default=BenchSettings.repetitions, minimum=1),
+        repetitions=_get_int(
+            section, "repetitions", path, default=BenchSettings.repetitions, minimum=MIN_BENCH_REPETITIONS
+        ),
         seed=_get_int(section, "seed", path, default=BenchSettings.seed, minimum=0),
         fork_cost_s=_get_float(section, "fork_cost", path, default=BenchSettings.fork_cost_s, minimum=0),
     )

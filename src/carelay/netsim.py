@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .packet import Cidr, Ipv4UdpPacket
@@ -337,7 +337,7 @@ class VirtualNetwork:
             if rule.domain != domain.name or rule.udp_port != packet.dst_port:
                 continue
             for dest_ip in rule.destinations:
-                copy = replace(packet, dst_ip=dest_ip)
+                copy = packet._replace(dst_ip=dest_ip)
                 # One hop to the helping switch, one onward to the server.
                 out.extend(self._route_unicast(copy, domain, at, hops=2))
         return out
@@ -367,7 +367,7 @@ class VirtualNetwork:
                 return []
             return [Delivery(due, host.name, binding, packet, packet.dst_ip, packet.dst_port)]
 
-        rewritten = replace(packet, dst_ip=rule.new_dst_ip, dst_port=rule.new_dst_port)
+        rewritten = packet._replace(dst_ip=rule.new_dst_ip, dst_port=rule.new_dst_port)
         if rule.new_dst_ip == LIMITED_BROADCAST:
             # The rewrite only makes this machine accept the packet on every
             # local binding; nothing goes back onto the wire.
@@ -387,7 +387,7 @@ class VirtualNetwork:
             return []
         if next_host is None:
             raise NoRoute(f"prerouting rewrite to unknown address {rule.new_dst_ip}")
-        forwarded = replace(rewritten, ttl=ttl - 1)
+        forwarded = rewritten._replace(ttl=ttl - 1)
         next_due = due + self.topology.per_hop_delay_us + self._jitter()
         return self._arrive_unicast(next_host, forwarded, next_due, ttl - 1)
 

@@ -3,7 +3,9 @@
 Builds and validates the 20-byte IPv4 header (RFC 791) and 8-byte UDP
 header (RFC 768) in network byte order, including datagrams whose source
 address is not the sender's own. Only plain headers are supported: no IP
-options, no fragmentation, IPv4 only.
+options, no fragmentation, IPv4 only. A datagram is an ``Ipv4UdpPacket``, a
+NamedTuple of the header fields a sender chooses; ``encode`` and ``decode``
+alone compute the lengths and checksums that follow from them.
 
 Both checksums are ones'-complement sums of 16-bit words, arithmetic modulo
 0xFFFF by RFC 1071 section 2. As 2**16 is 1 modulo 0xFFFF, whole words from
@@ -24,14 +26,13 @@ import functools
 import socket
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 UDP_PROTO = 17
 IP_HEADER_LEN = 20
 UDP_HEADER_LEN = 8
 MAX_UDP_PAYLOAD = 65507  # 65535 - 20 (IP header) - 8 (UDP header)
 
-_IP_HDR = struct.Struct("!BBHHHBBH4s4s")
-_UDP_HDR = struct.Struct("!HHHH")
 _HEADERS = struct.Struct("!BBHHHBBHIIHHHH")
 _VERSION_IHL = 0x45  # IPv4, five-word header: the only form supported
 ADDRESS_TABLE_SIZE = 4096  # distinct addresses ip_to_int keeps (module docstring)
@@ -141,20 +142,13 @@ class Cidr:
         return f"{self.base_ip}/{self.prefix_len}"
 
 
-@dataclass(frozen=True, init=False)
-class Ipv4UdpPacket:
+class Ipv4UdpPacket(NamedTuple):
     """One UDP datagram with its IPv4 header fields.
 
-    Length and checksum fields are derived from the stored fields rather
-    than carried separately, so a value is always self-consistent: encode()
-    emits them, decode() verifies the wire copies against them.
-
-    The relay builds one per datagram, so __init__ is written out: it fills
-    the instance dict directly instead of going through the frozen
-    __setattr__ once per field, which costs about three times as much.
-    Assignment after construction still raises FrozenInstanceError. Reading
-    a field costs a few tens of nanoseconds more once the dict exists, far
-    less than the construction saves on the relay's path.
+    A plain record: lengths and checksums are not stored, as ``encode``
+    computes them from the fields and ``decode`` checks the wire copies
+    against them. Being a tuple, it compares equal to, and hashes as, the
+    plain tuple of its nine fields.
     """
 
     src_ip: str
@@ -166,44 +160,6 @@ class Ipv4UdpPacket:
     identification: int = 0
     dscp_ecn: int = 0
     flags_fragment: int = 0
-
-    def __init__(
-        self,
-        src_ip: str,
-        dst_ip: str,
-        src_port: int,
-        dst_port: int,
-        payload: bytes = b"",
-        ttl: int = 64,
-        identification: int = 0,
-        dscp_ecn: int = 0,
-        flags_fragment: int = 0,
-    ) -> None:
-        d = self.__dict__
-        d["src_ip"] = src_ip
-        d["dst_ip"] = dst_ip
-        d["src_port"] = src_port
-        d["dst_port"] = dst_port
-        d["payload"] = payload
-        d["ttl"] = ttl
-        d["identification"] = identification
-        d["dscp_ecn"] = dscp_ecn
-        d["flags_fragment"] = flags_fragment
-
-    @property
-    def udp_length(self) -> int:
-        return UDP_HEADER_LEN + len(self.payload)
-
-    @property
-    def total_length(self) -> int:
-        return IP_HEADER_LEN + self.udp_length
-
-    @property
-    def udp_checksum(self) -> int:
-        """UDP checksum as transmitted: a computed 0x0000 becomes 0xFFFF."""
-        return _udp_checksum(
-            ip_to_int(self.src_ip), ip_to_int(self.dst_ip), self.src_port, self.dst_port, self.payload
-        )
 
 
 def _udp_checksum(src: int, dst: int, src_port: int, dst_port: int, payload: bytes) -> int:
@@ -229,19 +185,13 @@ def encode(packet: Ipv4UdpPacket) -> bytes:
     ``-sum % 0xFFFF`` is its checksum: 0, not 0xFFFF, for a multiple of
     0xFFFF, as ``checksum16`` gives over the packed header.
     """
-    payload = packet.payload
+    src_ip, dst_ip, src_port, dst_port, payload, ttl, identification, dscp_ecn, flags_fragment = packet
     if len(payload) > MAX_UDP_PAYLOAD:
         raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_UDP_PAYLOAD}")
-    src = ip_to_int(packet.src_ip)
-    dst = ip_to_int(packet.dst_ip)
+    src = ip_to_int(src_ip)
+    dst = ip_to_int(dst_ip)
     udp_length = UDP_HEADER_LEN + len(payload)
     total_length = IP_HEADER_LEN + udp_length
-    dscp_ecn = packet.dscp_ecn
-    identification = packet.identification
-    flags_fragment = packet.flags_fragment
-    ttl = packet.ttl
-    src_port = packet.src_port
-    dst_port = packet.dst_port
     ip_checksum = -(
         (_VERSION_IHL << 8) + dscp_ecn + total_length + identification + flags_fragment
         + (ttl << 8) + UDP_PROTO + src + dst
@@ -256,9 +206,10 @@ def encode(packet: Ipv4UdpPacket) -> bytes:
 def decode(data: bytes) -> Ipv4UdpPacket:
     """Parse and validate wire bytes; inverse of encode on valid input.
 
-    The IP checksum is verified over the first 20 bytes before any field is
-    interpreted, so arbitrary header corruption surfaces as BadIpChecksum.
-    A stored UDP checksum of zero means "not computed" and is accepted.
+    Both headers are unpacked at once, but the IP checksum is verified over
+    the first 20 bytes before any field is interpreted, so arbitrary header
+    corruption surfaces as BadIpChecksum. A stored UDP checksum of zero
+    means "not computed" and is accepted.
     """
     if len(data) < IP_HEADER_LEN + UDP_HEADER_LEN:
         raise Truncated(f"{len(data)} bytes is below the 28-byte minimum")
@@ -272,9 +223,13 @@ def decode(data: bytes) -> Ipv4UdpPacket:
         ttl,
         protocol,
         stored_ip_ck,
-        src_raw,
-        dst_raw,
-    ) = _IP_HDR.unpack_from(data)
+        src,
+        dst,
+        src_port,
+        dst_port,
+        udp_length,
+        stored_udp_ck,
+    ) = _HEADERS.unpack_from(data)
 
     zeroed = data[:10] + b"\x00\x00" + data[12:IP_HEADER_LEN]
     if checksum16(zeroed) != stored_ip_ck:
@@ -292,23 +247,16 @@ def decode(data: bytes) -> Ipv4UdpPacket:
         raise NotUdp(f"protocol {protocol}")
     if total_length > len(data) or total_length < IP_HEADER_LEN + UDP_HEADER_LEN:
         raise Truncated(f"total_length {total_length} vs {len(data)} bytes available")
-
-    src_port, dst_port, udp_length, stored_udp_ck = _UDP_HDR.unpack_from(data, IP_HEADER_LEN)
     if udp_length != total_length - IP_HEADER_LEN or udp_length < UDP_HEADER_LEN:
         raise Truncated(f"udp_length {udp_length} inconsistent with total_length {total_length}")
 
-    packet = Ipv4UdpPacket(
-        src_ip=socket.inet_ntoa(src_raw),
-        dst_ip=socket.inet_ntoa(dst_raw),
-        src_port=src_port,
-        dst_port=dst_port,
-        payload=bytes(data[IP_HEADER_LEN + UDP_HEADER_LEN : total_length]),
-        ttl=ttl,
-        identification=identification,
-        dscp_ecn=dscp_ecn,
-        flags_fragment=flags_fragment,
+    payload = bytes(data[IP_HEADER_LEN + UDP_HEADER_LEN : total_length])
+    if stored_udp_ck != 0:
+        udp_checksum = _udp_checksum(src, dst, src_port, dst_port, payload)
+        if stored_udp_ck != udp_checksum:
+            raise BadUdpChecksum(f"stored 0x{stored_udp_ck:04x}, computed 0x{udp_checksum:04x}")
+    # Positional, in field order: binding nine keywords costs twice as much.
+    return Ipv4UdpPacket(
+        int_to_ip(src), int_to_ip(dst), src_port, dst_port, payload,
+        ttl, identification, dscp_ecn, flags_fragment,
     )
-    if stored_udp_ck != 0 and stored_udp_ck != packet.udp_checksum:
-        raise BadUdpChecksum(f"stored 0x{stored_udp_ck:04x}, computed 0x{packet.udp_checksum:04x}")
-    return packet
-

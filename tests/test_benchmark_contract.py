@@ -71,10 +71,15 @@ def test_names_the_benchmark_depends_on():
     assert [r.search_id for r in ca_wire.find_search_requests(datagram)] == [7]
     assert ca_wire.find_search_response(datagram) is None
 
-    # perfbench.micro times the packet layer on frames it builds itself.
+    # perfbench.micro times the packet layer on frames it builds itself, and
+    # micro and relay_proc read the payload and the source of a packet.
     packet = Ipv4UdpPacket("127.0.0.2", "127.0.0.1", 40000, 6064, b"search")
     frame = encode(packet)
     assert decode(frame) == packet
+    assert (packet.payload, packet.src_ip) == (b"search", "127.0.0.2")
+    # perfbench's own tests build frames with an identification keyword.
+    keyword = Ipv4UdpPacket("127.0.0.5", "255.255.255.255", 40001, 5064, b"search", identification=48)
+    assert decode(encode(keyword)).identification == 48
     assert isinstance(checksum16(frame), int)
     assert Cidr.parse("127.0.1.0/24").contains("127.0.1.7")
 

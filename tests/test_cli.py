@@ -223,7 +223,9 @@ class TestBadValuesAreConfigErrors:
         ],
     )
     def test_target_broadcast(self, argv, text, config_error):
-        assert "target_broadcast must be an IPv4 address" in config_error(argv, text)
+        err = config_error(argv, text)
+        assert "'relay.target_broadcast'" in err
+        assert "target_broadcast must be an IPv4 address" in err
 
     @pytest.mark.parametrize("value", [".inf", ".nan"])
     def test_flow_idle_timeout(self, value, config_error):

@@ -148,6 +148,24 @@ class TestValidation:
                 parse_config(text.format(bad))
             assert excinfo.value.key == "relay.max_packets_per_second"
 
+    # RelayConfig makes these checks itself; its error used to name only the section.
+    @pytest.mark.parametrize("section, key", [
+        ("{target_broadcast: nope}", "relay.target_broadcast"),
+        ("{target_broadcast: 1.2.3.4, flow_idle_timeout: 0}", "relay.flow_idle_timeout"),
+        ("{target_broadcast: 1.2.3.4, flow_idle_timeout: -1.5}", "relay.flow_idle_timeout"),
+        ("{target_broadcast: 1.2.3.4, listen_port: 5064}", "relay.listen_port"),
+    ])
+    def test_relay_config_checks_name_their_key(self, section, key):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(f"relay: {section}\n")
+        assert excinfo.value.key == key
+
+    def test_bench_repetitions_below_the_benchmark_floor_name_their_key(self):
+        assert parse_config("bench:\n  repetitions: 30\n").bench.repetitions == 30
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config("bench:\n  repetitions: 29\n")
+        assert excinfo.value.key == "bench.repetitions"
+
     def test_bad_cidr_names_key(self):
         text = MINIMAL_TOPOLOGY.replace("192.168.7.0/24", "192.168.7.5/24", 1)
         with pytest.raises(ValidationError) as excinfo:

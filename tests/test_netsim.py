@@ -199,6 +199,29 @@ class TestUnicastDelivery:
         assert deliveries[0].host == "IMX1-HOST2"
         assert deliveries[0].packet.ttl == 63  # one forwarding hop spent
 
+    # Each hop changes only the fields it names; the header fields no hop
+    # touches (identification, DSCP/ECN, flags and fragment offset) survive.
+    @pytest.mark.parametrize(
+        "prerouting, bind, dst_ip, changed",
+        [
+            pytest.param([], ("IMX1-HOST1", 5064), "10.2.105.255", {"dst_ip": "10.2.1.31"}, id="helper-copy"),
+            pytest.param(
+                [PreroutingRule(5064, "10.2.1.31", 6064, negate_src=BEAMLINE)],
+                ("IMX1-HOST1", 6064), "10.2.1.31", {"dst_port": 6064}, id="prerouting-local",
+            ),
+            pytest.param(
+                [PreroutingRule(5064, "10.2.1.32", 5064, negate_src=None)],
+                ("IMX1-HOST2", 5064), "10.2.1.31", {"dst_ip": "10.2.1.32", "ttl": 16}, id="prerouting-forward",
+            ),
+        ],
+    )
+    def test_hop_changes_only_its_own_fields(self, prerouting, bind, dst_ip, changed):
+        net = VirtualNetwork(make_topology(prerouting=prerouting))
+        net.bind(*bind, "ioc")
+        pkt = search_packet(dst_ip)._replace(ttl=17, identification=0xBEEF, dscp_ecn=0xB8, flags_fragment=0x4000)
+        deliveries = net.inject("TesterHEpics", pkt)
+        assert [d.packet for d in deliveries] == [pkt._replace(**changed)]
+
     def test_no_route(self):
         net = VirtualNetwork(make_topology())
         with pytest.raises(NoRoute):

@@ -1,4 +1,3 @@
-import dataclasses
 import ipaddress
 import random
 import socket
@@ -163,10 +162,10 @@ FIELD_NAMES = [
 
 
 class TestValueType:
-    def test_assignment_raises_frozen_instance_error(self):
+    def test_assignment_raises_attribute_error(self):
         pkt = make_packet(b"ab")
         for name in FIELD_NAMES:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(pkt, name, getattr(pkt, name))
 
     def test_equal_fields_give_equal_packets_and_hashes(self):
@@ -174,6 +173,7 @@ class TestValueType:
         assert a is not b
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
+        assert a == tuple(a) and hash(a) == hash(tuple(a))
         assert a != make_packet(b"ab", identification=8)
 
     def test_repr_names_the_nine_fields_in_order(self):
@@ -186,7 +186,7 @@ class TestValueType:
         positional = Ipv4UdpPacket("10.0.0.1", "10.0.0.2", 1, 2)
         keyword = Ipv4UdpPacket(src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=1, dst_port=2)
         assert positional == keyword
-        assert vars(positional) == vars(keyword) == {
+        assert positional._asdict() == keyword._asdict() == {
             "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2", "src_port": 1, "dst_port": 2,
             "payload": b"", "ttl": 64, "identification": 0, "dscp_ecn": 0, "flags_fragment": 0,
         }
@@ -201,34 +201,43 @@ class TestValueType:
 
     def test_replace_changes_only_the_named_fields(self):
         pkt = make_packet(b"ab", ttl=9, dscp_ecn=3, flags_fragment=0x4000)
-        out = dataclasses.replace(pkt, dst_ip="10.2.1.255", ttl=64)
+        out = pkt._replace(dst_ip="10.2.1.255", ttl=64)
         assert (out.dst_ip, out.ttl) == ("10.2.1.255", 64)
-        assert {k: v for k, v in vars(out).items() if k not in ("dst_ip", "ttl")} == {
-            k: v for k, v in vars(pkt).items() if k not in ("dst_ip", "ttl")
+        assert {k: v for k, v in out._asdict().items() if k not in ("dst_ip", "ttl")} == {
+            k: v for k, v in pkt._asdict().items() if k not in ("dst_ip", "ttl")
         }
 
-    def test_vars_holds_exactly_the_nine_fields(self):
+    def test_asdict_holds_exactly_the_nine_fields(self):
         pkt = make_packet(b"ab")
-        assert list(vars(pkt)) == FIELD_NAMES == [f.name for f in dataclasses.fields(Ipv4UdpPacket)]
+        assert list(pkt._asdict()) == FIELD_NAMES == list(Ipv4UdpPacket._fields)
+        # Lengths and checksums are derived by encode, not carried.
+        assert not any(hasattr(pkt, name) for name in ("udp_length", "total_length", "udp_checksum"))
+
+
+def wire_lengths(wire: bytes) -> tuple[int, int]:
+    """The IPv4 total length (offset 2) and the UDP length (offset 24) of a frame."""
+    return struct.unpack_from("!H", wire, 2)[0], struct.unpack_from("!H", wire, 24)[0]
 
 
 class TestEncode:
     def test_48_byte_payload_lengths(self):
-        wire = encode(make_packet(bytes(48)))
+        pkt = make_packet(bytes(48))
+        wire = encode(pkt)
         assert len(wire) == 76
-        pkt = decode(wire)
-        assert pkt.total_length == 76
-        assert pkt.udp_length == 56
+        assert wire_lengths(wire) == (76, 56)
+        assert decode(wire) == pkt
 
     def test_40_byte_payload_lengths(self):
         wire = encode(make_packet(bytes(40)))
         assert len(wire) == 68
-        assert decode(wire).udp_length == 48
+        assert wire_lengths(wire) == (68, 48)
 
     def test_empty_payload_is_28_bytes(self):
-        wire = encode(make_packet())
+        pkt = make_packet()
+        wire = encode(pkt)
         assert len(wire) == 28
-        assert decode(wire).udp_length == 8
+        assert wire_lengths(wire) == (28, 8)
+        assert decode(wire) == pkt
 
     def test_payload_too_large(self):
         with pytest.raises(PayloadTooLarge):
@@ -267,7 +276,6 @@ class TestEncode:
         residue = word_sum(udp_checksum_input(base)) % 0xFFFF
         pkt = make_packet(b"search" + ((0xFFFF - residue) % 0xFFFF).to_bytes(2, "big"))
         assert word_loop_checksum(udp_checksum_input(pkt)) == 0
-        assert pkt.udp_checksum == 0xFFFF
         wire = encode(pkt)
         assert wire[26:28] == b"\xff\xff"
         assert wire == word_loop_encode(pkt)

@@ -118,12 +118,12 @@ class TestRewriteSpoof:
 
     def test_ttl_reset_and_fresh_identification(self):
         pkt = query_packet()
-        worn = Ipv4UdpPacket(**{**pkt.__dict__, "ttl": 3, "identification": 777})
+        worn = Ipv4UdpPacket(**{**pkt._asdict(), "ttl": 3, "identification": 777})
         out = rewrite_spoof(worn, PAPER_CONFIG, identification=42)
         assert out.ttl == 64
         assert out.identification == 42
 
-    def test_equals_dataclasses_replace(self):
+    def test_equals_replace(self):
         rng = random.Random(11)
         for _ in range(200):
             pkt = Ipv4UdpPacket(
@@ -138,8 +138,7 @@ class TestRewriteSpoof:
                 flags_fragment=rng.randrange(0, 0x10000),
             )
             ident = rng.randrange(1, 0x10000)
-            expected = dataclasses.replace(
-                pkt,
+            expected = pkt._replace(
                 dst_ip=PAPER_CONFIG.target_broadcast,
                 dst_port=PAPER_CONFIG.target_port,
                 identification=ident,
