@@ -287,22 +287,16 @@ def benchmark_scenarios(
 
 
 def run_benchmark(
-    arms: tuple[str, ...] = ARM_ORDER,
     repetitions: int = 100,
     seed: int = 0,
     fork_cost_s: float = FORK_COST_S,
 ) -> ScenarioReport:
     if repetitions < MIN_BENCH_REPETITIONS:
         raise ConfigInvalid(f"benchmark needs at least {MIN_BENCH_REPETITIONS} repetitions")
-    unknown = set(arms) - set(ARM_ORDER)
-    if unknown:
-        raise ConfigInvalid(f"unknown arms: {sorted(unknown)}")
 
     scenarios = benchmark_scenarios(repetitions, seed, fork_cost_s)
     report = ScenarioReport(scenario="bench", seed=seed)
     for arm in ARM_ORDER:
-        if arm not in arms:
-            continue
         run = execute_scenario(scenarios[arm], arm=arm)
         report.samples.extend(run.report.samples)
         report.mismatches.extend(run.report.mismatches)

@@ -204,7 +204,6 @@ def cmd_bench(args) -> int:
     config = _load_config(args)
     settings = config.bench
     report = run_benchmark(
-        arms=settings.arms,
         repetitions=args.reps if args.reps is not None else settings.repetitions,
         seed=args.seed if args.seed is not None else settings.seed,
         fork_cost_s=settings.fork_cost_s,

@@ -5,8 +5,13 @@ relay section configures the relay itself, the topology section describes
 the virtual network (domains, hosts with interfaces and prerouting rules,
 helper rules, IOC definitions, bare bindings), the client section sets the
 retry schedule, queries script caget/caput runs, and bench parameterizes the
-latency comparison. Unknown keys are rejected; validation errors name the
-offending key, parse errors the line.
+latency comparison. Validation errors name the offending key, parse errors
+the line.
+
+Each mapping is read through a ``_Section``, whose getters check a value and
+name it by its key's path. A key no getter read is rejected as unknown once
+the known keys of its mapping are read, so a mapping with both a bad value
+and an unknown key reports the bad value.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .bench import (
-    ARM_ORDER, FORK_COST_S, MIN_BENCH_REPETITIONS, TIMEOUT, VALUE, ConfigInvalid, IocSpec, Query, Scenario
+    FORK_COST_S, MIN_BENCH_REPETITIONS, TIMEOUT, VALUE, ConfigInvalid, IocSpec, Query, Scenario
 )
 from .endpoints import ClientQueryConfig
 from .netsim import (
@@ -29,7 +34,7 @@ from .netsim import (
     VirtualHost,
     VirtualTopology,
 )
-from .packet import Cidr
+from .packet import Cidr, int_to_ip, ip_to_int
 from .relay import InvalidRelayConfig, RelayConfig, RelayMode
 
 
@@ -52,7 +57,6 @@ class ValidationError(ConfigError):
 
 @dataclass
 class BenchSettings:
-    arms: tuple[str, ...] = ARM_ORDER
     repetitions: int = 100
     seed: int = 0
     fork_cost_s: float = FORK_COST_S
@@ -91,55 +95,111 @@ class ConfigFile:
         )
 
 
-def _require_mapping(value, key: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(key, f"expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _require_list(value, key: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(key, f"expected a list, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            full = f"{path}.{key}" if path else str(key)
-            raise ValidationError(full, "unknown key")
-
-
 # The default of a key that must be given.
 _REQUIRED = object()
 
 
-def _given(mapping: dict, key: str, path: str, default) -> bool:
-    """Whether the key is set; if not, its getter returns ``default``.
+class _Section:
+    """One mapping of the grammar, read key by key.
 
-    A ``default`` of None makes the key optional; ``_REQUIRED`` makes its
-    absence an error.
+    A getter takes a key and, unless the key is required, the value to return
+    when it is absent (None makes it optional); it checks the value and names
+    it ``<path>.<key>`` in any error. ``done`` then rejects the first key, in
+    document order, that no getter read, so each accepted key is written once,
+    where it is read. The getters are named after the types they return.
     """
-    if key in mapping:
-        return True
-    if default is _REQUIRED:
-        raise ValidationError(f"{path}.{key}", "required key missing")
-    return False
 
+    def __init__(self, value, path: str) -> None:
+        if not isinstance(value, dict):
+            raise ValidationError(path or "<root>", f"expected a mapping, got {type(value).__name__}")
+        self._mapping = value
+        self._read: set = set()
+        self.path = path
 
-def _get_int(mapping: dict, key: str, path: str, default=_REQUIRED, minimum=None, maximum=None):
-    if not _given(mapping, key, path, default):
+    def name(self, key) -> str:
+        return f"{self.path}.{key}" if self.path else str(key)
+
+    def get(self, key, check, default=_REQUIRED):
+        """``check(value, name)`` of the key's value, or ``default`` when the key is absent."""
+        self._read.add(key)
+        if key in self._mapping:
+            return check(self._mapping[key], self.name(key))
+        if default is _REQUIRED:
+            raise ValidationError(self.name(key), "required key missing")
         return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}.{key}", f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum or maximum is not None and value > maximum:
-        raise ValidationError(f"{path}.{key}", f"{value} outside [{minimum}, {maximum}]")
-    return value
 
+    def int(self, key, default=_REQUIRED, minimum=None, maximum=None):
+        """An integer; a ``maximum`` comes with a ``minimum``."""
 
-def _get_port(mapping: dict, key: str, path: str, default=_REQUIRED) -> int:
-    return _get_int(mapping, key, path, default=default, minimum=1, maximum=65535)
+        def check(value, name: str):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(name, f"expected an integer, got {value!r}")
+            if maximum is not None and not minimum <= value <= maximum:
+                raise ValidationError(name, f"{value} outside [{minimum}, {maximum}]")
+            if minimum is not None and value < minimum:
+                raise ValidationError(name, f"{value} is below {minimum}")
+            return value
+
+        return self.get(key, check, default)
+
+    def port(self, key, default=_REQUIRED):
+        return self.int(key, default, minimum=1, maximum=65535)
+
+    def float(self, key, default=_REQUIRED, minimum=None):
+        return self.get(key, lambda value, name: _number(value, name, minimum), default)
+
+    def str(self, key, default=_REQUIRED):
+        return self.get(key, lambda value, name: _instance(value, name, str, "a string"), default)
+
+    def bool(self, key, default):
+        return self.get(key, lambda value, name: _instance(value, name, bool, "true or false"), default)
+
+    def cidr(self, key, default=_REQUIRED):
+        return self.get(key, _cidr, default)
+
+    def address(self, key):
+        return self.get(key, _address)
+
+    def choice(self, key, choices, default):
+        def one_of(value, name: str):
+            if value not in choices:
+                raise ValidationError(name, f"expected one of {list(choices)}, got {value!r}")
+            return value
+
+        return self.get(key, one_of, default)
+
+    def list(self, key, check):
+        """The key's list, absent meaning empty, with each item checked as ``<path>.<key>[i]``."""
+
+        def items(value, name: str) -> list:
+            if not isinstance(value, list):
+                raise ValidationError(name, f"expected a list, got {type(value).__name__}")
+            return [check(item, f"{name}[{i}]") for i, item in enumerate(value)]
+
+        return self.get(key, items, [])
+
+    def section(self, key, parse, default=None):
+        """``read(parse)`` of the key's mapping, or ``default`` when the key is absent."""
+        return self.get(key, lambda value, name: _Section(value, name).read(parse), default)
+
+    def sections(self, key, parse):
+        """``read(parse)`` of each mapping in the key's list."""
+        return self.list(key, lambda value, name: _Section(value, name).read(parse))
+
+    def read(self, parse):
+        """``parse(self)``, which reads every key the mapping accepts; then ``done``."""
+        result = parse(self)
+        self.done()
+        return result
+
+    def __iter__(self):
+        """The keys, for a mapping whose keys are names rather than grammar."""
+        return iter(self._mapping)
+
+    def done(self) -> None:
+        for key in self._mapping:
+            if key not in self._read:
+                raise ValidationError(self.name(key), "unknown key")
 
 
 def _number(value, key: str, minimum=None) -> float:
@@ -151,27 +211,9 @@ def _number(value, key: str, minimum=None) -> float:
     return float(value)
 
 
-def _get_float(mapping: dict, key: str, path: str, default=_REQUIRED, minimum=None) -> float:
-    if not _given(mapping, key, path, default):
-        return default
-    return _number(mapping[key], f"{path}.{key}", minimum)
-
-
-def _get_str(mapping: dict, key: str, path: str, default=_REQUIRED) -> str | None:
-    if not _given(mapping, key, path, default):
-        return default
-    value = mapping[key]
-    if not isinstance(value, str):
-        raise ValidationError(f"{path}.{key}", f"expected a string, got {value!r}")
-    return value
-
-
-def _get_bool(mapping: dict, key: str, path: str, default: bool) -> bool:
-    if not _given(mapping, key, path, default):
-        return default
-    value = mapping[key]
-    if not isinstance(value, bool):
-        raise ValidationError(f"{path}.{key}", f"expected true or false, got {value!r}")
+def _instance(value, key: str, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValidationError(key, f"expected {what}, got {value!r}")
     return value
 
 
@@ -182,10 +224,15 @@ def _cidr(value, key: str) -> Cidr:
         raise ValidationError(key, f"not a CIDR prefix: {exc}") from None
 
 
-def _get_cidr(mapping: dict, key: str, path: str, default=_REQUIRED) -> Cidr | None:
-    if not _given(mapping, key, path, default):
-        return default
-    return _cidr(mapping[key], f"{path}.{key}")
+def _address(value, key: str) -> str:
+    """A dotted quad as ``int_to_ip`` writes it, for the network matches addresses as strings."""
+    try:
+        dotted = int_to_ip(ip_to_int(value))
+    except (TypeError, ValueError, OSError):
+        dotted = None
+    if value != dotted:
+        raise ValidationError(key, f"not an IPv4 address: {value!r}")
+    return value
 
 
 def parse_config(text: str) -> ConfigFile:
@@ -202,123 +249,90 @@ def load_yaml(text: str):
 
 def config_from_mapping(data) -> ConfigFile:
     """Validate a loaded YAML document; ``data`` is only read, never changed."""
-    if data is None:
-        data = {}
-    data = _require_mapping(data, "<root>")
-    _reject_unknown(data, {"topology", "relay", "client", "queries", "bench"}, "")
-
+    root = _Section({} if data is None else data, "")
     config = ConfigFile()
-    if "topology" in data:
-        _parse_topology(_require_mapping(data["topology"], "topology"), config)
-    if "relay" in data:
-        _parse_relay(_require_mapping(data["relay"], "relay"), config)
-    if "client" in data:
-        _parse_client(_require_mapping(data["client"], "client"), config)
-    if "queries" in data:
-        _parse_queries(_require_list(data["queries"], "queries"), config)
-    if "bench" in data:
-        _parse_bench(_require_mapping(data["bench"], "bench"), config)
+    root.section("topology", lambda topology: _parse_topology(topology, config))
+    root.section("relay", lambda relay: _parse_relay(relay, config))
+    root.section("client", lambda client: _parse_client(client, config))
+    config.queries = root.sections("queries", lambda query: _parse_query(query, config.client_host))
+    root.section("bench", lambda bench: _parse_bench(bench, config))
+    root.done()
     _cross_validate(config)
     return config
 
 
-def _parse_topology(section: dict, config: ConfigFile) -> None:
-    path = "topology"
-    _reject_unknown(
-        section,
-        {"per_hop_delay_us", "jitter_us", "domains", "hosts", "helpers", "iocs", "bindings"},
-        path,
-    )
-    domains = []
-    for i, item in enumerate(_require_list(section.get("domains", []), f"{path}.domains")):
-        dpath = f"{path}.domains[{i}]"
-        item = _require_mapping(item, dpath)
-        _reject_unknown(item, {"name", "subnet"}, dpath)
-        domains.append(BroadcastDomain(_get_str(item, "name", dpath), _get_cidr(item, "subnet", dpath)))
-
-    hosts = []
-    for i, item in enumerate(_require_list(section.get("hosts", []), f"{path}.hosts")):
-        hpath = f"{path}.hosts[{i}]"
-        item = _require_mapping(item, hpath)
-        _reject_unknown(item, {"name", "interfaces", "prerouting"}, hpath)
-        interfaces = []
-        for j, iface in enumerate(_require_list(item.get("interfaces", []), f"{hpath}.interfaces")):
-            ipath = f"{hpath}.interfaces[{j}]"
-            iface = _require_mapping(iface, ipath)
-            _reject_unknown(iface, {"ip", "subnet"}, ipath)
-            interfaces.append(Interface(_get_str(iface, "ip", ipath), _get_cidr(iface, "subnet", ipath)))
-        rules = []
-        for j, rule in enumerate(_require_list(item.get("prerouting", []), f"{hpath}.prerouting")):
-            rpath = f"{hpath}.prerouting[{j}]"
-            rule = _require_mapping(rule, rpath)
-            _reject_unknown(rule, {"match_dst_port", "negate_src", "new_dst"}, rpath)
-            new_ip, new_port = parse_endpoint(_get_str(rule, "new_dst", rpath), f"{rpath}.new_dst")
-            rules.append(
-                PreroutingRule(
-                    match_dst_port=_get_port(rule, "match_dst_port", rpath),
-                    new_dst_ip=new_ip,
-                    new_dst_port=new_port,
-                    negate_src=_get_cidr(rule, "negate_src", rpath, default=None),
-                )
-            )
-        hosts.append(VirtualHost(_get_str(item, "name", hpath), interfaces, prerouting_rules=rules))
-
-    helpers = []
-    for i, item in enumerate(_require_list(section.get("helpers", []), f"{path}.helpers")):
-        hpath = f"{path}.helpers[{i}]"
-        item = _require_mapping(item, hpath)
-        _reject_unknown(item, {"domain", "udp_port", "destinations"}, hpath)
-        destinations = _require_list(item.get("destinations", []), f"{hpath}.destinations")
-        if not destinations:
-            raise ValidationError(f"{hpath}.destinations", "at least one destination required")
-        helpers.append(
-            HelperRule(
-                domain=_get_str(item, "domain", hpath),
-                udp_port=_get_port(item, "udp_port", hpath),
-                destinations=tuple(str(d) for d in destinations),
-            )
-        )
-
+def _parse_topology(topology: _Section, config: ConfigFile) -> None:
     config.topology = VirtualTopology(
-        domains=domains,
-        hosts=hosts,
-        helper_rules=helpers,
-        per_hop_delay_us=_get_int(
-            section, "per_hop_delay_us", path, default=DEFAULT_PER_HOP_DELAY_US, minimum=1
+        domains=topology.sections("domains", lambda d: BroadcastDomain(d.str("name"), d.cidr("subnet"))),
+        hosts=topology.sections("hosts", _parse_host),
+        helper_rules=topology.sections("helpers", _parse_helper),
+        per_hop_delay_us=topology.int("per_hop_delay_us", DEFAULT_PER_HOP_DELAY_US, minimum=1),
+        jitter_us=topology.int("jitter_us", 0, minimum=0),
+    )
+    next_port = 5901
+
+    def parse_ioc(ioc: _Section) -> IocSpec:
+        nonlocal next_port
+        pvs = ioc.section("pvs", lambda table: {str(pv): table.float(pv) for pv in table}, {})
+        server_port = ioc.port("server_port", next_port)
+        next_port = max(next_port, server_port) + 1
+        return IocSpec(
+            host=ioc.str("host"),
+            name=ioc.str("name"),
+            pvs=pvs,
+            server_port=server_port,
+            advertise_own_address=ioc.bool("advertise_own_address", True),
+        )
+
+    config.iocs = topology.sections("iocs", parse_ioc)
+    config.extra_bindings = topology.sections(
+        "bindings",
+        lambda binding: (
+            binding.str("host"),
+            binding.port("port"),
+            binding.str("owner", "binding"),
         ),
-        jitter_us=_get_int(section, "jitter_us", path, default=0, minimum=0),
     )
 
-    port_counter = 5901
-    for i, item in enumerate(_require_list(section.get("iocs", []), f"{path}.iocs")):
-        ipath = f"{path}.iocs[{i}]"
-        item = _require_mapping(item, ipath)
-        _reject_unknown(item, {"host", "name", "server_port", "pvs", "advertise_own_address"}, ipath)
-        pvs = _require_mapping(item.get("pvs", {}), f"{ipath}.pvs")
-        parsed_pvs = {str(pv): _number(value, f"{ipath}.pvs.{pv}") for pv, value in pvs.items()}
-        server_port = _get_port(item, "server_port", ipath, default=port_counter)
-        port_counter = max(port_counter, server_port) + 1
-        config.iocs.append(
-            IocSpec(
-                host=_get_str(item, "host", ipath),
-                name=_get_str(item, "name", ipath),
-                pvs=parsed_pvs,
-                server_port=server_port,
-                advertise_own_address=_get_bool(item, "advertise_own_address", ipath, default=True),
-            )
-        )
 
-    for i, item in enumerate(_require_list(section.get("bindings", []), f"{path}.bindings")):
-        bpath = f"{path}.bindings[{i}]"
-        item = _require_mapping(item, bpath)
-        _reject_unknown(item, {"host", "port", "owner"}, bpath)
-        config.extra_bindings.append(
-            (
-                _get_str(item, "host", bpath),
-                _get_port(item, "port", bpath),
-                _get_str(item, "owner", bpath, default="binding"),
-            )
-        )
+def _parse_host(host: _Section) -> VirtualHost:
+    interfaces = host.sections("interfaces", _parse_interface)
+    rules = host.sections("prerouting", _parse_prerouting)
+    return VirtualHost(host.str("name"), interfaces, prerouting_rules=rules)
+
+
+def _parse_interface(interface: _Section) -> Interface:
+    ip = interface.address("ip")
+    subnet = interface.cidr("subnet")
+    if not subnet.contains(ip):
+        raise ValidationError(interface.name("ip"), f"{ip} is outside its subnet {subnet}")
+    return Interface(ip, subnet)
+
+
+def _parse_prerouting(rule: _Section) -> PreroutingRule:
+    new_ip, new_port = rule.get("new_dst", _address_and_port)
+    return PreroutingRule(
+        match_dst_port=rule.port("match_dst_port"),
+        new_dst_ip=new_ip,
+        new_dst_port=new_port,
+        negate_src=rule.cidr("negate_src", None),
+    )
+
+
+def _address_and_port(value, key: str) -> tuple[str, int]:
+    ip, port = parse_endpoint(str(value), key)
+    return _address(ip, key), port
+
+
+def _parse_helper(helper: _Section) -> HelperRule:
+    destinations = helper.list("destinations", _address)
+    if not destinations:
+        raise ValidationError(helper.name("destinations"), "at least one destination required")
+    return HelperRule(
+        domain=helper.str("domain"),
+        udp_port=helper.port("udp_port"),
+        destinations=tuple(destinations),
+    )
 
 
 def parse_endpoint(text: str, key: str) -> tuple[str, int]:
@@ -338,114 +352,62 @@ def parse_endpoint(text: str, key: str) -> tuple[str, int]:
 _RELAY_KEY_OF_FIELD = {"flow_idle_timeout_s": "flow_idle_timeout"}
 
 
-def _parse_relay(section: dict, config: ConfigFile) -> None:
-    path = "relay"
-    _reject_unknown(
-        section,
-        {
-            "host",
-            "listen_port",
-            "target_broadcast",
-            "target_port",
-            "allow",
-            "local_subnet",
-            "mode",
-            "flow_idle_timeout",
-            "max_packets_per_second",
-            "install_prerouting",
-        },
-        path,
-    )
+def _parse_relay(relay: _Section, config: ConfigFile) -> None:
     defaults = RelayConfig
-    mode_name = _get_str(section, "mode", path, default=defaults.mode.value)
-    try:
-        mode = RelayMode(mode_name)
-    except ValueError:
-        modes = [m.value for m in RelayMode]
-        raise ValidationError(f"{path}.mode", f"expected one of {modes}, got {mode_name!r}") from None
-    allow = _require_list(section.get("allow", []), f"{path}.allow")
     try:
         config.relay = RelayConfig(
-            target_broadcast=_get_str(section, "target_broadcast", path),
-            listen_port=_get_port(section, "listen_port", path, default=defaults.listen_port),
-            target_port=_get_port(section, "target_port", path, default=defaults.target_port),
-            allow_sources=tuple(_cidr(item, f"{path}.allow[{i}]") for i, item in enumerate(allow)),
-            local_subnet=_get_cidr(section, "local_subnet", path, default=None),
-            mode=mode,
-            flow_idle_timeout_s=_get_float(
-                section, "flow_idle_timeout", path, default=defaults.flow_idle_timeout_s
-            ),
-            max_packets_per_second=_get_int(section, "max_packets_per_second", path, default=None, minimum=1),
+            target_broadcast=relay.str("target_broadcast"),
+            listen_port=relay.port("listen_port", defaults.listen_port),
+            target_port=relay.port("target_port", defaults.target_port),
+            allow_sources=tuple(relay.list("allow", _cidr)),
+            local_subnet=relay.cidr("local_subnet", None),
+            mode=RelayMode(relay.choice("mode", [m.value for m in RelayMode], defaults.mode.value)),
+            flow_idle_timeout_s=relay.float("flow_idle_timeout", defaults.flow_idle_timeout_s),
+            max_packets_per_second=relay.int("max_packets_per_second", None, minimum=1),
         )
     except InvalidRelayConfig as exc:
         key = _RELAY_KEY_OF_FIELD.get(exc.field, exc.field)
-        raise ValidationError(f"{path}.{key}", str(exc)) from None
-    config.relay_host = _get_str(section, "host", path, default=None)
-    config.relay_install_prerouting = _get_bool(section, "install_prerouting", path, default=False)
+        raise ValidationError(relay.name(key), str(exc)) from None
+    config.relay_host = relay.str("host", None)
+    config.relay_install_prerouting = relay.bool("install_prerouting", False)
 
 
-def _parse_client(section: dict, config: ConfigFile) -> None:
-    path = "client"
-    _reject_unknown(
-        section,
-        {"host", "initial_retry", "backoff_factor", "max_tries", "total_timeout"},
-        path,
-    )
-    config.client_host = _get_str(section, "host", path, default=None)
+def _parse_client(client: _Section, config: ConfigFile) -> None:
+    config.client_host = client.str("host", None)
     defaults = ClientQueryConfig
-    initial_retry = _get_float(section, "initial_retry", path, default=defaults.initial_retry_s)
-    backoff_factor = _get_float(section, "backoff_factor", path, default=defaults.backoff_factor)
-    max_tries = _get_int(section, "max_tries", path, default=defaults.max_tries, minimum=1)
-    total_timeout = _get_float(section, "total_timeout", path, default=defaults.total_timeout_s)
+    initial_retry = client.float("initial_retry", defaults.initial_retry_s)
+    backoff_factor = client.float("backoff_factor", defaults.backoff_factor)
+    max_tries = client.int("max_tries", defaults.max_tries, minimum=1)
+    total_timeout = client.float("total_timeout", defaults.total_timeout_s)
     try:
         backoff_factor ** (max_tries - 1)  # the growth of the last wait
     except OverflowError:
-        raise ValidationError(f"{path}.backoff_factor", "the retry waits it gives overflow a float") from None
+        raise ValidationError(
+            client.name("backoff_factor"), "the retry waits it gives overflow a float"
+        ) from None
     try:
         config.client = ClientQueryConfig(initial_retry, backoff_factor, max_tries, total_timeout)
     except (ValueError, OverflowError) as exc:  # initial_retry times that growth can still overflow
-        raise ValidationError(path, str(exc)) from None
+        raise ValidationError(client.path, str(exc)) from None
 
 
-def _parse_queries(items: list, config: ConfigFile) -> None:
-    for i, item in enumerate(items):
-        qpath = f"queries[{i}]"
-        item = _require_mapping(item, qpath)
-        _reject_unknown(item, {"client", "pv", "expect", "value"}, qpath)
-        expect = _get_str(item, "expect", qpath, default="value")
-        if expect == "timeout":
-            expected = TIMEOUT
-            if "value" in item:
-                raise ValidationError(f"{qpath}.value", "timeout queries carry no value")
-        elif expect == "value":
-            expected = VALUE(_get_float(item, "value", qpath))
-        else:
-            raise ValidationError(f"{qpath}.expect", f"expected 'value' or 'timeout', got {expect!r}")
-        config.queries.append(
-            Query(
-                client_host=_get_str(item, "client", qpath, default=config.client_host),
-                pv_name=_get_str(item, "pv", qpath),
-                expected=expected,
-            )
-        )
-
-
-def _parse_bench(section: dict, config: ConfigFile) -> None:
-    path = "bench"
-    _reject_unknown(section, {"arms", "repetitions", "seed", "fork_cost"}, path)
-    arms = tuple(
-        str(a) for a in _require_list(section.get("arms", list(ARM_ORDER)), f"{path}.arms")
+def _parse_query(query: _Section, default_client: str | None) -> Query:
+    timeout = query.choice("expect", ("value", "timeout"), "value") == "timeout"
+    value = query.float("value", None if timeout else _REQUIRED)
+    if timeout and value is not None:
+        raise ValidationError(query.name("value"), "timeout queries carry no value")
+    return Query(
+        client_host=query.str("client", default_client),
+        pv_name=query.str("pv"),
+        expected=TIMEOUT if timeout else VALUE(value),
     )
-    for arm in arms:
-        if arm not in ARM_ORDER:
-            raise ValidationError(f"{path}.arms", f"unknown arm {arm!r}")
+
+
+def _parse_bench(bench: _Section, config: ConfigFile) -> None:
     config.bench = BenchSettings(
-        arms=arms,
-        repetitions=_get_int(
-            section, "repetitions", path, default=BenchSettings.repetitions, minimum=MIN_BENCH_REPETITIONS
-        ),
-        seed=_get_int(section, "seed", path, default=BenchSettings.seed, minimum=0),
-        fork_cost_s=_get_float(section, "fork_cost", path, default=BenchSettings.fork_cost_s, minimum=0),
+        repetitions=bench.int("repetitions", BenchSettings.repetitions, minimum=MIN_BENCH_REPETITIONS),
+        seed=bench.int("seed", BenchSettings.seed, minimum=0),
+        fork_cost_s=bench.float("fork_cost", BenchSettings.fork_cost_s, minimum=0),
     )
 
 

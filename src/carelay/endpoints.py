@@ -62,6 +62,29 @@ class ClientQueryConfig:
         ]
 
 
+def _value_request(pv_name: str, sequence: int, write_value: float | None) -> bytes:
+    """The encoded READ request, or the WRITE request when a value is to be written."""
+    kind = ValueExchangeKind.READ_REQUEST if write_value is None else ValueExchangeKind.WRITE_REQUEST
+    return ca_wire.encode_value_exchange(ValueExchange(kind, pv_name, sequence, write_value))
+
+
+def _reply_value(payload: bytes, pv_name: str, sequence: int, write_value: float | None) -> float | None:
+    """The value a reply completes ``_value_request``'s exchange with, or None if it does not.
+
+    A READ_REPLY completes a read with the value it carries, a WRITE_ACK a
+    write with the value written; anything else, malformed replies included,
+    leaves the exchange open.
+    """
+    try:
+        msg = ca_wire.decode_value_exchange(payload)
+    except ca_wire.CaWireError:
+        return None
+    kind = ValueExchangeKind.READ_REPLY if write_value is None else ValueExchangeKind.WRITE_ACK
+    if (msg.kind, msg.pv_name, msg.sequence) != (kind, pv_name, sequence):
+        return None
+    return msg.value if write_value is None else write_value
+
+
 class IocSim:
     """One IOC process: PV table, search responder, value exchange server."""
 
@@ -285,31 +308,19 @@ class CaClient:
         pending.resolved = True
         sequence = self._next_sequence
         self._next_sequence += 1
-        if pending.operation == "read":
-            request = ValueExchange(ValueExchangeKind.READ_REQUEST, pending.pv_name, sequence)
-        else:
-            request = ValueExchange(
-                ValueExchangeKind.WRITE_REQUEST, pending.pv_name, sequence, pending.write_value
-            )
         side.on_message = lambda payload: self._on_channel_reply(pending, sequence, payload)
-        side.send(ca_wire.encode_value_exchange(request))
+        side.send(_value_request(pending.pv_name, sequence, pending.write_value))
 
     def _on_channel_reply(self, pending: _PendingQuery, sequence: int, payload: bytes) -> None:
         if pending.done:
             return
-        msg = ca_wire.decode_value_exchange(payload)
-        if msg.sequence != sequence or msg.pv_name != pending.pv_name:
+        value = _reply_value(payload, pending.pv_name, sequence, pending.write_value)
+        if value is None:
             return
-        if pending.operation == "read" and msg.kind is ValueExchangeKind.READ_REPLY:
-            pending.result = QueryResult(
-                pending.pv_name, "read", value=msg.value, finished_us=self.net.now_us
-            )
-            pending.done = True
-        elif pending.operation == "write" and msg.kind is ValueExchangeKind.WRITE_ACK:
-            pending.result = QueryResult(
-                pending.pv_name, "write", value=pending.write_value, finished_us=self.net.now_us
-            )
-            pending.done = True
+        pending.result = QueryResult(
+            pending.pv_name, pending.operation, value=value, finished_us=self.net.now_us
+        )
+        pending.done = True
 
 
 class RealCaClient:
@@ -390,29 +401,13 @@ class RealCaClient:
     ) -> float | None:
         sequence = self._next_sequence
         self._next_sequence += 1
-        if write_value is None:
-            request = ValueExchange(ValueExchangeKind.READ_REQUEST, pv_name, sequence)
-        else:
-            request = ValueExchange(
-                ValueExchangeKind.WRITE_REQUEST, pv_name, sequence, write_value
-            )
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            sock.sendto(ca_wire.encode_value_exchange(request), (server_ip, server_port))
+            sock.sendto(_value_request(pv_name, sequence, write_value), (server_ip, server_port))
             readable, _, _ = select.select([sock], [], [], self.config.total_timeout_s)
             if not readable:
                 return None
             data, _ = sock.recvfrom(65535)
-            try:
-                msg = ca_wire.decode_value_exchange(data)
-            except ca_wire.CaWireError:
-                return None
-            if msg.sequence != sequence or msg.pv_name != pv_name:
-                return None
-            if write_value is None and msg.kind is ValueExchangeKind.READ_REPLY:
-                return msg.value
-            if write_value is not None and msg.kind is ValueExchangeKind.WRITE_ACK:
-                return write_value
-            return None
+            return _reply_value(data, pv_name, sequence, write_value)
         finally:
             sock.close()

@@ -181,15 +181,6 @@ class TestBenchmark:
         with pytest.raises(ConfigInvalid):
             run_benchmark(repetitions=10)
 
-    def test_unknown_arm_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            run_benchmark(arms=("DIRECT", "WARP"), repetitions=30)
-
-    def test_subset_of_arms(self):
-        report = run_benchmark(arms=("DIRECT",), repetitions=30, seed=0)
-        assert list(report.arm_stats) == ["DIRECT"]
-        assert report.median_ordering_ok is None
-
 
 class TestDeterminism:
     def test_same_seed_byte_identical_records(self):

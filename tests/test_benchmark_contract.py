@@ -62,6 +62,9 @@ def test_names_the_benchmark_depends_on():
 
     # Calls made by perfbench.micro and perfbench.sim.
     inspect.signature(IocSim).bind(net, "IMX1-HOST1", "bench", {}, server_port=5901)
+    inspect.signature(bench.run_benchmark).bind(repetitions=30, seed=1)
+    inspect.signature(bench.run_scenario).bind(bench.scenario_a())
+    inspect.signature(bench.emit_report).bind(bench.ScenarioReport("bench", 1), "records")
     inspect.signature(IocSim.on_search_datagram).bind(None, b"", ("10.2.105.171", 40000))
     inspect.signature(CaClient).bind(net, bench.CLIENT, config=None)
 

@@ -1,8 +1,16 @@
+import copy
 from pathlib import Path
 
 import pytest
+import yaml
 
-from carelay.config import ParseError, ValidationError, install_relay_prerouting, parse_config
+from carelay.config import (
+    ParseError,
+    ValidationError,
+    config_from_mapping,
+    install_relay_prerouting,
+    parse_config,
+)
 from carelay.netsim import LIMITED_BROADCAST
 from carelay.packet import Cidr
 from carelay.relay import RelayMode
@@ -166,6 +174,51 @@ class TestValidation:
             parse_config("bench:\n  repetitions: 29\n")
         assert excinfo.value.key == "bench.repetitions"
 
+    @pytest.mark.parametrize("text, key, message", [
+        ("bench:\n  repetitions: 10\n", "bench.repetitions", "10 is below 30"),
+        ("bench:\n  seed: -1\n", "bench.seed", "-1 is below 0"),
+        ("client:\n  max_tries: 0\n", "client.max_tries", "0 is below 1"),
+        ("topology:\n  per_hop_delay_us: 0\n", "topology.per_hop_delay_us", "0 is below 1"),
+        ("topology:\n  jitter_us: -5\n", "topology.jitter_us", "-5 is below 0"),
+        (
+            "relay: {target_broadcast: 1.2.3.4, max_packets_per_second: 0}\n",
+            "relay.max_packets_per_second",
+            "0 is below 1",
+        ),
+        (
+            "relay: {target_broadcast: 1.2.3.4, listen_port: 70000}\n",
+            "relay.listen_port",
+            "70000 outside [1, 65535]",
+        ),
+    ], ids=["repetitions", "seed", "max_tries", "per_hop_delay_us", "jitter_us", "max_packets_per_second", "port"])
+    def test_integer_bounds_message_names_only_the_bounds_set(self, text, key, message):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.key == key
+        assert str(excinfo.value) == f"config key '{key}': {message}"
+
+    @pytest.mark.parametrize("text, key", [
+        (MINIMAL_TOPOLOGY.replace("ip: 192.168.7.1", "ip: nope"), "topology.hosts[0].interfaces[0].ip"),
+        (MINIMAL_TOPOLOGY.replace("ip: 192.168.7.1", "ip: 10.9.9.9"), "topology.hosts[0].interfaces[0].ip"),
+        (
+            MINIMAL_TOPOLOGY
+            + "  helpers:\n    - {domain: lab, udp_port: 5064, destinations: [192.168.7.1, 192.168.7.999]}\n",
+            "topology.helpers[0].destinations[1]",
+        ),
+        (
+            MINIMAL_TOPOLOGY + "  helpers:\n    - {domain: lab, udp_port: 5064, destinations: [192.168.7.01]}\n",
+            "topology.helpers[0].destinations[0]",
+        ),
+        (
+            MINIMAL_TOPOLOGY + "      prerouting:\n        - {match_dst_port: 5064, new_dst: 'nope:6064'}\n",
+            "topology.hosts[0].prerouting[0].new_dst",
+        ),
+    ], ids=["interface_ip", "ip_outside_subnet", "helper_destination", "not_dotted_quad", "prerouting_new_dst"])
+    def test_address_keys_must_be_ipv4_addresses(self, text, key):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.key == key
+
     def test_bad_cidr_names_key(self):
         text = MINIMAL_TOPOLOGY.replace("192.168.7.0/24", "192.168.7.5/24", 1)
         with pytest.raises(ValidationError) as excinfo:
@@ -198,11 +251,6 @@ class TestValidation:
         with pytest.raises(ValidationError):
             parse_config(text)
 
-    def test_bench_unknown_arm(self):
-        with pytest.raises(ValidationError) as excinfo:
-            parse_config("bench:\n  arms: [WARP]\n")
-        assert "arms" in excinfo.value.key
-
     def test_prerouting_new_dst_needs_port(self):
         text = MINIMAL_TOPOLOGY.replace(
             "          subnet: 192.168.7.0/24\n",
@@ -227,13 +275,113 @@ class TestDefaults:
     def test_bench_defaults(self):
         config = parse_config("")
         assert config.bench.repetitions == 100
-        assert config.bench.arms == ("DIRECT", "PERSISTENT", "FORK_MODEL")
 
     def test_relay_defaults(self):
         config = parse_config("relay:\n  target_broadcast: 255.255.255.255\n")
         assert config.relay.listen_port == 6064
         assert config.relay.target_port == 5064
         assert config.relay.flow_idle_timeout_s == 30.0
+
+
+# Every key the grammar accepts, each set once.
+EVERY_KEY = """
+topology:
+  per_hop_delay_us: 200
+  jitter_us: 5
+  domains:
+    - {name: beamline, subnet: 10.2.1.0/24}
+    - {name: sol, subnet: 10.2.105.0/24}
+  hosts:
+    - name: IMX1-HOST1
+      interfaces:
+        - {ip: 10.2.1.31, subnet: 10.2.1.0/24}
+      prerouting:
+        - {match_dst_port: 5064, negate_src: 10.2.1.0/24, new_dst: "10.2.1.31:6064"}
+    - name: TesterHEpics
+      interfaces:
+        - {ip: 10.2.105.171, subnet: 10.2.105.0/24}
+  helpers:
+    - {domain: sol, udp_port: 5064, destinations: [10.2.1.31]}
+  iocs:
+    - host: IMX1-HOST1
+      name: dmc4-m1
+      server_port: 5901
+      pvs: {IMX:DMC4:m1: -2.06e-05}
+      advertise_own_address: false
+  bindings:
+    - {host: IMX1-HOST1, port: 5064, owner: probe}
+relay:
+  host: IMX1-HOST1
+  listen_port: 6064
+  target_broadcast: 255.255.255.255
+  target_port: 5064
+  allow: [10.2.105.0/24]
+  local_subnet: 10.2.1.0/24
+  mode: proxy
+  flow_idle_timeout: 20.0
+  max_packets_per_second: 1000
+  install_prerouting: true
+client:
+  host: TesterHEpics
+  initial_retry: 0.020
+  backoff_factor: 3.0
+  max_tries: 4
+  total_timeout: 5.0
+queries:
+  - {client: TesterHEpics, pv: IMX:DMC4:m1, expect: value, value: -2.06e-05}
+bench:
+  repetitions: 40
+  seed: 3
+  fork_cost: 0.004
+"""
+
+
+class TestKeyInventory:
+    def test_every_accepted_key_parses_into_its_field(self):
+        data = yaml.safe_load(EVERY_KEY)
+        pristine = copy.deepcopy(data)
+        config = config_from_mapping(data)
+        assert data == pristine
+        assert config.topology.jitter_us == 5
+        assert config.topology.hosts[0].prerouting_rules[0].new_dst_port == 6064
+        assert config.topology.helper_rules[0].destinations == ("10.2.1.31",)
+        assert config.iocs[0].advertise_own_address is False
+        assert config.extra_bindings == [("IMX1-HOST1", 5064, "probe")]
+        assert config.relay.mode is RelayMode.PROXY
+        assert config.relay.max_packets_per_second == 1000
+        assert config.relay_install_prerouting
+        assert config.client.max_tries == 4
+        assert config.queries[0].client_host == "TesterHEpics"
+        assert (config.bench.repetitions, config.bench.seed, config.bench.fork_cost_s) == (40, 3, 0.004)
+
+    # One misspelt sibling in each of the grammar's thirteen mappings.
+    @pytest.mark.parametrize("where, typo", [
+        ((), "topolgy"),
+        (("topology",), "jiter_us"),
+        (("topology", "domains", 0), "subnett"),
+        (("topology", "hosts", 0), "interface"),
+        (("topology", "hosts", 0, "interfaces", 0), "ips"),
+        (("topology", "hosts", 0, "prerouting", 0), "new_dest"),
+        (("topology", "helpers", 0), "destination"),
+        (("topology", "iocs", 0), "server-port"),
+        (("topology", "bindings", 0), "ownr"),
+        (("relay",), "listen-port"),
+        (("client",), "max_try"),
+        (("queries", 0), "expected"),
+        (("bench",), "arms"),
+    ], ids=lambda v: ".".join(map(str, v)) or "root" if isinstance(v, tuple) else v)
+    def test_misspelt_key_is_an_unknown_key_named_by_its_path(self, where, typo):
+        data = yaml.safe_load(EVERY_KEY)
+        mapping, path = data, ""
+        for step in where:
+            mapping = mapping[step]
+            path += f"[{step}]" if isinstance(step, int) else f".{step}"
+        mapping[typo] = 1
+        key = f"{path}.{typo}".lstrip(".")
+        with pytest.raises(ValidationError) as excinfo:
+            config_from_mapping(data)
+        assert excinfo.value.key == key
+        assert str(excinfo.value) == f"config key '{key}': unknown key"
 
 
 def test_install_relay_prerouting_adds_redirect():

@@ -204,6 +204,12 @@ class TestCaput:
             client.caput("NOPE", 1.0)
         assert str(excinfo.value) == timeout_message("NOPE")
 
+    def test_zero_is_a_value(self):
+        net, *_ = make_net_with_iocs()
+        client = CaClient(net, "TesterDirect")
+        client.caput("IMX:DMC4:m2", 0.0)
+        assert client.caget("IMX:DMC4:m2") == 0.0
+
     def test_write_ack_counted(self):
         net, ioc1, _ = make_net_with_iocs()
         client = CaClient(net, "TesterDirect")

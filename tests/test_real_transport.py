@@ -144,6 +144,11 @@ class TestRealCaClient:
         client.caput("LOOP:PV", -1.25)
         assert client.caget("LOOP:PV") == -1.25
 
+    def test_zero_is_a_value(self, stub_ioc):
+        client = RealCaClient([("127.0.0.1", stub_ioc.search_port)], config=FAST_CLIENT)
+        client.caput("LOOP:PV", 0.0)
+        assert client.caget("LOOP:PV") == 0.0
+
     def test_unknown_pv_times_out_with_message(self, stub_ioc):
         client = RealCaClient([("127.0.0.1", stub_ioc.search_port)], config=FAST_CLIENT)
         with pytest.raises(ChannelTimeout) as excinfo:
