@@ -144,8 +144,18 @@ def _search_messages(data: bytes) -> list[tuple]:
     return found
 
 
+# The last datagram find_search_requests parsed, and its requests. Every IOC
+# on a segment is handed the same broadcast object, and bytes are immutable,
+# so identity is a safe key and the kept parse never changes a result; a
+# malformed datagram is never kept.
+_last_parsed: tuple[object, tuple[SearchRequest, ...]] = (None, ())
+
+
 def find_search_requests(data: bytes) -> list[SearchRequest]:
     """All search requests in a datagram, in order."""
+    global _last_parsed
+    if data is _last_parsed[0]:
+        return list(_last_parsed[1])
     requests = []
     for flag, _, minor, search_id, _, payload in _search_messages(data):
         if flag is None:
@@ -155,6 +165,8 @@ def find_search_requests(data: bytes) -> list[SearchRequest]:
         except UnicodeDecodeError as exc:
             raise CaWireError(f"search name is not ASCII: {exc}") from exc
         requests.append(SearchRequest(name, search_id, flag, minor))
+    if type(data) is bytes:
+        _last_parsed = (data, tuple(requests))
     return requests
 
 

@@ -239,9 +239,13 @@ def parse_config(text: str) -> ConfigFile:
     return config_from_mapping(load_yaml(text))
 
 
+# libyaml's parser where PyYAML has it: the same documents, about ten times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_yaml(text: str):
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         raise ParseError(None if mark is None else mark.line + 1, str(exc)) from None
@@ -412,19 +416,33 @@ def _parse_bench(bench: _Section, config: ConfigFile) -> None:
 
 
 def _cross_validate(config: ConfigFile) -> None:
-    if config.topology is None:
+    """Checks across sections and items, each naming the item's own key."""
+    topology = config.topology
+    if topology is None:
         return
-    host_names = {h.name for h in config.topology.hosts}
-    for spec in config.iocs:
-        if spec.host not in host_names:
-            raise ValidationError("topology.iocs", f"unknown host {spec.host!r}")
-    for host, _, _ in config.extra_bindings:
-        if host not in host_names:
-            raise ValidationError("topology.bindings", f"unknown host {host!r}")
-    if config.relay_host is not None and config.relay_host not in host_names:
-        raise ValidationError("relay.host", f"unknown host {config.relay_host!r}")
-    if config.client_host is not None and config.client_host not in host_names:
-        raise ValidationError("client.host", f"unknown host {config.client_host!r}")
+    domains = {d.subnet: d.name for d in topology.domains}
+    owned = {iface.ip for host in topology.hosts for iface in host.interfaces}
+    for i, host in enumerate(topology.hosts):
+        for j, iface in enumerate(host.interfaces):
+            if iface.subnet not in domains:
+                key = f"topology.hosts[{i}].interfaces[{j}].subnet"
+                raise ValidationError(key, f"{iface.subnet} is no domain's subnet")
+    for i, helper in enumerate(topology.helper_rules):
+        if helper.domain not in domains.values():
+            raise ValidationError(f"topology.helpers[{i}].domain", f"unknown domain {helper.domain!r}")
+        for j, destination in enumerate(helper.destinations):
+            if destination not in owned:
+                key = f"topology.helpers[{i}].destinations[{j}]"
+                raise ValidationError(key, f"no interface owns {destination}")
+    host_names = {h.name for h in topology.hosts}
+    for key, host in [
+        *((f"topology.iocs[{i}].host", spec.host) for i, spec in enumerate(config.iocs)),
+        *((f"topology.bindings[{i}].host", b[0]) for i, b in enumerate(config.extra_bindings)),
+        ("relay.host", config.relay_host),
+        ("client.host", config.client_host),
+    ]:
+        if host is not None and host not in host_names:
+            raise ValidationError(key, f"unknown host {host!r}")
     for i, query in enumerate(config.queries):
         if not query.client_host:
             raise ValidationError(f"queries[{i}].client", "no client host given or defaulted")

@@ -14,6 +14,7 @@ import select
 import socket
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import ca_wire
 from .ca_wire import (
@@ -128,17 +129,15 @@ class IocSim:
         return None
 
     def _on_delivery(self, delivery: Delivery) -> None:
-        source = (delivery.packet.src_ip, delivery.packet.src_port)
+        packet = delivery.packet
         try:
-            response = self.on_search_datagram(delivery.packet.payload, source)
+            response = self.on_search_datagram(packet.payload, (packet.src_ip, packet.src_port))
         except ca_wire.CaWireError:
             return  # not CA traffic; a name server stays silent
         if response is None:
             return
-        self.net.inject(
-            self.host_name,
-            Ipv4UdpPacket(self.host_ip, source[0], CA_SERVER_PORT, source[1], response),
-        )
+        reply = Ipv4UdpPacket(self.host_ip, packet.src_ip, CA_SERVER_PORT, packet.src_port, response)
+        self.net.inject(self.host_name, reply)
 
     # -- value exchange ---------------------------------------------------------
 
@@ -213,6 +212,11 @@ class CaClient:
         self._next_ephemeral = FIRST_EPHEMERAL_PORT
         self._next_search_id = 1
         self._next_sequence = 1
+        # Each send's offset from the query's start, and the search deadline's.
+        offsets = [0, *accumulate(self.config.wait_schedule_us())]
+        self._send_offsets_us = offsets[:-1]
+        self._deadline_us = min(offsets[-1], round(self.config.total_timeout_s * 1e6))
+        self._run_cap_us = self._deadline_us + 2 * offsets[-1] + 1_000_000
 
     # -- public operations ------------------------------------------------------
 
@@ -245,22 +249,24 @@ class CaClient:
         )
 
         started = self.net.now_us
-        waits = self.config.wait_schedule_us()
-        offset = 0
-        for attempt in range(self.config.max_tries):
-            self.net.call_at(
-                started + offset,
-                lambda: self._send_search(pending, datagram, eph_port),
-            )
-            offset += waits[attempt]
-        deadline = started + min(offset, round(self.config.total_timeout_s * 1e6))
-        self.net.call_at(deadline, lambda: self._give_up(pending))
+        search = Ipv4UdpPacket(self.host_ip, self._broadcast_ip, eph_port, CA_SERVER_PORT, datagram)
+        send = lambda: self._send_search(pending, search)  # noqa: E731
+        deadline = started + self._deadline_us
+        # Each retry is queued when the one before it fires, and the give-up
+        # after the last retry; the first answer ends the chain.
+        drop_timer = self.net.call_in_turn(
+            [*((started + offset, send) for offset in self._send_offsets_us),
+             (deadline, lambda: self._give_up(pending))]
+        )
 
-        self.net.run_until(lambda: pending.done, cap_us=deadline + 2 * offset + 1_000_000)
+        self.net.run_until(lambda: pending.done, cap_us=started + self._run_cap_us)
+        drop_timer()
         self.net.unbind(self.host_name, binding)
 
         if pending.result is None:  # queue drained or cap hit without a verdict
             pending.result = QueryResult(pv_name, operation, timed_out=True)
+            # Without a verdict the search ran its full length: past its deadline.
+            self.net.now_us = max(self.net.now_us, deadline)
         result = pending.result
         result.started_us = started
         result.send_times_us = pending.send_times
@@ -269,14 +275,13 @@ class CaClient:
 
     # -- internals ---------------------------------------------------------------
 
-    def _send_search(self, pending: _PendingQuery, datagram: bytes, eph_port: int) -> None:
+    def _send_search(self, pending: _PendingQuery, search: Ipv4UdpPacket) -> bool:
+        """Broadcast the search unless the query has an answer; true while retries go on."""
         if pending.resolved or pending.done:
-            return
+            return False
         pending.send_times.append(self.net.now_us)
-        self.net.inject(
-            self.host_name,
-            Ipv4UdpPacket(self.host_ip, self._broadcast_ip, eph_port, CA_SERVER_PORT, datagram),
-        )
+        self.net.inject(self.host_name, search)
+        return True
 
     def _give_up(self, pending: _PendingQuery) -> None:
         # The deadline covers the search phase only; a resolved query is

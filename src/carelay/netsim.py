@@ -22,6 +22,12 @@ Delivery semantics, applied in order for each injected packet:
    forwarded. Without a rewrite, the packet goes only to the binding with the
    highest bind sequence on the port (last-binder delivery).
 4. Each hop costs a fixed per-hop delay plus optional seeded jitter.
+
+Each event costs a constant amount of work. A host keeps its bindings by port,
+in bind order, so the last binder is the last entry of one list; timers such as
+a client's search retries are queued one at a time (``call_in_turn``), so an
+answered query leaves none behind; and all IOCs handed one broadcast share one
+parse of it (``ca_wire.find_search_requests``).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .packet import Cidr, Ipv4UdpPacket
 
@@ -115,7 +121,9 @@ class VirtualHost:
     name: str
     interfaces: list[Interface]
     prerouting_rules: list[PreroutingRule] = field(default_factory=list)
-    bindings: list[SocketBinding] = field(default_factory=list)
+    # Port -> its bindings in bind order, which is bind_sequence order, so the
+    # last binder on a port is the last entry of its list.
+    bindings: dict[int, list[SocketBinding]] = field(default_factory=dict)
     _bind_counter: int = field(default=0, repr=False)
 
     def interface_for_source(self, src_ip: str) -> Interface:
@@ -125,13 +133,6 @@ class VirtualHost:
             if iface.ip == src_ip:
                 return iface
         return self.interfaces[0]
-
-    def bindings_on(self, port: int) -> list[SocketBinding]:
-        return [b for b in self.bindings if b.port == port]
-
-    def last_binder(self, port: int) -> SocketBinding | None:
-        on_port = self.bindings_on(port)
-        return max(on_port, key=lambda b: b.bind_sequence) if on_port else None
 
 
 @dataclass
@@ -143,8 +144,7 @@ class VirtualTopology:
     jitter_us: int = 0
 
 
-@dataclass
-class Delivery:
+class Delivery(NamedTuple):
     """One packet handed to one binding, as it appeared on the wire.
 
     wire_dst_* is the destination before any prerouting rewrite (what a
@@ -189,6 +189,39 @@ class ChannelSide:
         self._net.call_at(due, fire)
 
 
+class _CallsInTurn:
+    """``(time_us, fn)`` calls in time order, each queued when the one before
+    fires and returns true; ``cancel`` removes the one still queued. Sequence
+    numbers are reserved up front, so each call breaks ties with other events
+    as if all were queued at once. The chain is its own queued timer, so no
+    reference cycle outlives its last queued call.
+    """
+
+    def __init__(self, net: "VirtualNetwork", calls: list[tuple[int, Callable[[], bool]]]) -> None:
+        self._net, self._calls, self._entry = net, calls, None
+        self._first_seq = net._seq + 1
+        net._seq += len(calls)
+        self._queue(0)
+
+    def _queue(self, i: int) -> None:
+        time_us = self._calls[i][0]
+        if time_us < self._net.now_us:
+            raise ValueError(f"cannot schedule at {time_us} before now {self._net.now_us}")
+        self._i, self._entry = i, (time_us, self._first_seq + i, _TIMER, self)
+        heapq.heappush(self._net._queue, self._entry)
+
+    def __call__(self) -> None:
+        i, self._entry = self._i, None
+        if self._calls[i][1]() and i + 1 < len(self._calls):
+            self._queue(i + 1)
+
+    def cancel(self) -> None:
+        if self._entry is not None:
+            self._net._queue.remove(self._entry)
+            heapq.heapify(self._net._queue)
+            self._entry = None
+
+
 class VirtualNetwork:
     """Sequential event loop over a VirtualTopology."""
 
@@ -220,6 +253,9 @@ class VirtualNetwork:
         self._broadcasts = frozenset(
             [LIMITED_BROADCAST, *(d.subnet.broadcast_address() for d in topology.domains)]
         )
+        self._jitter_max = topology.jitter_us
+        self._jitter_bits = (topology.jitter_us + 1).bit_length()
+        self._getrandbits = self._rng.getrandbits
 
     def _validate(self) -> None:
         if len(self._hosts) != len(self.topology.hosts):
@@ -262,9 +298,13 @@ class VirtualNetwork:
         return (1 if same_domain else 2) * self.topology.per_hop_delay_us + self._jitter()
 
     def _jitter(self) -> int:
-        if self.topology.jitter_us <= 0:
+        """``Random.randint(0, jitter_us)``'s draw, without its three layers of calls."""
+        if self._jitter_max <= 0:
             return 0
-        return self._rng.randint(0, self.topology.jitter_us)
+        r = self._getrandbits(self._jitter_bits)
+        while r > self._jitter_max:
+            r = self._getrandbits(self._jitter_bits)
+        return r
 
     # -- bindings -------------------------------------------------------------
 
@@ -279,25 +319,30 @@ class VirtualNetwork:
         host = self.host(host_name)
         host._bind_counter += 1
         binding = SocketBinding(port=port, owner=owner, bind_sequence=host._bind_counter, callback=callback)
-        host.bindings.append(binding)
+        host.bindings.setdefault(port, []).append(binding)
         return binding
 
     def unbind(self, host_name: str, binding: SocketBinding) -> None:
-        self.host(host_name).bindings.remove(binding)
+        bindings = self.host(host_name).bindings
+        on_port = bindings[binding.port]
+        on_port.remove(binding)
+        if not on_port:
+            del bindings[binding.port]
 
     # -- scheduling -----------------------------------------------------------
-
-    def _push(self, time_us: int, kind: int, item: object) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (time_us, self._seq, kind, item))
 
     def call_at(self, time_us: int, fn: Callable[[], None]) -> None:
         if time_us < self.now_us:
             raise ValueError(f"cannot schedule at {time_us} before now {self.now_us}")
-        self._push(time_us, _TIMER, fn)
+        self._seq += 1
+        heapq.heappush(self._queue, (time_us, self._seq, _TIMER, fn))
 
     def call_later(self, delta_us: int, fn: Callable[[], None]) -> None:
         self.call_at(self.now_us + delta_us, fn)
+
+    def call_in_turn(self, calls: list[tuple[int, Callable[[], bool]]]) -> Callable[[], None]:
+        """Queue the calls as a ``_CallsInTurn`` chain; returns its ``cancel``."""
+        return _CallsInTurn(self, calls).cancel
 
     # -- packet routing -------------------------------------------------------
 
@@ -306,27 +351,26 @@ class VirtualNetwork:
         at = self.now_us
         host = self.host(source_host)
         sender_domain = self._domain_of_subnet[host.interface_for_source(packet.src_ip).subnet]
-
-        deliveries: list[Delivery] = []
         if packet.dst_ip in self._broadcasts:
-            deliveries.extend(self._route_broadcast(packet, sender_domain, at))
-            deliveries.extend(self._route_helper_copies(packet, sender_domain, at))
+            deliveries = self._route_broadcast(packet, sender_domain, at)
+            deliveries += self._route_helper_copies(packet, sender_domain, at)
         else:
-            deliveries.extend(self._route_unicast(packet, sender_domain, at, hops=None))
+            deliveries = self._route_unicast(packet, sender_domain, at, hops=None)
         for d in deliveries:
-            self._push(d.time_us, _DELIVERY, d)
+            self._seq += 1
+            heapq.heappush(self._queue, (d.time_us, self._seq, _DELIVERY, d))
         return deliveries
 
     def _route_broadcast(
         self, packet: Ipv4UdpPacket, domain: BroadcastDomain, at: int
     ) -> list[Delivery]:
         out = []
+        at += self.topology.per_hop_delay_us
+        dst_ip, dst_port = packet.dst_ip, packet.dst_port
         for host in self._hosts_in_domain[domain.name]:
-            due = at + self.topology.per_hop_delay_us + self._jitter()
-            for binding in host.bindings_on(packet.dst_port):
-                out.append(
-                    Delivery(due, host.name, binding, packet, packet.dst_ip, packet.dst_port)
-                )
+            due = at + self._jitter()  # drawn for every host, bound on the port or not
+            for binding in host.bindings.get(dst_port, ()):
+                out.append(Delivery(due, host.name, binding, packet, dst_ip, dst_port))
         return out
 
     def _route_helper_copies(
@@ -362,10 +406,10 @@ class VirtualNetwork:
     ) -> list[Delivery]:
         rule = next((r for r in host.prerouting_rules if r.applies(packet)), None)
         if rule is None:
-            binding = host.last_binder(packet.dst_port)
-            if binding is None:
+            on_port = host.bindings.get(packet.dst_port)
+            if not on_port:
                 return []
-            return [Delivery(due, host.name, binding, packet, packet.dst_ip, packet.dst_port)]
+            return [Delivery(due, host.name, on_port[-1], packet, packet.dst_ip, packet.dst_port)]
 
         rewritten = packet._replace(dst_ip=rule.new_dst_ip, dst_port=rule.new_dst_port)
         if rule.new_dst_ip == LIMITED_BROADCAST:
@@ -373,14 +417,14 @@ class VirtualNetwork:
             # local binding; nothing goes back onto the wire.
             return [
                 Delivery(due, host.name, b, rewritten, packet.dst_ip, packet.dst_port)
-                for b in host.bindings_on(rule.new_dst_port)
+                for b in host.bindings.get(rule.new_dst_port, ())
             ]
         next_host = self._host_of_ip.get(rule.new_dst_ip)
         if next_host is host:
-            binding = host.last_binder(rule.new_dst_port)
-            if binding is None:
+            on_port = host.bindings.get(rule.new_dst_port)
+            if not on_port:
                 return []
-            return [Delivery(due, host.name, binding, rewritten, packet.dst_ip, packet.dst_port)]
+            return [Delivery(due, host.name, on_port[-1], rewritten, packet.dst_ip, packet.dst_port)]
 
         # Rewrite toward another machine: forward it, spending a hop and TTL.
         if ttl <= 1:
@@ -426,20 +470,21 @@ class VirtualNetwork:
         self, done: Callable[[], bool], cap_us: int | None = None
     ) -> None:
         """Fire events until done() holds, the queue drains, or cap_us."""
-        while not done() and self._queue:
-            if cap_us is not None and self._queue[0][0] > cap_us:
+        queue = self._queue
+        while queue and not done():
+            if cap_us is not None and queue[0][0] > cap_us:
                 break
             self._step()
 
     def _step(self) -> list[Delivery]:
         time_us, _, kind, item = heapq.heappop(self._queue)
-        self.now_us = max(self.now_us, time_us)
+        if time_us > self.now_us:
+            self.now_us = time_us
         if kind == _DELIVERY:
-            delivery = item
-            self.delivery_log.append(delivery)
-            if delivery.binding.callback is not None:
-                delivery.binding.callback(delivery)
-            return [delivery]
+            self.delivery_log.append(item)
+            if item.binding.callback is not None:
+                item.binding.callback(item)
+            return [item]
         item()
         return []
 

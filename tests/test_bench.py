@@ -97,7 +97,7 @@ class TestFixtureLoader:
         build_network(first)
         fresh = scenario_c()
         assert fresh.topology is not first.topology
-        assert all(host.bindings == [] for host in fresh.topology.hosts)
+        assert all(host.bindings == {} for host in fresh.topology.hosts)
         (host1,) = [h for h in fresh.topology.hosts if h.name == "IMX1-HOST1"]
         assert len(host1.prerouting_rules) == 1
 

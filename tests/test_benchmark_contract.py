@@ -5,6 +5,7 @@ check a rename here would first show up as a broken benchmark run.
 """
 
 import dataclasses
+import heapq
 import inspect
 import socket
 import subprocess
@@ -14,9 +15,10 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import carelay.relay
-from carelay import bench, ca_wire, config
+from carelay import bench, ca_wire, config, netsim
 from carelay.endpoints import CaClient, IocSim
 from carelay.netsim import VirtualNetwork
 from carelay.packet import Cidr, Ipv4UdpPacket, checksum16, decode, encode
@@ -148,6 +150,60 @@ def test_endpoints_reach_the_finders_through_ca_wire(monkeypatch):
     result = CaClient(net, bench.CLIENT, config=scenario.client_config).query(scenario.queries[0].pv_name)
     assert not result.timed_out
     assert all(calls.values()), calls
+
+
+def test_a_class_level_step_patch_sees_every_event(monkeypatch):
+    # perfbench.sim counts netsim events and deliveries by wrapping _step on
+    # the class, so every event must be fired through it and return what it
+    # delivered.
+    fired_per_step = []
+    step = VirtualNetwork._step
+
+    def counted(net):
+        fired = step(net)
+        fired_per_step.append(len(fired))
+        return fired
+
+    pops = Counter()
+
+    def heappop(queue, real=netsim.heapq.heappop):
+        pops["heappop"] += 1
+        return real(queue)
+
+    monkeypatch.setattr(VirtualNetwork, "_step", counted)
+    monkeypatch.setattr(netsim, "heapq", SimpleNamespace(**{**vars(heapq), "heappop": heappop}))
+    run = bench.execute_scenario(bench.scenario_c())
+    assert run.report.all_expected
+    assert len(fired_per_step) == pops["heappop"] > 0
+    assert sum(fired_per_step) == len(run.net.delivery_log) > 0
+
+
+def test_every_ioc_delivery_calls_the_request_finder(monkeypatch):
+    # perfbench.sim times find_search_requests per call, so an IOC must call
+    # it for each delivery even when the datagram's parse is already kept.
+    calls, parses = Counter(), Counter()
+
+    def find(data, real=ca_wire.find_search_requests):
+        calls[data] += 1
+        return real(data)
+
+    def parse(data, real=ca_wire._search_messages):
+        parses[data] += 1
+        return real(data)
+
+    monkeypatch.setattr(ca_wire, "find_search_requests", find)
+    monkeypatch.setattr(ca_wire, "_search_messages", parse)
+    scenario = bench.scenario_c()
+    net, _ = bench.build_network(scenario)
+    ioc_names = {spec.name for spec in scenario.iocs}
+    result = CaClient(net, bench.CLIENT, config=scenario.client_config).query(scenario.queries[0].pv_name)
+    assert not result.timed_out
+    ioc_deliveries = [d for d in net.delivery_log if d.binding.owner in ioc_names]
+    assert sum(calls.values()) == len(ioc_deliveries) > 1
+    # Every IOC after the first is handed the same broadcast and reuses its parse.
+    search = ioc_deliveries[0].packet.payload
+    assert calls[search] == len(ioc_deliveries)
+    assert parses[search] == 1
 
 
 class ProxySocket:

@@ -156,6 +156,35 @@ class TestDecodeDatagram:
         assert find_search_response(b"") is None
 
 
+class TestOneParsePerDatagram:
+    def test_a_repeated_datagram_gives_equal_fresh_lists(self):
+        data = encode_search_datagram(SearchRequest("PV:1", search_id=9))
+        first = find_search_requests(data)
+        first.append("caller's own entry")
+        again = find_search_requests(data)
+        assert type(again) is list
+        assert again == [SearchRequest("PV:1", search_id=9)]
+        assert again is not find_search_requests(data)
+
+    def test_an_equal_datagram_is_parsed_as_itself(self):
+        data = encode_search_datagram(SearchRequest("PV:1", search_id=9))
+        find_search_requests(data)
+        other = bytes(bytearray(encode_search_datagram(SearchRequest("PV:2", search_id=9))))
+        assert find_search_requests(other) == [SearchRequest("PV:2", search_id=9)]
+
+    def test_a_changed_bytearray_is_parsed_again(self):
+        data = bytearray(encode_search_datagram(SearchRequest("PV:1", search_id=9)))
+        assert find_search_requests(data)[0].pv_name == "PV:1"
+        data[35] = ord("2")
+        assert find_search_requests(data)[0].pv_name == "PV:2"
+
+    def test_a_malformed_datagram_raises_on_every_call(self):
+        data = encode_search_datagram(SearchRequest("PV:1", search_id=9)) + bytes(4)
+        for _ in range(3):
+            with pytest.raises(Truncated):
+                find_search_requests(data)
+
+
 pv_names = st.text(
     alphabet=st.characters(min_codepoint=33, max_codepoint=126),
     min_size=1,

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import socket
 from pathlib import Path
 
@@ -68,6 +69,31 @@ def test_config_fixture_matches_python_scenario(fixture, builder, capsys):
     from_config = [(s.query, s.outcome, s.latency_us) for s in parse_records(capsys.readouterr().out)]
     from_builder = [(s.query, s.outcome, s.latency_us) for s in run_scenario(builder()).samples]
     assert from_config == from_builder
+
+
+# sha256 of `carelay sim` output for the shipped fixtures. Any change in a
+# delivery, its time or order, or a jitter draw changes them.
+SIM_RECORDS_SHA256 = {
+    "scenario_a.yaml": "182552c10af9a19ee8cbc0b1f07470afc1757c74b719a241247c39cddc336136",
+    "scenario_b.yaml": "3eb3c47e45a278170e66ae7d94170cd18a3c2bb183b286b2dcce3210879a0e84",
+    "scenario_c.yaml": "16e3675cc601959f8886627ed226b1df4aa6a3e29f6fd1a35ff3483a37e50637",
+}
+SCENARIO_C_TRACE_SHA256 = "cb46c3a947bb2e73d2b7798f0e728ff8f34cd3c26aee5ac77697efaa8121835c"
+
+
+class TestDeterminismPins:
+    @pytest.mark.parametrize("fixture", sorted(SIM_RECORDS_SHA256))
+    def test_sim_records_digest(self, fixture, capsys):
+        argv = ["sim", "--config", str(CONFIG_DIR / fixture), "--format", "records"]
+        assert main([*argv, "--log", "quiet", "--reps", "20", "--seed", "3"]) == 0
+        records = capsys.readouterr().out
+        assert hashlib.sha256(records.encode()).hexdigest() == SIM_RECORDS_SHA256[fixture]
+
+    def test_scenario_c_trace_log_digest(self, capsys):
+        assert main(["sim", "--config", SCENARIO_C, "--format", "records", "--log", "trace", "--reps", "3"]) == 0
+        trace = capsys.readouterr().err
+        assert len(trace.splitlines()) == 99
+        assert hashlib.sha256(trace.encode()).hexdigest() == SCENARIO_C_TRACE_SHA256
 
 
 class TestCagetSim:
@@ -185,6 +211,15 @@ def config_error(tmp_path, capsys, monkeypatch):
         return err
 
     return run
+
+
+def test_sim_names_an_unowned_helper_destination_before_running(config_error):
+    # It used to surface as a routing error once the first search was sent.
+    text = (CONFIG_DIR / "scenario_a.yaml").read_text()
+    owned = "destinations: [10.2.1.31]"
+    assert owned in text
+    err = config_error(["sim"], text.replace(owned, "destinations: [10.2.1.31, 10.2.1.250]"))
+    assert "'topology.helpers[0].destinations[1]'" in err
 
 
 RELAY = ["relay", "--mode", "proxy", "--bind-ip", "127.0.0.1"]

@@ -4,11 +4,13 @@ from pathlib import Path
 import pytest
 import yaml
 
+import carelay.config
 from carelay.config import (
     ParseError,
     ValidationError,
     config_from_mapping,
     install_relay_prerouting,
+    load_yaml,
     parse_config,
 )
 from carelay.netsim import LIMITED_BROADCAST
@@ -68,6 +70,58 @@ class TestParseErrors:
         config = parse_config("")
         assert config.topology is None
         assert config.queries == []
+
+
+LOADERS = [yaml.SafeLoader, *([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])]
+
+
+class TestYamlLoader:
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml")
+    @pytest.mark.parametrize("name", ["scenario_a.yaml", "scenario_b.yaml", "scenario_c.yaml"])
+    def test_fixtures_load_equal_under_both_loaders(self, name):
+        text = (CONFIG_DIR / name).read_text()
+        assert carelay.config._YAML_LOADER is yaml.CSafeLoader
+        assert load_yaml(text) == yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("text", [
+        "topology:\n  domains: [\n",
+        "a: 1\nb: 2\n  c: 3\n",
+        'a: 1\nb: "x\n',
+    ], ids=["open-flow", "bad-indent", "open-quote"])
+    def test_malformed_yaml_is_a_parse_error_with_its_line(self, loader, text, monkeypatch):
+        monkeypatch.setattr(carelay.config, "_YAML_LOADER", loader)
+        with pytest.raises(ParseError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.line == 3
+        assert "line 3" in str(excinfo.value)
+
+
+class TestCrossReferencesNameTheItem:
+    @pytest.mark.parametrize("extra, key", [
+        (
+            "  helpers:\n    - {domain: lab, udp_port: 5064, destinations: [192.168.7.1, 192.168.7.50]}\n",
+            "topology.helpers[0].destinations[1]",
+        ),
+        (
+            "    - name: beta\n      interfaces:\n        - {ip: 192.168.8.1, subnet: 192.168.8.0/24}\n",
+            "topology.hosts[1].interfaces[0].subnet",
+        ),
+        (
+            "  helpers:\n    - {domain: lab, udp_port: 5064, destinations: [192.168.7.1]}\n"
+            "    - {domain: nowhere, udp_port: 5064, destinations: [192.168.7.1]}\n",
+            "topology.helpers[1].domain",
+        ),
+        (
+            "  iocs:\n    - {host: alpha, name: a, pvs: {A: 1.0}}\n    - {host: ghost, name: b, pvs: {B: 1.0}}\n",
+            "topology.iocs[1].host",
+        ),
+        ("  bindings:\n    - {host: ghost, port: 5064}\n", "topology.bindings[0].host"),
+    ], ids=["helper-destination", "interface-subnet", "helper-domain", "ioc-host", "binding-host"])
+    def test_fault_names_its_key(self, extra, key):
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config(MINIMAL_TOPOLOGY + extra)
+        assert excinfo.value.key == key
 
 
 class TestValidation:

@@ -150,6 +150,26 @@ class TestCaget:
         result = client.query("IMX:DMC4:m1")
         assert len(result.send_times_us) == 1
 
+    @pytest.mark.parametrize("pv_name", ["IMX:DMC4:m1", "NOPE"])
+    def test_a_finished_query_leaves_none_of_its_timers_queued(self, pv_name):
+        net, *_ = make_net_with_iocs()
+        client = CaClient(net, "TesterDirect")
+        client.query(pv_name)
+        # No relay runs here, so every queued timer would be the query's own.
+        assert [entry for entry in net._queue if callable(entry[-1])] == []
+
+    def test_a_query_without_a_verdict_ends_past_its_deadline(self):
+        # Two IOCs listen on one server port, so the value request reaches
+        # the one without the PV and is never answered: the search resolves,
+        # but the query never gets a verdict.
+        net = VirtualNetwork(direct_topology())
+        IocSim(net, "IMX1-HOST1", "has", {"LOST:PV": 1.0}, server_port=5901)
+        IocSim(net, "IMX1-HOST1", "lacks", {}, server_port=5901)
+        result = CaClient(net, "TesterDirect").query("LOST:PV")
+        assert result.timed_out
+        assert result.responses_seen == 1
+        assert net.now_us == sum(ClientQueryConfig().wait_schedule_us())
+
     def test_first_response_wins_single_value_read(self):
         net = VirtualNetwork(direct_topology())
         # The same PV published by two IOCs on different hosts: both answer,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from carelay.netsim import (
@@ -64,13 +66,24 @@ class TestBind:
         with pytest.raises(UnknownHost):
             net.bind("NOPE", 5064, "x")
 
+    def test_last_binder_is_the_last_bound_after_unbinds(self):
+        net = VirtualNetwork(make_topology())
+        first, second, third = (net.bind("IMX1-HOST1", 5064, name) for name in "abc")
+        net.unbind("IMX1-HOST1", third)
+        pkt = search_packet("10.2.1.31", src_ip="10.2.1.32", src_port=4000)
+        assert [d.binding for d in net.inject("IMX1-HOST2", pkt)] == [second]
+        net.unbind("IMX1-HOST1", first)
+        net.unbind("IMX1-HOST1", second)
+        assert net.inject("IMX1-HOST2", pkt) == []
+        assert net.host("IMX1-HOST1").bindings == {}
+
     def test_unbind_frees_binding_but_not_sequence(self):
         net = VirtualNetwork(make_topology())
         b1 = net.bind("IMX1-HOST1", 5064, "a")
         net.unbind("IMX1-HOST1", b1)
         b2 = net.bind("IMX1-HOST1", 5064, "b")
         assert b2.bind_sequence == 2
-        assert net.host("IMX1-HOST1").bindings == [b2]
+        assert net.host("IMX1-HOST1").bindings == {5064: [b2]}
 
 
 class TestBroadcastDelivery:
@@ -277,6 +290,47 @@ class TestClock:
             return [d.time_us for d in net.advance_clock(100_000)]
 
         assert times(1) != times(2)
+
+    @pytest.mark.parametrize("jitter_us", [0, 1, 7, 8, 10, 1000])
+    def test_jitter_draws_what_randint_draws(self, jitter_us):
+        for seed in (0, 1, 7):
+            net = VirtualNetwork(make_topology(jitter_us=jitter_us), seed=seed)
+            reference = random.Random(seed)
+            assert [net._jitter() for _ in range(300)] == [reference.randint(0, jitter_us) for _ in range(300)]
+
+    def test_calls_in_turn_break_ties_as_if_queued_at_once(self):
+        net = VirtualNetwork(make_topology())
+        fired = []
+
+        def call(label, go_on=True):
+            return lambda: fired.append(label) or go_on
+
+        net.call_in_turn([(10, call("first")), (20, call("second")), (30, call("third"))])
+        # Queued after the chain was made, so it fires after the chain's call
+        # at the same time, although that call is queued only at time 10.
+        net.call_at(20, call("later"))
+        net.advance_clock(100)
+        assert fired == ["first", "second", "later", "third"]
+
+    def test_a_call_returning_false_ends_the_chain(self):
+        net = VirtualNetwork(make_topology())
+        fired = []
+        cancel = net.call_in_turn([(10, lambda: fired.append(1)), (20, lambda: fired.append(2) or True)])
+        net.advance_clock(100)
+        assert fired == [1]
+        assert net._queue == []
+        cancel()  # nothing left to remove
+
+    def test_cancel_removes_the_queued_call(self):
+        net = VirtualNetwork(make_topology())
+        fired = []
+        net.call_at(50, lambda: fired.append("other"))
+        cancel = net.call_in_turn([(10, lambda: fired.append(1) or True), (20, lambda: fired.append(2))])
+        net.advance_clock(15)
+        cancel()
+        assert len(net._queue) == 1
+        net.advance_clock(100)
+        assert fired == [1, "other"]
 
     def test_callback_cascade_within_window(self):
         net = VirtualNetwork(make_topology())
