@@ -274,14 +274,19 @@ def _parse_topology(topology: _Section, config: ConfigFile) -> None:
         jitter_us=topology.int("jitter_us", 0, minimum=0),
     )
     next_port = 5901
+    taken: set[tuple[str, int]] = set()  # (host, server_port) of the IOCs so far
 
     def parse_ioc(ioc: _Section) -> IocSpec:
         nonlocal next_port
         pvs = ioc.section("pvs", lambda table: {str(pv): table.float(pv) for pv in table}, {})
+        host = ioc.str("host")
         server_port = ioc.port("server_port", next_port)
+        if (host, server_port) in taken:  # the channel listener would keep only one
+            raise ValidationError(ioc.name("server_port"), f"another IOC on {host} has port {server_port}")
+        taken.add((host, server_port))
         next_port = max(next_port, server_port) + 1
         return IocSpec(
-            host=ioc.str("host"),
+            host=host,
             name=ioc.str("name"),
             pvs=pvs,
             server_port=server_port,

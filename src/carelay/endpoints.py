@@ -109,8 +109,8 @@ class IocSim:
         self.host_ip = net.host(host_name).interfaces[0].ip
         self.reads_served = 0
         self.writes_served = 0
-        self.binding = net.bind(host_name, CA_SERVER_PORT, owner=name, callback=self._on_delivery)
         net.register_channel_listener(self.host_ip, server_port, self._accept_channel)
+        self.binding = net.bind(host_name, CA_SERVER_PORT, owner=name, callback=self._on_delivery)
 
     # -- search ---------------------------------------------------------------
 

@@ -440,7 +440,9 @@ class VirtualNetwork:
     def register_channel_listener(
         self, ip: str, port: int, acceptor: Callable[[ChannelSide, str], None]
     ) -> None:
-        """acceptor(server_side, client_host) runs when a peer connects."""
+        """acceptor(server_side, client_host) runs when a peer connects; one per address."""
+        if (ip, port) in self._channel_listeners:
+            raise NetsimError(f"a channel listener already has {ip}:{port}")
         self._channel_listeners[(ip, port)] = acceptor
 
     def open_channel(self, client_host: str, server_ip: str, server_port: int) -> ChannelSide:

@@ -5,13 +5,16 @@ header (RFC 768) in network byte order, including datagrams whose source
 address is not the sender's own. Only plain headers are supported: no IP
 options, no fragmentation, IPv4 only. A datagram is an ``Ipv4UdpPacket``, a
 NamedTuple of the header fields a sender chooses; ``encode`` and ``decode``
-alone compute the lengths and checksums that follow from them.
+alone compute the lengths and checksums that follow from them. The relay
+builds one per datagram as ``_make`` does, ``tuple.__new__(Ipv4UdpPacket,
+fields)`` with all nine fields, skipping the constructor's Python ``__new__``.
 
 Both checksums are ones'-complement sums of 16-bit words, arithmetic modulo
 0xFFFF by RFC 1071 section 2. As 2**16 is 1 modulo 0xFFFF, whole words from
 a word boundary add the residue of the integer they spell: an address adds
 as one 32-bit integer, a payload as ``int.from_bytes`` of it, shifted left
-a byte if its length is odd (the pad). So ``encode`` sums fields, not bytes.
+a byte if its length is odd (the pad). So ``encode`` sums fields, not bytes,
+in one pass that adds the two addresses once for both checksums.
 
 ``ip_to_int`` keeps the last ``ADDRESS_TABLE_SIZE`` distinct addresses it
 converted, so ``encode``, ``Cidr.contains`` and the relay's filter convert an
@@ -36,6 +39,11 @@ MAX_UDP_PAYLOAD = 65507  # 65535 - 20 (IP header) - 8 (UDP header)
 _HEADERS = struct.Struct("!BBHHHBBHIIHHHH")
 _VERSION_IHL = 0x45  # IPv4, five-word header: the only form supported
 ADDRESS_TABLE_SIZE = 4096  # distinct addresses ip_to_int keeps (module docstring)
+# The constant words of each checksum sum, the lengths' fixed parts included:
+# version/IHL, total length 28 + n and the protocol for IP; the protocol and
+# the UDP length 8 + n, counted twice (pseudo and UDP header), for UDP.
+_IP_SUM_BASE = (_VERSION_IHL << 8) + IP_HEADER_LEN + UDP_HEADER_LEN + UDP_PROTO
+_UDP_SUM_BASE = UDP_PROTO + 2 * UDP_HEADER_LEN
 
 
 class PacketError(Exception):
@@ -104,8 +112,9 @@ def checksum16(data: bytes) -> int:
 class Cidr:
     """IPv4 prefix; host bits of base_ip below prefix_len must be zero.
 
-    The base and mask are kept as integers outside the dataclass fields, so
-    equality, hashing and repr still see only base_ip and prefix_len.
+    ``base`` and ``mask`` are the prefix as integers, kept outside the
+    dataclass fields, so equality, hashing and repr still see only base_ip
+    and prefix_len.
     """
 
     base_ip: str
@@ -118,8 +127,8 @@ class Cidr:
         mask = (0xFFFFFFFF << (32 - self.prefix_len)) & 0xFFFFFFFF
         if base & ~mask:
             raise ValueError(f"host bits set in {self.base_ip}/{self.prefix_len}")
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "_mask", mask)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def parse(cls, text: str) -> "Cidr":
@@ -129,14 +138,10 @@ class Cidr:
         return cls(base, int(plen))
 
     def contains(self, ip: str) -> bool:
-        return ip_to_int(ip) & self._mask == self._base
-
-    def contains_int(self, address: int) -> bool:
-        """``contains`` for an address already converted by ``ip_to_int``."""
-        return address & self._mask == self._base
+        return ip_to_int(ip) & self.mask == self.base
 
     def broadcast_address(self) -> str:
-        return int_to_ip(self._base | (~self._mask & 0xFFFFFFFF))
+        return int_to_ip(self.base | (~self.mask & 0xFFFFFFFF))
 
     def __str__(self) -> str:
         return f"{self.base_ip}/{self.prefix_len}"
@@ -162,44 +167,43 @@ class Ipv4UdpPacket(NamedTuple):
     flags_fragment: int = 0
 
 
-def _udp_checksum(src: int, dst: int, src_port: int, dst_port: int, payload: bytes) -> int:
-    """UDP checksum field over pseudo header, UDP header and payload.
+def _udp_checksum(addresses: int, src_port: int, dst_port: int, size: int, payload: bytes) -> int:
+    """UDP checksum field over pseudo header, UDP header and a payload of size bytes.
 
-    The sum is never zero (the length is at least 8), so a residue of 0 is
-    negative zero: the checksum computes to 0x0000, sent as 0xFFFF (RFC 768),
-    which is what 0xFFFF minus the residue gives.
+    ``addresses`` is the source plus the destination, as integers. The sum is
+    never zero (the length is at least 8), so a residue of 0 is negative
+    zero: 0x0000, sent as 0xFFFF (RFC 768), which 0xFFFF minus it gives.
     """
     # Reduced first, so that the shift and the sum below act on small ints.
     body = int.from_bytes(payload, "big") % 0xFFFF
-    if len(payload) & 1:
+    if size & 1:
         body <<= 8
-    udp_length = UDP_HEADER_LEN + len(payload)
-    return 0xFFFF - (src + dst + UDP_PROTO + 2 * udp_length + src_port + dst_port + body) % 0xFFFF
+    return 0xFFFF - (_UDP_SUM_BASE + addresses + 2 * size + src_port + dst_port + body) % 0xFFFF
 
 
 def encode(packet: Ipv4UdpPacket) -> bytes:
-    """Serialize to wire bytes, computing both checksums.
+    """Serialize to wire bytes, computing both checksums in one pass.
 
-    Both checksums come from the field values as integers (module docstring)
-    and both headers are packed once. The IP header's sum is non-zero, so
-    ``-sum % 0xFFFF`` is its checksum: 0, not 0xFFFF, for a multiple of
-    0xFFFF, as ``checksum16`` gives over the packed header.
+    Both checksums come from the field values as integers (module docstring),
+    share one sum of the two addresses, and take the header constants and
+    the lengths as folded into ``_IP_SUM_BASE`` and ``_UDP_SUM_BASE``; both
+    headers are packed once. The IP header's sum is non-zero, so ``-sum %
+    0xFFFF`` is its checksum: 0, not 0xFFFF, for a multiple of 0xFFFF, as
+    ``checksum16`` gives over the packed header.
     """
     src_ip, dst_ip, src_port, dst_port, payload, ttl, identification, dscp_ecn, flags_fragment = packet
-    if len(payload) > MAX_UDP_PAYLOAD:
-        raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_UDP_PAYLOAD}")
+    size = len(payload)
+    if size > MAX_UDP_PAYLOAD:
+        raise PayloadTooLarge(f"payload of {size} bytes exceeds {MAX_UDP_PAYLOAD}")
     src = ip_to_int(src_ip)
     dst = ip_to_int(dst_ip)
-    udp_length = UDP_HEADER_LEN + len(payload)
-    total_length = IP_HEADER_LEN + udp_length
-    ip_checksum = -(
-        (_VERSION_IHL << 8) + dscp_ecn + total_length + identification + flags_fragment
-        + (ttl << 8) + UDP_PROTO + src + dst
-    ) % 0xFFFF
+    addresses = src + dst
     return _HEADERS.pack(
-        _VERSION_IHL, dscp_ecn, total_length, identification, flags_fragment, ttl, UDP_PROTO,
-        ip_checksum, src, dst, src_port, dst_port, udp_length,
-        _udp_checksum(src, dst, src_port, dst_port, payload),
+        _VERSION_IHL, dscp_ecn, size + IP_HEADER_LEN + UDP_HEADER_LEN, identification, flags_fragment,
+        ttl, UDP_PROTO,
+        -(_IP_SUM_BASE + dscp_ecn + size + identification + flags_fragment + (ttl << 8) + addresses) % 0xFFFF,
+        src, dst, src_port, dst_port, size + UDP_HEADER_LEN,
+        _udp_checksum(addresses, src_port, dst_port, size, payload),
     ) + payload
 
 
@@ -252,7 +256,7 @@ def decode(data: bytes) -> Ipv4UdpPacket:
 
     payload = bytes(data[IP_HEADER_LEN + UDP_HEADER_LEN : total_length])
     if stored_udp_ck != 0:
-        udp_checksum = _udp_checksum(src, dst, src_port, dst_port, payload)
+        udp_checksum = _udp_checksum(src + dst, src_port, dst_port, len(payload), payload)
         if stored_udp_ck != udp_checksum:
             raise BadUdpChecksum(f"stored 0x{stored_udp_ck:04x}, computed 0x{udp_checksum:04x}")
     # Positional, in field order: binding nine keywords costs twice as much.

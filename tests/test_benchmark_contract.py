@@ -120,17 +120,24 @@ def test_names_perfbench_sim_builds_scenarios_from():
 
 def test_importing_the_relay_does_not_import_yaml():
     # Each loopback relay process imports carelay.relay and pays its import
-    # time in setup_s; yaml alone costs about 8 ms of CPU.
+    # time in setup_s: yaml alone costs about 8 ms of CPU, the simulator and
+    # the benchmark about 30 ms more. The package imports its re-exports on
+    # first use, and each still resolves to the object its module defines.
     src = Path(carelay.relay.__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, carelay.relay; print('yaml' in sys.modules)"],
-        cwd=src,
-        capture_output=True,
-        text=True,
-        timeout=60,
-        check=True,
+    script = (
+        "import importlib, sys, carelay.relay\n"
+        "print(sorted(m for m in sys.modules if m == 'yaml' or m.startswith('carelay')))\n"
+        "for name in carelay.__all__:\n"
+        "    value = getattr(carelay, name)\n"
+        "    assert value is getattr(importlib.import_module(value.__module__), name), name\n"
+        "assert not hasattr(carelay, 'no_such_name')\n"
+        "from carelay import *\n"
+        "print(len(carelay.__all__))\n"
     )
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=src, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert out.stdout.split("\n")[:2] == ["['carelay', 'carelay.ca_wire', 'carelay.packet', 'carelay.relay']", "29"]
 
 
 def test_endpoints_reach_the_finders_through_ca_wire(monkeypatch):
@@ -304,6 +311,8 @@ def counting_relay(config, calls: Counter, socket_factory=None):
     relay = Relay(config, transport)
     relay.handle_packet = counted(calls, "handle_packet", relay.handle_packet)
     relay.on_flow_packet = counted(calls, "on_flow_packet", relay.on_flow_packet)
+    transport.emit_spoofed = counted(calls, "emit_spoofed", transport.emit_spoofed)
+    transport.flow_send = counted(calls, "flow_send", transport.flow_send)
     return relay, transport
 
 
@@ -330,8 +339,11 @@ def test_wrappers_installed_before_serve_see_every_datagram(monkeypatch):
         monkeypatch.setattr(carelay.relay, name, counted(calls, name, getattr(carelay.relay, name)))
     sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    for sock in (sink, client):
-        sock.bind(("127.0.0.1", 0))
+    # Loopback answers for all of 127.0.0.0/8: a local and a not-allowed source.
+    local = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    denied = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    for sock, ip in ((sink, "127.0.0.1"), (client, "127.0.0.1"), (local, "127.0.1.5"), (denied, "127.0.2.5")):
+        sock.bind((ip, 0))
         sock.settimeout(2)
     try:
         proxy = RelayConfig(
@@ -348,6 +360,8 @@ def test_wrappers_installed_before_serve_see_every_datagram(monkeypatch):
             assert data == b"search"
             sink.sendto(b"reply", flow_addr)
             assert client.recvfrom(65535) == (b"reply", flow_addr)
+        assert calls == {"handle_packet": 1, "classify": 1, "flow_send": 2, "on_flow_packet": 1}
+        calls.clear()
 
         raw = RecordingRawSocket()
         spoof = RelayConfig(
@@ -355,16 +369,74 @@ def test_wrappers_installed_before_serve_see_every_datagram(monkeypatch):
             listen_port=17364,
             target_port=15064,
             mode=RelayMode.SPOOF,
-            local_subnet=Cidr("192.0.2.0", 24),
+            allow_sources=(Cidr("127.0.0.0", 24),),
+            local_subnet=Cidr("127.0.1.0", 24),
         )
         relay, transport = counting_relay(spoof, calls, raw.factory)
         with serving(relay, transport):
-            client.sendto(b"search", ("127.0.0.1", spoof.listen_port))
+            for sock in (local, denied, client):
+                sock.sendto(b"search", ("127.0.0.1", spoof.listen_port))
             deadline = time.monotonic() + 2
-            while not raw.sent and time.monotonic() < deadline:
+            while relay.counters.received < 3 and time.monotonic() < deadline:
                 time.sleep(0.005)
+    finally:
+        for sock in (sink, client, local, denied):
+            sock.close()
+    assert [decode(frame).payload for frame in raw.sent] == [b"search"]
+    counters = relay.counters
+    assert (counters.relayed, counters.dropped_local, counters.dropped_not_allowed) == (1, 1, 1)
+    assert calls == {"handle_packet": 3, "classify": 3, "encode": 1, "emit_spoofed": 1}
+
+
+def recorded(seen: list, fn):
+    def wrapper(*args):
+        seen.append(args)
+        return fn(*args)
+
+    return wrapper
+
+
+def test_real_transport_hands_the_relay_plain_packet_values():
+    # The serve loop builds each packet without the constructor; the value
+    # must still be an Ipv4UdpPacket with the constructor's defaults.
+    sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    client = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    for sock in (sink, client):
+        sock.bind(("127.0.0.1", 0))
+        sock.settimeout(2)
+    config = RelayConfig(
+        target_broadcast="127.0.0.1",
+        listen_port=17464,
+        target_port=sink.getsockname()[1],
+        mode=RelayMode.PROXY,
+        local_subnet=Cidr("192.0.2.0", 24),
+    )
+    transport = RealUdpTransport(config, bind_ip="127.0.0.1")
+    relay = Relay(config, transport)
+    searches: list = []
+    replies: list = []
+    relay.handle_packet = recorded(searches, relay.handle_packet)
+    relay.on_flow_packet = recorded(replies, relay.on_flow_packet)
+    client_port, sink_port = client.getsockname()[1], sink.getsockname()[1]
+    try:
+        with serving(relay, transport):
+            client.sendto(b"search", ("127.0.0.1", config.listen_port))
+            _, flow_addr = sink.recvfrom(65535)
+            sink.sendto(b"reply", flow_addr)
+            client.recvfrom(65535)
     finally:
         sink.close()
         client.close()
-    assert [decode(frame).payload for frame in raw.sent] == [b"search"]
-    assert calls == {"handle_packet": 2, "classify": 2, "on_flow_packet": 1, "encode": 1}
+    ((search, _),) = searches
+    ((flow_port, reply, _),) = replies
+    assert type(search) is Ipv4UdpPacket and type(reply) is Ipv4UdpPacket
+    defaults = {"ttl": 64, "identification": 0, "dscp_ecn": 0, "flags_fragment": 0}
+    assert search == Ipv4UdpPacket(
+        src_ip="127.0.0.1", dst_ip="127.0.0.1", src_port=client_port, dst_port=config.listen_port,
+        payload=b"search", **defaults,
+    )
+    assert flow_port == flow_addr[1]
+    assert reply == Ipv4UdpPacket(
+        src_ip="127.0.0.1", dst_ip="127.0.0.1", src_port=sink_port, dst_port=flow_port,
+        payload=b"reply", **defaults,
+    )

@@ -117,7 +117,12 @@ class TestCrossReferencesNameTheItem:
             "topology.iocs[1].host",
         ),
         ("  bindings:\n    - {host: ghost, port: 5064}\n", "topology.bindings[0].host"),
-    ], ids=["helper-destination", "interface-subnet", "helper-domain", "ioc-host", "binding-host"])
+        (
+            "  iocs:\n    - {host: alpha, name: a, pvs: {A: 1.0}}\n"
+            "    - {host: alpha, name: b, pvs: {B: 1.0}, server_port: 5901}\n",
+            "topology.iocs[1].server_port",
+        ),
+    ], ids=["helper-destination", "interface-subnet", "helper-domain", "ioc-host", "binding-host", "ioc-port"])
     def test_fault_names_its_key(self, extra, key):
         with pytest.raises(ValidationError) as excinfo:
             parse_config(MINIMAL_TOPOLOGY + extra)
@@ -297,6 +302,14 @@ class TestValidation:
         with pytest.raises(ValidationError) as excinfo:
             parse_config(text)
         assert "value" in excinfo.value.key
+
+    def test_one_server_port_on_two_hosts(self):
+        text = MINIMAL_TOPOLOGY + (
+            "    - name: beta\n      interfaces:\n        - {ip: 192.168.7.2, subnet: 192.168.7.0/24}\n"
+            "  iocs:\n    - {host: alpha, name: a, pvs: {A: 1.0}, server_port: 5901}\n"
+            "    - {host: beta, name: b, pvs: {B: 1.0}, server_port: 5901}\n"
+        )
+        assert [(ioc.host, ioc.server_port) for ioc in parse_config(text).iocs] == [("alpha", 5901), ("beta", 5901)]
 
     def test_ioc_on_unknown_host(self):
         text = MINIMAL_TOPOLOGY + "  iocs:\n    - host: ghost\n      name: x\n      pvs: {A: 1.0}\n"

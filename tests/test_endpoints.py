@@ -10,7 +10,7 @@ from carelay.endpoints import (
     IocSim,
     timeout_message,
 )
-from carelay.netsim import BroadcastDomain, Interface, VirtualHost, VirtualNetwork, VirtualTopology
+from carelay.netsim import BroadcastDomain, Interface, NetsimError, VirtualHost, VirtualNetwork, VirtualTopology
 from carelay.packet import Cidr
 
 BEAMLINE = Cidr("10.2.1.0", 24)
@@ -159,16 +159,25 @@ class TestCaget:
         assert [entry for entry in net._queue if callable(entry[-1])] == []
 
     def test_a_query_without_a_verdict_ends_past_its_deadline(self):
-        # Two IOCs listen on one server port, so the value request reaches
-        # the one without the PV and is never answered: the search resolves,
-        # but the query never gets a verdict.
+        # The IOC answers the search but never the value request: the search
+        # resolves, but the query never gets a verdict.
         net = VirtualNetwork(direct_topology())
-        IocSim(net, "IMX1-HOST1", "has", {"LOST:PV": 1.0}, server_port=5901)
-        IocSim(net, "IMX1-HOST1", "lacks", {}, server_port=5901)
+        ioc = IocSim(net, "IMX1-HOST1", "mute", {"LOST:PV": 1.0}, server_port=5901)
+        ioc._on_channel_message = lambda side, payload: None
         result = CaClient(net, "TesterDirect").query("LOST:PV")
         assert result.timed_out
         assert result.responses_seen == 1
         assert net.now_us == sum(ClientQueryConfig().wait_schedule_us())
+
+    def test_two_iocs_on_one_host_and_server_port_are_refused(self):
+        # The second would take the first's value requests, which then go
+        # unanswered; it is refused before it binds the search port.
+        net = VirtualNetwork(direct_topology())
+        first = IocSim(net, "IMX1-HOST1", "a", {"A": 1.0}, server_port=5901)
+        with pytest.raises(NetsimError, match="5901"):
+            IocSim(net, "IMX1-HOST1", "b", {"B": 2.0}, server_port=5901)
+        assert net.host("IMX1-HOST1").bindings == {5064: [first.binding]}
+        assert CaClient(net, "TesterDirect").caget("A") == 1.0
 
     def test_first_response_wins_single_value_read(self):
         net = VirtualNetwork(direct_topology())

@@ -7,6 +7,7 @@ from carelay.netsim import (
     ChannelRefused,
     HelperRule,
     Interface,
+    NetsimError,
     NoRoute,
     PreroutingRule,
     UnknownHost,
@@ -368,6 +369,15 @@ class TestChannels:
         net.advance_clock(10_000)
         assert got_server == [b"one", b"two"]
         assert got_client == [b"ack:one", b"ack:two"]
+
+    def test_a_second_listener_on_one_address_is_refused(self):
+        net = VirtualNetwork(make_topology())
+        accepted = []
+        net.register_channel_listener("10.2.1.31", 5901, lambda side, peer: accepted.append("first"))
+        with pytest.raises(NetsimError, match="10.2.1.31:5901"):
+            net.register_channel_listener("10.2.1.31", 5901, lambda side, peer: accepted.append("second"))
+        net.open_channel("TesterHEpics", "10.2.1.31", 5901)
+        assert accepted == ["first"]
 
     def test_refused_when_nothing_listens(self):
         net = VirtualNetwork(make_topology())

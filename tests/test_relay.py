@@ -68,15 +68,19 @@ class TestClassify:
         config = RelayConfig(target_broadcast="255.255.255.255", local_subnet=BEAMLINE)
         assert classify(query_packet(src_ip="172.16.0.9"), config) is Verdict.ACCEPT
 
+    prefix = st.tuples(st.sampled_from((0, 32)) | st.integers(min_value=0, max_value=32), st.booleans())
+
     @given(
         st.integers(min_value=0, max_value=0xFFFFFFFF),
-        st.one_of(st.none(), st.tuples(st.integers(min_value=0, max_value=32), st.booleans())),
-        st.lists(st.tuples(st.integers(min_value=0, max_value=32), st.booleans()), max_size=3),
+        st.one_of(st.none(), prefix),
+        st.lists(prefix, max_size=3),
+        st.sampled_from((6064, 5064)) | st.integers(min_value=1, max_value=65535),
     )
     @settings(max_examples=300)
-    def test_agrees_with_ipaddress_reference(self, src, local_spec, allow_specs):
+    def test_agrees_with_ipaddress_reference(self, src, local_spec, allow_specs, dst_port):
         # Each prefix is cut around the source; a flipped last prefix bit
-        # makes it just miss the source.
+        # makes it just miss the source. /0 and /32 are drawn as often as
+        # all other lengths together.
         def around(plen: int, miss: bool) -> ipaddress.IPv4Network:
             addr = src ^ (1 << (32 - plen)) if miss and plen else src
             return ipaddress.ip_network(f"{int_to_ip(addr)}/{plen}", strict=False)
@@ -89,13 +93,37 @@ class TestClassify:
             allow_sources=tuple(Cidr.parse(str(net)) for net in allow),
         )
         ip = ipaddress.ip_address(src)
-        if local is not None and ip in local:
+        if dst_port != config.listen_port:
+            expected = Verdict.DROP_PORT_MISMATCH
+        elif local is not None and ip in local:
             expected = Verdict.DROP_LOCAL_SOURCE
         elif allow and not any(ip in net for net in allow):
             expected = Verdict.DROP_NOT_ALLOWED
         else:
             expected = Verdict.ACCEPT
-        assert classify(query_packet(src_ip=str(ip)), config) is expected
+        assert classify(query_packet(src_ip=str(ip), dst_port=dst_port), config) is expected
+
+    def test_integer_prefixes_stay_outside_the_fields(self):
+        assert [f.name for f in dataclasses.fields(RelayConfig)] == [
+            "target_broadcast", "listen_port", "target_port", "allow_sources", "local_subnet", "mode",
+            "flow_idle_timeout_s", "max_packets_per_second",
+        ]
+        twin = RelayConfig(**{f.name: getattr(PAPER_CONFIG, f.name) for f in dataclasses.fields(RelayConfig)})
+        assert twin == PAPER_CONFIG and hash(twin) == hash(PAPER_CONFIG)
+        assert twin != dataclasses.replace(PAPER_CONFIG, local_subnet=None)
+        assert repr(PAPER_CONFIG) == (
+            "RelayConfig(target_broadcast='255.255.255.255', listen_port=6064, target_port=5064, "
+            "allow_sources=(Cidr(base_ip='10.2.105.0', prefix_len=24),), "
+            "local_subnet=Cidr(base_ip='10.2.1.0', prefix_len=24), mode=<RelayMode.SPOOF: 'spoof'>, "
+            "flow_idle_timeout_s=30.0, max_packets_per_second=None)"
+        )
+
+    def test_replace_recomputes_the_integer_prefixes(self):
+        swapped = dataclasses.replace(PAPER_CONFIG, local_subnet=SOL, allow_sources=(BEAMLINE,))
+        assert classify(query_packet(), swapped) is Verdict.DROP_LOCAL_SOURCE
+        assert classify(query_packet(src_ip="10.2.1.5"), swapped) is Verdict.ACCEPT
+        open_config = dataclasses.replace(PAPER_CONFIG, local_subnet=None, allow_sources=())
+        assert classify(query_packet(src_ip="10.2.1.5"), open_config) is Verdict.ACCEPT
 
 
 class TestRewriteSpoof:
