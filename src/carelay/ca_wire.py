@@ -189,7 +189,7 @@ class ValueExchangeKind(enum.IntEnum):
 
 @dataclass(frozen=True)
 class ValueExchange:
-    """Simplified fetch/put message, carried over the reliable channel."""
+    """Simplified fetch/put message: the request and the reply of the simulated data circuit."""
 
     kind: ValueExchangeKind
     pv_name: str

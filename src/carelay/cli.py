@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         client_p.add_argument("--target", metavar="IP:PORT", action="append", default=None,
                               help="real transport search target (repeatable)")
         client_p.add_argument("--seed", type=int, default=None, help="sim transport network seed")
-        client_p.set_defaults(func=cmd_caget if name == "caget" else cmd_caput)
+        client_p.set_defaults(func=cmd_client)
 
     return parser
 
@@ -212,26 +212,21 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _sim_client_query(args, write_value: float | None) -> int:
-    config = _load_config(args, required=True)
-    scenario = _scenario_from_config(config, args)
-    if config.client_host is None:
-        raise ConfigInvalid("sim transport needs client.host in the config")
-    net, _ = build_network(scenario)
-    client = CaClient(net, config.client_host, config=config.client)
-    return _print_query(client, args, write_value)
-
-
-def _real_client_query(args, write_value: float | None) -> int:
-    config = _load_config(args)
-    targets = [("255.255.255.255", CA_SERVER_PORT)]
-    if args.target:
-        targets = [parse_endpoint(t, "--target") for t in args.target]
-    client = RealCaClient(targets, config=config.client)
-    return _print_query(client, args, write_value)
-
-
-def _print_query(client, args, write_value: float | None) -> int:
+def cmd_client(args) -> int:
+    """caget, or caput with its value, over the simulated network or real UDP."""
+    write_value = getattr(args, "value", None)
+    config = _load_config(args, required=args.transport == "sim")
+    if args.transport == "sim":
+        scenario = _scenario_from_config(config, args)
+        if config.client_host is None:
+            raise ConfigInvalid("sim transport needs client.host in the config")
+        net, _ = build_network(scenario)
+        client = CaClient(net, config.client_host, config=config.client)
+    else:
+        targets = [("255.255.255.255", CA_SERVER_PORT)]
+        if args.target:
+            targets = [parse_endpoint(t, "--target") for t in args.target]
+        client = RealCaClient(targets, config=config.client)
     try:
         if write_value is None:
             value = client.caget(args.pv)
@@ -243,18 +238,6 @@ def _print_query(client, args, write_value: float | None) -> int:
         return EXIT_TIMEOUT
     print(f"{args.pv} {value}")
     return EXIT_OK
-
-
-def cmd_caget(args) -> int:
-    if args.transport == "sim":
-        return _sim_client_query(args, None)
-    return _real_client_query(args, None)
-
-
-def cmd_caput(args) -> int:
-    if args.transport == "sim":
-        return _sim_client_query(args, args.value)
-    return _real_client_query(args, args.value)
 
 
 if __name__ == "__main__":

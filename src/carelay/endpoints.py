@@ -2,10 +2,11 @@
 
 An IocSim owns a table of scalar PVs, answers name searches on the shared
 UDP search port of its host (silently ignoring names it does not own), and
-serves a simplified read/write exchange over the virtual network's reliable
-channel, standing in for the data circuit. The CaClient broadcasts searches
-with a doubling retry schedule and resolves the first response into a value
-read or write.
+answers each value request of the simulated data circuit with one reply
+(``VirtualNetwork.request``). The CaClient broadcasts searches with a doubling
+retry schedule and turns the first response into one read or one write; each
+query is one ``_Query`` record, whose bound methods are the network's
+callbacks, so a finished query is freed by reference count.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .ca_wire import (
     ValueExchange,
     ValueExchangeKind,
 )
-from .netsim import ChannelRefused, ChannelSide, Delivery, VirtualNetwork
+from .netsim import ChannelRefused, Delivery, VirtualNetwork
 from .packet import Ipv4UdpPacket
 
 FIRST_EPHEMERAL_PORT = 35687
@@ -109,7 +110,7 @@ class IocSim:
         self.host_ip = net.host(host_name).interfaces[0].ip
         self.reads_served = 0
         self.writes_served = 0
-        net.register_channel_listener(self.host_ip, server_port, self._accept_channel)
+        net.register_channel_listener(self.host_ip, server_port, self._on_channel_message)
         self.binding = net.bind(host_name, CA_SERVER_PORT, owner=name, callback=self._on_delivery)
 
     # -- search ---------------------------------------------------------------
@@ -141,25 +142,22 @@ class IocSim:
 
     # -- value exchange ---------------------------------------------------------
 
-    def _accept_channel(self, side: ChannelSide, peer_host: str) -> None:
-        del peer_host
-        side.on_message = lambda payload: self._on_channel_message(side, payload)
-
-    def _on_channel_message(self, side: ChannelSide, payload: bytes) -> None:
+    def _on_channel_message(self, payload: bytes) -> bytes | None:
+        """The encoded reply to a value request, or None for a PV this IOC does not own."""
         msg = ca_wire.decode_value_exchange(payload)
         if msg.pv_name not in self.pvs:
-            return
+            return None
         if msg.kind is ValueExchangeKind.READ_REQUEST:
             self.reads_served += 1
-            reply = ValueExchange(
-                ValueExchangeKind.READ_REPLY, msg.pv_name, msg.sequence, self.pvs[msg.pv_name]
-            )
-            side.send(ca_wire.encode_value_exchange(reply))
+            value = self.pvs[msg.pv_name]
+            reply = ValueExchange(ValueExchangeKind.READ_REPLY, msg.pv_name, msg.sequence, value)
         elif msg.kind is ValueExchangeKind.WRITE_REQUEST:
             self.writes_served += 1
             self.pvs[msg.pv_name] = msg.value
-            ack = ValueExchange(ValueExchangeKind.WRITE_ACK, msg.pv_name, msg.sequence)
-            side.send(ca_wire.encode_value_exchange(ack))
+            reply = ValueExchange(ValueExchangeKind.WRITE_ACK, msg.pv_name, msg.sequence)
+        else:
+            return None
+        return ca_wire.encode_value_exchange(reply)
 
 
 @dataclass
@@ -182,16 +180,77 @@ class QueryResult:
         return "timeout" if self.timed_out else f"value:{self.value!r}"
 
 
-class _PendingQuery:
-    def __init__(self, pv_name: str, operation: str, write_value: float | None) -> None:
-        self.pv_name = pv_name
-        self.operation = operation
+class _Query:
+    """One query in flight: it owns its QueryResult, and its bound methods are
+    the network's callbacks for its searches, give-up, responses and reply."""
+
+    def __init__(
+        self, client: "CaClient", pv_name: str, write_value: float | None, search_id: int, port: int
+    ) -> None:
+        self.client = client
         self.write_value = write_value
-        self.result: QueryResult | None = None
+        self.search_id = search_id
+        operation = "read" if write_value is None else "write"
+        self.result = QueryResult(pv_name, operation, started_us=client.net.now_us)
+        datagram = ca_wire.encode_search_datagram(SearchRequest(pv_name, search_id))
+        self.search = Ipv4UdpPacket(client.host_ip, client._broadcast_ip, port, CA_SERVER_PORT, datagram)
+        self.sequence = 0  # the value request's, once the search has resolved
         self.resolved = False
         self.done = False
-        self.send_times: list[int] = []
-        self.responses = 0
+
+    def is_done(self) -> bool:
+        return self.done
+
+    def send_search(self) -> bool:
+        """Broadcast the search unless the query has an answer; true while retries go on."""
+        if self.resolved or self.done:
+            return False
+        net = self.client.net
+        self.result.send_times_us.append(net.now_us)
+        net.inject(self.client.host_name, self.search)
+        return True
+
+    def give_up(self) -> None:
+        # The deadline covers the search phase only; a resolved query is
+        # already reading its value and the run cap bounds that instead.
+        if self.done or self.resolved:
+            return
+        self.done = True
+        self.result.timed_out = True
+        self.result.finished_us = self.client.net.now_us
+
+    def on_datagram(self, delivery: Delivery) -> None:
+        if self.done:
+            return
+        try:
+            response = ca_wire.find_search_response(delivery.packet.payload)
+        except ca_wire.CaWireError:
+            return
+        if response is None or response.search_id != self.search_id:
+            return
+        self.result.responses_seen += 1
+        if self.resolved:
+            return  # first response wins; duplicates are ignored
+        client = self.client
+        server_ip = response.server_address or delivery.packet.src_ip
+        self.sequence = client._next_sequence
+        request = _value_request(self.result.pv_name, self.sequence, self.write_value)
+        try:
+            client.net.request(client.host_name, server_ip, response.server_port, request, self.on_reply)
+        except ChannelRefused:
+            return  # unusable responder; keep waiting for another response
+        client._next_sequence += 1
+        self.resolved = True
+
+    def on_reply(self, payload: bytes) -> None:
+        if self.done:
+            return
+        value = _reply_value(payload, self.result.pv_name, self.sequence, self.write_value)
+        if value is None:
+            return
+        self.done = True
+        self.result.value = value
+        self.result.finished_us = self.client.net.now_us
 
 
 class CaClient:
@@ -233,99 +292,29 @@ class CaClient:
 
     def query(self, pv_name: str, write_value: float | None = None) -> QueryResult:
         """Run one full resolution on the virtual clock; never raises on timeout."""
-        operation = "read" if write_value is None else "write"
-        pending = _PendingQuery(pv_name, operation, write_value)
-        search_id = self._next_search_id
+        search_id, eph_port = self._next_search_id, self._next_ephemeral
         self._next_search_id += 1
-        eph_port = self._next_ephemeral
         self._next_ephemeral += 1
-
-        datagram = ca_wire.encode_search_datagram(SearchRequest(pv_name, search_id))
-        binding = self.net.bind(
-            self.host_name,
-            eph_port,
-            owner=f"client:{pv_name}",
-            callback=lambda d: self._on_datagram(pending, search_id, d),
-        )
-
-        started = self.net.now_us
-        search = Ipv4UdpPacket(self.host_ip, self._broadcast_ip, eph_port, CA_SERVER_PORT, datagram)
-        send = lambda: self._send_search(pending, search)  # noqa: E731
+        query = _Query(self, pv_name, write_value, search_id, eph_port)
+        binding = self.net.bind(self.host_name, eph_port, f"client:{pv_name}", query.on_datagram)
+        started = query.result.started_us
         deadline = started + self._deadline_us
         # Each retry is queued when the one before it fires, and the give-up
         # after the last retry; the first answer ends the chain.
         drop_timer = self.net.call_in_turn(
-            [*((started + offset, send) for offset in self._send_offsets_us),
-             (deadline, lambda: self._give_up(pending))]
+            [*((started + offset, query.send_search) for offset in self._send_offsets_us),
+             (deadline, query.give_up)]
         )
 
-        self.net.run_until(lambda: pending.done, cap_us=started + self._run_cap_us)
+        self.net.run_until(query.is_done, cap_us=started + self._run_cap_us)
         drop_timer()
         self.net.unbind(self.host_name, binding)
 
-        if pending.result is None:  # queue drained or cap hit without a verdict
-            pending.result = QueryResult(pv_name, operation, timed_out=True)
+        if not query.done:  # queue drained or cap hit without a verdict
+            query.result.timed_out = True
             # Without a verdict the search ran its full length: past its deadline.
             self.net.now_us = max(self.net.now_us, deadline)
-        result = pending.result
-        result.started_us = started
-        result.send_times_us = pending.send_times
-        result.responses_seen = pending.responses
-        return result
-
-    # -- internals ---------------------------------------------------------------
-
-    def _send_search(self, pending: _PendingQuery, search: Ipv4UdpPacket) -> bool:
-        """Broadcast the search unless the query has an answer; true while retries go on."""
-        if pending.resolved or pending.done:
-            return False
-        pending.send_times.append(self.net.now_us)
-        self.net.inject(self.host_name, search)
-        return True
-
-    def _give_up(self, pending: _PendingQuery) -> None:
-        # The deadline covers the search phase only; a resolved query is
-        # already reading its value and the run cap bounds that instead.
-        if pending.done or pending.resolved:
-            return
-        pending.done = True
-        pending.result = QueryResult(
-            pending.pv_name, pending.operation, timed_out=True, finished_us=self.net.now_us
-        )
-
-    def _on_datagram(self, pending: _PendingQuery, search_id: int, delivery: Delivery) -> None:
-        if pending.done:
-            return
-        try:
-            response = ca_wire.find_search_response(delivery.packet.payload)
-        except ca_wire.CaWireError:
-            return
-        if response is None or response.search_id != search_id:
-            return
-        pending.responses += 1
-        if pending.resolved:
-            return  # first response wins; duplicates are ignored
-        server_ip = response.server_address or delivery.packet.src_ip
-        try:
-            side = self.net.open_channel(self.host_name, server_ip, response.server_port)
-        except ChannelRefused:
-            return  # unusable responder; keep waiting for another response
-        pending.resolved = True
-        sequence = self._next_sequence
-        self._next_sequence += 1
-        side.on_message = lambda payload: self._on_channel_reply(pending, sequence, payload)
-        side.send(_value_request(pending.pv_name, sequence, pending.write_value))
-
-    def _on_channel_reply(self, pending: _PendingQuery, sequence: int, payload: bytes) -> None:
-        if pending.done:
-            return
-        value = _reply_value(payload, pending.pv_name, sequence, pending.write_value)
-        if value is None:
-            return
-        pending.result = QueryResult(
-            pending.pv_name, pending.operation, value=value, finished_us=self.net.now_us
-        )
-        pending.done = True
+        return query.result
 
 
 class RealCaClient:

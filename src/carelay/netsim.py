@@ -23,6 +23,10 @@ Delivery semantics, applied in order for each injected packet:
    highest bind sequence on the port (last-binder delivery).
 4. Each hop costs a fixed per-hop delay plus optional seeded jitter.
 
+The data circuit after a resolved search is one request and one reply
+(``request``), not logged: each way costs the hop delay between the two hosts,
+drawn as that way is sent.
+
 Each event costs a constant amount of work. A host keeps its bindings by port,
 in bind order, so the last binder is the last entry of one list; timers such as
 a client's search retries are queued one at a time (``call_in_turn``), so an
@@ -162,31 +166,6 @@ class Delivery(NamedTuple):
 
 _DELIVERY = 0
 _TIMER = 1
-
-
-class ChannelSide:
-    """One end of a reliable in-order duplex byte-message channel."""
-
-    def __init__(self, net: "VirtualNetwork", host: str, peer_host: str) -> None:
-        self._net = net
-        self.host = host
-        self.peer_host = peer_host
-        self.on_message: Callable[[bytes], None] | None = None
-        self._peer: "ChannelSide" | None = None
-        self._last_scheduled_us = 0
-
-    def send(self, payload: bytes) -> None:
-        peer = self._peer
-        assert peer is not None
-        delay = self._net._hop_delay_us(self.host, peer.host)
-        due = max(self._net.now_us + delay, self._last_scheduled_us)
-        self._last_scheduled_us = due
-
-        def fire() -> None:
-            if peer.on_message is not None:
-                peer.on_message(payload)
-
-        self._net.call_at(due, fire)
 
 
 class _CallsInTurn:
@@ -435,27 +414,30 @@ class VirtualNetwork:
         next_due = due + self.topology.per_hop_delay_us + self._jitter()
         return self._arrive_unicast(next_host, forwarded, next_due, ttl - 1)
 
-    # -- reliable channels ----------------------------------------------------
+    # -- data circuit ---------------------------------------------------------
 
-    def register_channel_listener(
-        self, ip: str, port: int, acceptor: Callable[[ChannelSide, str], None]
-    ) -> None:
-        """acceptor(server_side, client_host) runs when a peer connects; one per address."""
+    def register_channel_listener(self, ip: str, port: int, serve: Callable[[bytes], bytes | None]) -> None:
+        """serve(request) returns the reply to send back, or None; one listener per address."""
         if (ip, port) in self._channel_listeners:
             raise NetsimError(f"a channel listener already has {ip}:{port}")
-        self._channel_listeners[(ip, port)] = acceptor
+        self._channel_listeners[(ip, port)] = serve
 
-    def open_channel(self, client_host: str, server_ip: str, server_port: int) -> ChannelSide:
-        acceptor = self._channel_listeners.get((server_ip, server_port))
+    def request(
+        self, client_host: str, server_ip: str, server_port: int, payload: bytes,
+        on_reply: Callable[[bytes], None],
+    ) -> None:
+        """Carry payload to the listener at server_ip:server_port, and its reply, if any, to on_reply."""
+        serve = self._channel_listeners.get((server_ip, server_port))
         server_host = self._host_of_ip.get(server_ip)
-        if acceptor is None or server_host is None:
+        if serve is None or server_host is None:
             raise ChannelRefused(f"nothing listening at {server_ip}:{server_port}")
-        client_side = ChannelSide(self, client_host, server_host.name)
-        server_side = ChannelSide(self, server_host.name, client_host)
-        client_side._peer = server_side
-        server_side._peer = client_side
-        acceptor(server_side, client_host)
-        return client_side
+
+        def arrive() -> None:
+            reply = serve(payload)
+            if reply is not None:
+                self.call_later(self._hop_delay_us(server_host.name, client_host), lambda: on_reply(reply))
+
+        self.call_later(self._hop_delay_us(client_host, server_host.name), arrive)
 
     # -- clock ----------------------------------------------------------------
 

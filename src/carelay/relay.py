@@ -129,6 +129,12 @@ class RelayConfig:
                 f"target_broadcast must be an IPv4 address, got {self.target_broadcast!r}",
             ) from None
         local = self.local_subnet
+        if not (local is None or isinstance(local, Cidr)):
+            raise InvalidRelayConfig("local_subnet", f"local_subnet must be a Cidr or None, got {local!r}")
+        if isinstance(self.allow_sources, str) or not all(isinstance(n, Cidr) for n in self.allow_sources):
+            raise InvalidRelayConfig(
+                "allow_sources", f"allow_sources must be a sequence of Cidr, got {self.allow_sources!r}"
+            )
         object.__setattr__(self, "_local_prefix", _NO_PREFIX if local is None else (local.base, local.mask))
         object.__setattr__(self, "_allow_prefixes", tuple((net.base, net.mask) for net in self.allow_sources))
 

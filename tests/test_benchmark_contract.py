@@ -159,6 +159,20 @@ def test_endpoints_reach_the_finders_through_ca_wire(monkeypatch):
     assert all(calls.values()), calls
 
 
+def test_the_query_span_key_goes_up_by_one_per_query():
+    # perfbench.sim keys each endpoints.query span on client._next_search_id,
+    # read before the call, so each query must take the next one.
+    scenario = bench.scenario_c()
+    net, _ = bench.build_network(scenario)
+    client = CaClient(net, bench.CLIENT, config=scenario.client_config)
+    keys = []
+    for pv_name in [q.pv_name for q in scenario.queries] + ["NO:SUCH:PV"]:
+        keys.append(client._next_search_id)
+        client.query(pv_name)
+    keys.append(client._next_search_id)
+    assert keys == list(range(keys[0], keys[0] + len(keys)))
+
+
 def test_a_class_level_step_patch_sees_every_event(monkeypatch):
     # perfbench.sim counts netsim events and deliveries by wrapping _step on
     # the class, so every event must be fired through it and return what it

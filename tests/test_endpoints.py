@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carelay import bench
 from carelay.ca_wire import SearchRequest, encode_search_datagram, find_search_response
 from carelay.endpoints import (
     CaClient,
@@ -12,6 +15,7 @@ from carelay.endpoints import (
 )
 from carelay.netsim import BroadcastDomain, Interface, NetsimError, VirtualHost, VirtualNetwork, VirtualTopology
 from carelay.packet import Cidr
+from carelay.relay import RelayMode
 
 BEAMLINE = Cidr("10.2.1.0", 24)
 
@@ -158,12 +162,13 @@ class TestCaget:
         # No relay runs here, so every queued timer would be the query's own.
         assert [entry for entry in net._queue if callable(entry[-1])] == []
 
-    def test_a_query_without_a_verdict_ends_past_its_deadline(self):
+    def test_a_query_without_a_verdict_ends_past_its_deadline(self, monkeypatch):
         # The IOC answers the search but never the value request: the search
         # resolves, but the query never gets a verdict.
         net = VirtualNetwork(direct_topology())
-        ioc = IocSim(net, "IMX1-HOST1", "mute", {"LOST:PV": 1.0}, server_port=5901)
-        ioc._on_channel_message = lambda side, payload: None
+        register = net.register_channel_listener
+        monkeypatch.setattr(net, "register_channel_listener", lambda ip, port, serve: register(ip, port, lambda _: None))
+        IocSim(net, "IMX1-HOST1", "mute", {"LOST:PV": 1.0}, server_port=5901)
         result = CaClient(net, "TesterDirect").query("LOST:PV")
         assert result.timed_out
         assert result.responses_seen == 1
@@ -245,6 +250,29 @@ class TestCaput:
         client.caput("IMX:DMC4:m1", 9.0)
         assert ioc1.writes_served == 1
         assert ioc1.pvs["IMX:DMC4:m1"] == 9.0
+
+
+class TestReferenceCycles:
+    @pytest.mark.parametrize("mode", [RelayMode.SPOOF, RelayMode.PROXY])
+    def test_queries_on_a_live_network_leave_nothing_for_the_collector(self, mode):
+        # Each query's objects must be freed by reference count alone: with
+        # the collector off, nothing the queries made may wait for it.
+        scenario = bench.scenario_c(mode=mode)
+        net, _ = bench.build_network(scenario)
+        client = CaClient(net, bench.CLIENT, config=scenario.client_config)
+        results = []
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                results += [client.query(q.pv_name) for q in scenario.queries]
+            results.append(client.query(scenario.queries[0].pv_name, write_value=1.5))
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        assert len(results) == 10 * len(scenario.queries) + 1
+        assert not any(r.timed_out for r in results)
+        assert garbage == 0
 
 
 class TestClientQueryConfig:

@@ -354,44 +354,52 @@ class TestClock:
 
 
 class TestChannels:
-    def test_in_order_duplex_messaging(self):
+    def test_the_reply_comes_back_one_hop_delay_each_way(self):
         net = VirtualNetwork(make_topology())
         got_server, got_client = [], []
 
-        def acceptor(side, peer_host):
-            side.on_message = lambda payload: (got_server.append(payload), side.send(b"ack:" + payload))
+        def serve(payload):
+            got_server.append((net.now_us, payload))
+            return b"ack:" + payload
 
-        net.register_channel_listener("10.2.1.31", 5901, acceptor)
-        side = net.open_channel("TesterHEpics", "10.2.1.31", 5901)
-        side.on_message = got_client.append
-        side.send(b"one")
-        side.send(b"two")
+        net.register_channel_listener("10.2.1.31", 5901, serve)
+        net.request("TesterHEpics", "10.2.1.31", 5901, b"one", lambda reply: got_client.append((net.now_us, reply)))
         net.advance_clock(10_000)
-        assert got_server == [b"one", b"two"]
-        assert got_client == [b"ack:one", b"ack:two"]
+        hop = 2 * net.topology.per_hop_delay_us
+        assert got_server == [(hop, b"one")]
+        assert got_client == [(2 * hop, b"ack:one")]
+
+    def test_a_listener_that_returns_none_sends_nothing(self):
+        net = VirtualNetwork(make_topology())
+        served, replies = [], []
+        net.register_channel_listener("10.2.1.31", 5901, lambda payload: served.append(payload))
+        net.request("TesterHEpics", "10.2.1.31", 5901, b"x", replies.append)
+        net.advance_clock(10_000)
+        assert served == [b"x"]
+        assert replies == []
+        assert net._queue == []
 
     def test_a_second_listener_on_one_address_is_refused(self):
         net = VirtualNetwork(make_topology())
-        accepted = []
-        net.register_channel_listener("10.2.1.31", 5901, lambda side, peer: accepted.append("first"))
+        served = []
+        net.register_channel_listener("10.2.1.31", 5901, lambda payload: served.append("first"))
         with pytest.raises(NetsimError, match="10.2.1.31:5901"):
-            net.register_channel_listener("10.2.1.31", 5901, lambda side, peer: accepted.append("second"))
-        net.open_channel("TesterHEpics", "10.2.1.31", 5901)
-        assert accepted == ["first"]
+            net.register_channel_listener("10.2.1.31", 5901, lambda payload: served.append("second"))
+        net.request("TesterHEpics", "10.2.1.31", 5901, b"x", lambda reply: None)
+        net.advance_clock(10_000)
+        assert served == ["first"]
 
     def test_refused_when_nothing_listens(self):
         net = VirtualNetwork(make_topology())
         with pytest.raises(ChannelRefused):
-            net.open_channel("TesterHEpics", "10.2.1.31", 5901)
+            net.request("TesterHEpics", "10.2.1.31", 5901, b"x", lambda reply: None)
+        assert net._queue == []
 
     def test_cross_domain_channel_pays_two_hops(self):
         net = VirtualNetwork(make_topology())
         times = []
-        net.register_channel_listener(
-            "10.2.1.31", 5901, lambda side, peer: setattr(side, "on_message", lambda _: times.append(net.now_us))
-        )
-        side = net.open_channel("TesterHEpics", "10.2.1.31", 5901)
-        side.send(b"x")
+        net.register_channel_listener("10.2.1.31", 5901, lambda payload: times.append(net.now_us))
+        net.request("TesterHEpics", "10.2.1.31", 5901, b"x", lambda reply: None)
         net.advance_clock(10_000)
         assert times == [2 * net.topology.per_hop_delay_us]
 

@@ -18,6 +18,7 @@ from carelay.netsim import (
 )
 from carelay.packet import ADDRESS_TABLE_SIZE, Cidr, Ipv4UdpPacket, decode, encode, int_to_ip, ip_to_int
 from carelay.relay import (
+    InvalidRelayConfig,
     PrivilegeRequired,
     Relay,
     RelayConfig,
@@ -531,6 +532,24 @@ class TestRelayConfigValidation:
         # tick, and a target encode cannot convert at its first search.
         with pytest.raises(ValueError, match=field.removesuffix("_s")):
             RelayConfig(**{"target_broadcast": "255.255.255.255", field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("local_subnet", "10.0.0.0/8"),
+            ("allow_sources", ("10.2.105.0/24",)),
+            ("allow_sources", (SOL, "10.2.105.0/24")),
+            ("allow_sources", "10.2.105.0/24"),
+            ("allow_sources", ""),
+        ],
+        ids=["subnet-string", "string-item", "mixed-items", "bare-string", "empty-string"],
+    )
+    def test_prefixes_must_be_cidrs(self, field, value):
+        # A string prefix used to fail on its first use with an AttributeError
+        # that named no field.
+        with pytest.raises(InvalidRelayConfig, match=field) as excinfo:
+            RelayConfig(**{"target_broadcast": "1.2.3.4", field: value})
+        assert excinfo.value.field == field
 
     def test_defaults_match_documented_values(self):
         config = RelayConfig(target_broadcast="255.255.255.255")
