@@ -16,6 +16,7 @@ and an unknown key reports the bad value.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -30,9 +31,11 @@ from .netsim import (
     BroadcastDomain,
     HelperRule,
     Interface,
+    InvalidTopology,
     PreroutingRule,
     VirtualHost,
     VirtualTopology,
+    index_topology,
 )
 from .packet import Cidr, int_to_ip, ip_to_int
 from .relay import InvalidRelayConfig, RelayConfig, RelayMode
@@ -305,17 +308,9 @@ def _parse_topology(topology: _Section, config: ConfigFile) -> None:
 
 
 def _parse_host(host: _Section) -> VirtualHost:
-    interfaces = host.sections("interfaces", _parse_interface)
+    interfaces = host.sections("interfaces", lambda i: Interface(i.address("ip"), i.cidr("subnet")))
     rules = host.sections("prerouting", _parse_prerouting)
     return VirtualHost(host.str("name"), interfaces, prerouting_rules=rules)
-
-
-def _parse_interface(interface: _Section) -> Interface:
-    ip = interface.address("ip")
-    subnet = interface.cidr("subnet")
-    if not subnet.contains(ip):
-        raise ValidationError(interface.name("ip"), f"{ip} is outside its subnet {subnet}")
-    return Interface(ip, subnet)
 
 
 def _parse_prerouting(rule: _Section) -> PreroutingRule:
@@ -334,14 +329,8 @@ def _address_and_port(value, key: str) -> tuple[str, int]:
 
 
 def _parse_helper(helper: _Section) -> HelperRule:
-    destinations = helper.list("destinations", _address)
-    if not destinations:
-        raise ValidationError(helper.name("destinations"), "at least one destination required")
-    return HelperRule(
-        domain=helper.str("domain"),
-        udp_port=helper.port("udp_port"),
-        destinations=tuple(destinations),
-    )
+    destinations = tuple(helper.list("destinations", _address))
+    return HelperRule(helper.str("domain"), helper.port("udp_port"), destinations)
 
 
 def parse_endpoint(text: str, key: str) -> tuple[str, int]:
@@ -420,25 +409,20 @@ def _parse_bench(bench: _Section, config: ConfigFile) -> None:
     )
 
 
+# The topology key of each VirtualTopology field in an InvalidTopology path whose name differs.
+_TOPOLOGY_KEY_OF_FIELD = {"helper_rules": "helpers", "prerouting_rules": "prerouting", "new_dst_ip": "new_dst"}
+
+
 def _cross_validate(config: ConfigFile) -> None:
-    """Checks across sections and items, each naming the item's own key."""
+    """Checks across sections and items, each naming the item's own key; the network checks the topology."""
     topology = config.topology
     if topology is None:
         return
-    domains = {d.subnet: d.name for d in topology.domains}
-    owned = {iface.ip for host in topology.hosts for iface in host.interfaces}
-    for i, host in enumerate(topology.hosts):
-        for j, iface in enumerate(host.interfaces):
-            if iface.subnet not in domains:
-                key = f"topology.hosts[{i}].interfaces[{j}].subnet"
-                raise ValidationError(key, f"{iface.subnet} is no domain's subnet")
-    for i, helper in enumerate(topology.helper_rules):
-        if helper.domain not in domains.values():
-            raise ValidationError(f"topology.helpers[{i}].domain", f"unknown domain {helper.domain!r}")
-        for j, destination in enumerate(helper.destinations):
-            if destination not in owned:
-                key = f"topology.helpers[{i}].destinations[{j}]"
-                raise ValidationError(key, f"no interface owns {destination}")
+    try:
+        index_topology(topology)
+    except InvalidTopology as exc:
+        path = re.sub(r"\w+", lambda word: _TOPOLOGY_KEY_OF_FIELD.get(word[0], word[0]), exc.path)
+        raise ValidationError(f"topology.{path}", str(exc)) from None
     host_names = {h.name for h in topology.hosts}
     for key, host in [
         *((f"topology.iocs[{i}].host", spec.host) for i, spec in enumerate(config.iocs)),

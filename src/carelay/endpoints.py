@@ -163,7 +163,6 @@ class IocSim:
 @dataclass
 class QueryResult:
     pv_name: str
-    operation: str
     value: float | None = None
     timed_out: bool = False
     started_us: int = 0
@@ -190,8 +189,7 @@ class _Query:
         self.client = client
         self.write_value = write_value
         self.search_id = search_id
-        operation = "read" if write_value is None else "write"
-        self.result = QueryResult(pv_name, operation, started_us=client.net.now_us)
+        self.result = QueryResult(pv_name, started_us=client.net.now_us)
         datagram = ca_wire.encode_search_datagram(SearchRequest(pv_name, search_id))
         self.search = Ipv4UdpPacket(client.host_ip, client._broadcast_ip, port, CA_SERVER_PORT, datagram)
         self.sequence = 0  # the value request's, once the search has resolved

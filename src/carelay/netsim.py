@@ -5,7 +5,9 @@ behavior around UDP name resolution: per-host port bindings with bind order,
 switch-level broadcast-to-unicast helper rules, and host-level prerouting
 destination rewrites. Time is a virtual microsecond clock; every delivery is
 scheduled onto a single event queue, so a fixed topology, seed, and injection
-sequence always produce the same delivery log.
+sequence always produce the same delivery log. A topology the network cannot
+describe is refused when it is built (``index_topology``), with
+``InvalidTopology.path`` naming the faulty field, such as ``hosts[1].name``.
 
 Delivery semantics, applied in order for each injected packet:
 
@@ -25,7 +27,7 @@ Delivery semantics, applied in order for each injected packet:
 
 The data circuit after a resolved search is one request and one reply
 (``request``), not logged: each way costs the hop delay between the two hosts,
-drawn as that way is sent.
+drawn as that way is sent. Its listener must be at an address a host owns.
 
 Each event costs a constant amount of work. A host keeps its bindings by port,
 in bind order, so the last binder is the last entry of one list; timers such as
@@ -64,6 +66,14 @@ class ChannelRefused(NetsimError):
     pass
 
 
+class InvalidTopology(ValueError):
+    """A topology the network cannot describe; ``path`` names the field, as ``hosts[1].interfaces[0].ip``."""
+
+    def __init__(self, path: str, message: str) -> None:
+        super().__init__(message)
+        self.path = path
+
+
 @dataclass(frozen=True)
 class BroadcastDomain:
     name: str
@@ -83,10 +93,6 @@ class HelperRule:
     domain: str
     udp_port: int
     destinations: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.destinations:
-            raise ValueError("helper rule needs at least one destination")
 
 
 @dataclass(frozen=True)
@@ -148,6 +154,60 @@ class VirtualTopology:
     jitter_us: int = 0
 
 
+def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict, dict, dict]:
+    """One pass that refuses, as ``InvalidTopology``, a topology the network's
+    tables cannot describe, and builds them: hosts by name, domains by subnet,
+    each domain's hosts in jitter-draw order, each host's subnets (its domains'
+    own Cidr objects, matched by identity) and hosts by interface address."""
+    domain_of_subnet: dict[Cidr, BroadcastDomain] = {}
+    hosts_in_domain: dict[str, list[VirtualHost]] = {}
+    for i, domain in enumerate(topology.domains):
+        if domain.subnet in domain_of_subnet:
+            raise InvalidTopology(f"domains[{i}].subnet", f"duplicate domain subnet {domain.subnet}")
+        if domain.name in hosts_in_domain:
+            raise InvalidTopology(f"domains[{i}].name", f"duplicate domain name {domain.name!r}")
+        domain_of_subnet[domain.subnet] = domain
+        hosts_in_domain[domain.name] = []
+    hosts: dict[str, VirtualHost] = {}
+    subnets_of_host: dict[str, set[Cidr]] = {}
+    host_of_ip: dict[str, VirtualHost] = {}
+    for i, host in enumerate(topology.hosts):
+        if host.name in hosts:
+            raise InvalidTopology(f"hosts[{i}].name", f"duplicate host name {host.name!r}")
+        if not host.interfaces:
+            raise InvalidTopology(f"hosts[{i}].interfaces", f"{host.name} has no interfaces")
+        hosts[host.name] = host
+        subnets = subnets_of_host[host.name] = set()
+        for j, iface in enumerate(host.interfaces):
+            path = f"hosts[{i}].interfaces[{j}]"
+            domain = domain_of_subnet.get(iface.subnet)
+            if domain is None:
+                raise InvalidTopology(f"{path}.subnet", f"{iface.subnet} is no domain's subnet")
+            if domain.subnet in subnets:
+                raise InvalidTopology(f"{path}.subnet", f"{host.name} has two interfaces in {domain.name}")
+            if not iface.subnet.contains(iface.ip):
+                raise InvalidTopology(f"{path}.ip", f"{iface.ip} is outside its subnet {iface.subnet}")
+            if iface.ip in host_of_ip:
+                raise InvalidTopology(f"{path}.ip", f"duplicate interface address {iface.ip}")
+            subnets.add(domain.subnet)
+            hosts_in_domain[domain.name].append(host)
+            host_of_ip[iface.ip] = host
+    for i, host in enumerate(topology.hosts):
+        for j, rule in enumerate(host.prerouting_rules):
+            if rule.new_dst_ip != LIMITED_BROADCAST and rule.new_dst_ip not in host_of_ip:
+                path = f"hosts[{i}].prerouting_rules[{j}].new_dst_ip"
+                raise InvalidTopology(path, f"prerouting rewrite to unknown address {rule.new_dst_ip}")
+    for i, rule in enumerate(topology.helper_rules):
+        if rule.domain not in hosts_in_domain:
+            raise InvalidTopology(f"helper_rules[{i}].domain", f"unknown domain {rule.domain!r}")
+        if not rule.destinations:
+            raise InvalidTopology(f"helper_rules[{i}].destinations", "at least one destination required")
+        for j, ip in enumerate(rule.destinations):
+            if ip not in host_of_ip:
+                raise InvalidTopology(f"helper_rules[{i}].destinations[{j}]", f"no interface owns {ip}")
+    return hosts, domain_of_subnet, hosts_in_domain, subnets_of_host, host_of_ip
+
+
 class Delivery(NamedTuple):
     """One packet handed to one binding, as it appeared on the wire.
 
@@ -202,7 +262,7 @@ class _CallsInTurn:
 
 
 class VirtualNetwork:
-    """Sequential event loop over a VirtualTopology."""
+    """Sequential event loop over a VirtualTopology, which is not changed once the network is built."""
 
     def __init__(self, topology: VirtualTopology, seed: int = 0) -> None:
         self.topology = topology
@@ -211,55 +271,15 @@ class VirtualNetwork:
         self._rng = random.Random(seed)
         self._queue: list[tuple[int, int, int, object]] = []
         self._seq = 0
-        self._hosts = {h.name: h for h in topology.hosts}
-        self._channel_listeners: dict[tuple[str, int], Callable] = {}
-        # Domain membership, resolved once: the topology is not changed after
-        # the network is built. A host's subnets are its domains' own Cidr
-        # objects, so membership tests match by identity and do not call the
-        # dataclass __eq__.
-        self._domain_of_subnet = {d.subnet: d for d in topology.domains}
-        self._validate()
-        # In topology order, which is the order the jitter draws follow.
-        self._hosts_in_domain: dict[str, list[VirtualHost]] = {d.name: [] for d in topology.domains}
-        self._subnets_of_host: dict[str, frozenset[Cidr]] = {}
-        for host in topology.hosts:
-            domains = [self._domain_of_subnet[i.subnet] for i in host.interfaces]
-            for domain in domains:
-                self._hosts_in_domain[domain.name].append(host)
-            self._subnets_of_host[host.name] = frozenset(d.subnet for d in domains)
-        # Interface addresses are unique (checked by _validate).
-        self._host_of_ip = {i.ip: host for host in topology.hosts for i in host.interfaces}
+        self._channel_listeners: dict[tuple[str, int], tuple[Callable, str]] = {}
+        (self._hosts, self._domain_of_subnet, self._hosts_in_domain,
+         self._subnets_of_host, self._host_of_ip) = index_topology(topology)
         self._broadcasts = frozenset(
             [LIMITED_BROADCAST, *(d.subnet.broadcast_address() for d in topology.domains)]
         )
         self._jitter_max = topology.jitter_us
         self._jitter_bits = (topology.jitter_us + 1).bit_length()
         self._getrandbits = self._rng.getrandbits
-
-    def _validate(self) -> None:
-        if len(self._hosts) != len(self.topology.hosts):
-            raise ValueError("duplicate host names")
-        seen_ips: set[str] = set()
-        if len(self._domain_of_subnet) != len(self.topology.domains):
-            raise ValueError("duplicate domain subnets")
-        domain_names = {d.name for d in self.topology.domains}
-        for host in self.topology.hosts:
-            if not host.interfaces:
-                raise ValueError(f"{host.name} has no interfaces")
-            host_domains = set()
-            for iface in host.interfaces:
-                if iface.ip in seen_ips:
-                    raise ValueError(f"duplicate interface address {iface.ip}")
-                seen_ips.add(iface.ip)
-                domain = self._domain_of_subnet.get(iface.subnet)
-                if domain is None:
-                    raise ValueError(f"{host.name} interface {iface.ip} matches no domain")
-                if domain.name in host_domains:
-                    raise ValueError(f"{host.name} has two interfaces in {domain.name}")
-                host_domains.add(domain.name)
-        for rule in self.topology.helper_rules:
-            if rule.domain not in domain_names:
-                raise ValueError(f"helper rule references unknown domain {rule.domain}")
 
     # -- hosts and addressing -------------------------------------------------
 
@@ -398,7 +418,7 @@ class VirtualNetwork:
                 Delivery(due, host.name, b, rewritten, packet.dst_ip, packet.dst_port)
                 for b in host.bindings.get(rule.new_dst_port, ())
             ]
-        next_host = self._host_of_ip.get(rule.new_dst_ip)
+        next_host = self._host_of_ip[rule.new_dst_ip]
         if next_host is host:
             on_port = host.bindings.get(rule.new_dst_port)
             if not on_port:
@@ -408,8 +428,6 @@ class VirtualNetwork:
         # Rewrite toward another machine: forward it, spending a hop and TTL.
         if ttl <= 1:
             return []
-        if next_host is None:
-            raise NoRoute(f"prerouting rewrite to unknown address {rule.new_dst_ip}")
         forwarded = rewritten._replace(ttl=ttl - 1)
         next_due = due + self.topology.per_hop_delay_us + self._jitter()
         return self._arrive_unicast(next_host, forwarded, next_due, ttl - 1)
@@ -417,27 +435,29 @@ class VirtualNetwork:
     # -- data circuit ---------------------------------------------------------
 
     def register_channel_listener(self, ip: str, port: int, serve: Callable[[bytes], bytes | None]) -> None:
-        """serve(request) returns the reply to send back, or None; one listener per address."""
+        """serve(request) returns the reply to send back, or None; one listener per owned address."""
+        if ip not in self._host_of_ip:
+            raise NetsimError(f"no interface owns {ip}")
         if (ip, port) in self._channel_listeners:
             raise NetsimError(f"a channel listener already has {ip}:{port}")
-        self._channel_listeners[(ip, port)] = serve
+        self._channel_listeners[(ip, port)] = (serve, self._host_of_ip[ip].name)
 
     def request(
         self, client_host: str, server_ip: str, server_port: int, payload: bytes,
         on_reply: Callable[[bytes], None],
     ) -> None:
         """Carry payload to the listener at server_ip:server_port, and its reply, if any, to on_reply."""
-        serve = self._channel_listeners.get((server_ip, server_port))
-        server_host = self._host_of_ip.get(server_ip)
-        if serve is None or server_host is None:
-            raise ChannelRefused(f"nothing listening at {server_ip}:{server_port}")
+        try:
+            serve, server_host = self._channel_listeners[(server_ip, server_port)]
+        except KeyError:
+            raise ChannelRefused(f"nothing listening at {server_ip}:{server_port}") from None
 
         def arrive() -> None:
             reply = serve(payload)
             if reply is not None:
-                self.call_later(self._hop_delay_us(server_host.name, client_host), lambda: on_reply(reply))
+                self.call_later(self._hop_delay_us(server_host, client_host), lambda: on_reply(reply))
 
-        self.call_later(self._hop_delay_us(client_host, server_host.name), arrive)
+        self.call_later(self._hop_delay_us(client_host, server_host), arrive)
 
     # -- clock ----------------------------------------------------------------
 

@@ -5,6 +5,7 @@ import socket
 from pathlib import Path
 
 import pytest
+import yaml
 
 from carelay import cli
 from carelay.bench import run_scenario, scenario_a, scenario_b, scenario_c
@@ -220,6 +221,19 @@ def test_sim_names_an_unowned_helper_destination_before_running(config_error):
     assert owned in text
     err = config_error(["sim"], text.replace(owned, "destinations: [10.2.1.31, 10.2.1.250]"))
     assert "'topology.helpers[0].destinations[1]'" in err
+
+
+def test_sim_names_a_relay_host_without_interfaces(config_error):
+    # It used to end in an IndexError traceback and exit 1, the query-timeout code.
+    data = yaml.safe_load((CONFIG_DIR / "scenario_c.yaml").read_text())
+    host2 = data["topology"]["hosts"][1]
+    assert host2["name"] == "IMX1-HOST2"
+    host2["interfaces"] = []
+    for ioc in data["topology"]["iocs"]:
+        ioc["host"] = "IMX1-HOST1"
+    data["relay"]["host"] = "IMX1-HOST2"
+    err = config_error(["sim"], yaml.safe_dump(data))
+    assert "'topology.hosts[1].interfaces'" in err
 
 
 RELAY = ["relay", "--mode", "proxy", "--bind-ip", "127.0.0.1"]

@@ -97,35 +97,64 @@ class TestYamlLoader:
         assert "line 3" in str(excinfo.value)
 
 
+SECOND_HOST = "    - name: beta\n      interfaces:\n        - {ip: 192.168.7.2, subnet: 192.168.7.0/24}\n"
+
+
 class TestCrossReferencesNameTheItem:
-    @pytest.mark.parametrize("extra, key", [
+    @pytest.mark.parametrize("text, key", [
         (
-            "  helpers:\n    - {domain: lab, udp_port: 5064, destinations: [192.168.7.1, 192.168.7.50]}\n",
+            MINIMAL_TOPOLOGY
+            + "  helpers:\n    - {domain: lab, udp_port: 5064, destinations: [192.168.7.1, 192.168.7.50]}\n",
             "topology.helpers[0].destinations[1]",
         ),
         (
-            "    - name: beta\n      interfaces:\n        - {ip: 192.168.8.1, subnet: 192.168.8.0/24}\n",
+            MINIMAL_TOPOLOGY + "    - name: beta\n      interfaces:\n        - {ip: 192.168.8.1, subnet: 192.168.8.0/24}\n",
             "topology.hosts[1].interfaces[0].subnet",
         ),
         (
-            "  helpers:\n    - {domain: lab, udp_port: 5064, destinations: [192.168.7.1]}\n"
+            MINIMAL_TOPOLOGY + "  helpers:\n    - {domain: lab, udp_port: 5064, destinations: [192.168.7.1]}\n"
             "    - {domain: nowhere, udp_port: 5064, destinations: [192.168.7.1]}\n",
             "topology.helpers[1].domain",
         ),
         (
-            "  iocs:\n    - {host: alpha, name: a, pvs: {A: 1.0}}\n    - {host: ghost, name: b, pvs: {B: 1.0}}\n",
+            MINIMAL_TOPOLOGY
+            + "  iocs:\n    - {host: alpha, name: a, pvs: {A: 1.0}}\n    - {host: ghost, name: b, pvs: {B: 1.0}}\n",
             "topology.iocs[1].host",
         ),
-        ("  bindings:\n    - {host: ghost, port: 5064}\n", "topology.bindings[0].host"),
+        (MINIMAL_TOPOLOGY + "  bindings:\n    - {host: ghost, port: 5064}\n", "topology.bindings[0].host"),
         (
-            "  iocs:\n    - {host: alpha, name: a, pvs: {A: 1.0}}\n"
+            MINIMAL_TOPOLOGY + "  iocs:\n    - {host: alpha, name: a, pvs: {A: 1.0}}\n"
             "    - {host: alpha, name: b, pvs: {B: 1.0}, server_port: 5901}\n",
             "topology.iocs[1].server_port",
         ),
-    ], ids=["helper-destination", "interface-subnet", "helper-domain", "ioc-host", "binding-host", "ioc-port"])
-    def test_fault_names_its_key(self, extra, key):
+        (MINIMAL_TOPOLOGY + SECOND_HOST.replace("192.168.7.2", "192.168.7.1"), "topology.hosts[1].interfaces[0].ip"),
+        (
+            MINIMAL_TOPOLOGY.replace("  hosts:\n", "    - {name: lab2, subnet: 192.168.7.0/24}\n  hosts:\n")
+            + "  helpers:\n    - {domain: lab, udp_port: 5064, destinations: [192.168.7.1]}\n",
+            "topology.domains[1].subnet",
+        ),
+        (
+            MINIMAL_TOPOLOGY.replace("  hosts:\n", "    - {name: lab, subnet: 192.168.8.0/24}\n  hosts:\n"),
+            "topology.domains[1].name",
+        ),
+        (MINIMAL_TOPOLOGY + "    - name: beta\n      interfaces: []\n", "topology.hosts[1].interfaces"),
+        (
+            MINIMAL_TOPOLOGY + "      prerouting:\n        - {match_dst_port: 5064, new_dst: '192.168.7.99:5064'}\n",
+            "topology.hosts[0].prerouting[0].new_dst",
+        ),
+        (
+            MINIMAL_TOPOLOGY + SECOND_HOST + "        - {ip: 192.168.7.3, subnet: 192.168.7.0/24}\n",
+            "topology.hosts[1].interfaces[1].subnet",
+        ),
+        (MINIMAL_TOPOLOGY + SECOND_HOST.replace("beta", "alpha"), "topology.hosts[1].name"),
+    ], ids=[
+        "helper-destination", "interface-subnet", "helper-domain", "ioc-host", "binding-host", "ioc-port",
+        "duplicate-address", "duplicate-subnet", "duplicate-domain-name", "host-without-interfaces",
+        "prerouting-to-unowned-address", "two-interfaces-in-one-domain", "duplicate-host-name",
+    ])
+    def test_fault_names_its_key(self, text, key):
         with pytest.raises(ValidationError) as excinfo:
-            parse_config(MINIMAL_TOPOLOGY + extra)
+            parse_config(text)
         assert excinfo.value.key == key
 
 

@@ -395,6 +395,13 @@ class TestChannels:
             net.request("TesterHEpics", "10.2.1.31", 5901, b"x", lambda reply: None)
         assert net._queue == []
 
+    def test_a_listener_at_an_address_no_interface_owns_is_refused(self):
+        net = VirtualNetwork(make_topology())
+        with pytest.raises(NetsimError, match="no interface owns 10.9.9.9"):
+            net.register_channel_listener("10.9.9.9", 5901, lambda payload: b"reply")
+        with pytest.raises(ChannelRefused):
+            net.request("TesterHEpics", "10.9.9.9", 5901, b"x", lambda reply: None)
+
     def test_cross_domain_channel_pays_two_hops(self):
         net = VirtualNetwork(make_topology())
         times = []
@@ -408,24 +415,57 @@ class TestTopologyValidation:
     def test_duplicate_interface_ip_rejected(self):
         topo = make_topology()
         topo.hosts[1].interfaces = [Interface("10.2.1.31", BEAMLINE)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             VirtualNetwork(topo)
+        assert excinfo.value.path == "hosts[1].interfaces[0].ip"
 
     def test_interface_without_domain_rejected(self):
         topo = make_topology()
         topo.hosts[0].interfaces = [Interface("192.168.0.1", Cidr("192.168.0.0", 24))]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             VirtualNetwork(topo)
+        assert excinfo.value.path == "hosts[0].interfaces[0].subnet"
 
     def test_host_without_interfaces_rejected(self):
         topo = make_topology()
         topo.hosts[0].interfaces = []
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             VirtualNetwork(topo)
+        assert excinfo.value.path == "hosts[0].interfaces"
 
     def test_helper_rule_needs_destinations(self):
-        with pytest.raises(ValueError):
-            HelperRule("sol", 5064, ())
+        with pytest.raises(ValueError) as excinfo:
+            VirtualNetwork(make_topology(helper_destinations=()))
+        assert excinfo.value.path == "helper_rules[0].destinations"
+
+    @pytest.mark.parametrize("change, path", [
+        (lambda topo: topo.domains.append(BroadcastDomain("sol2", SOL)), "domains[2].subnet"),
+        (lambda topo: topo.domains.append(BroadcastDomain("sol", Cidr("10.3.0.0", 24))), "domains[2].name"),
+        (
+            lambda topo: topo.hosts.append(VirtualHost("IMX1-HOST1", [Interface("10.2.1.40", BEAMLINE)])),
+            "hosts[3].name",
+        ),
+        (lambda topo: topo.hosts[2].interfaces.append(Interface("10.2.105.5", SOL)), "hosts[2].interfaces[1].subnet"),
+        (lambda topo: topo.hosts[0].interfaces.append(Interface("10.2.1.50", SOL)), "hosts[0].interfaces[1].ip"),
+        (
+            lambda topo: topo.hosts[1].prerouting_rules.append(PreroutingRule(5064, "10.2.1.99", 5064)),
+            "hosts[1].prerouting_rules[0].new_dst_ip",
+        ),
+        (lambda topo: topo.helper_rules.append(HelperRule("lab", 5064, ("10.2.1.31",))), "helper_rules[1].domain"),
+        (
+            lambda topo: topo.helper_rules.append(HelperRule("sol", 5064, ("10.2.1.31", "10.2.1.99"))),
+            "helper_rules[1].destinations[1]",
+        ),
+    ], ids=[
+        "duplicate-subnet", "duplicate-domain-name", "duplicate-host-name", "two-interfaces-in-one-domain",
+        "ip-outside-subnet", "prerouting-to-unowned", "helper-domain", "helper-destination",
+    ])
+    def test_fault_names_its_field(self, change, path):
+        topo = make_topology()
+        change(topo)
+        with pytest.raises(ValueError) as excinfo:
+            VirtualNetwork(topo)
+        assert excinfo.value.path == path
 
 
 def test_trace_lines_look_like_a_capture():
