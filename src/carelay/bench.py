@@ -130,11 +130,6 @@ class ScenarioReport:
     def all_expected(self) -> bool:
         return not self.mismatches
 
-    def arms_in_order(self) -> list[str]:
-        fixed = [a for a in ARM_ORDER if a in self.arm_stats]
-        rest = [a for a in self.arm_stats if a not in ARM_ORDER]
-        return fixed + rest
-
 
 @dataclass
 class ScenarioRun:
@@ -148,9 +143,7 @@ class ScenarioRun:
 
 @functools.cache
 def _fixture(name: str):
-    # Imported here, not at module level: config imports this module, and the
-    # package imports it too, so yaml would add about 8 ms of CPU to every
-    # process that imports carelay.relay.
+    # Imported here, not at module level, because config imports this module.
     from .config import load_yaml
 
     return load_yaml((CONFIG_DIR / name).read_text(encoding="utf-8"))
@@ -347,8 +340,7 @@ def _emit_records(report: ScenarioReport) -> str:
 def _emit_text(report: ScenarioReport) -> str:
     lines = [f"scenario: {report.scenario}  seed: {report.seed}"]
     lines.append(f"{'arm':<14} {'count':>6} {'median_us':>10} {'mean_us':>10} {'p95_us':>8} {'max_us':>8}")
-    for arm in report.arms_in_order():
-        stats = report.arm_stats[arm]
+    for arm, stats in report.arm_stats.items():
         lines.append(
             f"{arm:<14} {stats.count:>6} {stats.median_us:>10.1f} "
             f"{stats.mean_us:>10.1f} {stats.p95_us:>8} {stats.max_us:>8}"

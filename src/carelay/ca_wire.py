@@ -54,7 +54,7 @@ class MisalignedPayload(CaWireError):
     pass
 
 
-class NameTooLong(CaWireError):
+class NameTooLong(CaWireError, ValueError):
     pass
 
 
@@ -88,6 +88,15 @@ def _version_message(minor_version: int) -> bytes:
     return _HDR.pack(CMD_VERSION, 0, 0, minor_version, 0, 0)
 
 
+def check_pv_name(name: str) -> str:
+    """The name, if a search can carry it: non-empty, NUL-free ASCII of at most ``MAX_PV_NAME`` characters."""
+    if not name or "\x00" in name or not name.isascii():
+        raise ValueError(f"PV name must be non-empty, NUL-free ASCII, got {name!r}")
+    if len(name) > MAX_PV_NAME:
+        raise NameTooLong(f"{len(name)} characters exceeds the {MAX_PV_NAME} limit")
+    return name
+
+
 def encode_search_datagram(req: SearchRequest) -> bytes:
     """Version message followed by one search request message.
 
@@ -95,11 +104,7 @@ def encode_search_datagram(req: SearchRequest) -> bytes:
     multiple of 8, so a name of up to 7 characters yields a 40-byte datagram
     and typical 10/11-character names yield 48 bytes.
     """
-    if not req.pv_name or "\x00" in req.pv_name:
-        raise ValueError("PV name must be nonempty and NUL-free")
-    if len(req.pv_name) > MAX_PV_NAME:
-        raise NameTooLong(f"{len(req.pv_name)} characters exceeds the {MAX_PV_NAME} limit")
-    payload = req.pv_name.encode("ascii") + b"\x00"
+    payload = check_pv_name(req.pv_name).encode("ascii") + b"\x00"
     payload += bytes(-len(payload) % 8)
     header = _HDR.pack(
         CMD_SEARCH, len(payload), req.reply_flag, req.minor_version, req.search_id, req.search_id

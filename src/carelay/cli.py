@@ -26,7 +26,9 @@ from .bench import (
     run_benchmark,
 )
 from .ca_wire import CA_SERVER_PORT
-from .config import ConfigError, ConfigFile, ValidationError, config_from_mapping, load_yaml, parse_endpoint
+from .config import (
+    ConfigError, ConfigFile, ValidationError, config_from_mapping, load_yaml, parse_endpoint, parse_pv_name
+)
 from .endpoints import CaClient, ChannelTimeout, RealCaClient
 from .netsim import NetsimError
 from .relay import (
@@ -214,6 +216,7 @@ def cmd_bench(args) -> int:
 
 def cmd_client(args) -> int:
     """caget, or caput with its value, over the simulated network or real UDP."""
+    parse_pv_name(args.pv, "pv")
     write_value = getattr(args, "value", None)
     config = _load_config(args, required=args.transport == "sim")
     if args.transport == "sim":

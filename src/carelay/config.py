@@ -25,6 +25,7 @@ import yaml
 from .bench import (
     FORK_COST_S, MIN_BENCH_REPETITIONS, TIMEOUT, VALUE, ConfigInvalid, IocSpec, Query, Scenario
 )
+from .ca_wire import check_pv_name
 from .endpoints import ClientQueryConfig
 from .netsim import (
     DEFAULT_PER_HOP_DELAY_US,
@@ -220,6 +221,13 @@ def _instance(value, key: str, kind: type, what: str):
     return value
 
 
+def parse_pv_name(value, key: str) -> str:
+    try:
+        return check_pv_name(_instance(value, key, str, "a string"))
+    except ValueError as exc:
+        raise ValidationError(key, str(exc)) from None
+
+
 def _cidr(value, key: str) -> Cidr:
     try:
         return Cidr.parse(str(value))
@@ -396,7 +404,7 @@ def _parse_query(query: _Section, default_client: str | None) -> Query:
         raise ValidationError(query.name("value"), "timeout queries carry no value")
     return Query(
         client_host=query.str("client", default_client),
-        pv_name=query.str("pv"),
+        pv_name=query.get("pv", parse_pv_name),
         expected=TIMEOUT if timeout else VALUE(value),
     )
 

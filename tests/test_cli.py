@@ -79,7 +79,13 @@ SIM_RECORDS_SHA256 = {
     "scenario_b.yaml": "3eb3c47e45a278170e66ae7d94170cd18a3c2bb183b286b2dcce3210879a0e84",
     "scenario_c.yaml": "16e3675cc601959f8886627ed226b1df4aa6a3e29f6fd1a35ff3483a37e50637",
 }
-SCENARIO_C_TRACE_SHA256 = "cb46c3a947bb2e73d2b7798f0e728ff8f34cd3c26aee5ac77697efaa8121835c"
+# sha256 and line count of the `--log trace --reps 3` delivery log. A shows
+# last-binder delivery, B the local-only prerouting rewrite, C the relay.
+TRACE_LOG_SHA256 = {
+    "scenario_a.yaml": ("f2a590f0150991cb0d8dcdc288e4f1b55246aa0a784b3441bbcbe265e2f8d86b", 36),
+    "scenario_b.yaml": ("c26635b47c74196d6b6b984855dcbd0c15802cb49d70c585b56a61cac55cb840", 273),
+    "scenario_c.yaml": ("cb46c3a947bb2e73d2b7798f0e728ff8f34cd3c26aee5ac77697efaa8121835c", 99),
+}
 
 
 class TestDeterminismPins:
@@ -90,11 +96,14 @@ class TestDeterminismPins:
         records = capsys.readouterr().out
         assert hashlib.sha256(records.encode()).hexdigest() == SIM_RECORDS_SHA256[fixture]
 
-    def test_scenario_c_trace_log_digest(self, capsys):
-        assert main(["sim", "--config", SCENARIO_C, "--format", "records", "--log", "trace", "--reps", "3"]) == 0
+    @pytest.mark.parametrize("fixture", sorted(TRACE_LOG_SHA256))
+    def test_trace_log_digest(self, fixture, capsys):
+        argv = ["sim", "--config", str(CONFIG_DIR / fixture), "--format", "records"]
+        assert main([*argv, "--log", "trace", "--reps", "3"]) == 0
         trace = capsys.readouterr().err
-        assert len(trace.splitlines()) == 99
-        assert hashlib.sha256(trace.encode()).hexdigest() == SCENARIO_C_TRACE_SHA256
+        digest, lines = TRACE_LOG_SHA256[fixture]
+        assert len(trace.splitlines()) == lines
+        assert hashlib.sha256(trace.encode()).hexdigest() == digest
 
 
 class TestCagetSim:
@@ -234,6 +243,23 @@ def test_sim_names_a_relay_host_without_interfaces(config_error):
     data["relay"]["host"] = "IMX1-HOST2"
     err = config_error(["sim"], yaml.safe_dump(data))
     assert "'topology.hosts[1].interfaces'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["caget", "p" * 61, "--config", SCENARIO_C],
+    ["caget", "p" * 61, "--transport", "real"],
+    ["caput", "p" * 61, "1.5", "--config", SCENARIO_C],
+    ["caget", "", "--config", SCENARIO_C],
+], ids=["caget-too-long", "caget-real-too-long", "caput-too-long", "caget-empty"])
+def test_client_names_a_pv_argument_a_search_cannot_carry(argv, config_error):
+    # Each used to end in a traceback and exit 1, the timeout code, or in an error naming no key.
+    assert "config key 'pv'" in config_error(argv)
+
+
+def test_sim_names_a_query_pv_a_search_cannot_carry(config_error):
+    data = yaml.safe_load((CONFIG_DIR / "scenario_c.yaml").read_text())
+    data["queries"][1]["pv"] = "p" * 61
+    assert "'queries[1].pv'" in config_error(["sim"], yaml.safe_dump(data))
 
 
 RELAY = ["relay", "--mode", "proxy", "--bind-ip", "127.0.0.1"]

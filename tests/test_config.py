@@ -98,6 +98,11 @@ class TestYamlLoader:
 
 
 SECOND_HOST = "    - name: beta\n      interfaces:\n        - {ip: 192.168.7.2, subnet: 192.168.7.0/24}\n"
+# A search carries a PV name of 1 to 60 ASCII characters; "p" * 60 is the longest.
+QUERIES = (
+    "queries:\n  - {{client: alpha, pv: " + "p" * 60 + ", value: 1.0}}\n"
+    "  - {{client: alpha, pv: {pv}, value: 1.0}}\n"
+)
 
 
 class TestCrossReferencesNameTheItem:
@@ -147,10 +152,13 @@ class TestCrossReferencesNameTheItem:
             "topology.hosts[1].interfaces[1].subnet",
         ),
         (MINIMAL_TOPOLOGY + SECOND_HOST.replace("beta", "alpha"), "topology.hosts[1].name"),
+        (MINIMAL_TOPOLOGY + QUERIES.format(pv="p" * 61), "queries[1].pv"),
+        (MINIMAL_TOPOLOGY + QUERIES.format(pv="''"), "queries[1].pv"),
     ], ids=[
         "helper-destination", "interface-subnet", "helper-domain", "ioc-host", "binding-host", "ioc-port",
         "duplicate-address", "duplicate-subnet", "duplicate-domain-name", "host-without-interfaces",
         "prerouting-to-unowned-address", "two-interfaces-in-one-domain", "duplicate-host-name",
+        "query-pv-too-long", "query-pv-empty",
     ])
     def test_fault_names_its_key(self, text, key):
         with pytest.raises(ValidationError) as excinfo:

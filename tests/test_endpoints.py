@@ -14,7 +14,7 @@ from carelay.endpoints import (
     timeout_message,
 )
 from carelay.netsim import BroadcastDomain, Interface, NetsimError, VirtualHost, VirtualNetwork, VirtualTopology
-from carelay.packet import Cidr
+from carelay.packet import Cidr, Ipv4UdpPacket
 from carelay.relay import RelayMode
 
 BEAMLINE = Cidr("10.2.1.0", 24)
@@ -181,8 +181,10 @@ class TestCaget:
         first = IocSim(net, "IMX1-HOST1", "a", {"A": 1.0}, server_port=5901)
         with pytest.raises(NetsimError, match="5901"):
             IocSim(net, "IMX1-HOST1", "b", {"B": 2.0}, server_port=5901)
-        assert net.host("IMX1-HOST1").bindings == {5064: [first.binding]}
         assert CaClient(net, "TesterDirect").caget("A") == 1.0
+        search = encode_search_datagram(SearchRequest("A", 1))
+        broadcast = Ipv4UdpPacket("10.2.1.100", "10.2.1.255", 40000, 5064, search)
+        assert [d.binding for d in net.inject("TesterDirect", broadcast)] == [first.binding]
 
     def test_first_response_wins_single_value_read(self):
         net = VirtualNetwork(direct_topology())

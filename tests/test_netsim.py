@@ -51,16 +51,21 @@ def bind_seven_iocs(net, host="IMX1-HOST1"):
 
 class TestBind:
     def test_seven_bindings_sequenced_1_to_7(self):
+        # A broadcast reaches them in bind order; a unicast only the last bound.
         net = VirtualNetwork(make_topology())
         bindings = bind_seven_iocs(net)
-        assert [b.bind_sequence for b in bindings] == [1, 2, 3, 4, 5, 6, 7]
+        broadcast = search_packet("10.2.1.255", src_ip="10.2.1.32", src_port=4000)
+        assert [d.binding for d in net.inject("IMX1-HOST2", broadcast)] == bindings
+        unicast = search_packet("10.2.1.31", src_ip="10.2.1.32", src_port=4000)
+        assert [d.binding for d in net.inject("IMX1-HOST2", unicast)] == [bindings[-1]]
 
     def test_two_hosts_have_independent_sequences(self):
+        # A binding on one host does not make it the last binder on another.
         net = VirtualNetwork(make_topology())
         b1 = net.bind("IMX1-HOST1", 5064, "a")
         b2 = net.bind("IMX1-HOST2", 5064, "b")
-        assert b1.bind_sequence == 1
-        assert b2.bind_sequence == 1
+        assert [d.binding for d in net.inject("TesterHEpics", search_packet("10.2.1.31"))] == [b1]
+        assert [d.binding for d in net.inject("TesterHEpics", search_packet("10.2.1.32"))] == [b2]
 
     def test_unknown_host(self):
         net = VirtualNetwork(make_topology())
@@ -76,15 +81,23 @@ class TestBind:
         net.unbind("IMX1-HOST1", first)
         net.unbind("IMX1-HOST1", second)
         assert net.inject("IMX1-HOST2", pkt) == []
-        assert net.host("IMX1-HOST1").bindings == {}
+        broadcast = pkt._replace(dst_ip="10.2.1.255")
+        assert net.inject("IMX1-HOST2", broadcast) == []
 
     def test_unbind_frees_binding_but_not_sequence(self):
+        # Unbinding removes that binding only, even when one with its port and owner remains.
         net = VirtualNetwork(make_topology())
         b1 = net.bind("IMX1-HOST1", 5064, "a")
-        net.unbind("IMX1-HOST1", b1)
-        b2 = net.bind("IMX1-HOST1", 5064, "b")
-        assert b2.bind_sequence == 2
-        assert net.host("IMX1-HOST1").bindings == {5064: [b2]}
+        b2 = net.bind("IMX1-HOST1", 5064, "a")
+        net.unbind("IMX1-HOST1", b2)
+        b3 = net.bind("IMX1-HOST1", 5064, "b")
+        broadcast = search_packet("10.2.1.255", src_ip="10.2.1.32", src_port=4000)
+        assert [d.binding for d in net.inject("IMX1-HOST2", broadcast)] == [b1, b3]
+
+    def test_a_binding_belongs_to_its_network_not_the_topology(self):
+        topology = make_topology()
+        VirtualNetwork(topology).bind("IMX1-HOST1", 5064, "x")
+        assert VirtualNetwork(topology).inject("TesterHEpics", search_packet("10.2.1.31")) == []
 
 
 class TestBroadcastDelivery:
@@ -159,10 +172,10 @@ class TestHelperRule:
 class TestUnicastDelivery:
     def test_last_binder_only(self):
         net = VirtualNetwork(make_topology())
-        bind_seven_iocs(net)
+        bindings = bind_seven_iocs(net)
         deliveries = net.inject("TesterHEpics", search_packet("10.2.1.31"))
         assert len(deliveries) == 1
-        assert deliveries[0].binding.bind_sequence == 7
+        assert deliveries[0].binding is bindings[-1]
 
     def test_prerouting_limited_broadcast_delivers_to_all(self):
         rule = PreroutingRule(5064, "255.255.255.255", 5064, negate_src=BEAMLINE)
@@ -187,11 +200,11 @@ class TestUnicastDelivery:
     def test_prerouting_negate_src_exempts_local_sources(self):
         rule = PreroutingRule(5064, "255.255.255.255", 5064, negate_src=BEAMLINE)
         net = VirtualNetwork(make_topology(prerouting=[rule]))
-        bind_seven_iocs(net)
+        bindings = bind_seven_iocs(net)
         pkt = search_packet("10.2.1.31", src_ip="10.2.1.32", src_port=4000)
         deliveries = net.inject("IMX1-HOST2", pkt)
         assert len(deliveries) == 1
-        assert deliveries[0].binding.bind_sequence == 7
+        assert deliveries[0].binding is bindings[-1]
 
     def test_prerouting_port_redirect_to_own_address(self):
         rule = PreroutingRule(5064, "10.2.1.31", 6064, negate_src=BEAMLINE)
