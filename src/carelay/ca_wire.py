@@ -6,6 +6,9 @@ message header, the version message, and the search pair. A small framed
 value-exchange message set stands in for the CA data circuit so that
 caget/caput-style flows can complete end to end without TCP.
 
+Messages are plain records (``NamedTuple``); the codec owns the kind/value
+rule, raising ``ValueError`` on encode and ``CaWireError`` caused by it on decode.
+
 Header layout (all big-endian):
 
     offset  size  field
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .packet import int_to_ip, ip_to_int
 
@@ -67,16 +70,14 @@ class ReplyFlag(enum.IntEnum):
     DO_REPLY = 10
 
 
-@dataclass(frozen=True)
-class SearchRequest:
+class SearchRequest(NamedTuple):
     pv_name: str
     search_id: int
     reply_flag: ReplyFlag = ReplyFlag.DONT_REPLY
     minor_version: int = DEFAULT_MINOR_VERSION
 
 
-@dataclass(frozen=True)
-class SearchResponse:
+class SearchResponse(NamedTuple):
     server_port: int
     search_id: int
     server_minor_version: int = DEFAULT_MINOR_VERSION
@@ -192,8 +193,7 @@ class ValueExchangeKind(enum.IntEnum):
     WRITE_ACK = 4
 
 
-@dataclass(frozen=True)
-class ValueExchange:
+class ValueExchange(NamedTuple):
     """Simplified fetch/put message: the request and the reply of the simulated data circuit."""
 
     kind: ValueExchangeKind
@@ -201,18 +201,25 @@ class ValueExchange:
     sequence: int
     value: float | None = None
 
-    def __post_init__(self) -> None:
-        carries_value = self.kind in (ValueExchangeKind.READ_REPLY, ValueExchangeKind.WRITE_REQUEST)
-        if carries_value and self.value is None:
-            raise ValueError(f"{self.kind.name} requires a value")
-        if self.kind is ValueExchangeKind.WRITE_ACK and self.value is not None:
-            raise ValueError("WRITE_ACK carries no value")
+
+_VX_KINDS = {int(kind): kind for kind in ValueExchangeKind}
+_CARRY_VALUE = frozenset((ValueExchangeKind.READ_REPLY, ValueExchangeKind.WRITE_REQUEST))
+
+
+def _check_value(kind: ValueExchangeKind, value: float | None) -> None:
+    """Raise ValueError for a value the kind needs and lacks, or forbids."""
+    if value is None:
+        if kind in _CARRY_VALUE:
+            raise ValueError(f"{kind.name} requires a value")
+    elif kind is ValueExchangeKind.WRITE_ACK:
+        raise ValueError("WRITE_ACK carries no value")
 
 
 _VX_HDR = struct.Struct(">HHIB")
 
 
 def encode_value_exchange(msg: ValueExchange) -> bytes:
+    _check_value(msg.kind, msg.value)
     name = msg.pv_name.encode("ascii")
     has_value = msg.value is not None
     out = _VX_HDR.pack(int(msg.kind), len(name), msg.sequence, int(has_value)) + name
@@ -225,10 +232,9 @@ def decode_value_exchange(data: bytes) -> ValueExchange:
     if len(data) < _VX_HDR.size:
         raise Truncated(f"{len(data)} bytes, framing header needs {_VX_HDR.size}")
     kind_code, name_len, sequence, has_value = _VX_HDR.unpack_from(data)
-    try:
-        kind = ValueExchangeKind(kind_code)
-    except ValueError:
-        raise UnknownKind(f"kind code {kind_code}") from None
+    kind = _VX_KINDS.get(kind_code)
+    if kind is None:
+        raise UnknownKind(f"kind code {kind_code}")
     end = _VX_HDR.size + name_len
     value_len = 8 if has_value else 0
     if len(data) < end + value_len:
@@ -236,6 +242,7 @@ def decode_value_exchange(data: bytes) -> ValueExchange:
     value = struct.unpack_from(">d", data, end)[0] if has_value else None
     try:
         name = data[_VX_HDR.size : end].decode("ascii")
-        return ValueExchange(kind=kind, pv_name=name, sequence=sequence, value=value)
+        _check_value(kind, value)
     except ValueError as exc:  # a non-ASCII name, or a value flag that contradicts the kind
         raise CaWireError(f"malformed {kind.name} frame: {exc}") from exc
+    return ValueExchange(kind, name, sequence, value)

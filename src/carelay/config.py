@@ -289,7 +289,9 @@ def _parse_topology(topology: _Section, config: ConfigFile) -> None:
 
     def parse_ioc(ioc: _Section) -> IocSpec:
         nonlocal next_port
-        pvs = ioc.section("pvs", lambda table: {str(pv): table.float(pv) for pv in table}, {})
+        pvs = ioc.section(
+            "pvs", lambda table: {parse_pv_name(pv, table.name(pv)): table.float(pv) for pv in table}, {}
+        )
         host = ioc.str("host")
         server_port = ioc.port("server_port", next_port)
         if (host, server_port) in taken:  # the channel listener would keep only one

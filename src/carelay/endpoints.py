@@ -3,10 +3,13 @@
 An IocSim owns a table of scalar PVs, answers name searches on the shared
 UDP search port of its host (silently ignoring names it does not own), and
 answers each value request of the simulated data circuit with one reply
-(``VirtualNetwork.request``). The CaClient broadcasts searches with a doubling
-retry schedule and turns the first response into one read or one write; each
-query is one ``_Query`` record, whose bound methods are the network's
-callbacks, so a finished query is freed by reference count.
+(``VirtualNetwork.request``). Both answers are return values that the network
+sends on, so an IocSim keeps no reference to its network, and a network
+without a relay is freed by reference count once it is dropped. The CaClient
+broadcasts searches with a doubling retry schedule and turns the first
+response into one read or one write; each query is one ``_Query`` record,
+whose bound methods are the network's callbacks, so a finished query is freed
+by reference count.
 """
 
 from __future__ import annotations
@@ -101,8 +104,6 @@ class IocSim:
     ) -> None:
         if len(set(pvs)) != len(pvs):
             raise ValueError("PV names must be unique within one IOC")
-        self.net = net
-        self.host_name = host_name
         self.name = name
         self.pvs = dict(pvs)
         self.server_port = server_port
@@ -111,7 +112,7 @@ class IocSim:
         self.reads_served = 0
         self.writes_served = 0
         net.register_channel_listener(self.host_ip, server_port, self._on_channel_message)
-        self.binding = net.bind(host_name, CA_SERVER_PORT, owner=name, callback=self._on_delivery)
+        net.bind(host_name, CA_SERVER_PORT, owner=name, callback=self._on_delivery)
 
     # -- search ---------------------------------------------------------------
 
@@ -129,16 +130,16 @@ class IocSim:
                 )
         return None
 
-    def _on_delivery(self, delivery: Delivery) -> None:
+    def _on_delivery(self, delivery: Delivery) -> Ipv4UdpPacket | None:
+        """The response packet, which the network sends from this host, or None."""
         packet = delivery.packet
         try:
             response = self.on_search_datagram(packet.payload, (packet.src_ip, packet.src_port))
         except ca_wire.CaWireError:
-            return  # not CA traffic; a name server stays silent
+            return None  # not CA traffic; a name server stays silent
         if response is None:
-            return
-        reply = Ipv4UdpPacket(self.host_ip, packet.src_ip, CA_SERVER_PORT, packet.src_port, response)
-        self.net.inject(self.host_name, reply)
+            return None
+        return Ipv4UdpPacket(self.host_ip, packet.src_ip, CA_SERVER_PORT, packet.src_port, response)
 
     # -- value exchange ---------------------------------------------------------
 

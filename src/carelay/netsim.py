@@ -5,9 +5,12 @@ behavior around UDP name resolution: per-host port bindings with bind order,
 switch-level broadcast-to-unicast helper rules, and host-level prerouting
 destination rewrites. Time is a virtual microsecond clock; every delivery is
 scheduled onto a single event queue, so a fixed topology, seed, and injection
-sequence always produce the same delivery log. A topology the network cannot
-describe is refused when it is built (``index_topology``), with
-``InvalidTopology.path`` naming the faulty field, such as ``hosts[1].name``.
+sequence always produce the same delivery log. A binding's callback may return
+a packet, which the network sends from the receiving host; a binding that is
+unbound receives nothing more, though deliveries already queued to it are
+still logged. A topology the network cannot describe is refused when it is
+built (``index_topology``), with ``InvalidTopology.path`` naming the faulty
+field, such as ``hosts[1].name``.
 
 Delivery semantics, applied in order for each injected packet:
 
@@ -30,12 +33,14 @@ The data circuit after a resolved search is one request and one reply
 drawn as that way is sent. Its listener must be at an address a host owns.
 
 The network keeps each host's bindings and only reads its topology, so networks
-built on one topology share no bindings. Each event costs a constant amount of
-work. A host's bindings are kept by port, in bind order, so the last binder is
-the last entry of one list; timers such as a client's search retries are queued
-one at a time (``call_in_turn``), so an answered query leaves none behind; and
-all IOCs handed one broadcast share one parse of it
-(``ca_wire.find_search_requests``).
+built on one topology share no bindings. One packet's arrival at one host is
+one event, however many bindings it is handed to: they share its time and take
+their turns in bind order, each turn a constant amount of work. A host's
+bindings are kept by port, in bind order, so the last binder is the last entry
+of one list; hops build their packets positionally (``tuple.__new__``);
+timers such as a client's search retries are queued one at a time
+(``call_in_turn``), so an answered query leaves none behind; and all IOCs
+handed one broadcast share one parse of it (``ca_wire.find_search_requests``).
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .packet import Cidr, Ipv4UdpPacket
 LIMITED_BROADCAST = "255.255.255.255"
 
 DEFAULT_PER_HOP_DELAY_US = 200
+_new_packet = tuple.__new__  # an Ipv4UdpPacket from all nine fields, as ``_make`` builds it
 
 
 class NetsimError(Exception):
@@ -124,7 +130,7 @@ class SocketBinding:
 
     port: int
     owner: str
-    callback: Callable[["Delivery"], None] | None = field(default=None, repr=False)
+    callback: Callable[["Delivery"], Ipv4UdpPacket | None] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -132,14 +138,6 @@ class VirtualHost:
     name: str
     interfaces: list[Interface]
     prerouting_rules: list[PreroutingRule] = field(default_factory=list)
-
-    def interface_for_source(self, src_ip: str) -> Interface:
-        # A relay emitting spoofed sources will not match any interface;
-        # fall back to the first one (hosts here have one interface per domain).
-        for iface in self.interfaces:
-            if iface.ip == src_ip:
-                return iface
-        return self.interfaces[0]
 
 
 @dataclass
@@ -277,6 +275,13 @@ class VirtualNetwork:
         self._ports_in_domain = {
             domain: [(h.name, self._ports[h.name]) for h in hosts] for domain, hosts in hosts_in_domain.items()
         }
+        # Each host's interface address -> its domain, and its first
+        # interface's domain for any other source, such as a spoofed one.
+        domain_of = self._domain_of_subnet
+        self._sender_domains = {
+            name: ({i.ip: domain_of[i.subnet] for i in host.interfaces}, domain_of[host.interfaces[0].subnet])
+            for name, host in self._hosts.items()
+        }
         self._broadcasts = frozenset(
             [LIMITED_BROADCAST, *(d.subnet.broadcast_address() for d in topology.domains)]
         )
@@ -315,19 +320,21 @@ class VirtualNetwork:
         host_name: str,
         port: int,
         owner: str,
-        callback: Callable[[Delivery], None] | None = None,
+        callback: Callable[[Delivery], Ipv4UdpPacket | None] | None = None,
     ) -> SocketBinding:
-        """Append a binding; several owners may share one port."""
+        """Append a binding; several owners may share one port. A packet the callback returns is sent from its host."""
         binding = SocketBinding(port, owner, callback)
         self._ports[self.host(host_name).name].setdefault(port, []).append(binding)
         return binding
 
     def unbind(self, host_name: str, binding: SocketBinding) -> None:
+        """Close the binding: deliveries already queued to it are logged, but its callback is not called."""
         ports = self._ports[self.host(host_name).name]
         on_port = ports[binding.port]
         on_port.remove(binding)
         if not on_port:
             del ports[binding.port]
+        binding.callback = None
 
     # -- scheduling -----------------------------------------------------------
 
@@ -347,43 +354,53 @@ class VirtualNetwork:
     # -- packet routing -------------------------------------------------------
 
     def inject(self, source_host: str, packet: Ipv4UdpPacket) -> list[Delivery]:
-        """Submit a packet at the current virtual time; returns the deliveries it scheduled."""
+        """Submit a packet now; returns the deliveries it scheduled, queued as one event per host arrival."""
+        try:
+            by_ip, first = self._sender_domains[source_host]
+        except KeyError:
+            raise UnknownHost(source_host) from None
+        sender_domain = by_ip.get(packet.src_ip, first)
         at = self.now_us
-        host = self.host(source_host)
-        sender_domain = self._domain_of_subnet[host.interface_for_source(packet.src_ip).subnet]
         if packet.dst_ip in self._broadcasts:
-            deliveries = self._route_broadcast(packet, sender_domain, at)
-            deliveries += self._route_helper_copies(packet, sender_domain, at)
+            arrivals = self._route_broadcast(packet, sender_domain, at)
+            arrivals += self._route_helper_copies(packet, sender_domain, at)
         else:
-            deliveries = self._route_unicast(packet, sender_domain, at, hops=None)
-        for d in deliveries:
+            arrival = self._route_unicast(packet, sender_domain, at, hops=None)
+            arrivals = [arrival] if arrival else []
+        deliveries: list[Delivery] = []
+        queue = self._queue
+        for arrival in arrivals:
             self._seq += 1
-            heapq.heappush(self._queue, (d.time_us, self._seq, _DELIVERY, d))
+            heapq.heappush(queue, (arrival[0].time_us, self._seq, _DELIVERY, arrival))
+            deliveries += arrival
         return deliveries
 
     def _route_broadcast(
         self, packet: Ipv4UdpPacket, domain: BroadcastDomain, at: int
-    ) -> list[Delivery]:
+    ) -> list[list[Delivery]]:
         out = []
         at += self.topology.per_hop_delay_us
         dst_ip, dst_port = packet.dst_ip, packet.dst_port
         for host_name, ports in self._ports_in_domain[domain.name]:
             due = at + self._jitter()  # drawn for every host, bound on the port or not
-            for binding in ports.get(dst_port, ()):
-                out.append(Delivery(due, host_name, binding, packet, dst_ip, dst_port))
+            on_port = ports.get(dst_port)
+            if on_port:
+                out.append([Delivery(due, host_name, binding, packet, dst_ip, dst_port) for binding in on_port])
         return out
 
     def _route_helper_copies(
         self, packet: Ipv4UdpPacket, domain: BroadcastDomain, at: int
-    ) -> list[Delivery]:
+    ) -> list[list[Delivery]]:
         out = []
         for rule in self.topology.helper_rules:
             if rule.domain != domain.name or rule.udp_port != packet.dst_port:
                 continue
             for dest_ip in rule.destinations:
-                copy = packet._replace(dst_ip=dest_ip)
+                copy = _new_packet(Ipv4UdpPacket, (packet[0], dest_ip, *packet[2:]))
                 # One hop to the helping switch, one onward to the server.
-                out.extend(self._route_unicast(copy, domain, at, hops=2))
+                arrival = self._route_unicast(copy, domain, at, hops=2)
+                if arrival:
+                    out.append(arrival)
         return out
 
     def _route_unicast(
@@ -406,7 +423,8 @@ class VirtualNetwork:
         ports = self._ports[host.name]
         rule = next((r for r in host.prerouting_rules if r.applies(packet)), None)
         if rule is not None:
-            packet = packet._replace(dst_ip=rule.new_dst_ip, dst_port=rule.new_dst_port)
+            src_ip, _, src_port, _, *rest = packet
+            packet = _new_packet(Ipv4UdpPacket, (src_ip, rule.new_dst_ip, src_port, rule.new_dst_port, *rest))
             if rule.new_dst_ip == LIMITED_BROADCAST:
                 # The rewrite only makes this machine accept the packet on every
                 # local binding; nothing goes back onto the wire.
@@ -418,7 +436,8 @@ class VirtualNetwork:
                 if packet.ttl <= 1:
                     return []
                 next_due = due + self.topology.per_hop_delay_us + self._jitter()
-                return self._arrive_unicast(next_host, packet._replace(ttl=packet.ttl - 1), next_due)
+                forwarded = _new_packet(Ipv4UdpPacket, (*packet[:5], packet.ttl - 1, *packet[6:]))
+                return self._arrive_unicast(next_host, forwarded, next_due)
         on_port = ports.get(packet.dst_port)
         if not on_port:
             return []
@@ -465,7 +484,7 @@ class VirtualNetwork:
     def run_until(
         self, done: Callable[[], bool], cap_us: int | None = None
     ) -> None:
-        """Fire events until done() holds, the queue drains, or cap_us."""
+        """Fire events until done() holds, the queue drains, or cap_us; done() is checked once per host arrival."""
         queue = self._queue
         while queue and not done():
             if cap_us is not None and queue[0][0] > cap_us:
@@ -473,14 +492,20 @@ class VirtualNetwork:
             self._step()
 
     def _step(self) -> list[Delivery]:
+        """Fire the next event; returns the deliveries it made, in the order they were made."""
         time_us, _, kind, item = heapq.heappop(self._queue)
         if time_us > self.now_us:
             self.now_us = time_us
         if kind == _DELIVERY:
-            self.delivery_log.append(item)
-            if item.binding.callback is not None:
-                item.binding.callback(item)
-            return [item]
+            self.delivery_log += item
+            for delivery in item:
+                # Read at its turn, so a binding an earlier turn unbound gets nothing.
+                callback = delivery.binding.callback
+                if callback is not None:
+                    reply = callback(delivery)
+                    if reply is not None:
+                        self.inject(delivery.host, reply)
+            return item
         item()
         return []
 

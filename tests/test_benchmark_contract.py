@@ -199,6 +199,26 @@ def test_a_class_level_step_patch_sees_every_event(monkeypatch):
     assert sum(fired_per_step) == len(run.net.delivery_log) > 0
 
 
+def test_a_class_level_ioc_search_patch_sees_every_ioc_delivery(monkeypatch):
+    # perfbench.sim times endpoints.ioc_search by wrapping on_search_datagram
+    # on the class, so each delivery to an IOC must call it through the
+    # instance; inlined into the delivery callback, that row would read 0.
+    searched = []
+    search = IocSim.on_search_datagram
+
+    def counted(ioc, data, source_addr):
+        searched.append(ioc.name)
+        return search(ioc, data, source_addr)
+
+    monkeypatch.setattr(IocSim, "on_search_datagram", counted)
+    scenario = bench.scenario_c()
+    run = bench.execute_scenario(scenario)
+    assert run.report.all_expected
+    ioc_names = {spec.name for spec in scenario.iocs}
+    assert searched == [d.binding.owner for d in run.net.delivery_log if d.binding.owner in ioc_names]
+    assert len(searched) > len(scenario.queries)
+
+
 def test_every_ioc_delivery_calls_the_request_finder(monkeypatch):
     # perfbench.sim times find_search_requests per call, so an IOC must call
     # it for each delivery even when the datagram's parse is already kept.

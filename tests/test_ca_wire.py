@@ -407,14 +407,16 @@ class TestValueExchange:
         assert decode_value_exchange(encode_value_exchange(msg)) == msg
 
     def test_write_ack_carries_no_value(self):
+        # A message is a plain record; the encoder refuses the value.
         msg = ValueExchange(ValueExchangeKind.WRITE_ACK, "IMX:DMC4:m1", 3)
         assert decode_value_exchange(encode_value_exchange(msg)) == msg
         with pytest.raises(ValueError):
-            ValueExchange(ValueExchangeKind.WRITE_ACK, "x", 1, 1.0)
+            encode_value_exchange(ValueExchange(ValueExchangeKind.WRITE_ACK, "x", 1, 1.0))
 
     def test_reply_requires_value(self):
-        with pytest.raises(ValueError):
-            ValueExchange(ValueExchangeKind.READ_REPLY, "x", 1, None)
+        for kind in (ValueExchangeKind.READ_REPLY, ValueExchangeKind.WRITE_REQUEST):
+            with pytest.raises(ValueError):
+                encode_value_exchange(ValueExchange(kind, "x", 1, None))
 
     def test_truncated(self):
         data = encode_value_exchange(ValueExchange(ValueExchangeKind.READ_REQUEST, "name", 1))

@@ -104,6 +104,9 @@ QUERIES = (
     "  - {{client: alpha, pv: {pv}, value: 1.0}}\n"
 )
 
+# An IOC publishing one valid name and one name {pv}.
+IOC_PVS = "  iocs:\n    - {{host: alpha, name: a, pvs: {{A: 1.0, {pv}: 2.0}}}}\n"
+
 
 class TestCrossReferencesNameTheItem:
     @pytest.mark.parametrize("text, key", [
@@ -154,11 +157,14 @@ class TestCrossReferencesNameTheItem:
         (MINIMAL_TOPOLOGY + SECOND_HOST.replace("beta", "alpha"), "topology.hosts[1].name"),
         (MINIMAL_TOPOLOGY + QUERIES.format(pv="p" * 61), "queries[1].pv"),
         (MINIMAL_TOPOLOGY + QUERIES.format(pv="''"), "queries[1].pv"),
+        (MINIMAL_TOPOLOGY + IOC_PVS.format(pv="p" * 61), "topology.iocs[0].pvs." + "p" * 61),
+        (MINIMAL_TOPOLOGY + IOC_PVS.format(pv="\u00e9"), "topology.iocs[0].pvs.\u00e9"),
+        (MINIMAL_TOPOLOGY + IOC_PVS.format(pv="''"), "topology.iocs[0].pvs."),
     ], ids=[
         "helper-destination", "interface-subnet", "helper-domain", "ioc-host", "binding-host", "ioc-port",
         "duplicate-address", "duplicate-subnet", "duplicate-domain-name", "host-without-interfaces",
         "prerouting-to-unowned-address", "two-interfaces-in-one-domain", "duplicate-host-name",
-        "query-pv-too-long", "query-pv-empty",
+        "query-pv-too-long", "query-pv-empty", "ioc-pv-too-long", "ioc-pv-not-ascii", "ioc-pv-empty",
     ])
     def test_fault_names_its_key(self, text, key):
         with pytest.raises(ValidationError) as excinfo:

@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -178,13 +179,13 @@ class TestCaget:
         # The second would take the first's value requests, which then go
         # unanswered; it is refused before it binds the search port.
         net = VirtualNetwork(direct_topology())
-        first = IocSim(net, "IMX1-HOST1", "a", {"A": 1.0}, server_port=5901)
+        IocSim(net, "IMX1-HOST1", "a", {"A": 1.0}, server_port=5901)
         with pytest.raises(NetsimError, match="5901"):
             IocSim(net, "IMX1-HOST1", "b", {"B": 2.0}, server_port=5901)
         assert CaClient(net, "TesterDirect").caget("A") == 1.0
         search = encode_search_datagram(SearchRequest("A", 1))
         broadcast = Ipv4UdpPacket("10.2.1.100", "10.2.1.255", 40000, 5064, search)
-        assert [d.binding for d in net.inject("TesterDirect", broadcast)] == [first.binding]
+        assert [d.binding.owner for d in net.inject("TesterDirect", broadcast)] == ["a"]
 
     def test_first_response_wins_single_value_read(self):
         net = VirtualNetwork(direct_topology())
@@ -275,6 +276,27 @@ class TestReferenceCycles:
         assert len(results) == 10 * len(scenario.queries) + 1
         assert not any(r.timed_out for r in results)
         assert garbage == 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [bench.scenario_a, bench.scenario_b, lambda: bench.benchmark_scenarios(1, 0)["DIRECT"]],
+        ids=["A", "B", "DIRECT"],
+    )
+    def test_a_network_without_a_relay_is_freed_with_its_run(self, build):
+        # An IOC answers by returning its packet and keeps no network, and a
+        # closed client socket drops its callback, so nothing the network
+        # holds points back at it: reference counts alone free it.
+        scenario = build()
+        gc.collect()
+        gc.disable()
+        try:
+            run = bench.execute_scenario(scenario)
+            net = weakref.ref(run.net)
+            del run
+            freed = net() is None
+        finally:
+            gc.enable()
+        assert freed
 
 
 class TestClientQueryConfig:

@@ -1,8 +1,12 @@
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from carelay import netsim
 from carelay.netsim import (
+    LIMITED_BROADCAST,
     BroadcastDomain,
     ChannelRefused,
     HelperRule,
@@ -71,6 +75,8 @@ class TestBind:
         net = VirtualNetwork(make_topology())
         with pytest.raises(UnknownHost):
             net.bind("NOPE", 5064, "x")
+        with pytest.raises(UnknownHost):
+            net.inject("NOPE", search_packet("10.2.1.31"))
 
     def test_last_binder_is_the_last_bound_after_unbinds(self):
         net = VirtualNetwork(make_topology())
@@ -364,6 +370,76 @@ class TestClock:
         net.inject("TesterHEpics", search_packet("10.2.1.31"))
         net.advance_clock(10_000)
         assert seen == [5064, "reply"]
+
+
+class TestHostArrivals:
+    def test_a_broadcast_to_seven_bindings_is_one_event(self, monkeypatch):
+        pops = []
+
+        def heappop(queue, real=heapq.heappop):
+            pops.append(queue[0][0])
+            return real(queue)
+
+        monkeypatch.setattr(netsim, "heapq", SimpleNamespace(**{**vars(heapq), "heappop": heappop}))
+        net = VirtualNetwork(make_topology())
+        bindings = bind_seven_iocs(net)
+        net.inject("IMX1-HOST2", search_packet("10.2.1.255", src_ip="10.2.1.32", src_port=4000))
+        fired = net._step()
+        assert [d.binding for d in fired] == bindings
+        assert len(pops) == 1
+        assert net._queue == []
+        assert net.delivery_log == fired
+
+    def test_a_packet_sent_during_an_arrival_comes_after_its_other_members(self):
+        # With no hop delay, the packet is due at once; the members of the
+        # arrival that was being handed out still go first.
+        topology = make_topology()
+        topology.per_hop_delay_us = 0
+        net = VirtualNetwork(topology)
+        seen = []
+
+        def first(delivery):
+            seen.append("ioc-1")
+            net.inject("IMX1-HOST1", search_packet("10.2.1.31", dst_port=9000, src_ip="10.2.1.31"))
+
+        net.bind("IMX1-HOST1", 5064, "ioc-1", callback=first)
+        for name in ("ioc-2", "ioc-3"):
+            net.bind("IMX1-HOST1", 5064, name, callback=lambda d, name=name: seen.append(name))
+        net.bind("IMX1-HOST1", 9000, "late", callback=lambda d: seen.append("late"))
+        net.inject("IMX1-HOST2", search_packet("10.2.1.255", src_ip="10.2.1.32", src_port=4000))
+        net.advance_clock(0)
+        assert seen == ["ioc-1", "ioc-2", "ioc-3", "late"]
+        assert {d.time_us for d in net.delivery_log} == {0}
+
+    def test_an_unbound_binding_gets_its_deliveries_logged_but_not_called(self):
+        net = VirtualNetwork(make_topology())
+        seen = []
+        binding = net.bind("IMX1-HOST1", 5064, "closed", callback=seen.append)
+        queued = net.inject("TesterHEpics", search_packet("10.2.1.31"))
+        net.unbind("IMX1-HOST1", binding)
+        net.advance_clock(10_000)
+        assert net.delivery_log == queued
+        assert seen == []
+
+        # Unbound by an earlier turn of the same arrival.
+        first = net.bind("IMX1-HOST1", 5064, "first", callback=lambda d: net.unbind("IMX1-HOST1", second))
+        second = net.bind("IMX1-HOST1", 5064, "second", callback=seen.append)
+        queued = net.inject("IMX1-HOST2", search_packet("10.2.1.255", src_ip="10.2.1.32", src_port=4000))
+        assert [d.binding for d in net.advance_clock(10_000)] == [first, second] == [d.binding for d in queued]
+        assert seen == []
+
+    def test_a_returned_packet_is_sent_from_the_receiving_host(self):
+        # A source no interface owns is sent into the sending host's first
+        # domain, so the limited broadcast shows which host sent it.
+        net = VirtualNetwork(make_topology())
+        reply = search_packet(LIMITED_BROADCAST, dst_port=9000, src_ip="10.9.9.9", payload=b"r")
+        net.bind("IMX1-HOST1", 5064, "ioc", callback=lambda d: reply)
+        for host in ("IMX1-HOST2", "TesterHEpics"):
+            net.bind(host, 9000, f"listener-{host}")
+        net.inject("TesterHEpics", search_packet("10.2.1.31"))
+        fired = net.advance_clock(10_000)
+        assert [(d.host, d.packet) for d in fired[1:]] == [("IMX1-HOST2", reply)]
+        assert fired[1].time_us == fired[0].time_us + net.topology.per_hop_delay_us
 
 
 class TestChannels:
