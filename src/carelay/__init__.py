@@ -8,10 +8,11 @@ import importlib
 # 562), so that importing carelay.relay imports no simulator or benchmark.
 _EXPORTS = {
     "bench": (
-        "Scenario", "ScenarioReport", "emit_report", "run_benchmark", "run_scenario",
+        "ScenarioReport", "emit_report", "run_benchmark", "run_scenario",
         "scenario_a", "scenario_b", "scenario_c",
     ),
     "ca_wire": ("SearchRequest", "SearchResponse", "ValueExchange"),
+    "config": ("Scenario",),
     "endpoints": ("CaClient", "ChannelTimeout", "ClientQueryConfig", "IocSim", "RealCaClient"),
     "netsim": ("VirtualNetwork", "VirtualTopology"),
     "packet": ("Cidr", "Ipv4UdpPacket", "checksum16", "decode", "encode"),

@@ -17,9 +17,6 @@ import sys
 import threading
 
 from .bench import (
-    ConfigInvalid,
-    Scenario,
-    UnknownFormat,
     build_network,
     emit_report,
     execute_scenario,
@@ -27,7 +24,8 @@ from .bench import (
 )
 from .ca_wire import CA_SERVER_PORT
 from .config import (
-    ConfigError, ConfigFile, ValidationError, config_from_mapping, load_yaml, parse_endpoint, parse_pv_name
+    ConfigError, ConfigFile, Scenario, ValidationError, address_and_port, config_from_mapping, load_yaml,
+    parse_endpoint, parse_pv_name,
 )
 from .endpoints import CaClient, ChannelTimeout, RealCaClient
 from .netsim import NetsimError
@@ -107,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     except PrivilegeRequired as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRIVILEGE
-    except (ConfigError, ConfigInvalid, UnknownFormat, TransportUnavailable, NetsimError, ValueError) as exc:
+    except (ConfigError, TransportUnavailable, NetsimError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -116,7 +114,7 @@ def _load_mapping(args, required: bool = False):
     """The loaded YAML of --config, or None without one."""
     if args.config is None:
         if required:
-            raise ConfigInvalid("this command needs --config PATH")
+            raise ConfigError("this command needs --config PATH")
         return None
     with open(args.config, encoding="utf-8") as fh:
         return load_yaml(fh.read())
@@ -160,7 +158,7 @@ def _scenario_from_config(config: ConfigFile, args, name: str = "config") -> Sce
 def cmd_sim(args) -> int:
     config = _load_config(args, required=True)
     if not config.queries:
-        raise ConfigInvalid("this command needs a queries section in the config")
+        raise ConfigError("this command needs a queries section in the config")
     scenario = _scenario_from_config(config, args, name="sim")
     run = execute_scenario(scenario)
     if args.log == "trace":
@@ -222,13 +220,13 @@ def cmd_client(args) -> int:
     if args.transport == "sim":
         scenario = _scenario_from_config(config, args)
         if config.client_host is None:
-            raise ConfigInvalid("sim transport needs client.host in the config")
+            raise ConfigError("sim transport needs client.host in the config")
         net, _ = build_network(scenario)
         client = CaClient(net, config.client_host, config=config.client)
     else:
         targets = [("255.255.255.255", CA_SERVER_PORT)]
         if args.target:
-            targets = [parse_endpoint(t, "--target") for t in args.target]
+            targets = [address_and_port(t, "--target") for t in args.target]
         client = RealCaClient(targets, config=config.client)
     try:
         if write_value is None:

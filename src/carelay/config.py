@@ -5,8 +5,9 @@ relay section configures the relay itself, the topology section describes
 the virtual network (domains, hosts with interfaces and prerouting rules,
 helper rules, IOC definitions, bare bindings), the client section sets the
 retry schedule, queries script caget/caput runs, and bench parameterizes the
-latency comparison. Validation errors name the offending key, parse errors
-the line.
+latency comparison. The records a config describes (``Scenario``, with its
+``Query`` and ``IocSpec`` items) are defined here, and the benchmark builds
+on them. Validation errors name the offending key, parse errors the line.
 
 Each mapping is read through a ``_Section``, whose getters check a value and
 name it by its key's path. A key no getter read is rejected as unknown once
@@ -22,9 +23,6 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .bench import (
-    FORK_COST_S, MIN_BENCH_REPETITIONS, TIMEOUT, VALUE, ConfigInvalid, IocSpec, Query, Scenario
-)
 from .ca_wire import check_pv_name
 from .endpoints import ClientQueryConfig
 from .netsim import (
@@ -59,6 +57,58 @@ class ValidationError(ConfigError):
         super().__init__(f"config key '{key}': {message}")
 
 
+@dataclass(frozen=True)
+class ExpectedOutcome:
+    kind: str  # "value" or "timeout"
+    value: float | None = None
+
+
+def VALUE(x: float) -> ExpectedOutcome:
+    return ExpectedOutcome("value", x)
+
+
+TIMEOUT = ExpectedOutcome("timeout")
+
+
+@dataclass(frozen=True)
+class Query:
+    client_host: str
+    pv_name: str
+    expected: ExpectedOutcome
+
+
+@dataclass(frozen=True)
+class IocSpec:
+    host: str
+    name: str
+    pvs: dict
+    server_port: int
+    advertise_own_address: bool = True
+
+
+@dataclass
+class Scenario:
+    name: str
+    topology: VirtualTopology
+    iocs: list[IocSpec]
+    queries: list[Query]
+    relay_config: RelayConfig | None = None
+    relay_host: str | None = None
+    # Per-request processing cost of the relay host (the fork model).
+    relay_request_delay_us: int = 0
+    client_config: ClientQueryConfig = field(default_factory=ClientQueryConfig)
+    repetitions: int = 1
+    seed: int = 0
+    # Bare (host, port, owner) bindings, bound before the IOCs.
+    pre_bindings: list[tuple[str, int, str]] = field(default_factory=list)
+
+
+# The fork model's per-request processing cost on the relay host.
+FORK_COST_S = 0.005
+# Fewest repetitions per query that the benchmark's medians are taken over.
+MIN_BENCH_REPETITIONS = 30
+
+
 @dataclass
 class BenchSettings:
     repetitions: int = 100
@@ -82,7 +132,7 @@ class ConfigFile:
     def scenario(self, name: str, seed: int, repetitions: int) -> Scenario:
         """The scenario this config describes; installs the relay redirect, so call it once."""
         if self.topology is None:
-            raise ConfigInvalid("this command needs a topology section in the config")
+            raise ConfigError("this command needs a topology section in the config")
         if self.relay_install_prerouting:
             install_relay_prerouting(self)
         return Scenario(
@@ -324,7 +374,7 @@ def _parse_host(host: _Section) -> VirtualHost:
 
 
 def _parse_prerouting(rule: _Section) -> PreroutingRule:
-    new_ip, new_port = rule.get("new_dst", _address_and_port)
+    new_ip, new_port = rule.get("new_dst", address_and_port)
     return PreroutingRule(
         match_dst_port=rule.port("match_dst_port"),
         new_dst_ip=new_ip,
@@ -333,7 +383,7 @@ def _parse_prerouting(rule: _Section) -> PreroutingRule:
     )
 
 
-def _address_and_port(value, key: str) -> tuple[str, int]:
+def address_and_port(value, key: str) -> tuple[str, int]:
     ip, port = parse_endpoint(str(value), key)
     return _address(ip, key), port
 

@@ -293,7 +293,8 @@ class CaClient:
         """Run one full resolution on the virtual clock; never raises on timeout."""
         search_id, eph_port = self._next_search_id, self._next_ephemeral
         self._next_search_id += 1
-        self._next_ephemeral += 1
+        # After 65535 it wraps to the first: each query unbinds its port before it returns.
+        self._next_ephemeral = eph_port + 1 if eph_port < 65535 else FIRST_EPHEMERAL_PORT
         query = _Query(self, pv_name, write_value, search_id, eph_port)
         binding = self.net.bind(self.host_name, eph_port, f"client:{pv_name}", query.on_datagram)
         started = query.result.started_us

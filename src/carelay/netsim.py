@@ -32,15 +32,16 @@ The data circuit after a resolved search is one request and one reply
 (``request``), not logged: each way costs the hop delay between the two hosts,
 drawn as that way is sent. Its listener must be at an address a host owns.
 
-The network keeps each host's bindings and only reads its topology, so networks
-built on one topology share no bindings. One packet's arrival at one host is
-one event, however many bindings it is handed to: they share its time and take
-their turns in bind order, each turn a constant amount of work. A host's
-bindings are kept by port, in bind order, so the last binder is the last entry
-of one list; hops build their packets positionally (``tuple.__new__``);
-timers such as a client's search retries are queued one at a time
-(``call_in_turn``), so an answered query leaves none behind; and all IOCs
-handed one broadcast share one parse of it (``ca_wire.find_search_requests``).
+The network keeps one record per host (``_Node``) with its bindings and its
+domains, named by their names, and only reads its topology, so networks built
+on one topology share no bindings. One packet's arrival at one host is one
+event, however many bindings it is handed to: they share its time and take
+their turns in bind order, each turn a constant amount of work. A node keeps
+its bindings by port, in bind order, so the last binder is the last entry of
+one list; hops build their packets positionally (``tuple.__new__``); timers
+such as a client's search retries are queued one at a time (``call_in_turn``),
+so an answered query leaves none behind; and all IOCs handed one broadcast
+share one parse of it (``ca_wire.find_search_requests``).
 """
 
 from __future__ import annotations
@@ -149,58 +150,69 @@ class VirtualTopology:
     jitter_us: int = 0
 
 
-def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict, dict, dict]:
-    """One pass that refuses, as ``InvalidTopology``, a topology the network's
-    tables cannot describe, and builds them: hosts by name, domains by subnet,
-    each domain's hosts in jitter-draw order, each host's subnets (its domains'
-    own Cidr objects, matched by identity) and hosts by interface address."""
-    domain_of_subnet: dict[Cidr, BroadcastDomain] = {}
-    hosts_in_domain: dict[str, list[VirtualHost]] = {}
+@dataclass(eq=False, slots=True)
+class _Node:
+    """One host as one network routes it: the bindings are that network's own."""
+
+    host: VirtualHost
+    ports: dict[int, list[SocketBinding]] = field(default_factory=dict)  # by port, in bind order
+    domains: set[str] = field(default_factory=set)  # its domains' names
+    domain_of_ip: dict[str, str] = field(default_factory=dict)  # each interface address's domain
+    first_domain: str = ""  # its first interface's, for any other source, such as a spoofed one
+
+
+def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict]:
+    """One pass that refuses, as ``InvalidTopology``, a topology the network
+    cannot describe, and builds one ``_Node`` per host, with domains named by
+    their names: nodes by host name, nodes by interface address, and each
+    domain's nodes in jitter-draw order."""
+    domain_of_subnet: dict[Cidr, str] = {}
+    nodes_in_domain: dict[str, list[_Node]] = {}
     for i, domain in enumerate(topology.domains):
         if domain.subnet in domain_of_subnet:
             raise InvalidTopology(f"domains[{i}].subnet", f"duplicate domain subnet {domain.subnet}")
-        if domain.name in hosts_in_domain:
+        if domain.name in nodes_in_domain:
             raise InvalidTopology(f"domains[{i}].name", f"duplicate domain name {domain.name!r}")
-        domain_of_subnet[domain.subnet] = domain
-        hosts_in_domain[domain.name] = []
-    hosts: dict[str, VirtualHost] = {}
-    subnets_of_host: dict[str, set[Cidr]] = {}
-    host_of_ip: dict[str, VirtualHost] = {}
+        domain_of_subnet[domain.subnet] = domain.name
+        nodes_in_domain[domain.name] = []
+    nodes: dict[str, _Node] = {}
+    node_of_ip: dict[str, _Node] = {}
     for i, host in enumerate(topology.hosts):
-        if host.name in hosts:
+        if host.name in nodes:
             raise InvalidTopology(f"hosts[{i}].name", f"duplicate host name {host.name!r}")
         if not host.interfaces:
             raise InvalidTopology(f"hosts[{i}].interfaces", f"{host.name} has no interfaces")
-        hosts[host.name] = host
-        subnets = subnets_of_host[host.name] = set()
+        node = nodes[host.name] = _Node(host)
         for j, iface in enumerate(host.interfaces):
             path = f"hosts[{i}].interfaces[{j}]"
             domain = domain_of_subnet.get(iface.subnet)
             if domain is None:
                 raise InvalidTopology(f"{path}.subnet", f"{iface.subnet} is no domain's subnet")
-            if domain.subnet in subnets:
-                raise InvalidTopology(f"{path}.subnet", f"{host.name} has two interfaces in {domain.name}")
+            if domain in node.domains:
+                raise InvalidTopology(f"{path}.subnet", f"{host.name} has two interfaces in {domain}")
             if not iface.subnet.contains(iface.ip):
                 raise InvalidTopology(f"{path}.ip", f"{iface.ip} is outside its subnet {iface.subnet}")
-            if iface.ip in host_of_ip:
+            if iface.ip in node_of_ip:
                 raise InvalidTopology(f"{path}.ip", f"duplicate interface address {iface.ip}")
-            subnets.add(domain.subnet)
-            hosts_in_domain[domain.name].append(host)
-            host_of_ip[iface.ip] = host
+            node.domains.add(domain)
+            node.domain_of_ip[iface.ip] = domain
+            nodes_in_domain[domain].append(node)
+            node_of_ip[iface.ip] = node
+        node.first_domain = node.domain_of_ip[host.interfaces[0].ip]
     for i, host in enumerate(topology.hosts):
         for j, rule in enumerate(host.prerouting_rules):
-            if rule.new_dst_ip != LIMITED_BROADCAST and rule.new_dst_ip not in host_of_ip:
+            if rule.new_dst_ip != LIMITED_BROADCAST and rule.new_dst_ip not in node_of_ip:
                 path = f"hosts[{i}].prerouting_rules[{j}].new_dst_ip"
                 raise InvalidTopology(path, f"prerouting rewrite to unknown address {rule.new_dst_ip}")
     for i, rule in enumerate(topology.helper_rules):
-        if rule.domain not in hosts_in_domain:
+        if rule.domain not in nodes_in_domain:
             raise InvalidTopology(f"helper_rules[{i}].domain", f"unknown domain {rule.domain!r}")
         if not rule.destinations:
             raise InvalidTopology(f"helper_rules[{i}].destinations", "at least one destination required")
         for j, ip in enumerate(rule.destinations):
-            if ip not in host_of_ip:
+            if ip not in node_of_ip:
                 raise InvalidTopology(f"helper_rules[{i}].destinations[{j}]", f"no interface owns {ip}")
-    return hosts, domain_of_subnet, hosts_in_domain, subnets_of_host, host_of_ip
+    return nodes, node_of_ip, nodes_in_domain
 
 
 class Delivery(NamedTuple):
@@ -266,22 +278,8 @@ class VirtualNetwork:
         self._rng = random.Random(seed)
         self._queue: list[tuple[int, int, int, object]] = []
         self._seq = 0
-        self._channel_listeners: dict[tuple[str, int], tuple[Callable, str]] = {}
-        (self._hosts, self._domain_of_subnet, hosts_in_domain,
-         self._subnets_of_host, self._host_of_ip) = index_topology(topology)
-        # Each host's port -> its bindings in bind order, so the last binder
-        # on a port is the last entry of its list.
-        self._ports: dict[str, dict[int, list[SocketBinding]]] = {name: {} for name in self._hosts}
-        self._ports_in_domain = {
-            domain: [(h.name, self._ports[h.name]) for h in hosts] for domain, hosts in hosts_in_domain.items()
-        }
-        # Each host's interface address -> its domain, and its first
-        # interface's domain for any other source, such as a spoofed one.
-        domain_of = self._domain_of_subnet
-        self._sender_domains = {
-            name: ({i.ip: domain_of[i.subnet] for i in host.interfaces}, domain_of[host.interfaces[0].subnet])
-            for name, host in self._hosts.items()
-        }
+        self._channel_listeners: dict[tuple[str, int], tuple[Callable, _Node]] = {}
+        self._nodes, self._node_of_ip, self._nodes_in_domain = index_topology(topology)
         self._broadcasts = frozenset(
             [LIMITED_BROADCAST, *(d.subnet.broadcast_address() for d in topology.domains)]
         )
@@ -292,16 +290,16 @@ class VirtualNetwork:
     # -- hosts and addressing -------------------------------------------------
 
     def host(self, name: str) -> VirtualHost:
+        return self._node(name).host
+
+    def _node(self, name: str) -> _Node:
         try:
-            return self._hosts[name]
+            return self._nodes[name]
         except KeyError:
             raise UnknownHost(name) from None
 
-    def _hop_delay_us(self, src_host: str, dst_host: str) -> int:
-        try:
-            same_domain = not self._subnets_of_host[src_host].isdisjoint(self._subnets_of_host[dst_host])
-        except KeyError as exc:
-            raise UnknownHost(exc.args[0]) from None
+    def _hop_delay_us(self, src: _Node, dst: _Node) -> int:
+        same_domain = not src.domains.isdisjoint(dst.domains)
         return (1 if same_domain else 2) * self.topology.per_hop_delay_us + self._jitter()
 
     def _jitter(self) -> int:
@@ -324,12 +322,12 @@ class VirtualNetwork:
     ) -> SocketBinding:
         """Append a binding; several owners may share one port. A packet the callback returns is sent from its host."""
         binding = SocketBinding(port, owner, callback)
-        self._ports[self.host(host_name).name].setdefault(port, []).append(binding)
+        self._node(host_name).ports.setdefault(port, []).append(binding)
         return binding
 
     def unbind(self, host_name: str, binding: SocketBinding) -> None:
         """Close the binding: deliveries already queued to it are logged, but its callback is not called."""
-        ports = self._ports[self.host(host_name).name]
+        ports = self._node(host_name).ports
         on_port = ports[binding.port]
         on_port.remove(binding)
         if not on_port:
@@ -355,11 +353,8 @@ class VirtualNetwork:
 
     def inject(self, source_host: str, packet: Ipv4UdpPacket) -> list[Delivery]:
         """Submit a packet now; returns the deliveries it scheduled, queued as one event per host arrival."""
-        try:
-            by_ip, first = self._sender_domains[source_host]
-        except KeyError:
-            raise UnknownHost(source_host) from None
-        sender_domain = by_ip.get(packet.src_ip, first)
+        sender = self._node(source_host)
+        sender_domain = sender.domain_of_ip.get(packet.src_ip, sender.first_domain)
         at = self.now_us
         if packet.dst_ip in self._broadcasts:
             arrivals = self._route_broadcast(packet, sender_domain, at)
@@ -376,24 +371,25 @@ class VirtualNetwork:
         return deliveries
 
     def _route_broadcast(
-        self, packet: Ipv4UdpPacket, domain: BroadcastDomain, at: int
+        self, packet: Ipv4UdpPacket, domain: str, at: int
     ) -> list[list[Delivery]]:
         out = []
         at += self.topology.per_hop_delay_us
         dst_ip, dst_port = packet.dst_ip, packet.dst_port
-        for host_name, ports in self._ports_in_domain[domain.name]:
+        for node in self._nodes_in_domain[domain]:
             due = at + self._jitter()  # drawn for every host, bound on the port or not
-            on_port = ports.get(dst_port)
+            on_port = node.ports.get(dst_port)
             if on_port:
+                host_name = node.host.name
                 out.append([Delivery(due, host_name, binding, packet, dst_ip, dst_port) for binding in on_port])
         return out
 
     def _route_helper_copies(
-        self, packet: Ipv4UdpPacket, domain: BroadcastDomain, at: int
+        self, packet: Ipv4UdpPacket, domain: str, at: int
     ) -> list[list[Delivery]]:
         out = []
         for rule in self.topology.helper_rules:
-            if rule.domain != domain.name or rule.udp_port != packet.dst_port:
+            if rule.domain != domain or rule.udp_port != packet.dst_port:
                 continue
             for dest_ip in rule.destinations:
                 copy = _new_packet(Ipv4UdpPacket, (packet[0], dest_ip, *packet[2:]))
@@ -406,21 +402,21 @@ class VirtualNetwork:
     def _route_unicast(
         self,
         packet: Ipv4UdpPacket,
-        sender_domain: BroadcastDomain,
+        sender_domain: str,
         at: int,
         hops: int | None,
     ) -> list[Delivery]:
-        host = self._host_of_ip.get(packet.dst_ip)
-        if host is None:
+        node = self._node_of_ip.get(packet.dst_ip)
+        if node is None:
             raise NoRoute(f"no interface owns {packet.dst_ip}")
         if hops is None:
-            hops = 1 if sender_domain.subnet in self._subnets_of_host[host.name] else 2
+            hops = 1 if sender_domain in node.domains else 2
         due = at + hops * self.topology.per_hop_delay_us + self._jitter()
-        return self._arrive_unicast(host, packet, due)
+        return self._arrive_unicast(node, packet, due)
 
-    def _arrive_unicast(self, host: VirtualHost, packet: Ipv4UdpPacket, due: int) -> list[Delivery]:
+    def _arrive_unicast(self, node: _Node, packet: Ipv4UdpPacket, due: int) -> list[Delivery]:
         wire_dst_ip, wire_dst_port = packet.dst_ip, packet.dst_port
-        ports = self._ports[host.name]
+        host, ports = node.host, node.ports
         rule = next((r for r in host.prerouting_rules if r.applies(packet)), None)
         if rule is not None:
             src_ip, _, src_port, _, *rest = packet
@@ -430,14 +426,14 @@ class VirtualNetwork:
                 # local binding; nothing goes back onto the wire.
                 on_port = ports.get(packet.dst_port, ())
                 return [Delivery(due, host.name, b, packet, wire_dst_ip, wire_dst_port) for b in on_port]
-            next_host = self._host_of_ip[rule.new_dst_ip]
-            if next_host is not host:
+            next_node = self._node_of_ip[rule.new_dst_ip]
+            if next_node is not node:
                 # Rewrite toward another machine: forward it, spending a hop and TTL.
                 if packet.ttl <= 1:
                     return []
                 next_due = due + self.topology.per_hop_delay_us + self._jitter()
                 forwarded = _new_packet(Ipv4UdpPacket, (*packet[:5], packet.ttl - 1, *packet[6:]))
-                return self._arrive_unicast(next_host, forwarded, next_due)
+                return self._arrive_unicast(next_node, forwarded, next_due)
         on_port = ports.get(packet.dst_port)
         if not on_port:
             return []
@@ -447,11 +443,12 @@ class VirtualNetwork:
 
     def register_channel_listener(self, ip: str, port: int, serve: Callable[[bytes], bytes | None]) -> None:
         """serve(request) returns the reply to send back, or None; one listener per owned address."""
-        if ip not in self._host_of_ip:
+        node = self._node_of_ip.get(ip)
+        if node is None:
             raise NetsimError(f"no interface owns {ip}")
         if (ip, port) in self._channel_listeners:
             raise NetsimError(f"a channel listener already has {ip}:{port}")
-        self._channel_listeners[(ip, port)] = (serve, self._host_of_ip[ip].name)
+        self._channel_listeners[(ip, port)] = (serve, node)
 
     def request(
         self, client_host: str, server_ip: str, server_port: int, payload: bytes,
@@ -459,16 +456,17 @@ class VirtualNetwork:
     ) -> None:
         """Carry payload to the listener at server_ip:server_port, and its reply, if any, to on_reply."""
         try:
-            serve, server_host = self._channel_listeners[(server_ip, server_port)]
+            serve, server = self._channel_listeners[(server_ip, server_port)]
         except KeyError:
             raise ChannelRefused(f"nothing listening at {server_ip}:{server_port}") from None
+        client = self._node(client_host)
 
         def arrive() -> None:
             reply = serve(payload)
             if reply is not None:
-                self.call_later(self._hop_delay_us(server_host, client_host), lambda: on_reply(reply))
+                self.call_later(self._hop_delay_us(server, client), lambda: on_reply(reply))
 
-        self.call_later(self._hop_delay_us(client_host, server_host), arrive)
+        self.call_later(self._hop_delay_us(client, server), arrive)
 
     # -- clock ----------------------------------------------------------------
 

@@ -6,13 +6,8 @@ import pytest
 
 from carelay.bench import (
     ARM_ORDER,
-    TIMEOUT,
-    VALUE,
-    ConfigInvalid,
-    Query,
     Sample,
     ScenarioReport,
-    UnknownFormat,
     benchmark_scenarios,
     build_network,
     emit_report,
@@ -23,6 +18,8 @@ from carelay.bench import (
     scenario_b,
     scenario_c,
 )
+from carelay.config import TIMEOUT, VALUE, Query
+from carelay.netsim import UnknownHost
 from carelay.relay import RelayMode
 from records import parse_records
 
@@ -134,19 +131,19 @@ class TestScenarioValidation:
     def test_zero_repetitions_rejected(self):
         scenario = scenario_a()
         scenario.repetitions = 0
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match="repetitions must be at least 1"):
             run_scenario(scenario)
 
     def test_unknown_client_host_rejected(self):
         scenario = scenario_a()
         scenario.queries = [Query("NOPE", "IMX1-HOST1", VALUE(155.836))]
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(UnknownHost, match="NOPE"):
             run_scenario(scenario)
 
     def test_relay_host_without_config_rejected(self):
         scenario = scenario_a()
         scenario.relay_host = "IMX1-HOST1"
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match="relay_config and relay_host go together"):
             run_scenario(scenario)
 
     def test_mismatch_reported_not_raised(self):
@@ -187,7 +184,7 @@ class TestBenchmark:
         assert len(report.samples) == 30 * 3 * 3
 
     def test_repetitions_floor(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ValueError, match="benchmark needs at least 30 repetitions"):
             run_benchmark(repetitions=10)
 
 
@@ -235,7 +232,7 @@ class TestEmitReport:
         assert positions == sorted(positions)
 
     def test_unknown_format(self):
-        with pytest.raises(UnknownFormat):
+        with pytest.raises(ValueError, match="unknown report format 'yaml'"):
             emit_report(ScenarioReport(scenario="x", seed=0), "yaml")
 
     def test_text_contains_counters_and_verdict(self):

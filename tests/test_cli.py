@@ -256,6 +256,15 @@ def test_client_names_a_pv_argument_a_search_cannot_carry(argv, config_error):
     assert "config key 'pv'" in config_error(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["caget", "PV:1", "--transport", "real", "--target", "nohost:5064"],
+    ["caput", "PV:1", "1.5", "--transport", "real", "--target", "255.255.255.255:5064", "--target", "10.2.1:5064"],
+], ids=["caget-host-name", "caput-second-target-short"])
+def test_client_names_a_target_that_is_no_address(argv, config_error):
+    # It used to end in a socket.gaierror traceback and exit 1, the timeout code.
+    assert "config key '--target': not an IPv4 address" in config_error(argv)
+
+
 def test_sim_names_a_query_pv_a_search_cannot_carry(config_error):
     data = yaml.safe_load((CONFIG_DIR / "scenario_c.yaml").read_text())
     data["queries"][1]["pv"] = "p" * 61

@@ -1,4 +1,6 @@
 import copy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -504,3 +506,14 @@ def test_install_relay_prerouting_adds_redirect():
     assert rule.new_dst_ip == "10.2.1.31"
     assert rule.new_dst_port == 6064
     assert rule.negate_src == Cidr("10.2.1.0", 24)
+
+
+def test_importing_config_does_not_import_the_benchmark():
+    # The scenario records live here, so bench imports config and never the reverse.
+    src = Path(carelay.config.__file__).resolve().parents[1]
+    script = "import sys, carelay.config\nprint(sorted(m for m in sys.modules if m.startswith('carelay')))\n"
+    out = subprocess.run(
+        [sys.executable, "-c", script], cwd=src, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert "carelay.bench" not in out.stdout
+    assert "carelay.config" in out.stdout

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from carelay import bench
 from carelay.ca_wire import SearchRequest, encode_search_datagram, find_search_response
 from carelay.endpoints import (
+    FIRST_EPHEMERAL_PORT,
     CaClient,
     ChannelTimeout,
     ClientQueryConfig,
@@ -212,6 +213,16 @@ class TestCaget:
         sends = [d for d in net.delivery_log if d.wire_dst_ip == "10.2.1.255"]
         ports = {d.packet.src_port for d in sends}
         assert len(ports) == 2
+
+    def test_ephemeral_ports_wrap_to_the_first_after_65535(self):
+        net, *_ = make_net_with_iocs()
+        client = CaClient(net, "TesterDirect")
+        client._next_ephemeral = 65535
+        for pv in ("IMX:DMC4:m1", "IMX:DMC4:m2", "IMX:DMC4:m1"):
+            client.caget(pv)
+        sends = [d for d in net.delivery_log if d.wire_dst_ip == "10.2.1.255"]
+        ports = list(dict.fromkeys(d.packet.src_port for d in sends))
+        assert ports == [65535, FIRST_EPHEMERAL_PORT, FIRST_EPHEMERAL_PORT + 1]
 
     def test_slow_network_read_outlives_search_deadline(self):
         # Resolution succeeds near the end of the retry schedule; the value

@@ -500,6 +500,48 @@ class TestChannels:
         assert times == [2 * net.topology.per_hop_delay_us]
 
 
+LAB = Cidr("10.2.7.0", 24)
+
+
+def multi_homed_net():
+    """A gateway on beamline and sol, and a lab host on lab and sol: they share sol only."""
+    net = VirtualNetwork(VirtualTopology(
+        domains=[BroadcastDomain("beamline", BEAMLINE), BroadcastDomain("sol", SOL), BroadcastDomain("lab", LAB)],
+        hosts=[
+            VirtualHost("GW", [Interface("10.2.1.1", BEAMLINE), Interface("10.2.105.1", SOL)]),
+            VirtualHost("IMX1-HOST1", [Interface("10.2.1.31", BEAMLINE)]),
+            VirtualHost("TesterHEpics", [Interface("10.2.105.171", SOL)]),
+            VirtualHost("LAB", [Interface("10.2.7.2", LAB), Interface("10.2.105.2", SOL)]),
+        ],
+    ))
+    for host in ("GW", "IMX1-HOST1", "TesterHEpics", "LAB"):
+        net.bind(host, 5064, host)
+    return net
+
+
+class TestMultiHomedHosts:
+    @pytest.mark.parametrize("src_ip, hosts", [
+        ("10.2.1.1", {"GW", "IMX1-HOST1"}),
+        ("10.2.105.1", {"GW", "TesterHEpics", "LAB"}),
+        ("10.9.9.9", {"GW", "IMX1-HOST1"}),  # owned by no interface: the first interface's domain
+    ], ids=["first-interface", "second-interface", "spoofed"])
+    def test_a_broadcast_reaches_the_domain_of_its_source_address(self, src_ip, hosts):
+        net = multi_homed_net()
+        deliveries = net.inject("GW", search_packet(LIMITED_BROADCAST, src_ip=src_ip))
+        assert {d.host for d in deliveries} == hosts
+
+    def test_hosts_sharing_one_of_their_domains_are_one_hop_apart(self):
+        net = multi_homed_net()
+        hop = net.topology.per_hop_delay_us
+        (delivery,) = net.inject("GW", search_packet("10.2.7.2", src_ip="10.2.105.1"))
+        assert (delivery.host, delivery.time_us) == ("LAB", hop)
+        times = []
+        net.register_channel_listener("10.2.7.2", 5901, lambda payload: times.append(net.now_us) or b"ack")
+        net.request("GW", "10.2.7.2", 5901, b"x", lambda reply: times.append(net.now_us))
+        net.advance_clock(10_000)
+        assert times == [hop, 2 * hop]
+
+
 class TestTopologyValidation:
     def test_duplicate_interface_ip_rejected(self):
         topo = make_topology()
