@@ -25,7 +25,7 @@ from .bench import (
 from .ca_wire import CA_SERVER_PORT
 from .config import (
     ConfigError, ConfigFile, Scenario, ValidationError, address_and_port, config_from_mapping, load_yaml,
-    parse_endpoint, parse_pv_name,
+    parse_address, parse_endpoint, parse_pv_name,
 )
 from .endpoints import CaClient, ChannelTimeout, RealCaClient
 from .netsim import NetsimError
@@ -146,6 +146,17 @@ def _relay_config(args) -> RelayConfig:
     return config_from_mapping(data).relay
 
 
+def _check_bind_ip(bind_ip: str, config: RelayConfig) -> None:
+    """--bind-ip is a dotted quad, and in spoof mode inside local_subnet, the loop guard (0.0.0.0 is not looked up)."""
+    parse_address(bind_ip, "--bind-ip")
+    subnet = config.local_subnet
+    if config.mode is RelayMode.SPOOF and subnet is not None and bind_ip != "0.0.0.0" and not subnet.contains(bind_ip):
+        raise ValidationError(
+            "relay.local_subnet",
+            f"{subnet} does not contain --bind-ip {bind_ip}, so the relay's own broadcasts would pass the loop guard",
+        )
+
+
 def _scenario_from_config(config: ConfigFile, args, name: str = "config") -> Scenario:
     reps = getattr(args, "reps", None)
     return config.scenario(
@@ -174,6 +185,7 @@ def cmd_sim(args) -> int:
 
 def cmd_relay(args) -> int:
     relay_config = _relay_config(args)
+    _check_bind_ip(args.bind_ip, relay_config)
     transport = RealUdpTransport(relay_config, bind_ip=args.bind_ip)
     relay = Relay(relay_config, transport)
     stop = threading.Event()

@@ -212,7 +212,7 @@ class _Section:
         return self.get(key, _cidr, default)
 
     def address(self, key):
-        return self.get(key, _address)
+        return self.get(key, parse_address)
 
     def choice(self, key, choices, default):
         def one_of(value, name: str):
@@ -285,7 +285,7 @@ def _cidr(value, key: str) -> Cidr:
         raise ValidationError(key, f"not a CIDR prefix: {exc}") from None
 
 
-def _address(value, key: str) -> str:
+def parse_address(value, key: str) -> str:
     """A dotted quad as ``int_to_ip`` writes it, for the network matches addresses as strings."""
     try:
         dotted = int_to_ip(ip_to_int(value))
@@ -385,11 +385,11 @@ def _parse_prerouting(rule: _Section) -> PreroutingRule:
 
 def address_and_port(value, key: str) -> tuple[str, int]:
     ip, port = parse_endpoint(str(value), key)
-    return _address(ip, key), port
+    return parse_address(ip, key), port
 
 
 def _parse_helper(helper: _Section) -> HelperRule:
-    destinations = tuple(helper.list("destinations", _address))
+    destinations = tuple(helper.list("destinations", parse_address))
     return HelperRule(helper.str("domain"), helper.port("udp_port"), destinations)
 
 

@@ -14,10 +14,13 @@ field, such as ``hosts[1].name``.
 
 Delivery semantics, applied in order for each injected packet:
 
-1. A broadcast destination (a domain's directed broadcast or the limited
-   broadcast 255.255.255.255) is delivered to every host in the sender's
-   domain, to all bindings on the destination port. Broadcasts never cross
-   domains on their own.
+1. The destination address picks the domain. The limited broadcast
+   255.255.255.255 goes into the domain of its source address (the first
+   interface's, for a source the sender does not own). A domain's directed
+   broadcast goes into that domain only when the sender has an interface
+   there: routers do not forward it (RFC 2644, updating RFC 1812 section
+   5.3.5.2). Either reaches all bindings on the destination port of every
+   host in its domain. Any other address is unicast.
 2. A helper rule whose domain and port match a broadcast additionally emits
    unicast copies toward each configured destination, source preserved.
 3. A unicast arrival first passes the receiving host's prerouting rules: the
@@ -26,11 +29,15 @@ Delivery semantics, applied in order for each injected packet:
    re-emitted onto the wire; any other rewrite is delivered locally or
    forwarded. Without a rewrite, the packet goes only to the binding made
    last on the port (last-binder delivery).
-4. Each hop costs a fixed per-hop delay plus optional seeded jitter.
+4. Each hop costs a fixed per-hop delay, and each leg optional seeded
+   jitter. One rule prices a unicast: one hop between hosts that share a
+   domain, two otherwise. A helper copy takes two (to the switch, then
+   onward), and a rewrite forwarded to another host one more.
 
 The data circuit after a resolved search is one request and one reply
-(``request``), not logged: each way costs the hop delay between the two hosts,
-drawn as that way is sent. Its listener must be at an address a host owns.
+(``request``), not logged: each way is priced as a unicast between the two
+hosts (rule 4, ``_hop_delay_us``), drawn as that way is sent. Its listener
+must be at an address a host owns.
 
 The network keeps one record per host (``_Node``) with its bindings and its
 domains, named by their names, and only reads its topology, so networks built
@@ -280,9 +287,7 @@ class VirtualNetwork:
         self._seq = 0
         self._channel_listeners: dict[tuple[str, int], tuple[Callable, _Node]] = {}
         self._nodes, self._node_of_ip, self._nodes_in_domain = index_topology(topology)
-        self._broadcasts = frozenset(
-            [LIMITED_BROADCAST, *(d.subnet.broadcast_address() for d in topology.domains)]
-        )
+        self._domain_of_broadcast = {d.subnet.broadcast_address(): d.name for d in topology.domains}
         self._jitter_max = topology.jitter_us
         self._jitter_bits = (topology.jitter_us + 1).bit_length()
         self._getrandbits = self._rng.getrandbits
@@ -299,6 +304,7 @@ class VirtualNetwork:
             raise UnknownHost(name) from None
 
     def _hop_delay_us(self, src: _Node, dst: _Node) -> int:
+        """The one unicast hop rule (module docstring, rule 4), for datagrams and the data circuit."""
         same_domain = not src.domains.isdisjoint(dst.domains)
         return (1 if same_domain else 2) * self.topology.per_hop_delay_us + self._jitter()
 
@@ -354,25 +360,31 @@ class VirtualNetwork:
     def inject(self, source_host: str, packet: Ipv4UdpPacket) -> list[Delivery]:
         """Submit a packet now; returns the deliveries it scheduled, queued as one event per host arrival."""
         sender = self._node(source_host)
-        sender_domain = sender.domain_of_ip.get(packet.src_ip, sender.first_domain)
-        at = self.now_us
-        if packet.dst_ip in self._broadcasts:
-            arrivals = self._route_broadcast(packet, sender_domain, at)
-            arrivals += self._route_helper_copies(packet, sender_domain, at)
+        at, dst_ip = self.now_us, packet.dst_ip
+        if dst_ip == LIMITED_BROADCAST:
+            domain = sender.domain_of_ip.get(packet.src_ip, sender.first_domain)
         else:
-            arrival = self._route_unicast(packet, sender_domain, at, hops=None)
-            arrivals = [arrival] if arrival else []
+            domain = self._domain_of_broadcast.get(dst_ip)
+        if domain is None:
+            node = self._node_of_ip.get(dst_ip)
+            if node is None:
+                raise NoRoute(f"no interface owns {dst_ip}")
+            arrivals = [self._arrive_unicast(node, packet, at + self._hop_delay_us(sender, node))]
+        elif domain in sender.domains:
+            arrivals = self._route_broadcast(packet, domain, at) + self._route_helper_copies(packet, domain, at)
+        else:
+            arrivals = []  # a directed broadcast into a domain the sender is not on: no router forwards it
         deliveries: list[Delivery] = []
         queue = self._queue
         for arrival in arrivals:
+            if not arrival:
+                continue
             self._seq += 1
             heapq.heappush(queue, (arrival[0].time_us, self._seq, _DELIVERY, arrival))
             deliveries += arrival
         return deliveries
 
-    def _route_broadcast(
-        self, packet: Ipv4UdpPacket, domain: str, at: int
-    ) -> list[list[Delivery]]:
+    def _route_broadcast(self, packet: Ipv4UdpPacket, domain: str, at: int) -> list[list[Delivery]]:
         out = []
         at += self.topology.per_hop_delay_us
         dst_ip, dst_port = packet.dst_ip, packet.dst_port
@@ -384,35 +396,16 @@ class VirtualNetwork:
                 out.append([Delivery(due, host_name, binding, packet, dst_ip, dst_port) for binding in on_port])
         return out
 
-    def _route_helper_copies(
-        self, packet: Ipv4UdpPacket, domain: str, at: int
-    ) -> list[list[Delivery]]:
+    def _route_helper_copies(self, packet: Ipv4UdpPacket, domain: str, at: int) -> list[list[Delivery]]:
         out = []
+        at += 2 * self.topology.per_hop_delay_us  # one hop to the helping switch, one onward to the server
         for rule in self.topology.helper_rules:
             if rule.domain != domain or rule.udp_port != packet.dst_port:
                 continue
             for dest_ip in rule.destinations:
                 copy = _new_packet(Ipv4UdpPacket, (packet[0], dest_ip, *packet[2:]))
-                # One hop to the helping switch, one onward to the server.
-                arrival = self._route_unicast(copy, domain, at, hops=2)
-                if arrival:
-                    out.append(arrival)
+                out.append(self._arrive_unicast(self._node_of_ip[dest_ip], copy, at + self._jitter()))
         return out
-
-    def _route_unicast(
-        self,
-        packet: Ipv4UdpPacket,
-        sender_domain: str,
-        at: int,
-        hops: int | None,
-    ) -> list[Delivery]:
-        node = self._node_of_ip.get(packet.dst_ip)
-        if node is None:
-            raise NoRoute(f"no interface owns {packet.dst_ip}")
-        if hops is None:
-            hops = 1 if sender_domain in node.domains else 2
-        due = at + hops * self.topology.per_hop_delay_us + self._jitter()
-        return self._arrive_unicast(node, packet, due)
 
     def _arrive_unicast(self, node: _Node, packet: Ipv4UdpPacket, due: int) -> list[Delivery]:
         wire_dst_ip, wire_dst_port = packet.dst_ip, packet.dst_port

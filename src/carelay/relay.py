@@ -405,8 +405,12 @@ class RealUdpTransport:
             try:
                 self._raw = self._socket_factory(socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_RAW)
                 self._raw.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
-            except (PermissionError, OSError) as exc:
+            except OSError as exc:
                 self._listen.close()
+                if self._raw is not None:
+                    self._raw.close()
+                if not isinstance(exc, PermissionError):  # EMFILE and the like: no privilege would help
+                    raise TransportUnavailable(f"cannot open a raw socket for spoof mode: {exc}") from exc
                 raise PrivilegeRequired(
                     "spoof mode rewrites raw IP headers and needs CAP_NET_RAW; "
                     "run as root, grant the capability (setcap cap_net_raw+ep), "

@@ -11,6 +11,8 @@ from carelay import cli
 from carelay.bench import run_scenario, scenario_a, scenario_b, scenario_c
 from carelay.cli import main
 from carelay.config import config_from_mapping, parse_config
+from carelay.packet import Cidr
+from carelay.relay import RelayConfig, RelayMode
 from records import parse_records
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -167,7 +169,7 @@ class TestRelayCommand:
         code = main([
             "relay", "--mode", "spoof",
             "--listen-port", "16164", "--target", "255.255.255.255:5064",
-            "--local-subnet", "192.0.2.0/24", "--bind-ip", "127.0.0.1", "--log", "quiet",
+            "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.0.0.1", "--log", "quiet",
         ])
         assert code == 3
         err = capsys.readouterr().err
@@ -327,6 +329,25 @@ class TestBadValuesAreConfigErrors:
     def test_backoff_factor_whose_waits_overflow(self, config_error):
         text = "client:\n  backoff_factor: 1.0e+200\n"
         assert "'client.backoff_factor'" in config_error(["bench", "--reps", "1"], text)
+
+    # In spoof mode local_subnet is the loop guard: a relay bound outside it
+    # would relay its own broadcasts. Both used to open the listen socket.
+    @pytest.mark.parametrize("argv, text, key", [
+        (["relay", "--mode", "spoof", "--local-subnet", "192.0.2.0/24", "--bind-ip", "127.0.0.1", *TARGET],
+         None, "relay.local_subnet"),
+        (["relay", "--bind-ip", "127.0.0.1"], RELAY_SECTION + "  mode: spoof\n  local_subnet: 192.0.2.0/24\n",
+         "relay.local_subnet"),
+        ([*RELAY, *TARGET, "--bind-ip", "localhost"], None, "--bind-ip"),
+        (["relay", "--mode", "spoof", "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.1", *TARGET],
+         None, "--bind-ip"),
+    ], ids=["spoof-flag", "spoof-yaml", "host-name", "short-quad"])
+    def test_bind_ip(self, argv, text, key, config_error):
+        assert f"'{key}'" in config_error(argv, text)
+
+    def test_the_wildcard_bind_address_is_not_checked(self):
+        # Which interfaces 0.0.0.0 stands for is not looked up.
+        config = RelayConfig("255.255.255.255", mode=RelayMode.SPOOF, local_subnet=Cidr("192.0.2.0", 24))
+        cli._check_bind_ip("0.0.0.0", config)
 
     # The relay on real sockets has no topology to place itself in or to
     # install a redirect on; it used to serve and ignore these keys.

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from carelay import netsim
+from carelay import bench, netsim
 from carelay.netsim import (
     LIMITED_BROADCAST,
     BroadcastDomain,
@@ -137,6 +137,16 @@ class TestBroadcastDelivery:
         net.bind("IMX1-HOST1", 5064, "ioc")
         pkt = search_packet("10.2.1.255", src_ip="10.2.1.31", src_port=4000)
         assert len(net.inject("IMX1-HOST1", pkt)) == 1
+
+    def test_a_directed_broadcast_from_another_domain_is_not_delivered(self):
+        # No router forwards it, so neither the sol hosts nor sol's helper see a broadcast;
+        # it used to reach the sender itself and a helper copy to 10.2.1.31.
+        net = VirtualNetwork(bench.paper_topology())
+        for host in net.topology.hosts:
+            net.bind(host.name, 5064, host.name)
+        assert net.inject("TesterHEpics", search_packet("10.2.1.255")) == []
+        net.advance_clock(10_000)
+        assert net.delivery_log == []
 
 
 class TestHelperRule:
@@ -529,6 +539,27 @@ class TestMultiHomedHosts:
         net = multi_homed_net()
         deliveries = net.inject("GW", search_packet(LIMITED_BROADCAST, src_ip=src_ip))
         assert {d.host for d in deliveries} == hosts
+
+    @pytest.mark.parametrize("src_ip, dst_ip, hosts", [
+        ("10.2.105.1", "10.2.1.255", {"GW", "IMX1-HOST1"}),
+        ("10.2.1.1", "10.2.105.255", {"GW", "TesterHEpics", "LAB"}),
+        ("10.2.1.1", "10.2.7.255", set()),  # GW has no interface on lab: no router forwards it
+    ], ids=["from-its-other-address", "from-its-first-address", "into-a-domain-it-is-not-on"])
+    def test_a_directed_broadcast_reaches_the_domain_it_names(self, src_ip, dst_ip, hosts):
+        net = multi_homed_net()
+        deliveries = net.inject("GW", search_packet(dst_ip, src_ip=src_ip))
+        assert {d.host for d in deliveries} == hosts
+
+    def test_a_unicast_and_a_request_are_priced_by_one_rule(self):
+        # GW and LAB share sol, though not the domain of the packet's source
+        # address; the unicast used to take two hops and the request one.
+        net = multi_homed_net()
+        (delivery,) = net.inject("GW", search_packet("10.2.7.2", src_ip="10.2.1.1"))
+        served = []
+        net.register_channel_listener("10.2.7.2", 5901, lambda payload: served.append(net.now_us))
+        net.request("GW", "10.2.7.2", 5901, b"x", lambda reply: None)
+        net.advance_clock(10_000)
+        assert delivery.time_us == served[0] == net.topology.per_hop_delay_us
 
     def test_hosts_sharing_one_of_their_domains_are_one_hop_apart(self):
         net = multi_homed_net()

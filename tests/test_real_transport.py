@@ -30,6 +30,7 @@ from carelay.endpoints import ChannelTimeout, ClientQueryConfig, RealCaClient
 from carelay.packet import Cidr, decode
 from carelay.relay import (
     LISTEN_DRAIN_CAP,
+    PrivilegeRequired,
     RealUdpTransport,
     Relay,
     RelayConfig,
@@ -164,6 +165,32 @@ def test_bind_conflict_reports_transport_unavailable():
             RealUdpTransport(config, bind_ip="127.0.0.1")
     finally:
         first.close()
+
+
+@pytest.mark.parametrize("error, raised", [
+    (PermissionError(errno.EPERM, os.strerror(errno.EPERM)), PrivilegeRequired),
+    (OSError(errno.EMFILE, os.strerror(errno.EMFILE)), TransportUnavailable),
+], ids=["refused", "out-of-descriptors"])
+def test_only_a_refused_raw_socket_asks_for_privilege(error, raised):
+    # Any raw-socket failure used to be reported as a missing CAP_NET_RAW.
+    opened = []
+
+    def factory(family, type_, proto=0):
+        if type_ == socket.SOCK_RAW:
+            raise error
+        opened.append(socket.socket(family, type_, proto))
+        return opened[-1]
+
+    config = RelayConfig(
+        target_broadcast="127.255.255.255", listen_port=18164, mode=RelayMode.SPOOF,
+        local_subnet=Cidr("127.0.0.0", 8),
+    )
+    with pytest.raises(raised) as excinfo:
+        RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
+    assert excinfo.value.__cause__ is error
+    if raised is TransportUnavailable:
+        assert os.strerror(errno.EMFILE) in str(excinfo.value)
+    assert [sock.fileno() for sock in opened] == [-1]  # the listen socket is closed
 
 
 def serve_in_thread(relay: Relay):
