@@ -25,7 +25,7 @@ import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .config import FORK_COST_S, MIN_BENCH_REPETITIONS, ExpectedOutcome, Scenario, config_from_mapping, load_yaml
+from .config import ExpectedOutcome, Scenario, config_from_mapping, load_yaml
 from .endpoints import CaClient, IocSim
 from .netsim import Interface, VirtualHost, VirtualNetwork, VirtualTopology
 from .relay import Relay, RelayMode, SimTransport
@@ -39,6 +39,12 @@ CLIENT = "TesterHEpics"
 # the paper's network, so the fixtures do not carry it.
 DIRECT_CLIENT = "TesterDirect"
 DIRECT_CLIENT_IP = "10.2.1.100"
+# The fork model's per-request processing cost on the relay host.
+FORK_COST_S = 0.005
+# Fewest repetitions per query that the benchmark's medians are taken over.
+MIN_BENCH_REPETITIONS = 30
+# Per-hop jitter of the benchmark's networks, so that the samples spread.
+BENCH_JITTER_US = 10
 
 
 @dataclass(frozen=True)
@@ -107,14 +113,9 @@ def scenario_b(seed: int = 0) -> Scenario:
     return _load_scenario("scenario_b.yaml", "B-prerouting-rewrite", seed)
 
 
-def scenario_c(
-    seed: int = 0,
-    mode: RelayMode = RelayMode.SPOOF,
-    advertise_own_address: bool = True,
-) -> Scenario:
+def scenario_c(seed: int = 0, mode: RelayMode = RelayMode.SPOOF) -> Scenario:
     scenario = _load_scenario("scenario_c.yaml", f"C-relay-{mode.value}", seed)
     scenario.relay_config = replace(scenario.relay_config, mode=mode)
-    scenario.iocs = [replace(spec, advertise_own_address=advertise_own_address) for spec in scenario.iocs]
     return scenario
 
 
@@ -180,12 +181,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     return execute_scenario(scenario).report
 
 
-def benchmark_scenarios(
-    repetitions: int,
-    seed: int,
-    fork_cost_s: float = FORK_COST_S,
-    jitter_us: int = 10,
-) -> dict[str, Scenario]:
+def benchmark_scenarios(repetitions: int, seed: int) -> dict[str, Scenario]:
     """One scenario per benchmark arm, on the common paper network.
 
     DIRECT asks scenario C's queries from a client in the servers' subnet on
@@ -200,23 +196,19 @@ def benchmark_scenarios(
     subnet = next(d.subnet for d in direct.topology.domains if d.subnet.contains(DIRECT_CLIENT_IP))
     direct.topology.hosts.append(VirtualHost(DIRECT_CLIENT, [Interface(DIRECT_CLIENT_IP, subnet)]))
     direct.queries = [replace(q, client_host=DIRECT_CLIENT) for q in arms["PERSISTENT"].queries]
-    arms["FORK_MODEL"].relay_request_delay_us = int(fork_cost_s * 1e6)
+    arms["FORK_MODEL"].relay_request_delay_us = int(FORK_COST_S * 1e6)
     for scenario in arms.values():
         scenario.name = "bench"
-        scenario.topology.jitter_us = jitter_us
+        scenario.topology.jitter_us = BENCH_JITTER_US
         scenario.repetitions = repetitions
     return arms
 
 
-def run_benchmark(
-    repetitions: int = 100,
-    seed: int = 0,
-    fork_cost_s: float = FORK_COST_S,
-) -> ScenarioReport:
+def run_benchmark(repetitions: int = 100, seed: int = 0) -> ScenarioReport:
     if repetitions < MIN_BENCH_REPETITIONS:
         raise ValueError(f"benchmark needs at least {MIN_BENCH_REPETITIONS} repetitions")
 
-    scenarios = benchmark_scenarios(repetitions, seed, fork_cost_s)
+    scenarios = benchmark_scenarios(repetitions, seed)
     report = ScenarioReport(scenario="bench", seed=seed)
     for arm in ARM_ORDER:
         run = execute_scenario(scenarios[arm], arm=arm)

@@ -24,7 +24,7 @@ from .bench import (
 )
 from .ca_wire import CA_SERVER_PORT
 from .config import (
-    ConfigError, ConfigFile, Scenario, ValidationError, address_and_port, config_from_mapping, load_yaml,
+    ConfigError, ConfigFile, ValidationError, address_and_port, config_from_mapping, load_yaml,
     parse_address, parse_endpoint, parse_pv_name,
 )
 from .endpoints import CaClient, ChannelTimeout, RealCaClient
@@ -55,9 +55,10 @@ _SIM_ONLY_RELAY_KEYS = ("host", "install_prerouting")
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="carelay")
-    common = argparse.ArgumentParser(add_help=False)
+    logged = argparse.ArgumentParser(add_help=False)
+    logged.add_argument("--log", choices=sorted(_LOG_LEVELS), default="normal")
+    common = argparse.ArgumentParser(add_help=False, parents=[logged])
     common.add_argument("--config", metavar="PATH", help="configuration file")
-    common.add_argument("--log", choices=sorted(_LOG_LEVELS), default="normal")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -72,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim_p = sub.add_parser("sim", parents=[common], help="run a scenario file")
     sim_p.add_argument("--format", choices=("text", "records"), default="text")
-    sim_p.add_argument("--reps", type=int, default=None, help="repetitions per query")
-    sim_p.add_argument("--seed", type=int, default=None, help="virtual network seed")
+    sim_p.add_argument("--reps", type=int, default=1, help="repetitions per query")
+    sim_p.add_argument("--seed", type=int, default=0, help="virtual network seed")
     sim_p.set_defaults(func=cmd_sim)
 
-    bench_p = sub.add_parser("bench", parents=[common], help="run the latency comparison")
-    bench_p.add_argument("--reps", type=int, default=None)
-    bench_p.add_argument("--seed", type=int, default=None, help="virtual network seed")
+    bench_p = sub.add_parser("bench", parents=[logged], help="run the latency comparison")
+    bench_p.add_argument("--reps", type=int, default=100)
+    bench_p.add_argument("--seed", type=int, default=0, help="virtual network seed")
     bench_p.add_argument("--format", choices=("text", "records"), default="text")
     bench_p.set_defaults(func=cmd_bench)
 
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         client_p.add_argument("--transport", choices=("sim", "real"), default="sim")
         client_p.add_argument("--target", metavar="IP:PORT", action="append", default=None,
                               help="real transport search target (repeatable)")
-        client_p.add_argument("--seed", type=int, default=None, help="sim transport network seed")
+        client_p.add_argument("--seed", type=int, default=0, help="sim transport network seed")
         client_p.set_defaults(func=cmd_client)
 
     return parser
@@ -147,31 +148,21 @@ def _relay_config(args) -> RelayConfig:
 
 
 def _check_bind_ip(bind_ip: str, config: RelayConfig) -> None:
-    """--bind-ip is a dotted quad, and in spoof mode inside local_subnet, the loop guard (0.0.0.0 is not looked up)."""
+    """--bind-ip is a dotted quad inside local_subnet, the loop guard (0.0.0.0 is not looked up)."""
     parse_address(bind_ip, "--bind-ip")
     subnet = config.local_subnet
-    if config.mode is RelayMode.SPOOF and subnet is not None and bind_ip != "0.0.0.0" and not subnet.contains(bind_ip):
+    if subnet is not None and bind_ip != "0.0.0.0" and not subnet.contains(bind_ip):
         raise ValidationError(
             "relay.local_subnet",
             f"{subnet} does not contain --bind-ip {bind_ip}, so the relay's own broadcasts would pass the loop guard",
         )
 
 
-def _scenario_from_config(config: ConfigFile, args, name: str = "config") -> Scenario:
-    reps = getattr(args, "reps", None)
-    return config.scenario(
-        name,
-        seed=args.seed if args.seed is not None else config.bench.seed,
-        repetitions=reps if reps is not None else 1,
-    )
-
-
 def cmd_sim(args) -> int:
     config = _load_config(args, required=True)
     if not config.queries:
         raise ConfigError("this command needs a queries section in the config")
-    scenario = _scenario_from_config(config, args, name="sim")
-    run = execute_scenario(scenario)
+    run = execute_scenario(config.scenario("sim", args.seed, args.reps))
     if args.log == "trace":
         for line in run.net.trace_lines():
             print(line, file=sys.stderr)
@@ -213,13 +204,7 @@ def cmd_relay(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args)
-    settings = config.bench
-    report = run_benchmark(
-        repetitions=args.reps if args.reps is not None else settings.repetitions,
-        seed=args.seed if args.seed is not None else settings.seed,
-        fork_cost_s=settings.fork_cost_s,
-    )
+    report = run_benchmark(repetitions=args.reps, seed=args.seed)
     sys.stdout.write(emit_report(report, args.format))
     return EXIT_OK
 
@@ -230,7 +215,7 @@ def cmd_client(args) -> int:
     write_value = getattr(args, "value", None)
     config = _load_config(args, required=args.transport == "sim")
     if args.transport == "sim":
-        scenario = _scenario_from_config(config, args)
+        scenario = config.scenario("config", args.seed, repetitions=1)
         if config.client_host is None:
             raise ConfigError("sim transport needs client.host in the config")
         net, _ = build_network(scenario)

@@ -4,10 +4,10 @@ One YAML grammar serves both the simulated and the real transports: the
 relay section configures the relay itself, the topology section describes
 the virtual network (domains, hosts with interfaces and prerouting rules,
 helper rules, IOC definitions, bare bindings), the client section sets the
-retry schedule, queries script caget/caput runs, and bench parameterizes the
-latency comparison. The records a config describes (``Scenario``, with its
-``Query`` and ``IocSpec`` items) are defined here, and the benchmark builds
-on them. Validation errors name the offending key, parse errors the line.
+retry schedule, and queries script caget/caput runs. The records a config
+describes (``Scenario``, with its ``Query`` and ``IocSpec`` items) are
+defined here, and the benchmark builds on them. Validation errors name the
+offending key, parse errors the line.
 
 Each mapping is read through a ``_Section``, whose getters check a value and
 name it by its key's path. A key no getter read is rejected as unknown once
@@ -103,19 +103,6 @@ class Scenario:
     pre_bindings: list[tuple[str, int, str]] = field(default_factory=list)
 
 
-# The fork model's per-request processing cost on the relay host.
-FORK_COST_S = 0.005
-# Fewest repetitions per query that the benchmark's medians are taken over.
-MIN_BENCH_REPETITIONS = 30
-
-
-@dataclass
-class BenchSettings:
-    repetitions: int = 100
-    seed: int = 0
-    fork_cost_s: float = FORK_COST_S
-
-
 @dataclass
 class ConfigFile:
     topology: VirtualTopology | None = None
@@ -127,7 +114,6 @@ class ConfigFile:
     client_host: str | None = None
     client: ClientQueryConfig = field(default_factory=ClientQueryConfig)
     queries: list[Query] = field(default_factory=list)
-    bench: BenchSettings = field(default_factory=BenchSettings)
 
     def scenario(self, name: str, seed: int, repetitions: int) -> Scenario:
         """The scenario this config describes; installs the relay redirect, so call it once."""
@@ -199,8 +185,8 @@ class _Section:
     def port(self, key, default=_REQUIRED):
         return self.int(key, default, minimum=1, maximum=65535)
 
-    def float(self, key, default=_REQUIRED, minimum=None):
-        return self.get(key, lambda value, name: _number(value, name, minimum), default)
+    def float(self, key, default=_REQUIRED):
+        return self.get(key, _number, default)
 
     def str(self, key, default=_REQUIRED):
         return self.get(key, lambda value, name: _instance(value, name, str, "a string"), default)
@@ -256,12 +242,10 @@ class _Section:
                 raise ValidationError(self.name(key), "unknown key")
 
 
-def _number(value, key: str, minimum=None) -> float:
+def _number(value, key: str) -> float:
     """A finite number as a float: NaN, infinities and ints beyond float range are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ValidationError(key, f"expected a finite number, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationError(key, f"{value} is below {minimum}")
     return float(value)
 
 
@@ -320,7 +304,6 @@ def config_from_mapping(data) -> ConfigFile:
     root.section("relay", lambda relay: _parse_relay(relay, config))
     root.section("client", lambda client: _parse_client(client, config))
     config.queries = root.sections("queries", lambda query: _parse_query(query, config.client_host))
-    root.section("bench", lambda bench: _parse_bench(bench, config))
     root.done()
     _cross_validate(config)
     return config
@@ -458,14 +441,6 @@ def _parse_query(query: _Section, default_client: str | None) -> Query:
         client_host=query.str("client", default_client),
         pv_name=query.get("pv", parse_pv_name),
         expected=TIMEOUT if timeout else VALUE(value),
-    )
-
-
-def _parse_bench(bench: _Section, config: ConfigFile) -> None:
-    config.bench = BenchSettings(
-        repetitions=bench.int("repetitions", BenchSettings.repetitions, minimum=MIN_BENCH_REPETITIONS),
-        seed=bench.int("seed", BenchSettings.seed, minimum=0),
-        fork_cost_s=bench.float("fork_cost", BenchSettings.fork_cost_s, minimum=0),
     )
 
 

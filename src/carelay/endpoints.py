@@ -323,8 +323,8 @@ class RealCaClient:
     Searches follow the same retry schedule as the simulated client. The
     value phase sends one framed read/write datagram to the resolved server
     port, so it completes only against this package's own endpoints; against
-    a stock IOC the search still resolves, which is the interoperability
-    signal this client exists to provide.
+    a stock IOC the search still resolves, and the timeout names the server
+    that answered: the interoperability signal this client exists to provide.
     """
 
     def __init__(
@@ -340,16 +340,13 @@ class RealCaClient:
         self._next_sequence = 1
 
     def caget(self, pv_name: str) -> float:
-        value = self._query(pv_name, None)
-        if value is None:
-            raise ChannelTimeout(timeout_message(pv_name))
-        return value
+        return self._query(pv_name, None)
 
     def caput(self, pv_name: str, value: float) -> None:
-        if self._query(pv_name, value) is None:
-            raise ChannelTimeout(timeout_message(pv_name))
+        self._query(pv_name, value)
 
-    def _query(self, pv_name: str, write_value: float | None) -> float | None:
+    def _query(self, pv_name: str, write_value: float | None) -> float:
+        """The value read or written; ChannelTimeout says whether the search or the value exchange failed."""
         search_id = self._next_search_id
         self._next_search_id += 1
         datagram = ca_wire.encode_search_datagram(SearchRequest(pv_name, search_id))
@@ -359,7 +356,7 @@ class RealCaClient:
         try:
             resolved = self._search(sock, datagram, search_id)
             if resolved is None:
-                return None
+                raise ChannelTimeout(timeout_message(pv_name))
             return self._exchange_value(pv_name, write_value, *resolved)
         finally:
             sock.close()
@@ -392,16 +389,16 @@ class RealCaClient:
 
     def _exchange_value(
         self, pv_name: str, write_value: float | None, server_ip: str, server_port: int
-    ) -> float | None:
+    ) -> float:
         sequence = self._next_sequence
         self._next_sequence += 1
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.sendto(_value_request(pv_name, sequence, write_value), (server_ip, server_port))
             readable, _, _ = select.select([sock], [], [], self.config.total_timeout_s)
-            if not readable:
-                return None
-            data, _ = sock.recvfrom(65535)
-            return _reply_value(data, pv_name, sequence, write_value)
+            value = _reply_value(sock.recv(65535), pv_name, sequence, write_value) if readable else None
         finally:
             sock.close()
+        if value is None:
+            raise ChannelTimeout(f"'{pv_name}' found at {server_ip}:{server_port} but no value reply")
+        return value

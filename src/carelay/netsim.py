@@ -199,6 +199,8 @@ def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict]:
                 raise InvalidTopology(f"{path}.subnet", f"{host.name} has two interfaces in {domain}")
             if not iface.subnet.contains(iface.ip):
                 raise InvalidTopology(f"{path}.ip", f"{iface.ip} is outside its subnet {iface.subnet}")
+            if iface.subnet.prefix_len <= 30 and iface.ip in (iface.subnet.base_ip, iface.subnet.broadcast_address()):
+                raise InvalidTopology(f"{path}.ip", f"{iface.ip} is the network or broadcast address of {iface.subnet}")
             if iface.ip in node_of_ip:
                 raise InvalidTopology(f"{path}.ip", f"duplicate interface address {iface.ip}")
             node.domains.add(domain)

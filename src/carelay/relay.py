@@ -380,10 +380,10 @@ class RealUdpTransport:
         bind_ip: str = "0.0.0.0",
         socket_factory=None,
     ) -> None:
-        if config.mode is RelayMode.SPOOF and config.local_subnet is None:
+        if config.local_subnet is None:
             # The local-source drop is the loop guard: without it a search
             # broadcast on the relay's own subnet can be relayed back there.
-            raise ValueError("spoof mode on real sockets needs local_subnet (the loop guard)")
+            raise ValueError("a relay on real sockets needs local_subnet (the loop guard)")
         self._bind_ip = bind_ip  # the destination address of received datagrams
         # Resolved at call time so tests can substitute the module's socket.
         self._socket_factory = socket_factory or socket.socket

@@ -155,6 +155,19 @@ class TestBench:
         assert main(["bench", "--reps", "30", "--log", "quiet"]) == 0
         assert "median ordering" in capsys.readouterr().out
 
+    def test_bench_below_the_repetitions_floor_is_config_error(self, capsys):
+        assert main(["bench", "--reps", "29", "--log", "quiet"]) == 2
+        assert "at least 30 repetitions" in capsys.readouterr().err
+
+    def test_bench_takes_no_config(self, tmp_path, capsys):
+        # The benchmark always runs the paper's fixtures; a file would be read for nothing.
+        config = tmp_path / "x.yaml"
+        config.write_text("")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--config", str(config)])
+        assert excinfo.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
 
 class TestRelayCommand:
     def test_real_spoof_without_privilege_exits_three(self, capsys, monkeypatch):
@@ -175,13 +188,15 @@ class TestRelayCommand:
         err = capsys.readouterr().err
         assert "CAP_NET_RAW" in err
 
-    def test_real_spoof_without_local_subnet_is_config_error(self, capsys, monkeypatch):
+    # Without the loop guard a proxy relay relays its own re-entering broadcast too.
+    @pytest.mark.parametrize("mode", ["spoof", "proxy"])
+    def test_real_relay_without_local_subnet_is_config_error(self, mode, capsys, monkeypatch):
         def factory(*args, **kwargs):
             raise PermissionError(1, "no socket may be created")
 
         monkeypatch.setattr(socket, "socket", factory)
         code = main([
-            "relay", "--mode", "spoof",
+            "relay", "--mode", mode,
             "--listen-port", "16164", "--target", "255.255.255.255:5064",
             "--bind-ip", "127.0.0.1", "--log", "quiet",
         ])
@@ -318,29 +333,26 @@ class TestBadValuesAreConfigErrors:
         text = RELAY_SECTION + f"  flow_idle_timeout: {value}\n"
         assert "'relay.flow_idle_timeout'" in config_error(RELAY, text)
 
-    @pytest.mark.parametrize("value", [".inf", "-1"])
-    def test_fork_cost(self, value, config_error):
-        assert "'bench.fork_cost'" in config_error(["bench", "--reps", "1"], f"bench:\n  fork_cost: {value}\n")
-
     def test_initial_retry(self, config_error):
         text = "client:\n  initial_retry: .inf\n"
-        assert "'client.initial_retry'" in config_error(["bench", "--reps", "1"], text)
+        assert "'client.initial_retry'" in config_error(["sim"], text)
 
     def test_backoff_factor_whose_waits_overflow(self, config_error):
         text = "client:\n  backoff_factor: 1.0e+200\n"
-        assert "'client.backoff_factor'" in config_error(["bench", "--reps", "1"], text)
+        assert "'client.backoff_factor'" in config_error(["sim"], text)
 
-    # In spoof mode local_subnet is the loop guard: a relay bound outside it
-    # would relay its own broadcasts. Both used to open the listen socket.
+    # In either mode local_subnet is the loop guard: a relay bound outside it
+    # would relay its own broadcasts. These used to open the listen socket.
     @pytest.mark.parametrize("argv, text, key", [
         (["relay", "--mode", "spoof", "--local-subnet", "192.0.2.0/24", "--bind-ip", "127.0.0.1", *TARGET],
          None, "relay.local_subnet"),
+        ([*RELAY, *TARGET, "--local-subnet", "192.0.2.0/24"], None, "relay.local_subnet"),
         (["relay", "--bind-ip", "127.0.0.1"], RELAY_SECTION + "  mode: spoof\n  local_subnet: 192.0.2.0/24\n",
          "relay.local_subnet"),
         ([*RELAY, *TARGET, "--bind-ip", "localhost"], None, "--bind-ip"),
         (["relay", "--mode", "spoof", "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.1", *TARGET],
          None, "--bind-ip"),
-    ], ids=["spoof-flag", "spoof-yaml", "host-name", "short-quad"])
+    ], ids=["spoof-flag", "proxy-flag", "spoof-yaml", "host-name", "short-quad"])
     def test_bind_ip(self, argv, text, key, config_error):
         assert f"'{key}'" in config_error(argv, text)
 

@@ -272,15 +272,7 @@ class TestValidation:
             parse_config(f"relay: {section}\n")
         assert excinfo.value.key == key
 
-    def test_bench_repetitions_below_the_benchmark_floor_name_their_key(self):
-        assert parse_config("bench:\n  repetitions: 30\n").bench.repetitions == 30
-        with pytest.raises(ValidationError) as excinfo:
-            parse_config("bench:\n  repetitions: 29\n")
-        assert excinfo.value.key == "bench.repetitions"
-
     @pytest.mark.parametrize("text, key, message", [
-        ("bench:\n  repetitions: 10\n", "bench.repetitions", "10 is below 30"),
-        ("bench:\n  seed: -1\n", "bench.seed", "-1 is below 0"),
         ("client:\n  max_tries: 0\n", "client.max_tries", "0 is below 1"),
         ("topology:\n  per_hop_delay_us: 0\n", "topology.per_hop_delay_us", "0 is below 1"),
         ("topology:\n  jitter_us: -5\n", "topology.jitter_us", "-5 is below 0"),
@@ -294,7 +286,7 @@ class TestValidation:
             "relay.listen_port",
             "70000 outside [1, 65535]",
         ),
-    ], ids=["repetitions", "seed", "max_tries", "per_hop_delay_us", "jitter_us", "max_packets_per_second", "port"])
+    ], ids=["max_tries", "per_hop_delay_us", "jitter_us", "max_packets_per_second", "port"])
     def test_integer_bounds_message_names_only_the_bounds_set(self, text, key, message):
         with pytest.raises(ValidationError) as excinfo:
             parse_config(text)
@@ -304,6 +296,7 @@ class TestValidation:
     @pytest.mark.parametrize("text, key", [
         (MINIMAL_TOPOLOGY.replace("ip: 192.168.7.1", "ip: nope"), "topology.hosts[0].interfaces[0].ip"),
         (MINIMAL_TOPOLOGY.replace("ip: 192.168.7.1", "ip: 10.9.9.9"), "topology.hosts[0].interfaces[0].ip"),
+        (MINIMAL_TOPOLOGY.replace("ip: 192.168.7.1", "ip: 192.168.7.255"), "topology.hosts[0].interfaces[0].ip"),
         (
             MINIMAL_TOPOLOGY
             + "  helpers:\n    - {domain: lab, udp_port: 5064, destinations: [192.168.7.1, 192.168.7.999]}\n",
@@ -317,7 +310,10 @@ class TestValidation:
             MINIMAL_TOPOLOGY + "      prerouting:\n        - {match_dst_port: 5064, new_dst: 'nope:6064'}\n",
             "topology.hosts[0].prerouting[0].new_dst",
         ),
-    ], ids=["interface_ip", "ip_outside_subnet", "helper_destination", "not_dotted_quad", "prerouting_new_dst"])
+    ], ids=[
+        "interface_ip", "ip_outside_subnet", "broadcast_address", "helper_destination", "not_dotted_quad",
+        "prerouting_new_dst",
+    ])
     def test_address_keys_must_be_ipv4_addresses(self, text, key):
         with pytest.raises(ValidationError) as excinfo:
             parse_config(text)
@@ -384,10 +380,6 @@ class TestDefaults:
         assert config.client.backoff_factor == 2.0
         assert config.client.max_tries == 5
 
-    def test_bench_defaults(self):
-        config = parse_config("")
-        assert config.bench.repetitions == 100
-
     def test_relay_defaults(self):
         config = parse_config("relay:\n  target_broadcast: 255.255.255.255\n")
         assert config.relay.listen_port == 6064
@@ -441,10 +433,6 @@ client:
   total_timeout: 5.0
 queries:
   - {client: TesterHEpics, pv: IMX:DMC4:m1, expect: value, value: -2.06e-05}
-bench:
-  repetitions: 40
-  seed: 3
-  fork_cost: 0.004
 """
 
 
@@ -464,9 +452,9 @@ class TestKeyInventory:
         assert config.relay_install_prerouting
         assert config.client.max_tries == 4
         assert config.queries[0].client_host == "TesterHEpics"
-        assert (config.bench.repetitions, config.bench.seed, config.bench.fork_cost_s) == (40, 3, 0.004)
 
-    # One misspelt sibling in each of the grammar's thirteen mappings.
+    # One misspelt sibling in each of the grammar's twelve mappings; and
+    # bench, whose parameters are constants of carelay.bench, not keys.
     @pytest.mark.parametrize("where, typo", [
         ((), "topolgy"),
         (("topology",), "jiter_us"),
@@ -480,7 +468,7 @@ class TestKeyInventory:
         (("relay",), "listen-port"),
         (("client",), "max_try"),
         (("queries", 0), "expected"),
-        (("bench",), "arms"),
+        ((), "bench"),
     ], ids=lambda v: ".".join(map(str, v)) or "root" if isinstance(v, tuple) else v)
     def test_misspelt_key_is_an_unknown_key_named_by_its_path(self, where, typo):
         data = yaml.safe_load(EVERY_KEY)

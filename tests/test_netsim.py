@@ -595,6 +595,28 @@ class TestTopologyValidation:
             VirtualNetwork(topo)
         assert excinfo.value.path == "hosts[0].interfaces"
 
+    # A host on 10.2.1.255 would receive every directed broadcast of its
+    # domain as a unicast, and a unicast to it was delivered as a broadcast.
+    @pytest.mark.parametrize("ip, prefix_len, refused", [
+        ("10.2.1.255", 24, True),
+        ("10.2.1.0", 24, True),
+        ("10.2.1.5", 24, False),
+        ("10.2.1.7", 30, True),
+        ("10.2.1.4", 30, True),
+        ("10.2.1.4", 31, False),
+        ("10.2.1.5", 31, False),
+        ("10.2.1.4", 32, False),
+    ])
+    def test_interface_on_its_subnets_network_or_broadcast_address(self, ip, prefix_len, refused):
+        subnet = Cidr("10.2.1.0" if prefix_len == 24 else "10.2.1.4", prefix_len)
+        topo = VirtualTopology([BroadcastDomain("beamline", subnet)], [VirtualHost("A", [Interface(ip, subnet)])])
+        if not refused:
+            VirtualNetwork(topo)
+            return
+        with pytest.raises(ValueError) as excinfo:
+            VirtualNetwork(topo)
+        assert excinfo.value.path == "hosts[0].interfaces[0].ip"
+
     def test_helper_rule_needs_destinations(self):
         with pytest.raises(ValueError) as excinfo:
             VirtualNetwork(make_topology(helper_destinations=()))

@@ -156,9 +156,28 @@ class TestRealCaClient:
             client.caget("MISSING:PV")
         assert str(excinfo.value) == "Channel connect timed out: 'MISSING:PV' not found."
 
+    def test_unanswered_value_request_names_the_server_that_answered_the_search(self):
+        # A stock IOC answers the search but not the framed value request;
+        # that used to read as "not found".
+        class SearchOnlyIoc(StubIoc):
+            def _serve_values(self) -> None:
+                pass
+
+        ioc = SearchOnlyIoc({"LOOP:PV": 42.5})
+        quick = ClientQueryConfig(initial_retry_s=0.05, backoff_factor=2.0, max_tries=2, total_timeout_s=0.2)
+        try:
+            client = RealCaClient([("127.0.0.1", ioc.search_port)], config=quick)
+            with pytest.raises(ChannelTimeout) as excinfo:
+                client.caget("LOOP:PV")
+        finally:
+            ioc.close()
+        assert str(excinfo.value) == f"'LOOP:PV' found at 127.0.0.1:{ioc.value_port} but no value reply"
+
 
 def test_bind_conflict_reports_transport_unavailable():
-    config = RelayConfig(target_broadcast="127.0.0.1", listen_port=16464, mode=RelayMode.PROXY)
+    config = RelayConfig(
+        target_broadcast="127.0.0.1", listen_port=16464, local_subnet=Cidr("192.0.2.0", 24), mode=RelayMode.PROXY
+    )
     first = RealUdpTransport(config, bind_ip="127.0.0.1")
     try:
         with pytest.raises(TransportUnavailable):
