@@ -11,8 +11,11 @@ error, 3 missing privilege for raw sending.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import logging
 import signal
+import socket
+import struct
 import sys
 import threading
 
@@ -51,6 +54,7 @@ _LOG_LEVELS = {"quiet": logging.WARNING, "normal": logging.INFO, "trace": loggin
 _RELAY_FLAG_KEYS = ("listen_port", "allow", "local_subnet", "mode")
 # relay keys that act on the simulated network only: real sockets would ignore them.
 _SIM_ONLY_RELAY_KEYS = ("host", "install_prerouting")
+SIOCGIFADDR = 0x8915  # linux/sockios.h: read an interface's address, netdevice(7)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,7 +152,7 @@ def _relay_config(args) -> RelayConfig:
 
 
 def _check_bind_ip(bind_ip: str, config: RelayConfig) -> None:
-    """--bind-ip is a dotted quad inside local_subnet, the loop guard (0.0.0.0 is not looked up)."""
+    """--bind-ip is a dotted quad inside local_subnet, the loop guard (0.0.0.0 is ``_check_wildcard_bind``'s)."""
     parse_address(bind_ip, "--bind-ip")
     subnet = config.local_subnet
     if subnet is not None and bind_ip != "0.0.0.0" and not subnet.contains(bind_ip):
@@ -156,6 +160,30 @@ def _check_bind_ip(bind_ip: str, config: RelayConfig) -> None:
             "relay.local_subnet",
             f"{subnet} does not contain --bind-ip {bind_ip}, so the relay's own broadcasts would pass the loop guard",
         )
+
+
+def _interface_addresses(sock: socket.socket) -> list[str]:
+    """Each interface's IPv4 address, read by SIOCGIFADDR on sock; one without an address is skipped."""
+    addresses = []
+    for _, name in socket.if_nameindex():
+        try:
+            ifreq = fcntl.ioctl(sock, SIOCGIFADDR, struct.pack("40s", name.encode()))
+        except OSError:  # EADDRNOTAVAIL: no IPv4 address on this interface
+            continue
+        addresses.append(socket.inet_ntoa(ifreq[20:24]))  # after the 16-byte name, ifr_addr's sin_addr at 4
+    return addresses
+
+
+def _check_wildcard_bind(config: RelayConfig, sock: socket.socket) -> None:
+    """Warn when none of the interfaces a relay bound to 0.0.0.0 receives on lies in local_subnet, the loop guard."""
+    try:
+        addresses = _interface_addresses(sock)
+    except OSError as exc:  # if_nameindex() failed: nothing to compare, and the check only ever warns
+        log.warning("cannot read this host's interface addresses to compare with relay.local_subnet: %s", exc)
+        return
+    if not any(config.local_subnet.contains(ip) for ip in addresses):
+        log.warning("relay.local_subnet %s contains none of this host's interface addresses (%s), so the relay's "
+                    "own broadcasts would pass the loop guard", config.local_subnet, ", ".join(addresses) or "none")
 
 
 def cmd_sim(args) -> int:
@@ -195,6 +223,8 @@ def cmd_relay(args) -> int:
         relay_config.mode.value,
     )
     try:
+        if args.bind_ip == "0.0.0.0":
+            _check_wildcard_bind(relay_config, transport._listen)
         relay.serve(stop)
     finally:
         transport.close()

@@ -284,8 +284,21 @@ def parse_config(text: str) -> ConfigFile:
     return config_from_mapping(load_yaml(text))
 
 
-# libyaml's parser where PyYAML has it: the same documents, about ten times faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _YAML_LOADER(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser where PyYAML has it (the same documents, about ten times faster), refusing a key
+    given twice in one mapping, where PyYAML keeps the last value; a merged (``<<``) key may be given again."""
+
+    def construct_mapping(self, node, deep=False):
+        own_keys = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]  # before merging
+        mapping = super().construct_mapping(node, deep)
+        if len(mapping) < len(node.value):
+            seen = set()
+            for key in own_keys:
+                name = self.construct_object(key)  # built already, so only looked up
+                if name in seen:
+                    raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {name!r}", key.start_mark)
+                seen.add(name)
+        return mapping
 
 
 def load_yaml(text: str):

@@ -3,13 +3,14 @@
 An IocSim owns a table of scalar PVs, answers name searches on the shared
 UDP search port of its host (silently ignoring names it does not own), and
 answers each value request of the simulated data circuit with one reply
-(``VirtualNetwork.request``). Both answers are return values that the network
-sends on, so an IocSim keeps no reference to its network, and a network
-without a relay is freed by reference count once it is dropped. The CaClient
-broadcasts searches with a doubling retry schedule and turns the first
-response into one read or one write; each query is one ``_Query`` record,
-whose bound methods are the network's callbacks, so a finished query is freed
-by reference count.
+(``VirtualNetwork.request``), each a ``ca_wire.ValueExchange`` record; the
+frame codec is for real sockets (``RealCaClient``) only. Both answers are
+return values that the network sends on, so an IocSim keeps no reference to
+its network, and a network without a relay is freed by reference count once
+it is dropped. The CaClient broadcasts searches with a doubling retry
+schedule and turns the first response into one read or one write; each
+query is one ``_Query`` record, whose bound methods are the network's
+callbacks, so a finished query is freed by reference count.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .ca_wire import (
     ValueExchangeKind,
 )
 from .netsim import ChannelRefused, Delivery, VirtualNetwork
-from .packet import Ipv4UdpPacket
+from .packet import Ipv4UdpPacket, udp_packet
 
 FIRST_EPHEMERAL_PORT = 35687
 
@@ -67,27 +68,20 @@ class ClientQueryConfig:
         ]
 
 
-def _value_request(pv_name: str, sequence: int, write_value: float | None) -> bytes:
-    """The encoded READ request, or the WRITE request when a value is to be written."""
-    kind = ValueExchangeKind.READ_REQUEST if write_value is None else ValueExchangeKind.WRITE_REQUEST
-    return ca_wire.encode_value_exchange(ValueExchange(kind, pv_name, sequence, write_value))
+def _value_request(pv_name: str, sequence: int, write_value: float | None) -> ValueExchange:
+    """The READ request, or the WRITE request with the value as a float, as its frame's ``>d`` field carries it."""
+    if write_value is None:
+        return ValueExchange(ValueExchangeKind.READ_REQUEST, pv_name, sequence)
+    return ValueExchange(ValueExchangeKind.WRITE_REQUEST, pv_name, sequence, float(write_value))
 
 
-def _reply_value(payload: bytes, pv_name: str, sequence: int, write_value: float | None) -> float | None:
-    """The value a reply completes ``_value_request``'s exchange with, or None if it does not.
-
-    A READ_REPLY completes a read with the value it carries, a WRITE_ACK a
-    write with the value written; anything else, malformed replies included,
-    leaves the exchange open.
-    """
-    try:
-        msg = ca_wire.decode_value_exchange(payload)
-    except ca_wire.CaWireError:
-        return None
+def _reply_value(reply: ValueExchange, pv_name: str, sequence: int, write_value: float | None) -> float | None:
+    """The value a reply completes ``_value_request``'s exchange with, or None: a READ_REPLY
+    completes a read with the value it carries, a WRITE_ACK a write with the value written."""
     kind = ValueExchangeKind.READ_REPLY if write_value is None else ValueExchangeKind.WRITE_ACK
-    if (msg.kind, msg.pv_name, msg.sequence) != (kind, pv_name, sequence):
+    if (reply.kind, reply.pv_name, reply.sequence) != (kind, pv_name, sequence):
         return None
-    return msg.value if write_value is None else write_value
+    return reply.value if write_value is None else write_value
 
 
 class IocSim:
@@ -102,10 +96,8 @@ class IocSim:
         server_port: int,
         advertise_own_address: bool = True,
     ) -> None:
-        if len(set(pvs)) != len(pvs):
-            raise ValueError("PV names must be unique within one IOC")
         self.name = name
-        self.pvs = dict(pvs)
+        self.pvs = {name: float(value) for name, value in pvs.items()}  # as a frame's ``>d`` field carries them
         self.server_port = server_port
         self.advertise_own_address = advertise_own_address
         self.host_ip = net.host(host_name).interfaces[0].ip
@@ -139,26 +131,20 @@ class IocSim:
             return None  # not CA traffic; a name server stays silent
         if response is None:
             return None
-        return Ipv4UdpPacket(self.host_ip, packet.src_ip, CA_SERVER_PORT, packet.src_port, response)
+        return udp_packet(self.host_ip, packet.src_ip, CA_SERVER_PORT, packet.src_port, response)
 
     # -- value exchange ---------------------------------------------------------
 
-    def _on_channel_message(self, payload: bytes) -> bytes | None:
-        """The encoded reply to a value request, or None for a PV this IOC does not own."""
-        msg = ca_wire.decode_value_exchange(payload)
+    def _on_channel_message(self, msg: ValueExchange) -> ValueExchange | None:
+        """The reply to a ``_value_request`` record, or None for a PV this IOC does not own."""
         if msg.pv_name not in self.pvs:
             return None
         if msg.kind is ValueExchangeKind.READ_REQUEST:
             self.reads_served += 1
-            value = self.pvs[msg.pv_name]
-            reply = ValueExchange(ValueExchangeKind.READ_REPLY, msg.pv_name, msg.sequence, value)
-        elif msg.kind is ValueExchangeKind.WRITE_REQUEST:
-            self.writes_served += 1
-            self.pvs[msg.pv_name] = msg.value
-            reply = ValueExchange(ValueExchangeKind.WRITE_ACK, msg.pv_name, msg.sequence)
-        else:
-            return None
-        return ca_wire.encode_value_exchange(reply)
+            return ValueExchange(ValueExchangeKind.READ_REPLY, msg.pv_name, msg.sequence, self.pvs[msg.pv_name])
+        self.writes_served += 1
+        self.pvs[msg.pv_name] = msg.value
+        return ValueExchange(ValueExchangeKind.WRITE_ACK, msg.pv_name, msg.sequence)
 
 
 @dataclass
@@ -192,7 +178,7 @@ class _Query:
         self.search_id = search_id
         self.result = QueryResult(pv_name, started_us=client.net.now_us)
         datagram = ca_wire.encode_search_datagram(SearchRequest(pv_name, search_id))
-        self.search = Ipv4UdpPacket(client.host_ip, client._broadcast_ip, port, CA_SERVER_PORT, datagram)
+        self.search = udp_packet(client.host_ip, client._broadcast_ip, port, CA_SERVER_PORT, datagram)
         self.sequence = 0  # the value request's, once the search has resolved
         self.resolved = False
         self.done = False
@@ -241,10 +227,10 @@ class _Query:
         client._next_sequence += 1
         self.resolved = True
 
-    def on_reply(self, payload: bytes) -> None:
+    def on_reply(self, reply: ValueExchange) -> None:
         if self.done:
             return
-        value = _reply_value(payload, self.result.pv_name, self.sequence, self.write_value)
+        value = _reply_value(reply, self.result.pv_name, self.sequence, self.write_value)
         if value is None:
             return
         self.done = True
@@ -394,11 +380,16 @@ class RealCaClient:
         self._next_sequence += 1
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
-            sock.sendto(_value_request(pv_name, sequence, write_value), (server_ip, server_port))
+            request = ca_wire.encode_value_exchange(_value_request(pv_name, sequence, write_value))
+            sock.sendto(request, (server_ip, server_port))
             readable, _, _ = select.select([sock], [], [], self.config.total_timeout_s)
-            value = _reply_value(sock.recv(65535), pv_name, sequence, write_value) if readable else None
+            try:
+                reply = ca_wire.decode_value_exchange(sock.recv(65535)) if readable else None
+            except ca_wire.CaWireError:
+                reply = None  # a malformed reply leaves the exchange open
         finally:
             sock.close()
+        value = None if reply is None else _reply_value(reply, pv_name, sequence, write_value)
         if value is None:
             raise ChannelTimeout(f"'{pv_name}' found at {server_ip}:{server_port} but no value reply")
         return value

@@ -35,9 +35,10 @@ Delivery semantics, applied in order for each injected packet:
    onward), and a rewrite forwarded to another host one more.
 
 The data circuit after a resolved search is one request and one reply
-(``request``), not logged: each way is priced as a unicast between the two
-hosts (rule 4, ``_hop_delay_us``), drawn as that way is sent. Its listener
-must be at an address a host owns.
+(``request``), each a message object handed over as it is, neither encoded
+nor logged: each way is priced as a unicast between the two hosts (rule 4,
+``_hop_delay_us``), drawn as that way is sent. Its listener must be at an
+address a host owns.
 
 The network keeps one record per host (``_Node``) with its bindings and its
 domains, named by their names, and only reads its topology, so networks built
@@ -45,7 +46,7 @@ on one topology share no bindings. One packet's arrival at one host is one
 event, however many bindings it is handed to: they share its time and take
 their turns in bind order, each turn a constant amount of work. A node keeps
 its bindings by port, in bind order, so the last binder is the last entry of
-one list; hops build their packets positionally (``tuple.__new__``); timers
+one list; hops build their packets positionally (``packet.new_packet``); timers
 such as a client's search retries are queued one at a time (``call_in_turn``),
 so an answered query leaves none behind; and all IOCs handed one broadcast
 share one parse of it (``ca_wire.find_search_requests``).
@@ -58,12 +59,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .packet import Cidr, Ipv4UdpPacket
+from .packet import Cidr, Ipv4UdpPacket, new_packet
 
 LIMITED_BROADCAST = "255.255.255.255"
 
 DEFAULT_PER_HOP_DELAY_US = 200
-_new_packet = tuple.__new__  # an Ipv4UdpPacket from all nine fields, as ``_make`` builds it
 
 
 class NetsimError(Exception):
@@ -405,7 +405,7 @@ class VirtualNetwork:
             if rule.domain != domain or rule.udp_port != packet.dst_port:
                 continue
             for dest_ip in rule.destinations:
-                copy = _new_packet(Ipv4UdpPacket, (packet[0], dest_ip, *packet[2:]))
+                copy = new_packet(Ipv4UdpPacket, (packet[0], dest_ip, *packet[2:]))
                 out.append(self._arrive_unicast(self._node_of_ip[dest_ip], copy, at + self._jitter()))
         return out
 
@@ -415,7 +415,7 @@ class VirtualNetwork:
         rule = next((r for r in host.prerouting_rules if r.applies(packet)), None)
         if rule is not None:
             src_ip, _, src_port, _, *rest = packet
-            packet = _new_packet(Ipv4UdpPacket, (src_ip, rule.new_dst_ip, src_port, rule.new_dst_port, *rest))
+            packet = new_packet(Ipv4UdpPacket, (src_ip, rule.new_dst_ip, src_port, rule.new_dst_port, *rest))
             if rule.new_dst_ip == LIMITED_BROADCAST:
                 # The rewrite only makes this machine accept the packet on every
                 # local binding; nothing goes back onto the wire.
@@ -427,7 +427,7 @@ class VirtualNetwork:
                 if packet.ttl <= 1:
                     return []
                 next_due = due + self.topology.per_hop_delay_us + self._jitter()
-                forwarded = _new_packet(Ipv4UdpPacket, (*packet[:5], packet.ttl - 1, *packet[6:]))
+                forwarded = new_packet(Ipv4UdpPacket, (*packet[:5], packet.ttl - 1, *packet[6:]))
                 return self._arrive_unicast(next_node, forwarded, next_due)
         on_port = ports.get(packet.dst_port)
         if not on_port:
@@ -436,8 +436,8 @@ class VirtualNetwork:
 
     # -- data circuit ---------------------------------------------------------
 
-    def register_channel_listener(self, ip: str, port: int, serve: Callable[[bytes], bytes | None]) -> None:
-        """serve(request) returns the reply to send back, or None; one listener per owned address."""
+    def register_channel_listener(self, ip: str, port: int, serve: Callable[[object], object | None]) -> None:
+        """serve(message) returns the reply to send back, or None; one listener per owned address."""
         node = self._node_of_ip.get(ip)
         if node is None:
             raise NetsimError(f"no interface owns {ip}")
@@ -446,10 +446,10 @@ class VirtualNetwork:
         self._channel_listeners[(ip, port)] = (serve, node)
 
     def request(
-        self, client_host: str, server_ip: str, server_port: int, payload: bytes,
-        on_reply: Callable[[bytes], None],
+        self, client_host: str, server_ip: str, server_port: int, message: object,
+        on_reply: Callable[[object], None],
     ) -> None:
-        """Carry payload to the listener at server_ip:server_port, and its reply, if any, to on_reply."""
+        """Carry a message of any type to server_ip:server_port's listener, and its reply, if any, to on_reply."""
         try:
             serve, server = self._channel_listeners[(server_ip, server_port)]
         except KeyError:
@@ -457,7 +457,7 @@ class VirtualNetwork:
         client = self._node(client_host)
 
         def arrive() -> None:
-            reply = serve(payload)
+            reply = serve(message)
             if reply is not None:
                 self.call_later(self._hop_delay_us(server, client), lambda: on_reply(reply))
 

@@ -6,8 +6,9 @@ address is not the sender's own. Only plain headers are supported: no IP
 options, no fragmentation, IPv4 only. A datagram is an ``Ipv4UdpPacket``, a
 NamedTuple of the header fields a sender chooses; ``encode`` and ``decode``
 alone compute the lengths and checksums that follow from them. The relay
-builds one per datagram as ``_make`` does, ``tuple.__new__(Ipv4UdpPacket,
-fields)`` with all nine fields, skipping the constructor's Python ``__new__``.
+and the simulator build theirs as ``_make`` does, skipping the constructor's
+Python ``__new__``: ``new_packet(Ipv4UdpPacket, fields)`` from all nine
+fields, or ``udp_packet`` from the five leading ones and the default header.
 
 Both checksums are ones'-complement sums of 16-bit words, arithmetic modulo
 0xFFFF by RFC 1071 section 2. As 2**16 is 1 modulo 0xFFFF, whole words from
@@ -165,6 +166,15 @@ class Ipv4UdpPacket(NamedTuple):
     identification: int = 0
     dscp_ecn: int = 0
     flags_fragment: int = 0
+
+
+new_packet = tuple.__new__  # new_packet(Ipv4UdpPacket, fields): a packet from all nine fields, as ``_make`` builds it
+HEADER_DEFAULTS = tuple(Ipv4UdpPacket._field_defaults[name] for name in Ipv4UdpPacket._fields[5:])  # from ttl on
+
+
+def udp_packet(src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes) -> Ipv4UdpPacket:
+    """``Ipv4UdpPacket(src_ip, dst_ip, src_port, dst_port, payload)``, built by ``new_packet``."""
+    return new_packet(Ipv4UdpPacket, (src_ip, dst_ip, src_port, dst_port, payload, *HEADER_DEFAULTS))
 
 
 def _udp_checksum(addresses: int, src_port: int, dst_port: int, size: int, payload: bytes) -> int:

@@ -24,7 +24,7 @@ the flow sockets, which are read once per wakeup. Both transports expire idle
 flows on a tick of ``EXPIRY_TICK_US`` (1 s), at most one tick after their
 timeout.
 
-Per datagram, packet values are built with ``tuple.__new__`` as ``_make``
+Per datagram, packet values are built with ``packet.new_packet`` as ``_make``
 does, ``classify`` tests the config's ``(base, mask)`` integer prefixes and
 ``encode`` runs in one pass, each still called through the name a tracer wraps.
 """
@@ -41,13 +41,9 @@ import time
 from dataclasses import dataclass
 
 from .ca_wire import CA_SERVER_PORT
-from .packet import Cidr, Ipv4UdpPacket, encode, ip_to_int
+from .packet import HEADER_DEFAULTS, Cidr, Ipv4UdpPacket, encode, ip_to_int, new_packet as _new_packet, udp_packet
 
 log = logging.getLogger(__name__)
-_new_packet = tuple.__new__  # an Ipv4UdpPacket from all nine fields (module docstring)
-# The header fields after the payload at the packet's defaults, for serve's packets.
-_HEADER_DEFAULTS = tuple(Ipv4UdpPacket._field_defaults[name] for name in Ipv4UdpPacket._fields[5:])
-
 DEFAULT_LISTEN_PORT = 6064
 DEFAULT_TTL = 64
 DEFAULT_FLOW_IDLE_TIMEOUT_S = 30.0
@@ -368,7 +364,7 @@ class SimTransport:
         self._free_flow_ports.append(port)
 
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
-        self.net.inject(self.host_name, Ipv4UdpPacket(self.local_ip, dst_ip, local_port, dst_port, payload))
+        self.net.inject(self.host_name, udp_packet(self.local_ip, dst_ip, local_port, dst_port, payload))
 
 
 class RealUdpTransport:
@@ -472,7 +468,7 @@ class RealUdpTransport:
         new_packet = _new_packet
         packet_type = Ipv4UdpPacket
         stopped = (lambda: False) if stop is None else stop.is_set
-        ttl, ident, tos, frag = _HEADER_DEFAULTS
+        ttl, ident, tos, frag = HEADER_DEFAULTS
         # Looked up here, not in attach(), so that wrappers installed on the
         # relay instance before serve() starts see every datagram.
         handle_packet = relay.handle_packet

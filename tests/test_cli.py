@@ -356,8 +356,8 @@ class TestBadValuesAreConfigErrors:
     def test_bind_ip(self, argv, text, key, config_error):
         assert f"'{key}'" in config_error(argv, text)
 
-    def test_the_wildcard_bind_address_is_not_checked(self):
-        # Which interfaces 0.0.0.0 stands for is not looked up.
+    def test_the_wildcard_bind_address_is_not_refused(self):
+        # Which interfaces 0.0.0.0 stands for is looked up once its socket is bound, and warned about.
         config = RelayConfig("255.255.255.255", mode=RelayMode.SPOOF, local_subnet=Cidr("192.0.2.0", 24))
         cli._check_bind_ip("0.0.0.0", config)
 
@@ -421,3 +421,77 @@ def test_every_relay_flag_sets_a_key_the_validator_accepts():
         keys = cli._relay_flag_keys(relay_args(option, RELAY_FLAG_SAMPLES[option]))
         assert keys, option
         assert config_from_mapping({"relay": {**base, **keys}}).relay != default, option
+
+
+class TestWildcardBind:
+    # A relay bound to 0.0.0.0 receives on every interface; local_subnet is its
+    # loop guard only if one of them lies inside it.
+    @pytest.mark.parametrize("addresses, warned", [
+        (["127.0.0.1", "192.0.2.7"], False),
+        (["127.0.0.1", "10.2.1.31"], True),
+        ([], True),
+    ], ids=["inside", "outside", "no-addresses"])
+    def test_warns_when_no_interface_lies_in_local_subnet(self, addresses, warned, monkeypatch, caplog):
+        monkeypatch.setattr(cli, "_interface_addresses", lambda sock: addresses)
+        cli._check_wildcard_bind(RelayConfig("255.255.255.255", local_subnet=Cidr("192.0.2.0", 24)), None)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert bool(warnings) == warned
+        if warned:
+            assert "relay.local_subnet 192.0.2.0/24 contains none of" in warnings[0]
+
+    def test_the_lookup_reads_the_loopback_address(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            assert "127.0.0.1" in cli._interface_addresses(sock)
+
+    def test_relay_looks_up_on_its_own_listen_socket(self, monkeypatch, caplog):
+        sockets = []
+
+        def lookup(sock):
+            sockets.append(sock.getsockname())
+            return ["127.0.0.1"]
+
+        monkeypatch.setattr(cli, "_interface_addresses", lookup)
+        monkeypatch.setattr(cli.Relay, "serve", lambda relay, stop: None)
+        monkeypatch.setattr(cli.signal, "signal", lambda signum, handler: None)
+        code = main([
+            "relay", "--mode", "proxy", "--listen-port", "17364", "--target", "127.0.0.1:5064",
+            "--local-subnet", "192.0.2.0/24", "--log", "quiet",
+        ])
+        assert code == 0
+        assert sockets == [("0.0.0.0", 17364)]
+        assert any("contains none of this host's interface addresses (127.0.0.1)" in r.getMessage()
+                   for r in caplog.records)
+
+    def test_a_failed_lookup_is_logged_and_the_relay_serves(self, monkeypatch, caplog):
+        def lookup(sock):
+            raise OSError("if_nameindex failed")
+
+        served = []
+        monkeypatch.setattr(cli, "_interface_addresses", lookup)
+        monkeypatch.setattr(cli.Relay, "serve", lambda relay, stop: served.append(True))
+        monkeypatch.setattr(cli.signal, "signal", lambda signum, handler: None)
+        assert main([
+            "relay", "--mode", "proxy", "--listen-port", "17366", "--target", "127.0.0.1:5064",
+            "--local-subnet", "192.0.2.0/24", "--log", "quiet",
+        ]) == 0
+        assert served == [True]
+        assert any("cannot read this host's interface addresses" in r.getMessage() for r in caplog.records)
+
+    def test_a_bound_address_is_not_looked_up(self, monkeypatch):
+        monkeypatch.setattr(cli, "_interface_addresses", lambda sock: pytest.fail("looked up"))
+        monkeypatch.setattr(cli.Relay, "serve", lambda relay, stop: None)
+        monkeypatch.setattr(cli.signal, "signal", lambda signum, handler: None)
+        assert main([
+            "relay", "--mode", "proxy", "--listen-port", "17365", "--target", "127.0.0.1:5064",
+            "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.0.0.1", "--log", "quiet",
+        ]) == 0
+
+
+def test_a_key_given_twice_in_the_relay_config_is_a_parse_error(config_error):
+    text = (CONFIG_DIR / "scenario_c.yaml").read_text()
+    once = "  listen_port: 6064\n"
+    assert text.count(once) == 1
+    err = config_error(["relay"], text.replace(once, once + "  listen_port: 7001\n"))
+    line = text[: text.index(once)].count("\n") + 2
+    assert f"config parse error at line {line}: " in err
+    assert "found duplicate key 'listen_port'" in err

@@ -82,7 +82,7 @@ class TestYamlLoader:
     @pytest.mark.parametrize("name", ["scenario_a.yaml", "scenario_b.yaml", "scenario_c.yaml"])
     def test_fixtures_load_equal_under_both_loaders(self, name):
         text = (CONFIG_DIR / name).read_text()
-        assert carelay.config._YAML_LOADER is yaml.CSafeLoader
+        assert issubclass(carelay.config._YAML_LOADER, yaml.CSafeLoader)
         assert load_yaml(text) == yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
     @pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
@@ -97,6 +97,28 @@ class TestYamlLoader:
             parse_config(text)
         assert excinfo.value.line == 3
         assert "line 3" in str(excinfo.value)
+
+
+class TestDuplicateKeys:
+    # PyYAML keeps the last value of a key given twice; the file is refused instead.
+    def test_relay_key_given_twice(self):
+        text = (CONFIG_DIR / "scenario_c.yaml").read_text()
+        once = "  listen_port: 6064\n"
+        with pytest.raises(ParseError) as excinfo:
+            parse_config(text.replace(once, once + "  listen_port: 7001\n"))
+        assert excinfo.value.line == text[: text.index(once)].count("\n") + 2
+        assert "found duplicate key 'listen_port'" in str(excinfo.value)
+
+    def test_pv_given_twice_in_one_iocs_table(self):
+        ioc = "  iocs:\n    - host: alpha\n      name: a\n      pvs:\n        A: 1.0\n        A: 2.0\n"
+        text = MINIMAL_TOPOLOGY + ioc
+        with pytest.raises(ParseError) as excinfo:
+            parse_config(text)
+        assert excinfo.value.line == text.count("\n")
+        assert "found duplicate key 'A'" in str(excinfo.value)
+
+    def test_a_merged_key_may_be_given_again(self):
+        assert load_yaml("base: &b {x: 1, y: 2}\nm:\n  <<: *b\n  x: 5\n")["m"] == {"x": 5, "y": 2}
 
 
 SECOND_HOST = "    - name: beta\n      interfaces:\n        - {ip: 192.168.7.2, subnet: 192.168.7.0/24}\n"

@@ -245,6 +245,16 @@ class TestCaput:
         client.caput("IMX:DMC4:m2", 0.5)
         assert client.caget("IMX:DMC4:m2") == 0.5
 
+    def test_an_integer_written_reads_back_as_a_float(self):
+        # The simulated circuit carries records, so the request and the PV
+        # table hold the floats that a frame's ``>d`` field would carry.
+        net, *_ = make_net_with_iocs()
+        IocSim(net, "IMX1-HOST1", "ints", {"INT:PV": 3}, server_port=5903)
+        client = CaClient(net, "TesterDirect")
+        client.caput("IMX:DMC4:m2", 5)
+        assert [(v, type(v)) for v in map(client.caget, ["IMX:DMC4:m2", "INT:PV"])] == [(5.0, float), (3.0, float)]
+        assert client.query("IMX:DMC4:m2", write_value=7).outcome == "value:7"
+
     def test_caput_unknown_pv_times_out(self):
         net, *_ = make_net_with_iocs()
         client = CaClient(net, "TesterDirect")

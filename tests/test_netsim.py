@@ -184,6 +184,30 @@ class TestHelperRule:
         bind_seven_iocs(net)
         assert net.inject("TesterHEpics", search_packet("10.2.105.255", dst_port=5065)) == []
 
+    def test_rules_sharing_a_domain_and_port_copy_in_rule_order(self):
+        # The copies draw their jitter in rule order, then destination order,
+        # skipping the rule for another port; the times are pinned.
+        topology = make_topology(jitter_us=100)
+        topology.helper_rules = [
+            HelperRule("sol", 5064, ("10.2.1.32",)),
+            HelperRule("sol", 5065, ("10.2.1.31",)),
+            HelperRule("sol", 5064, ("10.2.1.31", "10.2.1.32")),
+        ]
+        net = VirtualNetwork(topology, seed=3)
+        for host in ("IMX1-HOST1", "IMX1-HOST2", "TesterHEpics"):
+            net.bind(host, 5064, host)
+        arrivals = []
+        for src_port in (35000, 35001):
+            deliveries = net.inject("TesterHEpics", search_packet("10.2.105.255", src_port=src_port))
+            arrivals.append([(d.time_us, d.host, d.wire_dst_ip) for d in deliveries])
+            net.advance_clock(1000)
+        assert arrivals == [
+            [(230, "TesterHEpics", "10.2.105.255"), (475, "IMX1-HOST2", "10.2.1.32"),
+             (469, "IMX1-HOST1", "10.2.1.31"), (416, "IMX1-HOST2", "10.2.1.32")],
+            [(1247, "TesterHEpics", "10.2.105.255"), (1477, "IMX1-HOST2", "10.2.1.32"),
+             (1460, "IMX1-HOST1", "10.2.1.31"), (1480, "IMX1-HOST2", "10.2.1.32")],
+        ]
+
 
 class TestUnicastDelivery:
     def test_last_binder_only(self):
@@ -264,6 +288,29 @@ class TestUnicastDelivery:
         pkt = search_packet(dst_ip)._replace(ttl=17, identification=0xBEEF, dscp_ecn=0xB8, flags_fragment=0x4000)
         deliveries = net.inject("TesterHEpics", pkt)
         assert [d.packet for d in deliveries] == [pkt._replace(**changed)]
+
+    def test_each_packet_takes_the_first_rule_that_applies_to_it(self):
+        # Rules are tried in list order: an outside source takes the first
+        # 5064 rule, an inside one the second, and 5065 its own rule.
+        rules = [
+            PreroutingRule(5064, "10.2.1.31", 6064, negate_src=BEAMLINE),
+            PreroutingRule(5065, "10.2.1.31", 7064),
+            PreroutingRule(5064, "255.255.255.255", 5064),
+        ]
+        net = VirtualNetwork(make_topology(prerouting=rules))
+        for port, owner in ((5064, "a"), (5064, "b"), (6064, "relay"), (7064, "other"), (5066, "plain")):
+            net.bind("IMX1-HOST1", port, owner)
+        sent = [
+            ("TesterHEpics", search_packet("10.2.1.31")),
+            ("IMX1-HOST2", search_packet("10.2.1.31", src_ip="10.2.1.32")),
+            ("TesterHEpics", search_packet("10.2.1.31", dst_port=5065)),
+            ("IMX1-HOST2", search_packet("10.2.1.31", dst_port=5065, src_ip="10.2.1.32")),
+            ("TesterHEpics", search_packet("10.2.1.31", dst_port=5066)),
+        ]
+        received = [[(d.binding.owner, d.packet.dst_port) for d in net.inject(*each)] for each in sent]
+        assert received == [
+            [("relay", 6064)], [("a", 5064), ("b", 5064)], [("other", 7064)], [("other", 7064)], [("plain", 5066)],
+        ]
 
     def test_no_route(self):
         net = VirtualNetwork(make_topology())

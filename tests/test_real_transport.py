@@ -173,6 +173,27 @@ class TestRealCaClient:
             ioc.close()
         assert str(excinfo.value) == f"'LOOP:PV' found at 127.0.0.1:{ioc.value_port} but no value reply"
 
+    def test_a_value_reply_that_does_not_decode_leaves_the_exchange_open(self):
+        class GarblingIoc(StubIoc):
+            def _serve_values(self) -> None:
+                self.value_sock.settimeout(0.1)
+                while not self._stop.is_set():
+                    try:
+                        _, addr = self.value_sock.recvfrom(65535)
+                    except socket.timeout:
+                        continue
+                    self.value_sock.sendto(b"\x00\x02", addr)  # shorter than the frame header
+
+        ioc = GarblingIoc({"LOOP:PV": 42.5})
+        quick = ClientQueryConfig(initial_retry_s=0.05, backoff_factor=2.0, max_tries=2, total_timeout_s=0.2)
+        try:
+            client = RealCaClient([("127.0.0.1", ioc.search_port)], config=quick)
+            with pytest.raises(ChannelTimeout) as excinfo:
+                client.caget("LOOP:PV")
+        finally:
+            ioc.close()
+        assert str(excinfo.value) == f"'LOOP:PV' found at 127.0.0.1:{ioc.value_port} but no value reply"
+
 
 def test_bind_conflict_reports_transport_unavailable():
     config = RelayConfig(
