@@ -2,12 +2,13 @@
 
 Covers just enough of the public CA wire format to generate and parse
 search request/response traffic on port 5064: the 16-byte big-endian
-message header, the version message, and the search pair. A small framed
-value-exchange message set stands in for the CA data circuit so that
-caget/caput-style flows can complete end to end without TCP.
+message header, the version message, and the search pair. The relay
+carries only this phase; the data circuit is TCP and never passes through
+it, so the ``ValueExchange`` records of the simulated circuit have no wire
+form: the network hands them to the IOC as they are.
 
-Messages are plain records (``NamedTuple``); the codec owns the kind/value
-rule, raising ``ValueError`` on encode and ``CaWireError`` caused by it on decode.
+Messages are plain records (``NamedTuple``); a malformed datagram raises a
+``CaWireError`` on decode.
 
 Header layout (all big-endian):
 
@@ -58,10 +59,6 @@ class MisalignedPayload(CaWireError):
 
 
 class NameTooLong(CaWireError, ValueError):
-    pass
-
-
-class UnknownKind(CaWireError):
     pass
 
 
@@ -200,49 +197,3 @@ class ValueExchange(NamedTuple):
     pv_name: str
     sequence: int
     value: float | None = None
-
-
-_VX_KINDS = {int(kind): kind for kind in ValueExchangeKind}
-_CARRY_VALUE = frozenset((ValueExchangeKind.READ_REPLY, ValueExchangeKind.WRITE_REQUEST))
-
-
-def _check_value(kind: ValueExchangeKind, value: float | None) -> None:
-    """Raise ValueError for a value the kind needs and lacks, or forbids."""
-    if value is None:
-        if kind in _CARRY_VALUE:
-            raise ValueError(f"{kind.name} requires a value")
-    elif kind is ValueExchangeKind.WRITE_ACK:
-        raise ValueError("WRITE_ACK carries no value")
-
-
-_VX_HDR = struct.Struct(">HHIB")
-
-
-def encode_value_exchange(msg: ValueExchange) -> bytes:
-    _check_value(msg.kind, msg.value)
-    name = msg.pv_name.encode("ascii")
-    has_value = msg.value is not None
-    out = _VX_HDR.pack(int(msg.kind), len(name), msg.sequence, int(has_value)) + name
-    if has_value:
-        out += struct.pack(">d", msg.value)
-    return out
-
-
-def decode_value_exchange(data: bytes) -> ValueExchange:
-    if len(data) < _VX_HDR.size:
-        raise Truncated(f"{len(data)} bytes, framing header needs {_VX_HDR.size}")
-    kind_code, name_len, sequence, has_value = _VX_HDR.unpack_from(data)
-    kind = _VX_KINDS.get(kind_code)
-    if kind is None:
-        raise UnknownKind(f"kind code {kind_code}")
-    end = _VX_HDR.size + name_len
-    value_len = 8 if has_value else 0
-    if len(data) < end + value_len:
-        raise Truncated(f"{len(data)} bytes, frame claims {end + value_len}")
-    value = struct.unpack_from(">d", data, end)[0] if has_value else None
-    try:
-        name = data[_VX_HDR.size : end].decode("ascii")
-        _check_value(kind, value)
-    except ValueError as exc:  # a non-ASCII name, or a value flag that contradicts the kind
-        raise CaWireError(f"malformed {kind.name} frame: {exc}") from exc
-    return ValueExchange(kind, name, sequence, value)

@@ -2,7 +2,7 @@
 
 Subcommands: relay (serve the relay on real sockets), sim (run a scenario
 file), bench (latency comparison), caget and caput (test clients against the
-simulation or real UDP port 5064).
+simulation; caget --transport real resolves a name on real UDP port 5064).
 
 Exit codes: 0 success, 1 query timeout or scenario mismatch, 2 configuration
 error, 3 missing privilege for raw sending.
@@ -90,11 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("caget", "caput"):
         client_p = sub.add_parser(name, parents=[common], help=f"{name} test client")
         client_p.add_argument("pv", help="process variable name")
-        if name == "caput":
+        if name == "caput":  # writing needs the simulated data circuit
             client_p.add_argument("value", type=float, help="value to write")
-        client_p.add_argument("--transport", choices=("sim", "real"), default="sim")
-        client_p.add_argument("--target", metavar="IP:PORT", action="append", default=None,
-                              help="real transport search target (repeatable)")
+            client_p.set_defaults(transport="sim")
+        else:
+            client_p.add_argument("--transport", choices=("sim", "real"), default="sim",
+                                  help="real: only resolve the name, and print the server that answers")
+            client_p.add_argument("--target", metavar="IP:PORT", action="append", default=None,
+                                  help="real transport search target (repeatable)")
         client_p.add_argument("--seed", type=int, default=0, help="sim transport network seed")
         client_p.set_defaults(func=cmd_client)
 
@@ -155,7 +158,7 @@ def _check_bind_ip(bind_ip: str, config: RelayConfig) -> None:
     """--bind-ip is a dotted quad inside local_subnet, the loop guard (0.0.0.0 is ``_check_wildcard_bind``'s)."""
     parse_address(bind_ip, "--bind-ip")
     subnet = config.local_subnet
-    if subnet is not None and bind_ip != "0.0.0.0" and not subnet.contains(bind_ip):
+    if bind_ip != "0.0.0.0" and not subnet.contains(bind_ip):
         raise ValidationError(
             "relay.local_subnet",
             f"{subnet} does not contain --bind-ip {bind_ip}, so the relay's own broadcasts would pass the loop guard",
@@ -240,22 +243,23 @@ def cmd_bench(args) -> int:
 
 
 def cmd_client(args) -> int:
-    """caget, or caput with its value, over the simulated network or real UDP."""
+    """caget or caput over the simulated network, or caget's name search alone over real UDP."""
     parse_pv_name(args.pv, "pv")
     write_value = getattr(args, "value", None)
     config = _load_config(args, required=args.transport == "sim")
-    if args.transport == "sim":
+    try:
+        if args.transport == "real":
+            targets = [("255.255.255.255", CA_SERVER_PORT)]
+            if args.target:
+                targets = [address_and_port(t, "--target") for t in args.target]
+            server_ip, server_port = RealCaClient(targets, config=config.client).search(args.pv)
+            print(f"{args.pv} found at {server_ip}:{server_port}")
+            return EXIT_OK
         scenario = config.scenario("config", args.seed, repetitions=1)
         if config.client_host is None:
             raise ConfigError("sim transport needs client.host in the config")
         net, _ = build_network(scenario)
         client = CaClient(net, config.client_host, config=config.client)
-    else:
-        targets = [("255.255.255.255", CA_SERVER_PORT)]
-        if args.target:
-            targets = [address_and_port(t, "--target") for t in args.target]
-        client = RealCaClient(targets, config=config.client)
-    try:
         if write_value is None:
             value = client.caget(args.pv)
         else:

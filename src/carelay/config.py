@@ -414,7 +414,7 @@ def _parse_relay(relay: _Section, config: ConfigFile) -> None:
             listen_port=relay.port("listen_port", defaults.listen_port),
             target_port=relay.port("target_port", defaults.target_port),
             allow_sources=tuple(relay.list("allow", _cidr)),
-            local_subnet=relay.cidr("local_subnet", None),
+            local_subnet=relay.cidr("local_subnet"),
             mode=RelayMode(relay.choice("mode", [m.value for m in RelayMode], defaults.mode.value)),
             flow_idle_timeout_s=relay.float("flow_idle_timeout", defaults.flow_idle_timeout_s),
             max_packets_per_second=relay.int("max_packets_per_second", None, minimum=1),

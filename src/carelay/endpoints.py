@@ -1,16 +1,18 @@
-"""Simulated IOC servers and a caget/caput-style client.
+"""Simulated IOC servers, a caget/caput-style client, and a real-socket search probe.
 
 An IocSim owns a table of scalar PVs, answers name searches on the shared
 UDP search port of its host (silently ignoring names it does not own), and
 answers each value request of the simulated data circuit with one reply
-(``VirtualNetwork.request``), each a ``ca_wire.ValueExchange`` record; the
-frame codec is for real sockets (``RealCaClient``) only. Both answers are
-return values that the network sends on, so an IocSim keeps no reference to
-its network, and a network without a relay is freed by reference count once
-it is dropped. The CaClient broadcasts searches with a doubling retry
-schedule and turns the first response into one read or one write; each
-query is one ``_Query`` record, whose bound methods are the network's
-callbacks, so a finished query is freed by reference count.
+(``VirtualNetwork.request``), each a ``ca_wire.ValueExchange`` record. Both
+answers are return values that the network sends on, so an IocSim keeps no
+reference to its network, and a network without a relay is freed by
+reference count once it is dropped. The CaClient broadcasts searches with a
+doubling retry schedule and turns the first response into one read or one
+write; each query is one ``_Query`` record, whose bound methods are the
+network's callbacks, so a finished query is freed by reference count.
+
+RealCaClient runs the same search schedule over real UDP sockets and stops
+at the first response: the name-resolution phase is all the relay carries.
 """
 
 from __future__ import annotations
@@ -68,8 +70,20 @@ class ClientQueryConfig:
         ]
 
 
+def _server_of(payload: bytes, source_ip: str, search_id: int) -> tuple[str, int] | None:
+    """The (ip, port) a response to search ``search_id`` names, or None for any other datagram;
+    a response that names no address means its datagram's source."""
+    try:
+        response = ca_wire.find_search_response(payload)
+    except ca_wire.CaWireError:
+        return None
+    if response is None or response.search_id != search_id:
+        return None
+    return response.server_address or source_ip, response.server_port
+
+
 def _value_request(pv_name: str, sequence: int, write_value: float | None) -> ValueExchange:
-    """The READ request, or the WRITE request with the value as a float, as its frame's ``>d`` field carries it."""
+    """The READ request, or the WRITE request with the value as a float."""
     if write_value is None:
         return ValueExchange(ValueExchangeKind.READ_REQUEST, pv_name, sequence)
     return ValueExchange(ValueExchangeKind.WRITE_REQUEST, pv_name, sequence, float(write_value))
@@ -97,7 +111,7 @@ class IocSim:
         advertise_own_address: bool = True,
     ) -> None:
         self.name = name
-        self.pvs = {name: float(value) for name, value in pvs.items()}  # as a frame's ``>d`` field carries them
+        self.pvs = {name: float(value) for name, value in pvs.items()}
         self.server_port = server_port
         self.advertise_own_address = advertise_own_address
         self.host_ip = net.host(host_name).interfaces[0].ip
@@ -207,21 +221,18 @@ class _Query:
     def on_datagram(self, delivery: Delivery) -> None:
         if self.done:
             return
-        try:
-            response = ca_wire.find_search_response(delivery.packet.payload)
-        except ca_wire.CaWireError:
-            return
-        if response is None or response.search_id != self.search_id:
+        packet = delivery.packet
+        server = _server_of(packet.payload, packet.src_ip, self.search_id)
+        if server is None:
             return
         self.result.responses_seen += 1
         if self.resolved:
             return  # first response wins; duplicates are ignored
         client = self.client
-        server_ip = response.server_address or delivery.packet.src_ip
         self.sequence = client._next_sequence
         request = _value_request(self.result.pv_name, self.sequence, self.write_value)
         try:
-            client.net.request(client.host_name, server_ip, response.server_port, request, self.on_reply)
+            client.net.request(client.host_name, *server, request, self.on_reply)
         except ChannelRefused:
             return  # unusable responder; keep waiting for another response
         client._next_sequence += 1
@@ -304,13 +315,12 @@ class CaClient:
 
 
 class RealCaClient:
-    """Blocking caget/caput over real UDP sockets, for manual checks.
+    """Blocking name resolution over real UDP sockets, for manual checks.
 
-    Searches follow the same retry schedule as the simulated client. The
-    value phase sends one framed read/write datagram to the resolved server
-    port, so it completes only against this package's own endpoints; against
-    a stock IOC the search still resolves, and the timeout names the server
-    that answered: the interoperability signal this client exists to provide.
+    Searches follow the same retry schedule as the simulated client, and the
+    first response ends them. The relay carries only this phase, so a search
+    answered through it shows the relay works; the data circuit that follows
+    in Channel Access is TCP to the server and never passes the relay.
     """
 
     def __init__(
@@ -323,73 +333,28 @@ class RealCaClient:
         self.targets = targets
         self.config = config or ClientQueryConfig()
         self._next_search_id = 1
-        self._next_sequence = 1
 
-    def caget(self, pv_name: str) -> float:
-        return self._query(pv_name, None)
-
-    def caput(self, pv_name: str, value: float) -> None:
-        self._query(pv_name, value)
-
-    def _query(self, pv_name: str, write_value: float | None) -> float:
-        """The value read or written; ChannelTimeout says whether the search or the value exchange failed."""
+    def search(self, pv_name: str) -> tuple[str, int]:
+        """The (ip, port) of the first server that answers; ChannelTimeout when none does."""
         search_id = self._next_search_id
         self._next_search_id += 1
         datagram = ca_wire.encode_search_datagram(SearchRequest(pv_name, search_id))
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
-        sock.bind(("0.0.0.0", 0))
-        try:
-            resolved = self._search(sock, datagram, search_id)
-            if resolved is None:
-                raise ChannelTimeout(timeout_message(pv_name))
-            return self._exchange_value(pv_name, write_value, *resolved)
-        finally:
-            sock.close()
-
-    def _search(self, sock: socket.socket, datagram: bytes, search_id: int):
-        deadline = time.monotonic() + self.config.total_timeout_s
-        for wait_us in self.config.wait_schedule_us():
-            for target in self.targets:
-                sock.sendto(datagram, target)
-            until = min(time.monotonic() + wait_us / 1e6, deadline)
-            while True:
-                remaining = until - time.monotonic()
-                if remaining <= 0:
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
+            sock.bind(("0.0.0.0", 0))
+            deadline = time.monotonic() + self.config.total_timeout_s
+            for wait_us in self.config.wait_schedule_us():
+                for target in self.targets:
+                    sock.sendto(datagram, target)
+                until = min(time.monotonic() + wait_us / 1e6, deadline)
+                while True:
+                    remaining = until - time.monotonic()
+                    if remaining <= 0 or not select.select([sock], [], [], remaining)[0]:
+                        break
+                    data, (source_ip, _) = sock.recvfrom(65535)
+                    server = _server_of(data, source_ip, search_id)
+                    if server is not None:
+                        return server
+                if time.monotonic() >= deadline:
                     break
-                readable, _, _ = select.select([sock], [], [], remaining)
-                if not readable:
-                    break
-                data, addr = sock.recvfrom(65535)
-                try:
-                    response = ca_wire.find_search_response(data)
-                except ca_wire.CaWireError:
-                    continue
-                if response is None or response.search_id != search_id:
-                    continue
-                server_ip = response.server_address or addr[0]
-                return server_ip, response.server_port
-            if time.monotonic() >= deadline:
-                break
-        return None
-
-    def _exchange_value(
-        self, pv_name: str, write_value: float | None, server_ip: str, server_port: int
-    ) -> float:
-        sequence = self._next_sequence
-        self._next_sequence += 1
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        try:
-            request = ca_wire.encode_value_exchange(_value_request(pv_name, sequence, write_value))
-            sock.sendto(request, (server_ip, server_port))
-            readable, _, _ = select.select([sock], [], [], self.config.total_timeout_s)
-            try:
-                reply = ca_wire.decode_value_exchange(sock.recv(65535)) if readable else None
-            except ca_wire.CaWireError:
-                reply = None  # a malformed reply leaves the exchange open
-        finally:
-            sock.close()
-        value = None if reply is None else _reply_value(reply, pv_name, sequence, write_value)
-        if value is None:
-            raise ChannelTimeout(f"'{pv_name}' found at {server_ip}:{server_port} but no value reply")
-        return value
+        raise ChannelTimeout(timeout_message(pv_name))

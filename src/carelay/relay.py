@@ -38,10 +38,12 @@ import select
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ca_wire import CA_SERVER_PORT
-from .packet import HEADER_DEFAULTS, Cidr, Ipv4UdpPacket, encode, ip_to_int, new_packet as _new_packet, udp_packet
+from .packet import (
+    HEADER_DEFAULTS, Cidr, Ipv4UdpPacket, encode, int_to_ip, ip_to_int, new_packet as _new_packet, udp_packet,
+)
 
 log = logging.getLogger(__name__)
 DEFAULT_LISTEN_PORT = 6064
@@ -90,7 +92,6 @@ class Verdict(enum.Enum):
 
 # The verdicts as module constants, in definition order: classify skips the class lookup.
 _ACCEPT, _DROP_LOCAL_SOURCE, _DROP_NOT_ALLOWED, _DROP_PORT_MISMATCH = Verdict
-_NO_PREFIX = (1, 0)  # no local subnet: a (base, mask) pair no address matches, as address & 0 is 0
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class RelayConfig:
     listen_port: int = DEFAULT_LISTEN_PORT
     target_port: int = CA_SERVER_PORT
     allow_sources: tuple[Cidr, ...] = ()
-    local_subnet: Cidr | None = None
+    local_subnet: Cidr = field(kw_only=True)  # the loop guard: sources inside it are never relayed
     mode: RelayMode = RelayMode.SPOOF
     flow_idle_timeout_s: float = DEFAULT_FLOW_IDLE_TIMEOUT_S
     max_packets_per_second: int | None = None
@@ -118,20 +119,22 @@ class RelayConfig:
                 f"flow_idle_timeout must be positive and finite: {self.flow_idle_timeout_s}",
             )
         try:
-            ip_to_int(self.target_broadcast)  # the conversion encode applies
+            dotted = int_to_ip(ip_to_int(self.target_broadcast))  # the conversion encode applies
         except OSError:
+            dotted = None
+        if dotted != self.target_broadcast:  # a short form such as 10.2.511 names no interface
             raise InvalidRelayConfig(
                 "target_broadcast",
                 f"target_broadcast must be an IPv4 address, got {self.target_broadcast!r}",
-            ) from None
+            )
         local = self.local_subnet
-        if not (local is None or isinstance(local, Cidr)):
-            raise InvalidRelayConfig("local_subnet", f"local_subnet must be a Cidr or None, got {local!r}")
+        if not isinstance(local, Cidr):
+            raise InvalidRelayConfig("local_subnet", f"local_subnet must be a Cidr, got {local!r}")
         if isinstance(self.allow_sources, str) or not all(isinstance(n, Cidr) for n in self.allow_sources):
             raise InvalidRelayConfig(
                 "allow_sources", f"allow_sources must be a sequence of Cidr, got {self.allow_sources!r}"
             )
-        object.__setattr__(self, "_local_prefix", _NO_PREFIX if local is None else (local.base, local.mask))
+        object.__setattr__(self, "_local_prefix", (local.base, local.mask))
         object.__setattr__(self, "_allow_prefixes", tuple((net.base, net.mask) for net in self.allow_sources))
 
 
@@ -178,14 +181,11 @@ def classify(packet: Ipv4UdpPacket, config: RelayConfig) -> Verdict:
     """
     if packet.dst_port != config.listen_port:
         return _DROP_PORT_MISMATCH
-    local = config._local_prefix
-    allow = config._allow_prefixes
-    if local is _NO_PREFIX and not allow:  # unfiltered: no address to convert
-        return _ACCEPT
     src = ip_to_int(packet.src_ip)
-    base, mask = local
+    base, mask = config._local_prefix
     if src & mask == base:
         return _DROP_LOCAL_SOURCE
+    allow = config._allow_prefixes
     for base, mask in allow:
         if src & mask == base:
             return _ACCEPT
@@ -376,10 +376,6 @@ class RealUdpTransport:
         bind_ip: str = "0.0.0.0",
         socket_factory=None,
     ) -> None:
-        if config.local_subnet is None:
-            # The local-source drop is the loop guard: without it a search
-            # broadcast on the relay's own subnet can be relayed back there.
-            raise ValueError("a relay on real sockets needs local_subnet (the loop guard)")
         self._bind_ip = bind_ip  # the destination address of received datagrams
         # Resolved at call time so tests can substitute the module's socket.
         self._socket_factory = socket_factory or socket.socket

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from carelay import ca_wire
 from carelay.bench import (
     ARM_ORDER,
     Sample,
@@ -212,25 +211,6 @@ class TestDeterminism:
         a = emit_report(run_benchmark(repetitions=30, seed=1), "records")
         b = emit_report(run_benchmark(repetitions=30, seed=2), "records")
         assert a != b
-
-
-class TestSimulatedDataCircuit:
-    def test_no_value_exchange_frame_is_encoded_or_decoded(self, monkeypatch):
-        # The simulated circuit carries ValueExchange records; the frame codec
-        # is for real sockets only, and leaving it out changes no outcome.
-        expected = emit_report(run_benchmark(repetitions=30, seed=1), "records")
-
-        def refuse(*args):
-            raise AssertionError("a value exchange frame was built or parsed")
-
-        monkeypatch.setattr(ca_wire, "encode_value_exchange", refuse)
-        monkeypatch.setattr(ca_wire, "decode_value_exchange", refuse)
-        for mode in (RelayMode.SPOOF, RelayMode.PROXY):
-            report = run_scenario(scenario_c(mode=mode))
-            assert report.all_expected, report.mismatches
-        report = run_benchmark(repetitions=30, seed=1)
-        assert report.mismatches == [] and report.median_ordering_ok
-        assert emit_report(report, "records") == expected
 
 
 class TestEmitReport:

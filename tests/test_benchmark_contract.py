@@ -55,7 +55,7 @@ def test_names_the_benchmark_depends_on():
 
     net = VirtualNetwork(bench.paper_topology())
     relay = Relay(
-        RelayConfig(target_broadcast="255.255.255.255", mode=RelayMode.PROXY),
+        RelayConfig(target_broadcast="255.255.255.255", mode=RelayMode.PROXY, local_subnet=Cidr("10.2.1.0", 24)),
         SimTransport(net, "IMX1-HOST1"),
     )
     assert relay.flows == {}
@@ -91,7 +91,8 @@ def test_names_the_benchmark_depends_on():
     # perfbench.relay_proc builds the real transport and reports this error.
     assert issubclass(TransportUnavailable, Exception)
     inspect.signature(RealUdpTransport).bind(
-        RelayConfig(target_broadcast="127.0.0.1"), bind_ip="127.0.0.1", socket_factory=None
+        RelayConfig(target_broadcast="127.0.0.1", local_subnet=Cidr.parse("127.0.1.0/24")),
+        bind_ip="127.0.0.1", socket_factory=None,
     )
 
 

@@ -15,13 +15,8 @@ from carelay.ca_wire import (
     SearchRequest,
     SearchResponse,
     Truncated,
-    UnknownKind,
-    ValueExchange,
-    ValueExchangeKind,
-    decode_value_exchange,
     encode_search_datagram,
     encode_search_response_datagram,
-    encode_value_exchange,
     find_search_requests,
     find_search_response,
 )
@@ -396,88 +391,3 @@ def test_finders_match_message_object_decoder(data):
             expected = CaWireError
         assert outcome(finder, data) == expected
 
-
-class TestValueExchange:
-    def test_read_reply_roundtrips_paper_value(self):
-        msg = ValueExchange(ValueExchangeKind.READ_REPLY, "IMX:DMC4:m1", 1, -2.06e-05)
-        assert decode_value_exchange(encode_value_exchange(msg)) == msg
-
-    def test_second_paper_value(self):
-        msg = ValueExchange(ValueExchangeKind.READ_REPLY, "IMX:DMC4:m3", 2, 0.002496)
-        assert decode_value_exchange(encode_value_exchange(msg)) == msg
-
-    def test_write_ack_carries_no_value(self):
-        # A message is a plain record; the encoder refuses the value.
-        msg = ValueExchange(ValueExchangeKind.WRITE_ACK, "IMX:DMC4:m1", 3)
-        assert decode_value_exchange(encode_value_exchange(msg)) == msg
-        with pytest.raises(ValueError):
-            encode_value_exchange(ValueExchange(ValueExchangeKind.WRITE_ACK, "x", 1, 1.0))
-
-    def test_reply_requires_value(self):
-        for kind in (ValueExchangeKind.READ_REPLY, ValueExchangeKind.WRITE_REQUEST):
-            with pytest.raises(ValueError):
-                encode_value_exchange(ValueExchange(kind, "x", 1, None))
-
-    def test_truncated(self):
-        data = encode_value_exchange(ValueExchange(ValueExchangeKind.READ_REQUEST, "name", 1))
-        with pytest.raises(Truncated):
-            decode_value_exchange(data[:5])
-        with pytest.raises(Truncated):
-            decode_value_exchange(data[:-1])
-
-    def test_non_ascii_name_raises_codec_error(self):
-        data = bytearray(encode_value_exchange(ValueExchange(ValueExchangeKind.READ_REQUEST, "n", 1)))
-        data[-1] = 0xE9
-        with pytest.raises(CaWireError) as info:
-            decode_value_exchange(bytes(data))
-        assert isinstance(info.value.__cause__, UnicodeDecodeError)
-
-    @pytest.mark.parametrize(
-        "kind, has_value", [("READ_REPLY", 0), ("WRITE_REQUEST", 0), ("WRITE_ACK", 1)]
-    )
-    def test_value_flag_contradicting_kind_raises_codec_error(self, kind, has_value):
-        code = ValueExchangeKind[kind]
-        data = struct.pack(">HHIB", code, 1, 7, has_value) + b"n" + bytes(8 * has_value)
-        with pytest.raises(CaWireError) as info:
-            decode_value_exchange(data)
-        assert isinstance(info.value.__cause__, ValueError)
-
-    def test_unknown_kind(self):
-        data = bytearray(encode_value_exchange(ValueExchange(ValueExchangeKind.READ_REQUEST, "n", 1)))
-        data[0:2] = (99).to_bytes(2, "big")
-        with pytest.raises(UnknownKind):
-            decode_value_exchange(bytes(data))
-
-    @given(
-        data=st.one_of(
-            st.binary(max_size=40),
-            st.builds(
-                lambda kind, name, seq, flag, tail: struct.pack(">HHIB", kind, len(name), seq, flag)
-                + name
-                + tail,
-                st.integers(min_value=0, max_value=5),
-                st.binary(max_size=12),
-                st.integers(min_value=0, max_value=0xFFFFFFFF),
-                st.integers(min_value=0, max_value=2),
-                st.binary(max_size=10),
-            ),
-        )
-    )
-    @settings(max_examples=300)
-    def test_malformed_frames_raise_only_codec_errors(self, data):
-        try:
-            decode_value_exchange(data)
-        except CaWireError:
-            pass
-
-    @given(
-        kind=st.sampled_from(list(ValueExchangeKind)),
-        name=pv_names,
-        seq=st.integers(min_value=0, max_value=0xFFFFFFFF),
-        value=st.floats(allow_nan=False, allow_infinity=False),
-    )
-    @settings(max_examples=200)
-    def test_roundtrip_property(self, kind, name, seq, value):
-        carries = kind in (ValueExchangeKind.READ_REPLY, ValueExchangeKind.WRITE_REQUEST)
-        msg = ValueExchange(kind, name, seq, value if carries else None)
-        assert decode_value_exchange(encode_value_exchange(msg)) == msg

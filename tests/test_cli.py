@@ -144,6 +144,14 @@ class TestCaputSim:
     def test_caput_unknown_pv_times_out(self, capsys):
         assert main(["caput", "NOPE", "1.0", "--config", SCENARIO_C, "--log", "quiet"]) == 1
 
+    @pytest.mark.parametrize("flags", [["--transport", "real"], ["--target", "127.0.0.1:5064"]])
+    def test_caput_has_no_real_transport(self, flags, capsys):
+        # A write needs the data circuit, which only the simulator models.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["caput", "PV:1", "1.5", *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
 
 class TestBench:
     def test_bench_records(self, capsys):
@@ -275,8 +283,8 @@ def test_client_names_a_pv_argument_a_search_cannot_carry(argv, config_error):
 
 @pytest.mark.parametrize("argv", [
     ["caget", "PV:1", "--transport", "real", "--target", "nohost:5064"],
-    ["caput", "PV:1", "1.5", "--transport", "real", "--target", "255.255.255.255:5064", "--target", "10.2.1:5064"],
-], ids=["caget-host-name", "caput-second-target-short"])
+    ["caget", "PV:1", "--transport", "real", "--target", "255.255.255.255:5064", "--target", "10.2.1:5064"],
+], ids=["caget-host-name", "caget-second-target-short"])
 def test_client_names_a_target_that_is_no_address(argv, config_error):
     # It used to end in a socket.gaierror traceback and exit 1, the timeout code.
     assert "config key '--target': not an IPv4 address" in config_error(argv)
@@ -291,6 +299,7 @@ def test_sim_names_a_query_pv_a_search_cannot_carry(config_error):
 RELAY = ["relay", "--mode", "proxy", "--bind-ip", "127.0.0.1"]
 TARGET = ["--target", "255.255.255.255:5064"]
 RELAY_SECTION = "relay:\n  target_broadcast: 255.255.255.255\n"
+LOOPBACK = "127.0.0.0/8"  # a local subnet that contains RELAY's --bind-ip
 
 
 class TestBadValuesAreConfigErrors:
@@ -319,8 +328,12 @@ class TestBadValuesAreConfigErrors:
     @pytest.mark.parametrize(
         "argv, text",
         [
-            pytest.param([*RELAY, "--target", "999.1.1.1:5064"], None, id="flag"),
-            pytest.param(RELAY, "relay:\n  target_broadcast: 999.1.1.1\n", id="yaml"),
+            pytest.param([*RELAY, "--local-subnet", LOOPBACK, "--target", "999.1.1.1:5064"], None, id="flag"),
+            pytest.param(RELAY, f"relay:\n  target_broadcast: 999.1.1.1\n  local_subnet: {LOOPBACK}\n", id="yaml"),
+            # A short form converts, but names no interface: the simulator
+            # used to stop mid-run, and the real relay to open its sockets.
+            pytest.param([*RELAY, "--local-subnet", LOOPBACK, "--target", "10.2.511:5064"], None, id="short-flag"),
+            pytest.param(RELAY, f"relay:\n  target_broadcast: 10.2.511\n  local_subnet: {LOOPBACK}\n", id="short-yaml"),
         ],
     )
     def test_target_broadcast(self, argv, text, config_error):
@@ -330,7 +343,7 @@ class TestBadValuesAreConfigErrors:
 
     @pytest.mark.parametrize("value", [".inf", ".nan"])
     def test_flow_idle_timeout(self, value, config_error):
-        text = RELAY_SECTION + f"  flow_idle_timeout: {value}\n"
+        text = RELAY_SECTION + f"  local_subnet: {LOOPBACK}\n  flow_idle_timeout: {value}\n"
         assert "'relay.flow_idle_timeout'" in config_error(RELAY, text)
 
     def test_initial_retry(self, config_error):
@@ -349,7 +362,7 @@ class TestBadValuesAreConfigErrors:
         ([*RELAY, *TARGET, "--local-subnet", "192.0.2.0/24"], None, "relay.local_subnet"),
         (["relay", "--bind-ip", "127.0.0.1"], RELAY_SECTION + "  mode: spoof\n  local_subnet: 192.0.2.0/24\n",
          "relay.local_subnet"),
-        ([*RELAY, *TARGET, "--bind-ip", "localhost"], None, "--bind-ip"),
+        ([*RELAY, *TARGET, "--local-subnet", LOOPBACK, "--bind-ip", "localhost"], None, "--bind-ip"),
         (["relay", "--mode", "spoof", "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.1", *TARGET],
          None, "--bind-ip"),
     ], ids=["spoof-flag", "proxy-flag", "spoof-yaml", "host-name", "short-quad"])
@@ -370,6 +383,15 @@ class TestBadValuesAreConfigErrors:
     ])
     def test_simulation_only_relay_keys(self, line, key, config_error):
         assert f"'{key}'" in config_error(RELAY, RELAY_SECTION + f"  {line}\n")
+
+    # Every relay has the loop guard: without it the simulated relay of
+    # scenario C relays its own re-entering broadcasts.
+    @pytest.mark.parametrize("argv, text", [
+        (RELAY, RELAY_SECTION),
+        (["sim"], (CONFIG_DIR / "scenario_c.yaml").read_text().replace("  local_subnet: 10.2.1.0/24\n", "")),
+    ], ids=["relay", "sim"])
+    def test_a_relay_section_without_local_subnet(self, argv, text, config_error):
+        assert "'relay.local_subnet': required key missing" in config_error(argv, text)
 
 
 def relay_args(*argv):
@@ -415,7 +437,7 @@ def test_every_relay_flag_sets_a_key_the_validator_accepts():
         if action.option_strings and action.dest not in {"help", "config", "log", "bind_ip"}
     ]
     assert sorted(options) == sorted(RELAY_FLAG_SAMPLES)
-    base = {"target_broadcast": "255.255.255.255"}
+    base = {"target_broadcast": "255.255.255.255", "local_subnet": LOOPBACK}
     default = config_from_mapping({"relay": base}).relay
     for option in options:
         keys = cli._relay_flag_keys(relay_args(option, RELAY_FLAG_SAMPLES[option]))

@@ -74,6 +74,9 @@ class TestParseErrors:
         assert config.queries == []
 
 
+# A relay section with its two required keys.
+RELAY = "relay:\n  target_broadcast: 1.2.3.4\n  local_subnet: 10.2.1.0/24\n"
+
 LOADERS = [yaml.SafeLoader, *([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])]
 
 
@@ -213,23 +216,31 @@ class TestValidation:
             parse_config("relay:\n  mode: spoof\n  listen_port: 6064\n")
         assert "target_broadcast" in excinfo.value.key
 
+    def test_relay_without_local_subnet(self):
+        # The local subnet is the relay's loop guard; without it one search
+        # could come back to the listen port and be relayed again.
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config("relay:\n  target_broadcast: 1.2.3.4\n  mode: proxy\n")
+        assert excinfo.value.key == "relay.local_subnet"
+        assert str(excinfo.value) == "config key 'relay.local_subnet': required key missing"
+
     def test_bad_mode(self):
         for mode in ("teleport", "fork"):
             with pytest.raises(ValidationError) as excinfo:
-                parse_config(f"relay:\n  target_broadcast: 1.2.3.4\n  mode: {mode}\n")
+                parse_config(f"{RELAY}  mode: {mode}\n")
             assert "mode" in excinfo.value.key
 
     def test_fork_cost_is_not_a_relay_key(self):
         # The fork cost belongs to the benchmark's simulated relay host.
         with pytest.raises(ValidationError) as excinfo:
-            parse_config("relay:\n  target_broadcast: 1.2.3.4\n  fork_cost: 0.005\n")
+            parse_config(RELAY + "  fork_cost: 0.005\n")
         assert excinfo.value.key == "relay.fork_cost"
 
     @pytest.mark.parametrize("value", ['"false"', "1"], ids=["string", "integer"])
     @pytest.mark.parametrize(
         "text, key",
         [
-            ("relay:\n  target_broadcast: 1.2.3.4\n  install_prerouting: {}\n", "relay.install_prerouting"),
+            (RELAY + "  install_prerouting: {}\n", "relay.install_prerouting"),
             (
                 MINIMAL_TOPOLOGY + "  iocs:\n    - host: alpha\n      name: x\n      advertise_own_address: {}\n",
                 "topology.iocs[0].advertise_own_address",
@@ -246,7 +257,7 @@ class TestValidation:
     @pytest.mark.parametrize(
         "text, key",
         [
-            ("relay:\n  target_broadcast: 1.2.3.4\n  flow_idle_timeout: {}\n", "relay.flow_idle_timeout"),
+            (RELAY + "  flow_idle_timeout: {}\n", "relay.flow_idle_timeout"),
             ("client:\n  backoff_factor: {}\n", "client.backoff_factor"),
             ("client:\n  total_timeout: {}\n", "client.total_timeout"),
             (MINIMAL_TOPOLOGY + "queries:\n  - client: alpha\n    pv: X\n    value: {}\n", "queries[0].value"),
@@ -274,8 +285,8 @@ class TestValidation:
         assert excinfo.value.key == "client.backoff_factor"
 
     def test_max_packets_per_second_is_optional(self):
-        assert parse_config("relay:\n  target_broadcast: 1.2.3.4\n").relay.max_packets_per_second is None
-        text = "relay:\n  target_broadcast: 1.2.3.4\n  max_packets_per_second: {}\n"
+        assert parse_config(RELAY).relay.max_packets_per_second is None
+        text = RELAY + "  max_packets_per_second: {}\n"
         assert parse_config(text.format(10)).relay.max_packets_per_second == 10
         for bad in ("0", "null"):
             with pytest.raises(ValidationError) as excinfo:
@@ -284,10 +295,11 @@ class TestValidation:
 
     # RelayConfig makes these checks itself; its error used to name only the section.
     @pytest.mark.parametrize("section, key", [
-        ("{target_broadcast: nope}", "relay.target_broadcast"),
-        ("{target_broadcast: 1.2.3.4, flow_idle_timeout: 0}", "relay.flow_idle_timeout"),
-        ("{target_broadcast: 1.2.3.4, flow_idle_timeout: -1.5}", "relay.flow_idle_timeout"),
-        ("{target_broadcast: 1.2.3.4, listen_port: 5064}", "relay.listen_port"),
+        ("{target_broadcast: nope, local_subnet: 10.2.1.0/24}", "relay.target_broadcast"),
+        ("{target_broadcast: 10.2.511, local_subnet: 10.2.1.0/24}", "relay.target_broadcast"),
+        ("{target_broadcast: 1.2.3.4, local_subnet: 10.2.1.0/24, flow_idle_timeout: 0}", "relay.flow_idle_timeout"),
+        ("{target_broadcast: 1.2.3.4, local_subnet: 10.2.1.0/24, flow_idle_timeout: -1.5}", "relay.flow_idle_timeout"),
+        ("{target_broadcast: 1.2.3.4, local_subnet: 10.2.1.0/24, listen_port: 5064}", "relay.listen_port"),
     ])
     def test_relay_config_checks_name_their_key(self, section, key):
         with pytest.raises(ValidationError) as excinfo:
@@ -299,12 +311,12 @@ class TestValidation:
         ("topology:\n  per_hop_delay_us: 0\n", "topology.per_hop_delay_us", "0 is below 1"),
         ("topology:\n  jitter_us: -5\n", "topology.jitter_us", "-5 is below 0"),
         (
-            "relay: {target_broadcast: 1.2.3.4, max_packets_per_second: 0}\n",
+            "relay: {target_broadcast: 1.2.3.4, local_subnet: 10.2.1.0/24, max_packets_per_second: 0}\n",
             "relay.max_packets_per_second",
             "0 is below 1",
         ),
         (
-            "relay: {target_broadcast: 1.2.3.4, listen_port: 70000}\n",
+            "relay: {target_broadcast: 1.2.3.4, local_subnet: 10.2.1.0/24, listen_port: 70000}\n",
             "relay.listen_port",
             "70000 outside [1, 65535]",
         ),
@@ -403,7 +415,7 @@ class TestDefaults:
         assert config.client.max_tries == 5
 
     def test_relay_defaults(self):
-        config = parse_config("relay:\n  target_broadcast: 255.255.255.255\n")
+        config = parse_config("relay:\n  target_broadcast: 255.255.255.255\n  local_subnet: 10.2.1.0/24\n")
         assert config.relay.listen_port == 6064
         assert config.relay.target_port == 5064
         assert config.relay.flow_idle_timeout_s == 30.0

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carelay import bench
-from carelay.ca_wire import SearchRequest, encode_search_datagram, find_search_response
+from carelay.ca_wire import (
+    SearchRequest,
+    ValueExchangeKind,
+    encode_search_datagram,
+    find_search_response,
+)
 from carelay.endpoints import (
     FIRST_EPHEMERAL_PORT,
     CaClient,
@@ -274,6 +279,27 @@ class TestCaput:
         client.caput("IMX:DMC4:m1", 9.0)
         assert ioc1.writes_served == 1
         assert ioc1.pvs["IMX:DMC4:m1"] == 9.0
+
+
+class TestValueReply:
+    @pytest.mark.parametrize(
+        "garble",
+        [
+            pytest.param(lambda reply: reply._replace(kind=ValueExchangeKind.WRITE_ACK), id="kind"),
+            pytest.param(lambda reply: reply._replace(sequence=reply.sequence + 1), id="sequence"),
+            pytest.param(lambda reply: reply._replace(pv_name="OTHER:PV"), id="pv_name"),
+        ],
+    )
+    def test_a_reply_to_another_request_leaves_the_read_without_a_value(self, garble):
+        class GarblingIoc(IocSim):
+            def _on_channel_message(self, msg):
+                return garble(super()._on_channel_message(msg))
+
+        net = VirtualNetwork(direct_topology())
+        ioc = GarblingIoc(net, "IMX1-HOST1", "garbling", {"LOOP:PV": 42.5}, server_port=5901)
+        result = CaClient(net, "TesterDirect").query("LOOP:PV")
+        assert (result.timed_out, result.value) == (True, None)
+        assert (result.responses_seen, ioc.reads_served) == (1, 1)
 
 
 class TestReferenceCycles:

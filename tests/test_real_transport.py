@@ -3,7 +3,8 @@
 These run the actual transport code (plain UDP for PROXY, raw IPv4 frames
 for SPOOF) against stub endpoints on 127.0.0.1. The spoof test that sends
 real raw frames is skipped where raw sockets are unavailable; the spoof serve
-loop also runs against a recording stand-in for the raw socket.
+loop also runs against a recording stand-in for the raw socket. The stub
+name server answers searches only, as a stock IOC does over UDP.
 """
 
 import errno
@@ -18,14 +19,11 @@ import pytest
 from carelay.ca_wire import (
     SearchRequest,
     SearchResponse,
-    ValueExchange,
-    ValueExchangeKind,
-    decode_value_exchange,
     encode_search_datagram,
     encode_search_response_datagram,
-    encode_value_exchange,
     find_search_requests,
 )
+from carelay.cli import main
 from carelay.endpoints import ChannelTimeout, ClientQueryConfig, RealCaClient
 from carelay.packet import Cidr, decode
 from carelay.relay import (
@@ -63,22 +61,20 @@ def plain_udp_socket(ip: str = "127.0.0.1") -> socket.socket:
 
 
 class StubIoc:
-    """Minimal real-socket responder: search on one port, values on another."""
+    """Minimal real-socket name server: answers searches for its PVs with a
+    server port where nothing listens, as a stock IOC's data circuit is TCP."""
 
-    def __init__(self, pvs: dict):
-        self.pvs = dict(pvs)
-        self.search_sock = plain_udp_socket()
-        self.value_sock = plain_udp_socket()
+    SERVER_PORT = 5901
+
+    def __init__(self, pvs, ip: str = "127.0.0.1", advertise_own_address: bool = True):
+        self.pvs = set(pvs)
+        self.server_address = ip if advertise_own_address else None
+        self.search_sock = plain_udp_socket(ip)
         self.search_port = self.search_sock.getsockname()[1]
-        self.value_port = self.value_sock.getsockname()[1]
         self.seen_sources: list[tuple[str, int]] = []
         self._stop = threading.Event()
-        self._threads = [
-            threading.Thread(target=self._serve_search, daemon=True),
-            threading.Thread(target=self._serve_values, daemon=True),
-        ]
-        for t in self._threads:
-            t.start()
+        self._thread = threading.Thread(target=self._serve_search, daemon=True)
+        self._thread.start()
 
     def _serve_search(self) -> None:
         self.search_sock.settimeout(0.1)
@@ -90,109 +86,115 @@ class StubIoc:
             self.seen_sources.append(addr)
             for request in find_search_requests(data):
                 if request.pv_name in self.pvs:
-                    response = encode_search_response_datagram(
-                        SearchResponse(
-                            server_port=self.value_port,
-                            search_id=request.search_id,
-                            server_address="127.0.0.1",
-                        )
-                    )
-                    self.search_sock.sendto(response, addr)
+                    self.respond(request.search_id, addr)
 
-    def _serve_values(self) -> None:
-        self.value_sock.settimeout(0.1)
-        while not self._stop.is_set():
-            try:
-                data, addr = self.value_sock.recvfrom(65535)
-            except socket.timeout:
-                continue
-            msg = decode_value_exchange(data)
-            if msg.pv_name not in self.pvs:
-                continue
-            if msg.kind is ValueExchangeKind.READ_REQUEST:
-                reply = ValueExchange(
-                    ValueExchangeKind.READ_REPLY, msg.pv_name, msg.sequence, self.pvs[msg.pv_name]
-                )
-            elif msg.kind is ValueExchangeKind.WRITE_REQUEST:
-                self.pvs[msg.pv_name] = msg.value
-                reply = ValueExchange(ValueExchangeKind.WRITE_ACK, msg.pv_name, msg.sequence)
-            else:
-                continue
-            self.value_sock.sendto(encode_value_exchange(reply), addr)
+    def respond(self, search_id: int, addr) -> None:
+        response = SearchResponse(self.SERVER_PORT, search_id, server_address=self.server_address)
+        self.search_sock.sendto(encode_search_response_datagram(response), addr)
 
     def close(self) -> None:
         self._stop.set()
-        for t in self._threads:
-            t.join(timeout=2)
+        self._thread.join(timeout=2)
         self.search_sock.close()
-        self.value_sock.close()
 
 
 @pytest.fixture
 def stub_ioc():
-    ioc = StubIoc({"LOOP:PV": 42.5})
+    ioc = StubIoc({"LOOP:PV"})
     yield ioc
     ioc.close()
 
 
 class TestRealCaClient:
-    def test_caget_against_stub(self, stub_ioc):
+    def test_search_names_the_server_that_answers(self, stub_ioc):
         client = RealCaClient([("127.0.0.1", stub_ioc.search_port)], config=FAST_CLIENT)
-        assert client.caget("LOOP:PV") == 42.5
+        assert client.search("LOOP:PV") == ("127.0.0.1", StubIoc.SERVER_PORT)
+        assert len(stub_ioc.seen_sources) == 1
 
-    def test_caput_then_caget(self, stub_ioc):
-        client = RealCaClient([("127.0.0.1", stub_ioc.search_port)], config=FAST_CLIENT)
-        client.caput("LOOP:PV", -1.25)
-        assert client.caget("LOOP:PV") == -1.25
+    def test_searches_every_target_and_names_the_one_that_owns_the_pv(self, stub_ioc):
+        other = StubIoc({"OTHER:PV"}, ip="127.0.0.2")
+        try:
+            targets = [("127.0.0.2", other.search_port), ("127.0.0.1", stub_ioc.search_port)]
+            client = RealCaClient(targets, config=FAST_CLIENT)
+            assert client.search("LOOP:PV") == ("127.0.0.1", StubIoc.SERVER_PORT)
+            deadline = time.monotonic() + 1
+            while not other.seen_sources and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            other.close()
+        assert len(other.seen_sources) == 1
+        assert len(stub_ioc.seen_sources) == 1
 
-    def test_zero_is_a_value(self, stub_ioc):
-        client = RealCaClient([("127.0.0.1", stub_ioc.search_port)], config=FAST_CLIENT)
-        client.caput("LOOP:PV", 0.0)
-        assert client.caget("LOOP:PV") == 0.0
+    def test_a_response_without_an_address_names_its_source(self):
+        ioc = StubIoc({"LOOP:PV"}, ip="127.0.0.2", advertise_own_address=False)
+        try:
+            client = RealCaClient([("127.0.0.2", ioc.search_port)], config=FAST_CLIENT)
+            assert client.search("LOOP:PV") == ("127.0.0.2", StubIoc.SERVER_PORT)
+        finally:
+            ioc.close()
 
     def test_unknown_pv_times_out_with_message(self, stub_ioc):
         client = RealCaClient([("127.0.0.1", stub_ioc.search_port)], config=FAST_CLIENT)
         with pytest.raises(ChannelTimeout) as excinfo:
-            client.caget("MISSING:PV")
+            client.search("MISSING:PV")
         assert str(excinfo.value) == "Channel connect timed out: 'MISSING:PV' not found."
+        assert len(stub_ioc.seen_sources) == FAST_CLIENT.max_tries
 
-    def test_unanswered_value_request_names_the_server_that_answered_the_search(self):
-        # A stock IOC answers the search but not the framed value request;
-        # that used to read as "not found".
-        class SearchOnlyIoc(StubIoc):
-            def _serve_values(self) -> None:
-                pass
+    def test_only_a_response_to_this_search_resolves_it(self):
+        # Ahead of the answer come a datagram that does not decode and a
+        # response to another search, which names another port.
+        class NoisyIoc(StubIoc):
+            def respond(self, search_id, addr):
+                self.search_sock.sendto(b"\x00\x02", addr)  # shorter than a CA header
+                stale = SearchResponse(1, search_id + 1, server_address=self.server_address)
+                self.search_sock.sendto(encode_search_response_datagram(stale), addr)
+                super().respond(search_id, addr)
 
-        ioc = SearchOnlyIoc({"LOOP:PV": 42.5})
-        quick = ClientQueryConfig(initial_retry_s=0.05, backoff_factor=2.0, max_tries=2, total_timeout_s=0.2)
+        ioc = NoisyIoc({"LOOP:PV"})
         try:
-            client = RealCaClient([("127.0.0.1", ioc.search_port)], config=quick)
-            with pytest.raises(ChannelTimeout) as excinfo:
-                client.caget("LOOP:PV")
+            client = RealCaClient([("127.0.0.1", ioc.search_port)], config=FAST_CLIENT)
+            assert client.search("LOOP:PV") == ("127.0.0.1", StubIoc.SERVER_PORT)
+            assert client.search("LOOP:PV") == ("127.0.0.1", StubIoc.SERVER_PORT)
         finally:
             ioc.close()
-        assert str(excinfo.value) == f"'LOOP:PV' found at 127.0.0.1:{ioc.value_port} but no value reply"
+        assert len(ioc.seen_sources) == 2
 
-    def test_a_value_reply_that_does_not_decode_leaves_the_exchange_open(self):
-        class GarblingIoc(StubIoc):
-            def _serve_values(self) -> None:
-                self.value_sock.settimeout(0.1)
-                while not self._stop.is_set():
-                    try:
-                        _, addr = self.value_sock.recvfrom(65535)
-                    except socket.timeout:
-                        continue
-                    self.value_sock.sendto(b"\x00\x02", addr)  # shorter than the frame header
+    def test_an_unanswered_search_is_sent_again(self):
+        class DeafOnceIoc(StubIoc):
+            def respond(self, search_id, addr):
+                if len(self.seen_sources) > 1:
+                    super().respond(search_id, addr)
 
-        ioc = GarblingIoc({"LOOP:PV": 42.5})
-        quick = ClientQueryConfig(initial_retry_s=0.05, backoff_factor=2.0, max_tries=2, total_timeout_s=0.2)
+        ioc = DeafOnceIoc({"LOOP:PV"})
         try:
-            client = RealCaClient([("127.0.0.1", ioc.search_port)], config=quick)
-            with pytest.raises(ChannelTimeout) as excinfo:
-                client.caget("LOOP:PV")
+            client = RealCaClient([("127.0.0.1", ioc.search_port)], config=FAST_CLIENT)
+            assert client.search("LOOP:PV") == ("127.0.0.1", StubIoc.SERVER_PORT)
         finally:
             ioc.close()
-        assert str(excinfo.value) == f"'LOOP:PV' found at 127.0.0.1:{ioc.value_port} but no value reply"
+        assert len(ioc.seen_sources) == 2
+
+
+class TestRealCaget:
+    def test_prints_the_server_found_well_before_the_timeout(self, stub_ioc, capsys):
+        # It used to wait out total_timeout for a value reply that a stock IOC never sends.
+        started = time.monotonic()
+        code = main(["caget", "LOOP:PV", "--transport", "real", "--target", f"127.0.0.1:{stub_ioc.search_port}"])
+        elapsed = time.monotonic() - started
+        assert code == 0
+        assert capsys.readouterr().out == f"LOOP:PV found at 127.0.0.1:{StubIoc.SERVER_PORT}\n"
+        assert elapsed < ClientQueryConfig().total_timeout_s / 5
+
+    def test_a_name_no_server_owns_exits_one(self, stub_ioc, capsys, tmp_path):
+        config = tmp_path / "client.yaml"
+        config.write_text("client:\n  initial_retry: 0.02\n  max_tries: 2\n  total_timeout: 0.1\n")
+        code = main([
+            "caget", "MISSING:PV", "--transport", "real", "--target", f"127.0.0.1:{stub_ioc.search_port}",
+            "--config", str(config),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "Channel connect timed out: 'MISSING:PV' not found.\n"
 
 
 def test_bind_conflict_reports_transport_unavailable():
@@ -254,7 +256,7 @@ class TestRealProxyRelay:
         stop, thread = serve_in_thread(relay)
         try:
             client = RealCaClient([("127.0.0.1", config.listen_port)], config=FAST_CLIENT)
-            assert client.caget("LOOP:PV") == 42.5
+            assert client.search("LOOP:PV") == ("127.0.0.1", StubIoc.SERVER_PORT)
             # The stub saw the relay's flow port, not the client.
             assert all(addr[0] == "127.0.0.1" for addr in stub_ioc.seen_sources)
             assert relay.counters.relayed >= 1
@@ -629,14 +631,14 @@ class TestRealSpoofRelay:
         try:
             client = RealCaClient([("127.0.0.1", config.listen_port)], config=FAST_CLIENT)
             # The search goes to the relay, which re-emits it with the
-            # client's source; the stub answers the client directly and the
-            # value read proceeds without the relay in the path.
-            assert client.caget("LOOP:PV") == 42.5
+            # client's source; the stub answers the client directly.
+            assert client.search("LOOP:PV") == ("127.0.0.1", StubIoc.SERVER_PORT)
             deadline = time.monotonic() + 1
             while not stub_ioc.seen_sources and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert stub_ioc.seen_sources, "stub never saw the relayed search"
             assert relay.counters.relayed >= 1
+            assert relay.counters.replies_forwarded == 0  # the answer bypasses the relay
         finally:
             stop.set()
             thread.join(timeout=3)

@@ -73,7 +73,7 @@ class TestClassify:
 
     @given(
         st.integers(min_value=0, max_value=0xFFFFFFFF),
-        st.one_of(st.none(), prefix),
+        prefix,
         st.lists(prefix, max_size=3),
         st.sampled_from((6064, 5064)) | st.integers(min_value=1, max_value=65535),
     )
@@ -86,17 +86,17 @@ class TestClassify:
             addr = src ^ (1 << (32 - plen)) if miss and plen else src
             return ipaddress.ip_network(f"{int_to_ip(addr)}/{plen}", strict=False)
 
-        local = None if local_spec is None else around(*local_spec)
+        local = around(*local_spec)
         allow = [around(*spec) for spec in allow_specs]
         config = RelayConfig(
             target_broadcast="255.255.255.255",
-            local_subnet=None if local is None else Cidr.parse(str(local)),
+            local_subnet=Cidr.parse(str(local)),
             allow_sources=tuple(Cidr.parse(str(net)) for net in allow),
         )
         ip = ipaddress.ip_address(src)
         if dst_port != config.listen_port:
             expected = Verdict.DROP_PORT_MISMATCH
-        elif local is not None and ip in local:
+        elif ip in local:
             expected = Verdict.DROP_LOCAL_SOURCE
         elif allow and not any(ip in net for net in allow):
             expected = Verdict.DROP_NOT_ALLOWED
@@ -111,7 +111,7 @@ class TestClassify:
         ]
         twin = RelayConfig(**{f.name: getattr(PAPER_CONFIG, f.name) for f in dataclasses.fields(RelayConfig)})
         assert twin == PAPER_CONFIG and hash(twin) == hash(PAPER_CONFIG)
-        assert twin != dataclasses.replace(PAPER_CONFIG, local_subnet=None)
+        assert twin != dataclasses.replace(PAPER_CONFIG, local_subnet=SOL)
         assert repr(PAPER_CONFIG) == (
             "RelayConfig(target_broadcast='255.255.255.255', listen_port=6064, target_port=5064, "
             "allow_sources=(Cidr(base_ip='10.2.105.0', prefix_len=24),), "
@@ -123,7 +123,7 @@ class TestClassify:
         swapped = dataclasses.replace(PAPER_CONFIG, local_subnet=SOL, allow_sources=(BEAMLINE,))
         assert classify(query_packet(), swapped) is Verdict.DROP_LOCAL_SOURCE
         assert classify(query_packet(src_ip="10.2.1.5"), swapped) is Verdict.ACCEPT
-        open_config = dataclasses.replace(PAPER_CONFIG, local_subnet=None, allow_sources=())
+        open_config = dataclasses.replace(PAPER_CONFIG, local_subnet=Cidr("192.0.2.0", 24), allow_sources=())
         assert classify(query_packet(src_ip="10.2.1.5"), open_config) is Verdict.ACCEPT
 
 
@@ -512,11 +512,11 @@ class TestCountersConservation:
 class TestRelayConfigValidation:
     def test_listen_equals_target_rejected(self):
         with pytest.raises(ValueError):
-            RelayConfig(target_broadcast="255.255.255.255", listen_port=5064, target_port=5064)
+            RelayConfig(target_broadcast="255.255.255.255", listen_port=5064, target_port=5064, local_subnet=BEAMLINE)
 
     def test_port_range(self):
         with pytest.raises(ValueError):
-            RelayConfig(target_broadcast="255.255.255.255", listen_port=0)
+            RelayConfig(target_broadcast="255.255.255.255", listen_port=0, local_subnet=BEAMLINE)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -525,34 +525,37 @@ class TestRelayConfigValidation:
             ("flow_idle_timeout_s", math.nan),
             ("target_broadcast", "999.1.1.1"),
             ("target_broadcast", "relay.example"),
+            ("target_broadcast", "10.2.511"),
         ],
     )
     def test_values_the_relay_cannot_serve_rejected(self, field, value):
         # An infinite or NaN timeout ended the relay at its first expiry
-        # tick, and a target encode cannot convert at its first search.
+        # tick, and a target encode cannot convert at its first search. A
+        # short form converts, but names no interface of the simulated network.
         with pytest.raises(ValueError, match=field.removesuffix("_s")):
-            RelayConfig(**{"target_broadcast": "255.255.255.255", field: value})
+            RelayConfig(**{"target_broadcast": "255.255.255.255", "local_subnet": BEAMLINE, field: value})
 
     @pytest.mark.parametrize(
         "field, value",
         [
             ("local_subnet", "10.0.0.0/8"),
+            ("local_subnet", None),
             ("allow_sources", ("10.2.105.0/24",)),
             ("allow_sources", (SOL, "10.2.105.0/24")),
             ("allow_sources", "10.2.105.0/24"),
             ("allow_sources", ""),
         ],
-        ids=["subnet-string", "string-item", "mixed-items", "bare-string", "empty-string"],
+        ids=["subnet-string", "subnet-none", "string-item", "mixed-items", "bare-string", "empty-string"],
     )
     def test_prefixes_must_be_cidrs(self, field, value):
         # A string prefix used to fail on its first use with an AttributeError
         # that named no field.
         with pytest.raises(InvalidRelayConfig, match=field) as excinfo:
-            RelayConfig(**{"target_broadcast": "1.2.3.4", field: value})
+            RelayConfig(**{"target_broadcast": "1.2.3.4", "local_subnet": BEAMLINE, field: value})
         assert excinfo.value.field == field
 
     def test_defaults_match_documented_values(self):
-        config = RelayConfig(target_broadcast="255.255.255.255")
+        config = RelayConfig(target_broadcast="255.255.255.255", local_subnet=BEAMLINE)
         assert config.listen_port == 6064
         assert config.target_port == 5064
         assert config.flow_idle_timeout_s == 30.0
@@ -578,13 +581,6 @@ class TestRealTransportPrivilege:
         assert "proxy" in str(excinfo.value)
 
     def test_spoof_without_local_subnet_rejected_before_any_socket(self):
-        created = []
-
-        def factory(*args):
-            created.append(args)
-            raise AssertionError("no socket may be created")
-
-        config = RelayConfig(target_broadcast="255.255.255.255", listen_port=16064, target_port=15064)
-        with pytest.raises(ValueError, match="local_subnet"):
-            RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
-        assert created == []
+        # The loop guard is a required field: no config, so no transport, lacks it.
+        with pytest.raises(TypeError, match="local_subnet"):
+            RelayConfig(target_broadcast="255.255.255.255", listen_port=16064, target_port=15064)
