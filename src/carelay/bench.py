@@ -24,7 +24,9 @@ import functools
 import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
+from .ca_wire import new_record
 from .config import ExpectedOutcome, Scenario, config_from_mapping, load_yaml
 from .endpoints import CaClient, IocSim
 from .netsim import Interface, VirtualHost, VirtualNetwork, VirtualTopology
@@ -47,8 +49,7 @@ MIN_BENCH_REPETITIONS = 30
 BENCH_JITTER_US = 10
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     scenario: str
     arm: str
     query: str
@@ -164,9 +165,8 @@ def execute_scenario(scenario: Scenario, arm: str | None = None) -> ScenarioRun:
                 client = CaClient(net, query.client_host, config=scenario.client_config)
                 clients[query.client_host] = client
             result = client.query(query.pv_name)
-            report.samples.append(
-                Sample(scenario.name, arm_name, query.pv_name, result.outcome, result.latency_us)
-            )
+            sample = (scenario.name, arm_name, query.pv_name, result.outcome, result.latency_us)
+            report.samples.append(new_record(Sample, sample))
             if not _matches(query.expected, result.timed_out, result.value):
                 report.mismatches.append(
                     f"{arm_name}/{query.pv_name}: expected {query.expected}, got {result.outcome}"

@@ -8,7 +8,9 @@ it, so the ``ValueExchange`` records of the simulated circuit have no wire
 form: the network hands them to the IOC as they are.
 
 Messages are plain records (``NamedTuple``); a malformed datagram raises a
-``CaWireError`` on decode.
+``CaWireError`` on decode. The finders build records positionally
+(``new_record``, that is ``tuple.__new__``), each encoder packs its datagram
+with one ``struct.Struct``, and callers look both finders up here per call.
 
 Header layout (all big-endian):
 
@@ -44,6 +46,12 @@ CMD_SEARCH = 6
 USE_PACKET_SOURCE = 0xFFFFFFFF
 
 _HDR = struct.Struct(">HHHHII")
+# A version message and one search with a ``size``-byte payload, by size; ``s`` pads the name with NULs.
+_SEARCH_DATAGRAMS = {size: struct.Struct(f">HHHHIIHHHHII{size}s") for size in range(8, MAX_PV_NAME + 8, 8)}
+# A version message and one search response, whose payload is the minor version padded to 8 bytes.
+_SEARCH_RESPONSE_DATAGRAM = struct.Struct(">HHHHIIHHHHIIH6x")
+
+new_record = tuple.__new__  # new_record(SearchRequest, fields): a record from all its fields, without its ``__new__``
 
 
 class CaWireError(Exception):
@@ -82,10 +90,6 @@ class SearchResponse(NamedTuple):
     server_address: str | None = None
 
 
-def _version_message(minor_version: int) -> bytes:
-    return _HDR.pack(CMD_VERSION, 0, 0, minor_version, 0, 0)
-
-
 def check_pv_name(name: str) -> str:
     """The name, if a search can carry it: non-empty, NUL-free ASCII of at most ``MAX_PV_NAME`` characters."""
     if not name or "\x00" in name or not name.isascii():
@@ -102,20 +106,21 @@ def encode_search_datagram(req: SearchRequest) -> bytes:
     multiple of 8, so a name of up to 7 characters yields a 40-byte datagram
     and typical 10/11-character names yield 48 bytes.
     """
-    payload = check_pv_name(req.pv_name).encode("ascii") + b"\x00"
-    payload += bytes(-len(payload) % 8)
-    header = _HDR.pack(
-        CMD_SEARCH, len(payload), req.reply_flag, req.minor_version, req.search_id, req.search_id
+    pv_name, search_id, reply_flag, minor_version = req
+    name = check_pv_name(pv_name).encode("ascii")
+    size = (len(name) + 8) & ~7  # the name, its NUL, and padding to a multiple of 8
+    return _SEARCH_DATAGRAMS[size].pack(
+        CMD_VERSION, 0, 0, minor_version, 0, 0, CMD_SEARCH, size, reply_flag, minor_version, search_id, search_id, name
     )
-    return _version_message(req.minor_version) + header + payload
 
 
 def encode_search_response_datagram(resp: SearchResponse) -> bytes:
     """Version message plus search response; always exactly 40 bytes."""
-    param1 = USE_PACKET_SOURCE if resp.server_address is None else ip_to_int(resp.server_address)
-    header = _HDR.pack(CMD_SEARCH, 8, resp.server_port, 0, param1, resp.search_id)
-    payload = struct.pack(">H", resp.server_minor_version) + b"\x00" * 6
-    return _version_message(resp.server_minor_version) + header + payload
+    server_port, search_id, minor_version, server_address = resp
+    param1 = USE_PACKET_SOURCE if server_address is None else ip_to_int(server_address)
+    return _SEARCH_RESPONSE_DATAGRAM.pack(
+        CMD_VERSION, 0, 0, minor_version, 0, 0, CMD_SEARCH, 8, server_port, 0, param1, search_id, minor_version
+    )
 
 
 # Requests carry the reply flag in data_type; responses carry the server port
@@ -167,7 +172,7 @@ def find_search_requests(data: bytes) -> list[SearchRequest]:
             name = payload.split(b"\x00", 1)[0].decode("ascii")
         except UnicodeDecodeError as exc:
             raise CaWireError(f"search name is not ASCII: {exc}") from exc
-        requests.append(SearchRequest(name, search_id, flag, minor))
+        requests.append(new_record(SearchRequest, (name, search_id, flag, minor)))
     if type(data) is bytes:
         _last_parsed = (data, tuple(requests))
     return requests
@@ -179,7 +184,7 @@ def find_search_response(data: bytes) -> SearchResponse | None:
         if flag is None:
             minor = struct.unpack_from(">H", payload)[0] if payload else 0
             address = None if param1 == USE_PACKET_SOURCE else int_to_ip(param1)
-            return SearchResponse(server_port, search_id, minor, address)
+            return new_record(SearchResponse, (server_port, search_id, minor, address))
     return None
 
 

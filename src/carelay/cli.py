@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="real: only resolve the name, and print the server that answers")
             client_p.add_argument("--target", metavar="IP:PORT", action="append", default=None,
                                   help="real transport search target (repeatable)")
-        client_p.add_argument("--seed", type=int, default=0, help="sim transport network seed")
+        client_p.add_argument("--seed", type=int, default=None, help="sim transport network seed (default 0)")
         client_p.set_defaults(func=cmd_client)
 
     return parser
@@ -248,14 +248,18 @@ def cmd_client(args) -> int:
     write_value = getattr(args, "value", None)
     config = _load_config(args, required=args.transport == "sim")
     try:
-        if args.transport == "real":
+        if args.transport == "real":  # a name search on real sockets: nothing of the simulated network applies
+            if args.seed is not None:
+                raise ConfigError("--seed seeds the simulated network, which caget --transport real does not use")
+            if config.client_host is not None:
+                raise ValidationError("client.host", "only the sim transport reads this key, not --transport real")
             targets = [("255.255.255.255", CA_SERVER_PORT)]
             if args.target:
                 targets = [address_and_port(t, "--target") for t in args.target]
             server_ip, server_port = RealCaClient(targets, config=config.client).search(args.pv)
             print(f"{args.pv} found at {server_ip}:{server_port}")
             return EXIT_OK
-        scenario = config.scenario("config", args.seed, repetitions=1)
+        scenario = config.scenario("config", args.seed or 0, repetitions=1)
         if config.client_host is None:
             raise ConfigError("sim transport needs client.host in the config")
         net, _ = build_network(scenario)

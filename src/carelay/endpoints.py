@@ -9,7 +9,11 @@ reference to its network, and a network without a relay is freed by
 reference count once it is dropped. The CaClient broadcasts searches with a
 doubling retry schedule and turns the first response into one read or one
 write; each query is one ``_Query`` record, whose bound methods are the
-network's callbacks, so a finished query is freed by reference count.
+network's callbacks, so a finished query is freed by reference count. A
+client builds its retry schedule once, a query's records are built
+positionally (``ca_wire.new_record``) and its objects have ``__slots__``;
+``CaClient.query``, ``IocSim.on_search_datagram`` and the ``ca_wire`` finders,
+looked up on their module, stay one call each, as perfbench wraps them.
 
 RealCaClient runs the same search schedule over real UDP sockets and stops
 at the first response: the name-resolution phase is all the relay carries.
@@ -25,11 +29,8 @@ from itertools import accumulate
 
 from . import ca_wire
 from .ca_wire import (
-    CA_SERVER_PORT,
-    SearchRequest,
-    SearchResponse,
-    ValueExchange,
-    ValueExchangeKind,
+    CA_SERVER_PORT, DEFAULT_MINOR_VERSION, ReplyFlag, SearchRequest, SearchResponse, ValueExchange, ValueExchangeKind,
+    new_record,
 )
 from .netsim import ChannelRefused, Delivery, VirtualNetwork
 from .packet import Ipv4UdpPacket, udp_packet
@@ -85,8 +86,8 @@ def _server_of(payload: bytes, source_ip: str, search_id: int) -> tuple[str, int
 def _value_request(pv_name: str, sequence: int, write_value: float | None) -> ValueExchange:
     """The READ request, or the WRITE request with the value as a float."""
     if write_value is None:
-        return ValueExchange(ValueExchangeKind.READ_REQUEST, pv_name, sequence)
-    return ValueExchange(ValueExchangeKind.WRITE_REQUEST, pv_name, sequence, float(write_value))
+        return new_record(ValueExchange, (ValueExchangeKind.READ_REQUEST, pv_name, sequence, None))
+    return new_record(ValueExchange, (ValueExchangeKind.WRITE_REQUEST, pv_name, sequence, float(write_value)))
 
 
 def _reply_value(reply: ValueExchange, pv_name: str, sequence: int, write_value: float | None) -> float | None:
@@ -127,13 +128,9 @@ class IocSim:
         del source_addr  # the response goes back however the caller addresses it
         for request in ca_wire.find_search_requests(data):
             if request.pv_name in self.pvs:
-                return ca_wire.encode_search_response_datagram(
-                    SearchResponse(
-                        server_port=self.server_port,
-                        search_id=request.search_id,
-                        server_address=self.host_ip if self.advertise_own_address else None,
-                    )
-                )
+                address = self.host_ip if self.advertise_own_address else None
+                fields = (self.server_port, request.search_id, DEFAULT_MINOR_VERSION, address)
+                return ca_wire.encode_search_response_datagram(new_record(SearchResponse, fields))
         return None
 
     def _on_delivery(self, delivery: Delivery) -> Ipv4UdpPacket | None:
@@ -151,17 +148,18 @@ class IocSim:
 
     def _on_channel_message(self, msg: ValueExchange) -> ValueExchange | None:
         """The reply to a ``_value_request`` record, or None for a PV this IOC does not own."""
-        if msg.pv_name not in self.pvs:
+        kind, pv_name, sequence, value = msg
+        if pv_name not in self.pvs:
             return None
-        if msg.kind is ValueExchangeKind.READ_REQUEST:
+        if kind is ValueExchangeKind.READ_REQUEST:
             self.reads_served += 1
-            return ValueExchange(ValueExchangeKind.READ_REPLY, msg.pv_name, msg.sequence, self.pvs[msg.pv_name])
+            return new_record(ValueExchange, (ValueExchangeKind.READ_REPLY, pv_name, sequence, self.pvs[pv_name]))
         self.writes_served += 1
-        self.pvs[msg.pv_name] = msg.value
-        return ValueExchange(ValueExchangeKind.WRITE_ACK, msg.pv_name, msg.sequence)
+        self.pvs[pv_name] = value
+        return new_record(ValueExchange, (ValueExchangeKind.WRITE_ACK, pv_name, sequence, None))
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     pv_name: str
     value: float | None = None
@@ -184,6 +182,8 @@ class _Query:
     """One query in flight: it owns its QueryResult, and its bound methods are
     the network's callbacks for its searches, give-up, responses and reply."""
 
+    __slots__ = ("client", "write_value", "search_id", "result", "search", "sequence", "resolved", "done")
+
     def __init__(
         self, client: "CaClient", pv_name: str, write_value: float | None, search_id: int, port: int
     ) -> None:
@@ -191,7 +191,8 @@ class _Query:
         self.write_value = write_value
         self.search_id = search_id
         self.result = QueryResult(pv_name, started_us=client.net.now_us)
-        datagram = ca_wire.encode_search_datagram(SearchRequest(pv_name, search_id))
+        request = new_record(SearchRequest, (pv_name, search_id, ReplyFlag.DONT_REPLY, DEFAULT_MINOR_VERSION))
+        datagram = ca_wire.encode_search_datagram(request)
         self.search = udp_packet(client.host_ip, client._broadcast_ip, port, CA_SERVER_PORT, datagram)
         self.sequence = 0  # the value request's, once the search has resolved
         self.resolved = False
@@ -267,11 +268,11 @@ class CaClient:
         self._next_ephemeral = FIRST_EPHEMERAL_PORT
         self._next_search_id = 1
         self._next_sequence = 1
-        # Each send's offset from the query's start, and the search deadline's.
+        # Each send's offset from the query's start, and the search deadline's: a query's timers (``call_in_turn``).
         offsets = [0, *accumulate(self.config.wait_schedule_us())]
-        self._send_offsets_us = offsets[:-1]
         self._deadline_us = min(offsets[-1], round(self.config.total_timeout_s * 1e6))
         self._run_cap_us = self._deadline_us + 2 * offsets[-1] + 1_000_000
+        self._timers = (*((offset, _Query.send_search) for offset in offsets[:-1]), (self._deadline_us, _Query.give_up))
 
     # -- public operations ------------------------------------------------------
 
@@ -298,10 +299,7 @@ class CaClient:
         deadline = started + self._deadline_us
         # Each retry is queued when the one before it fires, and the give-up
         # after the last retry; the first answer ends the chain.
-        drop_timer = self.net.call_in_turn(
-            [*((started + offset, query.send_search) for offset in self._send_offsets_us),
-             (deadline, query.give_up)]
-        )
+        drop_timer = self.net.call_in_turn(started, self._timers, query)
 
         self.net.run_until(query.is_done, cap_us=started + self._run_cap_us)
         drop_timer()

@@ -46,10 +46,12 @@ on one topology share no bindings. One packet's arrival at one host is one
 event, however many bindings it is handed to: they share its time and take
 their turns in bind order, each turn a constant amount of work. A node keeps
 its bindings by port, in bind order, so the last binder is the last entry of
-one list; hops build their packets positionally (``packet.new_packet``); timers
-such as a client's search retries are queued one at a time (``call_in_turn``),
-so an answered query leaves none behind; and all IOCs handed one broadcast
-share one parse of it (``ca_wire.find_search_requests``).
+one list; hops build their packets and deliveries positionally (``new_record``);
+a client's search retries are queued one at a time from a list it builds once
+(``call_in_turn``), so an answered query leaves none behind; each way of a
+data-circuit request is one queued ``partial``; all IOCs handed one broadcast
+share one parse of it (``ca_wire.find_search_requests``); and every event
+fires through ``_step``, which perfbench wraps to count events.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from functools import partial
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .packet import Cidr, Ipv4UdpPacket, new_packet
+
+new_record = tuple.__new__  # new_record(Delivery, fields): a record from all its fields, without its ``__new__``
 
 LIMITED_BROADCAST = "255.255.255.255"
 
@@ -132,7 +137,7 @@ class PreroutingRule:
         return self.negate_src is None or not self.negate_src.contains(packet.src_ip)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SocketBinding:
     """One socket bound to a port; bindings compare by identity, as sockets do."""
 
@@ -168,6 +173,13 @@ class _Node:
     first_domain: str = ""  # its first interface's, for any other source, such as a spoofed one
 
 
+class _Nodes(dict):
+    """Nodes by host name; a name no host has raises ``UnknownHost``."""
+
+    def __missing__(self, name: str) -> _Node:
+        raise UnknownHost(name)
+
+
 def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict]:
     """One pass that refuses, as ``InvalidTopology``, a topology the network
     cannot describe, and builds one ``_Node`` per host, with domains named by
@@ -182,7 +194,7 @@ def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict]:
             raise InvalidTopology(f"domains[{i}].name", f"duplicate domain name {domain.name!r}")
         domain_of_subnet[domain.subnet] = domain.name
         nodes_in_domain[domain.name] = []
-    nodes: dict[str, _Node] = {}
+    nodes = _Nodes()
     node_of_ip: dict[str, _Node] = {}
     for i, host in enumerate(topology.hosts):
         if host.name in nodes:
@@ -245,21 +257,24 @@ _TIMER = 1
 
 
 class _CallsInTurn:
-    """``(time_us, fn)`` calls in time order, each queued when the one before
-    fires and returns true; ``cancel`` removes the one still queued. Sequence
-    numbers are reserved up front, so each call breaks ties with other events
-    as if all were queued at once. The chain is its own queued timer, so no
+    """``(offset_us, fn)`` calls, each made as ``fn(arg)`` at ``start_us +
+    offset_us`` in the order given, and queued when the one before fires and
+    returns true; ``cancel`` removes the one still queued. Sequence numbers
+    are reserved up front, so each call breaks ties with other events as if
+    all were queued at once. The chain is its own queued timer, so no
     reference cycle outlives its last queued call.
     """
 
-    def __init__(self, net: "VirtualNetwork", calls: list[tuple[int, Callable[[], bool]]]) -> None:
-        self._net, self._calls, self._entry = net, calls, None
+    __slots__ = ("_net", "_start_us", "_calls", "_arg", "_first_seq", "_i", "_entry")
+
+    def __init__(self, net: "VirtualNetwork", start_us: int, calls: Sequence[tuple[int, Callable]], arg: Any) -> None:
+        self._net, self._start_us, self._calls, self._arg, self._entry = net, start_us, calls, arg, None
         self._first_seq = net._seq + 1
         net._seq += len(calls)
         self._queue(0)
 
     def _queue(self, i: int) -> None:
-        time_us = self._calls[i][0]
+        time_us = self._start_us + self._calls[i][0]
         if time_us < self._net.now_us:
             raise ValueError(f"cannot schedule at {time_us} before now {self._net.now_us}")
         self._i, self._entry = i, (time_us, self._first_seq + i, _TIMER, self)
@@ -267,7 +282,7 @@ class _CallsInTurn:
 
     def __call__(self) -> None:
         i, self._entry = self._i, None
-        if self._calls[i][1]() and i + 1 < len(self._calls):
+        if self._calls[i][1](self._arg) and i + 1 < len(self._calls):
             self._queue(i + 1)
 
     def cancel(self) -> None:
@@ -297,13 +312,7 @@ class VirtualNetwork:
     # -- hosts and addressing -------------------------------------------------
 
     def host(self, name: str) -> VirtualHost:
-        return self._node(name).host
-
-    def _node(self, name: str) -> _Node:
-        try:
-            return self._nodes[name]
-        except KeyError:
-            raise UnknownHost(name) from None
+        return self._nodes[name].host
 
     def _hop_delay_us(self, src: _Node, dst: _Node) -> int:
         """The one unicast hop rule (module docstring, rule 4), for datagrams and the data circuit."""
@@ -330,12 +339,12 @@ class VirtualNetwork:
     ) -> SocketBinding:
         """Append a binding; several owners may share one port. A packet the callback returns is sent from its host."""
         binding = SocketBinding(port, owner, callback)
-        self._node(host_name).ports.setdefault(port, []).append(binding)
+        self._nodes[host_name].ports.setdefault(port, []).append(binding)
         return binding
 
     def unbind(self, host_name: str, binding: SocketBinding) -> None:
         """Close the binding: deliveries already queued to it are logged, but its callback is not called."""
-        ports = self._node(host_name).ports
+        ports = self._nodes[host_name].ports
         on_port = ports[binding.port]
         on_port.remove(binding)
         if not on_port:
@@ -353,15 +362,15 @@ class VirtualNetwork:
     def call_later(self, delta_us: int, fn: Callable[[], None]) -> None:
         self.call_at(self.now_us + delta_us, fn)
 
-    def call_in_turn(self, calls: list[tuple[int, Callable[[], bool]]]) -> Callable[[], None]:
-        """Queue the calls as a ``_CallsInTurn`` chain; returns its ``cancel``."""
-        return _CallsInTurn(self, calls).cancel
+    def call_in_turn(self, start_us: int, calls: Sequence[tuple[int, Callable]], arg: Any) -> Callable[[], None]:
+        """Queue the calls, a list a caller can build once, as a ``_CallsInTurn`` chain; returns its ``cancel``."""
+        return _CallsInTurn(self, start_us, calls, arg).cancel
 
     # -- packet routing -------------------------------------------------------
 
     def inject(self, source_host: str, packet: Ipv4UdpPacket) -> list[Delivery]:
         """Submit a packet now; returns the deliveries it scheduled, queued as one event per host arrival."""
-        sender = self._node(source_host)
+        sender = self._nodes[source_host]
         at, dst_ip = self.now_us, packet.dst_ip
         if dst_ip == LIMITED_BROADCAST:
             domain = sender.domain_of_ip.get(packet.src_ip, sender.first_domain)
@@ -395,7 +404,7 @@ class VirtualNetwork:
             on_port = node.ports.get(dst_port)
             if on_port:
                 host_name = node.host.name
-                out.append([Delivery(due, host_name, binding, packet, dst_ip, dst_port) for binding in on_port])
+                out.append([new_record(Delivery, (due, host_name, b, packet, dst_ip, dst_port)) for b in on_port])
         return out
 
     def _route_helper_copies(self, packet: Ipv4UdpPacket, domain: str, at: int) -> list[list[Delivery]]:
@@ -420,7 +429,7 @@ class VirtualNetwork:
                 # The rewrite only makes this machine accept the packet on every
                 # local binding; nothing goes back onto the wire.
                 on_port = ports.get(packet.dst_port, ())
-                return [Delivery(due, host.name, b, packet, wire_dst_ip, wire_dst_port) for b in on_port]
+                return [new_record(Delivery, (due, host.name, b, packet, wire_dst_ip, wire_dst_port)) for b in on_port]
             next_node = self._node_of_ip[rule.new_dst_ip]
             if next_node is not node:
                 # Rewrite toward another machine: forward it, spending a hop and TTL.
@@ -432,7 +441,7 @@ class VirtualNetwork:
         on_port = ports.get(packet.dst_port)
         if not on_port:
             return []
-        return [Delivery(due, host.name, on_port[-1], packet, wire_dst_ip, wire_dst_port)]
+        return [new_record(Delivery, (due, host.name, on_port[-1], packet, wire_dst_ip, wire_dst_port))]
 
     # -- data circuit ---------------------------------------------------------
 
@@ -454,14 +463,18 @@ class VirtualNetwork:
             serve, server = self._channel_listeners[(server_ip, server_port)]
         except KeyError:
             raise ChannelRefused(f"nothing listening at {server_ip}:{server_port}") from None
-        client = self._node(client_host)
+        client = self._nodes[client_host]
+        self._seq += 1
+        arrive = partial(self._serve, serve, message, server, client, on_reply)
+        heapq.heappush(self._queue, (self.now_us + self._hop_delay_us(client, server), self._seq, _TIMER, arrive))
 
-        def arrive() -> None:
-            reply = serve(message)
-            if reply is not None:
-                self.call_later(self._hop_delay_us(server, client), lambda: on_reply(reply))
-
-        self.call_later(self._hop_delay_us(client, server), arrive)
+    def _serve(self, serve: Callable, message: object, server: _Node, client: _Node, on_reply: Callable) -> None:
+        """A request's arrival, queued by ``request`` as it is sent; its reply, if any, goes back the same way."""
+        reply = serve(message)
+        if reply is not None:
+            self._seq += 1
+            due = self.now_us + self._hop_delay_us(server, client)
+            heapq.heappush(self._queue, (due, self._seq, _TIMER, partial(on_reply, reply)))
 
     # -- clock ----------------------------------------------------------------
 

@@ -28,6 +28,9 @@ REFERENCE_DIGEST = (
 )
 # sha256 of `carelay bench --reps 100 --seed 1` in text format.
 BENCH_TEXT_REPS100_SEED1_SHA256 = "44ac2d2bc71476ea3f5b29a1a8c99ee9460d1f7c938a88704c9e796f24ffec9e"
+# sha256 of `run_benchmark(repetitions=30, seed=7)` in records format, the
+# benchmark that each round of perfbench's sim_paper workload runs at its seed 7.
+BENCH_RECORDS_REPS30_SEED7_SHA256 = "56a80e89d62c6389b145637e5831087d9e4d1b1191d20db5d4ed0d6c0a42644f"
 
 # Hop counts on the shipped topology, worked out from the routing rules
 # before running anything: DIRECT pays broadcast + response + read request +
@@ -207,6 +210,10 @@ class TestDeterminism:
         text = emit_report(run_benchmark(repetitions=100, seed=1), "text")
         assert hashlib.sha256(text.encode()).hexdigest() == BENCH_TEXT_REPS100_SEED1_SHA256
 
+    def test_seeded_sim_paper_records_match_digest(self):
+        records = emit_report(run_benchmark(repetitions=30, seed=7), "records")
+        assert hashlib.sha256(records.encode()).hexdigest() == BENCH_RECORDS_REPS30_SEED7_SHA256
+
     def test_different_seed_changes_jittered_benchmark(self):
         a = emit_report(run_benchmark(repetitions=30, seed=1), "records")
         b = emit_report(run_benchmark(repetitions=30, seed=2), "records")
@@ -236,6 +243,26 @@ class TestEmitReport:
         text = emit_report(run_scenario(scenario_c()), "text")
         assert "counters[C-relay-spoof]" in text
         assert "all queries matched" in text
+
+    @pytest.mark.parametrize("build", [scenario_a, scenario_c])
+    def test_each_sample_is_what_its_constructor_builds(self, build):
+        # Samples are built with new_record; each must equal the constructor's
+        # build in type and in every field.
+        scenario = build()
+        report = execute_scenario(scenario, arm="an-arm").report
+        assert report.all_expected
+        for sample, query in zip(report.samples, scenario.queries, strict=True):
+            timed_out = query.expected.kind == "timeout"
+            expected = Sample(
+                scenario=scenario.name,
+                arm="an-arm",
+                query=query.pv_name,
+                outcome="timeout" if timed_out else f"value:{query.expected.value!r}",
+                latency_us=None if timed_out else sample.latency_us,
+            )
+            assert type(sample) is Sample
+            assert sample._asdict() == expected._asdict()
+            assert timed_out or type(sample.latency_us) is int
 
     def test_timeout_sample_serialized_with_dash(self):
         report = run_scenario(scenario_a())

@@ -15,12 +15,13 @@ from carelay.ca_wire import (
     SearchRequest,
     SearchResponse,
     Truncated,
+    check_pv_name,
     encode_search_datagram,
     encode_search_response_datagram,
     find_search_requests,
     find_search_response,
 )
-from carelay.packet import int_to_ip
+from carelay.packet import int_to_ip, ip_to_int
 
 HDR = struct.Struct(">HHHHII")
 
@@ -391,3 +392,76 @@ def test_finders_match_message_object_decoder(data):
             expected = CaWireError
         assert outcome(finder, data) == expected
 
+
+
+# -- reference encoders ----------------------------------------------------
+#
+# The encoders that the one-pack ones replaced, copied verbatim: the version
+# message, the search header and the payload each packed on its own and
+# joined. The one-pack encoders must give the same bytes for every record.
+
+
+def _version_message(minor_version: int) -> bytes:
+    return _HDR.pack(CMD_VERSION, 0, 0, minor_version, 0, 0)
+
+
+def reference_encode_search_datagram(req: SearchRequest) -> bytes:
+    payload = check_pv_name(req.pv_name).encode("ascii") + b"\x00"
+    payload += bytes(-len(payload) % 8)
+    header = _HDR.pack(
+        CMD_SEARCH, len(payload), req.reply_flag, req.minor_version, req.search_id, req.search_id
+    )
+    return _version_message(req.minor_version) + header + payload
+
+
+def reference_encode_search_response_datagram(resp: SearchResponse) -> bytes:
+    param1 = USE_PACKET_SOURCE if resp.server_address is None else ip_to_int(resp.server_address)
+    header = _HDR.pack(CMD_SEARCH, 8, resp.server_port, 0, param1, resp.search_id)
+    payload = struct.pack(">H", resp.server_minor_version) + b"\x00" * 6
+    return _version_message(resp.server_minor_version) + header + payload
+
+
+@given(
+    name=pv_names,
+    search_id=st.integers(min_value=0, max_value=0xFFFFFFFF),
+    flag=st.sampled_from([ReplyFlag.DONT_REPLY, ReplyFlag.DO_REPLY]),
+    minor=st.integers(min_value=0, max_value=0xFFFF),
+)
+@settings(max_examples=300)
+def test_search_encoder_matches_reference(name, search_id, flag, minor):
+    req = SearchRequest(name, search_id, flag, minor)
+    assert encode_search_datagram(req) == reference_encode_search_datagram(req)
+
+
+@given(
+    port=st.integers(min_value=0, max_value=0xFFFF),
+    search_id=st.integers(min_value=0, max_value=0xFFFFFFFF),
+    minor=st.integers(min_value=0, max_value=0xFFFF),
+    addr=st.one_of(st.none(), st.integers(min_value=0, max_value=0xFFFFFFFF)),
+)
+@settings(max_examples=300)
+def test_search_response_encoder_matches_reference(port, search_id, minor, addr):
+    resp = SearchResponse(port, search_id, minor, None if addr is None else int_to_ip(addr))
+    assert encode_search_response_datagram(resp) == reference_encode_search_response_datagram(resp)
+
+
+class TestPositionalRecords:
+    # The finders build their records with new_record; each must equal the
+    # constructor's build in type and in every field.
+
+    @staticmethod
+    def check(built, expected):
+        assert type(built) is type(expected)
+        assert built._asdict() == expected._asdict()
+
+    def test_found_search_request(self):
+        data = encode_search_datagram(SearchRequest("PV:1", 7, ReplyFlag.DO_REPLY, 11))
+        (found,) = find_search_requests(data)
+        self.check(found, SearchRequest(pv_name="PV:1", search_id=7, reply_flag=ReplyFlag.DO_REPLY, minor_version=11))
+        assert type(found.reply_flag) is ReplyFlag
+
+    @pytest.mark.parametrize("address", [None, "10.2.1.31"])
+    def test_found_search_response(self, address):
+        data = encode_search_response_datagram(SearchResponse(5901, 9, 12, address))
+        expected = SearchResponse(server_port=5901, search_id=9, server_minor_version=12, server_address=address)
+        self.check(find_search_response(data), expected)

@@ -136,6 +136,28 @@ class TestCagetSim:
         assert "IMX:DMC4:m1" in capsys.readouterr().err
 
 
+class TestCagetRealRefusesSimulationSettings:
+    # A real name search has no simulated network: a seed or a client host
+    # given to it used to be dropped without a word.
+    REAL = ["caget", "X", "--transport", "real", "--target", "127.0.0.1:9", "--log", "quiet"]
+
+    @pytest.mark.parametrize("extra", [[], ["--config", SCENARIO_C]], ids=["flag", "flag-and-config"])
+    def test_seed(self, extra, capsys):
+        assert main([*self.REAL, "--seed", "5", *extra]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_client_host(self, capsys):
+        assert main([*self.REAL, "--config", SCENARIO_C]) == 2
+        assert "config key 'client.host'" in capsys.readouterr().err
+
+    def test_the_sim_transport_still_defaults_to_seed_zero(self, monkeypatch):
+        seeds = []
+        build = cli.build_network
+        monkeypatch.setattr(cli, "build_network", lambda scenario: seeds.append(scenario.seed) or build(scenario))
+        assert main(["caget", "IMX1-HOST1", "--config", SCENARIO_C, "--log", "quiet"]) == 0
+        assert seeds == [0]
+
+
 class TestCaputSim:
     def test_caput_acks_and_prints(self, capsys):
         assert main(["caput", "IMX:DMC4:m2", "0.5", "--config", SCENARIO_C, "--log", "quiet"]) == 0

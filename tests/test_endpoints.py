@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from carelay import bench
 from carelay.ca_wire import (
     SearchRequest,
+    SearchResponse,
+    ValueExchange,
     ValueExchangeKind,
     encode_search_datagram,
+    encode_search_response_datagram,
     find_search_response,
 )
 from carelay.endpoints import (
@@ -18,6 +21,7 @@ from carelay.endpoints import (
     ChannelTimeout,
     ClientQueryConfig,
     IocSim,
+    _value_request,
     timeout_message,
 )
 from carelay.netsim import BroadcastDomain, Interface, NetsimError, VirtualHost, VirtualNetwork, VirtualTopology
@@ -279,6 +283,45 @@ class TestCaput:
         client.caput("IMX:DMC4:m1", 9.0)
         assert ioc1.writes_served == 1
         assert ioc1.pvs["IMX:DMC4:m1"] == 9.0
+
+
+class TestPositionalRecords:
+    # The client and the IOC build their records with new_record; each must
+    # equal the constructor's build in type and in every field.
+
+    @pytest.mark.parametrize("advertise", [True, False])
+    def test_the_search_response(self, advertise):
+        _, ioc1, _ = make_net_with_iocs(advertise_own_address=advertise)
+        datagram = encode_search_datagram(SearchRequest("IMX:DMC4:m1", search_id=5))
+        expected = SearchResponse(server_port=5901, search_id=5, server_address="10.2.1.31" if advertise else None)
+        assert ioc1.on_search_datagram(datagram, ("10.2.1.100", 1)) == encode_search_response_datagram(expected)
+
+    def test_the_client_search(self):
+        net, *_ = make_net_with_iocs()
+        client = CaClient(net, "TesterDirect")
+        search_id = client._next_search_id
+        client.query("IMX:DMC4:m1")
+        expected = encode_search_datagram(SearchRequest(pv_name="IMX:DMC4:m1", search_id=search_id))
+        assert net.delivery_log[0].packet.payload == expected
+
+    @pytest.mark.parametrize(
+        "write_value, request_kind, reply_kind, reply_value",
+        [
+            (None, ValueExchangeKind.READ_REQUEST, ValueExchangeKind.READ_REPLY, -2.06e-05),
+            (0.5, ValueExchangeKind.WRITE_REQUEST, ValueExchangeKind.WRITE_ACK, None),
+        ],
+        ids=["read", "write"],
+    )
+    def test_the_value_exchange(self, write_value, request_kind, reply_kind, reply_value):
+        _, ioc1, _ = make_net_with_iocs()
+        request = _value_request("IMX:DMC4:m1", 3, write_value)
+        reply = ioc1._on_channel_message(request)
+        for built, expected in (
+            (request, ValueExchange(kind=request_kind, pv_name="IMX:DMC4:m1", sequence=3, value=write_value)),
+            (reply, ValueExchange(kind=reply_kind, pv_name="IMX:DMC4:m1", sequence=3, value=reply_value)),
+        ):
+            assert type(built) is ValueExchange
+            assert built._asdict() == expected._asdict()
 
 
 class TestValueReply:

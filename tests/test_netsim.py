@@ -9,6 +9,7 @@ from carelay.netsim import (
     LIMITED_BROADCAST,
     BroadcastDomain,
     ChannelRefused,
+    Delivery,
     HelperRule,
     Interface,
     NetsimError,
@@ -209,6 +210,50 @@ class TestHelperRule:
         ]
 
 
+class TestPositionalDeliveries:
+    # Each routing path builds its deliveries with new_record; each must equal
+    # the constructor's build in type and in every field.
+
+    @staticmethod
+    def check(built, expected):
+        assert [type(d) for d in built] == [Delivery] * len(expected)
+        assert [d._asdict() for d in built] == [d._asdict() for d in expected]
+
+    def test_broadcast(self):
+        net = VirtualNetwork(make_topology())
+        bindings = bind_seven_iocs(net)
+        pkt = search_packet("10.2.1.255", src_ip="10.2.1.32", src_port=4000)
+        expected = [
+            Delivery(
+                time_us=200, host="IMX1-HOST1", binding=b, packet=pkt, wire_dst_ip="10.2.1.255", wire_dst_port=5064
+            )
+            for b in bindings
+        ]
+        self.check(net.inject("IMX1-HOST2", pkt), expected)
+
+    def test_unicast_to_the_last_binder(self):
+        net = VirtualNetwork(make_topology())
+        bindings = bind_seven_iocs(net)
+        pkt = search_packet("10.2.1.31", src_ip="10.2.1.32", src_port=4000)
+        expected = Delivery(
+            time_us=200, host="IMX1-HOST1", binding=bindings[-1], packet=pkt,
+            wire_dst_ip="10.2.1.31", wire_dst_port=5064,
+        )
+        self.check(net.inject("IMX1-HOST2", pkt), [expected])
+
+    def test_rewrite_to_the_limited_broadcast(self):
+        rule = PreroutingRule(match_dst_port=5064, new_dst_ip=LIMITED_BROADCAST, new_dst_port=5064)
+        net = VirtualNetwork(make_topology(prerouting=[rule]))
+        bindings = bind_seven_iocs(net)
+        pkt = search_packet("10.2.1.31", src_ip="10.2.1.32", src_port=4000)
+        seen = pkt._replace(dst_ip=LIMITED_BROADCAST)
+        expected = [
+            Delivery(200, "IMX1-HOST1", b, packet=seen, wire_dst_ip="10.2.1.31", wire_dst_port=5064)
+            for b in bindings
+        ]
+        self.check(net.inject("IMX1-HOST2", pkt), expected)
+
+
 class TestUnicastDelivery:
     def test_last_binder_only(self):
         net = VirtualNetwork(make_topology())
@@ -380,19 +425,19 @@ class TestClock:
         fired = []
 
         def call(label, go_on=True):
-            return lambda: fired.append(label) or go_on
+            return lambda arg: fired.append((label, arg)) or go_on
 
-        net.call_in_turn([(10, call("first")), (20, call("second")), (30, call("third"))])
+        net.call_in_turn(5, [(5, call("first")), (15, call("second")), (25, call("third"))], "arg")
         # Queued after the chain was made, so it fires after the chain's call
         # at the same time, although that call is queued only at time 10.
-        net.call_at(20, call("later"))
+        net.call_at(20, lambda: fired.append(("later", None)))
         net.advance_clock(100)
-        assert fired == ["first", "second", "later", "third"]
+        assert fired == [("first", "arg"), ("second", "arg"), ("later", None), ("third", "arg")]
 
     def test_a_call_returning_false_ends_the_chain(self):
         net = VirtualNetwork(make_topology())
         fired = []
-        cancel = net.call_in_turn([(10, lambda: fired.append(1)), (20, lambda: fired.append(2) or True)])
+        cancel = net.call_in_turn(0, [(10, lambda _: fired.append(1)), (20, lambda _: fired.append(2) or True)], None)
         net.advance_clock(100)
         assert fired == [1]
         assert net._queue == []
@@ -402,7 +447,7 @@ class TestClock:
         net = VirtualNetwork(make_topology())
         fired = []
         net.call_at(50, lambda: fired.append("other"))
-        cancel = net.call_in_turn([(10, lambda: fired.append(1) or True), (20, lambda: fired.append(2))])
+        cancel = net.call_in_turn(0, [(10, lambda _: fired.append(1) or True), (20, lambda _: fired.append(2))], None)
         net.advance_clock(15)
         cancel()
         assert len(net._queue) == 1

@@ -196,6 +196,17 @@ class TestRealCaget:
         assert captured.out == ""
         assert captured.err == "Channel connect timed out: 'MISSING:PV' not found.\n"
 
+    def test_a_client_section_without_a_host_still_resolves(self, stub_ioc, capsys, tmp_path):
+        # Only client.host is refused with the real transport; the retry keys apply.
+        config = tmp_path / "client.yaml"
+        config.write_text("client:\n  initial_retry: 0.02\n  max_tries: 2\n  total_timeout: 0.1\n")
+        code = main([
+            "caget", "LOOP:PV", "--transport", "real", "--target", f"127.0.0.1:{stub_ioc.search_port}",
+            "--config", str(config),
+        ])
+        assert code == 0
+        assert capsys.readouterr().out == f"LOOP:PV found at 127.0.0.1:{StubIoc.SERVER_PORT}\n"
+
 
 def test_bind_conflict_reports_transport_unavailable():
     config = RelayConfig(
