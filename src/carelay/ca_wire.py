@@ -4,8 +4,8 @@ Covers just enough of the public CA wire format to generate and parse
 search request/response traffic on port 5064: the 16-byte big-endian
 message header, the version message, and the search pair. The relay
 carries only this phase; the data circuit is TCP and never passes through
-it, so the ``ValueExchange`` records of the simulated circuit have no wire
-form: the network hands them to the IOC as they are.
+it, so the simulated circuit has no wire form: the network hands the IOC a
+PV name and a value to write, and the client the PV's value, as they are.
 
 Messages are plain records (``NamedTuple``); a malformed datagram raises a
 ``CaWireError`` on decode. The finders build records positionally
@@ -187,18 +187,3 @@ def find_search_response(data: bytes) -> SearchResponse | None:
             return new_record(SearchResponse, (server_port, search_id, minor, address))
     return None
 
-
-class ValueExchangeKind(enum.IntEnum):
-    READ_REQUEST = 1
-    READ_REPLY = 2
-    WRITE_REQUEST = 3
-    WRITE_ACK = 4
-
-
-class ValueExchange(NamedTuple):
-    """Simplified fetch/put message: the request and the reply of the simulated data circuit."""
-
-    kind: ValueExchangeKind
-    pv_name: str
-    sequence: int
-    value: float | None = None

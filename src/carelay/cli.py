@@ -27,7 +27,7 @@ from .bench import (
 )
 from .ca_wire import CA_SERVER_PORT
 from .config import (
-    ConfigError, ConfigFile, ValidationError, address_and_port, config_from_mapping, load_yaml,
+    ConfigError, ValidationError, address_and_port, config_from_mapping, load_yaml,
     parse_address, parse_endpoint, parse_pv_name,
 )
 from .endpoints import CaClient, ChannelTimeout, RealCaClient
@@ -52,8 +52,9 @@ _LOG_LEVELS = {"quiet": logging.WARNING, "normal": logging.INFO, "trace": loggin
 
 # relay flags whose dest is the relay config key they set; --target sets two.
 _RELAY_FLAG_KEYS = ("listen_port", "allow", "local_subnet", "mode")
-# relay keys that act on the simulated network only: real sockets would ignore them.
-_SIM_ONLY_RELAY_KEYS = ("host", "install_prerouting")
+# The one section a command on real sockets reads, and that section's keys
+# that place it on the simulated network; it ignores every other section.
+_REAL_SECTION = {"relay": ("relay", ("host", "install_prerouting")), "caget": ("client", ("host",))}
 SIOCGIFADDR = 0x8915  # linux/sockios.h: read an interface's address, netdevice(7)
 
 
@@ -128,8 +129,16 @@ def _load_mapping(args, required: bool = False):
         return load_yaml(fh.read())
 
 
-def _load_config(args, required: bool = False) -> ConfigFile:
-    return config_from_mapping(_load_mapping(args, required))
+def _refuse_ignored_keys(data, command: str) -> None:
+    """Refuse, naming it, a key of the loaded file that ``command`` on real sockets would ignore."""
+    if not isinstance(data, dict):
+        return  # config_from_mapping names what is wrong
+    name, sim_only = _REAL_SECTION[command]
+    section = data.get(name)
+    ignored = [f"{name}.{key}" for key in sim_only if isinstance(section, dict) and key in section]
+    ignored += [key for key in data if key != name]
+    if ignored:
+        raise ValidationError(ignored[0], f"carelay {command} on real sockets does not read this key")
 
 
 def _relay_flag_keys(args) -> dict:
@@ -145,11 +154,9 @@ def _relay_config(args) -> RelayConfig:
     data = _load_mapping(args)
     if data is None:
         data = {}
+    _refuse_ignored_keys(data, "relay")
     section = data.get("relay", {}) if isinstance(data, dict) else None
     if isinstance(section, dict):  # otherwise config_from_mapping names what is wrong
-        for key in _SIM_ONLY_RELAY_KEYS:
-            if key in section:
-                raise ValidationError(f"relay.{key}", "only carelay sim reads this key, not carelay relay")
         data = {**data, "relay": {**section, **_relay_flag_keys(args)}}
     return config_from_mapping(data).relay
 
@@ -190,7 +197,7 @@ def _check_wildcard_bind(config: RelayConfig, sock: socket.socket) -> None:
 
 
 def cmd_sim(args) -> int:
-    config = _load_config(args, required=True)
+    config = config_from_mapping(_load_mapping(args, required=True))
     if not config.queries:
         raise ConfigError("this command needs a queries section in the config")
     run = execute_scenario(config.scenario("sim", args.seed, args.reps))
@@ -246,13 +253,13 @@ def cmd_client(args) -> int:
     """caget or caput over the simulated network, or caget's name search alone over real UDP."""
     parse_pv_name(args.pv, "pv")
     write_value = getattr(args, "value", None)
-    config = _load_config(args, required=args.transport == "sim")
+    data = _load_mapping(args, required=args.transport == "sim")
+    config = config_from_mapping(data)
     try:
         if args.transport == "real":  # a name search on real sockets: nothing of the simulated network applies
             if args.seed is not None:
                 raise ConfigError("--seed seeds the simulated network, which caget --transport real does not use")
-            if config.client_host is not None:
-                raise ValidationError("client.host", "only the sim transport reads this key, not --transport real")
+            _refuse_ignored_keys(data, "caget")
             targets = [("255.255.255.255", CA_SERVER_PORT)]
             if args.target:
                 targets = [address_and_port(t, "--target") for t in args.target]

@@ -2,8 +2,8 @@
 
 An IocSim owns a table of scalar PVs, answers name searches on the shared
 UDP search port of its host (silently ignoring names it does not own), and
-answers each value request of the simulated data circuit with one reply
-(``VirtualNetwork.request``), each a ``ca_wire.ValueExchange`` record. Both
+answers each request of the simulated data circuit (``VirtualNetwork.request``),
+a PV name and the value to write or None, with the PV's value. Both
 answers are return values that the network sends on, so an IocSim keeps no
 reference to its network, and a network without a relay is freed by
 reference count once it is dropped. The CaClient broadcasts searches with a
@@ -29,8 +29,7 @@ from itertools import accumulate
 
 from . import ca_wire
 from .ca_wire import (
-    CA_SERVER_PORT, DEFAULT_MINOR_VERSION, ReplyFlag, SearchRequest, SearchResponse, ValueExchange, ValueExchangeKind,
-    new_record,
+    CA_SERVER_PORT, DEFAULT_MINOR_VERSION, ReplyFlag, SearchRequest, SearchResponse, new_record,
 )
 from .netsim import ChannelRefused, Delivery, VirtualNetwork
 from .packet import Ipv4UdpPacket, udp_packet
@@ -83,24 +82,8 @@ def _server_of(payload: bytes, source_ip: str, search_id: int) -> tuple[str, int
     return response.server_address or source_ip, response.server_port
 
 
-def _value_request(pv_name: str, sequence: int, write_value: float | None) -> ValueExchange:
-    """The READ request, or the WRITE request with the value as a float."""
-    if write_value is None:
-        return new_record(ValueExchange, (ValueExchangeKind.READ_REQUEST, pv_name, sequence, None))
-    return new_record(ValueExchange, (ValueExchangeKind.WRITE_REQUEST, pv_name, sequence, float(write_value)))
-
-
-def _reply_value(reply: ValueExchange, pv_name: str, sequence: int, write_value: float | None) -> float | None:
-    """The value a reply completes ``_value_request``'s exchange with, or None: a READ_REPLY
-    completes a read with the value it carries, a WRITE_ACK a write with the value written."""
-    kind = ValueExchangeKind.READ_REPLY if write_value is None else ValueExchangeKind.WRITE_ACK
-    if (reply.kind, reply.pv_name, reply.sequence) != (kind, pv_name, sequence):
-        return None
-    return reply.value if write_value is None else write_value
-
-
 class IocSim:
-    """One IOC process: PV table, search responder, value exchange server."""
+    """One IOC process: PV table, search responder, data circuit server."""
 
     def __init__(
         self,
@@ -116,8 +99,6 @@ class IocSim:
         self.server_port = server_port
         self.advertise_own_address = advertise_own_address
         self.host_ip = net.host(host_name).interfaces[0].ip
-        self.reads_served = 0
-        self.writes_served = 0
         net.register_channel_listener(self.host_ip, server_port, self._on_channel_message)
         net.bind(host_name, CA_SERVER_PORT, owner=name, callback=self._on_delivery)
 
@@ -144,19 +125,17 @@ class IocSim:
             return None
         return udp_packet(self.host_ip, packet.src_ip, CA_SERVER_PORT, packet.src_port, response)
 
-    # -- value exchange ---------------------------------------------------------
+    # -- data circuit -----------------------------------------------------------
 
-    def _on_channel_message(self, msg: ValueExchange) -> ValueExchange | None:
-        """The reply to a ``_value_request`` record, or None for a PV this IOC does not own."""
-        kind, pv_name, sequence, value = msg
+    def _on_channel_message(self, request: tuple[str, float | None]) -> float | None:
+        """The value of the PV a ``(pv_name, write_value)`` request names, after storing
+        ``write_value`` as a float unless it is None; None for a PV this IOC does not own."""
+        pv_name, write_value = request
         if pv_name not in self.pvs:
             return None
-        if kind is ValueExchangeKind.READ_REQUEST:
-            self.reads_served += 1
-            return new_record(ValueExchange, (ValueExchangeKind.READ_REPLY, pv_name, sequence, self.pvs[pv_name]))
-        self.writes_served += 1
-        self.pvs[pv_name] = value
-        return new_record(ValueExchange, (ValueExchangeKind.WRITE_ACK, pv_name, sequence, None))
+        if write_value is not None:
+            self.pvs[pv_name] = float(write_value)
+        return self.pvs[pv_name]
 
 
 @dataclass(slots=True)
@@ -167,7 +146,6 @@ class QueryResult:
     started_us: int = 0
     finished_us: int = 0
     send_times_us: list[int] = field(default_factory=list)
-    responses_seen: int = 0
 
     @property
     def latency_us(self) -> int | None:
@@ -182,7 +160,7 @@ class _Query:
     """One query in flight: it owns its QueryResult, and its bound methods are
     the network's callbacks for its searches, give-up, responses and reply."""
 
-    __slots__ = ("client", "write_value", "search_id", "result", "search", "sequence", "resolved", "done")
+    __slots__ = ("client", "write_value", "search_id", "result", "search", "resolved", "done")
 
     def __init__(
         self, client: "CaClient", pv_name: str, write_value: float | None, search_id: int, port: int
@@ -194,7 +172,6 @@ class _Query:
         request = new_record(SearchRequest, (pv_name, search_id, ReplyFlag.DONT_REPLY, DEFAULT_MINOR_VERSION))
         datagram = ca_wire.encode_search_datagram(request)
         self.search = udp_packet(client.host_ip, client._broadcast_ip, port, CA_SERVER_PORT, datagram)
-        self.sequence = 0  # the value request's, once the search has resolved
         self.resolved = False
         self.done = False
 
@@ -220,33 +197,23 @@ class _Query:
         self.result.finished_us = self.client.net.now_us
 
     def on_datagram(self, delivery: Delivery) -> None:
-        if self.done:
-            return
+        if self.resolved or self.done:
+            return  # first response wins; duplicates are ignored
         packet = delivery.packet
         server = _server_of(packet.payload, packet.src_ip, self.search_id)
         if server is None:
             return
-        self.result.responses_seen += 1
-        if self.resolved:
-            return  # first response wins; duplicates are ignored
         client = self.client
-        self.sequence = client._next_sequence
-        request = _value_request(self.result.pv_name, self.sequence, self.write_value)
         try:
-            client.net.request(client.host_name, *server, request, self.on_reply)
+            client.net.request(client.host_name, *server, (self.result.pv_name, self.write_value), self.on_reply)
         except ChannelRefused:
             return  # unusable responder; keep waiting for another response
-        client._next_sequence += 1
         self.resolved = True
 
-    def on_reply(self, reply: ValueExchange) -> None:
-        if self.done:
-            return
-        value = _reply_value(reply, self.result.pv_name, self.sequence, self.write_value)
-        if value is None:
-            return
+    def on_reply(self, value: float) -> None:
+        # The one request's reply: a write reports the value as it was passed.
         self.done = True
-        self.result.value = value
+        self.result.value = value if self.write_value is None else self.write_value
         self.result.finished_us = self.client.net.now_us
 
 
@@ -267,7 +234,6 @@ class CaClient:
         self._broadcast_ip = interface.subnet.broadcast_address()
         self._next_ephemeral = FIRST_EPHEMERAL_PORT
         self._next_search_id = 1
-        self._next_sequence = 1
         # Each send's offset from the query's start, and the search deadline's: a query's timers (``call_in_turn``).
         offsets = [0, *accumulate(self.config.wait_schedule_us())]
         self._deadline_us = min(offsets[-1], round(self.config.total_timeout_s * 1e6))

@@ -35,10 +35,10 @@ Delivery semantics, applied in order for each injected packet:
    onward), and a rewrite forwarded to another host one more.
 
 The data circuit after a resolved search is one request and one reply
-(``request``), each a message object handed over as it is, neither encoded
-nor logged: each way is priced as a unicast between the two hosts (rule 4,
-``_hop_delay_us``), drawn as that way is sent. Its listener must be at an
-address a host owns.
+(``request``): the client's PV name and value to write, and the server's
+value, each handed over as it is, neither encoded nor logged. Each way is
+priced as a unicast between the two hosts (rule 4, ``_hop_delay_us``), drawn
+as that way is sent. Its listener must be at an address a host owns.
 
 The network keeps one record per host (``_Node``) with its bindings and its
 domains, named by their names, and only reads its topology, so networks built
@@ -368,8 +368,8 @@ class VirtualNetwork:
 
     # -- packet routing -------------------------------------------------------
 
-    def inject(self, source_host: str, packet: Ipv4UdpPacket) -> list[Delivery]:
-        """Submit a packet now; returns the deliveries it scheduled, queued as one event per host arrival."""
+    def inject(self, source_host: str, packet: Ipv4UdpPacket) -> None:
+        """Submit a packet now, queued as one event per host arrival."""
         sender = self._nodes[source_host]
         at, dst_ip = self.now_us, packet.dst_ip
         if dst_ip == LIMITED_BROADCAST:
@@ -385,15 +385,11 @@ class VirtualNetwork:
             arrivals = self._route_broadcast(packet, domain, at) + self._route_helper_copies(packet, domain, at)
         else:
             arrivals = []  # a directed broadcast into a domain the sender is not on: no router forwards it
-        deliveries: list[Delivery] = []
         queue = self._queue
         for arrival in arrivals:
-            if not arrival:
-                continue
-            self._seq += 1
-            heapq.heappush(queue, (arrival[0].time_us, self._seq, _DELIVERY, arrival))
-            deliveries += arrival
-        return deliveries
+            if arrival:
+                self._seq += 1
+                heapq.heappush(queue, (arrival[0].time_us, self._seq, _DELIVERY, arrival))
 
     def _route_broadcast(self, packet: Ipv4UdpPacket, domain: str, at: int) -> list[list[Delivery]]:
         out = []
@@ -478,14 +474,12 @@ class VirtualNetwork:
 
     # -- clock ----------------------------------------------------------------
 
-    def advance_clock(self, duration_us: int) -> list[Delivery]:
+    def advance_clock(self, duration_us: int) -> None:
         """Advance the clock, firing everything due within the window."""
         end = self.now_us + duration_us
-        fired: list[Delivery] = []
         while self._queue and self._queue[0][0] <= end:
-            fired.extend(self._step())
+            self._step()
         self.now_us = end
-        return fired
 
     def run_until(
         self, done: Callable[[], bool], cap_us: int | None = None

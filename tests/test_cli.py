@@ -20,6 +20,13 @@ SCENARIO_C = str(CONFIG_DIR / "scenario_c.yaml")
 SCENARIO_A = str(CONFIG_DIR / "scenario_a.yaml")
 
 
+def scenario_c_sections(*names):
+    """Those sections of scenario C, as YAML text, without the client section's host."""
+    data = yaml.safe_load((CONFIG_DIR / "scenario_c.yaml").read_text())
+    data["client"].pop("host")
+    return yaml.safe_dump({name: data[name] for name in names}, sort_keys=False)
+
+
 class TestSim:
     def test_scenario_c_runs_green(self, capsys):
         assert main(["sim", "--config", SCENARIO_C, "--log", "quiet"]) == 0
@@ -149,6 +156,11 @@ class TestCagetRealRefusesSimulationSettings:
     def test_client_host(self, capsys):
         assert main([*self.REAL, "--config", SCENARIO_C]) == 2
         assert "config key 'client.host'" in capsys.readouterr().err
+
+    # It reads only the client section's retry keys; it used to ignore these sections without a word.
+    @pytest.mark.parametrize("section", ["topology", "relay", "queries"])
+    def test_a_section_only_the_simulation_reads(self, section, config_error):
+        assert f"config key '{section}'" in config_error(self.REAL, scenario_c_sections("client", section))
 
     def test_the_sim_transport_still_defaults_to_seed_zero(self, monkeypatch):
         seeds = []
@@ -405,6 +417,12 @@ class TestBadValuesAreConfigErrors:
     ])
     def test_simulation_only_relay_keys(self, line, key, config_error):
         assert f"'{key}'" in config_error(RELAY, RELAY_SECTION + f"  {line}\n")
+
+    # It reads only the relay section; it used to check these sections and then ignore them.
+    @pytest.mark.parametrize("section", ["topology", "client", "queries"])
+    def test_a_section_only_the_simulation_reads(self, section, config_error):
+        text = RELAY_SECTION + f"  local_subnet: {LOOPBACK}\n" + scenario_c_sections(section)
+        assert f"config key '{section}'" in config_error(RELAY, text)
 
     # Every relay has the loop guard: without it the simulated relay of
     # scenario C relays its own re-entering broadcasts.

@@ -9,8 +9,6 @@ from carelay import bench
 from carelay.ca_wire import (
     SearchRequest,
     SearchResponse,
-    ValueExchange,
-    ValueExchangeKind,
     encode_search_datagram,
     encode_search_response_datagram,
     find_search_response,
@@ -21,7 +19,6 @@ from carelay.endpoints import (
     ChannelTimeout,
     ClientQueryConfig,
     IocSim,
-    _value_request,
     timeout_message,
 )
 from carelay.netsim import BroadcastDomain, Interface, NetsimError, VirtualHost, VirtualNetwork, VirtualTopology
@@ -95,8 +92,8 @@ class TestIocOnSearch:
             payload=b"\x01\x02\x03",
         )
         net.inject("TesterDirect", pkt)
-        fired = net.advance_clock(10_000)
-        assert len(fired) == 2  # both IOC bindings got it, neither replied
+        net.advance_clock(10_000)
+        assert len(net.delivery_log) == 2  # both IOC bindings got it, neither replied
 
     def test_non_ascii_search_name_is_silent_in_sim(self):
         net, _, _ = make_net_with_iocs()
@@ -109,8 +106,8 @@ class TestIocOnSearch:
             payload=bytes(datagram),
         )
         net.inject("TesterDirect", pkt)
-        fired = net.advance_clock(10_000)
-        assert len(fired) == 2  # both IOC bindings got it, neither replied
+        net.advance_clock(10_000)
+        assert len(net.delivery_log) == 2  # both IOC bindings got it, neither replied
         assert CaClient(net, "TesterDirect").caget("IMX:DMC4:m1") == -2.06e-05
 
     @given(name=st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=60))
@@ -177,12 +174,12 @@ class TestCaget:
         # The IOC answers the search but never the value request: the search
         # resolves, but the query never gets a verdict.
         net = VirtualNetwork(direct_topology())
-        register = net.register_channel_listener
-        monkeypatch.setattr(net, "register_channel_listener", lambda ip, port, serve: register(ip, port, lambda _: None))
+        register, requests = net.register_channel_listener, []
+        monkeypatch.setattr(net, "register_channel_listener", lambda ip, port, serve: register(ip, port, requests.append))
         IocSim(net, "IMX1-HOST1", "mute", {"LOST:PV": 1.0}, server_port=5901)
         result = CaClient(net, "TesterDirect").query("LOST:PV")
         assert result.timed_out
-        assert result.responses_seen == 1
+        assert requests == [("LOST:PV", None)]
         assert net.now_us == sum(ClientQueryConfig().wait_schedule_us())
 
     def test_two_iocs_on_one_host_and_server_port_are_refused(self):
@@ -195,19 +192,30 @@ class TestCaget:
         assert CaClient(net, "TesterDirect").caget("A") == 1.0
         search = encode_search_datagram(SearchRequest("A", 1))
         broadcast = Ipv4UdpPacket("10.2.1.100", "10.2.1.255", 40000, 5064, search)
-        assert [d.binding.owner for d in net.inject("TesterDirect", broadcast)] == ["a"]
+        logged = len(net.delivery_log)
+        net.inject("TesterDirect", broadcast)
+        net.advance_clock(10_000)
+        assert [d.binding.owner for d in net.delivery_log[logged:]] == ["a"]
 
-    def test_first_response_wins_single_value_read(self):
+    def test_first_response_wins_single_value_read(self, monkeypatch):
         net = VirtualNetwork(direct_topology())
+        register, served = net.register_channel_listener, []
+
+        def counted(ip, port, serve):
+            register(ip, port, lambda request: served.append((ip, request)) or serve(request))
+
+        monkeypatch.setattr(net, "register_channel_listener", counted)
         # The same PV published by two IOCs on different hosts: both answer,
         # the client must read exactly once.
-        ioc1 = IocSim(net, "IMX1-HOST1", "a", {"DUP:PV": 1.0}, server_port=5901)
-        ioc2 = IocSim(net, "IMX1-HOST2", "b", {"DUP:PV": 2.0}, server_port=5902)
+        IocSim(net, "IMX1-HOST1", "a", {"DUP:PV": 1.0}, server_port=5901)
+        IocSim(net, "IMX1-HOST2", "b", {"DUP:PV": 2.0}, server_port=5902)
         client = CaClient(net, "TesterDirect")
         result = client.query("DUP:PV")
         assert not result.timed_out
-        assert result.responses_seen == 2
-        assert ioc1.reads_served + ioc2.reads_served == 1
+        responses = [d for d in net.delivery_log if d.host == "TesterDirect"]
+        assert {d.packet.src_ip for d in responses} == {"10.2.1.31", "10.2.1.32"}
+        assert served == [("10.2.1.31", ("DUP:PV", None))]
+        assert result.value == 1.0
 
     def test_use_packet_source_addressing_resolves(self):
         net, *_ = make_net_with_iocs(advertise_own_address=False)
@@ -255,8 +263,8 @@ class TestCaput:
         assert client.caget("IMX:DMC4:m2") == 0.5
 
     def test_an_integer_written_reads_back_as_a_float(self):
-        # The simulated circuit carries records, so the request and the PV
-        # table hold the floats that a frame's ``>d`` field would carry.
+        # The IOC stores a written value as a float, as its table holds every
+        # value, while the write reports the value as it was passed.
         net, *_ = make_net_with_iocs()
         IocSim(net, "IMX1-HOST1", "ints", {"INT:PV": 3}, server_port=5903)
         client = CaClient(net, "TesterDirect")
@@ -277,12 +285,27 @@ class TestCaput:
         client.caput("IMX:DMC4:m2", 0.0)
         assert client.caget("IMX:DMC4:m2") == 0.0
 
-    def test_write_ack_counted(self):
-        net, ioc1, _ = make_net_with_iocs()
+    def test_a_write_changes_only_its_own_pv(self):
+        net, ioc1, ioc2 = make_net_with_iocs()
         client = CaClient(net, "TesterDirect")
         client.caput("IMX:DMC4:m1", 9.0)
-        assert ioc1.writes_served == 1
-        assert ioc1.pvs["IMX:DMC4:m1"] == 9.0
+        assert ioc1.pvs == {"IMX:DMC4:m1": 9.0, "IMX:DMC4:m2": -1.47e-05}
+        assert ioc2.pvs == {"IMX:DMC4:m3": 0.002496}
+
+    @pytest.mark.parametrize(
+        "request_, reply, stored",
+        [
+            (("IMX:DMC4:m1", None), -2.06e-05, -2.06e-05),
+            (("IMX:DMC4:m1", 4), 4.0, 4.0),
+            (("IMX:DMC4:m3", 4), None, -2.06e-05),
+        ],
+        ids=["read", "write", "not-owned"],
+    )
+    def test_the_ioc_answers_a_request_with_the_value(self, request_, reply, stored):
+        _, ioc1, _ = make_net_with_iocs()
+        answer = ioc1._on_channel_message(request_)
+        assert (answer, type(answer)) == (reply, type(reply))
+        assert ioc1.pvs["IMX:DMC4:m1"] == stored
 
 
 class TestPositionalRecords:
@@ -303,46 +326,6 @@ class TestPositionalRecords:
         client.query("IMX:DMC4:m1")
         expected = encode_search_datagram(SearchRequest(pv_name="IMX:DMC4:m1", search_id=search_id))
         assert net.delivery_log[0].packet.payload == expected
-
-    @pytest.mark.parametrize(
-        "write_value, request_kind, reply_kind, reply_value",
-        [
-            (None, ValueExchangeKind.READ_REQUEST, ValueExchangeKind.READ_REPLY, -2.06e-05),
-            (0.5, ValueExchangeKind.WRITE_REQUEST, ValueExchangeKind.WRITE_ACK, None),
-        ],
-        ids=["read", "write"],
-    )
-    def test_the_value_exchange(self, write_value, request_kind, reply_kind, reply_value):
-        _, ioc1, _ = make_net_with_iocs()
-        request = _value_request("IMX:DMC4:m1", 3, write_value)
-        reply = ioc1._on_channel_message(request)
-        for built, expected in (
-            (request, ValueExchange(kind=request_kind, pv_name="IMX:DMC4:m1", sequence=3, value=write_value)),
-            (reply, ValueExchange(kind=reply_kind, pv_name="IMX:DMC4:m1", sequence=3, value=reply_value)),
-        ):
-            assert type(built) is ValueExchange
-            assert built._asdict() == expected._asdict()
-
-
-class TestValueReply:
-    @pytest.mark.parametrize(
-        "garble",
-        [
-            pytest.param(lambda reply: reply._replace(kind=ValueExchangeKind.WRITE_ACK), id="kind"),
-            pytest.param(lambda reply: reply._replace(sequence=reply.sequence + 1), id="sequence"),
-            pytest.param(lambda reply: reply._replace(pv_name="OTHER:PV"), id="pv_name"),
-        ],
-    )
-    def test_a_reply_to_another_request_leaves_the_read_without_a_value(self, garble):
-        class GarblingIoc(IocSim):
-            def _on_channel_message(self, msg):
-                return garble(super()._on_channel_message(msg))
-
-        net = VirtualNetwork(direct_topology())
-        ioc = GarblingIoc(net, "IMX1-HOST1", "garbling", {"LOOP:PV": 42.5}, server_port=5901)
-        result = CaClient(net, "TesterDirect").query("LOOP:PV")
-        assert (result.timed_out, result.value) == (True, None)
-        assert (result.responses_seen, ioc.reads_served) == (1, 1)
 
 
 class TestReferenceCycles:

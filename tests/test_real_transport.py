@@ -197,7 +197,7 @@ class TestRealCaget:
         assert captured.err == "Channel connect timed out: 'MISSING:PV' not found.\n"
 
     def test_a_client_section_without_a_host_still_resolves(self, stub_ioc, capsys, tmp_path):
-        # Only client.host is refused with the real transport; the retry keys apply.
+        # Of the client section, only client.host is refused with the real transport; the retry keys apply.
         config = tmp_path / "client.yaml"
         config.write_text("client:\n  initial_retry: 0.02\n  max_tries: 2\n  total_timeout: 0.1\n")
         code = main([

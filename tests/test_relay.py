@@ -276,7 +276,7 @@ def client_broadcast(net, src_port=44256, payload=b"q" * 48):
         src_ip="10.2.105.171", dst_ip="10.2.105.255",
         src_port=src_port, dst_port=5064, payload=payload,
     )
-    return net.inject("TesterHEpics", pkt)
+    net.inject("TesterHEpics", pkt)
 
 
 class TestSpoofRelayOnSim:
