@@ -126,9 +126,9 @@ def _matches(expected: ExpectedOutcome, outcome_timed_out: bool, value: float | 
     return not outcome_timed_out and value == expected.value
 
 
-def build_network(scenario: Scenario) -> tuple[VirtualNetwork, Relay | None]:
-    """The scenario's network with its bare bindings, IOCs and relay in place."""
-    net = VirtualNetwork(scenario.topology, seed=scenario.seed)
+def build_network(scenario: Scenario, log: bool = True) -> tuple[VirtualNetwork, Relay | None]:
+    """The scenario's network, keeping its delivery log if ``log``, with its bare bindings, IOCs and relay in place."""
+    net = VirtualNetwork(scenario.topology, seed=scenario.seed, log=log)
     for host, port, owner in scenario.pre_bindings:
         net.bind(host, port, owner)
     for spec in scenario.iocs:
@@ -147,14 +147,14 @@ def build_network(scenario: Scenario) -> tuple[VirtualNetwork, Relay | None]:
     return net, relay
 
 
-def execute_scenario(scenario: Scenario, arm: str | None = None) -> ScenarioRun:
-    """Run every query repetitions times on a fresh network."""
+def execute_scenario(scenario: Scenario, arm: str | None = None, log: bool = True) -> ScenarioRun:
+    """Run every query repetitions times on a fresh network, which keeps its delivery log if ``log``."""
     if scenario.repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     if (scenario.relay_config is None) != (scenario.relay_host is None):
         raise ValueError("relay_config and relay_host go together")
 
-    net, relay = build_network(scenario)
+    net, relay = build_network(scenario, log)
     clients: dict[str, CaClient] = {}
     arm_name = arm or scenario.name
     report = ScenarioReport(scenario=scenario.name, seed=scenario.seed)
@@ -178,7 +178,7 @@ def execute_scenario(scenario: Scenario, arm: str | None = None) -> ScenarioRun:
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    return execute_scenario(scenario).report
+    return execute_scenario(scenario, log=False).report
 
 
 def benchmark_scenarios(repetitions: int, seed: int) -> dict[str, Scenario]:
@@ -211,7 +211,7 @@ def run_benchmark(repetitions: int = 100, seed: int = 0) -> ScenarioReport:
     scenarios = benchmark_scenarios(repetitions, seed)
     report = ScenarioReport(scenario="bench", seed=seed)
     for arm in ARM_ORDER:
-        run = execute_scenario(scenarios[arm], arm=arm)
+        run = execute_scenario(scenarios[arm], arm=arm, log=False)
         report.samples.extend(run.report.samples)
         report.mismatches.extend(run.report.mismatches)
         report.counters.update(run.report.counters)

@@ -200,7 +200,7 @@ def cmd_sim(args) -> int:
     config = config_from_mapping(_load_mapping(args, required=True))
     if not config.queries:
         raise ConfigError("this command needs a queries section in the config")
-    run = execute_scenario(config.scenario("sim", args.seed, args.reps))
+    run = execute_scenario(config.scenario("sim", args.seed, args.reps), log=args.log == "trace")
     if args.log == "trace":
         for line in run.net.trace_lines():
             print(line, file=sys.stderr)

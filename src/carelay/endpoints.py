@@ -24,7 +24,7 @@ from __future__ import annotations
 import select
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from . import ca_wire
@@ -145,7 +145,6 @@ class QueryResult:
     timed_out: bool = False
     started_us: int = 0
     finished_us: int = 0
-    send_times_us: list[int] = field(default_factory=list)
 
     @property
     def latency_us(self) -> int | None:
@@ -182,9 +181,7 @@ class _Query:
         """Broadcast the search unless the query has an answer; true while retries go on."""
         if self.resolved or self.done:
             return False
-        net = self.client.net
-        self.result.send_times_us.append(net.now_us)
-        net.inject(self.client.host_name, self.search)
+        self.client.net.inject(self.client.host_name, self.search)
         return True
 
     def give_up(self) -> None:

@@ -5,12 +5,14 @@ behavior around UDP name resolution: per-host port bindings with bind order,
 switch-level broadcast-to-unicast helper rules, and host-level prerouting
 destination rewrites. Time is a virtual microsecond clock; every delivery is
 scheduled onto a single event queue, so a fixed topology, seed, and injection
-sequence always produce the same delivery log. A binding's callback may return
-a packet, which the network sends from the receiving host; a binding that is
-unbound receives nothing more, though deliveries already queued to it are
-still logged. A topology the network cannot describe is refused when it is
-built (``index_topology``), with ``InvalidTopology.path`` naming the faulty
-field, such as ``hosts[1].name``.
+sequence always produce the same deliveries. A network built with ``log=True``
+(the default) keeps them in ``delivery_log``; one that nobody reads, as in
+``bench.run_scenario`` and ``run_benchmark``, keeps none and runs the same.
+A binding's callback may return a packet, which the network sends from the
+receiving host; a binding that is unbound receives nothing more, though
+deliveries already queued to it are still logged. A topology the network
+cannot describe is refused when it is built (``index_topology``), with
+``InvalidTopology.path`` naming the faulty field, such as ``hosts[1].name``.
 
 Delivery semantics, applied in order for each injected packet:
 
@@ -46,12 +48,13 @@ on one topology share no bindings. One packet's arrival at one host is one
 event, however many bindings it is handed to: they share its time and take
 their turns in bind order, each turn a constant amount of work. A node keeps
 its bindings by port, in bind order, so the last binder is the last entry of
-one list; hops build their packets and deliveries positionally (``new_record``);
-a client's search retries are queued one at a time from a list it builds once
-(``call_in_turn``), so an answered query leaves none behind; each way of a
-data-circuit request is one queued ``partial``; all IOCs handed one broadcast
-share one parse of it (``ca_wire.find_search_requests``); and every event
-fires through ``_step``, which perfbench wraps to count events.
+one list; helper rules are indexed once by domain and port, in rule order
+(``index_topology``); hops build their packets and deliveries positionally
+(``new_record``); a client's search retries are queued one at a time from a
+list it builds once (``call_in_turn``), so an answered query leaves none
+behind; each way of a data-circuit request is one queued ``partial``; all IOCs
+handed one broadcast share one parse of it (``ca_wire.find_search_requests``);
+and every event fires through ``_step``, which perfbench wraps to count events.
 """
 
 from __future__ import annotations
@@ -180,11 +183,12 @@ class _Nodes(dict):
         raise UnknownHost(name)
 
 
-def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict]:
+def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict, dict]:
     """One pass that refuses, as ``InvalidTopology``, a topology the network
     cannot describe, and builds one ``_Node`` per host, with domains named by
-    their names: nodes by host name, nodes by interface address, and each
-    domain's nodes in jitter-draw order."""
+    their names: nodes by host name, nodes by interface address, each
+    domain's nodes in jitter-draw order, and the helper rules' ``(ip, node)``
+    destinations by ``(domain, udp_port)``, in rule order."""
     domain_of_subnet: dict[Cidr, str] = {}
     nodes_in_domain: dict[str, list[_Node]] = {}
     for i, domain in enumerate(topology.domains):
@@ -225,6 +229,7 @@ def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict]:
             if rule.new_dst_ip != LIMITED_BROADCAST and rule.new_dst_ip not in node_of_ip:
                 path = f"hosts[{i}].prerouting_rules[{j}].new_dst_ip"
                 raise InvalidTopology(path, f"prerouting rewrite to unknown address {rule.new_dst_ip}")
+    helpers: dict[tuple[str, int], list[tuple[str, _Node]]] = {}
     for i, rule in enumerate(topology.helper_rules):
         if rule.domain not in nodes_in_domain:
             raise InvalidTopology(f"helper_rules[{i}].domain", f"unknown domain {rule.domain!r}")
@@ -233,7 +238,8 @@ def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict]:
         for j, ip in enumerate(rule.destinations):
             if ip not in node_of_ip:
                 raise InvalidTopology(f"helper_rules[{i}].destinations[{j}]", f"no interface owns {ip}")
-    return nodes, node_of_ip, nodes_in_domain
+        helpers.setdefault((rule.domain, rule.udp_port), []).extend((ip, node_of_ip[ip]) for ip in rule.destinations)
+    return nodes, node_of_ip, nodes_in_domain, helpers
 
 
 class Delivery(NamedTuple):
@@ -295,15 +301,15 @@ class _CallsInTurn:
 class VirtualNetwork:
     """Sequential event loop over a VirtualTopology, which is not changed once the network is built."""
 
-    def __init__(self, topology: VirtualTopology, seed: int = 0) -> None:
+    def __init__(self, topology: VirtualTopology, seed: int = 0, log: bool = True) -> None:
         self.topology = topology
         self.now_us = 0
-        self.delivery_log: list[Delivery] = []
+        self.delivery_log: list[Delivery] | None = [] if log else None  # None: a network nobody inspects keeps none
         self._rng = random.Random(seed)
         self._queue: list[tuple[int, int, int, object]] = []
         self._seq = 0
         self._channel_listeners: dict[tuple[str, int], tuple[Callable, _Node]] = {}
-        self._nodes, self._node_of_ip, self._nodes_in_domain = index_topology(topology)
+        self._nodes, self._node_of_ip, self._nodes_in_domain, self._helper_copies = index_topology(topology)
         self._domain_of_broadcast = {d.subnet.broadcast_address(): d.name for d in topology.domains}
         self._jitter_max = topology.jitter_us
         self._jitter_bits = (topology.jitter_us + 1).bit_length()
@@ -406,19 +412,17 @@ class VirtualNetwork:
     def _route_helper_copies(self, packet: Ipv4UdpPacket, domain: str, at: int) -> list[list[Delivery]]:
         out = []
         at += 2 * self.topology.per_hop_delay_us  # one hop to the helping switch, one onward to the server
-        for rule in self.topology.helper_rules:
-            if rule.domain != domain or rule.udp_port != packet.dst_port:
-                continue
-            for dest_ip in rule.destinations:
-                copy = new_packet(Ipv4UdpPacket, (packet[0], dest_ip, *packet[2:]))
-                out.append(self._arrive_unicast(self._node_of_ip[dest_ip], copy, at + self._jitter()))
+        for dest_ip, node in self._helper_copies.get((domain, packet.dst_port), ()):
+            copy = new_packet(Ipv4UdpPacket, (packet[0], dest_ip, *packet[2:]))
+            out.append(self._arrive_unicast(node, copy, at + self._jitter()))
         return out
 
     def _arrive_unicast(self, node: _Node, packet: Ipv4UdpPacket, due: int) -> list[Delivery]:
         wire_dst_ip, wire_dst_port = packet.dst_ip, packet.dst_port
         host, ports = node.host, node.ports
-        rule = next((r for r in host.prerouting_rules if r.applies(packet)), None)
-        if rule is not None:
+        for rule in host.prerouting_rules:  # the first that applies
+            if not rule.applies(packet):
+                continue
             src_ip, _, src_port, _, *rest = packet
             packet = new_packet(Ipv4UdpPacket, (src_ip, rule.new_dst_ip, src_port, rule.new_dst_port, *rest))
             if rule.new_dst_ip == LIMITED_BROADCAST:
@@ -434,6 +438,7 @@ class VirtualNetwork:
                 next_due = due + self.topology.per_hop_delay_us + self._jitter()
                 forwarded = new_packet(Ipv4UdpPacket, (*packet[:5], packet.ttl - 1, *packet[6:]))
                 return self._arrive_unicast(next_node, forwarded, next_due)
+            break
         on_port = ports.get(packet.dst_port)
         if not on_port:
             return []
@@ -497,7 +502,8 @@ class VirtualNetwork:
         if time_us > self.now_us:
             self.now_us = time_us
         if kind == _DELIVERY:
-            self.delivery_log += item
+            if self.delivery_log is not None:
+                self.delivery_log += item
             for delivery in item:
                 # Read at its turn, so a binding an earlier turn unbound gets nothing.
                 callback = delivery.binding.callback
@@ -512,17 +518,10 @@ class VirtualNetwork:
     # -- trace export ---------------------------------------------------------
 
     def trace_lines(self) -> list[str]:
-        """Delivery log formatted one line per packet, capture style."""
+        """Delivery log formatted one line per packet, capture style; a network built with ``log=False`` has none."""
         return [
-            "%s IP %s.%d > %s.%d: UDP, length %d"
-            % (
-                _fmt_time(d.time_us),
-                d.packet.src_ip,
-                d.packet.src_port,
-                d.wire_dst_ip,
-                d.wire_dst_port,
-                len(d.packet.payload),
-            )
+            f"{_fmt_time(d.time_us)} IP {d.packet.src_ip}.{d.packet.src_port} > {d.wire_dst_ip}.{d.wire_dst_port}: "
+            f"UDP, length {len(d.packet.payload)}"
             for d in self.delivery_log
         ]
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from carelay import bench
 from carelay.bench import (
     ARM_ORDER,
     Sample,
@@ -99,6 +100,52 @@ class TestRunTwice:
         first, second = execute_scenario(scenario), execute_scenario(scenario)
         assert second.net.trace_lines() == first.net.trace_lines()
         assert second.report.samples == first.report.samples
+
+
+def proxy_scenario_c():
+    return scenario_c(mode=RelayMode.PROXY)
+
+
+class TestUnloggedNetworks:
+    """A network that keeps no delivery log runs as one that keeps it."""
+
+    @pytest.mark.parametrize("build", [scenario_a, scenario_b, scenario_c, proxy_scenario_c],
+                             ids=["A", "B", "C-spoof", "C-proxy"])
+    def test_a_scenario_reports_the_same_without_a_log(self, build):
+        logged, unlogged = build(), build()
+        logged.repetitions = unlogged.repetitions = 3
+        logged, unlogged = execute_scenario(logged), execute_scenario(unlogged, log=False)
+        assert logged.net.delivery_log and unlogged.net.delivery_log is None
+        assert unlogged.report == logged.report  # samples, mismatches, counters, stats
+        assert (unlogged.net.now_us, unlogged.net._seq) == (logged.net.now_us, logged.net._seq)
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_the_benchmark_reports_what_logged_arms_report(self, seed):
+        report = run_benchmark(repetitions=30, seed=seed)
+        scenarios = benchmark_scenarios(30, seed)
+        runs = [execute_scenario(scenarios[arm], arm=arm).report for arm in ARM_ORDER]
+        assert all(run.samples for run in runs)
+        assert report.samples == [sample for run in runs for sample in run.samples]
+        assert report.mismatches == [mismatch for run in runs for mismatch in run.mismatches]
+        assert report.counters == {arm: c for run in runs for arm, c in run.counters.items()}
+
+    def test_run_scenario_and_run_benchmark_build_networks_without_a_log(self, monkeypatch):
+        nets = []
+
+        def recorded(scenario, log=True):
+            net, relay = build_network(scenario, log)
+            nets.append(net)
+            return net, relay
+
+        monkeypatch.setattr(bench, "build_network", recorded)
+        run_scenario(scenario_c())
+        run_benchmark(repetitions=30, seed=7)
+        assert len(nets) == 1 + len(ARM_ORDER)
+        assert all(net.delivery_log is None for net in nets)
+
+    def test_an_executed_scenario_keeps_its_log(self):
+        run = execute_scenario(scenario_c())
+        assert len(run.net.trace_lines()) == len(run.net.delivery_log) > 0
 
 
 class TestFixtureLoader:

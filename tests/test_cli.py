@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from carelay import cli
-from carelay.bench import run_scenario, scenario_a, scenario_b, scenario_c
+from carelay.bench import execute_scenario, run_scenario, scenario_a, scenario_b, scenario_c
 from carelay.cli import main
 from carelay.config import config_from_mapping, parse_config
 from carelay.packet import Cidr
@@ -47,6 +47,19 @@ class TestSim:
         assert main(["sim", "--config", SCENARIO_C, "--log", "trace"]) == 0
         err = capsys.readouterr().err
         assert "> 255.255.255.255.5064: UDP, length 48" in err
+
+    @pytest.mark.parametrize("level, keeps_log", [("quiet", False), ("normal", False), ("trace", True)])
+    def test_only_a_trace_run_keeps_the_delivery_log(self, level, keeps_log, monkeypatch, capsys):
+        # Only `--log trace` prints the log, so only it may hold every delivery.
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(execute_scenario(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "execute_scenario", recorded)
+        assert main(["sim", "--config", SCENARIO_C, "--log", level]) == 0
+        assert (runs[0].net.delivery_log is not None) == keeps_log
 
     def test_missing_config_is_config_error(self, capsys):
         assert main(["sim", "--log", "quiet"]) == 2

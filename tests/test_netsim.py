@@ -191,6 +191,32 @@ class TestHelperRule:
         bind_seven_iocs(net)
         assert delivered(net, "TesterHEpics", search_packet("10.2.105.255", dst_port=5065)) == []
 
+    def test_a_rule_for_another_port_or_another_domain_makes_no_copy(self):
+        topology = make_topology()
+        topology.helper_rules = [
+            HelperRule("beamline", 5064, ("10.2.105.171",)),
+            HelperRule("sol", 5065, ("10.2.1.31",)),
+        ]
+        net = VirtualNetwork(topology)
+        for host in ("IMX1-HOST1", "IMX1-HOST2", "TesterHEpics"):
+            for port in (5064, 5065):
+                net.bind(host, port, host)
+        deliveries = delivered(net, "TesterHEpics", search_packet("10.2.105.255"))
+        assert [(d.host, d.wire_dst_ip) for d in deliveries] == [("TesterHEpics", "10.2.105.255")]
+
+    def test_a_topology_without_helper_rules_delivers_broadcasts_and_unicasts(self):
+        topology = make_topology()
+        topology.helper_rules = []
+        net = VirtualNetwork(topology)
+        for host in ("IMX1-HOST1", "IMX1-HOST2", "TesterHEpics"):
+            net.bind(host, 5064, host)
+        sol = delivered(net, "TesterHEpics", search_packet("10.2.105.255"))
+        assert [d.host for d in sol] == ["TesterHEpics"]
+        beamline = delivered(net, "IMX1-HOST2", search_packet("10.2.1.255", src_ip="10.2.1.32"))
+        assert [d.host for d in beamline] == ["IMX1-HOST1", "IMX1-HOST2"]
+        unicast = delivered(net, "TesterHEpics", search_packet("10.2.1.31"))
+        assert [(d.host, d.wire_dst_ip) for d in unicast] == [("IMX1-HOST1", "10.2.1.31")]
+
     def test_rules_sharing_a_domain_and_port_copy_in_rule_order(self):
         # The copies draw their jitter in rule order, then destination order,
         # skipping the rule for another port; the times, in firing order, are pinned.
