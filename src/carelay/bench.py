@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .ca_wire import new_record
-from .config import ExpectedOutcome, Scenario, config_from_mapping, load_yaml
+from .config import Scenario, config_from_mapping, load_yaml
 from .endpoints import CaClient, IocSim
 from .netsim import Interface, VirtualHost, VirtualNetwork, VirtualTopology
 from .relay import Relay, RelayMode, SimTransport
@@ -120,12 +120,6 @@ def scenario_c(seed: int = 0, mode: RelayMode = RelayMode.SPOOF) -> Scenario:
     return scenario
 
 
-def _matches(expected: ExpectedOutcome, outcome_timed_out: bool, value: float | None) -> bool:
-    if expected.kind == "timeout":
-        return outcome_timed_out
-    return not outcome_timed_out and value == expected.value
-
-
 def build_network(scenario: Scenario, log: bool = True) -> tuple[VirtualNetwork, Relay | None]:
     """The scenario's network, keeping its delivery log if ``log``, with its bare bindings, IOCs and relay in place."""
     net = VirtualNetwork(scenario.topology, seed=scenario.seed, log=log)
@@ -167,10 +161,10 @@ def execute_scenario(scenario: Scenario, arm: str | None = None, log: bool = Tru
             result = client.query(query.pv_name)
             sample = (scenario.name, arm_name, query.pv_name, result.outcome, result.latency_us)
             report.samples.append(new_record(Sample, sample))
-            if not _matches(query.expected, result.timed_out, result.value):
-                report.mismatches.append(
-                    f"{arm_name}/{query.pv_name}: expected {query.expected}, got {result.outcome}"
-                )
+            expected = query.expected
+            if result.timed_out != (expected is None) or result.value != expected:
+                want = "timeout" if expected is None else f"value:{expected!r}"
+                report.mismatches.append(f"{arm_name}/{query.pv_name}: expected {want}, got {result.outcome}")
     _fill_stats(report)
     if relay is not None:
         report.counters[arm_name] = dict(vars(relay.counters))

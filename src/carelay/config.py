@@ -36,7 +36,7 @@ from .netsim import (
     VirtualTopology,
     index_topology,
 )
-from .packet import Cidr, int_to_ip, ip_to_int
+from .packet import Cidr, is_dotted_quad
 from .relay import InvalidRelayConfig, RelayConfig, RelayMode
 
 
@@ -58,23 +58,10 @@ class ValidationError(ConfigError):
 
 
 @dataclass(frozen=True)
-class ExpectedOutcome:
-    kind: str  # "value" or "timeout"
-    value: float | None = None
-
-
-def VALUE(x: float) -> ExpectedOutcome:
-    return ExpectedOutcome("value", x)
-
-
-TIMEOUT = ExpectedOutcome("timeout")
-
-
-@dataclass(frozen=True)
 class Query:
     client_host: str
     pv_name: str
-    expected: ExpectedOutcome
+    expected: float | None  # the value the query must read, or None when it must time out
 
 
 @dataclass(frozen=True)
@@ -271,11 +258,7 @@ def _cidr(value, key: str) -> Cidr:
 
 def parse_address(value, key: str) -> str:
     """A dotted quad as ``int_to_ip`` writes it, for the network matches addresses as strings."""
-    try:
-        dotted = int_to_ip(ip_to_int(value))
-    except (TypeError, ValueError, OSError):
-        dotted = None
-    if value != dotted:
+    if not is_dotted_quad(value):
         raise ValidationError(key, f"not an IPv4 address: {value!r}")
     return value
 
@@ -453,7 +436,7 @@ def _parse_query(query: _Section, default_client: str | None) -> Query:
     return Query(
         client_host=query.str("client", default_client),
         pv_name=query.get("pv", parse_pv_name),
-        expected=TIMEOUT if timeout else VALUE(value),
+        expected=value,
     )
 
 

@@ -8,11 +8,14 @@ scheduled onto a single event queue, so a fixed topology, seed, and injection
 sequence always produce the same deliveries. A network built with ``log=True``
 (the default) keeps them in ``delivery_log``; one that nobody reads, as in
 ``bench.run_scenario`` and ``run_benchmark``, keeps none and runs the same.
-A binding's callback may return a packet, which the network sends from the
-receiving host; a binding that is unbound receives nothing more, though
-deliveries already queued to it are still logged. A topology the network
-cannot describe is refused when it is built (``index_topology``), with
-``InvalidTopology.path`` naming the faulty field, such as ``hosts[1].name``.
+``trace_lines`` formats that log a line at a time, as each is taken, so a
+trace is printed without being built whole. A timer is queued with
+``call_later``, which refuses a negative delay. A binding's callback may
+return a packet, which the network sends from the receiving host; a binding
+that is unbound receives nothing more, though deliveries already queued to it
+are still logged. A topology the network cannot describe is refused when it
+is built (``index_topology``), with ``InvalidTopology.path`` naming the faulty
+field, such as ``hosts[1].name``.
 
 Delivery semantics, applied in order for each injected packet:
 
@@ -63,7 +66,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .packet import Cidr, Ipv4UdpPacket, new_packet
 
@@ -359,14 +362,11 @@ class VirtualNetwork:
 
     # -- scheduling -----------------------------------------------------------
 
-    def call_at(self, time_us: int, fn: Callable[[], None]) -> None:
-        if time_us < self.now_us:
-            raise ValueError(f"cannot schedule at {time_us} before now {self.now_us}")
-        self._seq += 1
-        heapq.heappush(self._queue, (time_us, self._seq, _TIMER, fn))
-
     def call_later(self, delta_us: int, fn: Callable[[], None]) -> None:
-        self.call_at(self.now_us + delta_us, fn)
+        if delta_us < 0:
+            raise ValueError(f"cannot schedule {delta_us} us before now {self.now_us}")
+        self._seq += 1
+        heapq.heappush(self._queue, (self.now_us + delta_us, self._seq, _TIMER, fn))
 
     def call_in_turn(self, start_us: int, calls: Sequence[tuple[int, Callable]], arg: Any) -> Callable[[], None]:
         """Queue the calls, a list a caller can build once, as a ``_CallsInTurn`` chain; returns its ``cancel``."""
@@ -517,13 +517,13 @@ class VirtualNetwork:
 
     # -- trace export ---------------------------------------------------------
 
-    def trace_lines(self) -> list[str]:
-        """Delivery log formatted one line per packet, capture style; a network built with ``log=False`` has none."""
-        return [
+    def trace_lines(self) -> Iterator[str]:
+        """Delivery log as capture-style lines, each made when taken; a network built with ``log=False`` has none."""
+        return (
             f"{_fmt_time(d.time_us)} IP {d.packet.src_ip}.{d.packet.src_port} > {d.wire_dst_ip}.{d.wire_dst_port}: "
             f"UDP, length {len(d.packet.payload)}"
             for d in self.delivery_log
-        ]
+        )
 
 
 def _fmt_time(time_us: int) -> str:

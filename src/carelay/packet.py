@@ -21,7 +21,8 @@ in one pass that adds the two addresses once for both checksums.
 converted, so ``encode``, ``Cidr.contains`` and the relay's filter convert an
 address once, not per datagram. Sources come off the network, so the table is
 bounded: forged ones evict the oldest instead of growing it. A string that is
-not an address raises every time, as it is never stored.
+not an address raises every time, as it is never stored. The relay and the
+config check an address with ``is_dotted_quad``: only ``int_to_ip``'s form.
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ def ip_to_int(ip: str) -> int:
 
 def int_to_ip(value: int) -> str:
     return socket.inet_ntoa(value.to_bytes(4, "big"))
+
+
+def is_dotted_quad(value) -> bool:
+    """Whether value is an IPv4 address as ``int_to_ip`` writes it; a short form such as 10.2.511 is not."""
+    try:
+        return int_to_ip(ip_to_int(value)) == value
+    except (TypeError, ValueError, OSError):
+        return False
 
 
 def checksum16(data: bytes) -> int:

@@ -44,6 +44,9 @@ def test_names_the_benchmark_depends_on():
         "dropped_rate_limited",
         "replies_forwarded",
         "dropped_flow_limit",
+        "recv_errors",
+        "send_errors",
+        "reply_send_errors",
     ]
     for name in ("serve", "handle_packet", "on_flow_packet", "expire_flows"):
         assert callable(getattr(Relay, name)), name

@@ -1,14 +1,17 @@
 import argparse
 import dataclasses
 import hashlib
+import os
 import socket
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
 
 from carelay import cli
-from carelay.bench import execute_scenario, run_scenario, scenario_a, scenario_b, scenario_c
+from carelay.bench import emit_report, execute_scenario, run_scenario, scenario_a, scenario_b, scenario_c
 from carelay.cli import main
 from carelay.config import config_from_mapping, parse_config
 from carelay.packet import Cidr
@@ -60,6 +63,33 @@ class TestSim:
         monkeypatch.setattr(cli, "execute_scenario", recorded)
         assert main(["sim", "--config", SCENARIO_C, "--log", level]) == 0
         assert (runs[0].net.delivery_log is not None) == keeps_log
+
+    def test_a_trace_is_printed_a_line_at_a_time(self, monkeypatch):
+        # Printing the delivery log holds no second copy of it as text: the
+        # traced peak while the trace is printed stays near the run's own.
+        peaks = {}
+
+        def run_measured(*args, **kwargs):
+            run = execute_scenario(*args, **kwargs)
+            peaks["run"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            return run
+
+        def report_measured(*args):
+            peaks["trace"] = tracemalloc.get_traced_memory()[1]  # the trace is printed, the report not yet made
+            return emit_report(*args)
+
+        monkeypatch.setattr(cli, "execute_scenario", run_measured)
+        monkeypatch.setattr(cli, "emit_report", report_measured)
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            monkeypatch.setattr(sys, "stderr", devnull)
+            tracemalloc.start()
+            try:
+                assert main(["sim", "--config", SCENARIO_C, "--reps", "300", "--log", "trace"]) == 0
+            finally:
+                tracemalloc.stop()
+        assert peaks["trace"] <= 1.05 * peaks["run"]
 
     def test_missing_config_is_config_error(self, capsys):
         assert main(["sim", "--log", "quiet"]) == 2

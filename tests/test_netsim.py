@@ -407,13 +407,20 @@ class TestClock:
     def test_window_boundary(self):
         net = VirtualNetwork(make_topology())
         fired = []
-        net.call_at(10, lambda: fired.append(10))
-        net.call_at(20, lambda: fired.append(20))
+        net.call_later(10, lambda: fired.append(10))
+        net.call_later(20, lambda: fired.append(20))
         net.advance_clock(15)
         assert fired == [10]
         assert net.now_us == 15
         net.advance_clock(5)
         assert fired == [10, 20]
+
+    def test_a_negative_delay_is_refused(self):
+        net = VirtualNetwork(make_topology())
+        net.advance_clock(10)
+        with pytest.raises(ValueError, match="cannot schedule -1 us before now 10"):
+            net.call_later(-1, lambda: None)
+        assert net._queue == []
 
     def test_deliveries_fire_in_timestamp_then_injection_order(self):
         net = VirtualNetwork(make_topology())
@@ -461,7 +468,7 @@ class TestClock:
         net.call_in_turn(5, [(5, call("first")), (15, call("second")), (25, call("third"))], "arg")
         # Queued after the chain was made, so it fires after the chain's call
         # at the same time, although that call is queued only at time 10.
-        net.call_at(20, lambda: fired.append(("later", None)))
+        net.call_later(20, lambda: fired.append(("later", None)))
         net.advance_clock(100)
         assert fired == [("first", "arg"), ("second", "arg"), ("later", None), ("third", "arg")]
 
@@ -477,7 +484,7 @@ class TestClock:
     def test_cancel_removes_the_queued_call(self):
         net = VirtualNetwork(make_topology())
         fired = []
-        net.call_at(50, lambda: fired.append("other"))
+        net.call_later(50, lambda: fired.append("other"))
         cancel = net.call_in_turn(0, [(10, lambda _: fired.append(1) or True), (20, lambda _: fired.append(2))], None)
         net.advance_clock(15)
         cancel()

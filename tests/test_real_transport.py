@@ -441,16 +441,24 @@ class TestFlowOpenFailure:
             assert created[-1].fileno() == -1  # closed by open_flow
 
 
+def raise_fault(faults: dict, call: str) -> None:
+    code = faults.pop(call, None)
+    if code is not None:
+        raise OSError(code, os.strerror(code))
+
+
 class RecordingRawSocket:
-    """Stands in for the SOCK_RAW socket: keeps each frame and its address."""
+    """Stands in for the SOCK_RAW socket: keeps each frame and its address, unless an errno is put in ``faults``."""
 
     def __init__(self) -> None:
         self.sent: list[tuple[bytes, tuple]] = []
+        self.faults: dict[str, int] = {}
 
     def setsockopt(self, *args) -> None:
         pass
 
     def sendto(self, frame: bytes, addr: tuple) -> int:
+        raise_fault(self.faults, "sendto")
         self.sent.append((bytes(frame), addr))
         return len(frame)
 
@@ -624,6 +632,114 @@ class TestListenDrain:
         assert relay.counters.received == received_before + backlog
         assert relay.counters.dropped_not_allowed == backlog
         assert relay.counters.conserved()
+
+
+class FaultySocket(socket.socket):
+    """A UDP socket whose next recvfrom or sendto raises the errno put in ``faults`` under its name."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.faults: dict[str, int] = {}
+
+    def recvfrom(self, *args):
+        raise_fault(self.faults, "recvfrom")
+        return super().recvfrom(*args)
+
+    def sendto(self, *args):
+        raise_fault(self.faults, "sendto")
+        return super().sendto(*args)
+
+
+class TestSocketErrors:
+    """An OSError from a receive or a send is counted, and the serve loop goes on."""
+
+    def test_proxy_relay_counts_each_socket_error_and_serves_on(self):
+        created: list[FaultySocket] = []
+
+        def factory(family, kind, proto=0):
+            created.append(FaultySocket(family, kind, proto))
+            return created[-1]
+
+        sink, client = plain_udp_socket(), plain_udp_socket()
+        for sock in (sink, client):
+            sock.settimeout(2)
+        config = RelayConfig(
+            target_broadcast="127.0.0.1",
+            listen_port=17564,
+            target_port=sink.getsockname()[1],
+            mode=RelayMode.PROXY,
+            local_subnet=Cidr("192.0.2.0", 24),
+        )
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
+        relay = Relay(config, transport)
+        listen = created[0]
+        counters = relay.counters
+        stop, thread = serve_in_thread(relay)
+        try:
+            # A failed receive leaves the search queued for the next wakeup.
+            listen.faults["recvfrom"] = errno.ECONNREFUSED
+            client.sendto(b"search 1", ("127.0.0.1", config.listen_port))
+            data, flow_addr = sink.recvfrom(65535)
+            assert data == b"search 1"
+            flow = created[1]
+            flow.faults["sendto"] = errno.ENOBUFS
+            client.sendto(b"search 2", ("127.0.0.1", config.listen_port))
+            wait_until(lambda: counters.send_errors == 1)
+            client.sendto(b"search 3", ("127.0.0.1", config.listen_port))
+            assert sink.recvfrom(65535)[0] == b"search 3"
+
+            flow.faults["recvfrom"] = errno.ECONNREFUSED
+            sink.sendto(b"reply 1", flow_addr)
+            assert client.recvfrom(65535)[0] == b"reply 1"
+            flow.faults["sendto"] = errno.EPERM
+            sink.sendto(b"reply 2", flow_addr)
+            wait_until(lambda: counters.reply_send_errors == 1)
+            sink.sendto(b"reply 3", flow_addr)
+            assert client.recvfrom(65535)[0] == b"reply 3"
+            assert thread.is_alive()
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            sink.close()
+            client.close()
+        assert not thread.is_alive()
+        assert (counters.received, counters.relayed, counters.send_errors) == (3, 2, 1)
+        assert (counters.replies_forwarded, counters.reply_send_errors) == (2, 1)
+        assert counters.recv_errors == 2
+        assert counters.conserved()
+
+    def test_spoof_relay_counts_a_failed_raw_send_and_serves_on(self):
+        raw = RecordingRawSocket()
+        config = RelayConfig(
+            target_broadcast="127.255.255.255",
+            listen_port=17664,
+            target_port=15064,
+            mode=RelayMode.SPOOF,
+            local_subnet=Cidr("192.0.2.0", 24),
+        )
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=raw.factory)
+        relay = Relay(config, transport)
+        client = plain_udp_socket()
+        counters = relay.counters
+        stop, thread = serve_in_thread(relay)
+        try:
+            # raw(7): a raw write over the path MTU fails with EMSGSIZE.
+            raw.faults["sendto"] = errno.EMSGSIZE
+            client.sendto(b"too big", ("127.0.0.1", config.listen_port))
+            wait_until(lambda: counters.send_errors == 1)
+            client.sendto(b"search", ("127.0.0.1", config.listen_port))
+            wait_until(lambda: counters.relayed == 1)
+            assert thread.is_alive()
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            client.close()
+        assert not thread.is_alive()
+        assert [decode(frame).payload for frame, _ in raw.sent] == [b"search"]
+        assert (counters.received, counters.relayed, counters.send_errors) == (2, 1, 1)
+        assert counters.conserved()
 
 
 @pytest.mark.skipif(not RAW_AVAILABLE, reason="raw sockets unavailable")

@@ -27,7 +27,6 @@ from carelay.relay import (
     RealUdpTransport,
     Verdict,
     classify,
-    rewrite_spoof,
 )
 
 BEAMLINE = Cidr("10.2.1.0", 24)
@@ -127,28 +126,57 @@ class TestClassify:
         assert classify(query_packet(src_ip="10.2.1.5"), open_config) is Verdict.ACCEPT
 
 
+class SpoofRecorder:
+    """Transport that keeps each spoofed emission."""
+
+    def __init__(self):
+        self.emitted = []
+
+    def attach(self, relay):
+        del relay
+
+    def emit_spoofed(self, packet):
+        self.emitted.append(packet)
+
+
+def spoofed(*packets, first_id=1):
+    """What a paper spoof relay emits for the packets, its identifications counting up from first_id."""
+    transport = SpoofRecorder()
+    relay = Relay(PAPER_CONFIG, transport)
+    relay._next_id = first_id
+    for packet in packets:
+        relay.handle_packet(packet, now_us=0)
+    return transport.emitted
+
+
+def rewritten(packet, identification, config=PAPER_CONFIG):
+    """The reference spoof rewrite: the relay's target, a fresh TTL and the given identification."""
+    return packet._replace(
+        dst_ip=config.target_broadcast, dst_port=config.target_port, ttl=64, identification=identification
+    )
+
+
 class TestRewriteSpoof:
     def test_paper_flow(self):
-        out = rewrite_spoof(query_packet(), PAPER_CONFIG, identification=9)
+        (out,) = spoofed(query_packet())
         assert (out.src_ip, out.src_port) == ("10.2.105.171", 44256)
         assert (out.dst_ip, out.dst_port) == ("255.255.255.255", 5064)
 
     def test_payload_identity_for_various_lengths(self):
-        for n in (0, 1, 40, 48, 1400):
-            pkt = query_packet(payload=bytes(range(256)) * (n // 256) + bytes(n % 256))
-            out = rewrite_spoof(pkt, PAPER_CONFIG, identification=1)
-            assert out.payload == pkt.payload
+        packets = [query_packet(payload=bytes(range(256)) * (n // 256) + bytes(n % 256)) for n in (0, 1, 40, 48, 1400)]
+        assert [out.payload for out in spoofed(*packets)] == [pkt.payload for pkt in packets]
 
-    def test_double_application_idempotent_on_src_and_payload(self):
-        once = rewrite_spoof(query_packet(), PAPER_CONFIG, identification=1)
-        twice = rewrite_spoof(once, PAPER_CONFIG, identification=2)
-        assert (twice.src_ip, twice.src_port, twice.payload) == (once.src_ip, once.src_port, once.payload)
-        assert (twice.dst_ip, twice.dst_port) == (once.dst_ip, once.dst_port)
+    def test_own_emission_fed_back_is_a_port_mismatch(self):
+        transport = SpoofRecorder()
+        relay = Relay(PAPER_CONFIG, transport)
+        relay.handle_packet(query_packet(), now_us=0)
+        relay.handle_packet(transport.emitted[0], now_us=0)
+        assert len(transport.emitted) == 1
+        assert (relay.counters.relayed, relay.counters.dropped_port) == (1, 1)
 
     def test_ttl_reset_and_fresh_identification(self):
-        pkt = query_packet()
-        worn = Ipv4UdpPacket(**{**pkt._asdict(), "ttl": 3, "identification": 777})
-        out = rewrite_spoof(worn, PAPER_CONFIG, identification=42)
+        worn = query_packet()._replace(ttl=3, identification=777)
+        (out,) = spoofed(worn, first_id=42)
         assert out.ttl == 64
         assert out.identification == 42
 
@@ -167,41 +195,26 @@ class TestRewriteSpoof:
                 flags_fragment=rng.randrange(0, 0x10000),
             )
             ident = rng.randrange(1, 0x10000)
-            expected = pkt._replace(
-                dst_ip=PAPER_CONFIG.target_broadcast,
-                dst_port=PAPER_CONFIG.target_port,
-                identification=ident,
-                ttl=64,
-            )
-            assert rewrite_spoof(pkt, PAPER_CONFIG, ident) == expected
+            (out,) = spoofed(pkt, first_id=ident)
+            assert type(out) is Ipv4UdpPacket
+            assert out == rewritten(pkt, ident)
 
     def test_checksums_valid_after_rewrite(self):
-        out = rewrite_spoof(query_packet(), PAPER_CONFIG, identification=5)
+        (out,) = spoofed(query_packet())
         assert decode(encode(out)) == out
 
     def test_source_preserved_for_randomized_packets(self):
         rng = random.Random(3)
-        for _ in range(200):
-            pkt = query_packet(
+        packets = [
+            query_packet(
                 src_ip=f"10.2.105.{rng.randrange(1, 255)}",
                 src_port=rng.randrange(1024, 65536),
                 payload=rng.randbytes(rng.randrange(0, 200)),
             )
-            out = rewrite_spoof(pkt, PAPER_CONFIG, identification=1)
-            assert (out.src_ip, out.src_port) == (pkt.src_ip, pkt.src_port)
-
-
-class SpoofRecorder:
-    """Transport that keeps each spoofed emission."""
-
-    def __init__(self):
-        self.emitted = []
-
-    def attach(self, relay):
-        del relay
-
-    def emit_spoofed(self, packet):
-        self.emitted.append(packet)
+            for _ in range(200)
+        ]
+        outs = spoofed(*packets)
+        assert [(out.src_ip, out.src_port) for out in outs] == [(pkt.src_ip, pkt.src_port) for pkt in packets]
 
 
 class TestSpoofIdentification:
@@ -247,7 +260,7 @@ def test_address_table_stays_bounded_under_a_flood_of_sources():
     accepted = [s for s in sources if any(ipaddress.ip_address(s) in net for net in allowed)]
     assert counters.relayed == len(accepted) and counters.dropped_not_allowed > 0
     for ident, (src_ip, wire) in enumerate(zip(accepted, transport.emitted, strict=True), start=1):
-        assert decode(wire) == rewrite_spoof(query_packet(src_ip=src_ip), config, ident)
+        assert decode(wire) == rewritten(query_packet(src_ip=src_ip), ident, config)
 
 
 def relay_topology(negate_src=BEAMLINE, helper_back_to_relay=False):
@@ -507,6 +520,37 @@ class TestCountersConservation:
         assert relay.counters.relayed == 10
         assert relay.counters.dropped_rate_limited == 15
         assert relay.counters.conserved()
+
+
+class SendCounts:
+    """Transport that notes the relay's relayed and replies_forwarded counts as each send is made."""
+
+    def __init__(self):
+        self.seen = []
+
+    def attach(self, relay):
+        self.counters = relay.counters
+
+    def open_flow(self):
+        return 40000
+
+    def emit_spoofed(self, packet):
+        self.seen.append((self.counters.relayed, self.counters.replies_forwarded))
+
+    def flow_send(self, local_port, payload, dst_ip, dst_port):
+        self.emit_spoofed(None)
+
+
+def test_a_datagram_is_counted_before_it_is_sent():
+    # A reader on another thread who has seen the datagram arrive, as a
+    # benchmark's counter snapshot has, must find it counted already.
+    spoof, proxy = SendCounts(), SendCounts()
+    Relay(PAPER_CONFIG, spoof).handle_packet(query_packet(), now_us=0)
+    relay = Relay(dataclasses.replace(PAPER_CONFIG, mode=RelayMode.PROXY), proxy)
+    relay.handle_packet(query_packet(), now_us=0)
+    relay.on_flow_packet(40000, query_packet(src_ip="10.2.1.31", dst_port=40000), now_us=0)
+    assert spoof.seen == [(1, 0)]
+    assert proxy.seen == [(1, 0), (1, 1)]
 
 
 class TestRelayConfigValidation:

@@ -2,9 +2,9 @@
 
 ``RelayModel`` says what ``Relay`` should do, written plainly: verdicts from
 ``ipaddress``, flows in a dict, identifications counted by hand. The machine
-feeds both the same datagrams, flow replies, clock ticks and refused flow
-sockets, and after every step checks that counters, flow tables and the calls
-made on the transport are equal.
+feeds both the same datagrams, flow replies, clock ticks, refused flow
+sockets and failed sends, and after every step checks that counters, flow
+tables and the calls made on the transport are equal.
 """
 
 import errno
@@ -48,12 +48,19 @@ class RecordingTransport:
         self.calls: list[tuple] = []
         self.opened = 0
         self.refuse_next_open = False
+        self.fail_next_send = False
 
     def attach(self, relay) -> None:
         del relay
 
+    def _send(self, call: tuple) -> None:
+        if self.fail_next_send:
+            self.fail_next_send = False
+            raise OSError(errno.ENOBUFS, os.strerror(errno.ENOBUFS))
+        self.calls.append(call)
+
     def emit_spoofed(self, packet) -> None:
-        self.calls.append(("emit", packet))
+        self._send(("emit", packet))
 
     def open_flow(self) -> int:
         if self.refuse_next_open:
@@ -66,7 +73,7 @@ class RecordingTransport:
         self.calls.append(("close", port))
 
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
-        self.calls.append(("send", local_port, payload, dst_ip, dst_port))
+        self._send(("send", local_port, payload, dst_ip, dst_port))
 
 
 class RelayModel:
@@ -80,6 +87,16 @@ class RelayModel:
         self.next_id = next_id
         self.opened = 0
         self.refuse_next_open = False
+        self.fail_next_send = False
+
+    def send(self, call: tuple, counter: str, error_counter: str) -> None:
+        """Records the call and counts it, or only counts the error if this is the send set to fail."""
+        if self.fail_next_send:
+            self.fail_next_send = False
+            self.counters[error_counter] += 1
+            return
+        self.calls.append(call)
+        self.counters[counter] += 1
 
     def verdict(self, packet: Ipv4UdpPacket) -> str:
         if packet.dst_port != self.config.listen_port:
@@ -102,8 +119,8 @@ class RelayModel:
             emitted = packet._replace(
                 dst_ip=config.target_broadcast, dst_port=config.target_port, ttl=64, identification=self.next_id
             )
-            self.calls.append(("emit", emitted))
             self.next_id = 1 if self.next_id == 0xFFFF else self.next_id + 1
+            self.send(("emit", emitted), "relayed", "send_errors")
         else:
             client = (packet.src_ip, packet.src_port)
             if client not in self.flows:
@@ -115,15 +132,15 @@ class RelayModel:
                 self.flows[client] = [FLOW_PORT_BASE + self.opened, now]
             flow = self.flows[client]
             flow[1] = now
-            self.calls.append(("send", flow[0], packet.payload, config.target_broadcast, config.target_port))
-        self.counters["relayed"] += 1
+            call = ("send", flow[0], packet.payload, config.target_broadcast, config.target_port)
+            self.send(call, "relayed", "send_errors")
 
     def flow_reply(self, port: int, packet: Ipv4UdpPacket, now: int) -> None:
         for (client_ip, client_port), flow in self.flows.items():
             if flow[0] == port:
                 flow[1] = now
-                self.counters["replies_forwarded"] += 1
-                self.calls.append(("send", port, packet.payload, client_ip, client_port))
+                call = ("send", port, packet.payload, client_ip, client_port)
+                self.send(call, "replies_forwarded", "reply_send_errors")
 
     def expire(self, now: int) -> int:
         idle = [client for client, (_, last) in self.flows.items() if now - last >= TIMEOUT_US]
@@ -175,6 +192,11 @@ class RelayAgainstModel(RuleBasedStateMachine):
     def refuse_next_flow(self):
         for _, transport, model in self.sides:
             transport.refuse_next_open = model.refuse_next_open = True
+
+    @rule()
+    def fail_next_send(self):
+        for _, transport, model in self.sides:
+            transport.fail_next_send = model.fail_next_send = True
 
     @invariant()
     def agrees_with_the_model(self):
