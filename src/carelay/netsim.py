@@ -522,7 +522,7 @@ class VirtualNetwork:
         return (
             f"{_fmt_time(d.time_us)} IP {d.packet.src_ip}.{d.packet.src_port} > {d.wire_dst_ip}.{d.wire_dst_port}: "
             f"UDP, length {len(d.packet.payload)}"
-            for d in self.delivery_log
+            for d in self.delivery_log or ()
         )
 
 

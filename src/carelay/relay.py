@@ -16,13 +16,11 @@ benchmark models it as a PROXY relay on a SimTransport whose host takes
 ``request_delay_us`` to process each request.
 
 The real transport is Linux-only, as are the raw sockets and the prerouting
-redirect it serves behind. It registers each socket once with one
-``select.epoll``, so it has no 1024-descriptor limit. Each wakeup reads the
-listen socket until it is empty, but at most ``LISTEN_DRAIN_CAP`` (64)
-datagrams, so a burst of searches costs one wakeup per 64 and cannot starve
-the flow sockets, which are read once per wakeup. Both transports expire idle
-flows on a tick of ``EXPIRY_TICK_US`` (1 s), at most one tick after their
-timeout.
+redirect it serves behind. SPOOF blocks in its one socket's receive, with a
+``SO_RCVTIMEO`` of ``IDLE_WAKE_S`` (0.2 s) to see its stop event. PROXY
+registers each socket once with one ``select.epoll`` (no 1024-descriptor
+limit). Both transports expire idle flows on a tick of ``EXPIRY_TICK_US``
+(1 s), at most one tick after their timeout.
 
 Per datagram, packet values are built with ``packet.new_packet`` as ``_make``
 does, the spoof rewrite among them, in ``Relay.handle_packet`` itself (0.38 µs
@@ -38,10 +36,12 @@ a failed send of an accepted search as ``send_errors``, and of a reply as
 from __future__ import annotations
 
 import enum
+import errno
 import logging
 import math
 import select
 import socket
+import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -60,6 +60,8 @@ FLOW_PORT_BASE = 40000
 EXPIRY_TICK_US = 1_000_000
 # Most listen-socket datagrams read in one wakeup, so the flows are not starved.
 LISTEN_DRAIN_CAP = 64
+# Longest an idle serve loop waits before it looks at its stop event again.
+IDLE_WAKE_S = 0.2
 
 
 class RelayError(Exception):
@@ -367,7 +369,7 @@ class SimTransport:
 
 
 class RealUdpTransport:
-    """Plain-socket transport; SPOOF additionally needs raw-send capability."""
+    """Plain-socket transport: SPOOF blocks in its one receive and needs raw-send capability, PROXY uses epoll."""
 
     def __init__(
         self,
@@ -411,8 +413,13 @@ class RealUdpTransport:
         # Flow sockets by descriptor, each with its local port; the listen
         # socket is told apart by its descriptor alone.
         self._flows_by_fd: dict[int, tuple[socket.socket, int]] = {}
-        self._epoll = select.epoll()
-        self._epoll.register(self._listen.fileno(), select.EPOLLIN)
+        if config.mode is RelayMode.PROXY:
+            self._epoll = select.epoll()
+            self._epoll.register(self._listen.fileno(), select.EPOLLIN)
+        else:  # socket(7): a receive idle this long fails with EAGAIN; settimeout() would poll(2) before each
+            self._epoll = None
+            timeval = struct.pack("@ll", *divmod(round(IDLE_WAKE_S * 1_000_000), 1_000_000))
+            self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
 
     def attach(self, relay: Relay) -> None:
         del relay  # serve() is handed the relay
@@ -447,19 +454,16 @@ class RealUdpTransport:
         self._flow_sockets[local_port].sendto(payload, (dst_ip, dst_port))
 
     def serve(self, relay: Relay, stop: threading.Event | None = None) -> None:
-        """Receive loop; returns when stop is set.
+        """Receive loop; returns when stop is set, within ``IDLE_WAKE_S`` when idle.
 
-        Each wakeup reads the listen socket until it is empty or
-        ``LISTEN_DRAIN_CAP`` datagrams have been read, and each readable flow
-        socket once, so a search burst cannot hold back the replies.
+        SPOOF handles each datagram of a blocking receive at its own time.
+        PROXY reads per wakeup at most ``LISTEN_DRAIN_CAP`` (64) listen
+        datagrams and each readable flow socket once, so the replies are not
+        held back.
         """
-        poll = self._epoll.poll
-        listen_fd = self._listen.fileno()
         listen_recv = self._listen.recvfrom
         listen_port = relay.config.listen_port
-        flows_by_fd = self._flows_by_fd
         bind_ip = self._bind_ip
-        dontwait = socket.MSG_DONTWAIT
         new_packet = _new_packet
         packet_type = Ipv4UdpPacket
         stopped = (lambda: False) if stop is None else stop.is_set
@@ -467,10 +471,30 @@ class RealUdpTransport:
         # Looked up here, not in attach(), so that wrappers installed on the
         # relay instance before serve() starts see every datagram.
         handle_packet = relay.handle_packet
+        if self._epoll is None:
+            monotonic_ns = time.monotonic_ns
+            while not stopped():
+                try:
+                    data, (src_ip, src_port) = listen_recv(65535)
+                except BlockingIOError:  # the receive timed out
+                    continue
+                except OSError as exc:
+                    if exc.errno == errno.EBADF:  # close() ran under the loop: no receive can succeed
+                        raise
+                    relay.counters.recv_errors += 1
+                    log.debug("receive failed: %s", exc)
+                    continue
+                fields = (src_ip, bind_ip, src_port, listen_port, data, ttl, ident, tos, frag)
+                handle_packet(new_packet(packet_type, fields), monotonic_ns() // 1000)
+            return
+        poll = self._epoll.poll
+        listen_fd = self._listen.fileno()
+        flows_by_fd = self._flows_by_fd
+        dontwait = socket.MSG_DONTWAIT
         on_flow_packet = relay.on_flow_packet
         next_tick_us = 0
         while not stopped():
-            events = poll(0.2)
+            events = poll(IDLE_WAKE_S)
             now = time.monotonic_ns() // 1000
             for fd, _ in events:
                 if fd == listen_fd:
@@ -504,7 +528,8 @@ class RealUdpTransport:
                 next_tick_us = now + EXPIRY_TICK_US
 
     def close(self) -> None:
-        self._epoll.close()
+        if self._epoll is not None:
+            self._epoll.close()
         self._listen.close()
         if self._raw is not None:
             self._raw.close()

@@ -120,6 +120,10 @@ class TestUnloggedNetworks:
         assert unlogged.report == logged.report  # samples, mismatches, counters, stats
         assert (unlogged.net.now_us, unlogged.net._seq) == (logged.net.now_us, logged.net._seq)
 
+    def test_an_unlogged_network_has_no_trace_lines(self):
+        run = execute_scenario(scenario_c(), log=False)
+        assert list(run.net.trace_lines()) == []
+
     @pytest.mark.parametrize("seed", [7, 11])
     def test_the_benchmark_reports_what_logged_arms_report(self, seed):
         report = run_benchmark(repetitions=30, seed=seed)

@@ -10,12 +10,14 @@ name server answers searches only, as a stock IOC does over UDP.
 import errno
 import os
 import resource
+import signal
 import socket
 import threading
 import time
 
 import pytest
 
+from carelay import cli
 from carelay.ca_wire import (
     SearchRequest,
     SearchResponse,
@@ -27,6 +29,7 @@ from carelay.cli import main
 from carelay.endpoints import ChannelTimeout, ClientQueryConfig, RealCaClient
 from carelay.packet import Cidr, decode
 from carelay.relay import (
+    IDLE_WAKE_S,
     LISTEN_DRAIN_CAP,
     PrivilegeRequired,
     RealUdpTransport,
@@ -280,12 +283,12 @@ class TestRealProxyRelay:
 
 
 def proxy_relay(listen_port: int, target_port: int, **overrides):
+    overrides.setdefault("local_subnet", Cidr("192.0.2.0", 24))
     config = RelayConfig(
         target_broadcast="127.0.0.1",
         listen_port=listen_port,
         target_port=target_port,
         mode=RelayMode.PROXY,
-        local_subnet=Cidr("192.0.2.0", 24),
         **overrides,
     )
     transport = RealUdpTransport(config, bind_ip="127.0.0.1")
@@ -516,21 +519,33 @@ class TestRealSpoofServeLoop:
         assert counters.conserved()
 
 
-class TestListenDrain:
-    """Datagrams queued before serve() starts are read in capped bursts."""
+class TimedReceiveSocket(socket.socket):
+    """A UDP socket that records each recvfrom: whether it returned a datagram, and how long it took."""
 
-    def spoof_relay(self, listen_port: int):
-        raw = RecordingRawSocket()
-        config = RelayConfig(
-            target_broadcast="127.255.255.255",
-            listen_port=listen_port,
-            target_port=15064,
-            mode=RelayMode.SPOOF,
-            allow_sources=(Cidr("127.0.0.0", 28),),
-            local_subnet=Cidr("127.0.0.8", 29),
-        )
-        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=raw.factory)
-        relay = Relay(config, transport)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.receives: list[tuple[bool, float]] = []
+
+    def recvfrom(self, *args):
+        start = time.monotonic()
+        try:
+            result = super().recvfrom(*args)
+        except OSError:
+            self.receives.append((False, time.monotonic() - start))
+            raise
+        self.receives.append((True, time.monotonic() - start))
+        return result
+
+
+class TestListenDrain:
+    """Datagrams queued before serve() starts: PROXY reads them in capped bursts, SPOOF one per receive."""
+
+    # Sources 127.0.0.2, .9 and .17 are accepted, local and not allowed.
+    SOURCES = ("127.0.0.2", "127.0.0.9", "127.0.0.17")
+    FILTER = dict(allow_sources=(Cidr("127.0.0.0", 28),), local_subnet=Cidr("127.0.0.8", 29))
+
+    def proxy_relay(self, listen_port: int, sink: socket.socket):
+        relay, transport = proxy_relay(listen_port, sink.getsockname()[1], **self.FILTER)
         # One serve() wakeup reads every datagram of a drain at one time.
         wakeup_times: list[int] = []
         handle_packet = relay.handle_packet
@@ -540,14 +555,78 @@ class TestListenDrain:
             handle_packet(packet, now_us)
 
         relay.handle_packet = recording
-        return relay, transport, raw, wakeup_times
+        return relay, transport, wakeup_times
+
+    def queue_backlog(self, listen_port: int, backlog: int) -> list[socket.socket]:
+        senders = [plain_udp_socket(ip) for ip in self.SOURCES]
+        for i in range(backlog):
+            senders[i % 3].sendto(b"search %d" % i, ("127.0.0.1", listen_port))
+        return senders
 
     def test_queued_backlog_is_counted_by_verdict(self):
-        relay, transport, raw, wakeup_times = self.spoof_relay(16864)
-        senders = [plain_udp_socket(ip) for ip in ("127.0.0.2", "127.0.0.9", "127.0.0.17")]
+        sink = plain_udp_socket()
+        sink.settimeout(2)
+        relay, transport, wakeup_times = self.proxy_relay(16864, sink)
         backlog = 200  # below the 256 small datagrams a default buffer holds
-        for i in range(backlog):
-            senders[i % 3].sendto(b"search %d" % i, ("127.0.0.1", 16864))
+        senders = self.queue_backlog(16864, backlog)
+        stop, thread = serve_in_thread(relay)
+        try:
+            wait_until(lambda: relay.counters.received >= backlog)
+            relayed = [sink.recvfrom(65535)[0] for _ in range(67)]
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            for sock in (sink, *senders):
+                sock.close()
+        assert not thread.is_alive()
+        counters = relay.counters
+        assert counters.received == backlog
+        assert (counters.relayed, counters.dropped_local, counters.dropped_not_allowed) == (67, 67, 66)
+        assert counters.conserved()
+        assert relayed == [b"search %d" % i for i in range(0, backlog, 3)]
+        # 64 + 64 + 64 + 8 datagrams: four wakeups.
+        assert len(set(wakeup_times)) == -(-backlog // LISTEN_DRAIN_CAP)
+
+    def test_zero_length_datagram_is_relayed_inside_a_drain(self):
+        sink = plain_udp_socket()
+        sink.settimeout(2)
+        relay, transport, wakeup_times = self.proxy_relay(16964, sink)
+        client = plain_udp_socket("127.0.0.2")
+        for payload in (b"first", b"", b"last"):
+            client.sendto(payload, ("127.0.0.1", 16964))
+        stop, thread = serve_in_thread(relay)
+        try:
+            relayed = [sink.recvfrom(65535)[0] for _ in range(3)]
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            for sock in (sink, client):
+                sock.close()
+        assert not thread.is_alive()
+        assert relayed == [b"first", b"", b"last"]
+        assert (relay.counters.received, relay.counters.relayed) == (3, 3)
+        assert len(set(wakeup_times)) == 1
+
+    def test_spoof_relay_reads_one_datagram_per_blocking_receive(self):
+        raw = RecordingRawSocket()
+        listen: list[TimedReceiveSocket] = []
+
+        def factory(family, kind, proto=0):
+            if kind == socket.SOCK_RAW:
+                return raw
+            listen.append(TimedReceiveSocket(family, kind, proto))
+            return listen[-1]
+
+        config = RelayConfig(
+            target_broadcast="127.255.255.255", listen_port=17864, target_port=15064, mode=RelayMode.SPOOF,
+            **self.FILTER,
+        )
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
+        relay = Relay(config, transport)
+        backlog = 200
+        senders = self.queue_backlog(17864, backlog)
         stop, thread = serve_in_thread(relay)
         try:
             wait_until(lambda: relay.counters.received >= backlog)
@@ -558,31 +637,15 @@ class TestListenDrain:
             for sock in senders:
                 sock.close()
         assert not thread.is_alive()
+        receives = listen[0].receives
+        assert sum(got for got, _ in receives) == backlog
+        # A receive without a datagram waited out the kernel timeout: no empty read ends a burst.
+        assert all(took > 0.9 * IDLE_WAKE_S for got, took in receives if not got)
         counters = relay.counters
         assert counters.received == backlog
         assert (counters.relayed, counters.dropped_local, counters.dropped_not_allowed) == (67, 67, 66)
         assert counters.conserved()
         assert len(raw.sent) == 67
-        # 64 + 64 + 64 + 8 datagrams: four wakeups.
-        assert len(set(wakeup_times)) == -(-backlog // LISTEN_DRAIN_CAP)
-
-    def test_zero_length_datagram_is_relayed_inside_a_drain(self):
-        relay, transport, raw, wakeup_times = self.spoof_relay(16964)
-        client = plain_udp_socket("127.0.0.2")
-        for payload in (b"first", b"", b"last"):
-            client.sendto(payload, ("127.0.0.1", 16964))
-        stop, thread = serve_in_thread(relay)
-        try:
-            wait_until(lambda: relay.counters.received >= 3)
-        finally:
-            stop.set()
-            thread.join(timeout=3)
-            transport.close()
-            client.close()
-        assert not thread.is_alive()
-        assert [decode(frame).payload for frame, _ in raw.sent] == [b"first", b"", b"last"]
-        assert (relay.counters.received, relay.counters.relayed) == (3, 3)
-        assert len(set(wakeup_times)) == 1
 
     def test_flow_reply_is_not_held_behind_the_listen_backlog(self):
         sink = plain_udp_socket()
@@ -632,6 +695,137 @@ class TestListenDrain:
         assert relay.counters.received == received_before + backlog
         assert relay.counters.dropped_not_allowed == backlog
         assert relay.counters.conserved()
+
+
+class TestSpoofServeStops:
+    """A spoof relay blocks in its receive, yet ends soon after it is told to stop."""
+
+    def spoof_relay(self, listen_port: int):
+        config = RelayConfig(
+            target_broadcast="127.255.255.255",
+            listen_port=listen_port,
+            target_port=15064,
+            mode=RelayMode.SPOOF,
+            local_subnet=Cidr("127.0.0.8", 29),
+        )
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=RecordingRawSocket().factory)
+        return Relay(config, transport), transport
+
+    def test_an_idle_relay_ends_within_a_second_of_stop(self):
+        relay, transport = self.spoof_relay(18064)
+        stop, thread = serve_in_thread(relay)
+        try:
+            time.sleep(0.05)  # into the blocking receive
+            stopped_at = time.monotonic()
+            stop.set()
+            thread.join(timeout=3)
+            took = time.monotonic() - stopped_at
+        finally:
+            transport.close()
+        assert not thread.is_alive()
+        assert took < 1
+
+    def test_a_flooded_relay_ends_within_a_second_of_stop(self):
+        relay, transport = self.spoof_relay(18464)
+        flood = plain_udp_socket("127.0.0.9")  # inside local_subnet: every datagram is a counted drop
+        flooding = threading.Event()
+        flooding.set()
+
+        def send() -> None:
+            while flooding.is_set():
+                flood.sendto(b"storm", ("127.0.0.1", 18464))
+
+        sender = threading.Thread(target=send, daemon=True)
+        sender.start()
+        stop, thread = serve_in_thread(relay)
+        try:
+            wait_until(lambda: relay.counters.received >= 1000)
+            stopped_at = time.monotonic()
+            stop.set()
+            thread.join(timeout=3)
+            took = time.monotonic() - stopped_at
+        finally:
+            flooding.clear()
+            sender.join(timeout=3)
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            flood.close()
+        assert not sender.is_alive() and not thread.is_alive()
+        assert took < 1
+        counters = relay.counters
+        assert counters.received >= 1000
+        assert counters.received == counters.dropped_local and counters.conserved()
+
+    def test_closing_the_transport_under_the_loop_ends_it(self):
+        # A closed socket fails every receive at once: counting each would spin until stop.
+        relay, transport = self.spoof_relay(18564)
+        errors: list[OSError] = []
+
+        def serve() -> None:
+            try:
+                relay.serve(threading.Event())
+            except OSError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        time.sleep(0.05)  # into the blocking receive
+        transport.close()
+        thread.join(timeout=3)
+        assert not thread.is_alive()
+        assert [exc.errno for exc in errors] == [errno.EBADF]
+        assert relay.counters.recv_errors == 0
+
+    def test_sigterm_ends_the_relay_command(self, monkeypatch):
+        # PEP 475: the handler runs and the receive is retried, which then times out and sees stop.
+        monkeypatch.setattr(cli, "RealUdpTransport", lambda config, bind_ip: RealUdpTransport(
+            config, bind_ip=bind_ip, socket_factory=RecordingRawSocket().factory
+        ))
+        originals = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+
+        def ignore(signum, frame) -> None:
+            del signum, frame
+
+        # Until the command installs its own handler, a SIGTERM must not end the test run.
+        signal.signal(signal.SIGTERM, ignore)
+        sent_at: list[float] = []
+
+        def send_sigterm() -> None:
+            wait_until(lambda: signal.getsignal(signal.SIGTERM) is not ignore)
+            time.sleep(0.05)  # into the blocking receive
+            sent_at.append(time.monotonic())
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGTERM)
+
+        killer = threading.Thread(target=send_sigterm, daemon=True)
+        killer.start()
+        try:
+            code = main([
+                "relay", "--mode", "spoof", "--listen-port", "18364", "--target", "127.255.255.255:15064",
+                "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.0.0.1", "--log", "quiet",
+            ])
+            returned_at = time.monotonic()
+        finally:
+            killer.join(timeout=3)
+            for sig, handler in originals.items():
+                signal.signal(sig, handler)
+        assert code == 0
+        assert not killer.is_alive()
+        assert returned_at - sent_at[0] < 1
+
+    @pytest.mark.parametrize("mode, opened", [(RelayMode.SPOOF, 1), (RelayMode.PROXY, 2)], ids=["spoof", "proxy"])
+    def test_descriptors_a_transport_opens(self, mode, opened):
+        # Spoof: the listen socket alone (the raw socket is a stand-in). Proxy: the listen socket and its epoll.
+        config = RelayConfig(
+            target_broadcast="127.255.255.255", listen_port=18264, mode=mode, local_subnet=Cidr("192.0.2.0", 24)
+        )
+        before = len(os.listdir("/proc/self/fd"))
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=RecordingRawSocket().factory)
+        try:
+            assert len(os.listdir("/proc/self/fd")) - before == opened
+        finally:
+            transport.close()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class FaultySocket(socket.socket):
@@ -739,6 +933,43 @@ class TestSocketErrors:
         assert not thread.is_alive()
         assert [decode(frame).payload for frame, _ in raw.sent] == [b"search"]
         assert (counters.received, counters.relayed, counters.send_errors) == (2, 1, 1)
+        assert counters.conserved()
+
+
+    def test_spoof_relay_counts_a_failed_receive_and_serves_on(self):
+        raw = RecordingRawSocket()
+        listen: list[FaultySocket] = []
+
+        def factory(family, kind, proto=0):
+            if kind == socket.SOCK_RAW:
+                return raw
+            listen.append(FaultySocket(family, kind, proto))
+            return listen[-1]
+
+        config = RelayConfig(
+            target_broadcast="127.255.255.255",
+            listen_port=17764,
+            target_port=15064,
+            mode=RelayMode.SPOOF,
+            local_subnet=Cidr("192.0.2.0", 24),
+        )
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
+        relay = Relay(config, transport)
+        listen[0].faults["recvfrom"] = errno.ECONNREFUSED
+        client = plain_udp_socket()
+        counters = relay.counters
+        stop, thread = serve_in_thread(relay)
+        try:
+            client.sendto(b"search", ("127.0.0.1", config.listen_port))
+            wait_until(lambda: counters.relayed == 1)
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            client.close()
+        assert not thread.is_alive()
+        assert [decode(frame).payload for frame, _ in raw.sent] == [b"search"]
+        assert (counters.received, counters.relayed, counters.recv_errors) == (1, 1, 1)
         assert counters.conserved()
 
 
