@@ -21,7 +21,6 @@ at the first response: the name-resolution phase is all the relay carries.
 
 from __future__ import annotations
 
-import select
 import socket
 import time
 from dataclasses import dataclass
@@ -308,11 +307,13 @@ class RealCaClient:
                 for target in self.targets:
                     sock.sendto(datagram, target)
                 until = min(time.monotonic() + wait_us / 1e6, deadline)
-                while True:
-                    remaining = until - time.monotonic()
-                    if remaining <= 0 or not select.select([sock], [], [], remaining)[0]:
+                # The socket's own timeout: select() cannot watch a descriptor above 1023.
+                while (remaining := until - time.monotonic()) > 0:
+                    sock.settimeout(remaining)
+                    try:
+                        data, (source_ip, _) = sock.recvfrom(65535)
+                    except TimeoutError:
                         break
-                    data, (source_ip, _) = sock.recvfrom(65535)
                     server = _server_of(data, source_ip, search_id)
                     if server is not None:
                         return server

@@ -486,14 +486,10 @@ class VirtualNetwork:
             self._step()
         self.now_us = end
 
-    def run_until(
-        self, done: Callable[[], bool], cap_us: int | None = None
-    ) -> None:
-        """Fire events until done() holds, the queue drains, or cap_us; done() is checked once per host arrival."""
+    def run_until(self, done: Callable[[], bool], cap_us: int) -> None:
+        """Fire events until done() holds, the queue drains, or the next is past cap_us; done() is checked per event."""
         queue = self._queue
-        while queue and not done():
-            if cap_us is not None and queue[0][0] > cap_us:
-                break
+        while queue and queue[0][0] <= cap_us and not done():
             self._step()
 
     def _step(self) -> list[Delivery]:

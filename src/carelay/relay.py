@@ -19,8 +19,10 @@ The real transport is Linux-only, as are the raw sockets and the prerouting
 redirect it serves behind. SPOOF blocks in its one socket's receive, with a
 ``SO_RCVTIMEO`` of ``IDLE_WAKE_S`` (0.2 s) to see its stop event. PROXY
 registers each socket once with one ``select.epoll`` (no 1024-descriptor
-limit). Both transports expire idle flows on a tick of ``EXPIRY_TICK_US``
-(1 s), at most one tick after their timeout.
+limit) and reads all of them through one reader table. Its ``close()`` closes
+every descriptor opened so far, so a build that fails leaves nothing open.
+Both transports expire idle flows on a tick of ``EXPIRY_TICK_US`` (1 s), at
+most one tick after their timeout.
 
 Per datagram, packet values are built with ``packet.new_packet`` as ``_make``
 does, the spoof rewrite among them, in ``Relay.handle_packet`` itself (0.38 µs
@@ -305,7 +307,7 @@ class Relay:
             self.transport.close_flow(flow.relay_local_port)
         return len(expired)
 
-    def serve(self, stop: threading.Event | None = None) -> None:
+    def serve(self, stop: threading.Event) -> None:
         self.transport.serve(self, stop)
 
 
@@ -369,57 +371,53 @@ class SimTransport:
 
 
 class RealUdpTransport:
-    """Plain-socket transport: SPOOF blocks in its one receive and needs raw-send capability, PROXY uses epoll."""
+    """Plain-socket transport: SPOOF blocks in its one receive and needs raw-send capability, PROXY uses epoll.
 
-    def __init__(
-        self,
-        config: RelayConfig,
-        bind_ip: str = "0.0.0.0",
-        socket_factory=None,
-    ) -> None:
+    ``_readers`` maps each PROXY descriptor to (recvfrom, local port, reads
+    per wakeup): ``LISTEN_DRAIN_CAP`` for the listen socket, 1 for a flow's.
+    """
+
+    def __init__(self, config: RelayConfig, bind_ip: str = "0.0.0.0", socket_factory=None) -> None:
         self._bind_ip = bind_ip  # the destination address of received datagrams
         # Resolved at call time so tests can substitute the module's socket.
         self._socket_factory = socket_factory or socket.socket
-        self._raw = None
+        self._listen = self._raw = self._epoll = None
+        self._flow_sockets: dict[int, socket.socket] = {}
+        self._readers: dict[int, tuple] = {}
+        raw_step = "open a raw socket for spoof mode"
+        step = "create UDP socket"
         try:
             self._listen = self._socket_factory(socket.AF_INET, socket.SOCK_DGRAM)
-        except OSError as exc:
-            raise TransportUnavailable(f"cannot create UDP socket: {exc}") from exc
-        # No SO_REUSEADDR here: silently sharing the listen port would put
-        # this relay on the losing side of last-binder delivery.
-        try:
+            # No SO_REUSEADDR here: silently sharing the listen port would put
+            # this relay on the losing side of last-binder delivery.
+            step = f"bind {bind_ip}:{config.listen_port}"
             self._listen.bind((bind_ip, config.listen_port))
-        except OSError as exc:
-            self._listen.close()
-            raise TransportUnavailable(
-                f"cannot bind {bind_ip}:{config.listen_port}: {exc}"
-            ) from exc
-        if config.mode is RelayMode.SPOOF:
-            try:
+            if config.mode is RelayMode.SPOOF:
+                step = raw_step
                 self._raw = self._socket_factory(socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_RAW)
                 self._raw.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
-            except OSError as exc:
-                self._listen.close()
-                if self._raw is not None:
-                    self._raw.close()
-                if not isinstance(exc, PermissionError):  # EMFILE and the like: no privilege would help
-                    raise TransportUnavailable(f"cannot open a raw socket for spoof mode: {exc}") from exc
+                # socket(7): a receive idle this long fails with EAGAIN; settimeout() would poll(2) before each
+                step = "set the listen socket's receive timeout"
+                timeval = struct.pack("@ll", *divmod(round(IDLE_WAKE_S * 1_000_000), 1_000_000))
+                self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+            else:
+                step = "create an epoll instance"
+                self._epoll = select.epoll()
+                self._watch(self._listen, config.listen_port, LISTEN_DRAIN_CAP)
+        except OSError as exc:
+            self.close()
+            if isinstance(exc, PermissionError) and step == raw_step:  # not bind's EACCES, nor any EMFILE
                 raise PrivilegeRequired(
                     "spoof mode rewrites raw IP headers and needs CAP_NET_RAW; "
                     "run as root, grant the capability (setcap cap_net_raw+ep), "
                     "or use --mode proxy which runs unprivileged"
                 ) from exc
-        self._flow_sockets: dict[int, socket.socket] = {}
-        # Flow sockets by descriptor, each with its local port; the listen
-        # socket is told apart by its descriptor alone.
-        self._flows_by_fd: dict[int, tuple[socket.socket, int]] = {}
-        if config.mode is RelayMode.PROXY:
-            self._epoll = select.epoll()
-            self._epoll.register(self._listen.fileno(), select.EPOLLIN)
-        else:  # socket(7): a receive idle this long fails with EAGAIN; settimeout() would poll(2) before each
-            self._epoll = None
-            timeval = struct.pack("@ll", *divmod(round(IDLE_WAKE_S * 1_000_000), 1_000_000))
-            self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+            raise TransportUnavailable(f"cannot {step}: {exc}") from exc
+
+    def _watch(self, sock, port: int, reads_per_wakeup: int) -> None:
+        fd = sock.fileno()
+        self._epoll.register(fd, select.EPOLLIN)
+        self._readers[fd] = (sock.recvfrom, port, range(reads_per_wakeup))  # built once, not per wakeup
 
     def attach(self, relay: Relay) -> None:
         del relay  # serve() is handed the relay
@@ -434,44 +432,43 @@ class RealUdpTransport:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
             sock.bind(("0.0.0.0", 0))
             port = sock.getsockname()[1]
-            fd = sock.fileno()
-            self._epoll.register(fd, select.EPOLLIN)
+            self._watch(sock, port, 1)  # one read: a reply costs no empty read
         except OSError:
             sock.close()
             raise
         self._flow_sockets[port] = sock
-        self._flows_by_fd[fd] = (sock, port)
         return port
 
     def close_flow(self, port: int) -> None:
         sock = self._flow_sockets.pop(port)
         fd = sock.fileno()
-        del self._flows_by_fd[fd]
+        del self._readers[fd]
         self._epoll.unregister(fd)
         sock.close()
 
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
         self._flow_sockets[local_port].sendto(payload, (dst_ip, dst_port))
 
-    def serve(self, relay: Relay, stop: threading.Event | None = None) -> None:
+    def serve(self, relay: Relay, stop: threading.Event) -> None:
         """Receive loop; returns when stop is set, within ``IDLE_WAKE_S`` when idle.
 
         SPOOF handles each datagram of a blocking receive at its own time.
-        PROXY reads per wakeup at most ``LISTEN_DRAIN_CAP`` (64) listen
-        datagrams and each readable flow socket once, so the replies are not
-        held back.
+        PROXY reads each readable socket as its ``_readers`` entry allows and
+        hands the listen socket's datagrams to ``handle_packet``, the others
+        to ``on_flow_packet``, so the replies are not held back.
         """
-        listen_recv = self._listen.recvfrom
         listen_port = relay.config.listen_port
         bind_ip = self._bind_ip
         new_packet = _new_packet
         packet_type = Ipv4UdpPacket
-        stopped = (lambda: False) if stop is None else stop.is_set
+        stopped = stop.is_set
         ttl, ident, tos, frag = HEADER_DEFAULTS
-        # Looked up here, not in attach(), so that wrappers installed on the
-        # relay instance before serve() starts see every datagram.
+        # Looked up here, not in attach() or open_flow(), so that wrappers
+        # installed on the relay instance before serve() starts see every datagram.
         handle_packet = relay.handle_packet
+        on_flow_packet = relay.on_flow_packet
         if self._epoll is None:
+            listen_recv = self._listen.recvfrom
             monotonic_ns = time.monotonic_ns
             while not stopped():
                 try:
@@ -488,52 +485,38 @@ class RealUdpTransport:
                 handle_packet(new_packet(packet_type, fields), monotonic_ns() // 1000)
             return
         poll = self._epoll.poll
-        listen_fd = self._listen.fileno()
-        flows_by_fd = self._flows_by_fd
+        readers = self._readers
         dontwait = socket.MSG_DONTWAIT
-        on_flow_packet = relay.on_flow_packet
         next_tick_us = 0
         while not stopped():
             events = poll(IDLE_WAKE_S)
             now = time.monotonic_ns() // 1000
             for fd, _ in events:
-                if fd == listen_fd:
-                    for _ in range(LISTEN_DRAIN_CAP):
-                        try:
-                            data, (src_ip, src_port) = listen_recv(65535, dontwait)
-                        except BlockingIOError:
-                            break
-                        except OSError as exc:  # counted; what is still queued is read at the next wakeup
-                            relay.counters.recv_errors += 1
-                            log.debug("receive failed: %s", exc)
-                            break
-                        fields = (src_ip, bind_ip, src_port, listen_port, data, ttl, ident, tos, frag)
-                        handle_packet(new_packet(packet_type, fields), now)
-                    continue
-                sock, port = flows_by_fd[fd]
-                # select(2) BUGS: a datagram dropped for a bad checksum can
-                # leave a socket reported readable with nothing to read.
-                try:
-                    data, (src_ip, src_port) = sock.recvfrom(65535, dontwait)
-                except BlockingIOError:
-                    continue
-                except OSError as exc:
-                    relay.counters.recv_errors += 1
-                    log.debug("receive on flow port %d failed: %s", port, exc)
-                    continue
-                fields = (src_ip, bind_ip, src_port, port, data, ttl, ident, tos, frag)
-                on_flow_packet(port, new_packet(packet_type, fields), now)
+                recv, port, reads = readers[fd]
+                for _ in reads:
+                    # select(2) BUGS: a datagram dropped for a bad checksum can
+                    # leave a socket reported readable with nothing to read.
+                    try:
+                        data, (src_ip, src_port) = recv(65535, dontwait)
+                    except BlockingIOError:
+                        break
+                    except OSError as exc:  # counted; what is still queued is read at the next wakeup
+                        relay.counters.recv_errors += 1
+                        log.debug("receive on port %d failed: %s", port, exc)
+                        break
+                    packet = new_packet(packet_type, (src_ip, bind_ip, src_port, port, data, ttl, ident, tos, frag))
+                    if port == listen_port:
+                        handle_packet(packet, now)
+                    else:
+                        on_flow_packet(port, packet, now)
             if now >= next_tick_us:
                 relay.expire_flows(now)
                 next_tick_us = now + EXPIRY_TICK_US
 
     def close(self) -> None:
-        if self._epoll is not None:
-            self._epoll.close()
-        self._listen.close()
-        if self._raw is not None:
-            self._raw.close()
-        for sock in self._flow_sockets.values():
-            sock.close()
+        """Close every descriptor opened so far; safe on a half-built transport, and twice."""
+        for opened in (self._epoll, self._listen, self._raw, *self._flow_sockets.values()):
+            if opened is not None:
+                opened.close()
         self._flow_sockets.clear()
-        self._flows_by_fd.clear()
+        self._readers.clear()

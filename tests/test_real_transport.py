@@ -10,6 +10,7 @@ name server answers searches only, as a stock IOC does over UDP.
 import errno
 import os
 import resource
+import select
 import signal
 import socket
 import threading
@@ -162,6 +163,22 @@ class TestRealCaClient:
             ioc.close()
         assert len(ioc.seen_sources) == 2
 
+    @pytest.mark.skipif(
+        resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100,
+        reason="needs about 1030 open descriptors",
+    )
+    def test_a_search_on_a_descriptor_select_cannot_watch(self, stub_ioc):
+        # select() cannot watch a descriptor at or above FD_SETSIZE (1024).
+        fillers: list[int] = []
+        try:
+            while not fillers or fillers[-1] < 1024:  # every lower descriptor is then taken
+                fillers.append(os.open(os.devnull, os.O_RDONLY))
+            client = RealCaClient([("127.0.0.1", stub_ioc.search_port)], config=FAST_CLIENT)
+            assert client.search("LOOP:PV") == ("127.0.0.1", StubIoc.SERVER_PORT)
+        finally:
+            for fd in fillers:
+                os.close(fd)
+
     def test_an_unanswered_search_is_sent_again(self):
         class DeafOnceIoc(StubIoc):
             def respond(self, search_id, addr):
@@ -221,32 +238,6 @@ def test_bind_conflict_reports_transport_unavailable():
             RealUdpTransport(config, bind_ip="127.0.0.1")
     finally:
         first.close()
-
-
-@pytest.mark.parametrize("error, raised", [
-    (PermissionError(errno.EPERM, os.strerror(errno.EPERM)), PrivilegeRequired),
-    (OSError(errno.EMFILE, os.strerror(errno.EMFILE)), TransportUnavailable),
-], ids=["refused", "out-of-descriptors"])
-def test_only_a_refused_raw_socket_asks_for_privilege(error, raised):
-    # Any raw-socket failure used to be reported as a missing CAP_NET_RAW.
-    opened = []
-
-    def factory(family, type_, proto=0):
-        if type_ == socket.SOCK_RAW:
-            raise error
-        opened.append(socket.socket(family, type_, proto))
-        return opened[-1]
-
-    config = RelayConfig(
-        target_broadcast="127.255.255.255", listen_port=18164, mode=RelayMode.SPOOF,
-        local_subnet=Cidr("127.0.0.0", 8),
-    )
-    with pytest.raises(raised) as excinfo:
-        RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
-    assert excinfo.value.__cause__ is error
-    if raised is TransportUnavailable:
-        assert os.strerror(errno.EMFILE) in str(excinfo.value)
-    assert [sock.fileno() for sock in opened] == [-1]  # the listen socket is closed
 
 
 def serve_in_thread(relay: Relay):
@@ -826,6 +817,64 @@ class TestSpoofServeStops:
         finally:
             transport.close()
         assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.parametrize("mode, step, code, raised", [
+        (RelayMode.PROXY, "bind", errno.EACCES, TransportUnavailable),  # a port below 1024, unprivileged
+        (RelayMode.SPOOF, "raw socket", errno.EPERM, PrivilegeRequired),
+        (RelayMode.SPOOF, "raw socket", errno.EMFILE, TransportUnavailable),  # no privilege would help
+        (RelayMode.SPOOF, "SO_RCVTIMEO", errno.EINVAL, TransportUnavailable),
+        (RelayMode.PROXY, "epoll", errno.EMFILE, TransportUnavailable),
+    ], ids=["bind-eacces", "raw-eperm", "raw-emfile", "rcvtimeo-einval", "epoll-emfile"])
+    def test_a_failed_build_leaves_no_descriptor_open(self, mode, step, code, raised, monkeypatch):
+        error = OSError(code, os.strerror(code))  # EACCES and EPERM make a PermissionError
+
+        class Refusing(socket.socket):
+            def bind(self, address):
+                if step == "bind":
+                    raise error
+                super().bind(address)
+
+            def setsockopt(self, level, option, value):
+                if step == "SO_RCVTIMEO" and option == socket.SO_RCVTIMEO:
+                    raise error
+                super().setsockopt(level, option, value)
+
+        def factory(family, kind, proto=0):
+            if kind != socket.SOCK_RAW:
+                return Refusing(family, kind, proto)
+            if step == "raw socket":
+                raise error
+            return RecordingRawSocket()
+
+        def refuse():
+            raise error
+
+        if step == "epoll":
+            monkeypatch.setattr(select, "epoll", refuse)
+        config = RelayConfig(
+            target_broadcast="127.255.255.255", listen_port=18264, mode=mode, local_subnet=Cidr("192.0.2.0", 24)
+        )
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(raised) as excinfo:
+            RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert excinfo.value.__cause__ is error
+        if raised is TransportUnavailable:
+            assert os.strerror(code) in str(excinfo.value)
+
+    def test_a_relay_that_cannot_open_its_sockets_exits_two(self, monkeypatch, capsys):
+        def refuse():
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr(select, "epoll", refuse)
+        before = len(os.listdir("/proc/self/fd"))
+        code = main([
+            "relay", "--mode", "proxy", "--listen-port", "18664", "--target", "127.255.255.255:15064",
+            "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.0.0.1", "--log", "quiet",
+        ])
+        assert code == 2
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert "cannot create an epoll instance" in capsys.readouterr().err
 
 
 class FaultySocket(socket.socket):
