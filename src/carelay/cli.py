@@ -214,6 +214,8 @@ def cmd_sim(args) -> int:
 
 def cmd_relay(args) -> int:
     relay_config = _relay_config(args)
+    if not relay_config.allow_sources:  # classify would accept every source outside local_subnet
+        raise ValidationError("relay.allow", "carelay relay needs at least one allowed source prefix (--allow CIDR)")
     _check_bind_ip(args.bind_ip, relay_config)
     transport = RealUdpTransport(relay_config, bind_ip=args.bind_ip)
     relay = Relay(relay_config, transport)

@@ -19,8 +19,10 @@ The real transport is Linux-only, as are the raw sockets and the prerouting
 redirect it serves behind. SPOOF blocks in its one socket's receive, with a
 ``SO_RCVTIMEO`` of ``IDLE_WAKE_S`` (0.2 s) to see its stop event. PROXY
 registers each socket once with one ``select.epoll`` (no 1024-descriptor
-limit) and reads all of them through one reader table. Its ``close()`` closes
-every descriptor opened so far, so a build that fails leaves nothing open.
+limit), reads one datagram per readable socket and wakeup, and drains the
+listen socket only if it was readable at the wakeup before too (epoll(7)
+reports a still-readable socket again), so a lone search pays no empty read.
+Its ``close()`` closes every descriptor it opened: a failed build leaves none.
 Both transports expire idle flows on a tick of ``EXPIRY_TICK_US`` (1 s), at
 most one tick after their timeout.
 
@@ -60,7 +62,7 @@ DEFAULT_FLOW_IDLE_TIMEOUT_S = 30.0
 
 FLOW_PORT_BASE = 40000
 EXPIRY_TICK_US = 1_000_000
-# Most listen-socket datagrams read in one wakeup, so the flows are not starved.
+# Most datagrams one drain of the listen socket reads, so the flows are not starved.
 LISTEN_DRAIN_CAP = 64
 # Longest an idle serve loop waits before it looks at its stop event again.
 IDLE_WAKE_S = 0.2
@@ -373,8 +375,8 @@ class SimTransport:
 class RealUdpTransport:
     """Plain-socket transport: SPOOF blocks in its one receive and needs raw-send capability, PROXY uses epoll.
 
-    ``_readers`` maps each PROXY descriptor to (recvfrom, local port, reads
-    per wakeup): ``LISTEN_DRAIN_CAP`` for the listen socket, 1 for a flow's.
+    ``_readers`` maps each PROXY descriptor to (recvfrom, local port); the
+    listen socket is the one whose port is the config's ``listen_port``.
     """
 
     def __init__(self, config: RelayConfig, bind_ip: str = "0.0.0.0", socket_factory=None) -> None:
@@ -403,7 +405,7 @@ class RealUdpTransport:
             else:
                 step = "create an epoll instance"
                 self._epoll = select.epoll()
-                self._watch(self._listen, config.listen_port, LISTEN_DRAIN_CAP)
+                self._watch(self._listen, config.listen_port)
         except OSError as exc:
             self.close()
             if isinstance(exc, PermissionError) and step == raw_step:  # not bind's EACCES, nor any EMFILE
@@ -414,10 +416,10 @@ class RealUdpTransport:
                 ) from exc
             raise TransportUnavailable(f"cannot {step}: {exc}") from exc
 
-    def _watch(self, sock, port: int, reads_per_wakeup: int) -> None:
+    def _watch(self, sock, port: int) -> None:
         fd = sock.fileno()
         self._epoll.register(fd, select.EPOLLIN)
-        self._readers[fd] = (sock.recvfrom, port, range(reads_per_wakeup))  # built once, not per wakeup
+        self._readers[fd] = (sock.recvfrom, port)
 
     def attach(self, relay: Relay) -> None:
         del relay  # serve() is handed the relay
@@ -432,7 +434,7 @@ class RealUdpTransport:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
             sock.bind(("0.0.0.0", 0))
             port = sock.getsockname()[1]
-            self._watch(sock, port, 1)  # one read: a reply costs no empty read
+            self._watch(sock, port)
         except OSError:
             sock.close()
             raise
@@ -453,7 +455,8 @@ class RealUdpTransport:
         """Receive loop; returns when stop is set, within ``IDLE_WAKE_S`` when idle.
 
         SPOOF handles each datagram of a blocking receive at its own time.
-        PROXY reads each readable socket as its ``_readers`` entry allows and
+        PROXY reads one datagram per readable socket, but drains a listen
+        socket readable at the wakeup before too (``LISTEN_DRAIN_CAP``), and
         hands the listen socket's datagrams to ``handle_packet``, the others
         to ``on_flow_packet``, so the replies are not held back.
         """
@@ -487,12 +490,20 @@ class RealUdpTransport:
         poll = self._epoll.poll
         readers = self._readers
         dontwait = socket.MSG_DONTWAIT
+        one_read, drain = range(1), range(LISTEN_DRAIN_CAP)  # built once, not per wakeup
+        backlog = False  # the listen socket was readable at the wakeup before
         next_tick_us = 0
         while not stopped():
             events = poll(IDLE_WAKE_S)
             now = time.monotonic_ns() // 1000
+            listen_readable = False
             for fd, _ in events:
-                recv, port, reads = readers[fd]
+                recv, port = readers[fd]
+                if port == listen_port:
+                    listen_readable = True
+                    reads = drain if backlog else one_read
+                else:
+                    reads = one_read
                 for _ in reads:
                     # select(2) BUGS: a datagram dropped for a bad checksum can
                     # leave a socket reported readable with nothing to read.
@@ -509,6 +520,7 @@ class RealUdpTransport:
                         handle_packet(packet, now)
                     else:
                         on_flow_packet(port, packet, now)
+            backlog = listen_readable
             if now >= next_tick_us:
                 relay.expire_flows(now)
                 next_tick_us = now + EXPIRY_TICK_US

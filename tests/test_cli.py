@@ -267,7 +267,7 @@ class TestRelayCommand:
         code = main([
             "relay", "--mode", "spoof",
             "--listen-port", "16164", "--target", "255.255.255.255:5064",
-            "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.0.0.1", "--log", "quiet",
+            "--local-subnet", "127.0.0.0/8", "--allow", "10.2.105.0/24", "--bind-ip", "127.0.0.1", "--log", "quiet",
         ])
         assert code == 3
         err = capsys.readouterr().err
@@ -283,7 +283,7 @@ class TestRelayCommand:
         code = main([
             "relay", "--mode", mode,
             "--listen-port", "16164", "--target", "255.255.255.255:5064",
-            "--bind-ip", "127.0.0.1", "--log", "quiet",
+            "--allow", "10.2.105.0/24", "--bind-ip", "127.0.0.1", "--log", "quiet",
         ])
         assert code == 2
         assert "local_subnet" in capsys.readouterr().err
@@ -296,7 +296,7 @@ class TestRelayCommand:
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_real_relay_without_target_is_config_error(self, capsys):
-        assert main(["relay", "--log", "quiet"]) == 2
+        assert main(["relay", "--allow", "10.2.105.0/24", "--log", "quiet"]) == 2
 
 
 @pytest.fixture
@@ -375,6 +375,7 @@ def test_sim_names_a_query_pv_a_search_cannot_carry(config_error):
 
 RELAY = ["relay", "--mode", "proxy", "--bind-ip", "127.0.0.1"]
 TARGET = ["--target", "255.255.255.255:5064"]
+ALLOW = ["--allow", "10.2.105.0/24"]
 RELAY_SECTION = "relay:\n  target_broadcast: 255.255.255.255\n"
 LOOPBACK = "127.0.0.0/8"  # a local subnet that contains RELAY's --bind-ip
 
@@ -391,6 +392,20 @@ class TestBadValuesAreConfigErrors:
     )
     def test_allow(self, argv, text, config_error):
         assert "'relay.allow[0]'" in config_error(argv, text)
+
+    # With no allow prefix classify accepts every source outside local_subnet,
+    # so a spoof relay used to rebroadcast any sender's search with its source kept.
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            pytest.param([*RELAY, *TARGET, "--local-subnet", LOOPBACK], None, id="flag"),
+            pytest.param(RELAY, RELAY_SECTION + f"  local_subnet: {LOOPBACK}\n  allow: []\n", id="yaml"),
+            pytest.param(["relay", "--mode", "spoof", "--bind-ip", "127.0.0.1", *TARGET, "--local-subnet", LOOPBACK],
+                         None, id="spoof"),
+        ],
+    )
+    def test_a_relay_without_an_allow_prefix(self, argv, text, config_error):
+        assert "'relay.allow'" in config_error(argv, text)
 
     @pytest.mark.parametrize(
         "argv, text",
@@ -434,13 +449,13 @@ class TestBadValuesAreConfigErrors:
     # In either mode local_subnet is the loop guard: a relay bound outside it
     # would relay its own broadcasts. These used to open the listen socket.
     @pytest.mark.parametrize("argv, text, key", [
-        (["relay", "--mode", "spoof", "--local-subnet", "192.0.2.0/24", "--bind-ip", "127.0.0.1", *TARGET],
+        (["relay", "--mode", "spoof", "--local-subnet", "192.0.2.0/24", "--bind-ip", "127.0.0.1", *TARGET, *ALLOW],
          None, "relay.local_subnet"),
-        ([*RELAY, *TARGET, "--local-subnet", "192.0.2.0/24"], None, "relay.local_subnet"),
-        (["relay", "--bind-ip", "127.0.0.1"], RELAY_SECTION + "  mode: spoof\n  local_subnet: 192.0.2.0/24\n",
+        ([*RELAY, *TARGET, *ALLOW, "--local-subnet", "192.0.2.0/24"], None, "relay.local_subnet"),
+        (["relay", "--bind-ip", "127.0.0.1", *ALLOW], RELAY_SECTION + "  mode: spoof\n  local_subnet: 192.0.2.0/24\n",
          "relay.local_subnet"),
-        ([*RELAY, *TARGET, "--local-subnet", LOOPBACK, "--bind-ip", "localhost"], None, "--bind-ip"),
-        (["relay", "--mode", "spoof", "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.1", *TARGET],
+        ([*RELAY, *TARGET, *ALLOW, "--local-subnet", LOOPBACK, "--bind-ip", "localhost"], None, "--bind-ip"),
+        (["relay", "--mode", "spoof", "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.1", *TARGET, *ALLOW],
          None, "--bind-ip"),
     ], ids=["spoof-flag", "proxy-flag", "spoof-yaml", "host-name", "short-quad"])
     def test_bind_ip(self, argv, text, key, config_error):
@@ -560,6 +575,7 @@ class TestWildcardBind:
         monkeypatch.setattr(cli.signal, "signal", lambda signum, handler: None)
         code = main([
             "relay", "--mode", "proxy", "--listen-port", "17364", "--target", "127.0.0.1:5064",
+            "--allow", "10.2.105.0/24",
             "--local-subnet", "192.0.2.0/24", "--log", "quiet",
         ])
         assert code == 0
@@ -577,6 +593,7 @@ class TestWildcardBind:
         monkeypatch.setattr(cli.signal, "signal", lambda signum, handler: None)
         assert main([
             "relay", "--mode", "proxy", "--listen-port", "17366", "--target", "127.0.0.1:5064",
+            "--allow", "10.2.105.0/24",
             "--local-subnet", "192.0.2.0/24", "--log", "quiet",
         ]) == 0
         assert served == [True]
@@ -588,6 +605,7 @@ class TestWildcardBind:
         monkeypatch.setattr(cli.signal, "signal", lambda signum, handler: None)
         assert main([
             "relay", "--mode", "proxy", "--listen-port", "17365", "--target", "127.0.0.1:5064",
+            "--allow", "10.2.105.0/24",
             "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.0.0.1", "--log", "quiet",
         ]) == 0
 

@@ -529,7 +529,8 @@ class TimedReceiveSocket(socket.socket):
 
 
 class TestListenDrain:
-    """Datagrams queued before serve() starts: PROXY reads them in capped bursts, SPOOF one per receive."""
+    """Datagrams queued before serve() starts: PROXY reads one, then capped bursts while a backlog lasts;
+    SPOOF reads one per receive."""
 
     # Sources 127.0.0.2, .9 and .17 are accepted, local and not allowed.
     SOURCES = ("127.0.0.2", "127.0.0.9", "127.0.0.17")
@@ -576,8 +577,10 @@ class TestListenDrain:
         assert (counters.relayed, counters.dropped_local, counters.dropped_not_allowed) == (67, 67, 66)
         assert counters.conserved()
         assert relayed == [b"search %d" % i for i in range(0, backlog, 3)]
-        # 64 + 64 + 64 + 8 datagrams: four wakeups.
-        assert len(set(wakeup_times)) == -(-backlog // LISTEN_DRAIN_CAP)
+        # The first wakeup reads one datagram; the listen socket is readable
+        # again at the next, so the rest are drained: 1 + 64 + 64 + 64 + 7.
+        bursts = [wakeup_times.count(t) for t in sorted(set(wakeup_times))]
+        assert bursts == [1, LISTEN_DRAIN_CAP, LISTEN_DRAIN_CAP, LISTEN_DRAIN_CAP, 7]
 
     def test_zero_length_datagram_is_relayed_inside_a_drain(self):
         sink = plain_udp_socket()
@@ -598,7 +601,45 @@ class TestListenDrain:
         assert not thread.is_alive()
         assert relayed == [b"first", b"", b"last"]
         assert (relay.counters.received, relay.counters.relayed) == (3, 3)
-        assert len(set(wakeup_times)) == 1
+        # b"first" is read alone; b"" and b"last" in the drain of the next wakeup.
+        assert wakeup_times[0] < wakeup_times[1] == wakeup_times[2]
+
+    def test_a_lone_search_costs_one_listen_read(self):
+        sockets: list[TimedReceiveSocket] = []
+
+        def factory(family, kind, proto=0):
+            sockets.append(TimedReceiveSocket(family, kind, proto))
+            return sockets[-1]
+
+        sink = plain_udp_socket()
+        sink.settimeout(2)
+        config = RelayConfig(
+            target_broadcast="127.0.0.1", listen_port=17964, target_port=sink.getsockname()[1], mode=RelayMode.PROXY,
+            **self.FILTER,
+        )
+        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
+        relay = Relay(config, transport)
+        client = plain_udp_socket("127.0.0.2")
+        client.settimeout(2)
+        stop, thread = serve_in_thread(relay)
+        try:
+            # Each search is sent after the reply to the one before it has arrived.
+            for i in range(20):
+                client.sendto(b"search %d" % i, ("127.0.0.1", 17964))
+                data, flow_addr = sink.recvfrom(65535)
+                assert data == b"search %d" % i
+                sink.sendto(b"reply %d" % i, flow_addr)
+                assert client.recvfrom(65535)[0] == b"reply %d" % i
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            for sock in (sink, client):
+                sock.close()
+        assert not thread.is_alive()
+        assert (relay.counters.relayed, relay.counters.replies_forwarded) == (20, 20)
+        # One recvfrom per search, none of them an empty read that raised BlockingIOError.
+        assert [got for got, _ in sockets[0].receives] == [True] * 20
 
     def test_spoof_relay_reads_one_datagram_per_blocking_receive(self):
         raw = RecordingRawSocket()
@@ -793,7 +834,8 @@ class TestSpoofServeStops:
         try:
             code = main([
                 "relay", "--mode", "spoof", "--listen-port", "18364", "--target", "127.255.255.255:15064",
-                "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.0.0.1", "--log", "quiet",
+                "--local-subnet", "127.0.0.0/8", "--allow", "10.2.105.0/24", "--bind-ip", "127.0.0.1",
+                "--log", "quiet",
             ])
             returned_at = time.monotonic()
         finally:
@@ -870,7 +912,8 @@ class TestSpoofServeStops:
         before = len(os.listdir("/proc/self/fd"))
         code = main([
             "relay", "--mode", "proxy", "--listen-port", "18664", "--target", "127.255.255.255:15064",
-            "--local-subnet", "127.0.0.0/8", "--bind-ip", "127.0.0.1", "--log", "quiet",
+            "--local-subnet", "127.0.0.0/8", "--allow", "10.2.105.0/24", "--bind-ip", "127.0.0.1",
+            "--log", "quiet",
         ])
         assert code == 2
         assert len(os.listdir("/proc/self/fd")) == before
