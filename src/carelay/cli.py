@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: relay (serve the relay on real sockets), sim (run a scenario
-file), bench (latency comparison), caget and caput (test clients against the
-simulation; caget --transport real resolves a name on real UDP port 5064).
+file), bench (latency comparison), caget (a test client that reads a PV over
+the simulation; caget --transport real resolves a name on real UDP port 5064).
 
 Exit codes: 0 success, 1 query timeout or scenario mismatch, 2 configuration
 error, 3 missing privilege for raw sending.
@@ -88,19 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--format", choices=("text", "records"), default="text")
     bench_p.set_defaults(func=cmd_bench)
 
-    for name in ("caget", "caput"):
-        client_p = sub.add_parser(name, parents=[common], help=f"{name} test client")
-        client_p.add_argument("pv", help="process variable name")
-        if name == "caput":  # writing needs the simulated data circuit
-            client_p.add_argument("value", type=float, help="value to write")
-            client_p.set_defaults(transport="sim")
-        else:
-            client_p.add_argument("--transport", choices=("sim", "real"), default="sim",
-                                  help="real: only resolve the name, and print the server that answers")
-            client_p.add_argument("--target", metavar="IP:PORT", action="append", default=None,
-                                  help="real transport search target (repeatable)")
-        client_p.add_argument("--seed", type=int, default=None, help="sim transport network seed (default 0)")
-        client_p.set_defaults(func=cmd_client)
+    caget_p = sub.add_parser("caget", parents=[common], help="caget test client")
+    caget_p.add_argument("pv", help="process variable name")
+    caget_p.add_argument("--transport", choices=("sim", "real"), default="sim",
+                         help="real: only resolve the name, and print the server that answers")
+    caget_p.add_argument("--target", metavar="IP:PORT", action="append", default=None,
+                         help="real transport search target (repeatable)")
+    caget_p.add_argument("--seed", type=int, default=None, help="sim transport network seed (default 0)")
+    caget_p.set_defaults(func=cmd_client)
 
     return parser
 
@@ -252,9 +247,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_client(args) -> int:
-    """caget or caput over the simulated network, or caget's name search alone over real UDP."""
+    """caget: a read over the simulated network, or the name search alone over real UDP."""
     parse_pv_name(args.pv, "pv")
-    write_value = getattr(args, "value", None)
     data = _load_mapping(args, required=args.transport == "sim")
     config = config_from_mapping(data)
     try:
@@ -272,12 +266,7 @@ def cmd_client(args) -> int:
         if config.client_host is None:
             raise ConfigError("sim transport needs client.host in the config")
         net, _ = build_network(scenario)
-        client = CaClient(net, config.client_host, config=config.client)
-        if write_value is None:
-            value = client.caget(args.pv)
-        else:
-            client.caput(args.pv, write_value)
-            value = write_value
+        value = CaClient(net, config.client_host, config=config.client).caget(args.pv)
     except ChannelTimeout as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_TIMEOUT

@@ -4,7 +4,7 @@ One YAML grammar serves both the simulated and the real transports: the
 relay section configures the relay itself, the topology section describes
 the virtual network (domains, hosts with interfaces and prerouting rules,
 helper rules, IOC definitions, bare bindings), the client section sets the
-retry schedule, and queries script caget/caput runs. The records a config
+retry schedule, and queries script caget runs. The records a config
 describes (``Scenario``, with its ``Query`` and ``IocSpec`` items) are
 defined here, and the benchmark builds on them. Validation errors name the
 offending key, parse errors the line.

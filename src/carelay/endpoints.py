@@ -1,17 +1,17 @@
-"""Simulated IOC servers, a caget/caput-style client, and a real-socket search probe.
+"""Simulated IOC servers, a caget-style client, and a real-socket search probe.
 
-An IocSim owns a table of scalar PVs, answers name searches on the shared
-UDP search port of its host (silently ignoring names it does not own), and
-answers each request of the simulated data circuit (``VirtualNetwork.request``),
-a PV name and the value to write or None, with the PV's value. Both
-answers are return values that the network sends on, so an IocSim keeps no
-reference to its network, and a network without a relay is freed by
-reference count once it is dropped. The CaClient broadcasts searches with a
-doubling retry schedule and turns the first response into one read or one
-write; each query is one ``_Query`` record, whose bound methods are the
-network's callbacks, so a finished query is freed by reference count. A
-client builds its retry schedule once, a query's records are built
-positionally (``ca_wire.new_record``) and its objects have ``__slots__``;
+An IocSim owns a table of scalar PVs, answers name searches on the shared UDP
+search port of its host (silently ignoring names it does not own), and answers
+each request of the simulated data circuit (``VirtualNetwork.request``), a PV
+name, with that PV's value: the table's own ``get`` is the listener, so a name
+the IOC does not own gets no reply. Both answers are return values that the
+network sends on, so an IocSim keeps no reference to its network, and a network
+without a relay is freed by reference count once it is dropped. The CaClient
+broadcasts searches with a doubling retry schedule and turns the first response
+into one read; each query is one ``_Query`` record, whose bound methods are the
+network's callbacks, so a finished query is freed by reference count. A client
+builds its retry schedule once, a query's records are built positionally
+(``ca_wire.new_record``) and its objects have ``__slots__``;
 ``CaClient.query``, ``IocSim.on_search_datagram`` and the ``ca_wire`` finders,
 looked up on their module, stay one call each, as perfbench wraps them.
 
@@ -98,7 +98,7 @@ class IocSim:
         self.server_port = server_port
         self.advertise_own_address = advertise_own_address
         self.host_ip = net.host(host_name).interfaces[0].ip
-        net.register_channel_listener(self.host_ip, server_port, self._on_channel_message)
+        net.register_channel_listener(self.host_ip, server_port, self.pvs.get)
         net.bind(host_name, CA_SERVER_PORT, owner=name, callback=self._on_delivery)
 
     # -- search ---------------------------------------------------------------
@@ -124,18 +124,6 @@ class IocSim:
             return None
         return udp_packet(self.host_ip, packet.src_ip, CA_SERVER_PORT, packet.src_port, response)
 
-    # -- data circuit -----------------------------------------------------------
-
-    def _on_channel_message(self, request: tuple[str, float | None]) -> float | None:
-        """The value of the PV a ``(pv_name, write_value)`` request names, after storing
-        ``write_value`` as a float unless it is None; None for a PV this IOC does not own."""
-        pv_name, write_value = request
-        if pv_name not in self.pvs:
-            return None
-        if write_value is not None:
-            self.pvs[pv_name] = float(write_value)
-        return self.pvs[pv_name]
-
 
 @dataclass(slots=True)
 class QueryResult:
@@ -158,13 +146,10 @@ class _Query:
     """One query in flight: it owns its QueryResult, and its bound methods are
     the network's callbacks for its searches, give-up, responses and reply."""
 
-    __slots__ = ("client", "write_value", "search_id", "result", "search", "resolved", "done")
+    __slots__ = ("client", "search_id", "result", "search", "resolved", "done")
 
-    def __init__(
-        self, client: "CaClient", pv_name: str, write_value: float | None, search_id: int, port: int
-    ) -> None:
+    def __init__(self, client: "CaClient", pv_name: str, search_id: int, port: int) -> None:
         self.client = client
-        self.write_value = write_value
         self.search_id = search_id
         self.result = QueryResult(pv_name, started_us=client.net.now_us)
         request = new_record(SearchRequest, (pv_name, search_id, ReplyFlag.DONT_REPLY, DEFAULT_MINOR_VERSION))
@@ -201,15 +186,14 @@ class _Query:
             return
         client = self.client
         try:
-            client.net.request(client.host_name, *server, (self.result.pv_name, self.write_value), self.on_reply)
+            client.net.request(client.host_name, *server, self.result.pv_name, self.on_reply)
         except ChannelRefused:
             return  # unusable responder; keep waiting for another response
         self.resolved = True
 
     def on_reply(self, value: float) -> None:
-        # The one request's reply: a write reports the value as it was passed.
         self.done = True
-        self.result.value = value if self.write_value is None else self.write_value
+        self.result.value = value
         self.result.finished_us = self.client.net.now_us
 
 
@@ -244,18 +228,13 @@ class CaClient:
             raise ChannelTimeout(timeout_message(pv_name))
         return result.value
 
-    def caput(self, pv_name: str, value: float) -> None:
-        result = self.query(pv_name, write_value=value)
-        if result.timed_out:
-            raise ChannelTimeout(timeout_message(pv_name))
-
-    def query(self, pv_name: str, write_value: float | None = None) -> QueryResult:
+    def query(self, pv_name: str) -> QueryResult:
         """Run one full resolution on the virtual clock; never raises on timeout."""
         search_id, eph_port = self._next_search_id, self._next_ephemeral
         self._next_search_id += 1
         # After 65535 it wraps to the first: each query unbinds its port before it returns.
         self._next_ephemeral = eph_port + 1 if eph_port < 65535 else FIRST_EPHEMERAL_PORT
-        query = _Query(self, pv_name, write_value, search_id, eph_port)
+        query = _Query(self, pv_name, search_id, eph_port)
         binding = self.net.bind(self.host_name, eph_port, f"client:{pv_name}", query.on_datagram)
         started = query.result.started_us
         deadline = started + self._deadline_us

@@ -40,10 +40,10 @@ Delivery semantics, applied in order for each injected packet:
    onward), and a rewrite forwarded to another host one more.
 
 The data circuit after a resolved search is one request and one reply
-(``request``): the client's PV name and value to write, and the server's
-value, each handed over as it is, neither encoded nor logged. Each way is
-priced as a unicast between the two hosts (rule 4, ``_hop_delay_us``), drawn
-as that way is sent. Its listener must be at an address a host owns.
+(``request``): the client's PV name and the server's value, each handed
+over as it is, neither encoded nor logged. Each way is priced as a unicast
+between the two hosts (rule 4, ``_hop_delay_us``), drawn as that way is
+sent. Its listener must be at an address a host owns.
 
 The network keeps one record per host (``_Node``) with its bindings and its
 domains, named by their names, and only reads its topology, so networks built
@@ -459,7 +459,8 @@ class VirtualNetwork:
         self, client_host: str, server_ip: str, server_port: int, message: object,
         on_reply: Callable[[object], None],
     ) -> None:
-        """Carry a message of any type to server_ip:server_port's listener, and its reply, if any, to on_reply."""
+        """Carry a message of any type (the simulated client's is a PV name) to server_ip:server_port's
+        listener, and its reply, if any (the PV's value), to on_reply."""
         try:
             serve, server = self._channel_listeners[(server_ip, server_port)]
         except KeyError:

@@ -19,7 +19,7 @@ from carelay.endpoints import (
     ChannelTimeout,
     ClientQueryConfig,
     IocSim,
-    timeout_message,
+    _Query,
 )
 from carelay.netsim import BroadcastDomain, Interface, NetsimError, VirtualHost, VirtualNetwork, VirtualTopology
 from carelay.packet import Cidr, Ipv4UdpPacket
@@ -191,7 +191,7 @@ class TestCaget:
         IocSim(net, "IMX1-HOST1", "mute", {"LOST:PV": 1.0}, server_port=5901)
         result = CaClient(net, "TesterDirect").query("LOST:PV")
         assert result.timed_out
-        assert requests == [("LOST:PV", None)]
+        assert requests == ["LOST:PV"]
         assert net.now_us == sum(ClientQueryConfig().wait_schedule_us())
 
     def test_two_iocs_on_one_host_and_server_port_are_refused(self):
@@ -226,7 +226,7 @@ class TestCaget:
         assert not result.timed_out
         responses = [d for d in net.delivery_log if d.host == "TesterDirect"]
         assert {d.packet.src_ip for d in responses} == {"10.2.1.31", "10.2.1.32"}
-        assert served == [("10.2.1.31", ("DUP:PV", None))]
+        assert served == [("10.2.1.31", "DUP:PV")]
         assert result.value == 1.0
 
     def test_use_packet_source_addressing_resolves(self):
@@ -267,57 +267,77 @@ class TestCaget:
         assert result.latency_us == 4 * 300_000
 
 
-class TestCaput:
-    def test_caput_then_caget_returns_written_value(self):
-        net, *_ = make_net_with_iocs()
-        client = CaClient(net, "TesterDirect")
-        client.caput("IMX:DMC4:m2", 0.5)
-        assert client.caget("IMX:DMC4:m2") == 0.5
+class TestRead:
+    def test_zero_is_a_value(self):
+        # 0.0 is falsy: the table's get must answer it as the PV's value, not as a miss.
+        scenario = bench.scenario_c()
+        net, _ = bench.build_network(scenario)
+        result = CaClient(net, bench.CLIENT, config=scenario.client_config).query("IMX:DIO:bit0")
+        assert (result.timed_out, result.value) == (False, 0.0)
 
-    def test_an_integer_written_reads_back_as_a_float(self):
-        # The IOC stores a written value as a float, as its table holds every
-        # value, while the write reports the value as it was passed.
+    def test_an_integer_reads_back_as_a_float(self):
+        # The IOC's table holds every value as a float.
         net, *_ = make_net_with_iocs()
         IocSim(net, "IMX1-HOST1", "ints", {"INT:PV": 3}, server_port=5903)
-        client = CaClient(net, "TesterDirect")
-        client.caput("IMX:DMC4:m2", 5)
-        assert [(v, type(v)) for v in map(client.caget, ["IMX:DMC4:m2", "INT:PV"])] == [(5.0, float), (3.0, float)]
-        assert client.query("IMX:DMC4:m2", write_value=7).outcome == "value:7"
+        value = CaClient(net, "TesterDirect").caget("INT:PV")
+        assert (value, type(value)) == (3.0, float)
 
-    def test_caput_unknown_pv_times_out(self):
-        net, *_ = make_net_with_iocs()
-        client = CaClient(net, "TesterDirect")
-        with pytest.raises(ChannelTimeout) as excinfo:
-            client.caput("NOPE", 1.0)
-        assert str(excinfo.value) == timeout_message("NOPE")
-
-    def test_zero_is_a_value(self):
-        net, *_ = make_net_with_iocs()
-        client = CaClient(net, "TesterDirect")
-        client.caput("IMX:DMC4:m2", 0.0)
-        assert client.caget("IMX:DMC4:m2") == 0.0
-
-    def test_a_write_changes_only_its_own_pv(self):
-        net, ioc1, ioc2 = make_net_with_iocs()
-        client = CaClient(net, "TesterDirect")
-        client.caput("IMX:DMC4:m1", 9.0)
-        assert ioc1.pvs == {"IMX:DMC4:m1": 9.0, "IMX:DMC4:m2": -1.47e-05}
-        assert ioc2.pvs == {"IMX:DMC4:m3": 0.002496}
+    def test_the_channel_listener_is_the_pv_tables_get(self, monkeypatch):
+        net = VirtualNetwork(direct_topology())
+        listeners = []
+        monkeypatch.setattr(net, "register_channel_listener", lambda ip, port, serve: listeners.append((ip, port, serve)))
+        ioc = IocSim(net, "IMX1-HOST1", "a", {"A": 1.0}, server_port=5901)
+        assert listeners == [("10.2.1.31", 5901, ioc.pvs.get)]
 
     @pytest.mark.parametrize(
-        "request_, reply, stored",
-        [
-            (("IMX:DMC4:m1", None), -2.06e-05, -2.06e-05),
-            (("IMX:DMC4:m1", 4), 4.0, 4.0),
-            (("IMX:DMC4:m3", 4), None, -2.06e-05),
-        ],
-        ids=["read", "write", "not-owned"],
+        "pv_name, replies",
+        [("IMX:DMC4:m1", [(-2.06e-05, float)]), ("IMX:DMC4:m3", []), (("IMX:DMC4:m1", 4.0), [])],
+        ids=["read", "not-owned", "name-and-value"],
     )
-    def test_the_ioc_answers_a_request_with_the_value(self, request_, reply, stored):
-        _, ioc1, _ = make_net_with_iocs()
-        answer = ioc1._on_channel_message(request_)
-        assert (answer, type(answer)) == (reply, type(reply))
-        assert ioc1.pvs["IMX:DMC4:m1"] == stored
+    def test_the_ioc_answers_a_request_with_the_value(self, pv_name, replies):
+        # A request is the PV name alone; a PV the IOC does not own gets no reply,
+        # and a (name, value) pair is no name it owns, so it neither answers nor stores.
+        net, ioc1, _ = make_net_with_iocs()
+        got = []
+        net.request("TesterDirect", "10.2.1.31", 5901, pv_name, lambda value: got.append((value, type(value))))
+        net.advance_clock(10_000)
+        assert got == replies
+        assert ioc1.pvs == {"IMX:DMC4:m1": -2.06e-05, "IMX:DMC4:m2": -1.47e-05}
+
+
+    def test_a_change_to_the_table_is_what_the_next_read_returns(self):
+        # The listener is the live table, not a copy taken when the IOC was built.
+        net, ioc1, _ = make_net_with_iocs()
+        client = CaClient(net, "TesterDirect")
+        assert client.caget("IMX:DMC4:m2") == -1.47e-05
+        ioc1.pvs["IMX:DMC4:m2"] = 2.5
+        assert client.caget("IMX:DMC4:m2") == 2.5
+
+    def test_a_pv_added_to_the_table_is_found_and_read(self):
+        # The search and the read consult the same table.
+        net, ioc1, _ = make_net_with_iocs()
+        client = CaClient(net, "TesterDirect")
+        assert client.query("IMX:DMC4:m4").timed_out
+        ioc1.pvs["IMX:DMC4:m4"] = 7.0
+        assert client.caget("IMX:DMC4:m4") == 7.0
+
+    def test_the_table_is_the_iocs_own_copy(self):
+        # Changing the dict an IOC was built from changes neither its table nor its reads.
+        net = VirtualNetwork(direct_topology())
+        source = {"A": 1.0}
+        ioc = IocSim(net, "IMX1-HOST1", "a", source, server_port=5901)
+        source["A"] = 9.0
+        source["B"] = 2.0
+        assert ioc.pvs == {"A": 1.0}
+        assert CaClient(net, "TesterDirect").caget("A") == 1.0
+
+    def test_the_client_has_no_write(self):
+        net, *_ = make_net_with_iocs()
+        client = CaClient(net, "TesterDirect")
+        assert not hasattr(client, "caput")
+        assert "write_value" not in _Query.__slots__
+        with pytest.raises(TypeError):
+            client.query("IMX:DMC4:m2", write_value=0.5)
 
 
 class TestPositionalRecords:
@@ -354,11 +374,10 @@ class TestReferenceCycles:
         try:
             for _ in range(10):
                 results += [client.query(q.pv_name) for q in scenario.queries]
-            results.append(client.query(scenario.queries[0].pv_name, write_value=1.5))
             garbage = gc.collect()
         finally:
             gc.enable()
-        assert len(results) == 10 * len(scenario.queries) + 1
+        assert len(results) == 10 * len(scenario.queries)
         assert not any(r.timed_out for r in results)
         assert garbage == 0
 

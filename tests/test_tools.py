@@ -113,6 +113,38 @@ def test_trees_whose_run_seconds_differ_are_refused(tmp_path, monkeypatch, capsy
     assert "run_seconds differs: 25 in the parent, 8 in the change" in capsys.readouterr().err
 
 
+def test_a_pooled_table_follows_the_seeds(tmp_path, monkeypatch, capfd):
+    parent, change = fake_tree(tmp_path / "parent"), fake_tree(tmp_path / "change")
+    rtts = {("parent", 7): iter([60.0, 61.0, 62.0]), ("change", 7): iter([59.0, 60.0, 63.0]),
+            ("parent", 3): iter([70.0, 71.0, 72.0]), ("change", 3): iter([69.0, 70.0, 71.0])}
+    monkeypatch.setattr(ab, "run_perfbench", lambda tree, workload, seed, seconds, trace: (
+        0, canned_output({**VALUES, "rtt_p50_us": next(rtts[tree.name, seed])}), ""))
+    code = ab.main([str(parent), str(change), "--workload", "proxy_flows", "--pairs", "3", "--seeds", "7,3",
+                    "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capfd.readouterr().out
+    pooled = out[out.index("== proxy_flows, all seeds pooled, 6 pairs of 25 s"):]
+    rtt = next(line for line in pooled.splitlines() if line.startswith("rtt_p50_us"))
+    # 2 of 3 pairs won at seed 7 and 3 of 3 at seed 3; the IQR spans all six parent runs.
+    assert rtt.split()[1:3] == ["5/6", "60.75-71.25"]
+    assert "    parent 60 61 62 70 71 72" in pooled
+    assert "2/3" in out[:out.index("== proxy_flows, seed 3")]
+
+
+def test_one_seed_pools_to_its_own_table(tmp_path, monkeypatch, capfd):
+    parent, change = fake_tree(tmp_path / "parent"), fake_tree(tmp_path / "change")
+    rtts = iter([60.0, 59.0, 61.0, 62.0])
+    monkeypatch.setattr(ab, "run_perfbench", lambda *args: (0, canned_output({**VALUES, "rtt_p50_us": next(rtts)}), ""))
+    code = ab.main([str(parent), str(change), "--workload", "sim_paper", "--pairs", "2", "--seeds", "7",
+                    "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capfd.readouterr().out
+    head = "== sim_paper, all seeds pooled, 2 pairs of 25 s\n"
+    assert out.count(head) == 1
+    table = out[out.index(head) + len(head):].rstrip("\n")
+    assert table in out[:out.index(head)]  # the seed's own table, row for row
+
+
 def test_a_failed_run_leaves_its_pair_out(tmp_path, monkeypatch):
     parent, change = fake_tree(tmp_path / "parent"), fake_tree(tmp_path / "change")
     runs = iter([canned_output(VALUES), canned_output(VALUES, failed=1), canned_output(VALUES), canned_output(VALUES)])
@@ -121,6 +153,21 @@ def test_a_failed_run_leaves_its_pair_out(tmp_path, monkeypatch):
                     "--out", str(tmp_path / "out")])
     assert code == 1
     assert len((tmp_path / "out" / "sim_paper-seed7-parent.jsonl").read_text().splitlines()) == 1
+
+
+def test_a_failed_pair_is_left_out_of_the_pool(tmp_path, monkeypatch, capfd):
+    parent, change = fake_tree(tmp_path / "parent"), fake_tree(tmp_path / "change")
+    runs = iter([canned_output({**VALUES, "rtt_p50_us": 50.0}), canned_output(VALUES, failed=1),
+                 canned_output({**VALUES, "rtt_p50_us": 60.0}), canned_output({**VALUES, "rtt_p50_us": 59.0})])
+    monkeypatch.setattr(ab, "run_perfbench", lambda *args: (0, next(runs), ""))
+    code = ab.main([str(parent), str(change), "--workload", "sim_paper", "--pairs", "2", "--seeds", "7",
+                    "--out", str(tmp_path / "out")])
+    assert code == 1
+    captured = capfd.readouterr()
+    pooled = captured.out[captured.out.index("== sim_paper, all seeds pooled, 1 pairs of 25 s"):]
+    # Pair 2 runs the change first; the failed pair's parent run, 50, is not pooled.
+    assert "    parent 59\n    change 60\n" in pooled
+    assert "error: " in captured.err
 
 
 class TestRecorder:

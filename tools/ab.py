@@ -12,8 +12,11 @@ change. For each seed the script writes the last JSON line of each run to
 change tree's ``perfbench/compare.py`` on the two, which prints the medians
 and the bound verdicts. Before that it prints what compare.py does not: per
 metric, the pairs the change won, the parent's interquartile range, whether
-the medians differ by more than that range, and the raw figures. It exits 1
-if any run exited non-zero or reported ``failed`` > 0.
+the medians differ by more than that range, and the raw figures. After the
+last seed it prints the same table once more over the pairs of every seed
+pooled: the pairs won out of all pairs run, and the IQR of all parent runs,
+which are the figures a claim over all seeds is judged by. It exits 1 if any
+run exited non-zero or reported ``failed`` > 0.
 
 The helpers here are shared with ``tools/bench_record.py``; neither script
 imports anything from ``perfbench``.
@@ -147,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"run_seconds differs: {specs['parent']['run_seconds']} in the parent, {seconds} in the change")
     better = directions(specs["change"])
     args.out.mkdir(parents=True, exist_ok=True)
-    failures = []
+    failures, pooled = [], []
     for seed in (int(s) for s in args.seeds.split(",")):
         pairs = []
         for i in range(args.pairs):
@@ -168,11 +171,16 @@ def main(argv: list[str] | None = None) -> int:
         for side, index in (("parent", 0), ("change", 1)):
             files[side] = args.out / f"{args.workload}-seed{seed}-{side}.jsonl"
             files[side].write_text("".join(json.dumps(p[index]["result"]) + "\n" for p in pairs), encoding="utf-8")
+        values = [(metric_values(p), metric_values(c)) for p, c in pairs]
+        pooled += values
         print(f"== {args.workload}, seed {seed}, {len(pairs)} pairs of {seconds:g} s")
-        print(format_rows(summarize([(metric_values(p), metric_values(c)) for p, c in pairs], better)))
+        print(format_rows(summarize(values, better)))
         sys.stdout.flush()
         compare = trees["change"] / "perfbench" / "compare.py"
         subprocess.run([sys.executable, str(compare), str(files["parent"]), str(files["change"])], check=False)
+    if pooled:
+        print(f"== {args.workload}, all seeds pooled, {len(pooled)} pairs of {seconds:g} s")
+        print(format_rows(summarize(pooled, better)))
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)
     return 1 if failures else 0
