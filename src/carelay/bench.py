@@ -26,10 +26,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .ca_wire import new_record
 from .config import Scenario, config_from_mapping, load_yaml
 from .endpoints import CaClient, IocSim
 from .netsim import Interface, VirtualHost, VirtualNetwork, VirtualTopology
+from .packet import new_record
 from .relay import Relay, RelayMode, SimTransport
 
 ARM_ORDER = ("DIRECT", "PERSISTENT", "FORK_MODEL")

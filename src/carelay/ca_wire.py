@@ -5,12 +5,13 @@ search request/response traffic on port 5064: the 16-byte big-endian
 message header, the version message, and the search pair. The relay
 carries only this phase; the data circuit is TCP and never passes through
 it, so the simulated circuit has no wire form: the network hands the IOC a
-PV name and a value to write, and the client the PV's value, as they are.
+PV name, and the client the PV's value, as they are.
 
 Messages are plain records (``NamedTuple``); a malformed datagram raises a
-``CaWireError`` on decode. The finders build records positionally
-(``new_record``, that is ``tuple.__new__``), each encoder packs its datagram
-with one ``struct.Struct``, and callers look both finders up here per call.
+``CaWireError`` on decode, its message naming the fault, and a name a search
+cannot carry a ``ValueError``. The finders build records positionally
+(``packet.new_record``), each encoder packs its datagram with one
+``struct.Struct``, and callers look both finders up here per call.
 
 Header layout (all big-endian):
 
@@ -33,7 +34,7 @@ import enum
 import struct
 from typing import NamedTuple
 
-from .packet import int_to_ip, ip_to_int
+from .packet import int_to_ip, ip_to_int, new_record
 
 CA_HEADER_LEN = 16
 CA_SERVER_PORT = 5064
@@ -51,23 +52,9 @@ _SEARCH_DATAGRAMS = {size: struct.Struct(f">HHHHIIHHHHII{size}s") for size in ra
 # A version message and one search response, whose payload is the minor version padded to 8 bytes.
 _SEARCH_RESPONSE_DATAGRAM = struct.Struct(">HHHHIIHHHHIIH6x")
 
-new_record = tuple.__new__  # new_record(SearchRequest, fields): a record from all its fields, without its ``__new__``
-
 
 class CaWireError(Exception):
-    """Base class for CA codec failures."""
-
-
-class Truncated(CaWireError):
-    pass
-
-
-class MisalignedPayload(CaWireError):
-    pass
-
-
-class NameTooLong(CaWireError, ValueError):
-    pass
+    """A malformed CA datagram; the message names the fault."""
 
 
 class ReplyFlag(enum.IntEnum):
@@ -95,7 +82,7 @@ def check_pv_name(name: str) -> str:
     if not name or "\x00" in name or not name.isascii():
         raise ValueError(f"PV name must be non-empty, NUL-free ASCII, got {name!r}")
     if len(name) > MAX_PV_NAME:
-        raise NameTooLong(f"{len(name)} characters exceeds the {MAX_PV_NAME} limit")
+        raise ValueError(f"{len(name)} characters exceeds the {MAX_PV_NAME} limit")
     return name
 
 
@@ -138,13 +125,13 @@ def _search_messages(data: bytes) -> list[tuple]:
     end = len(data)
     while offset < end:
         if end - offset < CA_HEADER_LEN:
-            raise Truncated(f"{end - offset} bytes left, header needs {CA_HEADER_LEN}")
+            raise CaWireError(f"{end - offset} bytes left, header needs {CA_HEADER_LEN}")
         command, size, data_type, data_count, param1, param2 = _HDR.unpack_from(data, offset)
         if size % 8:
-            raise MisalignedPayload(f"payload_size {size} not a multiple of 8")
+            raise CaWireError(f"payload_size {size} not a multiple of 8")
         offset += CA_HEADER_LEN
         if end - offset < size:
-            raise Truncated(f"payload_size {size} but only {end - offset} bytes remain")
+            raise CaWireError(f"payload_size {size} but only {end - offset} bytes remain")
         if command == CMD_SEARCH:
             flag = _REPLY_FLAGS.get(data_type)
             found.append((flag, data_type, data_count, param1, param2, data[offset : offset + size]))

@@ -120,8 +120,12 @@ def _load_mapping(args, required: bool = False):
         if required:
             raise ConfigError("this command needs --config PATH")
         return None
-    with open(args.config, encoding="utf-8") as fh:
-        return load_yaml(fh.read())
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read --config {args.config}: {exc}") from None
+    return load_yaml(text)
 
 
 def _refuse_ignored_keys(data, command: str) -> None:

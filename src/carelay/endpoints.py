@@ -11,7 +11,7 @@ broadcasts searches with a doubling retry schedule and turns the first response
 into one read; each query is one ``_Query`` record, whose bound methods are the
 network's callbacks, so a finished query is freed by reference count. A client
 builds its retry schedule once, a query's records are built positionally
-(``ca_wire.new_record``) and its objects have ``__slots__``;
+(``packet.new_record``) and its objects have ``__slots__``;
 ``CaClient.query``, ``IocSim.on_search_datagram`` and the ``ca_wire`` finders,
 looked up on their module, stay one call each, as perfbench wraps them.
 
@@ -28,10 +28,10 @@ from itertools import accumulate
 
 from . import ca_wire
 from .ca_wire import (
-    CA_SERVER_PORT, DEFAULT_MINOR_VERSION, ReplyFlag, SearchRequest, SearchResponse, new_record,
+    CA_SERVER_PORT, DEFAULT_MINOR_VERSION, ReplyFlag, SearchRequest, SearchResponse,
 )
-from .netsim import ChannelRefused, Delivery, VirtualNetwork
-from .packet import Ipv4UdpPacket, udp_packet
+from .netsim import Delivery, NetsimError, VirtualNetwork
+from .packet import Ipv4UdpPacket, new_record, udp_packet
 
 FIRST_EPHEMERAL_PORT = 35687
 
@@ -187,7 +187,7 @@ class _Query:
         client = self.client
         try:
             client.net.request(client.host_name, *server, self.result.pv_name, self.on_reply)
-        except ChannelRefused:
+        except NetsimError:
             return  # unusable responder; keep waiting for another response
         self.resolved = True
 

@@ -68,9 +68,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
-from .packet import Cidr, Ipv4UdpPacket, new_packet
-
-new_record = tuple.__new__  # new_record(Delivery, fields): a record from all its fields, without its ``__new__``
+from .packet import Cidr, Ipv4UdpPacket, new_record
 
 LIMITED_BROADCAST = "255.255.255.255"
 
@@ -78,19 +76,7 @@ DEFAULT_PER_HOP_DELAY_US = 200
 
 
 class NetsimError(Exception):
-    pass
-
-
-class UnknownHost(NetsimError):
-    pass
-
-
-class NoRoute(NetsimError):
-    pass
-
-
-class ChannelRefused(NetsimError):
-    pass
+    """A host, route or channel listener the network does not have; the message names it."""
 
 
 class InvalidTopology(ValueError):
@@ -180,10 +166,10 @@ class _Node:
 
 
 class _Nodes(dict):
-    """Nodes by host name; a name no host has raises ``UnknownHost``."""
+    """Nodes by host name; a name no host has raises ``NetsimError``."""
 
     def __missing__(self, name: str) -> _Node:
-        raise UnknownHost(name)
+        raise NetsimError(f"unknown host {name!r}")
 
 
 def index_topology(topology: VirtualTopology) -> tuple[dict, dict, dict, dict]:
@@ -385,7 +371,7 @@ class VirtualNetwork:
         if domain is None:
             node = self._node_of_ip.get(dst_ip)
             if node is None:
-                raise NoRoute(f"no interface owns {dst_ip}")
+                raise NetsimError(f"no interface owns {dst_ip}")
             arrivals = [self._arrive_unicast(node, packet, at + self._hop_delay_us(sender, node))]
         elif domain in sender.domains:
             arrivals = self._route_broadcast(packet, domain, at) + self._route_helper_copies(packet, domain, at)
@@ -413,7 +399,7 @@ class VirtualNetwork:
         out = []
         at += 2 * self.topology.per_hop_delay_us  # one hop to the helping switch, one onward to the server
         for dest_ip, node in self._helper_copies.get((domain, packet.dst_port), ()):
-            copy = new_packet(Ipv4UdpPacket, (packet[0], dest_ip, *packet[2:]))
+            copy = new_record(Ipv4UdpPacket, (packet[0], dest_ip, *packet[2:]))
             out.append(self._arrive_unicast(node, copy, at + self._jitter()))
         return out
 
@@ -424,7 +410,7 @@ class VirtualNetwork:
             if not rule.applies(packet):
                 continue
             src_ip, _, src_port, _, *rest = packet
-            packet = new_packet(Ipv4UdpPacket, (src_ip, rule.new_dst_ip, src_port, rule.new_dst_port, *rest))
+            packet = new_record(Ipv4UdpPacket, (src_ip, rule.new_dst_ip, src_port, rule.new_dst_port, *rest))
             if rule.new_dst_ip == LIMITED_BROADCAST:
                 # The rewrite only makes this machine accept the packet on every
                 # local binding; nothing goes back onto the wire.
@@ -436,7 +422,7 @@ class VirtualNetwork:
                 if packet.ttl <= 1:
                     return []
                 next_due = due + self.topology.per_hop_delay_us + self._jitter()
-                forwarded = new_packet(Ipv4UdpPacket, (*packet[:5], packet.ttl - 1, *packet[6:]))
+                forwarded = new_record(Ipv4UdpPacket, (*packet[:5], packet.ttl - 1, *packet[6:]))
                 return self._arrive_unicast(next_node, forwarded, next_due)
             break
         on_port = ports.get(packet.dst_port)
@@ -464,7 +450,7 @@ class VirtualNetwork:
         try:
             serve, server = self._channel_listeners[(server_ip, server_port)]
         except KeyError:
-            raise ChannelRefused(f"nothing listening at {server_ip}:{server_port}") from None
+            raise NetsimError(f"nothing listening at {server_ip}:{server_port}") from None
         client = self._nodes[client_host]
         self._seq += 1
         arrive = partial(self._serve, serve, message, server, client, on_reply)

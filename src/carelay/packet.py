@@ -7,8 +7,10 @@ options, no fragmentation, IPv4 only. A datagram is an ``Ipv4UdpPacket``, a
 NamedTuple of the header fields a sender chooses; ``encode`` and ``decode``
 alone compute the lengths and checksums that follow from them. The relay
 and the simulator build theirs as ``_make`` does, skipping the constructor's
-Python ``__new__``: ``new_packet(Ipv4UdpPacket, fields)`` from all nine
+Python ``__new__``: ``new_record(Ipv4UdpPacket, fields)`` from all nine
 fields, or ``udp_packet`` from the five leading ones and the default header.
+``new_record`` is ``tuple.__new__``, and every module builds its per-datagram
+and per-query records with it.
 
 Both checksums are ones'-complement sums of 16-bit words, arithmetic modulo
 0xFFFF by RFC 1071 section 2. As 2**16 is 1 modulo 0xFFFF, whole words from
@@ -49,35 +51,7 @@ _UDP_SUM_BASE = UDP_PROTO + 2 * UDP_HEADER_LEN
 
 
 class PacketError(Exception):
-    """Base class for encode/decode failures."""
-
-
-class PayloadTooLarge(PacketError):
-    pass
-
-
-class Truncated(PacketError):
-    pass
-
-
-class NotIpv4(PacketError):
-    pass
-
-
-class NotUdp(PacketError):
-    pass
-
-
-class BadIpChecksum(PacketError):
-    pass
-
-
-class BadUdpChecksum(PacketError):
-    pass
-
-
-class OptionsUnsupported(PacketError):
-    pass
+    """An encode or decode failure; the message names the field and the reason."""
 
 
 @functools.lru_cache(maxsize=ADDRESS_TABLE_SIZE)
@@ -177,13 +151,13 @@ class Ipv4UdpPacket(NamedTuple):
     flags_fragment: int = 0
 
 
-new_packet = tuple.__new__  # new_packet(Ipv4UdpPacket, fields): a packet from all nine fields, as ``_make`` builds it
+new_record = tuple.__new__  # new_record(Ipv4UdpPacket, fields): a record from all its fields, as ``_make`` builds it
 HEADER_DEFAULTS = tuple(Ipv4UdpPacket._field_defaults[name] for name in Ipv4UdpPacket._fields[5:])  # from ttl on
 
 
 def udp_packet(src_ip: str, dst_ip: str, src_port: int, dst_port: int, payload: bytes) -> Ipv4UdpPacket:
-    """``Ipv4UdpPacket(src_ip, dst_ip, src_port, dst_port, payload)``, built by ``new_packet``."""
-    return new_packet(Ipv4UdpPacket, (src_ip, dst_ip, src_port, dst_port, payload, *HEADER_DEFAULTS))
+    """``Ipv4UdpPacket(src_ip, dst_ip, src_port, dst_port, payload)``, built by ``new_record``."""
+    return new_record(Ipv4UdpPacket, (src_ip, dst_ip, src_port, dst_port, payload, *HEADER_DEFAULTS))
 
 
 def _udp_checksum(addresses: int, src_port: int, dst_port: int, size: int, payload: bytes) -> int:
@@ -213,7 +187,7 @@ def encode(packet: Ipv4UdpPacket) -> bytes:
     src_ip, dst_ip, src_port, dst_port, payload, ttl, identification, dscp_ecn, flags_fragment = packet
     size = len(payload)
     if size > MAX_UDP_PAYLOAD:
-        raise PayloadTooLarge(f"payload of {size} bytes exceeds {MAX_UDP_PAYLOAD}")
+        raise PacketError(f"payload of {size} bytes exceeds {MAX_UDP_PAYLOAD}")
     src = ip_to_int(src_ip)
     dst = ip_to_int(dst_ip)
     addresses = src + dst
@@ -231,11 +205,11 @@ def decode(data: bytes) -> Ipv4UdpPacket:
 
     Both headers are unpacked at once, but the IP checksum is verified over
     the first 20 bytes before any field is interpreted, so arbitrary header
-    corruption surfaces as BadIpChecksum. A stored UDP checksum of zero
-    means "not computed" and is accepted.
+    corruption surfaces as a ``PacketError`` naming the IP checksum. A stored
+    UDP checksum of zero means "not computed" and is accepted.
     """
     if len(data) < IP_HEADER_LEN + UDP_HEADER_LEN:
-        raise Truncated(f"{len(data)} bytes is below the 28-byte minimum")
+        raise PacketError(f"{len(data)} bytes is below the 28-byte minimum")
 
     (
         ver_ihl,
@@ -256,28 +230,28 @@ def decode(data: bytes) -> Ipv4UdpPacket:
 
     zeroed = data[:10] + b"\x00\x00" + data[12:IP_HEADER_LEN]
     if checksum16(zeroed) != stored_ip_ck:
-        raise BadIpChecksum(f"stored 0x{stored_ip_ck:04x}, computed 0x{checksum16(zeroed):04x}")
+        raise PacketError(f"IP checksum stored 0x{stored_ip_ck:04x}, computed 0x{checksum16(zeroed):04x}")
 
     version = ver_ihl >> 4
     ihl = ver_ihl & 0x0F
     if version != 4:
-        raise NotIpv4(f"version {version}")
+        raise PacketError(f"version {version}")
     if ihl > 5:
-        raise OptionsUnsupported(f"header length {ihl} words")
+        raise PacketError(f"header length {ihl} words: IP options are not supported")
     if ihl < 5:
-        raise NotIpv4(f"header length {ihl} words is below the IPv4 minimum")
+        raise PacketError(f"header length {ihl} words is below the IPv4 minimum")
     if protocol != UDP_PROTO:
-        raise NotUdp(f"protocol {protocol}")
+        raise PacketError(f"protocol {protocol}")
     if total_length > len(data) or total_length < IP_HEADER_LEN + UDP_HEADER_LEN:
-        raise Truncated(f"total_length {total_length} vs {len(data)} bytes available")
+        raise PacketError(f"total_length {total_length} vs {len(data)} bytes available")
     if udp_length != total_length - IP_HEADER_LEN or udp_length < UDP_HEADER_LEN:
-        raise Truncated(f"udp_length {udp_length} inconsistent with total_length {total_length}")
+        raise PacketError(f"udp_length {udp_length} inconsistent with total_length {total_length}")
 
     payload = bytes(data[IP_HEADER_LEN + UDP_HEADER_LEN : total_length])
     if stored_udp_ck != 0:
         udp_checksum = _udp_checksum(src + dst, src_port, dst_port, len(payload), payload)
         if stored_udp_ck != udp_checksum:
-            raise BadUdpChecksum(f"stored 0x{stored_udp_ck:04x}, computed 0x{udp_checksum:04x}")
+            raise PacketError(f"UDP checksum stored 0x{stored_udp_ck:04x}, computed 0x{udp_checksum:04x}")
     # Positional, in field order: binding nine keywords costs twice as much.
     return Ipv4UdpPacket(
         int_to_ip(src), int_to_ip(dst), src_port, dst_port, payload,

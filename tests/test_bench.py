@@ -20,7 +20,7 @@ from carelay.bench import (
     scenario_c,
 )
 from carelay.config import Query
-from carelay.netsim import UnknownHost
+from carelay.netsim import NetsimError
 from carelay.relay import RelayMode
 from records import parse_records
 
@@ -187,7 +187,7 @@ class TestScenarioValidation:
     def test_unknown_client_host_rejected(self):
         scenario = scenario_a()
         scenario.queries = [Query("NOPE", "IMX1-HOST1", 155.836)]
-        with pytest.raises(UnknownHost, match="NOPE"):
+        with pytest.raises(NetsimError, match="unknown host 'NOPE'"):
             run_scenario(scenario)
 
     def test_relay_host_without_config_rejected(self):

@@ -110,6 +110,20 @@ class TestSim:
         assert main(["sim", "--config", str(cfg), "--log", "quiet"]) == 1
 
 
+@pytest.mark.parametrize("argv, make", [
+    (["sim"], lambda path: None),
+    (["relay"], lambda path: path.mkdir()),
+    (["caget", "PV:1"], lambda path: path.write_bytes(b"client:\n  host: \xff\n")),
+], ids=["missing", "directory", "not-utf-8"])
+def test_a_config_file_that_cannot_be_read_is_config_error(argv, make, tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    make(path)
+    assert main([*argv, "--config", str(path), "--log", "quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read --config {path}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fixture, builder", [
     ("scenario_a.yaml", scenario_a),
     ("scenario_b.yaml", scenario_b),

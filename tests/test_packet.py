@@ -9,15 +9,9 @@ from hypothesis import strategies as st
 
 from carelay.packet import (
     ADDRESS_TABLE_SIZE,
-    BadIpChecksum,
-    BadUdpChecksum,
     Cidr,
     Ipv4UdpPacket,
-    NotIpv4,
-    NotUdp,
-    OptionsUnsupported,
-    PayloadTooLarge,
-    Truncated,
+    PacketError,
     checksum16,
     decode,
     encode,
@@ -240,7 +234,7 @@ class TestEncode:
         assert decode(wire) == pkt
 
     def test_payload_too_large(self):
-        with pytest.raises(PayloadTooLarge):
+        with pytest.raises(PacketError, match="65508 bytes exceeds 65507"):
             encode(make_packet(bytes(65508)))
 
     def test_max_payload_accepted(self):
@@ -288,21 +282,21 @@ class TestDecode:
         assert decode(encode(pkt)) == pkt
 
     def test_27_bytes_truncated(self):
-        with pytest.raises(Truncated):
+        with pytest.raises(PacketError, match="below the 28-byte minimum"):
             decode(encode(make_packet())[:27])
 
     def test_ip_checksum_field_incremented(self):
         wire = bytearray(encode(make_packet(b"abc")))
         stored = int.from_bytes(wire[10:12], "big")
         wire[10:12] = ((stored + 1) & 0xFFFF).to_bytes(2, "big")
-        with pytest.raises(BadIpChecksum):
+        with pytest.raises(PacketError, match="IP checksum"):
             decode(bytes(wire))
 
     def test_not_ipv4(self):
         wire = bytearray(encode(make_packet()))
         wire[0] = (6 << 4) | 5
         wire[10:12] = checksum16(wire[:10] + b"\x00\x00" + wire[12:20]).to_bytes(2, "big")
-        with pytest.raises(NotIpv4):
+        with pytest.raises(PacketError, match="version 6"):
             decode(bytes(wire))
 
     def test_options_rejected_when_checksum_valid(self):
@@ -311,21 +305,21 @@ class TestDecode:
         wire = bytearray(encode(make_packet(b"12345678")))
         wire[0] = (4 << 4) | 6
         wire[10:12] = checksum16(wire[:10] + b"\x00\x00" + wire[12:20]).to_bytes(2, "big")
-        with pytest.raises(OptionsUnsupported):
+        with pytest.raises(PacketError, match="IP options are not supported"):
             decode(bytes(wire))
 
     def test_not_udp(self):
         wire = bytearray(encode(make_packet()))
         wire[9] = 6  # TCP
         wire[10:12] = checksum16(wire[:10] + b"\x00\x00" + wire[12:20]).to_bytes(2, "big")
-        with pytest.raises(NotUdp):
+        with pytest.raises(PacketError, match="protocol 6"):
             decode(bytes(wire))
 
     def test_total_length_beyond_buffer(self):
         wire = bytearray(encode(make_packet(b"abcd")))
         wire[2:4] = (200).to_bytes(2, "big")
         wire[10:12] = checksum16(wire[:10] + b"\x00\x00" + wire[12:20]).to_bytes(2, "big")
-        with pytest.raises(Truncated):
+        with pytest.raises(PacketError, match="total_length 200"):
             decode(bytes(wire))
 
     def test_udp_checksum_zero_accepted(self):
@@ -337,7 +331,7 @@ class TestDecode:
         wire = bytearray(encode(make_packet(b"abcd")))
         wire[27] ^= 0x01
         if bytes(wire[26:28]) != b"\x00\x00":
-            with pytest.raises(BadUdpChecksum):
+            with pytest.raises(PacketError, match="UDP checksum"):
                 decode(bytes(wire))
 
     def test_trailing_padding_ignored(self):
@@ -349,7 +343,7 @@ class TestDecode:
         for bit in range(160):
             mutated = bytearray(wire)
             mutated[bit // 8] ^= 1 << (7 - bit % 8)
-            with pytest.raises(BadIpChecksum):
+            with pytest.raises(PacketError, match="IP checksum"):
                 decode(bytes(mutated))
 
 
