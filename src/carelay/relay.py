@@ -7,34 +7,30 @@ target so every server behind it sees the query. Two modes:
 * SPOOF: rebuild the datagram with the original client's source address so
   servers answer the client directly (raw-send capability needed on real
   sockets, nothing special on the virtual network).
-* PROXY: forward the payload from a per-client flow port using the relay's
-  own source, and pass any reply on that flow port back to the client; runs
-  unprivileged.
+* PROXY: forward the payload from the listen port with the relay's own source
+  and pass each reply there back to its client; runs unprivileged. A relay
+  that forks per query is modelled as a PROXY relay on a SimTransport whose
+  host takes ``request_delay_us`` to process each search.
 
-A relay that forks a subprocess per query is not a mode of this relay: the
-benchmark models it as a PROXY relay on a SimTransport whose host takes
-``request_delay_us`` to process each request.
+A PROXY flow is a relay search ID: ``Relay.flows`` maps it to (client ip,
+client port, client ID, last use), oldest first; a full table
+(``FLOW_TABLE_SIZE``) evicts its oldest. A search keeps the client's ID unless
+another client holds it, as a NAT keeps a source port (RFC 4787); else a fresh
+ID goes into both of its ID fields, and the same search again goes out under
+the same relay ID. A reply comes from ``target_port`` and its first search
+message is a response naming a live ID (``CA_PROTO_NOT_FOUND`` is not one);
+``on_flow_packet`` says whether a datagram is one, and gives each response in it
+its client's ID back. Anything else is a search and meets ``classify``. Both
+transports expire idle flows on a tick of ``EXPIRY_TICK_US`` (1 s).
 
-The real transport is Linux-only, as are the raw sockets and the prerouting
-redirect it serves behind. SPOOF blocks in its one socket's receive, with a
-``SO_RCVTIMEO`` of ``IDLE_WAKE_S`` (0.2 s) to see its stop event. PROXY
-registers each socket once with one ``select.epoll`` (no 1024-descriptor
-limit), reads one datagram per readable socket and wakeup, and drains the
-listen socket only if it was readable at the wakeup before too (epoll(7)
-reports a still-readable socket again), so a lone search pays no empty read.
-Its ``close()`` closes every descriptor it opened: a failed build leaves none.
-Both transports expire idle flows on a tick of ``EXPIRY_TICK_US`` (1 s), at
-most one tick after their timeout.
-
-Per datagram, packet values are built with ``packet.new_record`` as ``_make``
-does, the spoof rewrite among them, in ``Relay.handle_packet`` itself (0.38 µs
-against 1.3 µs for ``_replace``: ``timeit``, Intel Xeon, Python 3.11);
-``classify`` tests the config's ``(base, mask)`` integer prefixes and
-``encode`` runs in one pass, each still called through the name a tracer wraps.
-
-No socket error stops the relay. A failed receive counts as ``recv_errors``,
-a failed send of an accepted search as ``send_errors``, and of a reply as
-``reply_send_errors``; neither is left in ``relayed`` or ``replies_forwarded``.
+The real transport is Linux-only. Both modes block in the listen socket's
+receive, with a ``SO_RCVTIMEO`` of ``IDLE_WAKE_S`` (0.2 s) to see the stop
+event. Packet values are built with ``packet.new_record`` as ``_make`` does
+(0.38 µs against 1.3 µs for ``_replace``: ``timeit``, Intel Xeon, Python 3.11);
+``classify`` and ``encode`` are called through the names a tracer wraps. No
+socket error stops the relay: it counts ``recv_errors``, ``send_errors`` (a
+search) or ``reply_send_errors``, and a failed send is not left in ``relayed``
+or ``replies_forwarded``.
 """
 
 from __future__ import annotations
@@ -43,14 +39,14 @@ import enum
 import errno
 import logging
 import math
-import select
 import socket
 import struct
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from .ca_wire import CA_SERVER_PORT
+from .ca_wire import CA_HEADER_LEN, CA_SERVER_PORT, CMD_SEARCH, ReplyFlag
 from .packet import (
     HEADER_DEFAULTS, Cidr, Ipv4UdpPacket, encode, ip_to_int, is_dotted_quad, new_record as _new_record, udp_packet,
 )
@@ -60,12 +56,20 @@ DEFAULT_LISTEN_PORT = 6064
 DEFAULT_TTL = 64
 DEFAULT_FLOW_IDLE_TIMEOUT_S = 30.0
 
-FLOW_PORT_BASE = 40000
 EXPIRY_TICK_US = 1_000_000
-# Most datagrams one drain of the listen socket reads, so the flows are not starved.
-LISTEN_DRAIN_CAP = 64
+# Most flows a PROXY relay keeps. A flow must outlast the searches forwarded while its reply waits in the
+# listen queue: at most 2,820 with a full 208 KiB queue of 20-name searches on loopback (ROADMAP item 15).
+FLOW_TABLE_SIZE = 4096
 # Longest an idle serve loop waits before it looks at its stop event again.
 IDLE_WAKE_S = 0.2
+
+# A CA header without its data_count: command, payload_size, data_type, param1, param2.
+_unpack_head = struct.Struct(">HHH2xII").unpack_from
+# What every client and server sends for one name: a message with no payload, then one search header.
+_unpack_bare_then_search = struct.Struct(">HH12xHHH2xII").unpack_from
+_SEARCH_IDS = struct.Struct(">II")
+_SEARCH_ID = struct.Struct(">I")
+_REQUEST_FLAGS = frozenset(map(int, ReplyFlag))  # plain ints hash and compare faster than members
 
 
 class TransportUnavailable(Exception):
@@ -126,6 +130,9 @@ class RelayConfig:
                 "flow_idle_timeout_s",
                 f"flow_idle_timeout must be positive and finite: {self.flow_idle_timeout_s}",
             )
+        limit = self.max_packets_per_second  # 0 would drop every datagram, and True is an int
+        if limit is not None and (type(limit) is not int or limit < 1):
+            raise InvalidRelayConfig("max_packets_per_second", f"max_packets_per_second must be an int >= 1: {limit!r}")
         if not is_dotted_quad(self.target_broadcast):  # a short form such as 10.2.511 names no interface
             raise InvalidRelayConfig(
                 "target_broadcast", f"target_broadcast must be an IPv4 address, got {self.target_broadcast!r}"
@@ -150,13 +157,9 @@ class RelayCounters:
     dropped_port: int = 0
     dropped_rate_limited: int = 0
     replies_forwarded: int = 0
-    # Accepted searches that found no flow and none could be opened (EMFILE).
-    dropped_flow_limit: int = 0
-    # Socket errors the relay counted and served on: a failed receive, a
-    # failed send of an accepted search, and a failed send of a reply.
-    # ``relayed`` and ``replies_forwarded`` go up just before their send, so
-    # a reader on another thread who has seen the datagram sees it counted;
-    # a failed send takes its count back.
+    flows_evicted: int = 0  # PROXY flows a full table dropped before they expired; a later reply to one is not passed on
+    # Socket errors served on. ``relayed`` and ``replies_forwarded`` go up just before their send, so a
+    # reader on another thread who has seen the datagram sees it counted; a failed send takes it back.
     recv_errors: int = 0
     send_errors: int = 0
     reply_send_errors: int = 0
@@ -164,15 +167,7 @@ class RelayCounters:
     def conserved(self) -> bool:
         """Each search received is relayed (once sent), dropped or a send error; replies are outside the sum."""
         drops = self.dropped_local + self.dropped_not_allowed + self.dropped_port + self.dropped_rate_limited
-        return self.received == self.relayed + drops + self.dropped_flow_limit + self.send_errors
-
-
-@dataclass
-class FlowEntry:
-    client_ip: str
-    client_port: int
-    relay_local_port: int
-    last_activity_us: int
+        return self.received == self.relayed + drops + self.send_errors
 
 
 def classify(packet: Ipv4UdpPacket, config: RelayConfig) -> Verdict:
@@ -195,6 +190,28 @@ def classify(packet: Ipv4UdpPacket, config: RelayConfig) -> Verdict:
     return _DROP_NOT_ALLOWED if allow else _ACCEPT
 
 
+def _search_headers(data: bytes) -> list[tuple[int, int, int, int]]:
+    """(offset, data_type, param1, param2) of each search message, walked by ``ca_wire``'s
+    rules; empty if any payload_size is not a multiple of 8 or overruns the datagram."""
+    end = len(data)
+    if end >= 2 * CA_HEADER_LEN:  # the one-name layout in one read: 0.2 µs less per datagram than the walk
+        first, first_size, command, size, data_type, param1, param2 = _unpack_bare_then_search(data)
+        if command == CMD_SEARCH and first != CMD_SEARCH and not first_size and size == end - 32 and not size % 8:
+            return [(CA_HEADER_LEN, data_type, param1, param2)]  # the 32 bytes are the two headers
+    found, offset = [], 0
+    try:
+        while offset < end:
+            command, size, data_type, param1, param2 = _unpack_head(data, offset)  # struct.error past the end
+            if command == CMD_SEARCH:
+                found.append((offset, data_type, param1, param2))
+            offset += CA_HEADER_LEN + size
+            if size % 8:
+                return []
+    except struct.error:
+        return []
+    return found if offset == end else []
+
+
 class Relay:
     """Sequential reactor: receive, classify, re-emit; owns all flow state."""
 
@@ -202,16 +219,19 @@ class Relay:
         self.config = config
         self.transport = transport
         self.counters = RelayCounters()
-        self.flows: dict[tuple[str, int], FlowEntry] = {}
-        self._flows_by_port: dict[int, FlowEntry] = {}
+        # relay search ID -> (client ip, client port, client ID, last use in µs), least recently used first
+        self.flows: OrderedDict[int, tuple[str, int, int, int]] = OrderedDict()
+        # (client ip, client port, client ID) -> relay ID, for each flow whose two IDs differ
+        self._renamed: dict[tuple[str, int, int], int] = {}
         # IP identification of the next spoofed datagram: 1 to 0xFFFF, then 1 again.
         self._next_id = 1
+        self._next_search_id = 1  # where the search for a fresh relay ID goes on
         self._spoof = config.mode is RelayMode.SPOOF
         self._rate_window = -1
         self._rate_count = 0
         transport.attach(self)
 
-    # -- listen-port path ------------------------------------------------------
+    # -- search path -----------------------------------------------------------
 
     def handle_packet(self, packet: Ipv4UdpPacket, now_us: int) -> None:
         counters = self.counters
@@ -239,18 +259,9 @@ class Relay:
                     src_ip, config.target_broadcast, src_port, config.target_port, data, DEFAULT_TTL, ident, tos, frag
                 )))
             else:
-                flow = self.flows.get((packet.src_ip, packet.src_port))
-                if flow is None:
-                    flow = self._open_flow(packet.src_ip, packet.src_port, now_us)
-                    if flow is None:
-                        counters.dropped_flow_limit += 1
-                        return
-                else:
-                    flow.last_activity_us = now_us
+                data = self._track_requests(packet, now_us)
                 counters.relayed += 1
-                self.transport.flow_send(
-                    flow.relay_local_port, packet.payload, config.target_broadcast, config.target_port
-                )
+                self.transport.flow_send(config.listen_port, data, config.target_broadcast, config.target_port)
         except OSError as exc:  # ENOBUFS, a netfilter EPERM, EMSGSIZE over the path MTU (raw(7))
             counters.relayed -= 1
             counters.send_errors += 1
@@ -266,122 +277,131 @@ class Relay:
 
     # -- flow path (PROXY) -----------------------------------------------------
 
-    def _open_flow(self, client_ip: str, client_port: int, now_us: int) -> FlowEntry | None:
-        """A new flow for a client that has none; None if none can be opened."""
-        try:
-            port = self.transport.open_flow()
-        except OSError as exc:  # EMFILE and the like: the search is dropped
-            log.debug("no flow for %s:%d: %s", client_ip, client_port, exc)
-            return None
-        flow = FlowEntry(client_ip, client_port, port, now_us)
-        self.flows[client_ip, client_port] = flow
-        self._flows_by_port[port] = flow
-        return flow
+    def _track_requests(self, packet: Ipv4UdpPacket, now_us: int) -> bytes:
+        """The payload to forward. Each request's flow keeps the relay ID the client holds for it, else
+        the client's ID, or, when another client holds that, a fresh one written into a copy."""
+        data = packet.payload
+        src_ip, src_port = packet.src_ip, packet.src_port
+        flows, renamed = self.flows, self._renamed
+        rewritten = None
+        for offset, data_type, client_id, _ in _search_headers(data):  # param1 is the ID a server answers
+            if data_type not in _REQUEST_FLAGS:
+                continue
+            key = (src_ip, src_port, client_id)
+            relay_id = renamed.get(key, client_id) if renamed else client_id
+            held = flows.get(relay_id)
+            if held is not None and held[:3] == key:  # the same search again
+                flows.move_to_end(relay_id)
+            elif held is not None:  # another client's: the next ID no entry holds
+                while relay_id in flows:
+                    relay_id = self._next_search_id
+                    self._next_search_id = relay_id % 0xFFFFFFFF + 1  # 1 to 0xFFFFFFFF
+                renamed[key] = relay_id
+            if relay_id != client_id:
+                rewritten = rewritten or bytearray(data)
+                _SEARCH_IDS.pack_into(rewritten, offset + 8, relay_id, relay_id)
+            flows[relay_id] = (src_ip, src_port, client_id, now_us)
+            if len(flows) > FLOW_TABLE_SIZE:
+                self._drop_oldest()
+                self.counters.flows_evicted += 1
+        return data if rewritten is None else bytes(rewritten)
 
-    def on_flow_packet(self, local_port: int, packet: Ipv4UdpPacket, now_us: int) -> None:
-        flow = self._flows_by_port.get(local_port)
-        if flow is None:
-            return
-        flow.last_activity_us = now_us
+    def on_flow_packet(self, local_port: int, packet: Ipv4UdpPacket, now_us: int) -> bool:
+        """Pass a reply to its client, or return False and do nothing if the datagram is not one.
+
+        The transports ask this of datagrams from ``target_port`` only. A reply's first search message
+        is a response naming a live relay ID; each response in it to that ID's client refreshes its
+        flow and gets the client's ID back in param2.
+        """
+        data = packet.payload
+        flows = self.flows
+        client = rewritten = None
+        for offset, data_type, _, relay_id in _search_headers(data):
+            flow = flows.get(relay_id)
+            if flow is None or data_type in _REQUEST_FLAGS or client not in (None, flow[:2]):
+                if client is None:  # the first search message is no response to a live flow
+                    return False
+                continue
+            client_ip, client_port, client_id, _ = flow
+            client = (client_ip, client_port)
+            flows[relay_id] = (client_ip, client_port, client_id, now_us)
+            flows.move_to_end(relay_id)
+            if client_id != relay_id:  # param2 sits 12 bytes into the header
+                rewritten = rewritten or bytearray(data)
+                _SEARCH_ID.pack_into(rewritten, offset + 12, client_id)
+        if client is None:
+            return False
         self.counters.replies_forwarded += 1
         try:
-            self.transport.flow_send(local_port, packet.payload, flow.client_ip, flow.client_port)
+            self.transport.flow_send(local_port, data if rewritten is None else bytes(rewritten), *client)
         except OSError as exc:
             self.counters.replies_forwarded -= 1
             self.counters.reply_send_errors += 1
-            log.debug("reply to %s:%d failed: %s", flow.client_ip, flow.client_port, exc)
+            log.debug("reply to %s:%d failed: %s", client_ip, client_port, exc)
+        return True
+
+    def _drop_oldest(self) -> None:
+        relay_id, (client_ip, client_port, client_id, _) = self.flows.popitem(last=False)
+        if client_id != relay_id:
+            del self._renamed[client_ip, client_port, client_id]
 
     def expire_flows(self, now_us: int) -> int:
         """Drop flows idle for at least the configured timeout; returns how many."""
-        timeout_us = int(self.config.flow_idle_timeout_s * 1e6)
-        expired = [
-            key
-            for key, flow in self.flows.items()
-            if now_us - flow.last_activity_us >= timeout_us
-        ]
-        for key in expired:
-            flow = self.flows.pop(key)
-            del self._flows_by_port[flow.relay_local_port]
-            self.transport.close_flow(flow.relay_local_port)
-        return len(expired)
+        stale_us = now_us - int(self.config.flow_idle_timeout_s * 1e6)  # a flow last used by then has expired
+        flows, before = self.flows, len(self.flows)
+        while flows and next(iter(flows.values()))[3] <= stale_us:
+            self._drop_oldest()
+        return before - len(flows)
 
     def serve(self, stop: threading.Event) -> None:
         self.transport.serve(self, stop)
 
 
 class SimTransport:
-    """Adapts the relay reactor onto a VirtualNetwork host.
-
-    request_delay_us models the host's per-request processing cost: each
-    listen-port datagram reaches the relay that long after its delivery.
-    """
+    """Adapts the relay reactor onto a VirtualNetwork host. ``request_delay_us`` models the
+    host's per-request cost: each search reaches the relay that long after its delivery."""
 
     def __init__(self, net, host_name: str, request_delay_us: int = 0) -> None:
         self.net = net
         self.host_name = host_name
         self.request_delay_us = request_delay_us
         self.local_ip = net.host(host_name).interfaces[0].ip
-        self._flow_bindings: dict[int, object] = {}
-        self._free_flow_ports: list[int] = []
-        self._relay: Relay | None = None
 
     def attach(self, relay: Relay) -> None:
-        self._relay = relay
-        if self.request_delay_us:
-            def on_request(d) -> None:
-                self.net.call_later(
-                    self.request_delay_us, lambda: relay.handle_packet(d.packet, d.time_us)
-                )
-        else:
-            def on_request(d) -> None:
-                relay.handle_packet(d.packet, d.time_us)
-        self.net.bind(self.host_name, relay.config.listen_port, owner="relay", callback=on_request)
-        if relay.config.mode is RelayMode.PROXY:
-            self.net.call_later(EXPIRY_TICK_US, self._expiry_tick)
+        listen_port, reply_port = relay.config.listen_port, relay.config.target_port
+        delay = self.request_delay_us
 
-    def _expiry_tick(self) -> None:
-        self._relay.expire_flows(self.net.now_us)
-        self.net.call_later(EXPIRY_TICK_US, self._expiry_tick)
+        def on_datagram(d) -> None:
+            if d.packet.src_port == reply_port and relay.on_flow_packet(listen_port, d.packet, d.time_us):
+                return
+            if delay:
+                self.net.call_later(delay, lambda: relay.handle_packet(d.packet, d.time_us))
+            else:
+                relay.handle_packet(d.packet, d.time_us)
+
+        def expiry_tick() -> None:
+            relay.expire_flows(self.net.now_us)
+            self.net.call_later(EXPIRY_TICK_US, expiry_tick)
+
+        self.net.bind(self.host_name, listen_port, owner="relay", callback=on_datagram)
+        if relay.config.mode is RelayMode.PROXY:
+            self.net.call_later(EXPIRY_TICK_US, expiry_tick)
 
     def emit_spoofed(self, packet: Ipv4UdpPacket) -> None:
         self.net.inject(self.host_name, packet)
-
-    def open_flow(self) -> int:
-        # With no freed port, every allocated port is bound: the next follows them.
-        free = self._free_flow_ports
-        port = free.pop() if free else FLOW_PORT_BASE + len(self._flow_bindings)
-        binding = self.net.bind(
-            self.host_name,
-            port,
-            owner=f"relay-flow-{port}",
-            callback=lambda d, p=port: self._relay.on_flow_packet(p, d.packet, d.time_us),
-        )
-        self._flow_bindings[port] = binding
-        return port
-
-    def close_flow(self, port: int) -> None:
-        binding = self._flow_bindings.pop(port)
-        self.net.unbind(self.host_name, binding)
-        self._free_flow_ports.append(port)
 
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
         self.net.inject(self.host_name, udp_packet(self.local_ip, dst_ip, local_port, dst_port, payload))
 
 
 class RealUdpTransport:
-    """Plain-socket transport: SPOOF blocks in its one receive and needs raw-send capability, PROXY uses epoll.
-
-    ``_readers`` maps each PROXY descriptor to (recvfrom, local port); the
-    listen socket is the one whose port is the config's ``listen_port``.
-    """
+    """Plain-socket transport on one listen socket; SPOOF also sends through a raw socket and needs the capability."""
 
     def __init__(self, config: RelayConfig, bind_ip: str = "0.0.0.0", socket_factory=None) -> None:
         self._bind_ip = bind_ip  # the destination address of received datagrams
         # Resolved at call time so tests can substitute the module's socket.
         self._socket_factory = socket_factory or socket.socket
-        self._listen = self._raw = self._epoll = None
-        self._flow_sockets: dict[int, socket.socket] = {}
-        self._readers: dict[int, tuple] = {}
+        self._listen = self._raw = None
         raw_step = "open a raw socket for spoof mode"
         step = "create UDP socket"
         try:
@@ -394,14 +414,13 @@ class RealUdpTransport:
                 step = raw_step
                 self._raw = self._socket_factory(socket.AF_INET, socket.SOCK_RAW, socket.IPPROTO_RAW)
                 self._raw.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
-                # socket(7): a receive idle this long fails with EAGAIN; settimeout() would poll(2) before each
-                step = "set the listen socket's receive timeout"
-                timeval = struct.pack("@ll", *divmod(round(IDLE_WAKE_S * 1_000_000), 1_000_000))
-                self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
             else:
-                step = "create an epoll instance"
-                self._epoll = select.epoll()
-                self._watch(self._listen, config.listen_port)
+                step = "allow broadcast on the listen socket"
+                self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
+            # socket(7): a receive idle this long fails with EAGAIN; settimeout() would poll(2) before each
+            step = "set the listen socket's receive timeout"
+            timeval = struct.pack("@ll", *divmod(round(IDLE_WAKE_S * 1_000_000), 1_000_000))
+            self._listen.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
         except OSError as exc:
             self.close()
             if isinstance(exc, PermissionError) and step == raw_step:  # not bind's EACCES, nor any EMFILE
@@ -412,119 +431,55 @@ class RealUdpTransport:
                 ) from exc
             raise TransportUnavailable(f"cannot {step}: {exc}") from exc
 
-    def _watch(self, sock, port: int) -> None:
-        fd = sock.fileno()
-        self._epoll.register(fd, select.EPOLLIN)
-        self._readers[fd] = (sock.recvfrom, port)
-
     def attach(self, relay: Relay) -> None:
         del relay  # serve() is handed the relay
 
     def emit_spoofed(self, packet: Ipv4UdpPacket) -> None:
         self._raw.sendto(encode(packet), (packet.dst_ip, 0))
 
-    def open_flow(self) -> int:
-        """Bind and watch a new flow socket; its OSError leaves nothing open."""
-        sock = self._socket_factory(socket.AF_INET, socket.SOCK_DGRAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
-            sock.bind(("0.0.0.0", 0))
-            port = sock.getsockname()[1]
-            self._watch(sock, port)
-        except OSError:
-            sock.close()
-            raise
-        self._flow_sockets[port] = sock
-        return port
-
-    def close_flow(self, port: int) -> None:
-        sock = self._flow_sockets.pop(port)
-        fd = sock.fileno()
-        del self._readers[fd]
-        self._epoll.unregister(fd)
-        sock.close()
-
     def flow_send(self, local_port: int, payload: bytes, dst_ip: str, dst_port: int) -> None:
-        self._flow_sockets[local_port].sendto(payload, (dst_ip, dst_port))
+        self._listen.sendto(payload, (dst_ip, dst_port))
 
     def serve(self, relay: Relay, stop: threading.Event) -> None:
         """Receive loop; returns when stop is set, within ``IDLE_WAKE_S`` when idle.
 
-        SPOOF handles each datagram of a blocking receive at its own time.
-        PROXY reads one datagram per readable socket, but drains a listen
-        socket readable at the wakeup before too (``LISTEN_DRAIN_CAP``), and
-        hands the listen socket's datagrams to ``handle_packet``, the others
-        to ``on_flow_packet``, so the replies are not held back.
+        A datagram from ``target_port`` goes to ``on_flow_packet``; one that is
+        not a reply there, and any other, goes to ``handle_packet``.
         """
-        listen_port = relay.config.listen_port
+        config = relay.config
+        listen_port, reply_port = config.listen_port, config.target_port
         bind_ip = self._bind_ip
-        new_record = _new_record
-        packet_type = Ipv4UdpPacket
+        new_record, packet_type = _new_record, Ipv4UdpPacket
         stopped = stop.is_set
         ttl, ident, tos, frag = HEADER_DEFAULTS
-        # Looked up here, not in attach() or open_flow(), so that wrappers
-        # installed on the relay instance before serve() starts see every datagram.
-        handle_packet = relay.handle_packet
-        on_flow_packet = relay.on_flow_packet
-        if self._epoll is None:
-            listen_recv = self._listen.recvfrom
-            monotonic_ns = time.monotonic_ns
-            while not stopped():
-                try:
-                    data, (src_ip, src_port) = listen_recv(65535)
-                except BlockingIOError:  # the receive timed out
-                    continue
-                except OSError as exc:
-                    if exc.errno == errno.EBADF:  # close() ran under the loop: no receive can succeed
-                        raise
-                    relay.counters.recv_errors += 1
-                    log.debug("receive failed: %s", exc)
-                    continue
-                fields = (src_ip, bind_ip, src_port, listen_port, data, ttl, ident, tos, frag)
-                handle_packet(new_record(packet_type, fields), monotonic_ns() // 1000)
-            return
-        poll = self._epoll.poll
-        readers = self._readers
-        dontwait = socket.MSG_DONTWAIT
-        one_read, drain = range(1), range(LISTEN_DRAIN_CAP)  # built once, not per wakeup
-        backlog = False  # the listen socket was readable at the wakeup before
-        next_tick_us = 0
+        # Looked up here, not in attach(), so that wrappers installed on the
+        # relay instance before serve() starts see every datagram.
+        handle_packet, on_flow_packet = relay.handle_packet, relay.on_flow_packet
+        expire_flows = relay.expire_flows
+        listen_recv, monotonic_ns = self._listen.recvfrom, time.monotonic_ns
+        next_tick_us = 0 if config.mode is RelayMode.PROXY else math.inf
         while not stopped():
-            events = poll(IDLE_WAKE_S)
-            now = time.monotonic_ns() // 1000
-            listen_readable = False
-            for fd, _ in events:
-                recv, port = readers[fd]
-                if port == listen_port:
-                    listen_readable = True
-                    reads = drain if backlog else one_read
-                else:
-                    reads = one_read
-                for _ in reads:
-                    # select(2) BUGS: a datagram dropped for a bad checksum can
-                    # leave a socket reported readable with nothing to read.
-                    try:
-                        data, (src_ip, src_port) = recv(65535, dontwait)
-                    except BlockingIOError:
-                        break
-                    except OSError as exc:  # counted; what is still queued is read at the next wakeup
-                        relay.counters.recv_errors += 1
-                        log.debug("receive on port %d failed: %s", port, exc)
-                        break
-                    packet = new_record(packet_type, (src_ip, bind_ip, src_port, port, data, ttl, ident, tos, frag))
-                    if port == listen_port:
-                        handle_packet(packet, now)
-                    else:
-                        on_flow_packet(port, packet, now)
-            backlog = listen_readable
+            try:
+                data, (src_ip, src_port) = listen_recv(65535)
+            except BlockingIOError:  # the receive timed out: only the tick may be due
+                data = None
+            except OSError as exc:
+                if exc.errno == errno.EBADF:  # close() ran under the loop: no receive can succeed
+                    raise
+                relay.counters.recv_errors += 1
+                log.debug("receive failed: %s", exc)
+                continue
+            now = monotonic_ns() // 1000
+            if data is not None:
+                packet = new_record(packet_type, (src_ip, bind_ip, src_port, listen_port, data, ttl, ident, tos, frag))
+                if src_port != reply_port or not on_flow_packet(listen_port, packet, now):
+                    handle_packet(packet, now)
             if now >= next_tick_us:
-                relay.expire_flows(now)
+                expire_flows(now)
                 next_tick_us = now + EXPIRY_TICK_US
 
     def close(self) -> None:
         """Close every descriptor opened so far; safe on a half-built transport, and twice."""
-        for opened in (self._epoll, self._listen, self._raw, *self._flow_sockets.values()):
+        for opened in (self._listen, self._raw):
             if opened is not None:
                 opened.close()
-        self._flow_sockets.clear()
-        self._readers.clear()

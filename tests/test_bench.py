@@ -29,7 +29,7 @@ REFERENCE_DIGEST = (
 )
 # sha256 of `carelay bench --reps 100 --seed 1` in text format, whose
 # counters lines list every RelayCounters field.
-BENCH_TEXT_REPS100_SEED1_SHA256 = "f7ccdfe4503f19b9f3a42892867e624f7c9661dfc30507b8715cfbbef138f291"
+BENCH_TEXT_REPS100_SEED1_SHA256 = "1b1021cff55a8c295cf3f970330fd6bce483d0092c37ac4442394cfa7b826baa"
 # sha256 of `run_benchmark(repetitions=30, seed=7)` in records format, the
 # benchmark that each round of perfbench's sim_paper workload runs at its seed 7.
 BENCH_RECORDS_REPS30_SEED7_SHA256 = "56a80e89d62c6389b145637e5831087d9e4d1b1191d20db5d4ed0d6c0a42644f"

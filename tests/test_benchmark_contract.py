@@ -43,7 +43,7 @@ def test_names_the_benchmark_depends_on():
         "dropped_port",
         "dropped_rate_limited",
         "replies_forwarded",
-        "dropped_flow_limit",
+        "flows_evicted",
         "recv_errors",
         "send_errors",
         "reply_send_errors",
@@ -244,6 +244,11 @@ def test_every_ioc_delivery_calls_the_request_finder(monkeypatch):
     assert parses[search] == 1
 
 
+# A search and its answer, as a proxy relay forwards them.
+SEARCH = ca_wire.encode_search_datagram(ca_wire.SearchRequest("PV:1", 7))
+REPLY = ca_wire.encode_search_response_datagram(ca_wire.SearchResponse(5901, 7))
+
+
 class ProxySocket:
     """Shaped like perfbench.relay_proc.TracedSocket: ``fileno`` bound
     directly, ``recvfrom`` and ``sendto`` wrapped, the rest through
@@ -289,11 +294,11 @@ def test_real_transport_serves_through_traced_socket_proxies():
     thread = threading.Thread(target=relay.serve, args=(stop,), daemon=True)
     thread.start()
     try:
-        client.sendto(b"search", ("127.0.0.1", config.listen_port))
+        client.sendto(SEARCH, ("127.0.0.1", config.listen_port))
         data, flow_addr = sink.recvfrom(65535)
-        assert data == b"search"
-        sink.sendto(b"reply", flow_addr)
-        assert client.recvfrom(65535) == (b"reply", flow_addr)
+        assert data == SEARCH
+        sink.sendto(REPLY, flow_addr)
+        assert client.recvfrom(65535) == (REPLY, flow_addr)
     finally:
         stop.set()
         thread.join(timeout=3)
@@ -386,11 +391,11 @@ def test_wrappers_installed_before_serve_see_every_datagram(monkeypatch):
         )
         relay, transport = counting_relay(proxy, calls)
         with serving(relay, transport):
-            client.sendto(b"search", ("127.0.0.1", proxy.listen_port))
+            client.sendto(SEARCH, ("127.0.0.1", proxy.listen_port))
             data, flow_addr = sink.recvfrom(65535)
-            assert data == b"search"
-            sink.sendto(b"reply", flow_addr)
-            assert client.recvfrom(65535) == (b"reply", flow_addr)
+            assert data == SEARCH
+            sink.sendto(REPLY, flow_addr)
+            assert client.recvfrom(65535) == (REPLY, flow_addr)
         assert calls == {"handle_packet": 1, "classify": 1, "flow_send": 2, "on_flow_packet": 1}
         calls.clear()
 
@@ -451,9 +456,9 @@ def test_real_transport_hands_the_relay_plain_packet_values():
     client_port, sink_port = client.getsockname()[1], sink.getsockname()[1]
     try:
         with serving(relay, transport):
-            client.sendto(b"search", ("127.0.0.1", config.listen_port))
+            client.sendto(SEARCH, ("127.0.0.1", config.listen_port))
             _, flow_addr = sink.recvfrom(65535)
-            sink.sendto(b"reply", flow_addr)
+            sink.sendto(REPLY, flow_addr)
             client.recvfrom(65535)
     finally:
         sink.close()
@@ -464,10 +469,10 @@ def test_real_transport_hands_the_relay_plain_packet_values():
     defaults = {"ttl": 64, "identification": 0, "dscp_ecn": 0, "flags_fragment": 0}
     assert search == Ipv4UdpPacket(
         src_ip="127.0.0.1", dst_ip="127.0.0.1", src_port=client_port, dst_port=config.listen_port,
-        payload=b"search", **defaults,
+        payload=SEARCH, **defaults,
     )
     assert flow_port == flow_addr[1]
     assert reply == Ipv4UdpPacket(
         src_ip="127.0.0.1", dst_ip="127.0.0.1", src_port=sink_port, dst_port=flow_port,
-        payload=b"reply", **defaults,
+        payload=REPLY, **defaults,
     )

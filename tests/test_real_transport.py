@@ -10,7 +10,6 @@ name server answers searches only, as a stock IOC does over UDP.
 import errno
 import os
 import resource
-import select
 import signal
 import socket
 import threading
@@ -31,7 +30,6 @@ from carelay.endpoints import ChannelTimeout, ClientQueryConfig, RealCaClient
 from carelay.packet import Cidr, decode
 from carelay.relay import (
     IDLE_WAKE_S,
-    LISTEN_DRAIN_CAP,
     PrivilegeRequired,
     RealUdpTransport,
     Relay,
@@ -51,6 +49,15 @@ def _raw_sockets_available() -> bool:
 
 
 RAW_AVAILABLE = _raw_sockets_available()
+
+
+def search(search_id: int) -> bytes:
+    return encode_search_datagram(SearchRequest("LOOP:PV", search_id))
+
+
+def reply(search_id: int) -> bytes:
+    return encode_search_response_datagram(SearchResponse(StubIoc.SERVER_PORT, search_id))
+
 
 FAST_CLIENT = ClientQueryConfig(
     initial_retry_s=0.1, backoff_factor=2.0, max_tries=3, total_timeout_s=2.0
@@ -262,8 +269,8 @@ class TestRealProxyRelay:
         try:
             client = RealCaClient([("127.0.0.1", config.listen_port)], config=FAST_CLIENT)
             assert client.search("LOOP:PV") == ("127.0.0.1", StubIoc.SERVER_PORT)
-            # The stub saw the relay's flow port, not the client.
-            assert all(addr[0] == "127.0.0.1" for addr in stub_ioc.seen_sources)
+            # The stub saw the relay's listen port, not the client.
+            assert set(stub_ioc.seen_sources) == {("127.0.0.1", config.listen_port)}
             assert relay.counters.relayed >= 1
             assert relay.counters.replies_forwarded >= 1
             assert relay.counters.conserved()
@@ -275,8 +282,8 @@ class TestRealProxyRelay:
 
 def proxy_relay(listen_port: int, target_port: int, **overrides):
     overrides.setdefault("local_subnet", Cidr("192.0.2.0", 24))
+    overrides.setdefault("target_broadcast", "127.0.0.1")
     config = RelayConfig(
-        target_broadcast="127.0.0.1",
         listen_port=listen_port,
         target_port=target_port,
         mode=RelayMode.PROXY,
@@ -293,64 +300,6 @@ def wait_until(condition, timeout_s: float = 2.0) -> None:
 
 
 class TestRealProxyFlows:
-    # select() cannot watch a descriptor at or above FD_SETSIZE (1024).
-    FLOWS = 1100
-
-    @pytest.mark.skipif(
-        resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 2500,
-        reason="needs about 2200 open descriptors",
-    )
-    def test_serves_more_flows_than_select_can_watch(self):
-        sink = plain_udp_socket()
-        sink.settimeout(2)
-        relay, transport = proxy_relay(16564, sink.getsockname()[1])
-        errors: list[BaseException] = []
-
-        def serve() -> None:
-            try:
-                relay.serve(stop)
-            except Exception as exc:  # reported by the asserts below
-                errors.append(exc)
-
-        stop = threading.Event()
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        clients: list[socket.socket] = []
-        try:
-            # Batches small enough for the listen socket's receive buffer.
-            while len(clients) < self.FLOWS and not errors:
-                for _ in range(100):
-                    clients.append(plain_udp_socket())
-                    clients[-1].sendto(b"search", ("127.0.0.1", 16564))
-                wait_until(lambda: relay.counters.received >= len(clients) or errors)
-                # The sink's receive buffer holds about 256 small datagrams,
-                # so it is emptied after each batch: then none is lost.
-                for _ in range(100):
-                    sink.recvfrom(65535)
-            assert not errors
-            assert len(relay.flows) == self.FLOWS
-
-            last = plain_udp_socket()
-            clients.append(last)
-            last.settimeout(2)
-            last.sendto(b"last search", ("127.0.0.1", 16564))
-            while True:
-                data, flow_addr = sink.recvfrom(65535)
-                if data == b"last search":
-                    break
-            sink.sendto(b"reply", flow_addr)
-            assert last.recvfrom(65535)[0] == b"reply"
-            assert not errors
-            assert relay.counters.conserved()
-        finally:
-            stop.set()
-            thread.join(timeout=3)
-            transport.close()
-            for client in clients:
-                client.close()
-            sink.close()
-        assert not thread.is_alive()
-
     def test_idle_flow_expires_while_serving(self):
         sink = plain_udp_socket()
         sink.settimeout(2)
@@ -358,8 +307,8 @@ class TestRealProxyFlows:
         stop, thread = serve_in_thread(relay)
         client = plain_udp_socket()
         try:
-            client.sendto(b"search", ("127.0.0.1", 16664))
-            assert sink.recvfrom(65535)[0] == b"search"
+            client.sendto(search(1), ("127.0.0.1", 16664))
+            assert sink.recvfrom(65535)[0] == search(1)
             wait_until(lambda: not relay.flows)
             assert relay.flows == {}
             assert relay.counters.relayed == 1
@@ -370,54 +319,26 @@ class TestRealProxyFlows:
             client.close()
             sink.close()
 
-
-class BindFails(socket.socket):
-    def bind(self, address):
-        raise OSError(errno.EADDRINUSE, os.strerror(errno.EADDRINUSE))
-
-
-class TestFlowOpenFailure:
-    """An OSError while opening a flow drops that search; serving goes on."""
-
-    FLOWS = 2
-
-    @pytest.mark.parametrize("failing_call", ["socket", "bind"])
-    def test_search_without_a_flow_is_a_counted_drop(self, failing_call):
-        created: list[socket.socket] = []
-
-        def factory(family, kind, proto=0):
-            # The first socket is the listen socket, the next FLOWS are flows.
-            if len(created) <= self.FLOWS:
-                sock = socket.socket(family, kind, proto)
-            elif failing_call == "socket":
-                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-            else:
-                sock = BindFails(family, kind, proto)
-            created.append(sock)
-            return sock
-
+    def test_serving_many_clients_opens_no_descriptor(self):
+        # One socket serves every client: no descriptor is opened per client port.
+        clients = [plain_udp_socket() for _ in range(200)]
         sink = plain_udp_socket()
         sink.settimeout(2)
-        config = RelayConfig(
-            target_broadcast="127.0.0.1",
-            listen_port=17464,
-            target_port=sink.getsockname()[1],
-            mode=RelayMode.PROXY,
-            local_subnet=Cidr("192.0.2.0", 24),
-        )
-        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
-        relay = Relay(config, transport)
+        relay, transport = proxy_relay(16564, sink.getsockname()[1])
         stop, thread = serve_in_thread(relay)
-        clients = [plain_udp_socket() for _ in range(self.FLOWS + 1)]
         try:
-            for i, client in enumerate(clients):
+            before = len(os.listdir("/proc/self/fd"))
+            for batch in range(0, len(clients), 50):  # well inside the sink's receive buffer
+                for search_id, client in enumerate(clients[batch : batch + 50], start=batch):
+                    client.sendto(search(search_id), ("127.0.0.1", 16564))
+                for _ in range(50):
+                    data, relay_addr = sink.recvfrom(65535)
+                    sink.sendto(reply(int.from_bytes(data[24:28], "big")), relay_addr)
+            for client in clients:
                 client.settimeout(2)
-                client.sendto(b"search %d" % i, ("127.0.0.1", config.listen_port))
-            relayed = dict(sink.recvfrom(65535) for _ in range(self.FLOWS))
-            wait_until(lambda: relay.counters.received >= len(clients))
-            # The loop still serves: a reply on an existing flow goes back.
-            sink.sendto(b"reply", relayed[b"search 0"])
-            assert clients[0].recvfrom(65535)[0] == b"reply"
+            answers = [client.recvfrom(65535) for client in clients]
+            assert len(os.listdir("/proc/self/fd")) == before
+            assert answers == [(reply(search_id), ("127.0.0.1", 16564)) for search_id in range(len(clients))]
         finally:
             stop.set()
             thread.join(timeout=3)
@@ -425,14 +346,38 @@ class TestFlowOpenFailure:
             for sock in (sink, *clients):
                 sock.close()
         assert not thread.is_alive()
-        assert sorted(relayed) == [b"search 0", b"search 1"]
+        assert (relay.counters.relayed, relay.counters.replies_forwarded) == (200, 200)
+        assert len(relay.flows) == 200
+
+    def test_only_a_reply_from_the_ioc_side_reaches_the_client(self):
+        # The IOC side may send the relay anything; only a response to a live
+        # search goes to a client. The rest is classified: a local drop here.
+        sink = plain_udp_socket("127.0.0.9")
+        sink.settimeout(2)
+        relay, transport = proxy_relay(
+            18764, sink.getsockname()[1], target_broadcast="127.0.0.9",
+            allow_sources=(Cidr("127.0.0.0", 28),), local_subnet=Cidr("127.0.0.8", 29),
+        )
+        stop, thread = serve_in_thread(relay)
+        client = plain_udp_socket("127.0.0.2")
+        client.settimeout(2)
+        try:
+            client.sendto(search(5), ("127.0.0.1", 18764))
+            relay_addr = sink.recvfrom(65535)[1]
+            for probe in (b"probe", search(5), reply(6), reply(5)):
+                sink.sendto(probe, relay_addr)
+            assert client.recvfrom(65535)[0] == reply(5)
+            wait_until(lambda: relay.counters.dropped_local == 3)
+        finally:
+            stop.set()
+            thread.join(timeout=3)
+            transport.close()
+            client.close()
+            sink.close()
+        assert not thread.is_alive()
         counters = relay.counters
-        assert (counters.received, counters.relayed, counters.dropped_flow_limit) == (3, 2, 1)
+        assert (counters.received, counters.relayed, counters.dropped_local) == (4, 1, 3)
         assert counters.replies_forwarded == 1
-        assert counters.conserved()
-        assert len(relay.flows) == self.FLOWS
-        if failing_call == "bind":
-            assert created[-1].fileno() == -1  # closed by open_flow
 
 
 def raise_fault(faults: dict, call: str) -> None:
@@ -528,37 +473,23 @@ class TimedReceiveSocket(socket.socket):
         return result
 
 
-class TestListenDrain:
-    """Datagrams queued before serve() starts: PROXY reads one, then capped bursts while a backlog lasts;
-    SPOOF reads one per receive."""
+class TestListenBacklog:
+    """Datagrams queued before serve() starts: each mode reads one per blocking receive."""
 
     # Sources 127.0.0.2, .9 and .17 are accepted, local and not allowed.
     SOURCES = ("127.0.0.2", "127.0.0.9", "127.0.0.17")
     FILTER = dict(allow_sources=(Cidr("127.0.0.0", 28),), local_subnet=Cidr("127.0.0.8", 29))
 
-    def proxy_relay(self, listen_port: int, sink: socket.socket):
-        relay, transport = proxy_relay(listen_port, sink.getsockname()[1], **self.FILTER)
-        # One serve() wakeup reads every datagram of a drain at one time.
-        wakeup_times: list[int] = []
-        handle_packet = relay.handle_packet
-
-        def recording(packet, now_us):
-            wakeup_times.append(now_us)
-            handle_packet(packet, now_us)
-
-        relay.handle_packet = recording
-        return relay, transport, wakeup_times
-
     def queue_backlog(self, listen_port: int, backlog: int) -> list[socket.socket]:
         senders = [plain_udp_socket(ip) for ip in self.SOURCES]
         for i in range(backlog):
-            senders[i % 3].sendto(b"search %d" % i, ("127.0.0.1", listen_port))
+            senders[i % 3].sendto(search(i), ("127.0.0.1", listen_port))
         return senders
 
     def test_queued_backlog_is_counted_by_verdict(self):
         sink = plain_udp_socket()
         sink.settimeout(2)
-        relay, transport, wakeup_times = self.proxy_relay(16864, sink)
+        relay, transport = proxy_relay(16864, sink.getsockname()[1], **self.FILTER)
         backlog = 200  # below the 256 small datagrams a default buffer holds
         senders = self.queue_backlog(16864, backlog)
         stop, thread = serve_in_thread(relay)
@@ -576,18 +507,14 @@ class TestListenDrain:
         assert counters.received == backlog
         assert (counters.relayed, counters.dropped_local, counters.dropped_not_allowed) == (67, 67, 66)
         assert counters.conserved()
-        assert relayed == [b"search %d" % i for i in range(0, backlog, 3)]
-        # The first wakeup reads one datagram; the listen socket is readable
-        # again at the next, so the rest are drained: 1 + 64 + 64 + 64 + 7.
-        bursts = [wakeup_times.count(t) for t in sorted(set(wakeup_times))]
-        assert bursts == [1, LISTEN_DRAIN_CAP, LISTEN_DRAIN_CAP, LISTEN_DRAIN_CAP, 7]
+        assert relayed == [search(i) for i in range(0, backlog, 3)]
 
-    def test_zero_length_datagram_is_relayed_inside_a_drain(self):
+    def test_zero_length_datagram_is_relayed(self):
         sink = plain_udp_socket()
         sink.settimeout(2)
-        relay, transport, wakeup_times = self.proxy_relay(16964, sink)
+        relay, transport = proxy_relay(16964, sink.getsockname()[1], **self.FILTER)
         client = plain_udp_socket("127.0.0.2")
-        for payload in (b"first", b"", b"last"):
+        for payload in (search(1), b"", search(2)):
             client.sendto(payload, ("127.0.0.1", 16964))
         stop, thread = serve_in_thread(relay)
         try:
@@ -599,49 +526,11 @@ class TestListenDrain:
             for sock in (sink, client):
                 sock.close()
         assert not thread.is_alive()
-        assert relayed == [b"first", b"", b"last"]
+        assert relayed == [search(1), b"", search(2)]
         assert (relay.counters.received, relay.counters.relayed) == (3, 3)
-        # b"first" is read alone; b"" and b"last" in the drain of the next wakeup.
-        assert wakeup_times[0] < wakeup_times[1] == wakeup_times[2]
 
-    def test_a_lone_search_costs_one_listen_read(self):
-        sockets: list[TimedReceiveSocket] = []
-
-        def factory(family, kind, proto=0):
-            sockets.append(TimedReceiveSocket(family, kind, proto))
-            return sockets[-1]
-
-        sink = plain_udp_socket()
-        sink.settimeout(2)
-        config = RelayConfig(
-            target_broadcast="127.0.0.1", listen_port=17964, target_port=sink.getsockname()[1], mode=RelayMode.PROXY,
-            **self.FILTER,
-        )
-        transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
-        relay = Relay(config, transport)
-        client = plain_udp_socket("127.0.0.2")
-        client.settimeout(2)
-        stop, thread = serve_in_thread(relay)
-        try:
-            # Each search is sent after the reply to the one before it has arrived.
-            for i in range(20):
-                client.sendto(b"search %d" % i, ("127.0.0.1", 17964))
-                data, flow_addr = sink.recvfrom(65535)
-                assert data == b"search %d" % i
-                sink.sendto(b"reply %d" % i, flow_addr)
-                assert client.recvfrom(65535)[0] == b"reply %d" % i
-        finally:
-            stop.set()
-            thread.join(timeout=3)
-            transport.close()
-            for sock in (sink, client):
-                sock.close()
-        assert not thread.is_alive()
-        assert (relay.counters.relayed, relay.counters.replies_forwarded) == (20, 20)
-        # One recvfrom per search, none of them an empty read that raised BlockingIOError.
-        assert [got for got, _ in sockets[0].receives] == [True] * 20
-
-    def test_spoof_relay_reads_one_datagram_per_blocking_receive(self):
+    @pytest.mark.parametrize("mode", [RelayMode.SPOOF, RelayMode.PROXY], ids=["spoof", "proxy"])
+    def test_each_receive_reads_one_datagram_or_waits_out_the_timeout(self, mode):
         raw = RecordingRawSocket()
         listen: list[TimedReceiveSocket] = []
 
@@ -651,9 +540,10 @@ class TestListenDrain:
             listen.append(TimedReceiveSocket(family, kind, proto))
             return listen[-1]
 
+        sink = plain_udp_socket()
         config = RelayConfig(
-            target_broadcast="127.255.255.255", listen_port=17864, target_port=15064, mode=RelayMode.SPOOF,
-            **self.FILTER,
+            target_broadcast="127.255.255.255" if mode is RelayMode.SPOOF else "127.0.0.1",
+            listen_port=17864, target_port=sink.getsockname()[1], mode=mode, **self.FILTER,
         )
         transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=factory)
         relay = Relay(config, transport)
@@ -666,10 +556,10 @@ class TestListenDrain:
             stop.set()
             thread.join(timeout=3)
             transport.close()
-            for sock in senders:
+            for sock in (sink, *senders):
                 sock.close()
         assert not thread.is_alive()
-        receives = listen[0].receives
+        (receives,) = [sock.receives for sock in listen]
         assert sum(got for got, _ in receives) == backlog
         # A receive without a datagram waited out the kernel timeout: no empty read ends a burst.
         assert all(took > 0.9 * IDLE_WAKE_S for got, took in receives if not got)
@@ -677,56 +567,7 @@ class TestListenDrain:
         assert counters.received == backlog
         assert (counters.relayed, counters.dropped_local, counters.dropped_not_allowed) == (67, 67, 66)
         assert counters.conserved()
-        assert len(raw.sent) == 67
-
-    def test_flow_reply_is_not_held_behind_the_listen_backlog(self):
-        sink = plain_udp_socket()
-        sink.settimeout(2)
-        # The backlog comes from a source outside the allowlist, so only the
-        # first search reaches the sink.
-        relay, transport = proxy_relay(17064, sink.getsockname()[1], allow_sources=(Cidr("127.0.0.0", 28),))
-        client = plain_udp_socket()
-        client.settimeout(2)
-        flood = plain_udp_socket("127.0.0.17")
-        try:
-            stop, thread = serve_in_thread(relay)
-            client.sendto(b"search", ("127.0.0.1", 17064))
-            flow_addr = sink.recvfrom(65535)[1]
-            stop.set()
-            thread.join(timeout=3)
-            received_before = relay.counters.received
-
-            # Queued while nothing serves: a listen backlog past the cap,
-            # then a reply on the flow socket.
-            backlog = 2 * LISTEN_DRAIN_CAP
-            for _ in range(backlog):
-                flood.sendto(b"storm", ("127.0.0.1", 17064))
-            sink.sendto(b"reply", flow_addr)
-            time.sleep(0.05)  # lets loopback deliver both
-
-            received_at_reply: list[int] = []
-            on_flow_packet = relay.on_flow_packet
-
-            def recording(port, packet, now_us):
-                received_at_reply.append(relay.counters.received)
-                on_flow_packet(port, packet, now_us)
-
-            relay.on_flow_packet = recording
-            stop, thread = serve_in_thread(relay)
-            assert client.recvfrom(65535)[0] == b"reply"
-            wait_until(lambda: relay.counters.received >= received_before + backlog)
-        finally:
-            stop.set()
-            thread.join(timeout=3)
-            transport.close()
-            for sock in (sink, client, flood):
-                sock.close()
-        assert not thread.is_alive()
-        assert len(received_at_reply) == 1
-        assert received_at_reply[0] - received_before <= LISTEN_DRAIN_CAP
-        assert relay.counters.received == received_before + backlog
-        assert relay.counters.dropped_not_allowed == backlog
-        assert relay.counters.conserved()
+        assert len(raw.sent) == (67 if mode is RelayMode.SPOOF else 0)
 
 
 class TestSpoofServeStops:
@@ -846,16 +687,16 @@ class TestSpoofServeStops:
         assert not killer.is_alive()
         assert returned_at - sent_at[0] < 1
 
-    @pytest.mark.parametrize("mode, opened", [(RelayMode.SPOOF, 1), (RelayMode.PROXY, 2)], ids=["spoof", "proxy"])
-    def test_descriptors_a_transport_opens(self, mode, opened):
-        # Spoof: the listen socket alone (the raw socket is a stand-in). Proxy: the listen socket and its epoll.
+    @pytest.mark.parametrize("mode", [RelayMode.SPOOF, RelayMode.PROXY], ids=["spoof", "proxy"])
+    def test_descriptors_a_transport_opens(self, mode):
+        # The listen socket alone (in spoof mode the raw socket is a stand-in).
         config = RelayConfig(
             target_broadcast="127.255.255.255", listen_port=18264, mode=mode, local_subnet=Cidr("192.0.2.0", 24)
         )
         before = len(os.listdir("/proc/self/fd"))
         transport = RealUdpTransport(config, bind_ip="127.0.0.1", socket_factory=RecordingRawSocket().factory)
         try:
-            assert len(os.listdir("/proc/self/fd")) - before == opened
+            assert len(os.listdir("/proc/self/fd")) - before == 1
         finally:
             transport.close()
         assert len(os.listdir("/proc/self/fd")) == before
@@ -865,9 +706,11 @@ class TestSpoofServeStops:
         (RelayMode.SPOOF, "raw socket", errno.EPERM, PrivilegeRequired),
         (RelayMode.SPOOF, "raw socket", errno.EMFILE, TransportUnavailable),  # no privilege would help
         (RelayMode.SPOOF, "SO_RCVTIMEO", errno.EINVAL, TransportUnavailable),
-        (RelayMode.PROXY, "epoll", errno.EMFILE, TransportUnavailable),
-    ], ids=["bind-eacces", "raw-eperm", "raw-emfile", "rcvtimeo-einval", "epoll-emfile"])
-    def test_a_failed_build_leaves_no_descriptor_open(self, mode, step, code, raised, monkeypatch):
+        (RelayMode.PROXY, "SO_BROADCAST", errno.EINVAL, TransportUnavailable),
+        (RelayMode.PROXY, "SO_RCVTIMEO", errno.EINVAL, TransportUnavailable),
+    ], ids=["bind-eacces", "raw-eperm", "raw-emfile", "rcvtimeo-einval", "proxy-broadcast-einval",
+            "proxy-rcvtimeo-einval"])
+    def test_a_failed_build_leaves_no_descriptor_open(self, mode, step, code, raised):
         error = OSError(code, os.strerror(code))  # EACCES and EPERM make a PermissionError
 
         class Refusing(socket.socket):
@@ -877,7 +720,7 @@ class TestSpoofServeStops:
                 super().bind(address)
 
             def setsockopt(self, level, option, value):
-                if step == "SO_RCVTIMEO" and option == socket.SO_RCVTIMEO:
+                if option == getattr(socket, step, None):
                     raise error
                 super().setsockopt(level, option, value)
 
@@ -888,11 +731,6 @@ class TestSpoofServeStops:
                 raise error
             return RecordingRawSocket()
 
-        def refuse():
-            raise error
-
-        if step == "epoll":
-            monkeypatch.setattr(select, "epoll", refuse)
         config = RelayConfig(
             target_broadcast="127.255.255.255", listen_port=18264, mode=mode, local_subnet=Cidr("192.0.2.0", 24)
         )
@@ -904,20 +742,21 @@ class TestSpoofServeStops:
         if raised is TransportUnavailable:
             assert os.strerror(code) in str(excinfo.value)
 
-    def test_a_relay_that_cannot_open_its_sockets_exits_two(self, monkeypatch, capsys):
-        def refuse():
-            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-
-        monkeypatch.setattr(select, "epoll", refuse)
-        before = len(os.listdir("/proc/self/fd"))
-        code = main([
-            "relay", "--mode", "proxy", "--listen-port", "18664", "--target", "127.255.255.255:15064",
-            "--local-subnet", "127.0.0.0/8", "--allow", "10.2.105.0/24", "--bind-ip", "127.0.0.1",
-            "--log", "quiet",
-        ])
+    def test_a_relay_that_cannot_open_its_sockets_exits_two(self, capsys):
+        taken = plain_udp_socket()  # holds the listen port
+        port = taken.getsockname()[1]
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            code = main([
+                "relay", "--mode", "proxy", "--listen-port", str(port),
+                "--target", "127.255.255.255:15064", "--local-subnet", "127.0.0.0/8", "--allow", "10.2.105.0/24",
+                "--bind-ip", "127.0.0.1", "--log", "quiet",
+            ])
+            assert len(os.listdir("/proc/self/fd")) == before
+        finally:
+            taken.close()
         assert code == 2
-        assert len(os.listdir("/proc/self/fd")) == before
-        assert "cannot create an epoll instance" in capsys.readouterr().err
+        assert f"cannot bind 127.0.0.1:{port}: " in capsys.readouterr().err
 
 
 class FaultySocket(socket.socket):
@@ -962,26 +801,25 @@ class TestSocketErrors:
         counters = relay.counters
         stop, thread = serve_in_thread(relay)
         try:
-            # A failed receive leaves the search queued for the next wakeup.
+            # A failed receive leaves the datagram queued for the next receive.
             listen.faults["recvfrom"] = errno.ECONNREFUSED
-            client.sendto(b"search 1", ("127.0.0.1", config.listen_port))
-            data, flow_addr = sink.recvfrom(65535)
-            assert data == b"search 1"
-            flow = created[1]
-            flow.faults["sendto"] = errno.ENOBUFS
-            client.sendto(b"search 2", ("127.0.0.1", config.listen_port))
+            client.sendto(search(1), ("127.0.0.1", config.listen_port))
+            data, relay_addr = sink.recvfrom(65535)
+            assert data == search(1)
+            listen.faults["sendto"] = errno.ENOBUFS
+            client.sendto(search(2), ("127.0.0.1", config.listen_port))
             wait_until(lambda: counters.send_errors == 1)
-            client.sendto(b"search 3", ("127.0.0.1", config.listen_port))
-            assert sink.recvfrom(65535)[0] == b"search 3"
+            client.sendto(search(3), ("127.0.0.1", config.listen_port))
+            assert sink.recvfrom(65535)[0] == search(3)
 
-            flow.faults["recvfrom"] = errno.ECONNREFUSED
-            sink.sendto(b"reply 1", flow_addr)
-            assert client.recvfrom(65535)[0] == b"reply 1"
-            flow.faults["sendto"] = errno.EPERM
-            sink.sendto(b"reply 2", flow_addr)
+            listen.faults["recvfrom"] = errno.ECONNREFUSED
+            sink.sendto(reply(1), relay_addr)
+            assert client.recvfrom(65535)[0] == reply(1)
+            listen.faults["sendto"] = errno.EPERM
+            sink.sendto(reply(3), relay_addr)
             wait_until(lambda: counters.reply_send_errors == 1)
-            sink.sendto(b"reply 3", flow_addr)
-            assert client.recvfrom(65535)[0] == b"reply 3"
+            sink.sendto(reply(3), relay_addr)
+            assert client.recvfrom(65535)[0] == reply(3)
             assert thread.is_alive()
         finally:
             stop.set()

@@ -2,11 +2,21 @@ import dataclasses
 import ipaddress
 import math
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from carelay import ca_wire
+from carelay.ca_wire import (
+    ReplyFlag,
+    SearchRequest,
+    SearchResponse,
+    encode_search_datagram,
+    encode_search_response_datagram,
+    find_search_requests,
+)
 from carelay.netsim import (
     BroadcastDomain,
     HelperRule,
@@ -18,6 +28,7 @@ from carelay.netsim import (
 )
 from carelay.packet import ADDRESS_TABLE_SIZE, Cidr, Ipv4UdpPacket, decode, encode, int_to_ip, ip_to_int
 from carelay.relay import (
+    FLOW_TABLE_SIZE,
     InvalidRelayConfig,
     PrivilegeRequired,
     Relay,
@@ -26,6 +37,7 @@ from carelay.relay import (
     SimTransport,
     RealUdpTransport,
     Verdict,
+    _search_headers,
     classify,
 )
 
@@ -40,6 +52,14 @@ PAPER_CONFIG = RelayConfig(
     local_subnet=BEAMLINE,
     mode=RelayMode.SPOOF,
 )
+
+
+def search(search_id=7, name="LOOP:PV"):
+    return encode_search_datagram(SearchRequest(name, search_id))
+
+
+def response(search_id=7):
+    return encode_search_response_datagram(SearchResponse(5901, search_id))
 
 
 def query_packet(src_ip="10.2.105.171", src_port=44256, dst_ip="10.2.1.31", dst_port=6064, payload=b"q" * 48):
@@ -351,6 +371,39 @@ class TestSpoofRelayOnSim:
         assert captured == [payload]
 
 
+class TestSearchHeaderWalk:
+    # (command, payload_size, data_type, search ID, payload_size of a search header that starts the payload)
+    message = st.tuples(
+        st.sampled_from([0, 6, 14]),
+        st.sampled_from([0, 8, 16, 5]) | st.integers(0, 40),
+        st.sampled_from([5, 10, 5901]),
+        st.integers(0, 0xFFFFFFFF),
+        st.sampled_from([0, 8, 16]),
+    )
+
+    @given(st.lists(message, max_size=4), st.integers(0, 8))
+    @example([(0, 0, 5, 1, 0), (6, 5, 5, 7, 0)], 0)  # one search whose payload_size is not a multiple of 8
+    @example([(0, 16, 5, 1, 8), (0, 0, 5, 1, 0)], 8)  # a payload shaped like a search header, then a torn header
+    @example([(6, 0, 5, 1, 0), (6, 8, 5, 7, 0)], 0)  # two searches, the first without a payload
+    @example([(0, 0, 5, 1, 0), (14, 8, 10, 7, 0)], 0)  # a version message, then a CA_PROTO_NOT_FOUND
+    @settings(max_examples=500)
+    def test_agrees_with_the_ca_wire_walk(self, messages, cut):
+        # The relay reads the header fields of every search message as
+        # ca_wire does, or none if ca_wire refuses the datagram, also when a
+        # payload looks like a search header.
+        data = b"".join(
+            struct.pack(">HHHHII", command, size, data_type, 13, ident, ident)
+            + (struct.pack(">HHHHII", 6, inner, 5, 13, 1, 1) + bytes(size))[:size]
+            for command, size, data_type, ident, inner in messages
+        )
+        data = data[: len(data) - cut] if cut < len(data) else data
+        try:
+            expected = [(data_type, param1, param2) for _, data_type, _, param1, param2, _ in ca_wire._search_messages(data)]
+        except ca_wire.CaWireError:
+            expected = []
+        assert [fields for _, *fields in _search_headers(data)] == [list(e) for e in expected]
+
+
 class TestProxyRelayOnSim:
     def make_proxy(self, net, **overrides):
         config = RelayConfig(
@@ -369,53 +422,122 @@ class TestProxyRelayOnSim:
         seen = []
         net.bind("IMX1-HOST1", 5064, "ioc", callback=lambda d: seen.append(d.packet))
         self.make_proxy(net)
-        client_broadcast(net)
+        client_broadcast(net, payload=search())
         net.advance_clock(10_000)
         (pkt,) = seen
         assert pkt.src_ip == "10.2.1.31"
-        assert pkt.src_port >= 40000
+        assert pkt.src_port == 6064  # the listen port: servers answer it
+        assert pkt.payload == search()
 
     def test_reply_forwarded_back_to_client(self):
         net = VirtualNetwork(relay_topology())
         client_seen = []
 
-        def ioc_reply(delivery):
-            reply = Ipv4UdpPacket(
-                src_ip="10.2.1.32", dst_ip=delivery.packet.src_ip,
-                src_port=5064, dst_port=delivery.packet.src_port,
-                payload=b"reply!",
-            )
-            net.inject("IMX1-HOST2", reply)
-
-        net.bind("IMX1-HOST2", 5064, "ioc", callback=ioc_reply)
+        net.bind("IMX1-HOST2", 5064, "ioc", callback=self.ioc_reply(net))
         net.bind("TesterHEpics", 44256, "client", callback=lambda d: client_seen.append(d.packet))
         relay = self.make_proxy(net)
-        client_broadcast(net)
+        client_broadcast(net, payload=search())
         net.advance_clock(50_000)
         (pkt,) = client_seen
-        assert pkt.payload == b"reply!"
+        assert pkt.payload == response()
         assert relay.counters.replies_forwarded == 1
+
+    @staticmethod
+    def ioc_reply(net, src_port=5064):
+        """An IOC on IMX1-HOST2 that answers every search from src_port."""
+
+        def reply(delivery):
+            (request,) = find_search_requests(delivery.packet.payload)
+            net.inject("IMX1-HOST2", Ipv4UdpPacket(
+                src_ip="10.2.1.32", dst_ip=delivery.packet.src_ip,
+                src_port=src_port, dst_port=delivery.packet.src_port,
+                payload=response(request.search_id),
+            ))
+
+        return reply
+
+    def test_two_clients_on_one_id_each_get_their_own_reply(self):
+        net = VirtualNetwork(relay_topology())
+        sent_ids = []
+
+        def ioc(delivery):
+            sent_ids.append(struct.unpack_from(">II", delivery.packet.payload, 24))  # the search's param1 and param2
+            return self.ioc_reply(net)(delivery)
+
+        net.bind("IMX1-HOST2", 5064, "ioc", callback=ioc)
+        seen = {port: [] for port in (44256, 44257)}
+        for port, got in seen.items():
+            net.bind("TesterHEpics", port, f"client-{port}", callback=lambda d, got=got: got.append(d.packet))
+        relay = self.make_proxy(net)
+        for port in seen:
+            client_broadcast(net, src_port=port, payload=search(7))
+            net.advance_clock(10_000)
+        assert [len(got) for got in seen.values()] == [1, 1]
+        assert all(got[0].payload == response(7) for got in seen.values())
+        assert relay.counters.replies_forwarded == 2
+        # The first keeps its ID; the second goes out under a fresh one, in param1 and param2 alike.
+        first, second = sent_ids
+        assert first == (7, 7)
+        assert second[0] == second[1] != 7
+        assert relay.flows[7][:3] == ("10.2.105.171", 44256, 7)
+        assert relay.flows[second[0]][:3] == ("10.2.105.171", 44257, 7)
+
+    def test_a_response_from_another_port_is_a_search(self):
+        # Only target_port answers: the same response from port 5065 is classified, here as a local source.
+        net = VirtualNetwork(relay_topology())
+        net.bind("IMX1-HOST2", 5064, "ioc", callback=self.ioc_reply(net, src_port=5065))
+        client_seen = []
+        net.bind("TesterHEpics", 44256, "client", callback=lambda d: client_seen.append(d.packet))
+        relay = self.make_proxy(net)
+        client_broadcast(net, payload=search())
+        net.advance_clock(50_000)
+        assert client_seen == []
+        counters = relay.counters
+        assert (counters.received, counters.relayed, counters.dropped_local) == (2, 1, 1)
+        assert counters.replies_forwarded == 0
+        assert 7 in relay.flows
+
+    def test_a_not_found_is_classified_as_a_search(self):
+        # CA_PROTO_NOT_FOUND (command 14) answers a DO_REPLY search, but the
+        # relay routes only search responses: from the IOC side it is a local drop.
+        net = VirtualNetwork(relay_topology())
+
+        def not_found(delivery):
+            (request,) = find_search_requests(delivery.packet.payload)
+            payload = struct.pack(">HHHHII", 14, 0, 10, 13, request.search_id, request.search_id)
+            net.inject("IMX1-HOST2", Ipv4UdpPacket(
+                "10.2.1.32", delivery.packet.src_ip, 5064, delivery.packet.src_port, payload
+            ))
+
+        net.bind("IMX1-HOST2", 5064, "ioc", callback=not_found)
+        client_seen = []
+        net.bind("TesterHEpics", 44256, "client", callback=lambda d: client_seen.append(d.packet))
+        relay = self.make_proxy(net)
+        client_broadcast(net, payload=encode_search_datagram(SearchRequest("LOOP:PV", 7, ReplyFlag.DO_REPLY)))
+        net.advance_clock(50_000)
+        assert client_seen == []
+        assert (relay.counters.dropped_local, relay.counters.replies_forwarded) == (1, 0)
 
     def test_flow_reused_for_same_client(self):
         net = VirtualNetwork(relay_topology())
         relay = self.make_proxy(net)
-        for _ in range(5):
-            client_broadcast(net, src_port=44256)
+        for _ in range(5):  # a client's retries carry the same ID
+            client_broadcast(net, src_port=44256, payload=search(7))
             net.advance_clock(5_000)
         assert len(relay.flows) == 1
 
-    def test_flow_table_bounded_by_distinct_clients(self):
+    def test_flow_table_bounded_by_distinct_searches(self):
         net = VirtualNetwork(relay_topology())
         relay = self.make_proxy(net)
         for i in range(20):
-            client_broadcast(net, src_port=50000 + (i % 7))
+            client_broadcast(net, src_port=50000 + (i % 7), payload=search(i % 7))
             net.advance_clock(1_000)
         assert len(relay.flows) == 7
 
     def test_flows_expire_after_idle_timeout(self):
         net = VirtualNetwork(relay_topology())
         relay = self.make_proxy(net)
-        client_broadcast(net)
+        client_broadcast(net, payload=search())
         net.advance_clock(10_000)
         assert len(relay.flows) == 1
         net.advance_clock(31_000_000)
@@ -425,7 +547,7 @@ class TestProxyRelayOnSim:
         net = VirtualNetwork(relay_topology())
         relay = self.make_proxy(net)
         for i in range(1000):
-            client_broadcast(net, src_port=1024 + i)
+            client_broadcast(net, src_port=1024 + i, payload=search(i))
         net.advance_clock(10_000)
         assert len(relay.flows) == 1000
         net.advance_clock(40_000_000)
@@ -449,26 +571,70 @@ class TestExpireFlows:
 
     def test_boundary_is_inclusive(self):
         relay = self.make_detached_relay()
-        relay.handle_packet(query_packet(), now_us=0)
+        relay.handle_packet(query_packet(payload=search()), now_us=0)
         timeout_us = int(relay.config.flow_idle_timeout_s * 1e6)
         assert relay.expire_flows(timeout_us - 1) == 0
         assert relay.expire_flows(timeout_us) == 1
         assert relay.flows == {}
 
-    def test_expired_ports_are_reusable(self):
+    def test_a_full_table_evicts_its_oldest_entry(self):
         relay = self.make_detached_relay()
-        relay.handle_packet(query_packet(src_port=1), now_us=0)
-        first_port = next(iter(relay.flows.values())).relay_local_port
-        relay.expire_flows(int(relay.config.flow_idle_timeout_s * 1e6))
-        relay.handle_packet(query_packet(src_port=2), now_us=0)
-        assert next(iter(relay.flows.values())).relay_local_port == first_port
+        for search_id in range(FLOW_TABLE_SIZE + 1):
+            relay.handle_packet(query_packet(payload=search(search_id)), now_us=search_id)
+        assert len(relay.flows) == FLOW_TABLE_SIZE
+        assert 0 not in relay.flows and next(iter(relay.flows)) == 1
+        relay.on_flow_packet(6064, query_packet(src_ip="10.2.1.32", src_port=5064, payload=response(0)), 0)
+        assert relay.counters.replies_forwarded == 0
+        assert relay.counters.relayed == FLOW_TABLE_SIZE + 1
+        assert relay.counters.flows_evicted == 1
 
-    def test_flow_ports_distinct_after_a_middle_port_is_freed(self):
-        transport = self.make_detached_relay().transport
-        first = [transport.open_flow() for _ in range(3)]
-        transport.close_flow(first[1])
-        live = [first[0], first[2], transport.open_flow(), transport.open_flow()]
-        assert len(set(live)) == 4
+
+class FlowSends:
+    """Transport that keeps the payload and destination of every flow_send."""
+
+    def __init__(self):
+        self.sent = []
+
+    def attach(self, relay):
+        del relay
+
+    def flow_send(self, local_port, payload, dst_ip, dst_port):
+        self.sent.append((payload, dst_ip, dst_port))
+
+
+class TestSearchIds:
+    def make_relay(self):
+        config = RelayConfig(target_broadcast="255.255.255.255", mode=RelayMode.PROXY, local_subnet=BEAMLINE)
+        transport = FlowSends()
+        return Relay(config, transport), transport
+
+    def test_every_response_of_a_reply_gets_its_client_id_back(self):
+        # A server answers every name it owns from one search datagram in one
+        # reply; each response goes back under the second client's own ID.
+        relay, transport = self.make_relay()
+        two_names = search(1, "A:PV") + search(2, "B:PV")[16:]
+        for port in (44256, 44257):
+            relay.handle_packet(query_packet(src_port=port, payload=two_names), now_us=0)
+        fresh = [request.search_id for request in find_search_requests(transport.sent[1][0])]
+        assert len(set(fresh)) == 2 and not set(fresh) & {1, 2}
+        reply = query_packet(src_ip="10.2.1.32", src_port=5064, payload=response(fresh[0]) + response(fresh[1])[16:])
+        assert relay.on_flow_packet(6064, reply, now_us=1)
+        assert transport.sent[2] == (response(1) + response(2)[16:], "10.2.105.171", 44257)
+        assert [flow[3] for flow in relay.flows.values()] == [0, 0, 1, 1]  # both answered flows refreshed
+
+    def test_a_resent_search_keeps_its_relay_id(self):
+        # Clients resend a search until it resolves: a rewritten one holds one flow, under one fresh ID,
+        # also after the client that held the ID first has gone.
+        relay, transport = self.make_relay()
+        relay.handle_packet(query_packet(src_port=44256, payload=search(7)), now_us=0)
+        for now_us in (1, 2, 3):
+            relay.handle_packet(query_packet(src_port=44257, payload=search(7)), now_us=now_us)
+        assert len(relay.flows) == 2
+        relay.expire_flows(int(relay.config.flow_idle_timeout_s * 1e6) + 1)
+        relay.handle_packet(query_packet(src_port=44257, payload=search(7)), now_us=4)
+        assert len(relay.flows) == 1
+        resent = {payload for payload, _, _ in transport.sent[1:]}
+        assert len(resent) == 1 and resent != {search(7)}
 
 
 class TestForkModel:
@@ -487,6 +653,23 @@ class TestForkModel:
         net.advance_clock(100_000)
         # helper copy: 2 hops; broadcast after the host's fork cost: 1 hop.
         assert arrival == [2 * 200 + 5000 + 200]
+
+    def test_replies_are_not_delayed(self):
+        net = VirtualNetwork(relay_topology())
+        net.bind("IMX1-HOST2", 5064, "ioc", callback=TestProxyRelayOnSim.ioc_reply(net))
+        arrival = []
+        net.bind("TesterHEpics", 44256, "client", callback=lambda d: arrival.append(d.time_us))
+        config = RelayConfig(
+            target_broadcast="255.255.255.255",
+            allow_sources=(SOL,),
+            local_subnet=BEAMLINE,
+            mode=RelayMode.PROXY,
+        )
+        Relay(config, SimTransport(net, "IMX1-HOST1", request_delay_us=5000))
+        client_broadcast(net, payload=search())
+        net.advance_clock(100_000)
+        # The search waits out the fork cost once; the reply goes back hop by hop.
+        assert arrival == [2 * 200 + 5000 + 200 + 200 + 2 * 200]
 
 
 class TestCountersConservation:
@@ -531,9 +714,6 @@ class SendCounts:
     def attach(self, relay):
         self.counters = relay.counters
 
-    def open_flow(self):
-        return 40000
-
     def emit_spoofed(self, packet):
         self.seen.append((self.counters.relayed, self.counters.replies_forwarded))
 
@@ -547,8 +727,8 @@ def test_a_datagram_is_counted_before_it_is_sent():
     spoof, proxy = SendCounts(), SendCounts()
     Relay(PAPER_CONFIG, spoof).handle_packet(query_packet(), now_us=0)
     relay = Relay(dataclasses.replace(PAPER_CONFIG, mode=RelayMode.PROXY), proxy)
-    relay.handle_packet(query_packet(), now_us=0)
-    relay.on_flow_packet(40000, query_packet(src_ip="10.2.1.31", dst_port=40000), now_us=0)
+    relay.handle_packet(query_packet(payload=search()), now_us=0)
+    relay.on_flow_packet(6064, query_packet(src_ip="10.2.1.31", src_port=5064, payload=response()), now_us=0)
     assert spoof.seen == [(1, 0)]
     assert proxy.seen == [(1, 0), (1, 1)]
 
@@ -597,6 +777,13 @@ class TestRelayConfigValidation:
         with pytest.raises(InvalidRelayConfig, match=field) as excinfo:
             RelayConfig(**{"target_broadcast": "1.2.3.4", "local_subnet": BEAMLINE, field: value})
         assert excinfo.value.field == field
+
+    @pytest.mark.parametrize("value", [0, -1, True, 2.5, "10"])
+    def test_a_rate_limit_that_drops_everything_or_is_no_count_rejected(self, value):
+        # 0 would drop every datagram, and True passes as an int; none of these is a count of datagrams.
+        with pytest.raises(InvalidRelayConfig, match="max_packets_per_second") as excinfo:
+            RelayConfig(target_broadcast="255.255.255.255", local_subnet=BEAMLINE, max_packets_per_second=value)
+        assert excinfo.value.field == "max_packets_per_second"
 
     def test_defaults_match_documented_values(self):
         config = RelayConfig(target_broadcast="255.255.255.255", local_subnet=BEAMLINE)
