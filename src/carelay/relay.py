@@ -21,7 +21,10 @@ the same relay ID. A reply comes from ``target_port`` and its first search
 message is a response naming a live ID (``CA_PROTO_NOT_FOUND`` is not one);
 ``on_flow_packet`` says whether a datagram is one, and gives each response in it
 its client's ID back. Anything else is a search and meets ``classify``. Both
-transports expire idle flows on a tick of ``EXPIRY_TICK_US`` (1 s).
+paths take the one-name layout that clients and servers send in one ``struct``
+read (``_one_search``) and walk the headers of any other datagram
+(``_search_headers``). A search whose send fails leaves none of the flows it
+opened. Both transports expire idle flows on a tick of ``EXPIRY_TICK_US`` (1 s).
 
 The real transport is Linux-only. Both modes block in the listen socket's
 receive, with a ``SO_RCVTIMEO`` of ``IDLE_WAKE_S`` (0.2 s) to see the stop
@@ -190,14 +193,20 @@ def classify(packet: Ipv4UdpPacket, config: RelayConfig) -> Verdict:
     return _DROP_NOT_ALLOWED if allow else _ACCEPT
 
 
-def _search_headers(data: bytes) -> list[tuple[int, int, int, int]]:
-    """(offset, data_type, param1, param2) of each search message, walked by ``ca_wire``'s
-    rules; empty if any payload_size is not a multiple of 8 or overruns the datagram."""
+def _one_search(data: bytes) -> tuple[int, int, int] | None:
+    """(data_type, param1, param2) of a datagram in the one-name layout, in one read; None for any other."""
     end = len(data)
-    if end >= 2 * CA_HEADER_LEN:  # the one-name layout in one read: 0.2 µs less per datagram than the walk
+    if end >= 2 * CA_HEADER_LEN:
         first, first_size, command, size, data_type, param1, param2 = _unpack_bare_then_search(data)
         if command == CMD_SEARCH and first != CMD_SEARCH and not first_size and size == end - 32 and not size % 8:
-            return [(CA_HEADER_LEN, data_type, param1, param2)]  # the 32 bytes are the two headers
+            return data_type, param1, param2  # the 32 bytes are the two headers
+    return None
+
+
+def _search_headers(data: bytes) -> list[tuple[int, int, int, int]]:
+    """(offset, data_type, param1, param2) of each search message, walked by ``ca_wire``'s rules for a datagram
+    ``_one_search`` refuses; empty if any payload_size is not a multiple of 8 or overruns the datagram."""
+    end = len(data)
     found, offset = [], 0
     try:
         while offset < end:
@@ -259,12 +268,16 @@ class Relay:
                     src_ip, config.target_broadcast, src_port, config.target_port, data, DEFAULT_TTL, ident, tos, frag
                 )))
             else:
-                data = self._track_requests(packet, now_us)
+                opened: list[int] = []
+                data = self._track_requests(packet, now_us, opened)
                 counters.relayed += 1
                 self.transport.flow_send(config.listen_port, data, config.target_broadcast, config.target_port)
         except OSError as exc:  # ENOBUFS, a netfilter EPERM, EMSGSIZE over the path MTU (raw(7))
             counters.relayed -= 1
             counters.send_errors += 1
+            if not self._spoof:  # a search that was not sent opens no flow
+                for relay_id in opened:
+                    self._drop_flow(relay_id)
             log.debug("send failed for %s:%d: %s", packet.src_ip, packet.src_port, exc)
 
     def _rate_limited(self, now_us: int, limit: int) -> bool:
@@ -277,34 +290,48 @@ class Relay:
 
     # -- flow path (PROXY) -----------------------------------------------------
 
-    def _track_requests(self, packet: Ipv4UdpPacket, now_us: int) -> bytes:
-        """The payload to forward. Each request's flow keeps the relay ID the client holds for it, else
-        the client's ID, or, when another client holds that, a fresh one written into a copy."""
+    def _track_requests(self, packet: Ipv4UdpPacket, now_us: int, opened: list[int]) -> bytes:
+        """The payload to forward, each request's relay ID in place; the IDs of new flows go into ``opened``."""
         data = packet.payload
-        src_ip, src_port = packet.src_ip, packet.src_port
-        flows, renamed = self.flows, self._renamed
-        rewritten = None
-        for offset, data_type, client_id, _ in _search_headers(data):  # param1 is the ID a server answers
+        one = _one_search(data)
+        if one is not None:
+            data_type, client_id, _ = one  # param1 is the ID a server answers
             if data_type not in _REQUEST_FLAGS:
-                continue
-            key = (src_ip, src_port, client_id)
-            relay_id = renamed.get(key, client_id) if renamed else client_id
-            held = flows.get(relay_id)
-            if held is not None and held[:3] == key:  # the same search again
-                flows.move_to_end(relay_id)
-            elif held is not None:  # another client's: the next ID no entry holds
-                while relay_id in flows:
-                    relay_id = self._next_search_id
-                    self._next_search_id = relay_id % 0xFFFFFFFF + 1  # 1 to 0xFFFFFFFF
-                renamed[key] = relay_id
-            if relay_id != client_id:
-                rewritten = rewritten or bytearray(data)
-                _SEARCH_IDS.pack_into(rewritten, offset + 8, relay_id, relay_id)
-            flows[relay_id] = (src_ip, src_port, client_id, now_us)
-            if len(flows) > FLOW_TABLE_SIZE:
-                self._drop_oldest()
-                self.counters.flows_evicted += 1
+                return data
+            relay_id = self._flow_id(packet.src_ip, packet.src_port, client_id, now_us, opened)
+            return data if relay_id == client_id else data[:24] + _SEARCH_IDS.pack(relay_id, relay_id) + data[32:]
+        src_ip, src_port = packet.src_ip, packet.src_port
+        rewritten = None
+        for offset, data_type, client_id, _ in _search_headers(data):
+            if data_type in _REQUEST_FLAGS:
+                relay_id = self._flow_id(src_ip, src_port, client_id, now_us, opened)
+                if relay_id != client_id:
+                    rewritten = rewritten or bytearray(data)
+                    _SEARCH_IDS.pack_into(rewritten, offset + 8, relay_id, relay_id)
         return data if rewritten is None else bytes(rewritten)
+
+    def _flow_id(self, src_ip: str, src_port: int, client_id: int, now_us: int, opened: list[int]) -> int:
+        """The relay ID a request goes out under, by the rule the module docstring gives; its flow is written youngest."""
+        flows, renamed = self.flows, self._renamed
+        relay_id = renamed.get((src_ip, src_port, client_id), client_id) if renamed else client_id
+        held = flows.get(relay_id)
+        if held is None:
+            opened.append(relay_id)
+        elif held[:3] == (src_ip, src_port, client_id):  # the same search again
+            flows.move_to_end(relay_id)
+        else:  # another client's: the next ID no entry holds
+            while relay_id in flows:
+                relay_id = self._next_search_id
+                self._next_search_id = relay_id % 0xFFFFFFFF + 1  # 1 to 0xFFFFFFFF
+            renamed[src_ip, src_port, client_id] = relay_id
+            opened.append(relay_id)
+        flows[relay_id] = (src_ip, src_port, client_id, now_us)
+        if len(flows) > FLOW_TABLE_SIZE:
+            oldest, (client_ip, client_port, oldest_client_id, _) = flows.popitem(last=False)
+            if oldest_client_id != oldest:
+                del renamed[client_ip, client_port, oldest_client_id]
+            self.counters.flows_evicted += 1
+        return relay_id
 
     def on_flow_packet(self, local_port: int, packet: Ipv4UdpPacket, now_us: int) -> bool:
         """Pass a reply to its client, or return False and do nothing if the datagram is not one.
@@ -315,33 +342,46 @@ class Relay:
         """
         data = packet.payload
         flows = self.flows
-        client = rewritten = None
-        for offset, data_type, _, relay_id in _search_headers(data):
+        one = _one_search(data)
+        if one is not None:
+            data_type, _, relay_id = one
             flow = flows.get(relay_id)
-            if flow is None or data_type in _REQUEST_FLAGS or client not in (None, flow[:2]):
-                if client is None:  # the first search message is no response to a live flow
-                    return False
-                continue
+            if flow is None or data_type in _REQUEST_FLAGS:
+                return False
             client_ip, client_port, client_id, _ = flow
-            client = (client_ip, client_port)
             flows[relay_id] = (client_ip, client_port, client_id, now_us)
             flows.move_to_end(relay_id)
-            if client_id != relay_id:  # param2 sits 12 bytes into the header
-                rewritten = rewritten or bytearray(data)
-                _SEARCH_ID.pack_into(rewritten, offset + 12, client_id)
-        if client is None:
-            return False
+            if client_id != relay_id:  # param2 ends the two headers
+                data = data[:28] + _SEARCH_ID.pack(client_id) + data[32:]
+        else:
+            client = rewritten = None
+            for offset, data_type, _, relay_id in _search_headers(data):
+                flow = flows.get(relay_id)
+                if flow is None or data_type in _REQUEST_FLAGS or client is not None and flow[:2] != client:
+                    if client is None:  # the first search message is no response to a live flow
+                        return False
+                    continue
+                client_ip, client_port, client_id, _ = flow
+                client = (client_ip, client_port)
+                flows[relay_id] = (client_ip, client_port, client_id, now_us)
+                flows.move_to_end(relay_id)
+                if client_id != relay_id:  # param2 sits 12 bytes into the header
+                    rewritten = rewritten or bytearray(data)
+                    _SEARCH_ID.pack_into(rewritten, offset + 12, client_id)
+            if client is None:
+                return False
+            data = data if rewritten is None else bytes(rewritten)
         self.counters.replies_forwarded += 1
         try:
-            self.transport.flow_send(local_port, data if rewritten is None else bytes(rewritten), *client)
+            self.transport.flow_send(local_port, data, client_ip, client_port)
         except OSError as exc:
             self.counters.replies_forwarded -= 1
             self.counters.reply_send_errors += 1
             log.debug("reply to %s:%d failed: %s", client_ip, client_port, exc)
         return True
 
-    def _drop_oldest(self) -> None:
-        relay_id, (client_ip, client_port, client_id, _) = self.flows.popitem(last=False)
+    def _drop_flow(self, relay_id: int) -> None:
+        client_ip, client_port, client_id, _ = self.flows.pop(relay_id)
         if client_id != relay_id:
             del self._renamed[client_ip, client_port, client_id]
 
@@ -350,7 +390,7 @@ class Relay:
         stale_us = now_us - int(self.config.flow_idle_timeout_s * 1e6)  # a flow last used by then has expired
         flows, before = self.flows, len(self.flows)
         while flows and next(iter(flows.values()))[3] <= stale_us:
-            self._drop_oldest()
+            self._drop_flow(next(iter(flows)))
         return before - len(flows)
 
     def serve(self, stop: threading.Event) -> None:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import ipaddress
 import math
 import random
@@ -37,6 +38,7 @@ from carelay.relay import (
     SimTransport,
     RealUdpTransport,
     Verdict,
+    _one_search,
     _search_headers,
     classify,
 )
@@ -382,15 +384,19 @@ class TestSearchHeaderWalk:
     )
 
     @given(st.lists(message, max_size=4), st.integers(0, 8))
-    @example([(0, 0, 5, 1, 0), (6, 5, 5, 7, 0)], 0)  # one search whose payload_size is not a multiple of 8
-    @example([(0, 16, 5, 1, 8), (0, 0, 5, 1, 0)], 8)  # a payload shaped like a search header, then a torn header
+    @example([(0, 0, 5, 1, 0), (6, 8, 5, 7, 0)], 0)  # the one-name layout, which the one read takes
     @example([(6, 0, 5, 1, 0), (6, 8, 5, 7, 0)], 0)  # two searches, the first without a payload
+    @example([(0, 16, 5, 1, 0)], 0)  # a version message whose payload is shaped like a search header
+    @example([(0, 0, 5, 1, 0), (6, 8, 5, 7, 0), (6, 8, 5, 8, 0)], 0)  # a search that is not the last message
+    @example([(0, 0, 5, 1, 0), (6, 5, 5, 7, 0)], 0)  # one search whose payload_size is not a multiple of 8
     @example([(0, 0, 5, 1, 0), (14, 8, 10, 7, 0)], 0)  # a version message, then a CA_PROTO_NOT_FOUND
+    @example([(0, 16, 5, 1, 8), (0, 0, 5, 1, 0)], 8)  # a payload shaped like a search header, then a torn header
     @settings(max_examples=500)
     def test_agrees_with_the_ca_wire_walk(self, messages, cut):
         # The relay reads the header fields of every search message as
         # ca_wire does, or none if ca_wire refuses the datagram, also when a
-        # payload looks like a search header.
+        # payload looks like a search header. The one-name read agrees
+        # wherever it takes a datagram; the walk decides the rest.
         data = b"".join(
             struct.pack(">HHHHII", command, size, data_type, 13, ident, ident)
             + (struct.pack(">HHHHII", 6, inner, 5, 13, 1, 1) + bytes(size))[:size]
@@ -401,7 +407,9 @@ class TestSearchHeaderWalk:
             expected = [(data_type, param1, param2) for _, data_type, _, param1, param2, _ in ca_wire._search_messages(data)]
         except ca_wire.CaWireError:
             expected = []
-        assert [fields for _, *fields in _search_headers(data)] == [list(e) for e in expected]
+        assert [tuple(fields) for _, *fields in _search_headers(data)] == expected
+        one = _one_search(data)
+        assert one is None or [one] == expected
 
 
 class TestProxyRelayOnSim:
@@ -590,15 +598,18 @@ class TestExpireFlows:
 
 
 class FlowSends:
-    """Transport that keeps the payload and destination of every flow_send."""
+    """Transport that keeps the payload and destination of every flow_send, or fails each while ``failing``."""
 
     def __init__(self):
         self.sent = []
+        self.failing = False
 
     def attach(self, relay):
         del relay
 
     def flow_send(self, local_port, payload, dst_ip, dst_port):
+        if self.failing:
+            raise OSError(errno.ENOBUFS, "No buffer space available")
         self.sent.append((payload, dst_ip, dst_port))
 
 
@@ -635,6 +646,25 @@ class TestSearchIds:
         assert len(relay.flows) == 1
         resent = {payload for payload, _, _ in transport.sent[1:]}
         assert len(resent) == 1 and resent != {search(7)}
+
+
+    def test_a_search_that_was_not_sent_opens_no_flow(self):
+        # A failed send takes back the flows its search opened, with their entries in the reverse map;
+        # a resent search whose send fails keeps the flow its first send opened.
+        relay, transport = self.make_relay()
+        transport.failing = True
+        relay.handle_packet(query_packet(src_port=1000, payload=search(9)), now_us=0)
+        assert (relay.flows, relay.counters.send_errors) == ({}, 1)
+        transport.failing = False
+        relay.handle_packet(query_packet(src_port=1000, payload=search(9)), now_us=1)
+        transport.failing = True
+        relay.handle_packet(query_packet(src_port=1001, payload=search(9)), now_us=2)  # would take a fresh ID
+        relay.handle_packet(query_packet(src_port=1000, payload=search(9)), now_us=3)  # the same search again
+        two_names = search(9, "A:PV") + search(10, "B:PV")[16:]
+        relay.handle_packet(query_packet(src_port=1002, payload=two_names), now_us=4)
+        assert list(relay.flows.items()) == [(9, ("10.2.105.171", 1000, 9, 3))]
+        assert relay._renamed == {}
+        assert (relay.counters.relayed, relay.counters.send_errors) == (1, 4)
 
 
 class TestForkModel:

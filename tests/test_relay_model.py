@@ -139,24 +139,27 @@ class RelayModel:
             self.next_id = 1 if self.next_id == 0xFFFF else self.next_id + 1
             self.send(("emit", emitted), "relayed", "send_errors")
             return
-        payload = packet.payload
+        payload, opened = packet.payload, None
         if search_id is not None:  # a CA search: it gets a flow
             client = [packet.src_ip, packet.src_port, search_id]
             flow = next((flow for flow in self.flows if flow[1:4] == client), None)  # the same search again
             if flow is not None:
                 payload = search(flow[0])
             elif self.flow(search_id) is None:
-                flow = [search_id, *client, now]
+                flow = opened = [search_id, *client, now]
             else:  # another client holds the ID: a fresh one goes out
                 relay_id = self.next_search_id
                 while self.flow(relay_id) is not None:
                     relay_id += 1
                 self.next_search_id = relay_id + 1
-                flow = [relay_id, *client, now]
+                flow = opened = [relay_id, *client, now]
                 payload = search(relay_id)
             self.use(flow, now)
+        fails = self.fail_next_send
         call = ("send", LISTEN_PORT, payload, config.target_broadcast, config.target_port)
         self.send(call, "relayed", "send_errors")
+        if fails and opened is not None:  # a search that was not sent leaves no new flow; an eviction stands
+            self.flows.remove(opened)
 
     def reply(self, relay_ids: list[int], now: int) -> bool:
         """Whether the datagram is a reply: its first ID is live. That ID names the client; each

@@ -219,3 +219,14 @@ class TestRecorder:
         copy = ab.fresh_copy(tree, tmp_path / "copy")
         assert (copy / "perfbench" / "compare.py").is_file()
         assert not (copy / "perfbench" / "__pycache__").exists()
+
+
+RECORDED_RUNS = [(w, t, s) for w in ("proxy_flows", "spoof_batched", "sim_paper") for t in (0, 1) for s in bench_record.SEEDS]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_every_recorded_benchmark_holds_the_recorders_passing_runs(path):
+    runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+    assert [(r["workload"], r["trace"], r["seed"]) for r in runs] == RECORDED_RUNS
+    for run in runs:
+        assert (run["returncode"], run["result"]["correct"], run["result"]["failed"]) == (0, True, 0), run["workload"]
