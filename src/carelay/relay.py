@@ -21,9 +21,10 @@ the same relay ID. A reply comes from ``target_port`` and its first search
 message is a response naming a live ID (``CA_PROTO_NOT_FOUND`` is not one);
 ``on_flow_packet`` says whether a datagram is one, and gives each response in it
 its client's ID back. Anything else is a search and meets ``classify``. Both
-paths take the one-name layout that clients and servers send in one ``struct``
-read (``_one_search``) and walk the headers of any other datagram
-(``_search_headers``). A search whose send fails leaves none of the flows it
+paths read a datagram that carries one name (a message with no payload, then
+one search header) in one ``struct`` read (``_one_search``) and walk the
+headers of any other, such as a batched search and the reply that answers all
+its names (``_search_headers``). A search whose send fails leaves none of the flows it
 opened. Both transports expire idle flows on a tick of ``EXPIRY_TICK_US`` (1 s).
 
 The real transport is Linux-only. Both modes block in the listen socket's
@@ -68,7 +69,7 @@ IDLE_WAKE_S = 0.2
 
 # A CA header without its data_count: command, payload_size, data_type, param1, param2.
 _unpack_head = struct.Struct(">HHH2xII").unpack_from
-# What every client and server sends for one name: a message with no payload, then one search header.
+# A datagram that carries one name: a message with no payload, then one search header.
 _unpack_bare_then_search = struct.Struct(">HH12xHHH2xII").unpack_from
 _SEARCH_IDS = struct.Struct(">II")
 _SEARCH_ID = struct.Struct(">I")
@@ -193,13 +194,13 @@ def classify(packet: Ipv4UdpPacket, config: RelayConfig) -> Verdict:
     return _DROP_NOT_ALLOWED if allow else _ACCEPT
 
 
-def _one_search(data: bytes) -> tuple[int, int, int] | None:
-    """(data_type, param1, param2) of a datagram in the one-name layout, in one read; None for any other."""
+def _one_search(data: bytes) -> tuple[tuple[int, int, int, int]] | None:
+    """``_search_headers``' answer for a datagram in the one-name layout, in one read; None for any other."""
     end = len(data)
     if end >= 2 * CA_HEADER_LEN:
         first, first_size, command, size, data_type, param1, param2 = _unpack_bare_then_search(data)
         if command == CMD_SEARCH and first != CMD_SEARCH and not first_size and size == end - 32 and not size % 8:
-            return data_type, param1, param2  # the 32 bytes are the two headers
+            return ((CA_HEADER_LEN, data_type, param1, param2),)  # the 32 bytes are the two headers
     return None
 
 
@@ -293,16 +294,10 @@ class Relay:
     def _track_requests(self, packet: Ipv4UdpPacket, now_us: int, opened: list[int]) -> bytes:
         """The payload to forward, each request's relay ID in place; the IDs of new flows go into ``opened``."""
         data = packet.payload
-        one = _one_search(data)
-        if one is not None:
-            data_type, client_id, _ = one  # param1 is the ID a server answers
-            if data_type not in _REQUEST_FLAGS:
-                return data
-            relay_id = self._flow_id(packet.src_ip, packet.src_port, client_id, now_us, opened)
-            return data if relay_id == client_id else data[:24] + _SEARCH_IDS.pack(relay_id, relay_id) + data[32:]
         src_ip, src_port = packet.src_ip, packet.src_port
         rewritten = None
-        for offset, data_type, client_id, _ in _search_headers(data):
+        # param1 is the ID a server answers
+        for offset, data_type, client_id, _ in _one_search(data) or _search_headers(data):
             if data_type in _REQUEST_FLAGS:
                 relay_id = self._flow_id(src_ip, src_port, client_id, now_us, opened)
                 if relay_id != client_id:
@@ -342,35 +337,25 @@ class Relay:
         """
         data = packet.payload
         flows = self.flows
-        one = _one_search(data)
-        if one is not None:
-            data_type, _, relay_id = one
+        client_ip = client_port = rewritten = None
+        for offset, data_type, _, relay_id in _one_search(data) or _search_headers(data):
             flow = flows.get(relay_id)
-            if flow is None or data_type in _REQUEST_FLAGS:
-                return False
+            if flow is None or data_type in _REQUEST_FLAGS or (
+                client_ip is not None and flow[:2] != (client_ip, client_port)
+            ):
+                if client_ip is None:  # the first search message is no response to a live flow
+                    return False
+                continue
             client_ip, client_port, client_id, _ = flow
             flows[relay_id] = (client_ip, client_port, client_id, now_us)
             flows.move_to_end(relay_id)
-            if client_id != relay_id:  # param2 ends the two headers
-                data = data[:28] + _SEARCH_ID.pack(client_id) + data[32:]
-        else:
-            client = rewritten = None
-            for offset, data_type, _, relay_id in _search_headers(data):
-                flow = flows.get(relay_id)
-                if flow is None or data_type in _REQUEST_FLAGS or client is not None and flow[:2] != client:
-                    if client is None:  # the first search message is no response to a live flow
-                        return False
-                    continue
-                client_ip, client_port, client_id, _ = flow
-                client = (client_ip, client_port)
-                flows[relay_id] = (client_ip, client_port, client_id, now_us)
-                flows.move_to_end(relay_id)
-                if client_id != relay_id:  # param2 sits 12 bytes into the header
-                    rewritten = rewritten or bytearray(data)
-                    _SEARCH_ID.pack_into(rewritten, offset + 12, client_id)
-            if client is None:
-                return False
-            data = data if rewritten is None else bytes(rewritten)
+            if client_id != relay_id:  # param2 sits 12 bytes into the header
+                rewritten = rewritten or bytearray(data)
+                _SEARCH_ID.pack_into(rewritten, offset + 12, client_id)
+        if client_ip is None:
+            return False
+        if rewritten is not None:
+            data = bytes(rewritten)
         self.counters.replies_forwarded += 1
         try:
             self.transport.flow_send(local_port, data, client_ip, client_port)
