@@ -7,6 +7,12 @@ carries only this phase; the data circuit is TCP and never passes through
 it, so the simulated circuit has no wire form: the network hands the IOC a
 PV name, and the client the PV's value, as they are.
 
+This module alone knows the header layout. ``search_messages`` gives each
+search message's header fields, in one ``struct`` read for a datagram that
+carries one name; the relay writes IDs back with ``set_request_ids`` and
+``set_response_id``, and the finders that the IOC and the client call build
+their records from the same answer.
+
 Messages are plain records (``NamedTuple``); a malformed datagram raises a
 ``CaWireError`` on decode, its message naming the fault, and a name a search
 cannot carry a ``ValueError``. The finders build records positionally
@@ -112,31 +118,45 @@ def encode_search_response_datagram(resp: SearchResponse) -> bytes:
 
 # Requests carry the reply flag in data_type; responses carry the server port
 # there, which never collides with the two flag codes.
-_REPLY_FLAGS = {int(flag): flag for flag in ReplyFlag}
+REQUEST_CODES = {int(flag): flag for flag in ReplyFlag}
+
+# A datagram in the one-name layout: a message with no payload, then one search header.
+_unpack_bare_then_search = struct.Struct(">HH12xHHHHII").unpack_from
 
 
-def _search_messages(data: bytes) -> list[tuple]:
-    """Each search message as (reply_flag, data_type, data_count, param1,
-    param2, payload), reply_flag None for a response. Checks the whole
-    datagram first, so a malformed trailer raises even after a valid message.
-    """
+def search_messages(data: bytes) -> tuple | list:
+    """(offset, data_type, data_count, param1, param2, payload_size) of each search message, offset being its
+    header's. The one-name layout, with the search's payload ending the datagram, takes one ``struct`` read; any
+    other datagram is walked and checked whole, so a malformed trailer raises even after a valid message."""
+    end = len(data)
+    if end >= 2 * CA_HEADER_LEN:
+        first, first_size, command, size, data_type, data_count, param1, param2 = _unpack_bare_then_search(data)
+        if command == CMD_SEARCH and first != CMD_SEARCH and not first_size and size == end - 32 and not size % 8:
+            return ((CA_HEADER_LEN, data_type, data_count, param1, param2, size),)  # 32 bytes: the two headers
     found = []
     offset = 0
-    end = len(data)
     while offset < end:
         if end - offset < CA_HEADER_LEN:
             raise CaWireError(f"{end - offset} bytes left, header needs {CA_HEADER_LEN}")
         command, size, data_type, data_count, param1, param2 = _HDR.unpack_from(data, offset)
         if size % 8:
             raise CaWireError(f"payload_size {size} not a multiple of 8")
-        offset += CA_HEADER_LEN
-        if end - offset < size:
-            raise CaWireError(f"payload_size {size} but only {end - offset} bytes remain")
+        if end - offset - CA_HEADER_LEN < size:
+            raise CaWireError(f"payload_size {size} but only {end - offset - CA_HEADER_LEN} bytes remain")
         if command == CMD_SEARCH:
-            flag = _REPLY_FLAGS.get(data_type)
-            found.append((flag, data_type, data_count, param1, param2, data[offset : offset + size]))
-        offset += size
+            found.append((offset, data_type, data_count, param1, param2, size))
+        offset += CA_HEADER_LEN + size
     return found
+
+
+def set_request_ids(buf: bytearray, offset: int, search_id: int) -> None:
+    """Write ``search_id`` into both ID fields of the search request whose header starts at ``offset``."""
+    struct.pack_into(">II", buf, offset + 8, search_id, search_id)
+
+
+def set_response_id(buf: bytearray, offset: int, search_id: int) -> None:
+    """Write ``search_id`` into param2 of the search response whose header starts at ``offset``."""
+    struct.pack_into(">I", buf, offset + 12, search_id)
 
 
 # The last datagram find_search_requests parsed, and its requests. Every IOC
@@ -152,11 +172,13 @@ def find_search_requests(data: bytes) -> list[SearchRequest]:
     if data is _last_parsed[0]:
         return list(_last_parsed[1])
     requests = []
-    for flag, _, minor, search_id, _, payload in _search_messages(data):
+    for offset, data_type, minor, search_id, _, size in search_messages(data):
+        flag = REQUEST_CODES.get(data_type)
         if flag is None:
             continue
+        start = offset + CA_HEADER_LEN
         try:
-            name = payload.split(b"\x00", 1)[0].decode("ascii")
+            name = data[start : start + size].split(b"\x00", 1)[0].decode("ascii")
         except UnicodeDecodeError as exc:
             raise CaWireError(f"search name is not ASCII: {exc}") from exc
         requests.append(new_record(SearchRequest, (name, search_id, flag, minor)))
@@ -167,10 +189,9 @@ def find_search_requests(data: bytes) -> list[SearchRequest]:
 
 def find_search_response(data: bytes) -> SearchResponse | None:
     """The first search response in a datagram, or None."""
-    for flag, server_port, _, param1, search_id, payload in _search_messages(data):
-        if flag is None:
-            minor = struct.unpack_from(">H", payload)[0] if payload else 0
+    for offset, server_port, _, param1, search_id, size in search_messages(data):
+        if server_port not in REQUEST_CODES:
+            minor = struct.unpack_from(">H", data, offset + CA_HEADER_LEN)[0] if size else 0
             address = None if param1 == USE_PACKET_SOURCE else int_to_ip(param1)
             return new_record(SearchResponse, (server_port, search_id, minor, address))
     return None
-

@@ -21,11 +21,11 @@ the same relay ID. A reply comes from ``target_port`` and its first search
 message is a response naming a live ID (``CA_PROTO_NOT_FOUND`` is not one);
 ``on_flow_packet`` says whether a datagram is one, and gives each response in it
 its client's ID back. Anything else is a search and meets ``classify``. Both
-paths read a datagram that carries one name (a message with no payload, then
-one search header) in one ``struct`` read (``_one_search``) and walk the
-headers of any other, such as a batched search and the reply that answers all
-its names (``_search_headers``). A search whose send fails leaves none of the flows it
-opened. Both transports expire idle flows on a tick of ``EXPIRY_TICK_US`` (1 s).
+paths read the IDs with ``ca_wire.search_messages`` and write them with its
+writers; ``ca_wire`` alone knows the CA layout. A search it refuses goes out as
+it came, and a datagram it refuses is no reply. A search whose send fails
+leaves none of the flows it opened. Both transports expire idle flows on a
+tick of ``EXPIRY_TICK_US`` (1 s).
 
 The real transport is Linux-only. Both modes block in the listen socket's
 receive, with a ``SO_RCVTIMEO`` of ``IDLE_WAKE_S`` (0.2 s) to see the stop
@@ -50,7 +50,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from .ca_wire import CA_HEADER_LEN, CA_SERVER_PORT, CMD_SEARCH, ReplyFlag
+from .ca_wire import CA_SERVER_PORT, REQUEST_CODES, CaWireError, search_messages, set_request_ids, set_response_id
 from .packet import (
     HEADER_DEFAULTS, Cidr, Ipv4UdpPacket, encode, ip_to_int, is_dotted_quad, new_record as _new_record, udp_packet,
 )
@@ -66,14 +66,6 @@ EXPIRY_TICK_US = 1_000_000
 FLOW_TABLE_SIZE = 4096
 # Longest an idle serve loop waits before it looks at its stop event again.
 IDLE_WAKE_S = 0.2
-
-# A CA header without its data_count: command, payload_size, data_type, param1, param2.
-_unpack_head = struct.Struct(">HHH2xII").unpack_from
-# A datagram that carries one name: a message with no payload, then one search header.
-_unpack_bare_then_search = struct.Struct(">HH12xHHH2xII").unpack_from
-_SEARCH_IDS = struct.Struct(">II")
-_SEARCH_ID = struct.Struct(">I")
-_REQUEST_FLAGS = frozenset(map(int, ReplyFlag))  # plain ints hash and compare faster than members
 
 
 class TransportUnavailable(Exception):
@@ -194,34 +186,6 @@ def classify(packet: Ipv4UdpPacket, config: RelayConfig) -> Verdict:
     return _DROP_NOT_ALLOWED if allow else _ACCEPT
 
 
-def _one_search(data: bytes) -> tuple[tuple[int, int, int, int]] | None:
-    """``_search_headers``' answer for a datagram in the one-name layout, in one read; None for any other."""
-    end = len(data)
-    if end >= 2 * CA_HEADER_LEN:
-        first, first_size, command, size, data_type, param1, param2 = _unpack_bare_then_search(data)
-        if command == CMD_SEARCH and first != CMD_SEARCH and not first_size and size == end - 32 and not size % 8:
-            return ((CA_HEADER_LEN, data_type, param1, param2),)  # the 32 bytes are the two headers
-    return None
-
-
-def _search_headers(data: bytes) -> list[tuple[int, int, int, int]]:
-    """(offset, data_type, param1, param2) of each search message, walked by ``ca_wire``'s rules for a datagram
-    ``_one_search`` refuses; empty if any payload_size is not a multiple of 8 or overruns the datagram."""
-    end = len(data)
-    found, offset = [], 0
-    try:
-        while offset < end:
-            command, size, data_type, param1, param2 = _unpack_head(data, offset)  # struct.error past the end
-            if command == CMD_SEARCH:
-                found.append((offset, data_type, param1, param2))
-            offset += CA_HEADER_LEN + size
-            if size % 8:
-                return []
-    except struct.error:
-        return []
-    return found if offset == end else []
-
-
 class Relay:
     """Sequential reactor: receive, classify, re-emit; owns all flow state."""
 
@@ -296,13 +260,17 @@ class Relay:
         data = packet.payload
         src_ip, src_port = packet.src_ip, packet.src_port
         rewritten = None
+        try:
+            messages = search_messages(data)
+        except CaWireError:
+            return data
         # param1 is the ID a server answers
-        for offset, data_type, client_id, _ in _one_search(data) or _search_headers(data):
-            if data_type in _REQUEST_FLAGS:
+        for offset, data_type, _, client_id, _, _ in messages:
+            if data_type in REQUEST_CODES:
                 relay_id = self._flow_id(src_ip, src_port, client_id, now_us, opened)
                 if relay_id != client_id:
                     rewritten = rewritten or bytearray(data)
-                    _SEARCH_IDS.pack_into(rewritten, offset + 8, relay_id, relay_id)
+                    set_request_ids(rewritten, offset, relay_id)
         return data if rewritten is None else bytes(rewritten)
 
     def _flow_id(self, src_ip: str, src_port: int, client_id: int, now_us: int, opened: list[int]) -> int:
@@ -338,9 +306,13 @@ class Relay:
         data = packet.payload
         flows = self.flows
         client_ip = client_port = rewritten = None
-        for offset, data_type, _, relay_id in _one_search(data) or _search_headers(data):
+        try:
+            messages = search_messages(data)
+        except CaWireError:
+            return False
+        for offset, data_type, _, _, relay_id, _ in messages:
             flow = flows.get(relay_id)
-            if flow is None or data_type in _REQUEST_FLAGS or (
+            if flow is None or data_type in REQUEST_CODES or (
                 client_ip is not None and flow[:2] != (client_ip, client_port)
             ):
                 if client_ip is None:  # the first search message is no response to a live flow
@@ -349,9 +321,9 @@ class Relay:
             client_ip, client_port, client_id, _ = flow
             flows[relay_id] = (client_ip, client_port, client_id, now_us)
             flows.move_to_end(relay_id)
-            if client_id != relay_id:  # param2 sits 12 bytes into the header
+            if client_id != relay_id:
                 rewritten = rewritten or bytearray(data)
-                _SEARCH_ID.pack_into(rewritten, offset + 12, client_id)
+                set_response_id(rewritten, offset, client_id)
         if client_ip is None:
             return False
         if rewritten is not None:

@@ -4,7 +4,7 @@ import struct
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carelay.ca_wire import (
@@ -17,6 +17,7 @@ from carelay.ca_wire import (
     encode_search_response_datagram,
     find_search_requests,
     find_search_response,
+    search_messages,
 )
 from carelay.packet import int_to_ip, ip_to_int
 
@@ -331,6 +332,17 @@ def oracle_find_search_response(data: bytes) -> SearchResponse | None:
     return None
 
 
+def oracle_search_messages(data: bytes) -> list[tuple]:
+    """What search_messages gives, from the decoder's messages: each search's header offset and fields."""
+    found, offset = [], 0
+    for m in decode_datagram(data):
+        h = m.header
+        if h.command == CMD_SEARCH:
+            found.append((offset, h.data_type, h.data_count, h.param1, h.param2, h.payload_size))
+        offset += CA_HEADER_LEN + h.payload_size
+    return found
+
+
 u16 = st.integers(min_value=0, max_value=0xFFFF)
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
 padded_payloads = st.binary(max_size=72).map(lambda b: b + bytes(-len(b) % 8))
@@ -386,8 +398,42 @@ def test_finders_match_message_object_decoder(data):
     for finder, oracle in (
         (find_search_requests, oracle_find_search_requests),
         (find_search_response, oracle_find_search_response),
+        (lambda data: list(search_messages(data)), oracle_search_messages),
     ):
         assert outcome(finder, data) == outcome(oracle, data)
+
+
+class TestSearchMessages:
+    # (command, payload_size, data_type, search ID, payload_size of a search header that starts the payload)
+    message = st.tuples(
+        st.sampled_from([0, 6, 14]),
+        st.sampled_from([0, 8, 16, 5]) | st.integers(0, 40),
+        st.sampled_from([5, 10, 5901]),
+        st.integers(0, 0xFFFFFFFF),
+        st.sampled_from([0, 8, 16]),
+    )
+
+    @given(st.lists(message, max_size=4), st.integers(0, 8))
+    @example([(0, 0, 5, 1, 0), (6, 8, 5, 7, 0)], 0)  # the one-name layout, which the one read takes
+    @example([(6, 0, 5, 1, 0), (6, 8, 5, 7, 0)], 0)  # two searches, the first without a payload
+    @example([(0, 16, 5, 1, 0)], 0)  # a version message whose payload is shaped like a search header
+    @example([(0, 0, 5, 1, 0), (6, 8, 5, 7, 0), (6, 8, 5, 8, 0)], 0)  # a search that is not the last message
+    @example([(0, 0, 5, 1, 0), (6, 5, 5, 7, 0)], 0)  # one search whose payload_size is not a multiple of 8
+    @example([(0, 0, 5, 1, 0), (14, 8, 10, 7, 0)], 0)  # a version message, then a CA_PROTO_NOT_FOUND
+    @example([(0, 16, 5, 1, 8), (0, 0, 5, 1, 0)], 8)  # a payload shaped like a search header, then a torn header
+    @example([(0, 0, 5, 1, 0), (6, 8, 5901, 7, 0)], 0)  # a 40 B search response, which the one read takes
+    @example([(0, 8, 5, 1, 0), (6, 8, 5, 7, 0)], 0)  # the one-name layout but a first payload: the walk's
+    @settings(max_examples=500)
+    def test_agrees_with_the_message_object_decoder(self, messages, cut):
+        # Every search message's header offset and fields, or the decoder's
+        # refusal, also when a payload looks like a search header; the
+        # one-name read must give what the walk would.
+        data = b"".join(
+            HDR.pack(command, size, data_type, 13, ident, ident) + (HDR.pack(6, inner, 5, 13, 1, 1) + bytes(size))[:size]
+            for command, size, data_type, ident, inner in messages
+        )
+        data = data[: len(data) - cut] if cut < len(data) else data
+        assert outcome(lambda data: list(search_messages(data)), data) == outcome(oracle_search_messages, data)
 
 
 

@@ -6,10 +6,9 @@ import random
 import struct
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carelay import ca_wire
 from carelay.ca_wire import (
     ReplyFlag,
     SearchRequest,
@@ -38,8 +37,6 @@ from carelay.relay import (
     SimTransport,
     RealUdpTransport,
     Verdict,
-    _one_search,
-    _search_headers,
     classify,
 )
 
@@ -371,45 +368,6 @@ class TestSpoofRelayOnSim:
         client_broadcast(net, payload=payload)
         net.advance_clock(10_000)
         assert captured == [payload]
-
-
-class TestSearchHeaderWalk:
-    # (command, payload_size, data_type, search ID, payload_size of a search header that starts the payload)
-    message = st.tuples(
-        st.sampled_from([0, 6, 14]),
-        st.sampled_from([0, 8, 16, 5]) | st.integers(0, 40),
-        st.sampled_from([5, 10, 5901]),
-        st.integers(0, 0xFFFFFFFF),
-        st.sampled_from([0, 8, 16]),
-    )
-
-    @given(st.lists(message, max_size=4), st.integers(0, 8))
-    @example([(0, 0, 5, 1, 0), (6, 8, 5, 7, 0)], 0)  # the one-name layout, which the one read takes
-    @example([(6, 0, 5, 1, 0), (6, 8, 5, 7, 0)], 0)  # two searches, the first without a payload
-    @example([(0, 16, 5, 1, 0)], 0)  # a version message whose payload is shaped like a search header
-    @example([(0, 0, 5, 1, 0), (6, 8, 5, 7, 0), (6, 8, 5, 8, 0)], 0)  # a search that is not the last message
-    @example([(0, 0, 5, 1, 0), (6, 5, 5, 7, 0)], 0)  # one search whose payload_size is not a multiple of 8
-    @example([(0, 0, 5, 1, 0), (14, 8, 10, 7, 0)], 0)  # a version message, then a CA_PROTO_NOT_FOUND
-    @example([(0, 16, 5, 1, 8), (0, 0, 5, 1, 0)], 8)  # a payload shaped like a search header, then a torn header
-    @settings(max_examples=500)
-    def test_agrees_with_the_ca_wire_walk(self, messages, cut):
-        # The relay reads the header fields of every search message as
-        # ca_wire does, or none if ca_wire refuses the datagram, also when a
-        # payload looks like a search header. Wherever the one-name read
-        # takes a datagram it gives the walk's answer, offsets too.
-        data = b"".join(
-            struct.pack(">HHHHII", command, size, data_type, 13, ident, ident)
-            + (struct.pack(">HHHHII", 6, inner, 5, 13, 1, 1) + bytes(size))[:size]
-            for command, size, data_type, ident, inner in messages
-        )
-        data = data[: len(data) - cut] if cut < len(data) else data
-        try:
-            expected = [(data_type, param1, param2) for _, data_type, _, param1, param2, _ in ca_wire._search_messages(data)]
-        except ca_wire.CaWireError:
-            expected = []
-        assert [tuple(fields) for _, *fields in _search_headers(data)] == expected
-        one = _one_search(data)
-        assert one is None or list(one) == _search_headers(data)
 
 
 class TestProxyRelayOnSim:

@@ -172,7 +172,8 @@ def test_a_failed_pair_is_left_out_of_the_pool(tmp_path, monkeypatch, capfd):
 
 class TestRecorder:
     def run(self, tmp_path, monkeypatch, bad: tuple[str, int] | None):
-        tree = fake_tree(tmp_path / "tree")
+        tree = fake_tree(tmp_path / "tree")  # not a git checkout: its commit is given
+        monkeypatch.setattr(bench_record, "git_state", lambda tree: {"git_sha": "c0ffee", "git_dirty": False})
 
         def fake_run(tree, workload, seed, seconds, trace):
             assert seconds == 25  # BENCHMARK.json's run_seconds
@@ -189,7 +190,7 @@ class TestRecorder:
         code, recorded = self.run(tmp_path, monkeypatch, bad=None)
         assert code == 0
         assert recorded["nproc"] >= 1 and recorded["python"].count(".") == 2
-        assert "git_sha" in recorded and "git_dirty" in recorded
+        assert (recorded["git_sha"], recorded["git_dirty"]) == ("c0ffee", False)
         assert recorded["code_sha256"] == bench_record.code_sha256(tmp_path / "tree")
         keys = [(r["workload"], r["trace"], r["seed"]) for r in recorded["runs"]]
         assert keys == [(w, t, s) for w in ("proxy_flows", "spoof_batched", "sim_paper") for t in (0, 1) for s in (7, 3)]
@@ -201,6 +202,17 @@ class TestRecorder:
         assert code == 1
         failed = [r for r in recorded["runs"] if r["result"]["failed"]]
         assert [(r["workload"], r["trace"], r["returncode"]) for r in failed] == [("spoof_batched", 1, 1)] * 2
+
+    def test_a_tree_git_cannot_name_is_refused(self, tmp_path, monkeypatch, capsys):
+        tree = fake_tree(tmp_path / "tree")
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # no checkout above the tree either
+        monkeypatch.setattr(bench_record, "run_perfbench", lambda *args: pytest.fail("no run may start"))
+        out = tmp_path / "BENCH.json"
+        assert bench_record.main(["--out", str(out), "--tree", str(tree)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"error: git rev-parse HEAD failed in {tree}: " in err
+        assert "a recording must name its commit, so none is written" in err
 
     def test_the_code_hash_names_the_code_that_ran(self, tmp_path):
         tree = fake_tree(tmp_path / "tree")

@@ -10,8 +10,9 @@ The file holds the tree's git commit, whether it had uncommitted changes, the
 each run its arguments, exit code, ``env`` line and last JSON line. The
 copies carry no git metadata, so each ``env`` line reads ``git_sha``
 "unknown"; the top-level fields name the code. It warns when the tree has
-uncommitted changes. The file is written in every case; the script exits 1
-if any run exited non-zero or reported ``failed`` > 0.
+uncommitted changes, and refuses a tree that git cannot name: it exits 2,
+says why and writes no file. Otherwise the file is written in every case;
+the script exits 1 if any run exited non-zero or reported ``failed`` > 0.
 """
 
 from __future__ import annotations
@@ -30,14 +31,19 @@ from ab import benchmark_spec, parse_output, problem, run_perfbench
 SEEDS = (7, 3)
 
 
-def git_state(tree: Path) -> dict:
-    """The tree's HEAD commit and whether it has uncommitted changes (None where git cannot tell)."""
-    def git(*argv: str) -> str | None:
-        done = subprocess.run(["git", *argv], cwd=tree, capture_output=True, text=True, check=False)
-        return done.stdout.strip() if done.returncode == 0 else None
+class UnnamedTree(Exception):
+    """git cannot name the tree's commit; the message says why."""
 
-    status = git("status", "--porcelain", "--untracked-files=no")
-    return {"git_sha": git("rev-parse", "HEAD"), "git_dirty": None if status is None else bool(status)}
+
+def git_state(tree: Path) -> dict:
+    """The tree's HEAD commit and whether it has uncommitted changes; ``UnnamedTree`` where git cannot tell."""
+    def git(*argv: str) -> str:
+        done = subprocess.run(["git", *argv], cwd=tree, capture_output=True, text=True, check=False)
+        if done.returncode:
+            raise UnnamedTree(f"git {' '.join(argv)} failed in {tree}: {done.stderr.strip()}")
+        return done.stdout.strip()
+
+    return {"git_sha": git("rev-parse", "HEAD"), "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
 def code_sha256(tree: Path) -> str:
@@ -77,7 +83,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args(argv)
-    recorded = record(args.tree.resolve())
+    try:
+        recorded = record(args.tree.resolve())
+    except UnnamedTree as exc:
+        print(f"error: {exc}; a recording must name its commit, so none is written", file=sys.stderr)
+        return 2
     args.out.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     failures = [(r, problem(r)) for r in recorded["runs"] if problem(r)]
     for run, why in failures:
