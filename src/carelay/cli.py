@@ -5,7 +5,7 @@ file), bench (latency comparison), caget (a test client that reads a PV over
 the simulation; caget --transport real resolves a name on real UDP port 5064).
 
 Exit codes: 0 success, 1 query timeout or scenario mismatch, 2 configuration
-error, 3 missing privilege for raw sending.
+error or a real caget's socket error, 3 missing privilege for raw sending.
 """
 
 from __future__ import annotations
@@ -274,6 +274,10 @@ def cmd_client(args) -> int:
     except ChannelTimeout as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_TIMEOUT
+    except OSError as exc:  # only the real search opens sockets: its bind, sendto, or a receive but its timeout
+        targets = ", ".join(args.target or [f"255.255.255.255:{CA_SERVER_PORT}"])
+        print(f"error: cannot search {targets} for {args.pv}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"{args.pv} {value}")
     return EXIT_OK
 

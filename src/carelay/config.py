@@ -385,10 +385,6 @@ def parse_endpoint(text: str, key: str) -> tuple[str, int]:
     return ip, port_num
 
 
-# The relay key of each RelayConfig field checked there whose name differs.
-_RELAY_KEY_OF_FIELD = {"flow_idle_timeout_s": "flow_idle_timeout"}
-
-
 def _parse_relay(relay: _Section, config: ConfigFile) -> None:
     defaults = RelayConfig
     try:
@@ -399,12 +395,10 @@ def _parse_relay(relay: _Section, config: ConfigFile) -> None:
             allow_sources=tuple(relay.list("allow", _cidr)),
             local_subnet=relay.cidr("local_subnet"),
             mode=RelayMode(relay.choice("mode", [m.value for m in RelayMode], defaults.mode.value)),
-            flow_idle_timeout_s=relay.float("flow_idle_timeout", defaults.flow_idle_timeout_s),
             max_packets_per_second=relay.int("max_packets_per_second", None, minimum=1),
         )
     except InvalidRelayConfig as exc:
-        key = _RELAY_KEY_OF_FIELD.get(exc.field, exc.field)
-        raise ValidationError(relay.name(key), str(exc)) from None
+        raise ValidationError(relay.name(exc.field), str(exc)) from None
     config.relay_host = relay.str("host", None)
     config.relay_install_prerouting = relay.bool("install_prerouting", False)
 
@@ -415,7 +409,6 @@ def _parse_client(client: _Section, config: ConfigFile) -> None:
     initial_retry = client.float("initial_retry", defaults.initial_retry_s)
     backoff_factor = client.float("backoff_factor", defaults.backoff_factor)
     max_tries = client.int("max_tries", defaults.max_tries, minimum=1)
-    total_timeout = client.float("total_timeout", defaults.total_timeout_s)
     try:
         backoff_factor ** (max_tries - 1)  # the growth of the last wait
     except OverflowError:
@@ -423,7 +416,7 @@ def _parse_client(client: _Section, config: ConfigFile) -> None:
             client.name("backoff_factor"), "the retry waits it gives overflow a float"
         ) from None
     try:
-        config.client = ClientQueryConfig(initial_retry, backoff_factor, max_tries, total_timeout)
+        config.client = ClientQueryConfig(initial_retry, backoff_factor, max_tries)
     except (ValueError, OverflowError) as exc:  # initial_retry times that growth can still overflow
         raise ValidationError(client.path, str(exc)) from None
 

@@ -17,6 +17,7 @@ looked up on their module, stay one call each, as perfbench wraps them.
 
 RealCaClient runs the same search schedule over real UDP sockets and stops
 at the first response: the name-resolution phase is all the relay carries.
+Both clients search until the waits run out, within ``SEARCH_TIMEOUT_US``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .netsim import Delivery, NetsimError, VirtualNetwork
 from .packet import Ipv4UdpPacket, new_record, udp_packet
 
 FIRST_EPHEMERAL_PORT = 35687
+# The longest search: a retry schedule's waits must fit in it.
+SEARCH_TIMEOUT_US = 5_000_000
 
 
 class ChannelTimeout(TimeoutError):
@@ -49,7 +52,6 @@ class ClientQueryConfig:
     initial_retry_s: float = 0.030
     backoff_factor: float = 2.0
     max_tries: int = 5
-    total_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.initial_retry_s <= 0:
@@ -58,8 +60,8 @@ class ClientQueryConfig:
             raise ValueError("backoff_factor must exceed 1")
         if self.max_tries < 1:
             raise ValueError("max_tries must be at least 1")
-        if self.total_timeout_s < sum(w / 1e6 for w in self.wait_schedule_us()):
-            raise ValueError("total_timeout must cover the scheduled waits")
+        if sum(self.wait_schedule_us()) > SEARCH_TIMEOUT_US:
+            raise ValueError(f"the retry waits must fit in a {SEARCH_TIMEOUT_US / 1e6:g} s search")
 
     def wait_schedule_us(self) -> list[int]:
         """Wait after each send: initial_retry doubling (by backoff_factor)."""
@@ -214,11 +216,10 @@ class CaClient:
         self._broadcast_ip = interface.subnet.broadcast_address()
         self._next_ephemeral = FIRST_EPHEMERAL_PORT
         self._next_search_id = 1
-        # Each send's offset from the query's start, and the search deadline's: a query's timers (``call_in_turn``).
-        offsets = [0, *accumulate(self.config.wait_schedule_us())]
-        self._deadline_us = min(offsets[-1], round(self.config.total_timeout_s * 1e6))
-        self._run_cap_us = self._deadline_us + 2 * offsets[-1] + 1_000_000
-        self._timers = (*((offset, _Query.send_search) for offset in offsets[:-1]), (self._deadline_us, _Query.give_up))
+        # A query's timers (``call_in_turn``): each send's offset from its start, then the give-up's, when the waits end.
+        *sends, self._deadline_us = accumulate(self.config.wait_schedule_us(), initial=0)
+        self._run_cap_us = 3 * self._deadline_us + 1_000_000
+        self._timers = (*((offset, _Query.send_search) for offset in sends), (self._deadline_us, _Query.give_up))
 
     # -- public operations ------------------------------------------------------
 
@@ -281,11 +282,10 @@ class RealCaClient:
         with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_BROADCAST, 1)
             sock.bind(("0.0.0.0", 0))
-            deadline = time.monotonic() + self.config.total_timeout_s
             for wait_us in self.config.wait_schedule_us():
                 for target in self.targets:
                     sock.sendto(datagram, target)
-                until = min(time.monotonic() + wait_us / 1e6, deadline)
+                until = time.monotonic() + wait_us / 1e6
                 # The socket's own timeout: select() cannot watch a descriptor above 1023.
                 while (remaining := until - time.monotonic()) > 0:
                     sock.settimeout(remaining)
@@ -296,6 +296,4 @@ class RealCaClient:
                     server = _server_of(data, source_ip, search_id)
                     if server is not None:
                         return server
-                if time.monotonic() >= deadline:
-                    break
         raise ChannelTimeout(timeout_message(pv_name))

@@ -24,8 +24,8 @@ its client's ID back. Anything else is a search and meets ``classify``. Both
 paths read the IDs with ``ca_wire.search_messages`` and write them with its
 writers; ``ca_wire`` alone knows the CA layout. A search it refuses goes out as
 it came, and a datagram it refuses is no reply. A search whose send fails
-leaves none of the flows it opened. Both transports expire idle flows on a
-tick of ``EXPIRY_TICK_US`` (1 s).
+leaves none of the flows it opened. Both transports drop flows idle for
+``FLOW_IDLE_TIMEOUT_US`` (30 s) on a tick of ``EXPIRY_TICK_US`` (1 s).
 
 The real transport is Linux-only. Both modes block in the listen socket's
 receive, with a ``SO_RCVTIMEO`` of ``IDLE_WAKE_S`` (0.2 s) to see the stop
@@ -58,12 +58,13 @@ from .packet import (
 log = logging.getLogger(__name__)
 DEFAULT_LISTEN_PORT = 6064
 DEFAULT_TTL = 64
-DEFAULT_FLOW_IDLE_TIMEOUT_S = 30.0
 
 EXPIRY_TICK_US = 1_000_000
 # Most flows a PROXY relay keeps. A flow must outlast the searches forwarded while its reply waits in the
 # listen queue: at most 2,820 with a full 208 KiB queue of 20-name searches on loopback (ROADMAP item 15).
 FLOW_TABLE_SIZE = 4096
+# How long a PROXY flow lives with no search or reply on it.
+FLOW_IDLE_TIMEOUT_US = 30_000_000
 # Longest an idle serve loop waits before it looks at its stop event again.
 IDLE_WAKE_S = 0.2
 
@@ -112,7 +113,6 @@ class RelayConfig:
     allow_sources: tuple[Cidr, ...] = ()
     local_subnet: Cidr = field(kw_only=True)  # the loop guard: sources inside it are never relayed
     mode: RelayMode = RelayMode.SPOOF
-    flow_idle_timeout_s: float = DEFAULT_FLOW_IDLE_TIMEOUT_S
     max_packets_per_second: int | None = None
 
     def __post_init__(self) -> None:
@@ -121,11 +121,6 @@ class RelayConfig:
                 raise InvalidRelayConfig(name, f"port out of range: {getattr(self, name)}")
         if self.listen_port == self.target_port:
             raise InvalidRelayConfig("listen_port", "listen_port and target_port must differ (loop hazard)")
-        if not 0 < self.flow_idle_timeout_s < math.inf:  # also false for NaN
-            raise InvalidRelayConfig(
-                "flow_idle_timeout_s",
-                f"flow_idle_timeout must be positive and finite: {self.flow_idle_timeout_s}",
-            )
         limit = self.max_packets_per_second  # 0 would drop every datagram, and True is an int
         if limit is not None and (type(limit) is not int or limit < 1):
             raise InvalidRelayConfig("max_packets_per_second", f"max_packets_per_second must be an int >= 1: {limit!r}")
@@ -153,7 +148,8 @@ class RelayCounters:
     dropped_port: int = 0
     dropped_rate_limited: int = 0
     replies_forwarded: int = 0
-    flows_evicted: int = 0  # PROXY flows a full table dropped before they expired; a later reply to one is not passed on
+    # PROXY flows a full table dropped unexpired: a late reply to one reaches a client that kept its ID (ROADMAP item 21)
+    flows_evicted: int = 0
     # Socket errors served on. ``relayed`` and ``replies_forwarded`` go up just before their send, so a
     # reader on another thread who has seen the datagram sees it counted; a failed send takes it back.
     recv_errors: int = 0
@@ -343,8 +339,8 @@ class Relay:
             del self._renamed[client_ip, client_port, client_id]
 
     def expire_flows(self, now_us: int) -> int:
-        """Drop flows idle for at least the configured timeout; returns how many."""
-        stale_us = now_us - int(self.config.flow_idle_timeout_s * 1e6)  # a flow last used by then has expired
+        """Drop flows idle for at least ``FLOW_IDLE_TIMEOUT_US``; returns how many."""
+        stale_us = now_us - FLOW_IDLE_TIMEOUT_US  # a flow last used by then has expired
         flows, before = self.flows, len(self.flows)
         while flows and next(iter(flows.values()))[3] <= stale_us:
             self._drop_flow(next(iter(flows)))
@@ -372,7 +368,7 @@ class SimTransport:
             if d.packet.src_port == reply_port and relay.on_flow_packet(listen_port, d.packet, d.time_us):
                 return
             if delay:
-                self.net.call_later(delay, lambda: relay.handle_packet(d.packet, d.time_us))
+                self.net.call_later(delay, lambda: relay.handle_packet(d.packet, self.net.now_us))
             else:
                 relay.handle_packet(d.packet, d.time_us)
 

@@ -94,6 +94,16 @@ class TestScenarioC:
         assert responses, "no search responses reached the client"
         assert all(d.packet.dst_ip == "10.2.105.171" for d in responses)
 
+    def test_a_bare_binding_hears_the_relayed_broadcasts(self):
+        # topology.bindings: a socket on the servers' search port that answers nothing.
+        scenario = scenario_c()
+        scenario.pre_bindings = [("IMX1-HOST2", 5064, "probe")]
+        run = execute_scenario(scenario)
+        assert run.report.all_expected, run.report.mismatches
+        heard = [d for d in run.net.delivery_log if d.binding.owner == "probe"]
+        assert len(heard) == run.report.counters["C-relay-spoof"]["relayed"]
+        assert {(d.host, d.packet.dst_port) for d in heard} == {("IMX1-HOST2", 5064)}
+
 
 class TestRunTwice:
     def test_one_scenario_run_twice_gives_the_same_trace_and_samples(self):

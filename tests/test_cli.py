@@ -384,6 +384,36 @@ def test_client_names_a_target_that_is_no_address(argv, config_error):
     assert "config key '--target': not an IPv4 address" in config_error(argv)
 
 
+# The relay's flow timeout and the client's search timeout are constants, not keys.
+@pytest.mark.parametrize("section, line", [("relay", "flow_idle_timeout: 30.0"), ("client", "total_timeout: 5.0")])
+def test_sim_names_a_removed_setting_as_an_unknown_key(section, line, config_error):
+    text = (CONFIG_DIR / "scenario_c.yaml").read_text().replace(f"\n{section}:\n", f"\n{section}:\n  {line}\n")
+    key = f"{section}.{line.split(':')[0]}"
+    assert config_error(["sim"], text) == f"error: config key '{key}': unknown key\n"
+
+
+def test_sim_needs_queries(config_error):
+    text = scenario_c_sections("topology", "relay", "client")
+    assert config_error(["sim"], text) == "error: this command needs a queries section in the config\n"
+
+
+def test_sim_caget_needs_a_client_host(config_error):
+    text = scenario_c_sections("topology", "relay", "client")
+    assert config_error(["caget", "IMX1-HOST1"], text) == "error: sim transport needs client.host in the config\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["relay", "--mode", "proxy", "--bind-ip", "127.0.0.1", "--local-subnet", "127.0.0.0/8", "--allow", "10.2.105.0/24"],
+    ["caget", "PV:1", "--transport", "real"],
+], ids=["relay", "caget-real"])
+@pytest.mark.parametrize("target, message", [
+    ("10.2.1.255:x", "bad port in '10.2.1.255:x'"),
+    ("10.2.1.255:70000", "port 70000 outside [1, 65535]"),
+], ids=["not-a-number", "out-of-range"])
+def test_a_target_port_that_is_no_port(argv, target, message, config_error):
+    assert config_error([*argv, "--target", target]) == f"error: config key '--target': {message}\n"
+
+
 def test_sim_names_a_query_pv_a_search_cannot_carry(config_error):
     data = yaml.safe_load((CONFIG_DIR / "scenario_c.yaml").read_text())
     data["queries"][1]["pv"] = "p" * 61
@@ -450,10 +480,11 @@ class TestBadValuesAreConfigErrors:
         assert "'relay.target_broadcast'" in err
         assert "target_broadcast must be an IPv4 address" in err
 
+    # The flow timeout is the constant FLOW_IDLE_TIMEOUT_US, so any value of the old key is refused.
     @pytest.mark.parametrize("value", [".inf", ".nan"])
     def test_flow_idle_timeout(self, value, config_error):
         text = RELAY_SECTION + f"  local_subnet: {LOOPBACK}\n  flow_idle_timeout: {value}\n"
-        assert "'relay.flow_idle_timeout'" in config_error(RELAY, text)
+        assert config_error(RELAY, text) == "error: config key 'relay.flow_idle_timeout': unknown key\n"
 
     def test_initial_retry(self, config_error):
         text = "client:\n  initial_retry: .inf\n"

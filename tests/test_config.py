@@ -257,13 +257,11 @@ class TestValidation:
     @pytest.mark.parametrize(
         "text, key",
         [
-            (RELAY + "  flow_idle_timeout: {}\n", "relay.flow_idle_timeout"),
             ("client:\n  backoff_factor: {}\n", "client.backoff_factor"),
-            ("client:\n  total_timeout: {}\n", "client.total_timeout"),
             (MINIMAL_TOPOLOGY + "queries:\n  - client: alpha\n    pv: X\n    value: {}\n", "queries[0].value"),
             (MINIMAL_TOPOLOGY + "  iocs:\n    - host: alpha\n      name: x\n      pvs: {{A: {}}}\n", "topology.iocs[0].pvs.A"),
         ],
-        ids=["flow_idle_timeout", "backoff_factor", "total_timeout", "query_value", "pv"],
+        ids=["backoff_factor", "query_value", "pv"],
     )
     def test_float_keys_must_be_finite(self, text, key, value):
         with pytest.raises(ValidationError) as excinfo:
@@ -274,6 +272,12 @@ class TestValidation:
         with pytest.raises(ValidationError) as excinfo:
             parse_config("client:\n  initial_retry: 1.0e+308\n")
         assert excinfo.value.key == "client"
+
+    def test_retry_schedule_longer_than_a_search_names_section(self):
+        # initial_retry 30 for 0.030 gives a 930 s search.
+        with pytest.raises(ValidationError) as excinfo:
+            parse_config("client:\n  initial_retry: 30\n")
+        assert str(excinfo.value) == "config key 'client': the retry waits must fit in a 5 s search"
 
     @pytest.mark.parametrize("text", [
         "client:\n  backoff_factor: 1.0e+200\n",
@@ -297,8 +301,6 @@ class TestValidation:
     @pytest.mark.parametrize("section, key", [
         ("{target_broadcast: nope, local_subnet: 10.2.1.0/24}", "relay.target_broadcast"),
         ("{target_broadcast: 10.2.511, local_subnet: 10.2.1.0/24}", "relay.target_broadcast"),
-        ("{target_broadcast: 1.2.3.4, local_subnet: 10.2.1.0/24, flow_idle_timeout: 0}", "relay.flow_idle_timeout"),
-        ("{target_broadcast: 1.2.3.4, local_subnet: 10.2.1.0/24, flow_idle_timeout: -1.5}", "relay.flow_idle_timeout"),
         ("{target_broadcast: 1.2.3.4, local_subnet: 10.2.1.0/24, listen_port: 5064}", "relay.listen_port"),
     ])
     def test_relay_config_checks_name_their_key(self, section, key):
@@ -418,7 +420,6 @@ class TestDefaults:
         config = parse_config("relay:\n  target_broadcast: 255.255.255.255\n  local_subnet: 10.2.1.0/24\n")
         assert config.relay.listen_port == 6064
         assert config.relay.target_port == 5064
-        assert config.relay.flow_idle_timeout_s == 30.0
 
 
 # Every key the grammar accepts, each set once.
@@ -456,7 +457,6 @@ relay:
   allow: [10.2.105.0/24]
   local_subnet: 10.2.1.0/24
   mode: proxy
-  flow_idle_timeout: 20.0
   max_packets_per_second: 1000
   install_prerouting: true
 client:
@@ -464,7 +464,6 @@ client:
   initial_retry: 0.020
   backoff_factor: 3.0
   max_tries: 4
-  total_timeout: 5.0
 queries:
   - {client: TesterHEpics, pv: IMX:DMC4:m1, expect: value, value: -2.06e-05}
 """
@@ -516,6 +515,15 @@ class TestKeyInventory:
             config_from_mapping(data)
         assert excinfo.value.key == key
         assert str(excinfo.value) == f"config key '{key}': unknown key"
+
+    # Settings the relay and the client now hold as constants, FLOW_IDLE_TIMEOUT_US and SEARCH_TIMEOUT_US.
+    @pytest.mark.parametrize("section, key, value", [("relay", "flow_idle_timeout", 30.0), ("client", "total_timeout", 5.0)])
+    def test_a_removed_setting_is_an_unknown_key(self, section, key, value):
+        data = yaml.safe_load(EVERY_KEY)
+        data[section][key] = value
+        with pytest.raises(ValidationError) as excinfo:
+            config_from_mapping(data)
+        assert str(excinfo.value) == f"config key '{section}.{key}': unknown key"
 
 
 def test_install_relay_prerouting_adds_redirect():

@@ -15,14 +15,17 @@ from carelay.ca_wire import (
 )
 from carelay.endpoints import (
     FIRST_EPHEMERAL_PORT,
+    SEARCH_TIMEOUT_US,
     CaClient,
     ChannelTimeout,
     ClientQueryConfig,
     IocSim,
     _Query,
 )
-from carelay.netsim import BroadcastDomain, Interface, NetsimError, VirtualHost, VirtualNetwork, VirtualTopology
-from carelay.packet import Cidr, Ipv4UdpPacket
+from carelay.netsim import (
+    BroadcastDomain, Delivery, Interface, NetsimError, VirtualHost, VirtualNetwork, VirtualTopology,
+)
+from carelay.packet import Cidr, Ipv4UdpPacket, udp_packet
 from carelay.relay import RelayMode
 
 BEAMLINE = Cidr("10.2.1.0", 24)
@@ -161,7 +164,7 @@ class TestCaget:
 
     def test_retry_gap_formula_for_custom_schedule(self):
         net, *_ = make_net_with_iocs()
-        config = ClientQueryConfig(initial_retry_s=0.010, backoff_factor=3.0, max_tries=4, total_timeout_s=5.0)
+        config = ClientQueryConfig(initial_retry_s=0.010, backoff_factor=3.0, max_tries=4)
         client = CaClient(net, "TesterDirect", config=config)
         client.query("NOPE")
         sends = search_send_times(net)
@@ -265,6 +268,34 @@ class TestCaget:
         assert not result.timed_out
         assert result.value == 7.5
         assert result.latency_us == 4 * 300_000
+
+
+class TestQueryResponses:
+    # One query fed responses by hand: only one to its own search ID, naming a server that listens, resolves it.
+    def make_query(self):
+        net, *_ = make_net_with_iocs()
+        return _Query(CaClient(net, "TesterDirect"), "IMX:DMC4:m1", 7, FIRST_EPHEMERAL_PORT)
+
+    @staticmethod
+    def delivery(search_id, server_address):
+        datagram = encode_search_response_datagram(SearchResponse(5901, search_id, server_address=server_address))
+        packet = udp_packet("10.2.1.31", "10.2.1.100", 5064, FIRST_EPHEMERAL_PORT, datagram)
+        return Delivery(0, "TesterDirect", None, packet, packet.dst_ip, packet.dst_port)
+
+    def test_a_response_to_another_search_is_ignored(self):
+        query = self.make_query()
+        query.on_datagram(self.delivery(8, "10.2.1.31"))
+        assert not query.resolved
+        query.on_datagram(self.delivery(7, "10.2.1.31"))
+        assert query.resolved
+
+    def test_a_server_with_no_listener_leaves_the_query_waiting_for_the_next_response(self):
+        query = self.make_query()
+        query.on_datagram(self.delivery(7, "10.2.1.50"))
+        assert not query.resolved and not query.done
+        query.on_datagram(self.delivery(7, "10.2.1.31"))
+        query.client.net.advance_clock(10_000)
+        assert (query.done, query.result.value) == (True, -2.06e-05)
 
 
 class TestRead:
@@ -412,6 +443,13 @@ class TestClientQueryConfig:
         with pytest.raises(ValueError):
             ClientQueryConfig(backoff_factor=1.0)
 
-    def test_total_timeout_must_cover_waits(self):
-        with pytest.raises(ValueError):
-            ClientQueryConfig(total_timeout_s=0.5)
+    @pytest.mark.parametrize("initial_retry_s, max_tries", [(SEARCH_TIMEOUT_US / 1e6, 1), (2.0, 2), (1.0, 3)])
+    def test_waits_may_fill_the_search_timeout(self, initial_retry_s, max_tries):
+        config = ClientQueryConfig(initial_retry_s=initial_retry_s, max_tries=max_tries, backoff_factor=1.5)
+        assert sum(config.wait_schedule_us()) <= SEARCH_TIMEOUT_US
+
+    @pytest.mark.parametrize("initial_retry_s, max_tries", [(5.000001, 1), (30.0, 5), (1.0, 4)])
+    def test_waits_beyond_the_search_timeout_are_refused(self, initial_retry_s, max_tries):
+        # A typo such as initial_retry 30 gives a 930 s search, and a wait too long for a socket timeout.
+        with pytest.raises(ValueError, match="must fit in a 5 s search"):
+            ClientQueryConfig(initial_retry_s=initial_retry_s, max_tries=max_tries)

@@ -26,7 +26,7 @@ from carelay.ca_wire import (
     find_search_requests,
 )
 from carelay.cli import main
-from carelay.endpoints import ChannelTimeout, ClientQueryConfig, RealCaClient
+from carelay.endpoints import SEARCH_TIMEOUT_US, ChannelTimeout, ClientQueryConfig, RealCaClient
 from carelay.packet import Cidr, decode
 from carelay.relay import (
     IDLE_WAKE_S,
@@ -59,9 +59,7 @@ def reply(search_id: int) -> bytes:
     return encode_search_response_datagram(SearchResponse(StubIoc.SERVER_PORT, search_id))
 
 
-FAST_CLIENT = ClientQueryConfig(
-    initial_retry_s=0.1, backoff_factor=2.0, max_tries=3, total_timeout_s=2.0
-)
+FAST_CLIENT = ClientQueryConfig(initial_retry_s=0.1, backoff_factor=2.0, max_tries=3)
 
 
 def plain_udp_socket(ip: str = "127.0.0.1") -> socket.socket:
@@ -203,17 +201,17 @@ class TestRealCaClient:
 
 class TestRealCaget:
     def test_prints_the_server_found_well_before_the_timeout(self, stub_ioc, capsys):
-        # It used to wait out total_timeout for a value reply that a stock IOC never sends.
+        # It used to wait out the search timeout for a value reply that a stock IOC never sends.
         started = time.monotonic()
         code = main(["caget", "LOOP:PV", "--transport", "real", "--target", f"127.0.0.1:{stub_ioc.search_port}"])
         elapsed = time.monotonic() - started
         assert code == 0
         assert capsys.readouterr().out == f"LOOP:PV found at 127.0.0.1:{StubIoc.SERVER_PORT}\n"
-        assert elapsed < ClientQueryConfig().total_timeout_s / 5
+        assert elapsed < SEARCH_TIMEOUT_US / 1e6 / 5
 
     def test_a_name_no_server_owns_exits_one(self, stub_ioc, capsys, tmp_path):
         config = tmp_path / "client.yaml"
-        config.write_text("client:\n  initial_retry: 0.02\n  max_tries: 2\n  total_timeout: 0.1\n")
+        config.write_text("client:\n  initial_retry: 0.02\n  max_tries: 2\n")
         code = main([
             "caget", "MISSING:PV", "--transport", "real", "--target", f"127.0.0.1:{stub_ioc.search_port}",
             "--config", str(config),
@@ -223,10 +221,20 @@ class TestRealCaget:
         assert captured.out == ""
         assert captured.err == "Channel connect timed out: 'MISSING:PV' not found.\n"
 
+    def test_a_socket_error_is_one_error_line(self, monkeypatch, capsys):
+        # It used to end in a traceback and exit 1, which reads as a timeout.
+        def unreachable(sock, *args):
+            raise OSError(errno.ENETUNREACH, os.strerror(errno.ENETUNREACH))
+
+        monkeypatch.setattr(socket.socket, "sendto", unreachable)
+        assert main(["caget", "LOOP:PV", "--transport", "real", "--target", "10.2.1.255:5064", "--log", "quiet"]) == 2
+        message = f"cannot search 10.2.1.255:5064 for LOOP:PV: [Errno {errno.ENETUNREACH}] {os.strerror(errno.ENETUNREACH)}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_a_client_section_without_a_host_still_resolves(self, stub_ioc, capsys, tmp_path):
         # Of the client section, only client.host is refused with the real transport; the retry keys apply.
         config = tmp_path / "client.yaml"
-        config.write_text("client:\n  initial_retry: 0.02\n  max_tries: 2\n  total_timeout: 0.1\n")
+        config.write_text("client:\n  initial_retry: 0.02\n  max_tries: 2\n")
         code = main([
             "caget", "LOOP:PV", "--transport", "real", "--target", f"127.0.0.1:{stub_ioc.search_port}",
             "--config", str(config),
@@ -300,10 +308,11 @@ def wait_until(condition, timeout_s: float = 2.0) -> None:
 
 
 class TestRealProxyFlows:
-    def test_idle_flow_expires_while_serving(self):
+    def test_idle_flow_expires_while_serving(self, monkeypatch):
+        monkeypatch.setattr("carelay.relay.FLOW_IDLE_TIMEOUT_US", 50_000)
         sink = plain_udp_socket()
         sink.settimeout(2)
-        relay, transport = proxy_relay(16664, sink.getsockname()[1], flow_idle_timeout_s=0.05)
+        relay, transport = proxy_relay(16664, sink.getsockname()[1])
         stop, thread = serve_in_thread(relay)
         client = plain_udp_socket()
         try:

@@ -1,7 +1,6 @@
 import dataclasses
 import errno
 import ipaddress
-import math
 import random
 import struct
 
@@ -28,6 +27,7 @@ from carelay.netsim import (
 )
 from carelay.packet import ADDRESS_TABLE_SIZE, Cidr, Ipv4UdpPacket, decode, encode, int_to_ip, ip_to_int
 from carelay.relay import (
+    FLOW_IDLE_TIMEOUT_US,
     FLOW_TABLE_SIZE,
     InvalidRelayConfig,
     PrivilegeRequired,
@@ -125,7 +125,7 @@ class TestClassify:
     def test_integer_prefixes_stay_outside_the_fields(self):
         assert [f.name for f in dataclasses.fields(RelayConfig)] == [
             "target_broadcast", "listen_port", "target_port", "allow_sources", "local_subnet", "mode",
-            "flow_idle_timeout_s", "max_packets_per_second",
+            "max_packets_per_second",
         ]
         twin = RelayConfig(**{f.name: getattr(PAPER_CONFIG, f.name) for f in dataclasses.fields(RelayConfig)})
         assert twin == PAPER_CONFIG and hash(twin) == hash(PAPER_CONFIG)
@@ -134,7 +134,7 @@ class TestClassify:
             "RelayConfig(target_broadcast='255.255.255.255', listen_port=6064, target_port=5064, "
             "allow_sources=(Cidr(base_ip='10.2.105.0', prefix_len=24),), "
             "local_subnet=Cidr(base_ip='10.2.1.0', prefix_len=24), mode=<RelayMode.SPOOF: 'spoof'>, "
-            "flow_idle_timeout_s=30.0, max_packets_per_second=None)"
+            "max_packets_per_second=None)"
         )
 
     def test_replace_recomputes_the_integer_prefixes(self):
@@ -538,9 +538,8 @@ class TestExpireFlows:
     def test_boundary_is_inclusive(self):
         relay = self.make_detached_relay()
         relay.handle_packet(query_packet(payload=search()), now_us=0)
-        timeout_us = int(relay.config.flow_idle_timeout_s * 1e6)
-        assert relay.expire_flows(timeout_us - 1) == 0
-        assert relay.expire_flows(timeout_us) == 1
+        assert relay.expire_flows(FLOW_IDLE_TIMEOUT_US - 1) == 0
+        assert relay.expire_flows(FLOW_IDLE_TIMEOUT_US) == 1
         assert relay.flows == {}
 
     def test_a_full_table_evicts_its_oldest_entry(self):
@@ -599,7 +598,7 @@ class TestSearchIds:
         for now_us in (1, 2, 3):
             relay.handle_packet(query_packet(src_port=44257, payload=search(7)), now_us=now_us)
         assert len(relay.flows) == 2
-        relay.expire_flows(int(relay.config.flow_idle_timeout_s * 1e6) + 1)
+        relay.expire_flows(FLOW_IDLE_TIMEOUT_US + 1)
         relay.handle_packet(query_packet(src_port=44257, payload=search(7)), now_us=4)
         assert len(relay.flows) == 1
         resent = {payload for payload, _, _ in transport.sent[1:]}
@@ -658,6 +657,22 @@ class TestForkModel:
         net.advance_clock(100_000)
         # The search waits out the fork cost once; the reply goes back hop by hop.
         assert arrival == [2 * 200 + 5000 + 200 + 200 + 2 * 200]
+
+    def test_a_flow_is_stamped_when_the_relay_handles_its_search(self):
+        # It used to be stamped at the search's arrival, the fork cost earlier, so a reply
+        # handled in between left the flows out of time order for expire_flows.
+        net = VirtualNetwork(relay_topology())
+        config = RelayConfig(
+            target_broadcast="255.255.255.255",
+            allow_sources=(SOL,),
+            local_subnet=BEAMLINE,
+            mode=RelayMode.PROXY,
+        )
+        relay = Relay(config, SimTransport(net, "IMX1-HOST1", request_delay_us=5000))
+        client_broadcast(net, payload=search())
+        net.advance_clock(100_000)
+        arrived_us = 2 * 200  # the helper's copy: 2 hops
+        assert [flow[3] for flow in relay.flows.values()] == [arrived_us + 5000]
 
 
 class TestCountersConservation:
@@ -733,18 +748,15 @@ class TestRelayConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("flow_idle_timeout_s", math.inf),
-            ("flow_idle_timeout_s", math.nan),
             ("target_broadcast", "999.1.1.1"),
             ("target_broadcast", "relay.example"),
             ("target_broadcast", "10.2.511"),
         ],
     )
     def test_values_the_relay_cannot_serve_rejected(self, field, value):
-        # An infinite or NaN timeout ended the relay at its first expiry
-        # tick, and a target encode cannot convert at its first search. A
-        # short form converts, but names no interface of the simulated network.
-        with pytest.raises(ValueError, match=field.removesuffix("_s")):
+        # A target that encode cannot convert ended the relay at its first search.
+        # A short form converts, but names no interface of the simulated network.
+        with pytest.raises(ValueError, match=field):
             RelayConfig(**{"target_broadcast": "255.255.255.255", "local_subnet": BEAMLINE, field: value})
 
     @pytest.mark.parametrize(
@@ -777,7 +789,7 @@ class TestRelayConfigValidation:
         config = RelayConfig(target_broadcast="255.255.255.255", local_subnet=BEAMLINE)
         assert config.listen_port == 6064
         assert config.target_port == 5064
-        assert config.flow_idle_timeout_s == 30.0
+        assert FLOW_IDLE_TIMEOUT_US == 30_000_000
 
 
 class TestRealTransportPrivilege:

@@ -24,7 +24,7 @@ from carelay.relay import Relay, RelayConfig, RelayCounters, RelayMode
 
 LISTEN_PORT = 6064
 TARGET_PORT = 5064
-TIMEOUT_US = 1000
+TIMEOUT_US = carelay.relay.FLOW_IDLE_TIMEOUT_US
 TABLE_SIZE = 3
 # Each sender is (source address, source port, destination port). The local
 # subnet lies inside the allowlist, so only the order of the checks drops a
@@ -43,7 +43,7 @@ def relay_config(mode: RelayMode) -> RelayConfig:
     return RelayConfig(
         target_broadcast="10.2.1.255", listen_port=LISTEN_PORT, target_port=TARGET_PORT,
         allow_sources=(Cidr("10.2.0.0", 16),), local_subnet=Cidr("10.2.1.0", 24),
-        mode=mode, flow_idle_timeout_s=TIMEOUT_US / 1e6,
+        mode=mode,
     )
 
 
