@@ -486,8 +486,10 @@ class TestKeyInventory:
         assert config.client.max_tries == 4
         assert config.queries[0].client_host == "TesterHEpics"
 
-    # One misspelt sibling in each of the grammar's twelve mappings; and
-    # bench, whose parameters are constants of carelay.bench, not keys.
+    # One misspelt sibling in each of the grammar's twelve mappings; bench,
+    # whose parameters are constants of carelay.bench, not keys; and the two
+    # settings that are now constants, relay.FLOW_IDLE_TIMEOUT_US and
+    # endpoints.SEARCH_TIMEOUT_US.
     @pytest.mark.parametrize("where, typo", [
         ((), "topolgy"),
         (("topology",), "jiter_us"),
@@ -500,6 +502,8 @@ class TestKeyInventory:
         (("topology", "bindings", 0), "ownr"),
         (("relay",), "listen-port"),
         (("client",), "max_try"),
+        (("relay",), "flow_idle_timeout"),
+        (("client",), "total_timeout"),
         (("queries", 0), "expected"),
         ((), "bench"),
     ], ids=lambda v: ".".join(map(str, v)) or "root" if isinstance(v, tuple) else v)
@@ -515,15 +519,6 @@ class TestKeyInventory:
             config_from_mapping(data)
         assert excinfo.value.key == key
         assert str(excinfo.value) == f"config key '{key}': unknown key"
-
-    # Settings the relay and the client now hold as constants, FLOW_IDLE_TIMEOUT_US and SEARCH_TIMEOUT_US.
-    @pytest.mark.parametrize("section, key, value", [("relay", "flow_idle_timeout", 30.0), ("client", "total_timeout", 5.0)])
-    def test_a_removed_setting_is_an_unknown_key(self, section, key, value):
-        data = yaml.safe_load(EVERY_KEY)
-        data[section][key] = value
-        with pytest.raises(ValidationError) as excinfo:
-            config_from_mapping(data)
-        assert str(excinfo.value) == f"config key '{section}.{key}': unknown key"
 
 
 def test_install_relay_prerouting_adds_redirect():

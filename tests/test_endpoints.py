@@ -443,10 +443,12 @@ class TestClientQueryConfig:
         with pytest.raises(ValueError):
             ClientQueryConfig(backoff_factor=1.0)
 
-    @pytest.mark.parametrize("initial_retry_s, max_tries", [(SEARCH_TIMEOUT_US / 1e6, 1), (2.0, 2), (1.0, 3)])
-    def test_waits_may_fill_the_search_timeout(self, initial_retry_s, max_tries):
+    @pytest.mark.parametrize("initial_retry_s, max_tries, total_us", [
+        (SEARCH_TIMEOUT_US / 1e6, 1, SEARCH_TIMEOUT_US), (2.0, 2, SEARCH_TIMEOUT_US), (1.0, 3, 4_750_000),
+    ])
+    def test_waits_may_fill_the_search_timeout(self, initial_retry_s, max_tries, total_us):
         config = ClientQueryConfig(initial_retry_s=initial_retry_s, max_tries=max_tries, backoff_factor=1.5)
-        assert sum(config.wait_schedule_us()) <= SEARCH_TIMEOUT_US
+        assert sum(config.wait_schedule_us()) == total_us
 
     @pytest.mark.parametrize("initial_retry_s, max_tries", [(5.000001, 1), (30.0, 5), (1.0, 4)])
     def test_waits_beyond_the_search_timeout_are_refused(self, initial_retry_s, max_tries):
